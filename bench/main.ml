@@ -215,9 +215,9 @@ let mining () =
             end
             else (M.default_ctx, M.default_ctx)
           in
-          let dp = Dpe.Verdict.distance_matrix plain_ctx m log in
+          let dp = M.matrix plain_ctx m log in
           let dc =
-            Dpe.Verdict.distance_matrix cipher_ctx m (Dpe.Encryptor.encrypt_log enc log)
+            M.matrix cipher_ctx m (Dpe.Encryptor.encrypt_log enc log)
           in
           let same f = f dp = f dc in
           let db_ok =
@@ -467,7 +467,7 @@ let perf () =
       let t0 = Unix.gettimeofday () in
       let elog = Dpe.Encryptor.encrypt_log enc log in
       let t1 = Unix.gettimeofday () in
-      ignore (Dpe.Verdict.distance_matrix M.default_ctx M.Structure elog);
+      ignore (M.matrix M.default_ctx M.Structure elog);
       let t2 = Unix.gettimeofday () in
       Format.printf "  n=%-4d encrypt %6.1f ms   %d-pair matrix %6.1f ms@." n
         ((t1 -. t0) *. 1e3) (n * (n - 1) / 2) ((t2 -. t1) *. 1e3))
@@ -538,9 +538,11 @@ let perf_parallel () =
   let push e = entries := e :: !entries in
 
   (* 1. distance matrices: the seed's sequential per-pair loop (every
-     cell re-prints, re-lexes and re-extracts both queries) vs the
-     current [Measure.matrix] path — per-query feature precomputation
-     (Distance.Features), interned-int kernels and pooled row blocks *)
+     cell re-prints, re-lexes and re-extracts both queries, on a 1-lane
+     pool) vs the current [Measure.matrix] path — per-query feature
+     precomputation (Distance.Features), interned-int kernels and pooled
+     row blocks *)
+  let seq_pool = Parallel.Pool.create ~domains:1 () in
   List.iter
     (fun (m, n) ->
       let log =
@@ -550,9 +552,9 @@ let perf_parallel () =
       in
       let qs = Array.of_list log in
       let d i j = M.compute M.default_ctx m qs.(i) qs.(j) in
-      let seq = Mining.Dist_matrix.of_fun_seq n d in
+      let seq = Mining.Dist_matrix.of_fun ~pool:seq_pool n d in
       let feat = M.matrix ~pool M.default_ctx m log in
-      let t_seq = time_best (fun () -> Mining.Dist_matrix.of_fun_seq n d) in
+      let t_seq = time_best (fun () -> Mining.Dist_matrix.of_fun ~pool:seq_pool n d) in
       let t_feat = time_best (fun () -> M.matrix ~pool M.default_ctx m log) in
       push
         { op = "dist_matrix/" ^ M.to_string m;
@@ -560,6 +562,7 @@ let perf_parallel () =
           baseline_ns = t_seq *. 1e9; optimized_ns = t_feat *. 1e9;
           identical = Mining.Dist_matrix.max_abs_diff seq feat = 0.0 })
     [ (M.Edit, 200); (M.Edit, 400); (M.Token, 300) ];
+  Parallel.Pool.shutdown seq_pool;
 
   (* 1b. the feature-table win in isolation: both sides run on the same
      pool, baseline re-derives per pair (the PR-4 path), optimized reads
@@ -1388,7 +1391,7 @@ let ablation_x () =
   List.iter
     (fun x ->
       let r = Dpe.Verdict.check_dpe ~x enc M.Access log in
-      let dm = Dpe.Verdict.distance_matrix { M.db = None; x } M.Access log in
+      let dm = M.matrix { M.db = None; x } M.Access log in
       let labels = Mining.Hier.cut_k 4 dm in
       let ari =
         match !reference with
@@ -1515,14 +1518,14 @@ let decoys () =
   Format.printf "%-8s %-12s %-16s %s@." "ratio" "log size"
     "attack recovery" "real distances";
   hr ();
-  let d_orig = Dpe.Verdict.distance_matrix M.default_ctx M.Token log in
+  let d_orig = M.matrix M.default_ctx M.Token log in
   List.iter
     (fun ratio ->
       let plan =
         Dpe.Decoys.inject ~seed:"a4" ~ratio Workload.Gen_db.skyserver_info log
       in
       let padded = plan.Dpe.Decoys.log in
-      let d_padded = Dpe.Verdict.distance_matrix M.default_ctx M.Token padded in
+      let d_padded = M.matrix M.default_ctx M.Token padded in
       let intact = Dpe.Decoys.strip_matrix plan d_padded = d_orig in
       Format.printf "%-8.2f %-12d %-16.3f %s@." ratio (List.length padded)
         (attack_rate padded)
@@ -1672,7 +1675,7 @@ let metered_metrics_snapshot () =
   let enc = Dpe.Encryptor.create keyring scheme in
   let cipher = Dpe.Encryptor.encrypt_log enc log in
   ignore (Dpe.Encryptor.encrypt_log enc log); (* warm pass: memo-cache hits *)
-  let dm = Dpe.Verdict.distance_matrix M.default_ctx M.Access cipher in
+  let dm = M.matrix M.default_ctx M.Access cipher in
   ignore (Mining.Hier.cut_k 4 dm);
   let db = Workload.Gen_db.skyserver ~seed:"p2-obs" ~rows:60 in
   let rlog =

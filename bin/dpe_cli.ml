@@ -77,16 +77,6 @@ let scheme_of m log = Dpe.Selector.select m (Dpe.Log_profile.of_log log)
 let encryptor_of m pass log =
   Dpe.Encryptor.create (Crypto.Keyring.of_passphrase pass) (scheme_of m log)
 
-(* the result measure needs a database: derive one deterministically from
-   the scenario the log's relations point at *)
-let db_for_log ~seed ~rows log =
-  let rels =
-    List.concat_map Sqlir.Ast.relations log |> List.sort_uniq String.compare
-  in
-  if List.exists (fun r -> r = "photoobj" || r = "specobj") rels then
-    Workload.Gen_db.skyserver ~seed ~rows
-  else Workload.Gen_db.retail ~seed ~rows
-
 (* ---- commands ---- *)
 
 let generate scenario n templates seed =
@@ -172,7 +162,7 @@ let verify m pass seed rows path =
   let enc = encryptor_of m pass log in
   let plain_db, cipher_db =
     if m = M.Result then begin
-      let db = db_for_log ~seed ~rows log in
+      let db = Workload.Gen_db.for_log ~seed ~rows log in
       (Some db, Some (Dpe.Db_encryptor.encrypt_database enc db))
     end
     else (None, None)
@@ -200,115 +190,40 @@ let write_trace = function
     Obs.Trace.write_file file;
     Printf.eprintf "wrote trace %s\n%!" file
 
-(* the point count above which skipping the O(n²) matrix starts paying
-   for the index build on the measures that support one *)
-let auto_index_threshold = 512
-
-(* Neighbor-engine mining: identical labels to the matrix path, without
-   the matrix.  dbscan runs over the VP-tree (or the exact predicate
-   oracle); kmedoids at index scale runs CLARANS over the feature-table
-   distance function with a seed-derived DRBG.  Returns [None] when the
-   requested engine does not cover (algo, measure) — the caller falls
-   back to the matrix path and says so. *)
-let mine_neighbors m algo k eps seed log ~engine =
-  if not (Index.Space.supported m) then None
-  else
-    match (algo, engine) with
-    | "dbscan", "oracle" ->
-      let feats = Distance.Features.build (Array.of_list log) in
-      let sp = Index.Space.of_kind (Option.get (Index.Space.kind_of_measure m)) feats in
-      Some
-        (Mining.Dbscan.run_oracle ~min_pts:3
-           { Mining.Dbscan.o_n = List.length log;
-             within = (fun i j -> Index.Space.within sp ~eps i j) })
-    | "dbscan", "index" ->
-      let feats = Distance.Features.build (Array.of_list log) in
-      let sp = Index.Space.of_kind (Option.get (Index.Space.kind_of_measure m)) feats in
-      let tree = Index.Vp_tree.build ~seed sp in
-      Some
-        (Mining.Dbscan.run_index ~min_pts:3
-           { Mining.Dbscan.ri_n = List.length log;
-             range = (fun i -> Index.Vp_tree.range tree ~eps i) })
-    | "kmedoids", "index" ->
-      let feats = Distance.Features.build (Array.of_list log) in
-      let n = List.length log in
-      let d =
-        match m with
-        | M.Token -> Distance.Features.token feats
-        | M.Structure -> Distance.Features.structure feats
-        | M.Edit -> Distance.Features.edit feats
-        | M.Clause -> Distance.Features.clause feats
-        | M.Access | M.Result -> assert false (* unsupported above *)
-      in
-      let rng = Crypto.Drbg.create ~seed:(seed ^ "/clarans") in
-      let rand b = Crypto.Drbg.uniform_int rng b in
-      Some
-        (Mining.Kmedoids.run_clarans ~rand
-           { Mining.Kmedoids.c_k = k;
-             num_local = 2;
-             max_neighbor = max 250 (k * (n - k) / 80) }
-           ~n ~d)
-    | _ -> None
-
 let mine m algo k eps seed rows trace engine path =
   if trace <> None then Obs.set_enabled true;
   let log = read_log path in
-  let engine =
-    match engine with
-    | "auto" ->
-      if
-        (algo = "dbscan" || algo = "kmedoids")
-        && Index.Space.supported m
-        && List.length log >= auto_index_threshold
-      then "index"
-      else "matrix"
-    | ("matrix" | "oracle" | "index") as e -> e
-    | e ->
-      Printf.eprintf "unknown engine %S (auto, matrix, oracle or index)\n%!" e;
+  let plan =
+    match Server.Mine_plan.plan ~measure:m ~algo ~engine ~n:(List.length log) with
+    | Ok plan -> plan
+    | Error e ->
+      Printf.eprintf "%s\n%!" (Fault.Error.to_string e);
       exit 2
+  in
+  let ctx =
+    if m = M.Result then M.ctx_with_db (Workload.Gen_db.for_log ~seed ~rows log)
+    else M.default_ctx
   in
   (* one root span per request: pool tasks submitted below inherit its
      trace id, so the --trace output draws flow arrows from this slice
      to the lane-side pool.task slices *)
-  let labels =
+  let ran, result =
     Obs.Span.with_span ~cat:"cli" "cli.mine" (fun () ->
-        let indexed =
-          if engine = "matrix" then None
-          else begin
-            match mine_neighbors m algo k eps seed log ~engine with
-            | Some labels ->
-              Printf.eprintf "engine: %s\n%!" engine;
-              Some labels
-            | None ->
-              Printf.eprintf
-                "engine %s does not cover --algo %s -m %s; using matrix\n%!"
-                engine algo (M.to_string m);
-              None
-          end
-        in
-        match indexed with
-        | Some labels -> labels
-        | None ->
-          let ctx =
-            if m = M.Result then M.ctx_with_db (db_for_log ~seed ~rows log)
-            else M.default_ctx
-          in
-          let dm = Dpe.Verdict.distance_matrix ctx m log in
-          (match algo with
-           | "dbscan" -> Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm
-           | "kmedoids" ->
-             Mining.Kmedoids.run { Mining.Kmedoids.k; max_iter = 50 } dm
-           | "outliers" ->
-             Mining.Outlier.run { Mining.Outlier.p = 0.95; d = eps } dm
-             |> Array.map (fun b -> if b then 1 else 0)
-           | _ -> Mining.Hier.cut_k k dm))
+        Server.Mine_plan.run ~ctx { Server.Mine_plan.k; eps; seed } plan log)
   in
-  Array.iteri
-    (fun i l ->
-      Format.printf "%3d %3d  %s@." i l
-        (Sqlir.Printer.to_string (List.nth log i)))
-    labels;
-  write_trace trace
+  Printf.eprintf "engine: %s\n%!" (Server.Mine_plan.engine_name ran.engine);
+  Option.iter (Printf.eprintf "fallback: %s\n%!") ran.fallback;
+  match result with
+  | Error errors ->
+    List.iter (fun e -> Printf.eprintf "%s\n%!" (Fault.Error.to_string e)) errors;
+    exit 1
+  | Ok labels ->
+    Array.iteri
+      (fun i l ->
+        Format.printf "%3d %3d  %s@." i l
+          (Sqlir.Printer.to_string (List.nth log i)))
+      labels;
+    write_trace trace
 
 let mine_cmd =
   let algo =
@@ -324,10 +239,14 @@ let mine_cmd =
     Arg.(value & opt string "auto"
          & info [ "engine" ]
              ~doc:"Neighbor engine: matrix (dense distance matrix), oracle \
-                   (predicate scans, no matrix), index (VP-tree / CLARANS, \
-                   sub-quadratic) or auto (index for large indexable logs, \
-                   matrix otherwise).  All engines produce identical labels \
-                   where they overlap.")
+                   (dbscan over predicate scans, no matrix), index (dbscan \
+                   over a VP-tree; kmedoids by CLARANS, which is approximate \
+                   and may label differently) or auto (the VP-tree for \
+                   dbscan on large indexable logs, matrix otherwise).  auto \
+                   only picks engines whose labels equal the matrix \
+                   engine's.  An engine that does not cover the algorithm \
+                   or measure, or fails, falls back to matrix; the engine \
+                   that ran and any fallback reason are printed on stderr.")
   in
   Cmd.v
     (Cmd.info "mine"
@@ -361,14 +280,14 @@ let stats_workload m seed rows enc log round =
          Dpe.Encryptor.encrypt_log enc log));
   let ctx =
     if m = M.Result then begin
-      let db = db_for_log ~seed ~rows log in
+      let db = Workload.Gen_db.for_log ~seed ~rows log in
       M.ctx_with_db
         (Obs.Span.with_span ~cat:"cli" "cli.encrypt_database" (fun () ->
              Dpe.Db_encryptor.encrypt_database enc db))
     end
     else M.default_ctx
   in
-  let dm = Dpe.Verdict.distance_matrix ctx m cipher in
+  let dm = M.matrix ctx m cipher in
   let k = min 4 (List.length cipher) in
   if k > 0 then ignore (Mining.Hier.cut_k k dm);
   Obs.Span.with_span ~cat:"cli" "cli.hom_encrypt" (fun () ->
@@ -1030,7 +949,8 @@ let chaos seed rows domains report_path =
   let ix_clean, ix_errs0 = ix_run () in
   check "index: clean once disarmed" (ix_errs0 = []) "errors remain";
   let ix_wide =
-    with_pool domains (fun p -> Index.Vp_tree.build ~pool:p ~seed:"chaos" sp_ix)
+    with_pool domains (fun p ->
+        fst (Index.Vp_tree.build_r ~pool:p ~seed:"chaos" sp_ix))
   in
   check "index: tree bit-identical across pool sizes"
     (Index.Vp_tree.fingerprint ix_clean = Index.Vp_tree.fingerprint ix_wide)

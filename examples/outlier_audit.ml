@@ -34,14 +34,14 @@ let () =
 
   (* provider: result-distance outliers over ciphertext *)
   let ctx = M.ctx_with_db cipher_db in
-  let dc = Dpe.Verdict.distance_matrix ctx M.Result cipher_log in
+  let dc = M.matrix ctx M.Result cipher_log in
   let params = { Mining.Outlier.p = 0.9; d = 0.95 } in
   let flagged = Mining.Outlier.outlier_indices params dc in
   Format.printf "provider: flagged query indices %s@."
     (String.concat ", " (List.map string_of_int flagged));
 
   (* owner verification on plaintext *)
-  let dp = Dpe.Verdict.distance_matrix (M.ctx_with_db db) M.Result log in
+  let dp = M.matrix (M.ctx_with_db db) M.Result log in
   let expected = Mining.Outlier.outlier_indices params dp in
   Format.printf "owner: plaintext run flags      %s  (identical: %b)@.@."
     (String.concat ", " (List.map string_of_int expected))

@@ -29,7 +29,7 @@ let () =
     (M.to_string M.Structure) (Dpe.Scheme.const_summary scheme);
 
   (* ----- service provider side: ciphertexts only ----- *)
-  let dc = Dpe.Verdict.distance_matrix M.default_ctx M.Structure cipher_log in
+  let dc = M.matrix M.default_ctx M.Structure cipher_log in
   let k = 4 in
   let provider_clusters = Mining.Hier.cut_k k dc in
   let provider_kmedoids =
@@ -40,7 +40,7 @@ let () =
     (List.length cipher_log) k;
 
   (* ----- verification: rerun on plaintext and compare ----- *)
-  let dp = Dpe.Verdict.distance_matrix M.default_ctx M.Structure log in
+  let dp = M.matrix M.default_ctx M.Structure log in
   let owner_clusters = Mining.Hier.cut_k k dp in
   let owner_kmedoids = Mining.Kmedoids.run { Mining.Kmedoids.k; max_iter = 50 } dp in
   let owner_outliers = Mining.Outlier.run { Mining.Outlier.p = 0.97; d = 0.85 } dp in

@@ -10,18 +10,6 @@ let distance db q1 q2 =
     ~compare:(List.compare Minidb.Value.compare)
     (result_set db q1) (result_set db q2)
 
-let matrix ?pool db queries =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  (* executing the queries dominates; the pairwise Jaccard pass is cheap
-     by comparison but shares the same pool anyway *)
-  let sets =
-    Parallel.Pool.map_array pool (result_set db) (Array.of_list queries)
-  in
-  Parallel.Sym_matrix.build ~pool (Array.length sets) (fun i j ->
-      Obs.Metric.incr m_jaccard;
-      Jaccard.distance ~compare:(List.compare Minidb.Value.compare)
-        sets.(i) sets.(j))
-
 let matrix_r ?pool db queries =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
   let qs = Array.of_list queries in

@@ -10,19 +10,16 @@ val distance : Minidb.Database.t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
 val result_set : Minidb.Database.t -> Sqlir.Ast.query -> Minidb.Value.t list list
 (** The deduplicated result tuple set ([result tuples(Q)] of Definition 4). *)
 
-val matrix :
+val matrix_r :
   ?pool:Parallel.Pool.t -> Minidb.Database.t -> Sqlir.Ast.query list
-  -> float array array
+  -> (float array array, Fault.Error.t list) result
 (** The full pairwise distance matrix, evaluating each query {e once}
     instead of once per pair — an O(n) vs O(n²) difference in executor
     work that dominates result-distance mining (see the perf bench).
     Query execution and the Jaccard pass run across [pool] (default
-    [Parallel.Pool.global ()]). *)
+    [Parallel.Pool.global ()]).
 
-val matrix_r :
-  ?pool:Parallel.Pool.t -> Minidb.Database.t -> Sqlir.Ast.query list
-  -> (float array array, Fault.Error.t list) result
-(** Crash-contained {!matrix}.  A query whose execution raises is
+    Crash-contained: a query whose execution raises is
     reported as [Task_failed {label = "result.query"; index; cause}]
     (its row would be meaningless, so no matrix is returned); a Jaccard
     row failure reports [label = "result.row"].  All healthy work still

@@ -148,11 +148,6 @@ let finish ~pool raws =
   in
   { records; alphabet }
 
-let build ?pool (queries : Sqlir.Ast.query array) =
-  let pool = resolve_pool pool in
-  let raws = Parallel.Pool.mapi_array pool raw_of_query queries in
-  finish ~pool raws
-
 let build_r ?pool (queries : Sqlir.Ast.query array) =
   let pool = resolve_pool pool in
   let slots =
@@ -176,6 +171,8 @@ let build_r ?pool (queries : Sqlir.Ast.query array) =
             (function Ok r -> r | Error _ -> assert false)
             slots))
   | errs -> Error errs
+
+let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
 
 (* ---- pair evaluators ---------------------------------------------------
 

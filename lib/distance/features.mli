@@ -60,19 +60,19 @@ val alphabet : t -> int
 (** Size of the edit-token interning (>= 1), the [~alphabet] of the
     Myers kernel. *)
 
-val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
-(** Build the table, one record per query, across [pool] (default
-    {!Parallel.Pool.global}[ ()]).  Pure per query, so the table is
-    identical for every pool size.  An exception in a per-query build
-    (including an injected fault) propagates. *)
-
 val build_r :
   ?pool:Parallel.Pool.t
   -> Sqlir.Ast.query array
   -> (t, Fault.Error.t list) result
-(** Crash-contained {!build}: per-query failures are collected as
+(** Build the table, one record per query, across [pool] (default
+    {!Parallel.Pool.global}[ ()]).  Pure per query, so the table is
+    identical for every pool size.  Crash-contained: per-query failures
+    (including injected faults) are collected as
     [Task_failed { label = "features.build"; index; _ }] instead of
     raised. *)
+
+val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
+(** {!build_r}, raising [Fault.Error.E] of the first error. *)
 
 (** {2 Pair evaluators}
 

@@ -85,23 +85,12 @@ let pair_of_features ctx measure feats =
   | Edit -> fun i j -> Obs.Metric.incr m_evals; Features.edit feats i j
   | Clause -> fun i j -> Obs.Metric.incr m_evals; Features.clause feats i j
   | Access -> fun i j -> Obs.Metric.incr m_evals; Features.access ~x:ctx.x feats i j
-  | Result -> assert false
-
-let matrix ?pool ctx measure queries =
-  let t0 = Obs.time_start () in
-  let m =
-    match measure, ctx.db with
-    | Result, Some db -> D_result.matrix ?pool db queries
-    | Result, None -> raise (Fault.Error.E (missing_db "Distance.Measure.matrix"))
-    | (Token | Structure | Access | Edit | Clause), _ ->
-      let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-      let qs = Array.of_list queries in
-      let feats = Features.build ~pool qs in
-      Parallel.Sym_matrix.build ~pool (Array.length qs)
-        (pair_of_features ctx measure feats)
-  in
-  record_matrix_span measure queries t0;
-  m
+  | Result ->
+    raise
+      (Fault.Error.E
+         (Fault.Error.Invariant
+            { context = "Distance.Measure.pair_of_features";
+              reason = "the result distance has no feature-table form" }))
 
 let matrix_r ?pool ctx measure queries =
   let t0 = Obs.time_start () in
@@ -130,3 +119,6 @@ let matrix_r ?pool ctx measure queries =
   in
   record_matrix_span measure queries t0;
   r
+
+let matrix ?pool ctx measure queries =
+  Fault.Error.get_ok (matrix_r ?pool ctx measure queries)

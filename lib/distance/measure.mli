@@ -43,9 +43,16 @@ val compute : ctx -> t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
 (** @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
     without a database. *)
 
-val matrix :
+val pair_of_features : ctx -> t -> Features.t -> int -> int -> float
+(** [pair_of_features ctx m feats i j] is [compute ctx m] on queries
+    [i] and [j] of the table, bit-identically, without touching query
+    text.
+    @raise Fault.Error.E [(Invariant _)] for {!Result}, which has no
+    feature-table form. *)
+
+val matrix_r :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
-  -> float array array
+  -> (float array array, Fault.Error.t list) result
 (** The full symmetric pairwise matrix.  Prefer this over calling
     {!compute} per pair: per-query artifacts (printed form, token
     sequences, feature / clause sets, access areas) are precomputed once
@@ -55,14 +62,14 @@ val matrix :
     matrices are filled across [pool] (default
     [Parallel.Pool.global ()]); all measures are pure, so the result is
     identical for every pool size.
-    @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
-    without a database. *)
 
-val matrix_r :
-  ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
-  -> (float array array, Fault.Error.t list) result
-(** Crash-contained {!matrix}: failures (including injected faults) are
-    collected as typed [Task_failed] errors instead of raised —
-    per-query feature builds as [label = "features.build"], matrix rows
-    as [label = "measure.row"] — and every healthy task still runs; a
+    Crash-contained: failures (including injected faults) are collected
+    as typed [Task_failed] errors instead of raised — per-query feature
+    builds as [label = "features.build"], matrix rows as
+    [label = "measure.row"] — and every healthy task still runs; a
     missing database for {!Result} returns [Error [Invariant _]]. *)
+
+val matrix :
+  ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
+  -> float array array
+(** {!matrix_r}, raising [Fault.Error.E] of the first error. *)

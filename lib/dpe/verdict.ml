@@ -15,15 +15,13 @@ let pp_report fmt r =
     (M.to_string r.measure) r.pairs r.mean_plain_distance r.max_deviation
     (if r.ok then "PRESERVED" else "VIOLATED")
 
-let distance_matrix ctx measure log = M.matrix ctx measure log
-
 let check_dpe ?plain_db ?cipher_db ?(x = Distance.D_access.default_x)
     enc measure log =
   let enc_log = Encryptor.encrypt_log enc log in
   let plain_ctx = { M.db = plain_db; x } in
   let cipher_ctx = { M.db = cipher_db; x } in
-  let dp = distance_matrix plain_ctx measure log in
-  let dc = distance_matrix cipher_ctx measure enc_log in
+  let dp = M.matrix plain_ctx measure log in
+  let dc = M.matrix cipher_ctx measure enc_log in
   let n = Array.length dp in
   let max_dev = ref 0.0 and sum = ref 0.0 and pairs = ref 0 in
   for i = 0 to n - 1 do

@@ -35,8 +35,3 @@ val check_equivalence :
   bool
 (** Definition 2 on a single query. *)
 
-val distance_matrix :
-  Distance.Measure.ctx -> Distance.Measure.t -> Sqlir.Ast.query list
-  -> float array array
-(** Symmetric pairwise distance matrix — also the input format of the
-    {!Mining} algorithms. *)

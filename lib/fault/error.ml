@@ -100,3 +100,9 @@ let of_exn ~context exn =
         (match f exn with Some t -> t | None -> translate rest)
     in
     translate (Atomic.get translators)
+
+let get_ok = function
+  | Ok v -> v
+  | Error (e :: _) -> raise (E e)
+  | Error [] ->
+    raise (E (Invariant { context = "Fault.Error.get_ok"; reason = "empty error list" }))

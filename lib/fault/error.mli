@@ -63,3 +63,7 @@ val of_exn : context:string -> exn -> t
 (** Convert a caught exception: [E e] unwraps to [e], registered
     translators are tried in turn, anything else becomes
     {!Unexpected}.  Increments [kitdpe.fault.caught]. *)
+
+val get_ok : ('a, t list) result -> 'a
+(** The raising face of a crash-contained [_r] builder: [Ok v] is [v],
+    [Error (e :: _)] raises [E e] (the first error). *)

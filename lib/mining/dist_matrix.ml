@@ -4,12 +4,13 @@ let m_evals = Obs.Registry.counter "kitdpe.mining.dist_matrix.evals"
 let m_build_ns = Obs.Registry.histogram "kitdpe.mining.dist_matrix.build_ns"
 let m_build = Obs.Registry.sketch "kitdpe.mining.dist_matrix.build"
 
-(* Where did the wall-clock go?  [of_fun] counts every distance
+(* Where did the wall-clock go?  [of_fun_r] counts every distance
    evaluation (the n(n-1)/2 upper-triangle calls) and records one span
    per matrix build.  The counting closure is allocated once per matrix
    and only when observability is on; the disabled path is the bare
    builder. *)
-let of_fun_instrumented build n d =
+let build_instrumented ?pool n d =
+  let build = Parallel.Sym_matrix.build_r ?pool in
   if not (Obs.is_enabled ()) then build n d
   else begin
     let t0 = Obs.now_ns () in
@@ -29,55 +30,24 @@ let of_fun_instrumented build n d =
     m
   end
 
-let of_fun_seq n d = of_fun_instrumented Parallel.Sym_matrix.build_seq n d
-
-let of_fun ?pool n d =
-  of_fun_instrumented (Parallel.Sym_matrix.build ?pool) n d
-
 (* cells are identified by (i, j) with j < 2^20 — plenty for any matrix
    this repository builds — giving each evaluation a stable injection
    key independent of row scheduling *)
 let eval_key i j = (i lsl 20) lor j
 
-let of_fun_r ?pool ?(retries = 0) n d =
-  let d_inj =
+let of_fun_r ?pool n d =
+  let d =
     if Fault.enabled () then (fun i j ->
       Fault.point ~key:(eval_key i j) "mining.dist_matrix.eval";
       d i j)
     else d
   in
-  let d_eval =
-    if retries = 0 then d_inj
-    else fun i j ->
-      (* the injection point is consulted on the first attempt only, so a
-         bounded per-cell retry demonstrably recovers from transient
-         evaluation faults; [d] is pure, so a retried cell recomputes the
-         identical value — the matrix stays bit-identical to a fault-free
-         run whenever the retry budget absorbs every fault *)
-      let attempt_cell ~attempt =
-        match if attempt = 1 then d_inj i j else d i j with
-        | v -> Ok v
-        | exception e ->
-          Error (Fault.Error.of_exn ~context:"Mining.Dist_matrix.cell" e)
-      in
-      match
-        Fault.Retry.run
-          ~policy:(Fault.Retry.immediate (retries + 1))
-          ~should_abort:Parallel.Pool.deadline_expired
-          ~key:(Printf.sprintf "dist_matrix/%d/%d" i j)
-          attempt_cell
-      with
-      | Ok v -> v
-      | Error e -> raise (Fault.Error.E e)
-  in
-  match of_fun_instrumented (Parallel.Sym_matrix.build_r ?pool) n d_eval with
-  | Ok m -> Ok m
-  | Error errs ->
-    Error
-      (List.map
-         (fun (i, cause) ->
-           Fault.Error.Task_failed { label = "dist_matrix.row"; index = i; cause })
-         errs)
+  Result.map_error
+    (List.map (fun (index, cause) ->
+         Fault.Error.Task_failed { label = "dist_matrix.row"; index; cause }))
+    (build_instrumented ?pool n d)
+
+let of_fun ?pool n d = Fault.Error.get_ok (of_fun_r ?pool n d)
 
 let size (m : t) = Array.length m
 let get (m : t) i j = m.(i).(j)

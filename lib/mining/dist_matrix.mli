@@ -4,35 +4,25 @@
 
 type t = float array array
 
-val of_fun : ?pool:Parallel.Pool.t -> int -> (int -> int -> float) -> t
-(** [of_fun n d] evaluates [d i j] for [i < j] and mirrors it.  For
-    [n >= Parallel.Sym_matrix.par_threshold] the rows are computed across
-    [pool] (default [Parallel.Pool.global ()]); [d] must be pure, and the
-    result is bit-for-bit identical to the sequential evaluation for every
-    pool size. *)
-
-val of_fun_seq : int -> (int -> int -> float) -> t
-(** Sequential reference implementation of {!of_fun} (what [of_fun]
-    degrades to on a 1-lane pool or small [n]). *)
-
 val of_fun_r :
   ?pool:Parallel.Pool.t ->
-  ?retries:int ->
   int ->
   (int -> int -> float) ->
   (t, Fault.Error.t list) result
-(** Crash-contained {!of_fun}: a row whose evaluations raise is reported
-    as [Task_failed {label = "dist_matrix.row"; index; cause}] while all
+(** [of_fun_r n d] evaluates [d i j] for [i < j] and mirrors it.  For
+    [n >= Parallel.Sym_matrix.par_threshold] the rows are computed
+    across [pool] (default [Parallel.Pool.global ()]); [d] must be pure,
+    and the result is bit-for-bit identical to the sequential evaluation
+    for every pool size.
+
+    Crash-contained: a row whose evaluations raise is reported as
+    [Task_failed {label = "dist_matrix.row"; index; cause}] while all
     other rows still compute; [Ok] only when the matrix is complete.
     Carries the ["mining.dist_matrix.eval"] injection point keyed by
-    cell coordinates.
+    cell coordinates. *)
 
-    [retries] (default 0) bounds per-cell re-evaluation via
-    {!Fault.Retry} with zero backoff: the injection point is consulted
-    on the first attempt only, so a transient injected fault is absorbed
-    and — [d] being pure — the matrix is bit-identical to a fault-free
-    build.  Cell retries never outlive the caller's
-    [Parallel.Pool.with_deadline] budget. *)
+val of_fun : ?pool:Parallel.Pool.t -> int -> (int -> int -> float) -> t
+(** {!of_fun_r}, raising [Fault.Error.E] of the first row error. *)
 
 val size : t -> int
 val get : t -> int -> int -> float

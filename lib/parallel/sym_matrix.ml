@@ -1,38 +1,11 @@
 let par_threshold = 64
 
-let build_seq n d =
-  let m = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
-    let row = m.(i) in
-    for j = i + 1 to n - 1 do
-      let v = d i j in
-      row.(j) <- v;
-      m.(j).(i) <- v
-    done
-  done;
-  m
-
-let build ?pool n d =
-  let pool = match pool with Some p -> p | None -> Pool.global () in
-  if n < par_threshold || Pool.size pool <= 1 then build_seq n d
-  else begin
-    let m = Array.make_matrix n n 0.0 in
-    (* Strided rows balance the triangular row costs.  Lanes write
-       disjoint cells: row [i] owns [m.(i).(j)] for [j > i] plus the
-       mirror cells [m.(j).(i)], i.e. column [i] below the diagonal. *)
-    Pool.for_range pool n (fun i ->
-        let row = m.(i) in
-        for j = i + 1 to n - 1 do
-          let v = d i j in
-          row.(j) <- v;
-          m.(j).(i) <- v
-        done);
-    m
-  end
-
 let build_r ?pool n d =
   let pool = match pool with Some p -> p | None -> Pool.global () in
   let m = Array.make_matrix n n 0.0 in
+  (* Lanes write disjoint cells: row [i] owns [m.(i).(j)] for [j > i]
+     plus the mirror cells [m.(j).(i)], i.e. column [i] below the
+     diagonal; the pool's strided rows balance the triangular costs. *)
   let fill i =
     let row = m.(i) in
     for j = i + 1 to n - 1 do
@@ -64,3 +37,6 @@ let build_r ?pool n d =
   match errors with
   | [] -> Ok m
   | errors -> Error errors
+
+let build ?pool n d =
+  Fault.Error.get_ok (Result.map_error (List.map snd) (build_r ?pool n d))

@@ -39,16 +39,9 @@ let m_partial = Obs.Registry.counter "kitdpe.server.partial"
 
 let deadline_err context = Fault.Error.Deadline_exceeded { context }
 
-(* the result measure needs database content; derive it deterministically
-   from the scenario the log's relations point at (same convention as the
-   CLI), sized small enough for request latency *)
-let db_for_log log =
-  let rels =
-    List.concat_map Sqlir.Ast.relations log |> List.sort_uniq String.compare
-  in
-  if List.exists (fun r -> r = "photoobj" || r = "specobj") rels then
-    Workload.Gen_db.skyserver ~seed:"serve" ~rows:48
-  else Workload.Gen_db.retail ~seed:"serve" ~rows:48
+(* the result measure's database content, sized small enough for
+   request latency *)
+let db_for_log = Workload.Gen_db.for_log ~seed:"serve" ~rows:48
 
 let parse_queries (req : Proto.request) =
   let rec go i acc = function
@@ -114,19 +107,6 @@ let encrypt ctx (req : Proto.request) log =
 
 (* ---- mine ---- *)
 
-let run_algo (req : Proto.request) dm =
-  match req.algo with
-  | "dbscan" -> Ok (Mining.Dbscan.run { Mining.Dbscan.eps = req.eps; min_pts = 3 } dm)
-  | "kmedoids" ->
-    Ok (Mining.Kmedoids.run { Mining.Kmedoids.k = req.k; max_iter = 50 } dm)
-  | "outliers" ->
-    Ok
-      (Mining.Outlier.run { Mining.Outlier.p = 0.95; d = req.eps } dm
-      |> Array.map (fun b -> if b then 1 else 0))
-  | "clink" -> Ok (Mining.Hier.cut_k req.k dm)
-  | other ->
-    Error (Fault.Error.Protocol { reason = Printf.sprintf "unknown algo %S" other })
-
 (* an expiry that hits mid-batch arrives wrapped per task; it is still a
    whole-request deadline, not a recoverable row failure *)
 let rec deadline_rooted = function
@@ -151,101 +131,70 @@ let failed_indices errors =
     (Some []) errors
   |> Option.map (List.sort_uniq Int.compare)
 
-let labels_body labels = [ ("labels", J.Arr (Array.to_list (Array.map (fun l -> J.Num (float_of_int l)) labels))) ]
+let num i = J.Num (float_of_int i)
+let labels_body labels =
+  [ ("labels", J.Arr (Array.to_list (Array.map num labels))) ]
 
-(* Neighbor-engine path: DBSCAN answered by the exact predicate oracle
-   or a VP-tree over the feature table, skipping the O(n²) matrix.  Both
-   make bit-identical label decisions to the matrix path (same scan
-   order, exact neighbor sets), so falling back costs correctness
-   nothing — [None] hands the request to the matrix path, which owns
-   degradation (partial responses, deadline conversion).  The tree seed
-   is fixed so seeded chaos runs stay bit-reproducible. *)
-let mine_neighbors (req : Proto.request) log ~engine =
-  match Distance.Features.build_r (Array.of_list log) with
-  | Error _ -> None
-  | Ok feats -> (
-    match Index.Space.of_measure req.measure feats with
-    | None -> None
-    | Some sp -> (
-      let n = List.length log in
-      match
-        if engine = "oracle" then
-          Mining.Dbscan.run_oracle ~min_pts:3
-            { Mining.Dbscan.o_n = n;
-              within = (fun i j -> Index.Space.within sp ~eps:req.eps i j) }
-        else
-          let tree = Index.Vp_tree.build ~seed:"serve" sp in
-          Mining.Dbscan.run_index ~min_pts:3
-            { Mining.Dbscan.ri_n = n;
-              range = (fun i -> Index.Vp_tree.range tree ~eps:req.eps i) }
-      with
-      | labels -> Some (Proto.response_ok ~id:req.id (labels_body labels))
-      | exception _ -> None))
+let plan_body (plan : Mine_plan.t) =
+  ("engine", J.Str (Mine_plan.engine_name plan.engine))
+  :: (match plan.fallback with None -> [] | Some r -> [ ("fallback", J.Str r) ])
 
-let mine ctx (req : Proto.request) log =
-  ignore ctx;
-  let via_neighbors =
-    match req.engine with
-    | Some (("oracle" | "index") as engine)
-      when req.algo = "dbscan" && Index.Space.supported req.measure ->
-      mine_neighbors req log ~engine
-    | _ -> None
-  in
-  match via_neighbors with
-  | Some resp -> resp
-  | None ->
-  let mctx =
-    if req.measure = M.Result then M.ctx_with_db (db_for_log log)
-    else M.default_ctx
-  in
-  let finish dm n_total healthy_ix errors =
-    match run_algo req dm with
-    | Error e -> Proto.response_error ~id:req.id e
-    | Ok labels -> (
-      match healthy_ix with
-      | None -> Proto.response_ok ~id:req.id (labels_body labels)
-      | Some ixs ->
-        (* scatter the subset labels back; excluded queries are -1 *)
-        let full = Array.make n_total (-1) in
-        List.iteri (fun pos ix -> full.(ix) <- labels.(pos)) ixs;
-        Obs.Metric.incr m_partial;
-        Proto.response_partial ~id:req.id
-          (labels_body full
-          @ [ ("excluded",
-               J.Arr
-                 (List.filter_map
-                    (fun i ->
-                      if List.mem i ixs then None
-                      else Some (J.Num (float_of_int i)))
-                    (List.init n_total (fun i -> i)))) ])
-          ~errors)
-  in
-  match M.matrix_r mctx req.measure log with
-  | Ok dm -> finish dm (List.length log) None []
-  | Error errors -> (
-    if List.exists deadline_rooted errors then begin
-      Obs.Metric.incr m_deadline;
-      Proto.response_error ~id:req.id (deadline_err "Server.Dispatch.mine")
-    end
-    else
-      match failed_indices errors with
-      | None -> Proto.response_error ~id:req.id (List.hd errors)
-      | Some bad ->
-        let n = List.length log in
-        let healthy =
-          List.filteri (fun i _ -> not (List.mem i bad)) log
-        in
-        let healthy_ix =
-          List.filter (fun i -> not (List.mem i bad)) (List.init n (fun i -> i))
-        in
-        if List.length healthy < 2 then
-          Proto.response_error ~id:req.id (List.hd errors)
-        else (
-          (* one degradation attempt on the healthy subset; a second
-             failure means the fault is not row-scoped after all *)
-          match M.matrix_r mctx req.measure healthy with
-          | Ok dm -> finish dm n (Some healthy_ix) errors
-          | Error _ -> Proto.response_error ~id:req.id (List.hd errors)))
+(* Engine choice and the algorithm live in [Mine_plan]; what stays here
+   is the server's part: the tree seed fixed so seeded chaos runs stay
+   bit-reproducible, deadline conversion, and one partial-subset retry
+   when the matrix reports row-scoped failures. *)
+let mine (req : Proto.request) log =
+  match
+    Mine_plan.plan ~measure:req.measure ~algo:req.algo
+      ~engine:(Option.value req.engine ~default:"matrix") ~n:(List.length log)
+  with
+  | Error e -> Proto.response_error ~id:req.id e
+  | Ok plan -> (
+    let mctx =
+      if req.measure = M.Result then M.ctx_with_db (db_for_log log)
+      else M.default_ctx
+    in
+    let params = { Mine_plan.k = req.k; eps = req.eps; seed = "serve" } in
+    let ran, result = Mine_plan.run ~ctx:mctx params plan log in
+    match result with
+    | Ok labels -> Proto.response_ok ~id:req.id (labels_body labels @ plan_body ran)
+    | Error errors -> (
+      if List.exists deadline_rooted errors then begin
+        Obs.Metric.incr m_deadline;
+        Proto.response_error ~id:req.id (deadline_err "Server.Dispatch.mine")
+      end
+      else
+        match failed_indices errors with
+        | None -> Proto.response_error ~id:req.id (List.hd errors)
+        | Some bad -> (
+          let n = List.length log in
+          let healthy = List.filteri (fun i _ -> not (List.mem i bad)) log in
+          let healthy_ix =
+            List.filter (fun i -> not (List.mem i bad)) (List.init n Fun.id)
+          in
+          if List.length healthy < 2 then
+            Proto.response_error ~id:req.id (List.hd errors)
+          else
+            (* one degradation attempt on the healthy subset; a second
+               failure means the fault is not row-scoped after all *)
+            match M.matrix_r mctx req.measure healthy with
+            | Error _ -> Proto.response_error ~id:req.id (List.hd errors)
+            | Ok dm ->
+              let labels = Mine_plan.on_matrix params ran dm in
+              (* scatter the subset labels back; excluded queries are -1 *)
+              let full = Array.make n (-1) in
+              List.iteri (fun pos ix -> full.(ix) <- labels.(pos)) healthy_ix;
+              Obs.Metric.incr m_partial;
+              Proto.response_partial ~id:req.id
+                (labels_body full
+                @ [ ("excluded",
+                     J.Arr
+                       (List.filter_map
+                          (fun i ->
+                            if List.mem i healthy_ix then None else Some (num i))
+                          (List.init n Fun.id))) ]
+                @ plan_body ran)
+                ~errors)))
 
 (* ---- stats / health ---- *)
 
@@ -291,7 +240,7 @@ let run ctx (req : Proto.request) =
       if List.length log < 2 then
         Proto.response_error ~id:req.id
           (Fault.Error.Protocol { reason = "mine needs at least 2 queries" })
-      else mine ctx req log)
+      else mine req log)
 
 let consults_deadline = function
   | Proto.Encrypt | Proto.Mine -> true

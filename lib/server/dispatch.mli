@@ -12,6 +12,11 @@
     encrypt/mine install it; stats/health never consult a deadline and
     leave the calling thread's slot untouched.
 
+    Mining: {!Mine_plan} chooses the engine and runs the algorithm
+    (DESIGN.md §15); an absent [engine] field means the matrix engine.
+    Every mine response names the engine that ran in ["engine"] and,
+    after a fallback, the reason in ["fallback"].
+
     Graceful degradation (DESIGN.md §14): a mine whose matrix reports
     row-scoped failures is rebuilt once on the healthy subset and
     answered as status ["partial"] — labels with [-1] for excluded

@@ -119,3 +119,9 @@ let generate info ~seed ~rows =
 
 let skyserver ~seed ~rows = generate skyserver_info ~seed ~rows
 let retail ~seed ~rows = generate retail_info ~seed ~rows
+
+let for_log ~seed ~rows log =
+  let rels = List.concat_map Sqlir.Ast.relations log in
+  if List.exists (fun r -> r = "photoobj" || r = "specobj") rels then
+    skyserver ~seed ~rows
+  else retail ~seed ~rows

@@ -35,5 +35,10 @@ val retail : seed:string -> rows:int -> Minidb.Database.t
 (** sales(saleid, storeid, prodid, qty, amount), stores(storeid, region,
     size), products(prodid, category, price). *)
 
+val for_log : seed:string -> rows:int -> Sqlir.Ast.query list -> Minidb.Database.t
+(** The instance a log's relations point at: {!skyserver} when a query
+    reads photoobj or specobj, {!retail} otherwise — the database the
+    result measure needs for a bare log. *)
+
 val generate : info -> seed:string -> rows:int -> Minidb.Database.t
 (** Generic generator driven by the metadata (used by both above). *)

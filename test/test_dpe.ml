@@ -359,8 +359,8 @@ let test_key_rotation () =
        (List.for_all2 Ast.equal_query cipher_new
           (Dpe.Encryptor.encrypt_log new_enc log));
      (* distances preserved across rotation *)
-     let d0 = Dpe.Verdict.distance_matrix M.default_ctx M.Token cipher_old in
-     let d1 = Dpe.Verdict.distance_matrix M.default_ctx M.Token cipher_new in
+     let d0 = M.matrix M.default_ctx M.Token cipher_old in
+     let d1 = M.matrix M.default_ctx M.Token cipher_new in
      check_bool "distances stable" true
        (Mining.Dist_matrix.max_abs_diff d0 d1 = 0.0);
      (* old key cannot read the rotated log *)
@@ -382,9 +382,9 @@ let test_decoys () =
   check_int "real prefix" (List.length log) plan.Dpe.Decoys.real_count;
   check_int "padded size" (2 * List.length log) (List.length plan.Dpe.Decoys.log);
   (* real-pair distances survive the padding *)
-  let d_orig = Dpe.Verdict.distance_matrix M.default_ctx M.Token log in
+  let d_orig = M.matrix M.default_ctx M.Token log in
   let d_padded =
-    Dpe.Verdict.distance_matrix M.default_ctx M.Token plan.Dpe.Decoys.log
+    M.matrix M.default_ctx M.Token plan.Dpe.Decoys.log
   in
   check_bool "real distances unchanged" true
     (Dpe.Decoys.strip_matrix plan d_padded = d_orig);

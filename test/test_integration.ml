@@ -30,8 +30,8 @@ let pipeline m ~seed ~n =
   in
   let plain_ctx = { M.db = plain_db; x = 0.5 } in
   let cipher_ctx = { M.db = cipher_db; x = 0.5 } in
-  let dp = Dpe.Verdict.distance_matrix plain_ctx m log in
-  let dc = Dpe.Verdict.distance_matrix cipher_ctx m enc_log in
+  let dp = M.matrix plain_ctx m log in
+  let dc = M.matrix cipher_ctx m enc_log in
   (log, dp, dc)
 
 let all_mining_agree dp dc =
@@ -67,9 +67,9 @@ let test_ground_truth_recovery () =
   let log = List.map snd labelled in
   let scheme = Dpe.Selector.select M.Token (Dpe.Log_profile.of_log log) in
   let enc = Dpe.Encryptor.create keyring scheme in
-  let dp = Dpe.Verdict.distance_matrix M.default_ctx M.Token log in
+  let dp = M.matrix M.default_ctx M.Token log in
   let dc =
-    Dpe.Verdict.distance_matrix M.default_ctx M.Token
+    M.matrix M.default_ctx M.Token
       (Dpe.Encryptor.encrypt_log enc log)
   in
   let labels_p = Mining.Hier.cut_k 3 dp in
@@ -133,9 +133,9 @@ let test_silhouette_preserved () =
   in
   let scheme = Dpe.Selector.select M.Structure (Dpe.Log_profile.of_log log) in
   let enc = Dpe.Encryptor.create keyring scheme in
-  let dp = Dpe.Verdict.distance_matrix M.default_ctx M.Structure log in
+  let dp = M.matrix M.default_ctx M.Structure log in
   let dc =
-    Dpe.Verdict.distance_matrix M.default_ctx M.Structure
+    M.matrix M.default_ctx M.Structure
       (Dpe.Encryptor.encrypt_log enc log)
   in
   let lp = Mining.Hier.cut_k 3 dp and lc = Mining.Hier.cut_k 3 dc in

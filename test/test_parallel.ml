@@ -128,9 +128,22 @@ let pseudo_distance i j =
 let check_same_matrix name a b =
   Alcotest.(check bool) name true (a = b)
 
+(* the sequential reference: the naive row-by-row upper-triangle loop,
+   mirrored — what every pooled builder must reproduce bit for bit *)
+let naive_matrix n d =
+  let m = Array.make_matrix n n 0.0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let v = d i j in
+      m.(i).(j) <- v;
+      m.(j).(i) <- v
+    done
+  done;
+  m
+
 let test_of_fun_matches_seq () =
   let n = 200 in
-  let reference = Mining.Dist_matrix.of_fun_seq n pseudo_distance in
+  let reference = naive_matrix n pseudo_distance in
   List.iter
     (fun domains ->
       with_pool ~domains (fun p ->
@@ -144,7 +157,7 @@ let test_of_fun_matches_seq () =
         (fun n ->
           check_same_matrix
             (Printf.sprintf "small n=%d" n)
-            (Mining.Dist_matrix.of_fun_seq n pseudo_distance)
+            (naive_matrix n pseudo_distance)
             (Mining.Dist_matrix.of_fun ~pool:p n pseudo_distance))
         [ 0; 1; 2; 5; 63; 65 ])
 
@@ -159,7 +172,7 @@ let test_measure_matrix_matches_seq () =
   List.iter
     (fun m ->
       let reference =
-        Mining.Dist_matrix.of_fun_seq (Array.length qs) (fun i j ->
+        naive_matrix (Array.length qs) (fun i j ->
             Distance.Measure.compute ctx m qs.(i) qs.(j))
       in
       with_pool ~domains:3 (fun p ->
@@ -173,7 +186,7 @@ let test_measure_matrix_matches_seq () =
 (* ---- dist-matrix satellites: validate / max_abs_diff ---- *)
 
 let test_validate () =
-  let ok = Mining.Dist_matrix.of_fun_seq 5 pseudo_distance in
+  let ok = naive_matrix 5 pseudo_distance in
   Alcotest.(check bool) "valid" true (Mining.Dist_matrix.validate ok = Ok ());
   let asym = Array.map Array.copy ok in
   asym.(1).(3) <- asym.(1).(3) +. 1.0;
@@ -193,7 +206,7 @@ let test_validate () =
     (Result.is_error (Mining.Dist_matrix.validate ragged))
 
 let test_max_abs_diff () =
-  let a = Mining.Dist_matrix.of_fun_seq 6 pseudo_distance in
+  let a = naive_matrix 6 pseudo_distance in
   Alcotest.(check (float 0.0)) "self" 0.0 (Mining.Dist_matrix.max_abs_diff a a);
   let b = Array.map Array.copy a in
   b.(2).(4) <- b.(2).(4) +. 0.25;

@@ -230,10 +230,10 @@ let with_client t f =
 
 let request ?(id = 0) ?(op = Proto.Mine) ?(tenant = "t") ?deadline_ms
     ?(retries = 1) ?(queries = sky_queries) ?(measure = Distance.Measure.Token)
-    () =
+    ?(algo = "clink") ?engine () =
   Proto.request_to_json
-    { Proto.id; op; tenant; measure; algo = "clink"; k = 2; eps = 0.45;
-      deadline_ms; retries; engine = None; queries }
+    { Proto.id; op; tenant; measure; algo; k = 2; eps = 0.45;
+      deadline_ms; retries; engine; queries }
 
 let call_ok c req =
   match Client.call c req with
@@ -363,6 +363,59 @@ let test_engine_degraded_mine () =
                | None -> Alcotest.fail "no labels");
               check_bool "error manifest present" true
                 (J.member "errors" resp <> None))))
+
+let labels_of resp =
+  match Option.bind (J.member "labels" resp) J.to_list with
+  | Some ls -> Array.of_list (List.map (fun l -> Option.get (J.to_int l)) ls)
+  | None -> Alcotest.fail "no labels"
+
+let str_field name resp = Option.bind (J.member name resp) J.to_str
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let test_engine_index_fallback_visible () =
+  (* the VP-tree engine fails to build: the mine still answers ok with
+     the matrix labels, and says which engine ran and why *)
+  let expected =
+    let log =
+      List.map (fun q -> Result.get_ok (Sqlir.Parser.parse_result q)) sky_queries
+    in
+    Mining.Dbscan.run { Mining.Dbscan.eps = 0.45; min_pts = 3 }
+      (Distance.Measure.matrix Distance.Measure.default_ctx
+         Distance.Measure.Token log)
+  in
+  let dbscan_index () = request ~algo:"dbscan" ~engine:"index" () in
+  Fault.Inject.disarm_all ();
+  with_engine (fun t ->
+      with_client t (fun c ->
+          let clean = call_ok c (dbscan_index ()) in
+          check_str "unarmed ok" "ok" (Proto.response_status clean);
+          check_bool "unarmed: the index engine ran" true
+            (str_field "engine" clean = Some "index");
+          check_bool "unarmed: no fallback" true
+            (J.member "fallback" clean = None);
+          Alcotest.(check (array int)) "index labels = matrix labels" expected
+            (labels_of clean);
+          (match Fault.Inject.arm_spec "index.build=always;seed=fb" with
+           | Ok () -> ()
+           | Error e -> Alcotest.fail e);
+          Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+              let resp = call_ok c (dbscan_index ()) in
+              check_str "armed: still ok" "ok" (Proto.response_status resp);
+              Alcotest.(check (array int)) "armed: matrix labels" expected
+                (labels_of resp);
+              check_bool "armed: the matrix engine ran" true
+                (str_field "engine" resp = Some "matrix");
+              match str_field "fallback" resp with
+              | Some reason ->
+                check_bool "reason names the index build" true
+                  (contains reason "index.build")
+              | None -> Alcotest.fail "no fallback reason")))
 
 let test_engine_drain_answers_backlog () =
   (* requests in flight when drain starts are all answered: zero dropped *)
@@ -645,6 +698,8 @@ let () =
          Alcotest.test_case "queue deadline" `Quick test_engine_queue_deadline;
          Alcotest.test_case "degraded mine partial" `Quick
            test_engine_degraded_mine;
+         Alcotest.test_case "index fallback visible" `Quick
+           test_engine_index_fallback_visible;
          Alcotest.test_case "drain answers backlog" `Quick
            test_engine_drain_answers_backlog;
          Alcotest.test_case "rejects after drain" `Quick
