@@ -1,11 +1,9 @@
 (* Comparison of two perf-trajectory snapshots (the BENCH_PR*.json
-   artifacts emitted by [perf --json]).
+   artifacts emitted by [perf --json]), read with the in-repo [Obs.Json]
+   reader as [tools/trend] does.  A result entry lacking one of the
+   compared fields is skipped. *)
 
-   The snapshots are our own fixed shape, so instead of a full JSON
-   parser this uses a small field scanner over the "results" array:
-   each entry is located by its ["op"] key and the sibling fields are
-   read relative to it.  Tolerant of reformatting (python -m json.tool)
-   since it only relies on key/value adjacency, not layout. *)
+module J = Obs.Json
 
 type entry = {
   op : string;
@@ -15,85 +13,30 @@ type entry = {
   identical : bool;
 }
 
-let find_from s pos sub =
-  let ls = String.length s and lsub = String.length sub in
-  let rec go i =
-    if i + lsub > ls then None
-    else if String.sub s i lsub = sub then Some i
-    else go (i + 1)
-  in
-  go pos
-
-(* value text after ["key":], up to the next [,}\n] *)
-let raw_field s ~from ~until key =
-  match find_from s from ("\"" ^ key ^ "\"") with
-  | None -> None
-  | Some k when k >= until -> None
-  | Some k ->
-    (match find_from s k ":" with
-     | None -> None
-     | Some c ->
-       let stop = ref (c + 1) in
-       while
-         !stop < String.length s
-         && not (List.mem s.[!stop] [ ','; '}'; '\n' ])
-       do
-         incr stop
-       done;
-       Some (String.trim (String.sub s (c + 1) (!stop - c - 1))))
-
-let unquote v =
-  let l = String.length v in
-  if l >= 2 && v.[0] = '"' && v.[l - 1] = '"' then String.sub v 1 (l - 2)
-  else v
+let entry_of r =
+  let field name conv = Option.bind (J.member name r) conv in
+  match
+    ( field "op" J.to_str, field "n" J.to_int, field "ns_per_op" J.to_num,
+      field "baseline_ns_per_op" J.to_num,
+      field "identical" (function J.Bool b -> Some b | _ -> None) )
+  with
+  | Some op, Some n, Some ns_per_op, Some baseline_ns_per_op, Some identical ->
+    Some { op; n; ns_per_op; baseline_ns_per_op; identical }
+  | _ -> None
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | s ->
-    (match find_from s 0 "\"results\"" with
-     | None -> Error (path ^ ": no \"results\" array")
-     | Some start ->
-       let rec entries pos acc =
-         match find_from s pos "\"op\"" with
-         | None -> List.rev acc
-         | Some k ->
-           (* sibling fields live before the next entry's "op" (or EOF) *)
-           let until =
-             match find_from s (k + 4) "\"op\"" with
-             | Some next -> next
-             | None -> String.length s
-           in
-           let field key = raw_field s ~from:k ~until key in
-           let entry =
-             match
-               (field "op", field "n", field "ns_per_op",
-                field "baseline_ns_per_op", field "identical")
-             with
-             | Some op, Some n, Some ns, Some base, Some ident ->
-               (try
-                  Some
-                    {
-                      op = unquote op;
-                      n = int_of_string n;
-                      ns_per_op = float_of_string ns;
-                      baseline_ns_per_op = float_of_string base;
-                      identical = bool_of_string ident;
-                    }
-                with _ -> None)
-             | _ -> None
-           in
-           entries until (match entry with Some e -> e :: acc | None -> acc)
-       in
-       (match entries start [] with
-        | [] -> Error (path ^ ": no parsable result entries")
-        | es -> Ok es))
+    (match J.parse s with
+     | Error e -> Error (path ^ ": " ^ e)
+     | Ok root ->
+       (match Option.bind (J.member "results" root) J.to_list with
+        | None -> Error (path ^ ": no \"results\" array")
+        | Some rs ->
+          (match List.filter_map entry_of rs with
+           | [] -> Error (path ^ ": no parsable result entries")
+           | es -> Ok es)))
 
 let regression_threshold = 1.20
 

@@ -1,6 +1,5 @@
 type key = { siv : string; enc : Aes128.key }
 
-let m_encrypt_ns = Obs.Registry.histogram "kitdpe.crypto.det.encrypt_ns"
 let m_encrypt = Obs.Registry.sketch "kitdpe.crypto.det.encrypt"
 let m_hits = Obs.Registry.counter "kitdpe.crypto.det.cache_hits"
 let m_misses = Obs.Registry.counter "kitdpe.crypto.det.cache_misses"
@@ -18,7 +17,7 @@ let encrypt k msg =
   let t0 = Obs.time_start () in
   let iv = siv_of k msg in
   let ct = iv ^ Block_modes.ctr_transform k.enc ~iv msg in
-  Obs.observe_timed ~hist:m_encrypt_ns ~sketch:m_encrypt t0;
+  if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
   ct
 
 let decrypt k ct =

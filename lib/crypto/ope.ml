@@ -22,7 +22,6 @@ type key = { prf : string; p : params; cache : cache }
 let m_hits = Obs.Registry.counter "kitdpe.crypto.ope.cache_hits"
 let m_misses = Obs.Registry.counter "kitdpe.crypto.ope.cache_misses"
 let m_evictions = Obs.Registry.counter "kitdpe.crypto.ope.cache_evictions"
-let m_encrypt_ns = Obs.Registry.histogram "kitdpe.crypto.ope.encrypt_ns"
 let m_encrypt = Obs.Registry.sketch "kitdpe.crypto.ope.encrypt"
 
 let default_params = { plain_bits = 32; cipher_bits = 48 }
@@ -153,7 +152,7 @@ let encrypt k m =
   | None ->
     let t0 = Obs.time_start () in
     let c = encrypt_uncached k m in
-    Obs.observe_timed ~hist:m_encrypt_ns ~sketch:m_encrypt t0;
+    if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
     cache_add k m c;
     c
 

@@ -6,10 +6,9 @@ module N = Bignum.Bignat
 let m_modexp = Obs.Registry.counter "kitdpe.crypto.paillier.modexp"
 let m_encrypts = Obs.Registry.counter "kitdpe.crypto.paillier.encrypts"
 
-(* encryption latency, histogram + quantile sketch: the p50/p99 split is
+(* encryption latency sketch: the p50/p99 split is
    the interesting part (pooled-noise hits vs full r^n exponentiations
    land orders of magnitude apart) *)
-let m_encrypt_ns = Obs.Registry.histogram "kitdpe.crypto.paillier.encrypt_ns"
 let m_encrypt = Obs.Registry.sketch "kitdpe.crypto.paillier.encrypt"
 
 (* noise-pool telemetry: request-path cache behaviour of precomputed r^n
@@ -150,7 +149,7 @@ let encrypt pub rng m =
   Obs.Metric.incr m_encrypts;
   let t0 = Obs.time_start () in
   let c = assemble pub m (noise pub rng) in
-  Obs.observe_timed ~hist:m_encrypt_ns ~sketch:m_encrypt t0;
+  if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
   c
 
 let encode_int pub v =
@@ -247,7 +246,7 @@ let encrypt_pooled ?pool pub ~key rng m =
       | None -> noise pub rng)
   in
   let c = assemble pub m rn in
-  Obs.observe_timed ~hist:m_encrypt_ns ~sketch:m_encrypt t0;
+  if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
   c
 
 let encrypt_int_pooled ?pool pub ~key rng v =

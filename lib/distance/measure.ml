@@ -37,7 +37,6 @@ let needs_domains = function
   | Token | Structure | Result | Edit | Clause -> false
 
 let m_evals = Obs.Registry.counter "kitdpe.distance.measure.evals"
-let m_matrix_ns = Obs.Registry.histogram "kitdpe.distance.measure.matrix_ns"
 let m_matrix = Obs.Registry.sketch "kitdpe.distance.measure.matrix"
 
 let compute ctx measure q1 q2 =
@@ -64,10 +63,7 @@ let missing_db context =
 let record_matrix_span measure queries t0 =
   if t0 > 0 then begin
     let dt = Obs.now_ns () - t0 in
-    Obs.Metric.observe m_matrix_ns dt;
-    let ctx = Obs.Span.current () in
-    Obs.Sketch.observe m_matrix ~trace_id:ctx.Obs.Span.trace
-      ~span_id:ctx.Obs.Span.span dt;
+    Obs.observe_latency m_matrix dt;
     Obs.Span.record ~cat:"distance"
       ~name:
         (Printf.sprintf "measure.matrix/%s(n=%d)" (to_string measure)

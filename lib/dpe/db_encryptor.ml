@@ -5,9 +5,8 @@ module Database = Minidb.Database
 
 let m_rows = Obs.Registry.counter "kitdpe.dpe.db_encryptor.rows"
 let m_cells = Obs.Registry.counter "kitdpe.dpe.db_encryptor.cells"
-let m_table_ns = Obs.Registry.histogram "kitdpe.dpe.db_encryptor.table_ns"
 let m_table = Obs.Registry.sketch "kitdpe.dpe.db_encryptor.table"
-let m_prewarm_ns = Obs.Registry.histogram "kitdpe.dpe.db_encryptor.prewarm_ns"
+let m_prewarm = Obs.Registry.sketch "kitdpe.dpe.db_encryptor.prewarm"
 
 let const_class_of enc name =
   match (Encryptor.scheme enc).Scheme.consts with
@@ -123,10 +122,7 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
           nrows)
       names;
     let dt = Obs.now_ns () - t0 in
-    Obs.Metric.observe m_table_ns dt;
-    let ctx = Obs.Span.current () in
-    Obs.Sketch.observe m_table ~trace_id:ctx.Obs.Span.trace
-      ~span_id:ctx.Obs.Span.span dt;
+    Obs.observe_latency m_table dt;
     Obs.Span.record ~cat:"dpe"
       ~name:(Printf.sprintf "encrypt_table/%s(rows=%d)" rel (Array.length rows))
       ~ts_ns:t0 ~dur_ns:dt ()
@@ -199,7 +195,7 @@ let prewarm_hom_noise_r ?pool ?capacity enc db =
           Crypto.Paillier.noise_fill noise_pool pub ~key
             (Encryptor.hom_noise_rng enc key))
     in
-    if t0 > 0 then Obs.Metric.observe_since m_prewarm_ns t0;
+    if t0 > 0 then Obs.observe_latency m_prewarm (Obs.now_ns () - t0);
     (Array.length work - List.length failures, List.map snd failures)
   end
 

@@ -10,7 +10,7 @@
     same victims on every run (DESIGN.md §9).
 
     With nothing armed, {!point} costs a single atomic load, the same
-    contract as [Obs.enabled]. *)
+    contract as [Obs.is_enabled]. *)
 
 module Error = Error
 module Inject = Inject

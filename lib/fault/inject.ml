@@ -4,7 +4,7 @@
    ([Fault.point "dpe.db_encryptor.row"] etc.); arming any of them —
    via [KITDPE_FAULTS] or {!arm} — flips the single [enabled] atomic
    that every point loads first, so the disarmed cost is one atomic
-   read, the same pattern as [Obs.enabled].
+   read, the same pattern as [Obs.is_enabled].
 
    Determinism: triggers resolve on the call-site *key* (row index,
    CSV line, plaintext value) whenever the point supplies one, so the

@@ -101,7 +101,7 @@ let build_over ?pool ~seed space ids =
   if t0 > 0 then begin
     let dt = Obs.now_ns () - t0 in
     Obs.Metric.incr Space.m_builds;
-    Obs.Metric.observe Space.m_build_ns dt;
+    Obs.observe_latency Space.m_build dt;
     Obs.Span.record ~cat:"index"
       ~name:(Printf.sprintf "bk.build(n=%d)" (Array.length ids))
       ~ts_ns:t0 ~dur_ns:dt ()

@@ -13,7 +13,7 @@ type t = {
    Enc²DB-style cost model: probes = distance evaluations spent inside
    index queries, prunes = subtrees discarded by the triangle bound *)
 let m_builds = Obs.Registry.counter "kitdpe.index.builds"
-let m_build_ns = Obs.Registry.histogram "kitdpe.index.build_ns"
+let m_build = Obs.Registry.sketch "kitdpe.index.build"
 let m_queries = Obs.Registry.counter "kitdpe.index.queries"
 let m_probes = Obs.Registry.counter "kitdpe.index.probes"
 let m_prunes = Obs.Registry.counter "kitdpe.index.prunes"

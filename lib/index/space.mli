@@ -75,7 +75,7 @@ val build_point : int -> unit
 
 (* shared [kitdpe.index.*] metrics, updated by the tree implementations *)
 val m_builds : Obs.Metric.counter
-val m_build_ns : Obs.Metric.histogram
+val m_build : Obs.Sketch.t
 val m_queries : Obs.Metric.counter
 val m_probes : Obs.Metric.counter
 val m_prunes : Obs.Metric.counter

@@ -1,7 +1,6 @@
 type t = float array array
 
 let m_evals = Obs.Registry.counter "kitdpe.mining.dist_matrix.evals"
-let m_build_ns = Obs.Registry.histogram "kitdpe.mining.dist_matrix.build_ns"
 let m_build = Obs.Registry.sketch "kitdpe.mining.dist_matrix.build"
 
 (* Where did the wall-clock go?  [of_fun_r] counts every distance
@@ -20,10 +19,7 @@ let build_instrumented ?pool n d =
     in
     let m = build n d in
     let dt = Obs.now_ns () - t0 in
-    Obs.Metric.observe m_build_ns dt;
-    let ctx = Obs.Span.current () in
-    Obs.Sketch.observe m_build ~trace_id:ctx.Obs.Span.trace
-      ~span_id:ctx.Obs.Span.span dt;
+    Obs.observe_latency m_build dt;
     Obs.Span.record ~cat:"mining"
       ~name:(Printf.sprintf "dist_matrix(n=%d)" n)
       ~ts_ns:t0 ~dur_ns:dt ();

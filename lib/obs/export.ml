@@ -3,7 +3,7 @@
 
    Every consumer of the registry outside the library goes through one
    of these two renderings: `dpe_cli stats/top` and the bench "metrics"
-   stamp embed [snapshot_json] (schema "kitdpe.metrics" version 1, so
+   stamp embed [snapshot_json] (schema "kitdpe.metrics" version 2, so
    later readers — `stats --diff`, tools/trend — can detect layout
    changes instead of misparsing), and [openmetrics] emits the
    Prometheus/OpenMetrics text format for scrape-style consumption.
@@ -14,7 +14,7 @@
    in the snapshot. *)
 
 let schema_name = "kitdpe.metrics"
-let schema_version = 1
+let schema_version = 2
 
 (* ---- runtime gauges ---- *)
 
@@ -49,20 +49,6 @@ let add_openmetrics_sample b (s : Registry.sample) =
   | Registry.Vgauge v ->
     Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" n);
     Buffer.add_string b (Printf.sprintf "%s %d\n" n v)
-  | Registry.Vhistogram { count; sum; buckets } ->
-    Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
-    let cum = ref 0 in
-    List.iter
-      (fun (bkt, cnt) ->
-        cum := !cum + cnt;
-        (* log2 bucket bkt holds 2^(bkt-1) < v <= 2^bkt; le is the
-           inclusive upper bound, cumulative per the exposition format *)
-        Buffer.add_string b
-          (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n (1 lsl bkt) !cum))
-      buckets;
-    Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n count);
-    Buffer.add_string b (Printf.sprintf "%s_sum %d\n" n sum);
-    Buffer.add_string b (Printf.sprintf "%s_count %d\n" n count)
   | Registry.Vsketch { count; sum; p50; p90; p99; _ } ->
     Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" n);
     if count > 0 then begin
@@ -83,7 +69,7 @@ let openmetrics () =
 (* ---- versioned JSON snapshot ---- *)
 
 let is_rated name = function
-  | Registry.Counter _ | Registry.Histogram _ | Registry.Sketch _ ->
+  | Registry.Counter _ | Registry.Sketch _ ->
     (* per-lane substrate counters would bloat the rate table without
        informing any cost model; the aggregate pool metrics stay *)
     not (String.length name > 22
@@ -190,10 +176,6 @@ let diff ~old_json =
              row name
                (Option.value ~default:0.0 (old_field old name "value"))
                (float_of_int v)
-           | Registry.Vhistogram { count; _ } ->
-             row (name ^ ".count")
-               (Option.value ~default:0.0 (old_field old name "count"))
-               (float_of_int count)
            | Registry.Vsketch { count; p50; p99; _ } ->
              row (name ^ ".count")
                (Option.value ~default:0.0 (old_field old name "count"))

@@ -6,7 +6,9 @@ val schema_name : string
 (** ["kitdpe.metrics"]. *)
 
 val schema_version : int
-(** Bump on any incompatible change to {!snapshot_json}'s layout. *)
+(** Bump on any incompatible change to {!snapshot_json}'s layout.
+    Version 2 removed the log2 [*_ns] histograms: every latency is a
+    sketch. *)
 
 val refresh_runtime : unit -> unit
 (** Refresh the [kitdpe.runtime.*] gauges
@@ -16,14 +18,14 @@ val refresh_runtime : unit -> unit
 
 val openmetrics : unit -> string
 (** The registry in OpenMetrics/Prometheus text exposition format:
-    counters as [_total], gauges plain, log2 histograms as cumulative
-    [le] buckets with [_sum]/[_count], sketches as summaries with
-    p50/p90/p99 [quantile] labels; ends with [# EOF].  Metric names are
+    counters as [_total], gauges plain, sketches as summaries with
+    p50/p90/p99 [quantile] labels and [_sum]/[_count]; ends with
+    [# EOF].  Metric names are
     sanitized ([.] -> [_]). *)
 
 val snapshot_json : ?now:int -> unit -> string
 (** One JSON object:
-    [{"schema": "kitdpe.metrics", "schema_version": 1,
+    [{"schema": "kitdpe.metrics", "schema_version": 2,
       "generated_ns": ..., "spans": {...},
       "window": {"epoch_ns", "capacity", "epochs", "rates", "quantiles"},
       "metrics": {...}}]

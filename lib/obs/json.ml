@@ -109,11 +109,18 @@ let parse_number c =
   | Some f -> Num f
   | None -> fail "bad number %S at offset %d" tok start
 
-let rec parse_value c =
+(* the parser recurses once per open bracket, and [Proto] runs it on
+   client frames before any deadline applies: a frame of 4 MB of '['
+   must fail at the bound, not after millions of stack frames *)
+let max_depth = 512
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail "unexpected end of input"
   | Some '"' -> Str (parse_string c)
+  | Some ('{' | '[') when depth >= max_depth ->
+    fail "nesting deeper than %d at offset %d" max_depth c.pos
   | Some '{' ->
     expect c '{';
     skip_ws c;
@@ -124,7 +131,7 @@ let rec parse_value c =
         let key = parse_string c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' -> expect c ','; members ((key, v) :: acc)
@@ -139,7 +146,7 @@ let rec parse_value c =
     if peek c = Some ']' then (expect c ']'; Arr [])
     else begin
       let rec items acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' -> expect c ','; items (v :: acc)
@@ -155,7 +162,7 @@ let rec parse_value c =
 
 let parse s =
   let c = { s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos <> String.length s then

@@ -11,7 +11,13 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val max_depth : int
+(** 512: the deepest array/object nesting {!parse} accepts. *)
+
 val parse : string -> (t, string) result
+(** [Error] on malformed input, and on nesting deeper than {!max_depth}
+    (["nesting deeper than 512 ..."]), which is rejected after reading
+    at most [max_depth + 1] brackets. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on non-objects and missing keys. *)

@@ -1,43 +1,26 @@
-(* Metric cells sharded by domain id.
-
-   Writers pick a shard from [Domain.self ()] and bump it with one
-   [Atomic.fetch_and_add]; two domains of a [Parallel.Pool] therefore
-   never contend on the same cell (until more than [shard_count] domains
-   exist, at which point updates stay correct and merely share cells).
-   Readers merge all shards on demand — there is no lock anywhere.
-
-   Every write is gated on [Control.is_on], so with observability off an
+(* Counters and gauges.  Counters sit on [Shard] cells; every counter
+   write is gated on [Control.is_on], so with observability off an
    instrumented hot path costs exactly one atomic load and allocates
    nothing. *)
 
-let shard_count = 16 (* power of two, >= any realistic pool size *)
-
-let shard_index () = (Domain.self () :> int) land (shard_count - 1)
-
-type cells = int Atomic.t array
-
-let make_cells () = Array.init shard_count (fun _ -> Atomic.make 0)
-let merge (cells : cells) = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 cells
-let clear_cells (cells : cells) = Array.iter (fun c -> Atomic.set c 0) cells
-
 (* ---- counters ---- *)
 
-type counter = cells
+type counter = Shard.cells
 
-let counter () : counter = make_cells ()
+let counter () : counter = Shard.make ()
 
 let add (c : counter) n =
-  if Control.is_on () then ignore (Atomic.fetch_and_add c.(shard_index ()) n)
+  if Control.is_on () then ignore (Atomic.fetch_and_add c.(Shard.index ()) n)
 
 let incr c = add c 1
-let value : counter -> int = merge
-let reset_counter : counter -> unit = clear_cells
+let value : counter -> int = Shard.merge
+let reset_counter : counter -> unit = Shard.clear
 
 (* ---- gauges ---- *)
 
 (* last-write-wins; set from one place at a time (pool sizes, config),
-   so a single cell suffices.  Unlike counters/histograms, gauge writes
-   are NOT gated on the enabled flag: they record cold-path configuration
+   so a single cell suffices.  Unlike counters, gauge writes are NOT
+   gated on the enabled flag: they record cold-path configuration
    (an atomic store, no allocation), and gating them would lose values
    set before telemetry is switched on — e.g. the pool size gauge when
    the global pool is created at startup and [Obs] is enabled later. *)
@@ -47,53 +30,3 @@ let gauge () : gauge = Atomic.make 0
 let set_gauge (g : gauge) v = Atomic.set g v
 let gauge_value : gauge -> int = Atomic.get
 let reset_gauge (g : gauge) = Atomic.set g 0
-
-(* ---- log2-bucketed histograms ---- *)
-
-(* bucket [b] counts observations [v] with [2^(b-1) < v <= 2^b]
-   (bucket 0 collects [v <= 1]); intended unit is nanoseconds *)
-let bucket_count = 63
-
-let bucket_of v =
-  if v <= 1 then 0
-  else begin
-    let b = ref 0 and x = ref (v - 1) in
-    while !x > 0 do
-      b := !b + 1;
-      x := !x lsr 1
-    done;
-    min !b (bucket_count - 1)
-  end
-
-type histogram = {
-  buckets : cells array; (* bucket_count arrays of shard_count cells *)
-  sum : cells;
-  count : cells;
-}
-
-let histogram () =
-  { buckets = Array.init bucket_count (fun _ -> make_cells ());
-    sum = make_cells ();
-    count = make_cells () }
-
-let observe h v =
-  if Control.is_on () then begin
-    let s = shard_index () in
-    ignore (Atomic.fetch_and_add h.buckets.(bucket_of v).(s) 1);
-    ignore (Atomic.fetch_and_add h.sum.(s) v);
-    ignore (Atomic.fetch_and_add h.count.(s) 1)
-  end
-
-(* [t0 = 0] is the "was disabled at operation start" sentinel produced by
-   [Obs.time_start]; skip the observation rather than record a bogus
-   epoch-sized latency *)
-let observe_since h t0 = if t0 > 0 then observe h (Control.now_ns () - t0)
-
-let hist_count h = merge h.count
-let hist_sum h = merge h.sum
-let hist_buckets h = Array.map merge h.buckets
-
-let reset_histogram h =
-  Array.iter clear_cells h.buckets;
-  clear_cells h.sum;
-  clear_cells h.count

@@ -1,14 +1,14 @@
-(** Metric cells sharded by domain id.
+(** Counters and gauges.
 
-    Writers pick a shard from [Domain.self ()] and bump it with one
-    [Atomic.fetch_and_add]; readers merge all shards on demand.  No
-    locks anywhere.  Counter and histogram updates are gated on
-    {!Control.enabled}, so with observability off an instrumented hot
-    path costs exactly one atomic load and allocates nothing. *)
+    Counters are per-domain sharded cells: writers hash [Domain.self ()]
+    to a shard and bump it with one [Atomic.fetch_and_add]; readers
+    merge all shards on demand.  No locks anywhere.  Counter updates are
+    gated on the enabled flag, so with observability off an instrumented
+    hot path costs exactly one atomic load and allocates nothing.
+    Latencies go to {!Sketch}. *)
 
 type counter
 type gauge
-type histogram
 
 val counter : unit -> counter
 (** An unregistered counter (tests); production code uses
@@ -30,42 +30,3 @@ val gauge : unit -> gauge
 val set_gauge : gauge -> int -> unit
 val gauge_value : gauge -> int
 val reset_gauge : gauge -> unit
-
-val histogram : unit -> histogram
-
-val observe : histogram -> int -> unit
-(** Record one observation (intended unit: nanoseconds).  Bucket [b]
-    counts values [v] with [2^(b-1) < v <= 2^b]; bucket [0] collects
-    [v <= 1]. *)
-
-val observe_since : histogram -> int -> unit
-(** [observe_since h t0] records [now_ns () - t0]; no-op when [t0 = 0]
-    (the [Obs.time_start] disabled sentinel). *)
-
-val bucket_of : int -> int
-(** The log2 bucket index an observation lands in (exposed for tests and
-    renderers). *)
-
-val bucket_count : int
-
-val hist_count : histogram -> int
-val hist_sum : histogram -> int
-
-val hist_buckets : histogram -> int array
-(** Merged per-bucket counts, length {!bucket_count}. *)
-
-val reset_histogram : histogram -> unit
-
-(** {2 Sharding internals}
-
-    Shared with [Sketch], which layers DDSketch buckets over the same
-    per-domain cells.  Hidden from the public [Obs] facade. *)
-
-type cells = int Atomic.t array
-(** One shard per slot; a writer bumps [cells.(shard_index ())]. *)
-
-val shard_count : int
-val shard_index : unit -> int
-val make_cells : unit -> cells
-val merge : cells -> int
-val clear_cells : cells -> unit

@@ -7,19 +7,14 @@ module Trace = Trace
 module Json = Json
 module Export = Export
 
-let enabled = Control.enabled
 let set_enabled v = Atomic.set Control.enabled v
-let is_enabled () = Atomic.get Control.enabled
+let is_enabled = Control.is_on
 let now_ns = Control.now_ns
 let time_start () = if is_enabled () then Control.now_ns () else 0
 
-(* one clock read feeding both the log2 histogram and the quantile
-   sketch, with the current span attached as the sketch's outlier
-   exemplar; no-op on the [t0 = 0] disabled sentinel *)
-let observe_timed ~hist ~sketch t0 =
-  if t0 > 0 then begin
-    let dt = Control.now_ns () - t0 in
-    Metric.observe hist dt;
+(* the gate comes first: the optional ids box their arguments *)
+let observe_latency sketch dt =
+  if Control.is_on () then begin
     let ctx = Span.current () in
     Sketch.observe sketch ~trace_id:ctx.Span.trace ~span_id:ctx.Span.span dt
   end

@@ -11,7 +11,6 @@
 type metric =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
-  | Histogram of Metric.histogram
   | Sketch of Sketch.t
 
 let lock = Mutex.create ()
@@ -36,7 +35,6 @@ let get_or_create name project inject =
           (match v with
            | `C c -> Counter c
            | `G g -> Gauge g
-           | `H h -> Histogram h
            | `S s -> Sketch s);
         v)
 
@@ -58,15 +56,6 @@ let gauge name =
   | `G g -> g
   | _ -> assert false
 
-let histogram name =
-  match
-    get_or_create name
-      (function Histogram h -> Some (`H h) | _ -> None)
-      (fun () -> `H (Metric.histogram ()))
-  with
-  | `H h -> h
-  | _ -> assert false
-
 let sketch name =
   match
     get_or_create name
@@ -81,7 +70,6 @@ let sketch name =
 type value =
   | Vcounter of int
   | Vgauge of int
-  | Vhistogram of { count : int; sum : int; buckets : (int * int) list }
   | Vsketch of {
       count : int;
       sum : int;
@@ -97,13 +85,6 @@ type sample = { name : string; value : value }
 let read_metric = function
   | Counter c -> Vcounter (Metric.value c)
   | Gauge g -> Vgauge (Metric.gauge_value g)
-  | Histogram h ->
-    let buckets =
-      Array.to_list (Metric.hist_buckets h)
-      |> List.mapi (fun i n -> (i, n))
-      |> List.filter (fun (_, n) -> n > 0)
-    in
-    Vhistogram { count = Metric.hist_count h; sum = Metric.hist_sum h; buckets }
   | Sketch s ->
     let sparse = Sketch.sparse s in
     let q p = Option.value ~default:0.0 (Sketch.quantile_of_sparse sparse p) in
@@ -138,7 +119,6 @@ let reset () =
           match m with
           | Counter c -> Metric.reset_counter c
           | Gauge g -> Metric.reset_gauge g
-          | Histogram h -> Metric.reset_histogram h
           | Sketch s -> Sketch.reset s)
         table)
 
@@ -159,12 +139,6 @@ let find_metric name = locked (fun () -> Hashtbl.find_opt table name)
 
 let pp_value ppf = function
   | Vcounter v | Vgauge v -> Format.fprintf ppf "%d" v
-  | Vhistogram { count; sum; buckets } ->
-    let mean = if count = 0 then 0.0 else float_of_int sum /. float_of_int count in
-    Format.fprintf ppf "count=%d sum_ns=%d mean_ns=%.0f buckets=[%s]" count sum
-      mean
-      (String.concat "; "
-         (List.map (fun (b, n) -> Printf.sprintf "<=2^%d:%d" b n) buckets))
   | Vsketch { count; sum; max; p50; p90; p99; exemplar } ->
     Format.fprintf ppf "count=%d sum_ns=%d max_ns=%d p50=%.0f p90=%.0f p99=%.0f"
       count sum max p50 p90 p99;
@@ -183,16 +157,6 @@ let add_json_value b = function
     Buffer.add_string b (Printf.sprintf "{\"type\":\"counter\",\"value\":%d}" v)
   | Vgauge v ->
     Buffer.add_string b (Printf.sprintf "{\"type\":\"gauge\",\"value\":%d}" v)
-  | Vhistogram { count; sum; buckets } ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"type\":\"histogram\",\"count\":%d,\"sum_ns\":%d,\"buckets\":["
-         count sum);
-    List.iteri
-      (fun i (bkt, n) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "[%d,%d]" bkt n))
-      buckets;
-    Buffer.add_string b "]}"
   | Vsketch { count; sum; max; p50; p90; p99; exemplar } ->
     Buffer.add_string b
       (Printf.sprintf

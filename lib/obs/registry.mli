@@ -1,7 +1,7 @@
 (** Process-wide [name -> metric] table.  Creation is get-or-create
-    under a mutex (cold path, typically once per module at init);
-    updates go straight to the sharded cells; {!snapshot} merges on
-    read.
+    under a mutex (cold path): the instrumented modules look their
+    metrics up once, at module initialization; updates go straight to
+    the sharded cells; {!snapshot} merges on read.
 
     Naming convention: [kitdpe.<layer>.<name>], e.g.
     [kitdpe.crypto.ope.cache_hits].  Metrics outside [kitdpe.parallel.*]
@@ -11,7 +11,6 @@
 
 val counter : string -> Metric.counter
 val gauge : string -> Metric.gauge
-val histogram : string -> Metric.histogram
 
 val sketch : string -> Sketch.t
 (** Get or create.  @raise Invalid_argument if the name is already
@@ -20,8 +19,6 @@ val sketch : string -> Sketch.t
 type value =
   | Vcounter of int
   | Vgauge of int
-  | Vhistogram of { count : int; sum : int; buckets : (int * int) list }
-      (** [buckets] lists only non-empty buckets as [(log2_index, count)]. *)
   | Vsketch of {
       count : int;
       sum : int;
@@ -48,21 +45,18 @@ val dump : Format.formatter -> unit
 
 val dump_json : unit -> string
 (** The snapshot as one JSON object:
-    [{"<name>": {"type": "counter", "value": n}, ...}]; histograms carry
-    [count], [sum_ns] and a [[log2_bucket, count]] list; sketches carry
+    [{"<name>": {"type": "counter", "value": n}, ...}]; sketches carry
     [count]/[sum_ns]/[max_ns], [p50_ns]/[p90_ns]/[p99_ns] and an
     optional outlier [exemplar]. *)
 
 (** {2 In-library raw access}
 
     [Window] and [Export] need the live metric objects (e.g. raw sketch
-    buckets for windowed deltas), not the rendered snapshot.  Not
-    re-exported by the [Obs] facade. *)
+    buckets for windowed deltas), not the rendered snapshot. *)
 
 type metric =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
-  | Histogram of Metric.histogram
   | Sketch of Sketch.t
 
 val iter : (string -> metric -> unit) -> unit

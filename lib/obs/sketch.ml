@@ -3,15 +3,14 @@
    A value v >= 2 lands in bucket ceil(log_gamma v) with
    gamma = (1+alpha)/(1-alpha); reporting the bucket's harmonic midpoint
    2*gamma^i/(gamma+1) guarantees a relative error of at most alpha for
-   any quantile (bucket 0 collects v <= 1, the top bucket clamps).  With
-   alpha = 1% that is ~50x finer than the log2 histograms while staying
-   a fixed-size integer-indexed array — no tree, no rebalancing.
+   any quantile (bucket 0 collects v <= 1, the top bucket clamps), in a
+   fixed-size integer-indexed array — no tree, no rebalancing.
 
    Concurrency follows [Metric]: each touched bucket is an array of
-   per-domain shards updated with one [Atomic.fetch_and_add] and merged
-   on read.  Shard arrays are installed lazily (CAS against a shared
+   per-domain [Shard] cells updated with one [Atomic.fetch_and_add] and
+   merged on read.  Shard arrays are installed lazily (CAS against a shared
    empty sentinel) so an idle sketch is one pointer array, not
-   bucket_count * shard_count atomics; a timing distribution touches a
+   bucket_count * Shard.count atomics; a timing distribution touches a
    few dozen buckets in practice.  All updates are gated on
    [Control.is_on]: disabled, [observe] costs one atomic load and
    allocates nothing. *)
@@ -39,20 +38,20 @@ type exemplar = { ex_value : int; ex_trace : int; ex_span : int }
 let no_exemplar = { ex_value = 0; ex_trace = 0; ex_span = 0 }
 
 (* shared sentinel for never-touched buckets; compared with (==) *)
-let empty_cells : Metric.cells = [||]
+let empty_cells : Shard.cells = [||]
 
 type t = {
-  buckets : Metric.cells Atomic.t array;
-  sum : Metric.cells;
-  count : Metric.cells;
+  buckets : Shard.cells Atomic.t array;
+  sum : Shard.cells;
+  count : Shard.cells;
   max_v : int Atomic.t;
   ex : exemplar Atomic.t;
 }
 
 let create () =
   { buckets = Array.init bucket_count (fun _ -> Atomic.make empty_cells);
-    sum = Metric.make_cells ();
-    count = Metric.make_cells ();
+    sum = Shard.make ();
+    count = Shard.make ();
     max_v = Atomic.make 0;
     ex = Atomic.make no_exemplar }
 
@@ -60,14 +59,14 @@ let bucket_cells t i =
   let cur = Atomic.get t.buckets.(i) in
   if cur != empty_cells then cur
   else begin
-    let fresh = Metric.make_cells () in
+    let fresh = Shard.make () in
     if Atomic.compare_and_set t.buckets.(i) empty_cells fresh then fresh
     else Atomic.get t.buckets.(i)
   end
 
 let observe t ?(trace_id = 0) ?(span_id = 0) v =
   if Control.is_on () then begin
-    let s = Metric.shard_index () in
+    let s = Shard.index () in
     ignore (Atomic.fetch_and_add (bucket_cells t (bucket_of v)).(s) 1);
     ignore (Atomic.fetch_and_add t.sum.(s) v);
     ignore (Atomic.fetch_and_add t.count.(s) 1);
@@ -84,9 +83,8 @@ let observe t ?(trace_id = 0) ?(span_id = 0) v =
     bump ()
   end
 
-let observe_since t t0 = if t0 > 0 then observe t (Control.now_ns () - t0)
-let count t = Metric.merge t.count
-let sum t = Metric.merge t.sum
+let count t = Shard.merge t.count
+let sum t = Shard.merge t.sum
 let max_value t = Atomic.get t.max_v
 
 let exemplar t =
@@ -98,7 +96,7 @@ let sparse t =
   for i = bucket_count - 1 downto 0 do
     let c = Atomic.get t.buckets.(i) in
     if c != empty_cells then begin
-      let n = Metric.merge c in
+      let n = Shard.merge c in
       if n > 0 then out := (i, n) :: !out
     end
   done;
@@ -128,9 +126,9 @@ let reset t =
   Array.iter
     (fun slot ->
       let c = Atomic.get slot in
-      if c != empty_cells then Metric.clear_cells c)
+      if c != empty_cells then Shard.clear c)
     t.buckets;
-  Metric.clear_cells t.sum;
-  Metric.clear_cells t.count;
+  Shard.clear t.sum;
+  Shard.clear t.count;
   Atomic.set t.max_v 0;
   Atomic.set t.ex no_exemplar

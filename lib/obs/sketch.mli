@@ -5,7 +5,8 @@
     [alpha] (1%) relative error of the true order statistic under the
     ceil-rank convention (the q-quantile of n values is the
     [ceil (q * n)]-th smallest).  Buckets are per-domain sharded atomic
-    cells exactly like {!Metric} — lock-free writes, merge-on-read —
+    cells exactly like [Metric] counters — lock-free writes,
+    merge-on-read —
     installed lazily so idle sketches stay small.  All updates are gated
     on the global enabled flag: disabled, {!observe} costs one atomic
     load and allocates nothing. *)
@@ -27,12 +28,8 @@ val create : unit -> t
 val observe : t -> ?trace_id:int -> ?span_id:int -> int -> unit
 (** Record one observation (intended unit: nanoseconds).  When the value
     becomes the new maximum, the optional span context is kept as the
-    sketch's outlier {!exemplar}. *)
-
-val observe_since : t -> int -> unit
-(** [observe_since s t0] records [now_ns () - t0]; no-op when [t0 = 0]
-    (the [Obs.time_start] disabled sentinel).  Use [Obs.observe_timed]
-    to also attach the current span as exemplar. *)
+    sketch's outlier {!exemplar}; [Obs.observe_latency] supplies the
+    current span. *)
 
 val count : t -> int
 val sum : t -> int

@@ -1,9 +1,9 @@
 (* Rolling time-window aggregation: a bounded ring of epoch snapshots
-   over the registry's cumulative counters/histograms/sketches.
+   over the registry's cumulative counters and sketches.
 
    Rotation is the cold path (once per epoch, default 1 s): it copies
    the monotonic part of every registered metric — counter values,
-   histogram counts, sketch counts/sums/sparse buckets — into an
+   sketch counts/sums/sparse buckets — into an
    immutable epoch.  Rates and "recent" quantiles are then deltas
    between the live metric and the oldest epoch inside the requested
    window, so a reader never touches the hot write path and a
@@ -54,8 +54,6 @@ let capture () =
   Registry.iter (fun name m ->
       match m with
       | Registry.Counter c -> out := (name, Ecounter (Metric.value c)) :: !out
-      | Registry.Histogram h ->
-        out := (name, Ecounter (Metric.hist_count h)) :: !out
       | Registry.Sketch s ->
         out :=
           (name,
@@ -117,7 +115,6 @@ let default_window ~window_ns =
 let live_count name =
   match Registry.find_metric name with
   | Some (Registry.Counter c) -> Some (Metric.value c)
-  | Some (Registry.Histogram h) -> Some (Metric.hist_count h)
   | Some (Registry.Sketch s) -> Some (Sketch.count s)
   | Some (Registry.Gauge _) | None -> None
 

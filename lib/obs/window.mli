@@ -31,7 +31,7 @@ val force : ?now:int -> unit -> unit
 (** Rotate unconditionally (snapshot consumers, tests). *)
 
 val rate : ?now:int -> ?window_ns:int -> string -> float option
-(** Events per second for a counter, histogram or sketch over the
+(** Events per second for a counter or sketch over the
     window (default: the full ring span): live count minus the oldest
     in-window epoch's count, over the elapsed time.  [None] when the
     metric is unknown, is a gauge, or no epoch lies inside the

@@ -99,7 +99,6 @@ let lane_key = Domain.DLS.new_key (fun () -> 0)
 
 let m_batches = Obs.Registry.counter "kitdpe.parallel.pool.batches"
 let m_tasks = Obs.Registry.counter "kitdpe.parallel.pool.tasks"
-let m_task_ns = Obs.Registry.histogram "kitdpe.parallel.pool.task_ns"
 let m_task = Obs.Registry.sketch "kitdpe.parallel.pool.task"
 
 let lane_counter name lane =
@@ -134,7 +133,6 @@ let run_instrumented ?ctx job =
     Obs.Span.with_context task_ctx job;
     let dt = Obs.now_ns () - t0 in
     Obs.Metric.incr m_tasks;
-    Obs.Metric.observe m_task_ns dt;
     Obs.Sketch.observe m_task ~trace_id:task_ctx.Obs.Span.trace
       ~span_id:task_ctx.Obs.Span.span dt;
     Obs.Metric.incr (lane_counter "tasks" lane);

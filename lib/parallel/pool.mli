@@ -113,7 +113,7 @@ val map_range_r : t -> int -> (int -> 'a) -> ('a, Fault.Error.t) result array
 val lane_crashes : unit -> int
 (** Number of times a worker lane had to be respawned because an
     exception escaped a task wrapper (0 in healthy runs; not gated on
-    [Obs.enabled]). *)
+    [Obs.is_enabled]). *)
 
 (** {2 Deadlines}
 

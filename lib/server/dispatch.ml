@@ -32,7 +32,6 @@ let m_req_encrypt = Obs.Registry.counter "kitdpe.server.requests.encrypt"
 let m_req_mine = Obs.Registry.counter "kitdpe.server.requests.mine"
 let m_req_stats = Obs.Registry.counter "kitdpe.server.requests.stats"
 let m_req_health = Obs.Registry.counter "kitdpe.server.requests.health"
-let m_request_ns = Obs.Registry.histogram "kitdpe.server.request_ns"
 let m_request = Obs.Registry.sketch "kitdpe.server.request"
 let m_deadline = Obs.Registry.counter "kitdpe.server.deadline_exceeded"
 let m_partial = Obs.Registry.counter "kitdpe.server.partial"
@@ -263,10 +262,7 @@ let handle ?deadline_ns ctx (req : Proto.request) =
   in
   if t0 > 0 then begin
     let dt = Obs.now_ns () - t0 in
-    Obs.Metric.observe m_request_ns dt;
-    let sctx = Obs.Span.current () in
-    Obs.Sketch.observe m_request ~trace_id:sctx.Obs.Span.trace
-      ~span_id:sctx.Obs.Span.span dt;
+    Obs.observe_latency m_request dt;
     Obs.Span.record ~cat:"server"
       ~name:(Printf.sprintf "serve.%s" (Proto.op_to_string req.op))
       ~ts_ns:t0 ~dur_ns:dt ()

@@ -28,7 +28,7 @@
 
     Metrics: [kitdpe.server.requests.{encrypt,mine,stats,health}],
     [kitdpe.server.request] (latency sketch),
-    [kitdpe.server.request_ns], [kitdpe.server.deadline_exceeded],
+    [kitdpe.server.deadline_exceeded],
     [kitdpe.server.partial]. *)
 
 type ctx = {

@@ -21,6 +21,11 @@ let with_pool ?domains f =
   let p = Parallel.Pool.create ?domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown p) (fun () -> f p)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* ---- counters and gauges ---- *)
 
 let test_counter () =
@@ -48,74 +53,52 @@ let test_gauge_survives_disable () =
 let test_disabled_noop () =
   with_obs_off (fun () ->
       let c = Obs.Metric.counter () in
-      let h = Obs.Metric.histogram () in
       Obs.Metric.incr c;
       Obs.Metric.add c 100;
-      Obs.Metric.observe h 1234;
       Alcotest.(check int) "counter untouched" 0 (Obs.Metric.value c);
-      Alcotest.(check int) "histogram untouched" 0 (Obs.Metric.hist_count h);
       Alcotest.(check int) "time_start sentinel" 0 (Obs.time_start ());
-      Obs.Metric.observe_since h 0;
-      Alcotest.(check int) "observe_since no-op" 0 (Obs.Metric.hist_count h);
       Obs.Span.clear ();
       let r = Obs.Span.with_span "noop" (fun () -> 17) in
       Alcotest.(check int) "with_span passthrough" 17 r;
       Alcotest.(check int) "no events" 0 (List.length (Obs.Span.events ()));
       let sk = Obs.Sketch.create () in
       Obs.Sketch.observe sk 999;
-      Obs.Sketch.observe_since sk 0;
+      Obs.observe_latency sk 999;
       Alcotest.(check int) "sketch untouched" 0 (Obs.Sketch.count sk);
       Alcotest.(check int) "sketch sum untouched" 0 (Obs.Sketch.sum sk);
       Obs.Window.reset ();
       Obs.Window.tick ();
       Alcotest.(check int) "window tick no-op" 0 (Obs.Window.epoch_count ()))
 
-(* ---- histograms ---- *)
+(* ---- telemetry off allocates nothing ---- *)
 
-let test_histogram_buckets () =
-  with_obs (fun () ->
-      Alcotest.(check int) "bucket_of 0" 0 (Obs.Metric.bucket_of 0);
-      Alcotest.(check int) "bucket_of 1" 0 (Obs.Metric.bucket_of 1);
-      Alcotest.(check int) "bucket_of 2" 1 (Obs.Metric.bucket_of 2);
-      (* bucket b holds 2^(b-1) < v <= 2^b *)
-      List.iter
-        (fun b ->
-          Alcotest.(check int)
-            (Printf.sprintf "lower edge of bucket %d" b)
-            b
-            (Obs.Metric.bucket_of ((1 lsl (b - 1)) + 1));
-          Alcotest.(check int)
-            (Printf.sprintf "upper edge of bucket %d" b)
-            b
-            (Obs.Metric.bucket_of (1 lsl b)))
-        [ 2; 3; 10; 20; 40 ];
-      let h = Obs.Metric.histogram () in
-      List.iter (Obs.Metric.observe h) [ 1; 3; 3; 1000; 0 ];
-      Alcotest.(check int) "count" 5 (Obs.Metric.hist_count h);
-      Alcotest.(check int) "sum" 1007 (Obs.Metric.hist_sum h);
-      let b = Obs.Metric.hist_buckets h in
-      Alcotest.(check int) "bucket 0 (v<=1)" 2 b.(0);
-      Alcotest.(check int) "bucket 2 (3..4)" 2 b.(2);
-      Alcotest.(check int) "bucket 10 (513..1024)" 1 b.(10);
-      Alcotest.(check int) "total across buckets" 5
-        (Array.fold_left ( + ) 0 b))
+(* the property every instrumented hot path relies on: with telemetry
+   off, each instrumentation call is one atomic load and no allocation *)
+let test_disabled_allocates_nothing () =
+  with_obs_off (fun () ->
+      let c = Obs.Metric.counter () and sk = Obs.Sketch.create () in
+      let n = 10_000 in
+      let before = Gc.minor_words () in
+      for i = 1 to n do
+        Obs.Metric.incr c;
+        Obs.Metric.add c i;
+        Obs.Sketch.observe sk i;
+        let t0 = Obs.time_start () in
+        Obs.observe_latency sk t0
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) "no minor words allocated" 0.0 words;
+      Alcotest.(check int) "sketch untouched" 0 (Obs.Sketch.count sk))
 
 (* ---- shard merge under a real multi-domain pool ---- *)
 
 let test_shard_merge () =
   with_obs (fun () ->
       let c = Obs.Registry.counter "test.obs.shard_merge" in
-      let h = Obs.Registry.histogram "test.obs.shard_merge_ns" in
       let n = 10_000 in
       with_pool ~domains:4 (fun p ->
-          Parallel.Pool.for_range p n (fun i ->
-              Obs.Metric.incr c;
-              Obs.Metric.observe h (i land 1023)));
-      Alcotest.(check int) "counter merged exactly" n (Obs.Metric.value c);
-      Alcotest.(check int) "histogram merged exactly" n
-        (Obs.Metric.hist_count h);
-      Alcotest.(check int) "bucket totals merged" n
-        (Array.fold_left ( + ) 0 (Obs.Metric.hist_buckets h)))
+          Parallel.Pool.for_range p n (fun _ -> Obs.Metric.incr c));
+      Alcotest.(check int) "counter merged exactly" n (Obs.Metric.value c))
 
 (* ---- workload-semantic metrics are pool-size invariant ---- *)
 
@@ -157,6 +140,66 @@ let test_ope_cache_counters () =
        | Some (Obs.Registry.Vcounter n) ->
          Alcotest.(check bool) "registry hits > 0" true (n > 0)
        | _ -> Alcotest.fail "registry hit counter missing"))
+
+(* the two timings that used to exist only as log2 histograms are
+   sketches now *)
+let test_build_and_prewarm_sketches () =
+  let count name =
+    match Obs.Registry.find name with
+    | Some (Obs.Registry.Vsketch { count; _ }) -> count
+    | _ -> Alcotest.fail (name ^ " is not a registered sketch")
+  in
+  with_obs (fun () ->
+      let log =
+        Workload.Gen_query.skyserver_log
+          { Workload.Gen_query.n = 30; templates = 4; seed = "obs-index";
+            caps = Workload.Gen_query.caps_for_measure Distance.Measure.Token }
+      in
+      let feats = Distance.Features.build (Array.of_list log) in
+      ignore
+        (Index.Vp_tree.build ~seed:"obs"
+           (Index.Space.of_kind Index.Space.Token feats));
+      Alcotest.(check bool) "kitdpe.index.build observed" true
+        (count "kitdpe.index.build" > 0);
+      let sum_q =
+        match
+          Sqlir.Parser.parse_result
+            "SELECT class, SUM(redshift) AS total FROM photoobj GROUP BY class"
+        with
+        | Ok q -> q
+        | Error e -> Alcotest.fail e
+      in
+      let scheme =
+        Dpe.Selector.select Distance.Measure.Result
+          (Dpe.Log_profile.of_log [ sum_q ])
+      in
+      let enc =
+        Dpe.Encryptor.create (Crypto.Keyring.of_passphrase "test-obs") scheme
+      in
+      let db = Workload.Gen_db.skyserver ~seed:"obs-prewarm" ~rows:8 in
+      let filled, errs = Dpe.Db_encryptor.prewarm_hom_noise_r enc db in
+      Alcotest.(check bool) "prewarm filled HOM cells" true
+        (filled > 0 && errs = []);
+      Alcotest.(check bool) "kitdpe.dpe.db_encryptor.prewarm observed" true
+        (count "kitdpe.dpe.db_encryptor.prewarm" > 0))
+
+(* ---- JSON reader ---- *)
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_json_depth_bound () =
+  let d = Obs.Json.max_depth in
+  (match Obs.Json.parse (nested d) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail ("depth max_depth rejected: " ^ e));
+  (match Obs.Json.parse (nested (d + 1)) with
+   | Error e ->
+     Alcotest.(check bool) "names the bound" true
+       (contains e (Printf.sprintf "nesting deeper than %d" d))
+   | Ok _ -> Alcotest.fail "depth max_depth + 1 accepted");
+  match Obs.Json.parse ("{\"a\":" ^ nested d ^ "}") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an object around max_depth arrays was accepted"
 
 (* ---- span ring buffer ---- *)
 
@@ -330,8 +373,7 @@ let test_trace_export () =
              1));
       let c = Obs.Registry.counter "test.obs.trace_counter" in
       Obs.Metric.incr c;
-      let h = Obs.Registry.histogram "test.obs.trace_ns" in
-      Obs.Metric.observe h 1000;
+      Obs.Sketch.observe (Obs.Registry.sketch "test.obs.trace_sk") 1000;
       let json = Obs.Trace.to_string () in
       let nvals = check_json "trace" json in
       Alcotest.(check bool) "trace is non-trivial" true (nvals > 10);
@@ -352,19 +394,14 @@ let test_trace_export () =
 let test_registry_dump_json () =
   with_obs (fun () ->
       Obs.Metric.incr (Obs.Registry.counter "test.obs.dump_c");
-      Obs.Metric.observe (Obs.Registry.histogram "test.obs.dump_h") 42;
+      Obs.Sketch.observe (Obs.Registry.sketch "test.obs.dump_sk") 42;
       Obs.Metric.set_gauge (Obs.Registry.gauge "test.obs.dump_g") 3;
       let json = Obs.Registry.dump_json () in
       ignore (check_json "registry dump" json);
       Alcotest.check_raises "kind mismatch rejected"
         (Invalid_argument
            "Obs.Registry: test.obs.dump_c already registered with another kind")
-        (fun () -> ignore (Obs.Registry.histogram "test.obs.dump_c")))
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+        (fun () -> ignore (Obs.Registry.sketch "test.obs.dump_c")))
 
 (* ---- quantile sketches (PR 7) ---- *)
 
@@ -525,7 +562,7 @@ let check_openmetrics text =
             Some (String.sub s 0 (sl - fl))
           else None)
       None
-      [ "_total"; "_sum"; "_count"; "_bucket" ]
+      [ "_total"; "_sum"; "_count" ]
     |> Option.value ~default:s
   in
   let declared = Hashtbl.create 32 in
@@ -540,7 +577,7 @@ let check_openmetrics text =
         (match String.split_on_char ' ' line with
          | [ "#"; "TYPE"; name; kind ] ->
            if not (valid_name name) then fail "bad family name %s" name;
-           if not (List.mem kind [ "counter"; "gauge"; "histogram"; "summary" ])
+           if not (List.mem kind [ "counter"; "gauge"; "summary" ])
            then fail "bad kind %s" kind;
            Hashtbl.replace declared name kind
          | "#" :: "HELP" :: _ -> ()
@@ -571,9 +608,8 @@ let check_openmetrics text =
         if not (valid_name metric) then fail "bad metric name %s" metric;
         if not (Hashtbl.mem declared (strip_suffix metric)) then
           fail "sample %s has no # TYPE declaration" metric;
-        (match float_of_string_opt value with
-         | Some _ -> ()
-         | None -> if value <> "+Inf" then fail "bad sample value: %s" value);
+        if float_of_string_opt value = None then
+          fail "bad sample value: %s" value;
         go seen_eof rest
       end
   in
@@ -582,15 +618,14 @@ let check_openmetrics text =
 let test_openmetrics_format () =
   with_obs (fun () ->
       Obs.Metric.incr (Obs.Registry.counter "test.obs.om_c");
-      Obs.Metric.observe (Obs.Registry.histogram "test.obs.om_h_ns") 300;
       Obs.Sketch.observe (Obs.Registry.sketch "test.obs.om_sk") 500;
       Obs.Metric.set_gauge (Obs.Registry.gauge "test.obs.om_g") 2;
       let text = Obs.Export.openmetrics () in
       check_openmetrics text;
       Alcotest.(check bool) "counter rendered as _total" true
         (contains text "test_obs_om_c_total 1");
-      Alcotest.(check bool) "histogram has +Inf bucket" true
-        (contains text "le=\"+Inf\"");
+      Alcotest.(check bool) "no log2 le= buckets" false
+        (contains text "{le=" || contains text "_bucket");
       Alcotest.(check bool) "sketch rendered as summary quantiles" true
         (contains text "test_obs_om_sk{quantile=\"0.99\"}");
       Alcotest.(check bool) "runtime gauges refreshed" true
@@ -607,7 +642,9 @@ let test_snapshot_and_diff () =
       Alcotest.(check bool) "schema name" true
         (contains old "\"schema\":\"kitdpe.metrics\"");
       Alcotest.(check bool) "schema version" true
-        (contains old "\"schema_version\":1");
+        (contains old "\"schema_version\":2");
+      Alcotest.(check bool) "no histogram type" false
+        (contains old "\"histogram\"");
       Alcotest.(check bool) "window section" true (contains old "\"window\"");
       Alcotest.(check bool) "span section" true (contains old "\"spans\"");
       Obs.Metric.add c 3;
@@ -618,6 +655,22 @@ let test_snapshot_and_diff () =
          Alcotest.(check bool) "diff shows the delta" true
            (contains table "+3")
        | Error e -> Alcotest.fail ("diff rejected its own snapshot: " ^ e));
+      (* a v1 snapshot still carries the log2 histograms *)
+      let v1 =
+        {|{"schema":"kitdpe.metrics","schema_version":1,"metrics":{|}
+        ^ {|"kitdpe.crypto.det.encrypt_ns":{"type":"histogram","count":3,|}
+        ^ {|"sum_ns":900,"buckets":[[9,3]]}}}|}
+      in
+      (match Obs.Export.diff ~old_json:v1 with
+       | Ok table ->
+         Alcotest.(check bool) "version note" true
+           (contains table "old snapshot has schema_version 1 (current 2)");
+         Alcotest.(check bool) "v1 histogram listed as gone" true
+           (List.exists
+              (fun l ->
+                contains l "kitdpe.crypto.det.encrypt_ns" && contains l "gone")
+              (String.split_on_char '\n' table))
+       | Error e -> Alcotest.fail ("diff rejected a v1 snapshot: " ^ e));
       match Obs.Export.diff ~old_json:"{ not json" with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "diff accepted garbage")
@@ -689,7 +742,8 @@ let () =
          Alcotest.test_case "gauge survives disable" `Quick
            test_gauge_survives_disable;
          Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
-         Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets ]);
+         Alcotest.test_case "disabled allocates nothing" `Quick
+           test_disabled_allocates_nothing ]);
       ("sketches",
        [ Alcotest.test_case "quantile accuracy" `Quick test_sketch_accuracy;
          Alcotest.test_case "shard merge under 4 domains" `Quick
@@ -709,7 +763,11 @@ let () =
            test_parenting_invariance ]);
       ("instrumentation",
        [ Alcotest.test_case "ope cache counters" `Quick
-           test_ope_cache_counters ]);
+           test_ope_cache_counters;
+         Alcotest.test_case "index build and prewarm sketches" `Quick
+           test_build_and_prewarm_sketches ]);
+      ("json",
+       [ Alcotest.test_case "depth bound" `Quick test_json_depth_bound ]);
       ("spans",
        [ Alcotest.test_case "ring overflow" `Quick test_span_ring_overflow;
          Alcotest.test_case "trace export is valid JSON" `Quick

@@ -115,6 +115,17 @@ let test_parse_request_garbage () =
    | Error (None, e) -> check_bool "typed Protocol" true (is_protocol e)
    | Error (Some _, _) -> Alcotest.fail "id invented for garbage"
    | Ok _ -> Alcotest.fail "garbage parsed");
+  (* the parse runs on the reader thread before admission, so no deadline
+     covers it: a deeply nested frame must fail at the JSON depth bound,
+     not after millions of recursive calls *)
+  let t0 = Unix.gettimeofday () in
+  (match Proto.parse_request (String.make (4 * 1024 * 1024) '[') with
+   | Error (None, e) -> check_bool "nested frame typed Protocol" true (is_protocol e)
+   | Error (Some _, _) -> Alcotest.fail "id invented for a nested frame"
+   | Ok _ -> Alcotest.fail "4 MB of '[' parsed");
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool (Printf.sprintf "nested frame rejected in %.3f s (< 1 s)" dt) true
+    (dt < 1.0);
   (* id recoverable even when the rest of the request is malformed *)
   (match Proto.parse_request {|{"id":3,"op":"noop"}|} with
    | Error (Some 3, e) -> check_bool "typed Protocol" true (is_protocol e)

@@ -200,7 +200,7 @@ let sink_fns =
     (* telemetry: span names, metric names, pre-timed span records *)
     [ "Span"; "with_span" ]; [ "Span"; "record" ];
     [ "Registry"; "counter" ]; [ "Registry"; "gauge" ];
-    [ "Registry"; "histogram" ]; [ "Registry"; "sketch" ];
+    [ "Registry"; "sketch" ];
     (* CPS formatters with an opaque continuation *)
     [ "Printf"; "ksprintf" ]; [ "Format"; "kasprintf" ] ]
 
