@@ -21,24 +21,14 @@ val token : key -> string -> string
     testable pseudonym.  Used where only the pseudonym is needed (e.g.
     relation names inside query text). *)
 
-type cache
-(** A bounded, domain-safe plaintext → ciphertext memo.  Because DET is
-    deterministic the cache is transparent: [encrypt_cached c k m] always
-    equals [encrypt k m].  Used by the bulk database encryptor, where
-    column values repeat heavily. *)
+type cache = (string, string) Memo.t
+(** A per-column DET memo ({!Memo}) for the bulk database encryptor,
+    where column values repeat heavily.  Transparent: [encrypt_cached c
+    k m] always equals [encrypt k m].  Its counters are published as
+    [kitdpe.crypto.det.cache_{hits,misses,evictions}]. *)
 
 val make_cache : ?bound:int -> unit -> cache
 (** [bound] (default 65536) caps the entry count; the cache is dropped
     wholesale when full. *)
 
 val encrypt_cached : cache -> key -> string -> string
-
-type cache_stats = { hits : int; misses : int; evictions : int; size : int }
-(** Per-cache memo telemetry: [hits]/[misses] count {!encrypt_cached}
-    lookups, [evictions] counts entries dropped by the bound, [size] is
-    the current entry count. *)
-
-val cache_stats : cache -> cache_stats
-(** Snapshot of this cache's counters.  The same numbers, aggregated over
-    every DET cache in the process, are published to the [Obs] registry
-    as [kitdpe.crypto.det.cache_{hits,misses,evictions}]. *)

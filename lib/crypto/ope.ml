@@ -1,97 +1,28 @@
 type params = { plain_bits : int; cipher_bits : int }
 
-(* Transparent plaintext -> ciphertext memo.  OPE is deterministic, so
-   caching never changes a ciphertext; it only skips the ~plain_bits HMAC
-   tree descents of a repeated plaintext.  Bulk encryption shares keys
-   across domains, hence the mutex. *)
-type cache = {
-  tbl : (int, int) Hashtbl.t;
-  lock : Mutex.t;
-  bound : int;
-  (* per-key telemetry, maintained under [lock]; mirrored into the
-     global Obs registry when observability is enabled *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+(* every key carries a transparent plaintext -> ciphertext memo: OPE is
+   deterministic, so caching never changes a ciphertext; it only skips
+   the ~plain_bits HMAC tree descents of a repeated plaintext *)
+type key = { prf : string; p : params; memo : (int, int) Memo.t }
 
-type cache_stats = { hits : int; misses : int; evictions : int; size : int }
+type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int; size : int }
 
-type key = { prf : string; p : params; cache : cache }
-
-let m_hits = Obs.Registry.counter "kitdpe.crypto.ope.cache_hits"
-let m_misses = Obs.Registry.counter "kitdpe.crypto.ope.cache_misses"
-let m_evictions = Obs.Registry.counter "kitdpe.crypto.ope.cache_evictions"
+let m_cache = Memo.counters "kitdpe.crypto.ope"
 let m_encrypt = Obs.Registry.sketch "kitdpe.crypto.ope.encrypt"
 
 let default_params = { plain_bits = 32; cipher_bits = 48 }
-
-let default_cache_bound = 1 lsl 16
 
 let create ~master ~purpose p =
   if p.plain_bits <= 0 || p.plain_bits >= p.cipher_bits || p.cipher_bits > 55
   then invalid_arg "Ope.create: invalid params";
   { prf = Hmac.derive ~master ~purpose:("ope/" ^ purpose) 32;
     p;
-    cache =
-      { tbl = Hashtbl.create 256;
-        lock = Mutex.create ();
-        bound = default_cache_bound;
-        hits = 0;
-        misses = 0;
-        evictions = 0 } }
+    memo = Memo.create m_cache }
 
 let params k = (k.p.plain_bits, k.p.cipher_bits)
 let max_plain k = (1 lsl k.p.plain_bits) - 1
-
-let cache_size k =
-  Mutex.lock k.cache.lock;
-  let n = Hashtbl.length k.cache.tbl in
-  Mutex.unlock k.cache.lock;
-  n
-
-let cache_clear k =
-  Mutex.lock k.cache.lock;
-  Hashtbl.reset k.cache.tbl;
-  Mutex.unlock k.cache.lock
-
-let cache_stats k =
-  Mutex.lock k.cache.lock;
-  let s =
-    { hits = k.cache.hits;
-      misses = k.cache.misses;
-      evictions = k.cache.evictions;
-      size = Hashtbl.length k.cache.tbl }
-  in
-  Mutex.unlock k.cache.lock;
-  s
-
-let cache_find k m =
-  Mutex.lock k.cache.lock;
-  let r = Hashtbl.find_opt k.cache.tbl m in
-  (match r with
-   | Some _ -> k.cache.hits <- k.cache.hits + 1
-   | None -> k.cache.misses <- k.cache.misses + 1);
-  Mutex.unlock k.cache.lock;
-  (match r with
-   | Some _ -> Obs.Metric.incr m_hits
-   | None -> Obs.Metric.incr m_misses);
-  r
-
-let cache_add k m c =
-  Mutex.lock k.cache.lock;
-  let evicted =
-    if Hashtbl.length k.cache.tbl >= k.cache.bound then begin
-      let n = Hashtbl.length k.cache.tbl in
-      Hashtbl.reset k.cache.tbl;
-      k.cache.evictions <- k.cache.evictions + n;
-      n
-    end
-    else 0
-  in
-  Hashtbl.replace k.cache.tbl m c;
-  Mutex.unlock k.cache.lock;
-  if evicted > 0 then Obs.Metric.add m_evictions evicted
+let cache_clear k = Memo.clear k.memo
+let cache_stats k = Memo.stats k.memo
 
 let encode_int v =
   String.init 8 (fun i -> Char.chr ((v lsr (8 * (7 - i))) land 0xff))
@@ -147,14 +78,11 @@ let encrypt_uncached k m =
 
 let encrypt k m =
   if m < 0 || m > max_plain k then invalid_arg "Ope.encrypt: out of domain";
-  match cache_find k m with
-  | Some c -> c
-  | None ->
-    let t0 = Obs.time_start () in
-    let c = encrypt_uncached k m in
-    if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
-    cache_add k m c;
-    c
+  Memo.find_or_add k.memo m (fun m ->
+      let t0 = Obs.time_start () in
+      let c = encrypt_uncached k m in
+      if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
+      c)
 
 let decrypt k c =
   if c < 0 || c >= 1 lsl k.p.cipher_bits then None

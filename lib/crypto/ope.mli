@@ -32,7 +32,7 @@ val max_plain : key -> int
 val encrypt : key -> int -> int
 (** @raise Invalid_argument if the plaintext is outside [[0, 2^plain_bits)].
 
-    Each key carries a transparent, bounded, domain-safe memo of past
+    Each key carries a transparent, bounded, domain-safe {!Memo} of past
     encryptions: OPE is deterministic, so a cache hit returns exactly the
     ciphertext the tree descent would recompute, it only skips the
     ~[plain_bits] HMAC evaluations.  Every split point is drawn {e exactly}
@@ -42,20 +42,12 @@ val encrypt : key -> int -> int
 val decrypt : key -> int -> int option
 (** Inverse by binary search; [None] for values not in the image. *)
 
-val cache_size : key -> int
-(** Number of memoized plaintexts (diagnostics for the perf bench). *)
-
 val cache_clear : key -> unit
-(** Drop the memo (never changes ciphertexts — determinism).  Does not
-    count as an eviction in {!cache_stats} — it is an explicit diagnostic
-    reset, not capacity pressure. *)
+(** Drop the key's memo (never changes ciphertexts — determinism). *)
 
-type cache_stats = { hits : int; misses : int; evictions : int; size : int }
-(** Per-key memo telemetry: [hits]/[misses] count {!encrypt} lookups,
-    [evictions] counts entries dropped by the bound (the memo drops
-    wholesale when full), [size] is the current entry count. *)
+type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int; size : int }
 
 val cache_stats : key -> cache_stats
-(** Snapshot of this key's memo counters.  The same numbers, aggregated
-    over every OPE key in the process, are published to the [Obs]
-    registry as [kitdpe.crypto.ope.cache_{hits,misses,evictions}]. *)
+(** Snapshot of this key's {!Memo} counters.  The same numbers,
+    aggregated over every OPE key in the process, are published to the
+    [Obs] registry as [kitdpe.crypto.ope.cache_{hits,misses,evictions}]. *)

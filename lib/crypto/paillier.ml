@@ -140,22 +140,8 @@ let assemble pub m rn =
 let check_plaintext pub m =
   if N.compare m pub.n >= 0 then invalid_arg "Paillier.encrypt: m >= n"
 
-let encrypt pub rng m =
-  check_plaintext pub m;
-  if Fault.enabled () then
-    Fault.point
-      ~key:(match N.to_int_opt m with Some v -> v | None -> 0)
-      "crypto.paillier.encrypt";
-  Obs.Metric.incr m_encrypts;
-  let t0 = Obs.time_start () in
-  let c = assemble pub m (noise pub rng) in
-  if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
-  c
-
 let encode_int pub v =
   if v >= 0 then N.of_int v else N.sub pub.n (N.of_int (-v))
-
-let encrypt_int pub rng v = encrypt pub rng (encode_int pub v)
 
 (* ---- precomputed noise pool ----
 
@@ -251,6 +237,10 @@ let encrypt_pooled ?pool pub ~key rng m =
 
 let encrypt_int_pooled ?pool pub ~key rng v =
   encrypt_pooled ?pool pub ~key rng (encode_int pub v)
+
+(* without a pool the label is never read *)
+let encrypt pub rng m = encrypt_pooled pub ~key:"" rng m
+let encrypt_int pub rng v = encrypt pub rng (encode_int pub v)
 
 (* ---- pool persistence ----
 

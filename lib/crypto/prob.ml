@@ -8,7 +8,7 @@ let tag_len = 16
 
 let encrypt k rng msg =
   if Fault.enabled () then
-    Fault.point ~key:(Hashtbl.hash msg) "crypto.prob.encrypt";
+    Fault.point ~key:(Fault.key_of_string msg) "crypto.prob.encrypt";
   let iv = Drbg.generate rng 16 in
   let ct = Block_modes.ctr_transform k.enc ~iv msg in
   let tag = String.sub (Hmac.hmac_sha256 ~key:k.mac (iv ^ ct)) 0 tag_len in

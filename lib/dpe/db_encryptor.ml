@@ -8,11 +8,6 @@ let m_cells = Obs.Registry.counter "kitdpe.dpe.db_encryptor.cells"
 let m_table = Obs.Registry.sketch "kitdpe.dpe.db_encryptor.table"
 let m_prewarm = Obs.Registry.sketch "kitdpe.dpe.db_encryptor.prewarm"
 
-let const_class_of enc name =
-  match (Encryptor.scheme enc).Scheme.consts with
-  | Scheme.Global cls -> cls
-  | Scheme.Per_attribute _ -> Scheme.class_for_attr (Encryptor.scheme enc) name
-
 let class_label = function
   | Scheme.C_ope -> "ope"
   | Scheme.C_ope_join _ -> "ope_join"
@@ -21,12 +16,10 @@ let class_label = function
   | Scheme.C_prob -> "prob"
   | Scheme.C_hom -> "hom"
 
-let column_cipher_type enc name (ty : Value.ty) : Value.ty =
-  match const_class_of enc name with
+let column_cipher_type enc name : Value.ty =
+  match Scheme.class_for_attr (Encryptor.scheme enc) name with
   | Scheme.C_ope | Scheme.C_ope_join _ -> Value.Tint
-  | Scheme.C_det | Scheme.C_det_join _ | Scheme.C_prob | Scheme.C_hom ->
-    ignore ty;
-    Value.Tstring
+  | Scheme.C_det | Scheme.C_det_join _ | Scheme.C_prob | Scheme.C_hom -> Value.Tstring
 
 let encrypt_schema enc (s : Schema.t) =
   Schema.make
@@ -34,7 +27,7 @@ let encrypt_schema enc (s : Schema.t) =
     (List.map
        (fun (c : Schema.column) ->
          (Encryptor.encrypt_attr_name enc c.Schema.name,
-          column_cipher_type enc c.Schema.name c.Schema.ty))
+          column_cipher_type enc c.Schema.name))
        s.Schema.columns)
 
 (* Rows are encrypted across the pool.  Determinism contract: row [i] of
@@ -118,7 +111,7 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
         Obs.Metric.add
           (Obs.Registry.counter
              ("kitdpe.dpe.db_encryptor.cells."
-             ^ class_label (const_class_of enc name)))
+             ^ class_label (Scheme.class_for_attr (Encryptor.scheme enc) name)))
           nrows)
       names;
     let dt = Obs.now_ns () - t0 in
@@ -172,7 +165,7 @@ let hom_cells enc db =
       let nrows = List.length (Table.rows table) in
       List.concat_map
         (fun (c : Schema.column) ->
-          match const_class_of enc c.Schema.name with
+          match Scheme.class_for_attr (Encryptor.scheme enc) c.Schema.name with
           | Scheme.C_hom ->
             List.init nrows (fun row ->
                 Encryptor.hom_cell_key ~rel ~row ~attr:c.Schema.name)

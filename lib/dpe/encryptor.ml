@@ -17,47 +17,45 @@ let () =
 let ope_params = { Crypto.Ope.plain_bits = 32; cipher_bits = 48 }
 let ope_offset = 1 lsl 31
 
+(* One attribute, one cipher: the key its constant class resolves to. *)
+type cipher =
+  | Det of Crypto.Det.key
+  | Prob of Crypto.Prob.key
+  | Ope of Crypto.Ope.key
+  | Hom of Crypto.Paillier.public
+
 type t = {
   keyring : Crypto.Keyring.t;
   scheme : Scheme.t;
   rng : Crypto.Drbg.t;
-  det_keys : (string, Crypto.Det.key) Hashtbl.t;
-  ope_keys : (string, Crypto.Ope.key) Hashtbl.t;
-  prob_keys : (string, Crypto.Prob.key) Hashtbl.t;
+  rel_key : Crypto.Det.key;
+  attr_key : Crypto.Det.key;
+  ciphers : (string, cipher) Hashtbl.t;
   mutable paillier_pair : (Crypto.Paillier.public * Crypto.Paillier.secret) option;
   mutable noise_pool : Crypto.Paillier.pool option;
 }
 
+(* under a Global policy all identifiers share one token map, so that a
+   name used both as a relation and as an attribute stays one token *)
+let is_global_policy = function
+  | Scheme.Global _ -> true
+  | Scheme.Per_attribute _ -> false
+
 let create keyring scheme =
+  let ident slot =
+    Crypto.Keyring.det keyring
+      (if is_global_policy scheme.Scheme.consts then "token" else slot)
+  in
   { keyring; scheme;
     rng = Crypto.Keyring.drbg keyring "encryptor";
-    det_keys = Hashtbl.create 16;
-    ope_keys = Hashtbl.create 16;
-    prob_keys = Hashtbl.create 16;
+    rel_key = ident "rel";
+    attr_key = ident "attr";
+    ciphers = Hashtbl.create 16;
     paillier_pair = None;
     noise_pool = None }
 
 let scheme t = t.scheme
-
-let cached tbl purpose make =
-  match Hashtbl.find_opt tbl purpose with
-  | Some k -> k
-  | None ->
-    let k = make purpose in
-    Hashtbl.add tbl purpose k;
-    k
-
-let det_key t purpose = cached t.det_keys purpose (Crypto.Keyring.det t.keyring)
-let prob_key t purpose = cached t.prob_keys purpose (Crypto.Keyring.prob t.keyring)
-
-let ope_key t purpose =
-  cached t.ope_keys purpose (Crypto.Keyring.ope t.keyring ~params:ope_params)
-
-let join_det_key t group = cached t.det_keys ("join:" ^ group)
-    (fun _ -> Crypto.Keyring.join_det t.keyring group)
-
-let join_ope_key t group = cached t.ope_keys ("join:" ^ group)
-    (fun _ -> Crypto.Keyring.join_ope t.keyring ~params:ope_params group)
+let is_global t = is_global_policy t.scheme.Scheme.consts
 
 let paillier t =
   match t.paillier_pair with
@@ -67,6 +65,39 @@ let paillier t =
     let pair = Crypto.Paillier.keygen ~bits:512 rng in
     t.paillier_pair <- Some pair;
     pair
+
+(* The only place a constant class becomes a key.  Purposes: "token"
+   (global DET, shared with the identifier map), "const-global" (global
+   PROB), "const/<attr>" (per-attribute DET/PROB/OPE), "join:<g>" (a
+   join group's shared DET or OPE key).  Keys are cached by purpose, so
+   every attribute of a join group shares one OPE key and its memo. *)
+let cipher t ~attr =
+  let cached label make =
+    match Hashtbl.find_opt t.ciphers label with
+    | Some c -> c
+    | None ->
+      let c = make () in
+      Hashtbl.add t.ciphers label c;
+      c
+  in
+  let purpose global = if is_global t then global else "const/" ^ attr in
+  let kr = t.keyring in
+  match Scheme.class_for_attr t.scheme attr with
+  | Scheme.C_det ->
+    let p = purpose "token" in
+    cached ("det/" ^ p) (fun () -> Det (Crypto.Keyring.det kr p))
+  | Scheme.C_det_join g ->
+    cached ("det/join:" ^ g) (fun () -> Det (Crypto.Keyring.join_det kr g))
+  | Scheme.C_prob ->
+    let p = purpose "const-global" in
+    cached ("prob/" ^ p) (fun () -> Prob (Crypto.Keyring.prob kr p))
+  | Scheme.C_ope ->
+    let p = "const/" ^ attr in
+    cached ("ope/" ^ p) (fun () -> Ope (Crypto.Keyring.ope kr ~params:ope_params p))
+  | Scheme.C_ope_join g ->
+    cached ("ope/join:" ^ g)
+      (fun () -> Ope (Crypto.Keyring.join_ope kr ~params:ope_params g))
+  | Scheme.C_hom -> Hom (fst (paillier t))
 
 (* ---- HOM noise pool ----
 
@@ -93,20 +124,12 @@ let enable_noise_pool ?capacity t =
 
 let noise_pool t = t.noise_pool
 
-(* under a Global policy all identifiers share one token map, so that a
-   name used both as a relation and as an attribute stays one token *)
-let is_global t =
-  match t.scheme.Scheme.consts with
-  | Scheme.Global _ -> true
-  | Scheme.Per_attribute _ -> false
-
-let ident_purpose t ~slot = if is_global t then "token" else slot
-
 (* identifier-safe deterministic name encryption; the full SIV ciphertext
    is kept so the key owner can invert it *)
+let ident_key t ~slot = if slot = "rel" then t.rel_key else t.attr_key
+
 let encrypt_name t ~slot ~prefix name =
-  let key = det_key t (ident_purpose t ~slot) in
-  prefix ^ Crypto.Hex.encode (Crypto.Det.encrypt key name)
+  prefix ^ Crypto.Hex.encode (Crypto.Det.encrypt (ident_key t ~slot) name)
 
 let decrypt_name t ~slot ~prefix name =
   let plen = String.length prefix in
@@ -114,7 +137,7 @@ let decrypt_name t ~slot ~prefix name =
   else
     match Crypto.Hex.decode (String.sub name plen (String.length name - plen)) with
     | None -> None
-    | Some ct -> Crypto.Det.decrypt (det_key t (ident_purpose t ~slot)) ct
+    | Some ct -> Crypto.Det.decrypt (ident_key t ~slot) ct
 
 let ident_prefix t ~slot =
   if is_global t then "x_" else if slot = "rel" then "r_" else "a_"
@@ -160,16 +183,6 @@ let unrender_const s =
        | Some f -> Ast.Cfloat f
        | None -> Ast.Cstring s)
 
-let det_const t ~purpose c =
-  Ast.Cstring (Crypto.Hex.encode (Crypto.Det.encrypt (det_key t purpose) (render_const c)))
-
-let det_const_with_key key c =
-  Ast.Cstring (Crypto.Hex.encode (Crypto.Det.encrypt key (render_const c)))
-
-let prob_const t ~purpose c =
-  Ast.Cstring
-    (Crypto.Hex.encode (Crypto.Prob.encrypt (prob_key t purpose) t.rng (render_const c)))
-
 let ope_int key (n [@secret]) =
   if n < -ope_offset || n >= ope_offset then
     raise
@@ -178,48 +191,93 @@ let ope_int key (n [@secret]) =
             { op = "Dpe.Encryptor.ope_int"; bits = Crypto.Ct.int_bits n }));
   Crypto.Ope.encrypt key (n + ope_offset)
 
-let ope_const key (c [@secret]) =
-  match c with
-  | Ast.Cint n -> Ast.Cint (ope_int key n)
-  | Ast.Cfloat f ->
-    err "float constant %s under an OPE policy" (Crypto.Ct.redact (string_of_float f))
-  | Ast.Cstring s -> err "string constant %s under an OPE policy" (Crypto.Ct.redact s)
+(* The one per-class encoder.  [rng] feeds PROB IVs and Paillier noise;
+   [memo] is a bulk column's DET memo; [pool]/[label] let a HOM cell take
+   its prewarmed noise factor.  [attr] only names the column in errors. *)
+let encode ?memo ?pool ?(label = "") ~rng ~attr cipher (c [@secret]) =
+  let integer () =
+    match c with
+    | Ast.Cint n -> n
+    | Ast.Cfloat f ->
+      err "OPE/HOM column %s holds float %s" attr (Crypto.Ct.redact (string_of_float f))
+    | Ast.Cstring s -> err "OPE/HOM column %s holds string %s" attr (Crypto.Ct.redact s)
+  in
+  match cipher with
+  | Det key ->
+    let m = render_const c in
+    Ast.Cstring
+      (Crypto.Hex.encode
+         (match memo with
+          | Some memo -> Crypto.Det.encrypt_cached memo key m
+          | None -> Crypto.Det.encrypt key m))
+  | Prob key ->
+    Ast.Cstring (Crypto.Hex.encode (Crypto.Prob.encrypt key rng (render_const c)))
+  | Ope key -> Ast.Cint (ope_int key (integer ()))
+  | Hom pub ->
+    Ast.Cstring
+      (Crypto.Hex.encode
+         (Crypto.Paillier.serialize
+            (Crypto.Paillier.encrypt_int_pooled ?pool pub ~key:label rng (integer ()))))
+
+(* The one per-class decoder: the key owner's inverse of [encode]. *)
+let decode t cipher (c : Ast.const) =
+  let unhex s k =
+    match Crypto.Hex.decode s with None -> Error "not hex" | Some ct -> k ct
+  in
+  match cipher, c with
+  | Det key, Ast.Cstring s ->
+    unhex s (fun ct ->
+        match Crypto.Det.decrypt key ct with
+        | Some plain -> Ok (unrender_const plain)
+        | None -> Error "DET decryption failed")
+  | Prob key, Ast.Cstring s ->
+    unhex s (fun ct ->
+        match Crypto.Prob.decrypt key ct with
+        | Some plain -> Ok (unrender_const plain)
+        | None -> Error "PROB decryption failed (wrong key or corrupt)")
+  | Ope key, Ast.Cint n ->
+    (match Crypto.Ope.decrypt key n with
+     | Some m -> Ok (Ast.Cint (m - ope_offset))
+     | None -> Error (Printf.sprintf "OPE ciphertext %d is not in the image" n))
+  | Hom _, Ast.Cstring s ->
+    unhex s (fun ct ->
+        let _, sk = paillier t in
+        Ok (Ast.Cint (Crypto.Paillier.decrypt_int sk (Crypto.Paillier.deserialize ct))))
+  | _, c ->
+    Error
+      (Printf.sprintf "ciphertext %s does not match its column's policy" (render_const c))
 
 (* the policy key of an attribute is its unqualified plaintext name *)
 let policy_key (a : Ast.attr) = a.Ast.name
 
-let encrypt_const_for_class t ~attr cls c =
-  match cls with
-  | Scheme.C_det -> det_const t ~purpose:("const/" ^ attr) c
-  | Scheme.C_det_join g -> det_const_with_key (join_det_key t g) c
-  | Scheme.C_prob -> prob_const t ~purpose:("const/" ^ attr) c
-  | Scheme.C_ope -> ope_const (ope_key t ("const/" ^ attr)) c
-  | Scheme.C_ope_join g -> ope_const (join_ope_key t g) c
-  | Scheme.C_hom ->
-    err "constant of attribute %s compared against a HOM column" attr
+(* The attribute and cipher of a query constant, or [None] for COUNT
+   thresholds (plaintext cardinalities on both sides).  [name] recovers
+   an attribute's plaintext policy key from the query. *)
+let const_cipher t ~name (ctx : Ast.const_ctx) =
+  match t.scheme.Scheme.consts, ctx with
+  | Scheme.Global _, _ ->
+    (* one token-level map: the key does not depend on the attribute *)
+    (match cipher t ~attr:"" with
+     | (Det _ | Prob _) as c -> Some ("", c)
+     | Ope _ | Hom _ ->
+       err "unsupported global constant class %s" (Scheme.const_summary t.scheme))
+  | Scheme.Per_attribute _, Ast.In_aggregate (Ast.Count, _) -> None
+  | Scheme.Per_attribute _,
+    (Ast.In_predicate a | Ast.In_aggregate ((Ast.Min | Ast.Max), Some a)) ->
+    let attr = name a in
+    (match cipher t ~attr with
+     | Hom _ -> err "constant of attribute %s compared against a HOM column" a.Ast.name
+     | c -> Some (attr, c))
+  | Scheme.Per_attribute _, Ast.In_aggregate ((Ast.Sum | Ast.Avg), Some a) ->
+    err "SUM/AVG threshold on %s cannot be compared under encryption \
+         (needs the client round-trip)" a.Ast.name
+  | Scheme.Per_attribute _, Ast.In_aggregate (_, None) ->
+    err "aggregate threshold without an argument attribute"
 
 let encrypt_const t (ctx : Ast.const_ctx) (c : Ast.const) : Ast.const =
-  match t.scheme.Scheme.consts with
-  | Scheme.Global Scheme.C_det -> det_const t ~purpose:"token" c
-  | Scheme.Global Scheme.C_prob -> prob_const t ~purpose:"const-global" c
-  | Scheme.Global cls ->
-    err "unsupported global constant class %s" (Scheme.show_const_class cls)
-  | Scheme.Per_attribute _ ->
-    (match ctx with
-     | Ast.In_predicate a ->
-       encrypt_const_for_class t ~attr:(policy_key a)
-         (Scheme.class_for_attr t.scheme (policy_key a)) c
-     | Ast.In_aggregate (Ast.Count, _) ->
-       (* COUNT outputs are plaintext cardinalities on both sides *)
-       c
-     | Ast.In_aggregate ((Ast.Min | Ast.Max), Some a) ->
-       encrypt_const_for_class t ~attr:(policy_key a)
-         (Scheme.class_for_attr t.scheme (policy_key a)) c
-     | Ast.In_aggregate ((Ast.Sum | Ast.Avg), Some a) ->
-       err "SUM/AVG threshold on %s cannot be compared under encryption \
-            (needs the client round-trip)" (policy_key a)
-     | Ast.In_aggregate (_, None) ->
-       err "aggregate threshold without an argument attribute")
+  match const_cipher t ~name:policy_key ctx with
+  | None -> c
+  | Some (attr, cipher) -> encode ~rng:t.rng ~attr cipher c
 
 let encrypt_attr t (a : Ast.attr) : Ast.attr =
   { Ast.rel = Option.map (encrypt_rel t) a.Ast.rel;
@@ -233,70 +291,19 @@ let encrypt_log t log = List.map (encrypt_query t) log
 (* ---- decryption ---- *)
 
 let decrypt_const_exn t (ctx : Ast.const_ctx) (c : Ast.const) : Ast.const =
-  let det_inv ~purpose s =
-    match Crypto.Hex.decode s with
-    | None -> err "constant is not hex: %s" s
-    | Some ct ->
-      (match Crypto.Det.decrypt (det_key t purpose) ct with
-       | Some plain -> unrender_const plain
-       | None -> err "DET decryption failed")
+  (* ctx carries the *encrypted* attribute: recover its plaintext name to
+     find the policy *)
+  let name (a : Ast.attr) =
+    match decrypt_attr_name t a.Ast.name with
+    | Some n -> n
+    | None -> err "cannot decrypt attribute name %s" a.Ast.name
   in
-  let det_inv_key key s =
-    match Crypto.Hex.decode s with
-    | None -> err "constant is not hex: %s" s
-    | Some ct ->
-      (match Crypto.Det.decrypt key ct with
-       | Some plain -> unrender_const plain
-       | None -> err "DET decryption failed")
-  in
-  let prob_inv ~purpose s =
-    match Crypto.Hex.decode s with
-    | None -> err "constant is not hex: %s" s
-    | Some ct ->
-      (match Crypto.Prob.decrypt (prob_key t purpose) ct with
-       | Some plain -> unrender_const plain
-       | None -> err "PROB decryption failed (wrong key or corrupt)")
-  in
-  let ope_inv key n =
-    match Crypto.Ope.decrypt key n with
-    | Some m -> Ast.Cint (m - ope_offset)
-    | None -> err "OPE ciphertext %d is not in the image" n
-  in
-  match t.scheme.Scheme.consts with
-  | Scheme.Global Scheme.C_det ->
-    (match c with
-     | Ast.Cstring s -> det_inv ~purpose:"token" s
-     | _ -> err "global DET constants are hex strings")
-  | Scheme.Global Scheme.C_prob ->
-    (match c with
-     | Ast.Cstring s -> prob_inv ~purpose:"const-global" s
-     | _ -> err "global PROB constants are hex strings")
-  | Scheme.Global _ -> err "unsupported global class"
-  | Scheme.Per_attribute _ ->
-    (* ctx carries the *encrypted* attribute: recover its plaintext name to
-       find the policy *)
-    let plain_attr (a : Ast.attr) =
-      match decrypt_attr_name t a.Ast.name with
-      | Some n -> n
-      | None -> err "cannot decrypt attribute name %s" a.Ast.name
-    in
-    let for_attr a =
-      let name = plain_attr a in
-      match Scheme.class_for_attr t.scheme name, c with
-      | Scheme.C_det, Ast.Cstring s -> det_inv ~purpose:("const/" ^ name) s
-      | Scheme.C_det_join g, Ast.Cstring s -> det_inv_key (join_det_key t g) s
-      | Scheme.C_prob, Ast.Cstring s -> prob_inv ~purpose:("const/" ^ name) s
-      | Scheme.C_ope, Ast.Cint n -> ope_inv (ope_key t ("const/" ^ name)) n
-      | Scheme.C_ope_join g, Ast.Cint n -> ope_inv (join_ope_key t g) n
-      | cls, _ ->
-        err "constant %s does not match policy %s of %s"
-          (render_const c) (Scheme.show_const_class cls) (Crypto.Ct.redact name)
-    in
-    (match ctx with
-     | Ast.In_predicate a -> for_attr a
-     | Ast.In_aggregate (Ast.Count, _) -> c
-     | Ast.In_aggregate ((Ast.Min | Ast.Max), Some a) -> for_attr a
-     | Ast.In_aggregate _ -> err "undecryptable aggregate threshold")
+  match const_cipher t ~name ctx with
+  | None -> c
+  | Some (_, cipher) ->
+    (match decode t cipher c with
+     | Ok plain -> plain
+     | Error e -> err "%s" e)
 
 let decrypt_query t q =
   let rel name =
@@ -313,50 +320,15 @@ let decrypt_query t q =
   | q' -> Ok q'
   | exception Encrypt_error msg -> Error msg
 
-(* ---- values ---- *)
+(* ---- values: the constant codec through [Value.to_const]/[of_const] ---- *)
 
-let value_render v =
+let encode_value ?memo ?pool ?label ~rng ~attr cipher (v [@secret]) =
   match Value.to_const v with
-  | Some c -> render_const c
-  | None -> err "cannot encrypt NULL (nulls pass through)"
+  | None -> v
+  | Some c -> Value.of_const (encode ?memo ?pool ?label ~rng ~attr cipher c)
 
 let encrypt_value t ~attr (v [@secret]) =
-  if Value.is_null v then v
-  else begin
-    match
-      (match t.scheme.Scheme.consts with
-       | Scheme.Global cls -> cls
-       | Scheme.Per_attribute _ -> Scheme.class_for_attr t.scheme attr)
-    with
-    | Scheme.C_det ->
-      let purpose = if is_global t then "token" else "const/" ^ attr in
-      Value.Vstring
-        (Crypto.Hex.encode (Crypto.Det.encrypt (det_key t purpose) (value_render v)))
-    | Scheme.C_det_join g ->
-      Value.Vstring
-        (Crypto.Hex.encode (Crypto.Det.encrypt (join_det_key t g) (value_render v)))
-    | Scheme.C_prob ->
-      let purpose = if is_global t then "const-global" else "const/" ^ attr in
-      Value.Vstring
-        (Crypto.Hex.encode
-           (Crypto.Prob.encrypt (prob_key t purpose) t.rng (value_render v)))
-    | Scheme.C_ope ->
-      (match v with
-       | Value.Vint n -> Value.Vint (ope_int (ope_key t ("const/" ^ attr)) n)
-       | v -> err "OPE column %s holds non-integer %s" attr (Crypto.Ct.redact (Value.to_string v)))
-    | Scheme.C_ope_join g ->
-      (match v with
-       | Value.Vint n -> Value.Vint (ope_int (join_ope_key t g) n)
-       | v -> err "OPE join column %s holds non-integer %s" attr (Crypto.Ct.redact (Value.to_string v)))
-    | Scheme.C_hom ->
-      (match v with
-       | Value.Vint n ->
-         let pub, _ = paillier t in
-         Value.Vstring
-           (Crypto.Hex.encode
-              (Crypto.Paillier.serialize (Crypto.Paillier.encrypt_int pub t.rng n)))
-       | v -> err "HOM column %s holds non-integer %s" attr (Crypto.Ct.redact (Value.to_string v)))
-  end
+  if Value.is_null v then v else encode_value ~rng:t.rng ~attr (cipher t ~attr) v
 
 (* ---- bulk (multi-domain) encryption support ----
 
@@ -364,13 +336,8 @@ let encrypt_value t ~attr (v [@secret]) =
    encryptor's single sequential DRBG, which bulk row encryption cannot
    share across domains.  The bulk path instead gives every row its own
    generator derived from the keyring ([row_rng]) and resolves each
-   column's key material once, up front, into a closure over immutable
-   state ([column_encoder]) that any domain may call. *)
-
-let value_class t ~attr =
-  match t.scheme.Scheme.consts with
-  | Scheme.Global cls -> cls
-  | Scheme.Per_attribute _ -> Scheme.class_for_attr t.scheme attr
+   column's cipher once, up front, into a closure over immutable state
+   ([column_encoder]) that any domain may call. *)
 
 let row_rng ?(attempt = 0) t ~rel i =
   (* attempt 0 keeps the historical purpose string, so faults-off bulk
@@ -383,103 +350,25 @@ let row_rng ?(attempt = 0) t ~rel i =
   Crypto.Keyring.drbg t.keyring purpose
 
 let column_encoder t ~rel ~attr =
-  let nonnull f ~rng ~row v = if Value.is_null v then v else f ~rng ~row v in
-  let det_with key =
-    let cache = Crypto.Det.make_cache () in
-    nonnull (fun ~rng:_ ~row:_ v ->
-        Value.Vstring
-          (Crypto.Hex.encode (Crypto.Det.encrypt_cached cache key (value_render v))))
-  in
-  match value_class t ~attr with
-  | Scheme.C_det ->
-    let purpose = if is_global t then "token" else "const/" ^ attr in
-    det_with (det_key t purpose)
-  | Scheme.C_det_join g -> det_with (join_det_key t g)
-  | Scheme.C_prob ->
-    let purpose = if is_global t then "const-global" else "const/" ^ attr in
-    let key = prob_key t purpose in
-    nonnull (fun ~rng ~row:_ v ->
-        Value.Vstring
-          (Crypto.Hex.encode (Crypto.Prob.encrypt key rng (value_render v))))
-  | Scheme.C_ope ->
-    let key = ope_key t ("const/" ^ attr) in
-    nonnull (fun ~rng:_ ~row:_ (v [@secret]) ->
-        match v with
-        | Value.Vint n -> Value.Vint (ope_int key n)
-        | v -> err "OPE column %s holds non-integer %s" attr (Crypto.Ct.redact (Value.to_string v)))
-  | Scheme.C_ope_join g ->
-    let key = join_ope_key t g in
-    nonnull (fun ~rng:_ ~row:_ (v [@secret]) ->
-        match v with
-        | Value.Vint n -> Value.Vint (ope_int key n)
-        | v ->
-          err "OPE join column %s holds non-integer %s" attr (Crypto.Ct.redact (Value.to_string v)))
-  | Scheme.C_hom ->
-    let pub, _ = paillier t in
+  match cipher t ~attr with
+  | Hom _ as hom ->
     (* the shared row generator is ignored: each cell derives its own
        DRBG from the cell label, the same stream [noise_fill] uses, so
        the ciphertext is identical with the pool warm, cold or absent *)
-    nonnull (fun ~rng:_ ~row (v [@secret]) ->
-        match v with
-        | Value.Vint n ->
-          let key = hom_cell_key ~rel ~row ~attr in
-          let cell_rng = hom_noise_rng t key in
-          Value.Vstring
-            (Crypto.Hex.encode
-               (Crypto.Paillier.serialize
-                  (Crypto.Paillier.encrypt_int_pooled ?pool:t.noise_pool pub ~key
-                     cell_rng n)))
-        | v -> err "HOM column %s holds non-integer %s" attr (Crypto.Ct.redact (Value.to_string v)))
+    fun ~rng:_ ~row (v [@secret]) ->
+      if Value.is_null v then v
+      else begin
+        let label = hom_cell_key ~rel ~row ~attr in
+        encode_value ?pool:t.noise_pool ~label ~rng:(hom_noise_rng t label) ~attr hom v
+      end
+  | c ->
+    let memo = match c with Det _ -> Some (Crypto.Det.make_cache ()) | _ -> None in
+    fun ~rng ~row:_ (v [@secret]) -> encode_value ?memo ~rng ~attr c v
 
 let decrypt_value t ~attr v =
-  if Value.is_null v then Ok v
-  else begin
-    let of_const c = Value.of_const c in
-    let det_inv ~key s =
-      match Crypto.Hex.decode s with
-      | None -> Error "not hex"
-      | Some ct ->
-        (match Crypto.Det.decrypt key ct with
-         | Some plain -> Ok (of_const (unrender_const plain))
-         | None -> Error "DET decryption failed")
-    in
-    match
-      (match t.scheme.Scheme.consts with
-       | Scheme.Global cls -> cls
-       | Scheme.Per_attribute _ -> Scheme.class_for_attr t.scheme attr),
-      v
-    with
-    | Scheme.C_det, Value.Vstring s ->
-      let purpose = if is_global t then "token" else "const/" ^ attr in
-      det_inv ~key:(det_key t purpose) s
-    | Scheme.C_det_join g, Value.Vstring s -> det_inv ~key:(join_det_key t g) s
-    | Scheme.C_prob, Value.Vstring s ->
-      let purpose = if is_global t then "const-global" else "const/" ^ attr in
-      (match Crypto.Hex.decode s with
-       | None -> Error "not hex"
-       | Some ct ->
-         (match Crypto.Prob.decrypt (prob_key t purpose) ct with
-          | Some plain -> Ok (of_const (unrender_const plain))
-          | None -> Error "PROB decryption failed"))
-    | Scheme.C_ope, Value.Vint n ->
-      (match Crypto.Ope.decrypt (ope_key t ("const/" ^ attr)) n with
-       | Some m -> Ok (Value.Vint (m - ope_offset))
-       | None -> Error "OPE ciphertext not in image")
-    | Scheme.C_ope_join g, Value.Vint n ->
-      (match Crypto.Ope.decrypt (join_ope_key t g) n with
-       | Some m -> Ok (Value.Vint (m - ope_offset))
-       | None -> Error "OPE ciphertext not in image")
-    | Scheme.C_hom, Value.Vstring s ->
-      (match Crypto.Hex.decode s with
-       | None -> Error "not hex"
-       | Some ct ->
-         let _, sk = paillier t in
-         Ok (Value.Vint (Crypto.Paillier.decrypt_int sk (Crypto.Paillier.deserialize ct))))
-    | cls, v ->
-      Error
-        (Printf.sprintf "value %s does not match policy %s of %s"
-           (Value.to_string v) (Scheme.show_const_class cls) attr)
-  end
+  match Value.to_const v with
+  | None -> Ok v
+  | Some c -> Result.map Value.of_const (decode t (cipher t ~attr) c)
 
 (* ---- key rotation ---- *)
 
@@ -513,7 +402,3 @@ let encrypt_result_tuple t provenance tuple =
       | Minidb.Executor.Pagg ((Ast.Sum | Ast.Avg), _) ->
         err "SUM/AVG output needs the homomorphic client round-trip")
     provenance tuple
-
-let prob_reference_ciphertext t ~attr v =
-  let purpose = if is_global t then "const-global" else "const/" ^ attr in
-  Crypto.Hex.encode (Crypto.Prob.encrypt (prob_key t purpose) t.rng (value_render v))

@@ -1,6 +1,10 @@
 (** The DPE encryptor: applies a {!Scheme} to queries, logs, values and
     result tuples, and inverts all of it for the key owner.
 
+    Each attribute's constant class resolves to one key (DET, PROB or
+    OPE key, or the Paillier public key), and one per-class codec over
+    constants serves queries, values and bulk columns alike.
+
     Encrypted queries are ordinary {!Sqlir.Ast} queries — relation and
     attribute names become identifier-safe ciphertext names, constants
     become hex string literals (DET/PROB) or OPE integers — so they can be
@@ -67,12 +71,13 @@ val row_rng : ?attempt:int -> t -> rel:string -> int -> Crypto.Drbg.t
 val column_encoder :
   t -> rel:string -> attr:string
   -> rng:Crypto.Drbg.t -> row:int -> Minidb.Value.t -> Minidb.Value.t
-(** [column_encoder t ~rel ~attr] resolves the column's keys (not
+(** [column_encoder t ~rel ~attr] resolves the column's key (not
     domain-safe; call it before going parallel) and returns a closure
     over immutable key material that encrypts one value, drawing any
-    randomness from [rng].  Deterministic classes (DET, OPE and their
-    join variants) keep a transparent memo, so repeated values cost one
-    table lookup.  HOM cells ignore [rng] and derive their randomness
+    randomness from [rng].  Deterministic classes keep a transparent
+    {!Crypto.Memo}, so repeated values cost one table lookup: a DET
+    column gets a fresh memo that lives as long as the closure, an OPE
+    column uses the one its key carries.  HOM cells ignore [rng] and derive their randomness
     from the {!hom_cell_key} of [(rel, row, attr)] instead, so their
     noise factor can be precomputed into the encryptor's noise pool by
     any lane in any order (or not at all) without changing a single
@@ -127,7 +132,3 @@ val rotate_log :
 
 val paillier : t -> Crypto.Paillier.public * Crypto.Paillier.secret
 (** The lazily-generated Paillier keypair used for HOM columns. *)
-
-val prob_reference_ciphertext : t -> attr:string -> Minidb.Value.t -> string
-(** One PROB encryption of the value (fresh randomness) — exposed for the
-    attack harness, which needs ciphertext material to attack. *)

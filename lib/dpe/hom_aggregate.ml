@@ -1,11 +1,7 @@
 module Value = Minidb.Value
 
 let sum_ciphertext enc encdb ~rel ~attr =
-  (match
-     (match (Encryptor.scheme enc).Scheme.consts with
-      | Scheme.Global cls -> cls
-      | Scheme.Per_attribute _ -> Scheme.class_for_attr (Encryptor.scheme enc) attr)
-   with
+  (match Scheme.class_for_attr (Encryptor.scheme enc) attr with
    | Scheme.C_hom -> ()
    | cls ->
      raise

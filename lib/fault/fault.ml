@@ -4,6 +4,8 @@ module Retry = Retry
 
 let enabled () = Atomic.get Inject.enabled
 
+let key_of_string = Hashtbl.hash
+
 let point ?key name =
   if Atomic.get Inject.enabled then
     match Inject.check ?key name with

@@ -26,6 +26,9 @@ val point : ?key:int -> string -> unit
     (row index, line number, plaintext) — never a counter — wherever
     the surrounding code runs in parallel. *)
 
+val key_of_string : string -> int
+(** A stable {!point} key for string call-site data (a plaintext). *)
+
 val protect : context:string -> (unit -> 'a) -> ('a, Error.t) result
 (** Run a thunk, converting any escaping exception through
     [Error.of_exn ~context]. *)

@@ -69,7 +69,10 @@ let tokenize input =
           while !j < n && is_digit input.[!j] do incr j done;
           go !j (Float_lit (float_of_string (String.sub input i (!j - i))) :: acc)
         end
-        else go !j (Int_lit (int_of_string (String.sub input i (!j - i))) :: acc)
+        else
+          match int_of_string_opt (String.sub input i (!j - i)) with
+          | Some v -> go !j (Int_lit v :: acc)
+          | None -> raise (Lex_error ("integer literal out of range", i))
       end
       else if c = '\'' then begin
         (* string literal; '' escapes a quote *)

@@ -21,7 +21,8 @@ exception Lex_error of string * int
 (** [(message, byte offset)] *)
 
 val tokenize : string -> token list
-(** @raise Lex_error on an unrecognizable character or unterminated string. *)
+(** @raise Lex_error on an unrecognizable character, an unterminated
+    string or an integer literal outside the native [int] range. *)
 
 val is_keyword : string -> bool
 (** Case-insensitive membership in the reserved-word list. *)

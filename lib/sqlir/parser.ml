@@ -2,7 +2,11 @@ open Lexer
 
 exception Parse_error of string
 
-type state = { mutable toks : token list }
+let max_depth = 512
+
+(* [depth] counts the open parentheses and NOTs around the predicate
+   being parsed, so hostile nesting fails fast instead of recursing *)
+type state = { mutable toks : token list; mutable depth : int }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
@@ -189,13 +193,20 @@ and and_pred st =
   if accept_kw st "AND" then Ast.And (left, and_pred st) else left
 
 and unit_pred st =
-  if accept_kw st "NOT" then Ast.Not (unit_pred st)
-  else if accept_sym st "(" then begin
-    let p = pred st in
-    expect_sym st ")";
-    p
-  end
+  if accept_kw st "NOT" then nested st (fun () -> Ast.Not (unit_pred st))
+  else if accept_sym st "(" then
+    nested st (fun () ->
+        let p = pred st in
+        expect_sym st ")";
+        p)
   else atom st
+
+and nested st f =
+  if st.depth >= max_depth then fail "predicate nesting deeper than %d" max_depth;
+  st.depth <- st.depth + 1;
+  let p = f () in
+  st.depth <- st.depth - 1;
+  p
 
 let attr_list st =
   let rec go acc =
@@ -284,7 +295,7 @@ let query st =
   { Ast.distinct; select; from; joins; where; group_by; having; order_by; limit }
 
 let parse input =
-  let st = { toks = Lexer.tokenize input } in
+  let st = { toks = Lexer.tokenize input; depth = 0 } in
   query st
 
 let parse_result input =

@@ -19,6 +19,11 @@
 
 exception Parse_error of string
 
+val max_depth : int
+(** Deepest accepted predicate nesting (parentheses plus [NOT]s), 512:
+    deeper input is a {!Parse_error}, so parsing cost stays linear in
+    the input however it is nested. *)
+
 val parse : string -> Ast.query
 (** @raise Parse_error (or {!Lexer.Lex_error}) on invalid input. *)
 

@@ -126,6 +126,33 @@ let test_parse_request_garbage () =
   let dt = Unix.gettimeofday () -. t0 in
   check_bool (Printf.sprintf "nested frame rejected in %.3f s (< 1 s)" dt) true
     (dt < 1.0);
+  (* hostile SQL inside a well-formed frame: an integer literal that
+     overflows [int] and a million nested parentheses are typed protocol
+     errors (the SQL parser is total and depth-bounded), answered fast *)
+  let ctx =
+    { Server.Dispatch.tenants = Server.Tenant.create ~master:"garbage";
+      queue_depth = (fun () -> 0);
+      inflight = (fun () -> 0);
+      draining = (fun () -> false) }
+  in
+  List.iter
+    (fun (what, sql) ->
+      let req =
+        { Proto.id = 5; op = Proto.Encrypt; tenant = "t"; measure = Distance.Measure.Token;
+          algo = "clink"; k = 2; eps = 0.45; deadline_ms = None; retries = 1;
+          engine = None; queries = [ "SELECT a FROM t"; sql ] }
+      in
+      let t0 = Unix.gettimeofday () in
+      let resp = Server.Dispatch.handle ctx req in
+      let dt = Unix.gettimeofday () -. t0 in
+      check_str (what ^ " -> error") "error" (Proto.response_status resp);
+      check_bool (what ^ ": kind protocol") true
+        (Option.bind (J.member "error_kind" resp) J.to_str = Some "protocol");
+      check_bool (Printf.sprintf "%s answered in %.3f s (< 1 s)" what dt) true (dt < 1.0))
+    [ ("overflowing literal", "SELECT a FROM t WHERE a = 99999999999999999999999");
+      ("1M-deep nesting",
+       "SELECT a FROM t WHERE " ^ String.make 1_000_000 '(' ^ "a = 1"
+       ^ String.make 1_000_000 ')') ];
   (* id recoverable even when the rest of the request is malformed *)
   (match Proto.parse_request {|{"id":3,"op":"noop"}|} with
    | Error (Some 3, e) -> check_bool "typed Protocol" true (is_protocol e)

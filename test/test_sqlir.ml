@@ -44,6 +44,20 @@ let test_lexer_errors () =
      Alcotest.fail "expected lex error"
    with Lexer.Lex_error _ -> ())
 
+let test_int_literal_range () =
+  (match Lexer.tokenize "a = 99999999999999999999999" with
+   | exception Lexer.Lex_error (msg, off) ->
+     check_str "message" "integer literal out of range" msg;
+     check_int "offset" 4 off
+   | _ -> Alcotest.fail "overflowing literal lexed");
+  (match Parser.parse_result "SELECT a FROM t WHERE a = 99999999999999999999999" with
+   | Error e -> check_bool "typed error" true (String.length e > 0)
+   | Ok _ -> Alcotest.fail "overflowing literal parsed");
+  match Lexer.tokenize ("= " ^ string_of_int max_int ^ " = " ^ string_of_int min_int) with
+  | [ Lexer.Sym "="; Lexer.Int_lit hi; Lexer.Sym "="; Lexer.Int_lit lo ] ->
+    check_bool "native range kept" true (hi = max_int && lo = min_int)
+  | _ -> Alcotest.fail "max_int/min_int literals"
+
 (* ---- parser: positive cases ---- *)
 
 let test_parse_select () =
@@ -150,6 +164,33 @@ let test_parse_errors () =
   expect_err "SELECT a FROM r JOIN s";
   expect_err "SELECT a FROM r WHERE a LIKE 5";
   expect_err ""
+
+let nested_where ~depth =
+  "SELECT a FROM t WHERE " ^ String.make depth '(' ^ "a = 1" ^ String.make depth ')'
+
+let test_parse_depth () =
+  (match Parser.parse_result (nested_where ~depth:Parser.max_depth) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "512 levels rejected: %s" e);
+  (match Parser.parse_result (nested_where ~depth:(Parser.max_depth + 1)) with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "513 levels accepted");
+  (* NOT counts as a level too *)
+  (match
+     Parser.parse_result
+       ("SELECT a FROM t WHERE "
+        ^ String.concat "" (List.init (Parser.max_depth + 1) (fun _ -> "NOT "))
+        ^ "a = 1")
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "513 NOTs accepted");
+  (* a million levels fail fast instead of recursing a million times *)
+  let t0 = Unix.gettimeofday () in
+  (match Parser.parse_result (nested_where ~depth:1_000_000) with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "1M levels accepted");
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool (Printf.sprintf "1M levels rejected in %.3f s (< 1 s)" dt) true (dt < 1.0)
 
 (* ---- printer ---- *)
 
@@ -258,11 +299,55 @@ let properties =
         | Ok q -> q.Ast.where = Some p
         | Error e -> QCheck.Test.fail_reportf "pred reparse failed: %s on %s" e s) ]
 
+(* [parse_result] is total: any input is [Ok] or [Error], never an
+   exception — on raw bytes, and on token soup from the lexer's own
+   vocabulary (long digit runs included) *)
+let lexeme =
+  QCheck.Gen.(
+    frequency
+      [ (4,
+         oneofl
+           [ "SELECT"; "DISTINCT"; "FROM"; "WHERE"; "JOIN"; "INNER"; "LEFT"; "OUTER";
+             "ON"; "GROUP"; "BY"; "HAVING"; "ORDER"; "ASC"; "DESC"; "LIMIT"; "AND";
+             "OR"; "NOT"; "BETWEEN"; "IN"; "LIKE"; "IS"; "NULL"; "AS"; "COUNT";
+             "SUM"; "AVG"; "MIN"; "MAX" ]);
+        (4, oneofl [ ","; "("; ")"; "."; "*"; "="; "<"; ">"; "<="; ">="; "<>"; "!=";
+                     ";"; "-"; "+"; "/" ]);
+        (2, oneofl [ "a"; "r"; "t_1"; "price" ]);
+        (2, map string_of_int int);
+        (1, map (fun n -> String.make n '9') (int_range 1 40));
+        (1, map (fun n -> "-" ^ String.make n '1') (int_range 1 40));
+        (1, oneofl [ "1.5"; "0.25"; "'x'"; "'it''s'"; "'open" ]) ])
+
+let total input =
+  match Parser.parse_result input with
+  | Ok _ | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) input
+
+let fuzz_properties =
+  [ QCheck.Test.make ~name:"parse_result total on arbitrary bytes" ~count:1000
+      QCheck.(string_gen_of_size Gen.(int_range 0 80) Gen.char)
+      total;
+    QCheck.Test.make ~name:"parse_result total on token soup" ~count:1000
+      (QCheck.make
+         ~print:Fun.id
+         QCheck.Gen.(map (String.concat " ") (list_size (int_range 0 40) lexeme)))
+      total;
+    QCheck.Test.make ~name:"parse_result total on query-shaped token soup" ~count:1000
+      (QCheck.make
+         ~print:Fun.id
+         QCheck.Gen.(
+           map
+             (fun ts -> "SELECT a FROM t WHERE " ^ String.concat " " ts)
+             (list_size (int_range 0 40) lexeme)))
+      total ]
+
 let () =
   Alcotest.run "sqlir"
     [ ("lexer",
        [ Alcotest.test_case "basics" `Quick test_lexer_basics;
-         Alcotest.test_case "errors" `Quick test_lexer_errors ]);
+         Alcotest.test_case "errors" `Quick test_lexer_errors;
+         Alcotest.test_case "integer literal range" `Quick test_int_literal_range ]);
       ("parser",
        [ Alcotest.test_case "select" `Quick test_parse_select;
          Alcotest.test_case "joins" `Quick test_parse_joins;
@@ -270,11 +355,13 @@ let () =
          Alcotest.test_case "group/order/limit" `Quick test_parse_group_order;
          Alcotest.test_case "aliases" `Quick test_aliases;
          Alcotest.test_case "trailing input" `Quick test_parse_trailing;
-         Alcotest.test_case "errors" `Quick test_parse_errors ]);
+         Alcotest.test_case "errors" `Quick test_parse_errors;
+         Alcotest.test_case "nesting depth bound" `Quick test_parse_depth ]);
       ("printer",
        [ Alcotest.test_case "canonical forms" `Quick test_print_canonical;
          Alcotest.test_case "ast helpers" `Quick test_helpers ]);
       ("normalizer",
        Alcotest.test_case "rewrites" `Quick test_normalizer
        :: List.map (fun t -> QCheck_alcotest.to_alcotest t) normalizer_properties);
-      ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) properties) ]
+      ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) properties);
+      ("fuzz", List.map (fun t -> QCheck_alcotest.to_alcotest t) fuzz_properties) ]
