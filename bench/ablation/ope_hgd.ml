@@ -6,7 +6,7 @@ let create ~master ~purpose p =
   if p.plain_bits <= 0 || p.plain_bits > 20
      || p.cipher_bits <= p.plain_bits || p.cipher_bits > 50
   then invalid_arg "Ope_hgd.create: invalid params";
-  { prf = Hmac.derive ~master ~purpose:("ope-hgd/" ^ purpose) 32; p }
+  { prf = Crypto.Hmac.derive ~master ~purpose:("ope-hgd/" ^ purpose) 32; p }
 
 let params k = (k.p.plain_bits, k.p.cipher_bits)
 let max_plain k = (1 lsl k.p.plain_bits) - 1
@@ -56,7 +56,7 @@ let uniform key tag a b =
   let encode v =
     String.init 8 (fun i -> Char.chr ((v lsr (8 * (7 - i))) land 0xff))
   in
-  let h = Hmac.hmac_sha256 ~key (tag ^ encode a ^ encode b) in
+  let h = Crypto.Hmac.hmac_sha256 ~key (tag ^ encode a ^ encode b) in
   let v = ref 0 in
   for i = 0 to 6 do v := (!v lsl 8) lor Char.code h.[i] done;
   float_of_int !v /. float_of_int (1 lsl 56)

@@ -1,7 +1,7 @@
 (** Order-preserving encryption with hypergeometric range splitting — the
     Boldyreva-O'Neill-style reference construction, implemented as an
-    ablation counterpart to {!Ope} (which splits ranges uniformly; see the
-    substitution note in DESIGN.md).
+    ablation counterpart to {!Crypto.Ope} (which splits ranges uniformly;
+    see the substitution note in DESIGN.md).
 
     The recursion is the classical lazy sampling of a random order-
     preserving injection: binary-search over the {e ciphertext} range, and
@@ -14,7 +14,7 @@
 
     Intended for moderate domains (the sampler walks O(√variance) terms per
     level); [plain_bits <= 20] keeps encryption in the microsecond-to-
-    millisecond range.  The interface mirrors {!Ope}. *)
+    millisecond range.  The interface mirrors {!Crypto.Ope}. *)
 
 type params = { plain_bits : int; cipher_bits : int }
 (** Requires [0 < plain_bits <= 20 < cipher_bits <= 50]. *)

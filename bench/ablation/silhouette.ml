@@ -1,5 +1,5 @@
 let point_scores m labels =
-  let n = Dist_matrix.size m in
+  let n = Mining.Dist_matrix.size m in
   if Array.length labels <> n then invalid_arg "Silhouette: size mismatch";
   let mean_dist i members =
     let others = List.filter (fun j -> j <> i) members in
@@ -7,7 +7,7 @@ let point_scores m labels =
     | [] -> None
     | _ ->
       Some
-        (List.fold_left (fun acc j -> acc +. Dist_matrix.get m i j) 0.0 others
+        (List.fold_left (fun acc j -> acc +. Mining.Dist_matrix.get m i j) 0.0 others
          /. float_of_int (List.length others))
   in
   let clusters = Hashtbl.create 16 in

@@ -929,7 +929,7 @@ let perf_parallel () =
   let t_hom_opt =
     time_best ~reps:2 (fun () ->
         let enc = Dpe.Encryptor.create keyring hom_scheme in
-        ignore (Dpe.Db_encryptor.prewarm_hom_noise ~pool enc hom_db);
+        assert (snd (Dpe.Db_encryptor.prewarm_hom_noise_r ~pool enc hom_db) = []);
         Dpe.Db_encryptor.encrypt_database ~pool enc hom_db)
   in
   let hom_identical =
@@ -942,7 +942,7 @@ let perf_parallel () =
     in
     Parallel.Pool.shutdown seq_pool;
     let enc = Dpe.Encryptor.create keyring hom_scheme in
-    ignore (Dpe.Db_encryptor.prewarm_hom_noise ~pool enc hom_db);
+    assert (snd (Dpe.Db_encryptor.prewarm_hom_noise_r ~pool enc hom_db) = []);
     let b = Dpe.Db_encryptor.encrypt_database ~pool enc hom_db in
     let naive_hom_rows =
       List.concat_map
@@ -1202,35 +1202,6 @@ let perf_index () =
       baseline_ns = t_pam *. 1e9; optimized_ns = t_clarans *. 1e9;
       identical = clarans_cost <= (1.10 *. pam_cost) +. 1e-9 };
 
-  (* 5. tiled matrix storage: dense pooled build vs tiled pooled fill,
-     bit-identical cells *)
-  let n_tm = 400 in
-  let log_tm =
-    Workload.Gen_query.skyserver_log
-      { Workload.Gen_query.n = n_tm; templates = 8; seed = "p3-tm";
-        caps = Workload.Gen_query.caps_for_measure M.Edit }
-  in
-  let feats_tm = Distance.Features.build ~pool (Array.of_list log_tm) in
-  let d_tm = Distance.Features.edit feats_tm in
-  let dense = Mining.Dist_matrix.of_fun ~pool n_tm d_tm in
-  let tiled () =
-    let tm = Mining.Tile_matrix.create ~tile:128 n_tm d_tm in
-    Mining.Tile_matrix.fill ~pool tm;
-    tm
-  in
-  let tm = tiled () in
-  let t_dense =
-    time_best ~reps:2 (fun () -> Mining.Dist_matrix.of_fun ~pool n_tm d_tm)
-  in
-  let t_tiled = time_best ~reps:2 tiled in
-  push
-    { op = "dist_matrix/tiled/edit";
-      pe_n = n_tm; pe_domains = domains;
-      baseline_ns = t_dense *. 1e9; optimized_ns = t_tiled *. 1e9;
-      identical =
-        Mining.Dist_matrix.max_abs_diff dense (Mining.Tile_matrix.to_dense tm)
-        = 0.0 };
-
   let entries = List.rev !entries in
   Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"
     "baseline" "optimized" "speedup" "identical";
@@ -1311,8 +1282,8 @@ let ablation_ope () =
       { Crypto.Ope.plain_bits = bits; cipher_bits = 2 * bits }
   in
   let hgd =
-    Crypto.Ope_hgd.create ~master:"ablate" ~purpose:"hgd"
-      { Crypto.Ope_hgd.plain_bits = bits; cipher_bits = 2 * bits }
+    Ablation.Ope_hgd.create ~master:"ablate" ~purpose:"hgd"
+      { Ablation.Ope_hgd.plain_bits = bits; cipher_bits = 2 * bits }
   in
   let n = 1 lsl bits in
   let time f =
@@ -1321,7 +1292,7 @@ let ablation_ope () =
     (r, (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n)
   in
   let cu, tu = time (fun () -> Array.init n (Crypto.Ope.encrypt uni)) in
-  let ch, th = time (fun () -> Array.init n (Crypto.Ope_hgd.encrypt hgd)) in
+  let ch, th = time (fun () -> Array.init n (Ablation.Ope_hgd.encrypt hgd)) in
   let monotone a = Array.for_all Fun.id (Array.init (n - 1) (fun i -> a.(i) < a.(i + 1))) in
   Format.printf "  %-22s %-12s %-12s@." "" "uniform" "hgd";
   Format.printf "  %-22s %-12s %-12s@." "strictly monotone"
@@ -1360,7 +1331,7 @@ let ablation_ope () =
     (Attack.Attacks.for_class Dpe.Taxonomy.OPE aux pairs).Attack.Attacks.rate
   in
   Format.printf "  %-22s %-12.3f %-12.3f@." "sorting-attack rate"
-    (rate (Crypto.Ope.encrypt uni)) (rate (Crypto.Ope_hgd.encrypt hgd));
+    (rate (Crypto.Ope.encrypt uni)) (rate (Ablation.Ope_hgd.encrypt hgd));
   Format.printf
     "@.Both samplers leak exactly order+equality (identical attack rates).@.";
   Format.printf
@@ -1607,7 +1578,7 @@ let sessions () =
   Format.printf "clusters vs planted templates: ARI %.3f, purity %.3f,                  silhouette %.3f@."
     (Mining.Labeling.adjusted_rand_index truth lc)
     (Mining.Labeling.purity ~truth lc)
-    (Mining.Silhouette.score dc lc)
+    (Ablation.Silhouette.score dc lc)
 
 (* ---------------------------------------------------------------- *)
 (* A7: ablation — k-medoids initialization vs the PAM swap phase      *)
@@ -1712,7 +1683,11 @@ let metered_metrics_snapshot () =
 
 let perf_and_trajectory () =
   perf ();
-  let entries = perf_parallel () @ perf_index () in
+  (* let-bound in order: [a @ b] evaluates [b] first, and P2 must not
+     inherit P3's heap *)
+  let p2 = perf_parallel () in
+  let p3 = perf_index () in
+  let entries = p2 @ p3 in
   (match !json_path with
    | Some path -> emit_perf_json ~metrics:(metered_metrics_snapshot ()) path entries
    | None -> ());

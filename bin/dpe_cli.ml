@@ -194,7 +194,9 @@ let mine m algo k eps seed rows trace engine path =
   if trace <> None then Obs.set_enabled true;
   let log = read_log path in
   let plan =
-    match Server.Mine_plan.plan ~measure:m ~algo ~engine ~n:(List.length log) with
+    match
+      Server.Mine_plan.plan ~measure:m ~algo ~engine ~n:(List.length log) ~k
+    with
     | Ok plan -> plan
     | Error e ->
       Printf.eprintf "%s\n%!" (Fault.Error.to_string e);

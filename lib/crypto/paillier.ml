@@ -148,7 +148,7 @@ let encode_int pub v =
    A pool maps a caller-chosen derivation label to the r^n factor that
    label's DRBG produces, so the expensive exponentiation can run ahead
    of the request path (idle Parallel.Pool lanes during
-   Db_encryptor.prewarm_hom_noise).  Determinism does not depend on the
+   Db_encryptor.prewarm_hom_noise_r).  Determinism does not depend on the
    pool at all: [noise_fill] and the miss path of [encrypt_pooled]
    derive r from the *same* per-label DRBG, so the ciphertext is
    bit-identical whether the entry was prefilled, evicted, or the pool
@@ -344,7 +344,7 @@ let decrypt_lambda sk c =
    prime divides c — such a c was never produced under this key, so it
    surfaces as the typed mismatch (the lambda path reports the same
    condition only when both primes divide c). *)
-let decrypt_crt sk c =
+let decrypt sk c =
   let pub = sk.pub in
   check_ciphertext "Paillier.decrypt" pub c;
   let t = sk.crt in
@@ -359,8 +359,6 @@ let decrypt_crt sk c =
   (* Garner: m = mp + p · ((mq - mp) · p^(-1) mod q)  <  p·q = n *)
   let h = N.mod_mul (N.mod_sub mq mp t.q) t.p_inv_q t.q in
   N.add mp (N.mul t.p h)
-
-let decrypt = decrypt_crt
 
 let decrypt_int sk c =
   let pub = sk.pub in

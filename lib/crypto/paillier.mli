@@ -103,15 +103,14 @@ val pool_load : pool -> public -> string -> (int, Fault.Error.t) result
 (** {1 Decryption} *)
 
 val decrypt : secret -> Bignum.Bignat.t -> Bignum.Bignat.t
-(** CRT fast path (alias of {!decrypt_crt}).
+(** CRT fast path: one half-width exponentiation per prime, then Garner
+    recombination.
     @raise Fault.Error.E [(Paillier_mismatch _)] when the ciphertext is
     outside [[0, n²)] or shares a factor with the modulus — it was not
     produced under this key. *)
 
-val decrypt_crt : secret -> Bignum.Bignat.t -> Bignum.Bignat.t
-
 val decrypt_lambda : secret -> Bignum.Bignat.t -> Bignum.Bignat.t
-(** The lambda/mu reference path.  Agrees with {!decrypt_crt} on every
+(** The lambda/mu reference path.  Agrees with {!decrypt} on every
     unit ciphertext (which is every ciphertext either path accepts);
     kept for property tests and as the bench baseline. *)
 

@@ -122,13 +122,6 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
   end;
   (Table.of_rows cipher_schema cipher_rows, errors)
 
-(* legacy all-or-nothing surface: the first row failure aborts with the
-   typed exception *)
-let encrypt_table ?pool enc table =
-  match encrypt_table_r ?pool enc table with
-  | cipher, [] -> cipher
-  | _, e :: _ -> raise (Fault.Error.E e)
-
 let encrypt_database_r ?pool ?retries enc db =
   let db, errors =
     List.fold_left
@@ -152,7 +145,7 @@ let encrypt_database ?pool enc db =
    them in the encryptor's noise pool.  Correctness never depends on the
    prewarm: a cell whose fill failed, was evicted or never ran simply
    recomputes its factor from the same per-label DRBG during
-   [encrypt_table] — bit-identical output, just slower.  That is also
+   [encrypt_table_r] — bit-identical output, just slower.  That is also
    the containment story: a fill aborted by the armed
    [crypto.paillier.noise_pool] point surfaces in the [_r] error report
    and degrades to a pool miss, never to a wrong ciphertext. *)
@@ -191,11 +184,6 @@ let prewarm_hom_noise_r ?pool ?capacity enc db =
     if t0 > 0 then Obs.observe_latency m_prewarm (Obs.now_ns () - t0);
     (Array.length work - List.length failures, List.map snd failures)
   end
-
-let prewarm_hom_noise ?pool ?capacity enc db =
-  match prewarm_hom_noise_r ?pool ?capacity enc db with
-  | n, [] -> n
-  | _, e :: _ -> raise (Fault.Error.E e)
 
 let decrypt_table enc ~plain_schema table =
   let names = Schema.column_names plain_schema in

@@ -88,7 +88,7 @@ val column_encoder :
 
 (** {2 HOM noise pool}
 
-    Plumbing for {!Db_encryptor.prewarm_hom_noise}: the expensive [r^n]
+    Plumbing for {!Db_encryptor.prewarm_hom_noise_r}: the expensive [r^n]
     factor of each HOM cell is a pure function of the cell's derivation
     label, so idle lanes can compute it ahead of the bulk pass. *)
 

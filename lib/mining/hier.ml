@@ -1,33 +1,27 @@
-type linkage = Complete | Single | Average
-
 type merge = {
   left : int;
   right : int;
   height : float;
 }
 
-(* naive O(n^3) agglomeration over the Lance–Williams style cluster
-   distance recomputation; plenty fast for query-log sizes *)
+(* naive O(n^3) complete-link agglomeration: every merge rescans every
+   cluster pair; plenty fast for query-log sizes *)
 
 type cluster = { id : int; members : int list }
 
 let m_merges = Obs.Registry.counter "kitdpe.mining.hier.merges"
 let m_cluster_dists = Obs.Registry.counter "kitdpe.mining.hier.cluster_dists"
 
-let cluster_distance linkage m ca cb =
+let cluster_distance m ca cb =
   Obs.Metric.incr m_cluster_dists;
   let ds =
     List.concat_map
       (fun i -> List.map (fun j -> Dist_matrix.get m i j) cb.members)
       ca.members
   in
-  match linkage with
-  | Complete -> List.fold_left Float.max neg_infinity ds
-  | Single -> List.fold_left Float.min infinity ds
-  | Average ->
-    List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)
+  List.fold_left Float.max neg_infinity ds
 
-let merges ?(linkage = Complete) m ~stop =
+let merges m ~stop =
   let n = Dist_matrix.size m in
   let t0 = Obs.time_start () in
   let clusters = ref (List.init n (fun i -> { id = i; members = [ i ] })) in
@@ -42,7 +36,7 @@ let merges ?(linkage = Complete) m ~stop =
       | ca :: rest ->
         List.iter
           (fun cb ->
-            let d = cluster_distance linkage m ca cb in
+            let d = cluster_distance m ca cb in
             let a, b = if ca.id < cb.id then (ca, cb) else (cb, ca) in
             match !best with
             | None -> best := Some (d, a, b)
@@ -57,7 +51,7 @@ let merges ?(linkage = Complete) m ~stop =
     match !best with
     | None -> continue := false
     | Some (d, a, b) ->
-      if stop ~remaining:(List.length !clusters) ~height:d then continue := false
+      if stop ~remaining:(List.length !clusters) then continue := false
       else begin
         let merged = { id = !next_id; members = a.members @ b.members } in
         incr next_id;
@@ -73,8 +67,8 @@ let merges ?(linkage = Complete) m ~stop =
       ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ();
   (List.rev !out, !clusters)
 
-let dendrogram ?linkage m =
-  fst (merges ?linkage m ~stop:(fun ~remaining:_ ~height:_ -> false))
+let dendrogram m =
+  fst (merges m ~stop:(fun ~remaining:_ -> false))
 
 let labels_of_clusters n clusters =
   (* label clusters by their smallest member for determinism *)
@@ -92,17 +86,8 @@ let labels_of_clusters n clusters =
     sorted;
   labels
 
-let cut_k ?linkage k m =
+let cut_k k m =
   let n = Dist_matrix.size m in
   if k <= 0 || k > n then invalid_arg "Hier.cut_k: k out of range";
-  let _, clusters =
-    merges ?linkage m ~stop:(fun ~remaining ~height:_ -> remaining <= k)
-  in
-  labels_of_clusters n clusters
-
-let cut_height ?linkage h m =
-  let n = Dist_matrix.size m in
-  let _, clusters =
-    merges ?linkage m ~stop:(fun ~remaining:_ ~height -> height > h)
-  in
+  let _, clusters = merges m ~stop:(fun ~remaining -> remaining <= k) in
   labels_of_clusters n clusters

@@ -1,21 +1,17 @@
 (** Agglomerative hierarchical clustering with the complete-link criterion
     (Defays [3]): the distance between clusters is the maximum pairwise
-    distance, merged bottom-up. *)
-
-type linkage = Complete | Single | Average
+    distance, merged bottom-up.  Complete link is the only criterion. *)
 
 type merge = {
   left : int;    (** cluster id merged from (ids >= n are prior merges) *)
   right : int;
-  height : float;  (** linkage distance at the merge *)
+  height : float;  (** complete-link distance at the merge *)
 }
 
-val dendrogram : ?linkage:linkage -> Dist_matrix.t -> merge list
+val dendrogram : Dist_matrix.t -> merge list
 (** The [n-1] merges in order.  New clusters get ids [n], [n+1], …
     Ties break deterministically on the smaller pair of ids. *)
 
-val cut_k : ?linkage:linkage -> int -> Dist_matrix.t -> int array
-(** Stop when [k] clusters remain; labels in [0, k) by first-member order. *)
-
-val cut_height : ?linkage:linkage -> float -> Dist_matrix.t -> int array
-(** Merge only below the given height. *)
+val cut_k : int -> Dist_matrix.t -> int array
+(** Stop when [k] clusters remain; labels in [0, k) by first-member order.
+    @raise Invalid_argument unless [1 <= k <= n]. *)

@@ -294,8 +294,3 @@ let medoids p m =
   let ms, _ = run_full p m in
   Array.sort Int.compare ms;
   ms
-
-let cost m medoids labels =
-  let total = ref 0.0 in
-  Array.iteri (fun i c -> total := !total +. Dist_matrix.get m i medoids.(c)) labels;
-  !total

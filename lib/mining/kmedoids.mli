@@ -66,6 +66,3 @@ val run_clarans :
 
 val medoids : params -> Dist_matrix.t -> int array
 (** The final medoid indices, sorted. *)
-
-val cost : Dist_matrix.t -> int array -> int array -> float
-(** Total distance of each point to its assigned medoid. *)

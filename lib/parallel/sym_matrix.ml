@@ -37,6 +37,3 @@ let build_r ?pool n d =
   match errors with
   | [] -> Ok m
   | errors -> Error errors
-
-let build ?pool n d =
-  Fault.Error.get_ok (Result.map_error (List.map snd) (build_r ?pool n d))

@@ -21,6 +21,3 @@ val build_r :
     [Ok m] when all rows succeed; [Error errs] (sorted by row)
     otherwise.  An expired request deadline abandons the remaining
     rows. *)
-
-val build : ?pool:Pool.t -> int -> (int -> int -> float) -> float array array
-(** {!build_r}, raising [Fault.Error.E] of the first row error. *)

@@ -146,6 +146,7 @@ let mine (req : Proto.request) log =
   match
     Mine_plan.plan ~measure:req.measure ~algo:req.algo
       ~engine:(Option.value req.engine ~default:"matrix") ~n:(List.length log)
+      ~k:req.k
   with
   | Error e -> Proto.response_error ~id:req.id e
   | Ok plan -> (
@@ -171,7 +172,8 @@ let mine (req : Proto.request) log =
           let healthy_ix =
             List.filter (fun i -> not (List.mem i bad)) (List.init n Fun.id)
           in
-          if List.length healthy < 2 then
+          let m = List.length healthy in
+          if m < 2 || not (Mine_plan.k_fits ran.algo ~k:req.k ~n:m) then
             Proto.response_error ~id:req.id (List.hd errors)
           else
             (* one degradation attempt on the healthy subset; a second

@@ -32,9 +32,16 @@ let algo_of_string = function
   | "clink" -> Ok Clink
   | other -> protocol "unknown algo %S (dbscan, kmedoids, outliers or clink)" other
 
-let plan ~measure ~algo:algo_s ~engine:requested ~n =
+let k_fits algo ~k ~n =
+  match algo with
+  | Kmedoids | Clink -> 1 <= k && k <= n
+  | Dbscan | Outliers -> true
+
+let plan ~measure ~algo:algo_s ~engine:requested ~n ~k =
   match algo_of_string algo_s with
   | Error _ as e -> e
+  | Ok algo when not (k_fits algo ~k ~n) ->
+    protocol "k = %d out of range [1, %d] for algo %s" k n algo_s
   | Ok algo -> (
     let indexable = Index.Space.supported measure in
     let planned engine = Ok { measure; algo; engine; fallback = None } in

@@ -33,12 +33,16 @@ type t = {
 val engine_name : engine -> string
 (** ["matrix"], ["oracle"], ["index"] or ["clarans"]. *)
 
+val k_fits : algo -> k:int -> n:int -> bool
+(** [kmedoids] and [clink] need [1 <= k <= n] on [n] queries; [dbscan]
+    and [outliers] ignore [k]. *)
+
 val plan :
   measure:Distance.Measure.t -> algo:string -> engine:string -> n:int
-  -> (t, Fault.Error.t) result
+  -> k:int -> (t, Fault.Error.t) result
 (** [algo] is [dbscan], [kmedoids], [outliers] or [clink]; [engine] is
-    [auto], [matrix], [oracle] or [index]; anything else is
-    [Error (Protocol _)]. *)
+    [auto], [matrix], [oracle] or [index]; anything else, or a [k] that
+    fails {!k_fits} on [n], is [Error (Protocol _)]. *)
 
 type params = {
   k : int;  (** cluster count (kmedoids, clink) *)

@@ -26,42 +26,58 @@ let agg_to_string = function
 
 (* precedence: Or < And < Not < atoms; parenthesize a subterm whenever its
    operator binds looser than the context *)
-let rec pred_prec = function
+let pred_prec = function
   | Ast.Or _ -> 1
   | Ast.And _ -> 2
   | Ast.Not _ -> 3
   | _ -> 4
 
-and pred_to_string p = pred_str 0 p
+(* one buffer for the whole predicate: concatenating per level would copy
+   a flat AND chain once per operand, quadratic in its length *)
+let rec add_pred b ctx p =
+  let paren = pred_prec p < ctx in
+  if paren then Buffer.add_char b '(';
+  (match p with
+   | Ast.Cmp (c, a, v) ->
+     Printf.bprintf b "%s %s %s" (attr_to_string a) (cmp_to_string c)
+       (const_to_string v)
+   | Ast.Cmp_agg (c, f, a, v) ->
+     let arg = match a with None -> "*" | Some a -> attr_to_string a in
+     Printf.bprintf b "%s(%s) %s %s" (agg_to_string f) arg (cmp_to_string c)
+       (const_to_string v)
+   | Ast.Cmp_attrs (c, a, a') ->
+     Printf.bprintf b "%s %s %s" (attr_to_string a) (cmp_to_string c)
+       (attr_to_string a')
+   | Ast.Between (a, lo, hi) ->
+     Printf.bprintf b "%s BETWEEN %s AND %s" (attr_to_string a)
+       (const_to_string lo) (const_to_string hi)
+   | Ast.In_list (a, vs) ->
+     Printf.bprintf b "%s IN (%s)" (attr_to_string a)
+       (String.concat ", " (List.map const_to_string vs))
+   | Ast.Like (a, pat) ->
+     Printf.bprintf b "%s LIKE %s" (attr_to_string a)
+       (const_to_string (Ast.Cstring pat))
+   | Ast.Is_null a -> Printf.bprintf b "%s IS NULL" (attr_to_string a)
+   | Ast.Is_not_null a -> Printf.bprintf b "%s IS NOT NULL" (attr_to_string a)
+   (* AND/OR parse right-associatively, so a left-nested same-operator
+      child needs parentheses for the print/parse round trip to be exact *)
+   | Ast.And (l, r) ->
+     add_pred b 3 l;
+     Buffer.add_string b " AND ";
+     add_pred b 2 r
+   | Ast.Or (l, r) ->
+     add_pred b 2 l;
+     Buffer.add_string b " OR ";
+     add_pred b 1 r
+   | Ast.Not q ->
+     Buffer.add_string b "NOT ";
+     add_pred b 3 q);
+  if paren then Buffer.add_char b ')'
 
-and pred_str ctx p =
-  let s =
-    match p with
-    | Ast.Cmp (c, a, v) ->
-      Printf.sprintf "%s %s %s" (attr_to_string a) (cmp_to_string c) (const_to_string v)
-    | Ast.Cmp_agg (c, f, a, v) ->
-      let arg = match a with None -> "*" | Some a -> attr_to_string a in
-      Printf.sprintf "%s(%s) %s %s" (agg_to_string f) arg (cmp_to_string c)
-        (const_to_string v)
-    | Ast.Cmp_attrs (c, a, b) ->
-      Printf.sprintf "%s %s %s" (attr_to_string a) (cmp_to_string c) (attr_to_string b)
-    | Ast.Between (a, lo, hi) ->
-      Printf.sprintf "%s BETWEEN %s AND %s" (attr_to_string a)
-        (const_to_string lo) (const_to_string hi)
-    | Ast.In_list (a, vs) ->
-      Printf.sprintf "%s IN (%s)" (attr_to_string a)
-        (String.concat ", " (List.map const_to_string vs))
-    | Ast.Like (a, pat) ->
-      Printf.sprintf "%s LIKE %s" (attr_to_string a) (const_to_string (Ast.Cstring pat))
-    | Ast.Is_null a -> attr_to_string a ^ " IS NULL"
-    | Ast.Is_not_null a -> attr_to_string a ^ " IS NOT NULL"
-    (* AND/OR parse right-associatively, so a left-nested same-operator
-       child needs parentheses for the print/parse round trip to be exact *)
-    | Ast.And (l, r) -> Printf.sprintf "%s AND %s" (pred_str 3 l) (pred_str 2 r)
-    | Ast.Or (l, r) -> Printf.sprintf "%s OR %s" (pred_str 2 l) (pred_str 1 r)
-    | Ast.Not q -> "NOT " ^ pred_str 3 q
-  in
-  if pred_prec p < ctx then "(" ^ s ^ ")" else s
+let pred_to_string p =
+  let b = Buffer.create 64 in
+  add_pred b 0 p;
+  Buffer.contents b
 
 let with_alias base = function
   | None -> base
@@ -90,7 +106,9 @@ let to_string (q : Ast.query) =
     q.joins;
   (match q.where with
    | None -> ()
-   | Some p -> Buffer.add_string buf (" WHERE " ^ pred_to_string p));
+   | Some p ->
+     Buffer.add_string buf " WHERE ";
+     add_pred buf 0 p);
   (match q.group_by with
    | [] -> ()
    | gs ->
@@ -98,7 +116,9 @@ let to_string (q : Ast.query) =
        (" GROUP BY " ^ String.concat ", " (List.map attr_to_string gs)));
   (match q.having with
    | None -> ()
-   | Some p -> Buffer.add_string buf (" HAVING " ^ pred_to_string p));
+   | Some p ->
+     Buffer.add_string buf " HAVING ";
+     add_pred buf 0 p);
   (match q.order_by with
    | [] -> ()
    | os ->

@@ -194,49 +194,49 @@ let ope_properties =
 (* ---- OPE with hypergeometric splitting (Boldyreva-style ablation) ---- *)
 
 let hgd_ope =
-  Crypto.Ope_hgd.create ~master:"m" ~purpose:"t"
-    { Crypto.Ope_hgd.plain_bits = 10; cipher_bits = 22 }
+  Ablation.Ope_hgd.create ~master:"m" ~purpose:"t"
+    { Ablation.Ope_hgd.plain_bits = 10; cipher_bits = 22 }
 
 let test_ope_hgd_unit () =
   check_bool "lgamma(5) = ln 24" true
-    (Float.abs (Crypto.Ope_hgd.lgamma 5.0 -. log 24.0) < 1e-9);
+    (Float.abs (Ablation.Ope_hgd.lgamma 5.0 -. log 24.0) < 1e-9);
   check_bool "lgamma(0.5) = ln sqrt(pi)" true
-    (Float.abs (Crypto.Ope_hgd.lgamma 0.5 -. (0.5 *. log Float.pi)) < 1e-9);
-  check_bool "lgamma(1) = 0" true (Float.abs (Crypto.Ope_hgd.lgamma 1.0) < 1e-9);
-  check_int "max_plain" 1023 (Crypto.Ope_hgd.max_plain hgd_ope);
+    (Float.abs (Ablation.Ope_hgd.lgamma 0.5 -. (0.5 *. log Float.pi)) < 1e-9);
+  check_bool "lgamma(1) = 0" true (Float.abs (Ablation.Ope_hgd.lgamma 1.0) < 1e-9);
+  check_int "max_plain" 1023 (Ablation.Ope_hgd.max_plain hgd_ope);
   (* full-domain strict monotonicity *)
   let prev = ref (-1) in
   for m = 0 to 1023 do
-    let c = Crypto.Ope_hgd.encrypt hgd_ope m in
+    let c = Ablation.Ope_hgd.encrypt hgd_ope m in
     if c <= !prev then Alcotest.failf "hgd not monotone at %d" m;
     prev := c
   done;
-  check_int "deterministic" (Crypto.Ope_hgd.encrypt hgd_ope 500)
-    (Crypto.Ope_hgd.encrypt hgd_ope 500);
+  check_int "deterministic" (Ablation.Ope_hgd.encrypt hgd_ope 500)
+    (Ablation.Ope_hgd.encrypt hgd_ope 500);
   Alcotest.check_raises "domain check"
     (Invalid_argument "Ope_hgd.encrypt: out of domain") (fun () ->
-      ignore (Crypto.Ope_hgd.encrypt hgd_ope 1024));
+      ignore (Ablation.Ope_hgd.encrypt hgd_ope 1024));
   Alcotest.check_raises "params check"
     (Invalid_argument "Ope_hgd.create: invalid params") (fun () ->
-      ignore (Crypto.Ope_hgd.create ~master:"m" ~purpose:"x"
-                { Crypto.Ope_hgd.plain_bits = 30; cipher_bits = 40 }))
+      ignore (Ablation.Ope_hgd.create ~master:"m" ~purpose:"x"
+                { Ablation.Ope_hgd.plain_bits = 30; cipher_bits = 40 }))
 
 let ope_hgd_properties =
   [ QCheck.Test.make ~name:"hgd ope order-preserving" ~count:200
       (QCheck.pair (QCheck.int_range 0 1023) (QCheck.int_range 0 1023))
       (fun (a, b) ->
-        compare (Crypto.Ope_hgd.encrypt hgd_ope a) (Crypto.Ope_hgd.encrypt hgd_ope b)
+        compare (Ablation.Ope_hgd.encrypt hgd_ope a) (Ablation.Ope_hgd.encrypt hgd_ope b)
         = compare a b);
     QCheck.Test.make ~name:"hgd ope decrypt inverts" ~count:200
       (QCheck.int_range 0 1023)
       (fun m ->
-        Crypto.Ope_hgd.decrypt hgd_ope (Crypto.Ope_hgd.encrypt hgd_ope m) = Some m);
+        Ablation.Ope_hgd.decrypt hgd_ope (Ablation.Ope_hgd.encrypt hgd_ope m) = Some m);
     QCheck.Test.make ~name:"hgd decrypt of non-image is sound" ~count:100
       (QCheck.int_range 0 ((1 lsl 22) - 1))
       (fun c ->
-        match Crypto.Ope_hgd.decrypt hgd_ope c with
+        match Ablation.Ope_hgd.decrypt hgd_ope c with
         | None -> true
-        | Some m -> Crypto.Ope_hgd.encrypt hgd_ope m = c) ]
+        | Some m -> Ablation.Ope_hgd.encrypt hgd_ope m = c) ]
 
 (* ---- Paillier ---- *)
 
@@ -325,7 +325,7 @@ let test_crt_vs_lambda () =
   let n2 = N.mul n n in
   let agree what c =
     check_str what (N.to_string (P.decrypt_lambda sk c))
-      (N.to_string (P.decrypt_crt sk c))
+      (N.to_string (P.decrypt sk c))
   in
   List.iter
     (fun m -> agree "fresh" (P.encrypt pub rng m))
@@ -351,7 +351,7 @@ let test_crt_vs_lambda () =
     (match P.decrypt_lambda sk c with
      | exception Fault.Error.E (Fault.Error.Paillier_mismatch _) -> ()
      | _ -> Alcotest.failf "%s: lambda path accepted" what);
-    match P.decrypt_crt sk c with
+    match P.decrypt sk c with
     | exception Fault.Error.E (Fault.Error.Paillier_mismatch _) -> ()
     | _ -> Alcotest.failf "%s: crt path accepted" what
   in

@@ -1,7 +1,7 @@
 (* Metric indexes (lib/index): exactness against brute force, structural
    determinism across pool sizes, engine equivalence for DBSCAN, the
-   CLARANS cost bound against full PAM, tiled-matrix equivalence, and
-   the ["index.build"] fault surface. *)
+   CLARANS cost bound against full PAM, and the ["index.build"] fault
+   surface. *)
 
 module F = Distance.Features
 module M = Distance.Measure
@@ -241,58 +241,6 @@ let test_clarans_deterministic () =
   in
   check_labels "same rand, same labels" (run ()) (run ())
 
-(* ---- tiled matrix ---- *)
-
-let test_tile_matrix_equiv () =
-  let m = M.Token in
-  let log = gen_log ~n:37 ~seed:"tiles" m in
-  let dm = M.matrix M.default_ctx m log in
-  let n = Mining.Dist_matrix.size dm in
-  let d i j = Mining.Dist_matrix.get dm i j in
-  (* a tile edge that does not divide n: exercises ragged border tiles *)
-  let tm = Mining.Tile_matrix.create ~tile:8 n d in
-  check_bool "dense equal (lazy)" true
-    (Mining.Dist_matrix.max_abs_diff dm (Mining.Tile_matrix.to_dense tm) = 0.0);
-  check_bool "symmetric access" true
-    (Mining.Tile_matrix.get tm 3 20 = Mining.Tile_matrix.get tm 20 3);
-  let tm2 = Mining.Tile_matrix.create ~tile:8 n d in
-  Mining.Tile_matrix.fill tm2;
-  check_bool "dense equal (eager fill)" true
-    (Mining.Dist_matrix.max_abs_diff dm (Mining.Tile_matrix.to_dense tm2) = 0.0);
-  let st = Mining.Tile_matrix.stats tm2 in
-  check_int "all tiles resident, no spill dir" st.Mining.Tile_matrix.tiles
-    st.Mining.Tile_matrix.resident
-
-let test_tile_matrix_spill () =
-  let n = 40 in
-  let d i j = Float.abs (float_of_int i -. float_of_int j) /. float_of_int n in
-  let dir = Filename.temp_file "kitdpe_spill" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
-      let tm =
-        Mining.Tile_matrix.create ~tile:8 ~spill_dir:dir ~resident_cap:2 n d
-      in
-      Mining.Tile_matrix.fill tm;
-      let st = Mining.Tile_matrix.stats tm in
-      check_bool "cap respected" true (st.Mining.Tile_matrix.resident <= 2);
-      check_bool "something spilled" true (st.Mining.Tile_matrix.spilled > 0);
-      (* every value still exact after spill/reload churn *)
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if Mining.Tile_matrix.get tm i j <> (if i = j then 0.0 else d (min i j) (max i j))
-          then ok := false
-        done
-      done;
-      check_bool "values exact through spill" true !ok;
-      Mining.Tile_matrix.dispose tm;
-      check_bool "spill files removed" true (Array.length (Sys.readdir dir) = 0))
-
 (* ---- faults ---- *)
 
 let with_faults spec f =
@@ -357,8 +305,5 @@ let () =
       ( "clarans",
         [ Alcotest.test_case "cost within bound of PAM" `Quick test_clarans_cost_bound;
           Alcotest.test_case "deterministic" `Quick test_clarans_deterministic ] );
-      ( "tiles",
-        [ Alcotest.test_case "equivalent to dense" `Quick test_tile_matrix_equiv;
-          Alcotest.test_case "spill round-trip" `Quick test_tile_matrix_spill ] );
       ( "faults",
         [ Alcotest.test_case "build_r contains" `Quick test_build_r_contains ] ) ]

@@ -140,7 +140,7 @@ let test_silhouette_preserved () =
   in
   let lp = Mining.Hier.cut_k 3 dp and lc = Mining.Hier.cut_k 3 dc in
   Alcotest.(check (float 1e-12)) "silhouette identical"
-    (Mining.Silhouette.score dp lp) (Mining.Silhouette.score dc lc)
+    (Ablation.Silhouette.score dp lp) (Ablation.Silhouette.score dc lc)
 
 (* session-level mining: DTW over per-query structure distances gives the
    same session clustering on ciphertext as on plaintext *)

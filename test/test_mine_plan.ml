@@ -80,7 +80,10 @@ let test_row r () =
   let log = parse_log r in
   (* plan *)
   let plan =
-    match P.plan ~measure:r.measure ~algo:r.algo ~engine:r.engine ~n:r.n with
+    match
+      P.plan ~measure:r.measure ~algo:r.algo ~engine:r.engine ~n:r.n
+        ~k:params.k
+    with
     | Ok p -> p
     | Error e -> Alcotest.fail (Fault.Error.to_string e)
   in
@@ -121,16 +124,39 @@ let test_row r () =
         (Array.exists (fun l -> l >= 0) labels)
 
 let test_unknown_algo () =
-  match P.plan ~measure:M.Token ~algo:"foo" ~engine:"auto" ~n:10 with
+  match P.plan ~measure:M.Token ~algo:"foo" ~engine:"auto" ~n:10 ~k:2 with
   | Error (Fault.Error.Protocol { reason }) ->
     Alcotest.(check string) "reason"
       "unknown algo \"foo\" (dbscan, kmedoids, outliers or clink)" reason
   | _ -> Alcotest.fail "unknown algo must be a protocol error"
 
 let test_unknown_engine () =
-  match P.plan ~measure:M.Token ~algo:"dbscan" ~engine:"tiles" ~n:10 with
+  match P.plan ~measure:M.Token ~algo:"dbscan" ~engine:"tiles" ~n:10 ~k:2 with
   | Error (Fault.Error.Protocol _) -> ()
   | _ -> Alcotest.fail "unknown engine must be a protocol error"
+
+(* k is checked before any matrix exists: kmedoids and clink need
+   1 <= k <= n, while dbscan and outliers ignore k *)
+let test_k_range () =
+  let planned algo engine k =
+    match P.plan ~measure:M.Token ~algo ~engine ~n:20 ~k with
+    | Ok _ -> `Ok
+    | Error (Fault.Error.Protocol _) -> `Protocol
+    | Error e -> Alcotest.fail (Fault.Error.to_string e)
+  in
+  List.iter
+    (fun (algo, engine) ->
+      let what k = Printf.sprintf "%s --engine %s -k %d" algo engine k in
+      Alcotest.(check bool) (what 0) true (planned algo engine 0 = `Protocol);
+      Alcotest.(check bool) (what 21) true (planned algo engine 21 = `Protocol);
+      Alcotest.(check bool) (what 1) true (planned algo engine 1 = `Ok);
+      Alcotest.(check bool) (what 20) true (planned algo engine 20 = `Ok))
+    [ ("kmedoids", "matrix"); ("kmedoids", "index"); ("clink", "auto") ];
+  List.iter
+    (fun algo ->
+      Alcotest.(check bool) (algo ^ " ignores k") true
+        (planned algo "auto" 0 = `Ok && planned algo "auto" 50 = `Ok))
+    [ "dbscan"; "outliers" ]
 
 let test_runtime_fallback () =
   (* a neighbor engine that fails at runtime hands over to the matrix
@@ -139,7 +165,8 @@ let test_runtime_fallback () =
   let log = parse_log r in
   let plan =
     Result.get_ok
-      (P.plan ~measure:r.measure ~algo:r.algo ~engine:r.engine ~n:r.n)
+      (P.plan ~measure:r.measure ~algo:r.algo ~engine:r.engine ~n:r.n
+         ~k:params.k)
   in
   Fault.Inject.disarm_all ();
   (match Fault.Inject.arm_spec "index.build=always;seed=plan" with
@@ -168,4 +195,5 @@ let () =
       ("errors",
        [ Alcotest.test_case "unknown algo" `Quick test_unknown_algo;
          Alcotest.test_case "unknown engine" `Quick test_unknown_engine;
+         Alcotest.test_case "k out of range" `Quick test_k_range;
          Alcotest.test_case "runtime fallback" `Quick test_runtime_fallback ]) ]

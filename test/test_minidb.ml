@@ -428,6 +428,35 @@ let csv_properties =
           | Error _ -> false
         end) ]
 
+(* both CSV readers are total: any input is [Ok] or [Error], never an
+   exception — on raw bytes, and on soup of the dialect's own tokens *)
+let csv_lexeme =
+  QCheck.Gen.(
+    frequency
+      [ (4, oneofl [ ","; "\""; "\"\""; "\n"; "\r\n"; "\r"; "NULL"; "'NULL'" ]);
+        (3, oneofl [ "a:int"; "b:float"; "c:string"; "d:"; ":int"; "e:blob"; "a" ]);
+        (2, map string_of_int int);
+        (1, map (fun n -> String.make n '9') (int_range 1 30));
+        (1, oneofl [ "1.5"; "-0.0"; "1e999"; "nan"; "x y"; "" ]) ])
+
+let csv_total =
+  Testkit.never_raises (fun input ->
+      ( Minidb.Csvio.table_of_string ~rel:"f" input,
+        Minidb.Csvio.table_of_string_partial ~rel:"f" input ))
+
+let csv_fuzz_properties =
+  [ QCheck.Test.make ~name:"csv readers total on arbitrary bytes" ~count:1000
+      QCheck.(string_gen_of_size Gen.(int_range 0 120) Gen.char)
+      csv_total;
+    QCheck.Test.make ~name:"csv readers total on token soup" ~count:1000
+      (QCheck.make ~print:(Printf.sprintf "%S")
+         QCheck.Gen.(
+           map2
+             (fun header body -> header ^ String.concat "" body)
+             (oneofl [ ""; "a:int,b:float,c:string\n"; "\"a:int\",\"c:string\"\n" ])
+             (list_size (int_range 0 40) csv_lexeme)))
+      csv_total ]
+
 (* ---- properties over generated queries ---- *)
 
 let tiny_schema r =
@@ -519,5 +548,6 @@ let () =
        Alcotest.test_case "csv io" `Quick test_csvio
        :: Alcotest.test_case "partial parse" `Quick test_csvio_partial
        :: Alcotest.test_case "directory roundtrip" `Quick test_csvio_dir
-       :: List.map (fun t -> QCheck_alcotest.to_alcotest t) csv_properties);
+       :: List.map (fun t -> QCheck_alcotest.to_alcotest t)
+            (csv_properties @ csv_fuzz_properties));
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) exec_properties) ]

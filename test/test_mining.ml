@@ -96,17 +96,13 @@ let test_hier () =
   check_int "same group 0-1" labels.(0) labels.(1);
   check_bool "three clusters" true
     (List.length (List.sort_uniq compare (Array.to_list labels)) = 3);
-  let labels2 = Mining.Hier.cut_height 1.0 blobs in
-  check_bool "cut height groups" true (labels2.(0) = labels2.(2) && labels2.(0) <> labels2.(3));
-  (* single link merges chains earlier than complete link *)
+  (* complete link on the 4-point chain 0-1-2-3: the last merge joins
+     {0,1} and {2,3} at their farthest pair, 0 to 3 *)
   let chain =
     Mining.Dist_matrix.of_fun 4 (fun i j -> Float.abs (float_of_int (i - j)))
   in
-  let single = Mining.Hier.cut_height ~linkage:Mining.Hier.Single 1.5 chain in
-  check_bool "single link chains" true (Array.for_all (fun l -> l = single.(0)) single);
-  let complete = Mining.Hier.cut_height ~linkage:Mining.Hier.Complete 1.5 chain in
-  check_bool "complete link splits" true
-    (List.length (List.sort_uniq compare (Array.to_list complete)) > 1)
+  let last = List.nth (Mining.Hier.dendrogram chain) 2 in
+  check_float "complete link last merge" 3.0 last.Mining.Hier.height
 
 let test_outlier () =
   let flags = Mining.Outlier.run { Mining.Outlier.p = 0.9; d = 5.0 } blobs in
@@ -206,20 +202,20 @@ let test_dtw () =
 let test_silhouette () =
   (* well-separated blobs: high silhouette for the true clustering *)
   let labels = [| 0; 0; 0; 1; 1; 1; -1 |] in
-  let s_good = Mining.Silhouette.score blobs labels in
+  let s_good = Ablation.Silhouette.score blobs labels in
   check_bool "good clustering scores high" true (s_good > 0.8);
   (* mixing the blobs scores much lower *)
   let bad = [| 0; 1; 0; 1; 0; 1; -1 |] in
-  let s_bad = Mining.Silhouette.score blobs bad in
+  let s_bad = Ablation.Silhouette.score blobs bad in
   check_bool "bad clustering scores lower" true (s_bad < s_good);
   (* noise scores zero and does not crash *)
-  let scores = Mining.Silhouette.point_scores blobs labels in
+  let scores = Ablation.Silhouette.point_scores blobs labels in
   Alcotest.(check (float 1e-9)) "noise point is 0" 0.0 scores.(6);
   check_bool "scores bounded" true
     (Array.for_all (fun s -> s >= -1.0 && s <= 1.0) scores);
   (* single cluster: b undefined -> 0 by convention *)
   Alcotest.(check (float 1e-9)) "single cluster" 0.0
-    (Mining.Silhouette.score blobs (Array.make 7 0))
+    (Ablation.Silhouette.score blobs (Array.make 7 0))
 
 let gen_matrix =
   QCheck.Gen.(

@@ -364,7 +364,8 @@ let test_encrypt_table_roundtrip () =
   with_pool ~domains:4 (fun p ->
       List.iter
         (fun table ->
-          let cipher = Dpe.Db_encryptor.encrypt_table ~pool:p enc table in
+          let cipher, errs = Dpe.Db_encryptor.encrypt_table_r ~pool:p enc table in
+          Alcotest.(check int) "no row errors" 0 (List.length errs);
           match
             Dpe.Db_encryptor.decrypt_table enc
               ~plain_schema:(Minidb.Table.schema table) cipher

@@ -192,6 +192,72 @@ let test_response_shapes () =
   check_str "partial status" "partial" (Proto.response_status partial);
   check_bool "error manifest" true (J.member "errors" partial <> None)
 
+(* ---- never-raise contracts on client bytes ---- *)
+
+(* [parse_request] and [Frame.read] answer [Ok] or [Error] on anything a
+   client can send, raw bytes and soup of the wire's own tokens alike *)
+let json_lexeme =
+  QCheck.Gen.(
+    frequency
+      [ (4, oneofl [ "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "null"; "true"; "false" ]);
+        (3, oneofl [ "\"id\""; "\"op\""; "\"tenant\""; "\"measure\""; "\"algo\"";
+                     "\"k\""; "\"eps\""; "\"deadline_ms\""; "\"retries\"";
+                     "\"engine\""; "\"queries\""; "\"mine\""; "\"encrypt\"";
+                     "\"token\""; "\"clink\""; "\"SELECT a FROM r\"" ]);
+        (2, map string_of_int int);
+        (1, oneofl [ "1e308"; "1e999"; "-0"; "1.5e-7"; "-"; "0x1F"; "\"\\u00e9\"";
+                     "\"\\ud800\"" ]) ])
+
+let json_soup =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      map2
+        (fun prefix body -> prefix ^ String.concat "" body)
+        (oneofl [ ""; "{\"id\":1,\"op\":\"mine\","; "{\"op\":\"encrypt\",\"queries\":[" ])
+        (list_size (int_range 0 40) json_lexeme))
+
+(* frames whose length prefix is right, a little off, or negative *)
+let frame_soup =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 6)
+           (map2
+              (fun payload delta ->
+                let b = Bytes.create 4 in
+                Bytes.set_int32_be b 0
+                  (Int32.of_int (String.length payload + delta));
+                Bytes.to_string b ^ payload)
+              (string_size ~gen:char (int_range 0 40))
+              (oneofl [ 0; 0; 0; 1; -1; 7; -100 ]))))
+
+(* every frame of [input], written to a pipe and read back until EOF or
+   the first typed error; inputs stay under PIPE_BUF, so one write is
+   whole *)
+let read_all_frames input =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      ignore (Unix.write_substring w input 0 (String.length input));
+      Unix.close w;
+      let rec drain () =
+        match Frame.read r with Ok (Some _) -> drain () | Ok None | Error _ -> ()
+      in
+      drain ())
+
+let fuzz_properties =
+  [ QCheck.Test.make ~name:"parse_request total on arbitrary bytes" ~count:1000
+      QCheck.(string_gen_of_size Gen.(int_range 0 120) Gen.char)
+      (Testkit.never_raises Proto.parse_request);
+    QCheck.Test.make ~name:"parse_request total on JSON token soup" ~count:1000
+      json_soup (Testkit.never_raises Proto.parse_request);
+    QCheck.Test.make ~name:"Frame.read total on arbitrary bytes" ~count:300
+      QCheck.(string_gen_of_size Gen.(int_range 0 120) Gen.char)
+      (Testkit.never_raises read_all_frames);
+    QCheck.Test.make ~name:"Frame.read total on frame-shaped bytes" ~count:300
+      frame_soup (Testkit.never_raises read_all_frames) ]
+
 (* ---- admission ---- *)
 
 let test_admission_sheds () =
@@ -268,9 +334,9 @@ let with_client t f =
 
 let request ?(id = 0) ?(op = Proto.Mine) ?(tenant = "t") ?deadline_ms
     ?(retries = 1) ?(queries = sky_queries) ?(measure = Distance.Measure.Token)
-    ?(algo = "clink") ?engine () =
+    ?(algo = "clink") ?(k = 2) ?engine () =
   Proto.request_to_json
-    { Proto.id; op; tenant; measure; algo; k = 2; eps = 0.45;
+    { Proto.id; op; tenant; measure; algo; k; eps = 0.45;
       deadline_ms; retries; engine; queries }
 
 let call_ok c req =
@@ -401,6 +467,37 @@ let test_engine_degraded_mine () =
                | None -> Alcotest.fail "no labels");
               check_bool "error manifest present" true
                 (J.member "errors" resp <> None))))
+
+let error_kind resp = Option.bind (J.member "error_kind" resp) J.to_str
+
+let test_engine_mine_k_range () =
+  (* an out-of-range k is a protocol error from the planner, answered
+     before any distance is evaluated *)
+  let evals = Obs.Registry.counter "kitdpe.distance.measure.evals" in
+  with_engine (fun t ->
+      with_client t (fun c ->
+          let before = Obs.Metric.value evals in
+          List.iter
+            (fun (algo, k, engine) ->
+              let resp = call_ok c (request ~algo ~k ?engine ()) in
+              check_str (Printf.sprintf "%s k=%d -> protocol" algo k)
+                "protocol"
+                (Option.value ~default:"ok" (error_kind resp)))
+            [ ("clink", 0, None); ("kmedoids", 7, None);
+              ("kmedoids", 7, Some "index") ];
+          check_int "no distance evaluated" before (Obs.Metric.value evals)));
+  (* k fits the request but not the healthy subset of a degraded mine:
+     the original typed error, not a crash in the retry *)
+  Fault.Inject.disarm_all ();
+  (match Fault.Inject.arm_spec "distance.features.build=nth:5;seed=deg" with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+      with_engine (fun t ->
+          with_client t (fun c ->
+              let resp = call_ok c (request ~k:6 ()) in
+              check_str "subset < k -> original error" "task-failed"
+                (Option.value ~default:"ok" (error_kind resp)))))
 
 let labels_of resp =
   match Option.bind (J.member "labels" resp) J.to_list with
@@ -719,6 +816,7 @@ let () =
          Alcotest.test_case "render/parse inverse" `Quick
            test_render_parse_inverse;
          Alcotest.test_case "response shapes" `Quick test_response_shapes ]);
+      ("fuzz", List.map (fun t -> QCheck_alcotest.to_alcotest t) fuzz_properties);
       ("admission",
        [ Alcotest.test_case "sheds when full" `Quick test_admission_sheds;
          Alcotest.test_case "drain finishes backlog" `Quick
@@ -736,6 +834,8 @@ let () =
          Alcotest.test_case "queue deadline" `Quick test_engine_queue_deadline;
          Alcotest.test_case "degraded mine partial" `Quick
            test_engine_degraded_mine;
+         Alcotest.test_case "mine k out of range" `Quick
+           test_engine_mine_k_range;
          Alcotest.test_case "index fallback visible" `Quick
            test_engine_index_fallback_visible;
          Alcotest.test_case "drain answers backlog" `Quick

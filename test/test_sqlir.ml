@@ -207,6 +207,22 @@ let test_print_canonical () =
     (roundtrip "SELECT * FROM r WHERE a = 'it''s'");
   check_str "count star" "SELECT COUNT(*) FROM r" (roundtrip "SELECT COUNT(*) FROM r")
 
+(* the printer is linear in predicate size: a 1 MB flat AND chain
+   prints fast and round-trips to its own text *)
+let test_print_flat_chain () =
+  let operands = 1_000_000 / String.length "a = 1 AND " in
+  let text =
+    "SELECT * FROM t WHERE "
+    ^ String.concat " AND " (List.init operands (fun _ -> "a = 1"))
+  in
+  let q = parse text in
+  let t0 = Unix.gettimeofday () in
+  let printed = print q in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool "1 MB chain prints back to its input" true (printed = text);
+  check_bool (Printf.sprintf "1 MB chain printed in %.3f s (< 1 s)" dt) true
+    (dt < 1.0)
+
 let test_helpers () =
   let q = parse "SELECT a, r.b FROM r JOIN s ON r.id = s.rid WHERE c = 1 \
                  GROUP BY a ORDER BY d" in
@@ -319,10 +335,7 @@ let lexeme =
         (1, map (fun n -> "-" ^ String.make n '1') (int_range 1 40));
         (1, oneofl [ "1.5"; "0.25"; "'x'"; "'it''s'"; "'open" ]) ])
 
-let total input =
-  match Parser.parse_result input with
-  | Ok _ | Error _ -> true
-  | exception e -> QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) input
+let total = Testkit.never_raises Parser.parse_result
 
 let fuzz_properties =
   [ QCheck.Test.make ~name:"parse_result total on arbitrary bytes" ~count:1000
@@ -359,6 +372,7 @@ let () =
          Alcotest.test_case "nesting depth bound" `Quick test_parse_depth ]);
       ("printer",
        [ Alcotest.test_case "canonical forms" `Quick test_print_canonical;
+         Alcotest.test_case "1 MB flat chain" `Quick test_print_flat_chain;
          Alcotest.test_case "ast helpers" `Quick test_helpers ]);
       ("normalizer",
        Alcotest.test_case "rewrites" `Quick test_normalizer

@@ -124,3 +124,11 @@ let value : Minidb.Value.t Gen.t =
       (1, Gen.return Minidb.Value.Vnull) ]
 
 let arbitrary_value = QCheck.make ~print:Minidb.Value.to_string value
+
+(* the body of a totality property: [f input] returns [Ok] or [Error]
+   for every input, never an exception *)
+let never_raises f input =
+  match f input with
+  | _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) input

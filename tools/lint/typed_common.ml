@@ -141,7 +141,6 @@ let source_fns_always = [ [ "Keyring"; "master" ]; [ "Hmac"; "derive" ] ]
    (bin/dpe_cli prints query results by design). *)
 let source_fns_lib_only =
   [ [ "Paillier"; "decrypt" ];
-    [ "Paillier"; "decrypt_crt" ];
     [ "Paillier"; "decrypt_lambda" ];
     [ "Paillier"; "decrypt_int" ];
     [ "Det"; "decrypt" ];
