@@ -2,7 +2,7 @@
 
      dpe_serve --port 7464 --passphrase secret
      dpe_serve --port 0 --workers 4 --queue 64 --deadline-ms 2000 \
-               --noise-pool pool.img --metrics-out metrics.txt
+               --metrics-out metrics.txt
 
    Prints "dpe_serve listening on <host>:<port>" once bound (port 0
    picks an ephemeral port — scripts parse this line), then serves
@@ -11,8 +11,8 @@
 
 open Cmdliner
 
-let serve host port workers queue master deadline_ms drain_grace_ms noise_pool
-    metrics_out obs =
+let serve host port workers queue master deadline_ms drain_grace_ms metrics_out
+    obs =
   if obs then Obs.set_enabled true;
   let cfg =
     { Server.Engine.host;
@@ -22,7 +22,6 @@ let serve host port workers queue master deadline_ms drain_grace_ms noise_pool
       master;
       default_deadline_ms = (if deadline_ms > 0 then Some deadline_ms else None);
       drain_grace_ms;
-      noise_pool_path = noise_pool;
       metrics_path = metrics_out }
   in
   match
@@ -59,21 +58,29 @@ let master_arg =
        & info [ "p"; "passphrase" ] ~docv:"PASS"
            ~doc:"Master passphrase; tenants get HKDF-derived subkeys.")
 
+(* the wire's [deadline_ms] bound applies to the default as well *)
+let deadline_ms =
+  let parse s =
+    match int_of_string_opt s with
+    | Some ms when ms >= 0 && ms <= Server.Proto.max_deadline_ms -> Ok ms
+    | _ ->
+      Error
+        (`Msg
+          (Printf.sprintf "expected an integer in 0..%d, got %S"
+             Server.Proto.max_deadline_ms s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let deadline_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt deadline_ms 0
        & info [ "deadline-ms" ] ~docv:"MS"
-           ~doc:"Default per-request deadline (0 = none).")
+           ~doc:"Default per-request deadline (0 = none, at most 24 h).")
 
 let drain_grace_arg =
   Arg.(value & opt int 5000
        & info [ "drain-grace-ms" ] ~docv:"MS"
            ~doc:"Bound on the drain's session-close phase: peers still \
                  mid-frame or still sending past it are force-closed.")
-
-let noise_pool_arg =
-  Arg.(value & opt (some string) None
-       & info [ "noise-pool" ] ~docv:"FILE"
-           ~doc:"Paillier noise-pool image: loaded at start, saved at drain.")
 
 let metrics_arg =
   Arg.(value & opt (some string) None
@@ -90,7 +97,6 @@ let cmd =
        ~doc:"Resilient always-on server for encrypted-log mining \
              (deadlines, backpressure, retry, graceful drain).")
     Term.(const serve $ host_arg $ port_arg $ workers_arg $ queue_arg
-          $ master_arg $ deadline_arg $ drain_grace_arg $ noise_pool_arg
-          $ metrics_arg $ obs_arg)
+          $ master_arg $ deadline_arg $ drain_grace_arg $ metrics_arg $ obs_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -11,7 +11,7 @@ let m_encrypts = Obs.Registry.counter "kitdpe.crypto.paillier.encrypts"
    land orders of magnitude apart) *)
 let m_encrypt = Obs.Registry.sketch "kitdpe.crypto.paillier.encrypt"
 
-(* noise-pool telemetry: request-path cache behaviour of precomputed r^n
+(* noise pool telemetry: request-path cache behaviour of precomputed r^n
    factors.  [depth] tracks the current number of pooled entries. *)
 let m_pool_hits = Obs.Registry.counter "kitdpe.crypto.paillier.noise_pool.hits"
 let m_pool_misses = Obs.Registry.counter "kitdpe.crypto.paillier.noise_pool.misses"
@@ -241,84 +241,6 @@ let encrypt_int_pooled ?pool pub ~key rng v =
 (* without a pool the label is never read *)
 let encrypt pub rng m = encrypt_pooled pub ~key:"" rng m
 let encrypt_int pub rng v = encrypt pub rng (encode_int pub v)
-
-(* ---- pool persistence ----
-
-   A saved pool is a line-oriented text image: a header binding the
-   snapshot to its public key, then one "<hex label> <hex r^n>" line
-   per entry in sorted label order (so the image of a given pool state
-   is deterministic).  Because the pool is a pure cache keyed by
-   derivation label, reloading any subset — including a snapshot taken
-   by an earlier process — is always sound: ciphertexts come out
-   bit-identical whether an entry was reloaded, refilled, or recomputed
-   on miss.  The fingerprint exists because the one unsound case is
-   crossing snapshots between keys (an r^n under the wrong modulus
-   would corrupt ciphertexts silently), so a mismatch is a typed error
-   and the caller starts cold. *)
-
-let pool_fingerprint pub = String.sub (Sha256.hex (N.to_bytes_be pub.n)) 0 16
-
-let pool_header = "kitdpe-noise-pool v1"
-
-let pool_save pool pub =
-  Mutex.lock pool.lock;
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) pool.entries [] in
-  Mutex.unlock pool.lock;
-  let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
-  let buf = Buffer.create (64 + (List.length entries * 200)) in
-  Buffer.add_string buf pool_header;
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (pool_fingerprint pub);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (label, rn) ->
-      Buffer.add_string buf (Hex.encode label);
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (Hex.encode (N.to_bytes_be rn));
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.contents buf
-
-let pool_load pool pub data =
-  let corrupt reason =
-    Error (Fault.Error.Crypto_failure { op = "Paillier.pool_load"; reason })
-  in
-  let lines = String.split_on_char '\n' data in
-  match lines with
-  | [] -> corrupt "empty image"
-  | header :: rest -> (
-    match String.split_on_char ' ' header with
-    | [ magic; version; fp ]
-      when Ct.equal (magic ^ " " ^ version) pool_header ->
-      if not (Ct.equal fp (pool_fingerprint pub)) then
-        corrupt "key fingerprint mismatch (pool saved under another key)"
-      else begin
-        let loaded = ref 0 in
-        let err = ref None in
-        List.iteri
-          (fun i line ->
-            if Option.is_none !err && String.length line > 0 then
-              match String.split_on_char ' ' line with
-              | [ hlabel; hrn ] -> (
-                match (Hex.decode hlabel, Hex.decode hrn) with
-                | Some label, Some rn_bytes ->
-                  let rn = N.of_bytes_be rn_bytes in
-                  if N.compare rn pub.n2 >= 0 then
-                    err :=
-                      Some
-                        (Printf.sprintf "entry %d: noise factor >= n^2" (i + 1))
-                  else begin
-                    pool_set pool label rn;
-                    incr loaded
-                  end
-                | _ ->
-                  err := Some (Printf.sprintf "entry %d: bad hex" (i + 1)))
-              | _ ->
-                err := Some (Printf.sprintf "entry %d: malformed line" (i + 1)))
-          rest;
-        match !err with Some reason -> corrupt reason | None -> Ok !loaded
-      end
-    | _ -> corrupt "bad header (not a kitdpe noise-pool image)")
 
 (* ---- decryption ---- *)
 

@@ -78,28 +78,6 @@ val encrypt_pooled :
 val encrypt_int_pooled :
   ?pool:pool -> public -> key:string -> Drbg.t -> int -> Bignum.Bignat.t
 
-(** {2 Pool persistence}
-
-    A warm pool survives a process restart: {!pool_save} renders a
-    deterministic text image (header with a fingerprint of the public
-    key, then one line per entry in sorted label order) and
-    {!pool_load} replays it into a pool.  Since the pool is a pure
-    label-keyed cache, a reloaded pool changes only encryption latency,
-    never bytes: ciphertexts are bit-identical from a reloaded, refilled
-    or empty pool.  Loading an image saved under a different key is a
-    typed error — stale noise under the wrong modulus must not enter
-    the cache. *)
-
-val pool_save : pool -> public -> string
-(** Serialize the pool's current entries for [pub]. *)
-
-val pool_load : pool -> public -> string -> (int, Fault.Error.t) result
-(** [pool_load pool pub image] re-inserts the saved entries (subject to
-    the pool's capacity) and returns how many were loaded.  [Error
-    (Crypto_failure _)] on a malformed image or a key-fingerprint
-    mismatch; the pool keeps any entries inserted before the offending
-    line. *)
-
 (** {1 Decryption} *)
 
 val decrypt : secret -> Bignum.Bignat.t -> Bignum.Bignat.t

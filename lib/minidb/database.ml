@@ -1,38 +1,23 @@
 module Smap = Map.Make (String)
 
-type t = {
-  tables : Table.t Smap.t;
-  indexes : (string * string, Index.t) Hashtbl.t;
-}
+type t = Table.t Smap.t
 
-let empty = { tables = Smap.empty; indexes = Hashtbl.create 4 }
+let empty = Smap.empty
 
 let add_table t table =
   let rel = (Table.schema table).Schema.rel in
-  if Smap.mem rel t.tables then
+  if Smap.mem rel t then
     invalid_arg (Printf.sprintf "Database.add_table: %s already exists" rel);
-  { t with tables = Smap.add rel table t.tables }
+  Smap.add rel table t
 
-let find t rel = Smap.find_opt rel t.tables
+let find t rel = Smap.find_opt rel t
 
 let find_exn t rel =
   match find t rel with Some table -> table | None -> raise Not_found
 
-let relations t = Smap.bindings t.tables |> List.map fst
+let relations t = Smap.bindings t |> List.map fst
 
-let tables t = Smap.bindings t.tables |> List.map snd
+let tables t = Smap.bindings t |> List.map snd
 
 let total_rows t =
-  Smap.fold (fun _ table acc -> acc + Table.cardinality table) t.tables 0
-
-let map_tables f t =
-  { tables = Smap.map f t.tables; indexes = Hashtbl.create 4 }
-
-let with_index t ~rel ~col =
-  let table = find_exn t rel in
-  let idx = Index.build table col in
-  let indexes = Hashtbl.copy t.indexes in
-  Hashtbl.replace indexes (rel, col) idx;
-  { t with indexes }
-
-let find_index t ~rel ~col = Hashtbl.find_opt t.indexes (rel, col)
+  Smap.fold (fun _ table acc -> acc + Table.cardinality table) t 0

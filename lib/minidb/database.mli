@@ -16,16 +16,3 @@ val relations : t -> string list
 val tables : t -> Table.t list
 
 val total_rows : t -> int
-
-val map_tables : (Table.t -> Table.t) -> t -> t
-(** Rewrite every table (the encrypted database is produced this way).
-    Indexes are dropped (they describe the old rows). *)
-
-(** {1 Indexes} *)
-
-val with_index : t -> rel:string -> col:string -> t
-(** Build and attach a hash index ({!Index}).  The executor uses attached
-    indexes as prefilters for equality predicates; semantics never change.
-    @raise Not_found if the relation or column does not exist. *)
-
-val find_index : t -> rel:string -> col:string -> Index.t option

@@ -227,8 +227,8 @@ let run (db : Database.t) (q : Ast.query) : result =
   (* Static validation: resolve every attribute and type-check every
      predicate against the schemas BEFORE touching any rows, like a real
      SQL engine.  This makes error behavior independent of the data — a
-     prerequisite for index prefilters and empty-input short-cuts to be
-     semantics-preserving (the differential property test enforces it). *)
+     prerequisite for the hash join and empty-input short-cuts to be
+     semantics-preserving. *)
   let kind_of_column a =
     let r, c = resolve_origin schemas a in
     let schema = List.find (fun s -> s.Schema.rel = r) schemas in
@@ -322,57 +322,9 @@ let run (db : Database.t) (q : Ast.query) : result =
       ignore (resolve_origin schemas j.Ast.jleft);
       ignore (resolve_origin schemas j.Ast.jright))
     q.Ast.joins;
-  (* FROM.  For the single-relation case, an attached equality index can
-     prefilter the scan: rows not matching an indexed top-level equality
-     conjunct can never satisfy WHERE, and WHERE is still evaluated in full
-     afterwards, so this is semantics-preserving. *)
-  let indexed_scan rel =
-    let default () = scan db rel in
-    match q.Ast.from, q.Ast.joins, q.Ast.where with
-    | [ _ ], [], Some where ->
-      let rec conjuncts p =
-        match p with Ast.And (l, r) -> conjuncts l @ conjuncts r | p -> [ p ]
-      in
-      let type_compatible (a : Ast.attr) v =
-        (* a type-mismatched probe must NOT shortcut to the empty index
-           bucket: the full scan raises the SQL type error *)
-        match Database.find db rel with
-        | None -> false
-        | Some table ->
-          (match Schema.column_type (Table.schema table) a.Ast.name, v with
-           | Some (Value.Tint | Value.Tfloat), (Ast.Cint _ | Ast.Cfloat _) -> true
-           | Some Value.Tstring, Ast.Cstring _ -> true
-           | _ -> false)
-      in
-      let usable =
-        List.find_map
-          (function
-            | Ast.Cmp (Ast.Eq, a, v)
-              when (a.Ast.rel = None || a.Ast.rel = Some rel)
-                   && type_compatible a v ->
-              (match Database.find_index db ~rel ~col:a.Ast.name with
-               | Some idx -> Some (idx, v)
-               | None -> None)
-            | _ -> None)
-          (conjuncts where)
-      in
-      (match usable with
-       | Some (idx, v) ->
-         let schema =
-           match Database.find db rel with
-           | Some t -> Table.schema t
-           | None -> fail (Unknown_relation rel)
-         in
-         Index.lookup idx (Value.of_const v)
-         |> List.to_seq
-         |> Seq.map (fun row -> (rel, schema, row))
-       | None -> default ())
-    | _ -> default ()
-  in
+  (* FROM *)
   let envs =
-    List.fold_left
-      (fun acc rel -> cartesian acc (indexed_scan rel))
-      [ [] ] q.Ast.from
+    List.fold_left (fun acc rel -> cartesian acc (scan db rel)) [ [] ] q.Ast.from
   in
   (* JOINs: inner keeps matches only; left keeps unmatched left rows padded
      with an all-null row for the joined relation.  When the ON predicate

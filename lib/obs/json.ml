@@ -177,4 +177,9 @@ let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let to_obj = function Obj kvs -> Some kvs | _ -> None
-let to_int j = Option.map (fun f -> int_of_float f) (to_num j)
+(* integral and inside [min_int, max_int] = [-2^62, 2^62): never
+   truncated, never wrapped *)
+let to_int = function
+  | Num f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    Some (int_of_float f)
+  | _ -> None

@@ -27,3 +27,5 @@ val to_str : t -> string option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option
 val to_int : t -> int option
+(** [Some] only for an integral number inside the native int range:
+    [2.7], [1e300] and [2^62] are [None], never truncated or wrapped. *)

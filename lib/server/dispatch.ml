@@ -38,8 +38,8 @@ let m_partial = Obs.Registry.counter "kitdpe.server.partial"
 
 let deadline_err context = Fault.Error.Deadline_exceeded { context }
 
-(* the result measure's database content, sized small enough for
-   request latency *)
+(* the result measure's database content for [mine], sized small enough
+   for request latency *)
 let db_for_log = Workload.Gen_db.for_log ~seed:"serve" ~rows:48
 
 let parse_queries (req : Proto.request) =
@@ -61,14 +61,6 @@ let encrypt ctx (req : Proto.request) log =
   let enc =
     Tenant.encryptor ctx.tenants ~tenant:req.tenant ~measure:req.measure log
   in
-  (* the result scheme carries HOM columns: first touch prewarms the
-     resident noise pool from the derived database, so the warm state is
-     worth persisting at drain — and a reloaded image makes this skip
-     straight past the exponentiations *)
-  (match (req.measure, Dpe.Encryptor.noise_pool enc) with
-   | M.Result, None ->
-     ignore (Dpe.Db_encryptor.prewarm_hom_noise_r enc (db_for_log log))
-   | _ -> ());
   let results =
     List.mapi
       (fun i q ->

@@ -17,8 +17,8 @@
    sequence — close the listener, drain the admission queue (new
    submissions answered with typed [Draining]), join workers once the
    backlog is answered (zero dropped in-flight requests), close
-   connections, join readers, then flush the noise-pool image and the
-   OpenMetrics snapshot.  [wait] returns when all of that is done.
+   connections, join readers, then flush the OpenMetrics snapshot.
+   [wait] returns when all of that is done.
 
    The reader-join phase is bounded: sessions get [SO_RCVTIMEO] so a
    peer stalled mid-frame cannot pin its reader in [Unix.read], and
@@ -36,7 +36,6 @@ type config = {
   master : string;
   default_deadline_ms : int option;
   drain_grace_ms : int;
-  noise_pool_path : string option;
   metrics_path : string option;
 }
 
@@ -48,7 +47,6 @@ let default_config =
     master = "kitdpe-demo";
     default_deadline_ms = None;
     drain_grace_ms = 5_000;
-    noise_pool_path = None;
     metrics_path = None }
 
 type conn = {
@@ -263,18 +261,7 @@ let spawn_session t fd =
   t.readers <- Thread.create (fun () -> reader t conn) () :: t.readers;
   Mutex.unlock t.conns_lock
 
-let flush_artifacts t =
-  (match t.cfg.noise_pool_path with
-   | None -> ()
-   | Some path -> (
-     match Tenant.noise_pool_image t.tenants with
-     | None -> ()
-     | Some image -> (
-       try
-         let oc = open_out_bin path in
-         output_string oc image;
-         close_out oc
-       with Sys_error _ -> ())));
+let flush_metrics t =
   match t.cfg.metrics_path with
   | None -> ()
   | Some path -> (
@@ -324,7 +311,7 @@ let drain_sequence t =
   t.readers <- [];
   Mutex.unlock t.conns_lock;
   List.iter Thread.join readers;
-  flush_artifacts t
+  flush_metrics t
 
 let accept_loop t ctx =
   while not (Atomic.get t.draining) do
@@ -360,21 +347,11 @@ let start cfg =
     (try Unix.close listener with Unix.Unix_error _ -> ());
     Error (io_error (Printf.sprintf "bad host %S" cfg.host))
   | bound_port ->
-    let tenants = Tenant.create ~master:cfg.master in
-    (match cfg.noise_pool_path with
-     | Some path when Sys.file_exists path -> (
-       try
-         let ic = open_in_bin path in
-         let image = really_input_string ic (in_channel_length ic) in
-         close_in ic;
-         Tenant.set_noise_pool_image tenants image
-       with Sys_error _ | End_of_file -> ())
-     | _ -> ());
     let t =
       { cfg;
         listener;
         bound_port;
-        tenants;
+        tenants = Tenant.create ~master:cfg.master;
         queue = Admission.create ~capacity:cfg.queue_capacity;
         draining = Atomic.make false;
         closing = Atomic.make false;

@@ -21,8 +21,8 @@
       expiry mid-request abandons the remaining pool work;
     - drain (SIGTERM/SIGINT/{!request_drain}) closes the listener,
       answers the whole backlog (zero dropped in-flight requests),
-      rejects new work with [Draining], then flushes the noise-pool
-      image and OpenMetrics snapshot;
+      rejects new work with [Draining], then flushes the OpenMetrics
+      snapshot;
     - drain is bounded: sessions carry [SO_RCVTIMEO], so a peer
       stalled mid-frame (or one that keeps sending after the backlog
       is answered) is force-closed once [drain_grace_ms] elapses —
@@ -42,13 +42,12 @@ type config = {
   master : string;                 (** keyring passphrase *)
   default_deadline_ms : int option;(** applied when a request names none *)
   drain_grace_ms : int;            (** bound on the drain's session-close phase *)
-  noise_pool_path : string option; (** Paillier pool image: loaded at start, saved at drain *)
   metrics_path : string option;    (** OpenMetrics snapshot written at drain *)
 }
 
 val default_config : config
 (** Loopback, ephemeral port, 4 workers, capacity 64, no deadline, 5 s
-    drain grace, no persistence paths. *)
+    drain grace, no metrics snapshot. *)
 
 type t
 
@@ -65,7 +64,7 @@ val request_drain : t -> unit
 
 val wait : t -> unit
 (** Block until the drain sequence has fully completed (backlog
-    answered, sessions closed, artifacts flushed). *)
+    answered, sessions closed, metrics flushed). *)
 
 val run : ?on_ready:(t -> unit) -> config -> (unit, Fault.Error.t) result
 (** {!start}, install SIGTERM/SIGINT drain handlers (and ignore

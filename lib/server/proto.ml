@@ -95,6 +95,9 @@ type request = {
 
 let engines = [ "matrix"; "oracle"; "index" ]
 
+let max_retries = 8
+let max_deadline_ms = 86_400_000
+
 let proto reason = Fault.Error.Protocol { reason }
 
 let parse_request s =
@@ -135,13 +138,21 @@ let parse_request s =
            let* algo = str "algo" "clink" in
            let* k = int "k" 4 in
            let* retries = int "retries" 1 in
+           let* () =
+             if retries < 0 || retries > max_retries then
+               fail (Printf.sprintf "field retries: expected 0..%d" max_retries)
+             else Ok ()
+           in
            let* deadline_ms =
              match J.member "deadline_ms" j with
              | None | Some J.Null -> Ok None
              | Some v -> (
                match J.to_int v with
-               | Some ms when ms > 0 -> Ok (Some ms)
-               | _ -> Error (id, proto "field deadline_ms: expected positive integer"))
+               | Some ms when ms > 0 && ms <= max_deadline_ms -> Ok (Some ms)
+               | _ ->
+                 fail
+                   (Printf.sprintf "field deadline_ms: expected 1..%d"
+                      max_deadline_ms))
            in
            let* engine =
              match J.member "engine" j with

@@ -26,8 +26,10 @@ type request = {
   algo : string;           (** mine: clink, dbscan, kmedoids, outliers *)
   k : int;                 (** mine: cluster count *)
   eps : float;             (** mine: DBSCAN radius / outlier threshold *)
-  deadline_ms : int option;(** request budget from arrival, absolute once admitted *)
-  retries : int;           (** per-item bounded retry budget *)
+  deadline_ms : int option;
+      (** request budget from arrival, absolute once admitted; in
+          [[1, max_deadline_ms]] *)
+  retries : int;           (** per-item retry budget, in [[0, max_retries]] *)
   engine : string option;
       (** mine: neighbor engine — ["matrix"], ["oracle"] or ["index"];
           absent means the server's default (matrix) path, so existing
@@ -35,10 +37,20 @@ type request = {
   queries : string list;   (** SQL text, one query per entry *)
 }
 
+val max_retries : int
+(** 8: [retries] runs under the compute lock, so the client may not
+    choose its length freely. *)
+
+val max_deadline_ms : int
+(** 86,400,000 (24 h): far below the ms-to-ns overflow of the absolute
+    deadline. *)
+
 val parse_request : string -> (request, int option * Fault.Error.t) result
 (** Parse a framed payload.  The error side carries the request [id]
     when one could still be extracted, so even a malformed request gets
-    a correlated [Protocol] error response. *)
+    a correlated [Protocol] error response.  Integer fields must be
+    integral JSON numbers; [retries] or [deadline_ms] outside its range
+    is a [Protocol] error. *)
 
 val request_to_json : request -> Obs.Json.t
 

@@ -3,17 +3,13 @@
     One master passphrase; tenant [ns] works under
     [Crypto.Keyring.derive master ns], so tenants share no derivable
     key material.  Encryptors are cached per (tenant, measure) for the
-    process lifetime — OPE/DET memo caches and Paillier noise pools
-    stay warm across requests.
+    process lifetime — OPE/DET memo caches stay warm across requests.
 
     The scheme of a (tenant, measure) pair is fixed by the first log it
     sees; later queries outside its capabilities surface as typed error
     responses.
 
-    Metrics: [kitdpe.server.tenants] (gauge — resident encryptors),
-    [kitdpe.server.noise_pool.reloaded] /
-    [kitdpe.server.noise_pool.rejected] (pool-image restore
-    accounting). *)
+    Metrics: [kitdpe.server.tenants] (gauge — resident encryptors). *)
 
 type t
 
@@ -26,15 +22,3 @@ val encryptor :
   -> Dpe.Encryptor.t
 (** Get-or-create the resident encryptor for (tenant, measure); the log
     is only consulted on first creation (scheme selection). *)
-
-val set_noise_pool_image : t -> string -> unit
-(** Install a saved noise-pool image ({!Crypto.Paillier.pool_save});
-    every encryptor created afterwards attempts a fingerprint-guarded
-    reload and starts cold on mismatch. *)
-
-val noise_pool_image : t -> string option
-(** Serialize the first resident pool (sorted key order) holding
-    entries — written to disk at drain, reloaded at next start. *)
-
-val resident : t -> (string * string) list
-(** The sorted (tenant, measure) pairs currently resident. *)

@@ -403,60 +403,6 @@ let test_noise_pool () =
   check_str "pooled ciphertext decrypts" "99"
     (N.to_string (P.decrypt sk (List.hd reference)))
 
-(* pool_save/pool_load: a warm pool survives a restart byte-for-byte —
-   a reloaded pool yields bit-identical ciphertexts; an image saved
-   under another key or corrupted mid-file is a typed error *)
-let test_pool_persistence () =
-  let module N = Bignum.Bignat in
-  let module P = Crypto.Paillier in
-  let pub, _ = Lazy.force paillier_keys in
-  let label_rng key = Crypto.Drbg.create ~seed:("img-" ^ key) in
-  let keys = List.init 6 (fun i -> Printf.sprintf "t/%d/b" i) in
-  let pool = P.pool_create () in
-  List.iter (fun k -> P.noise_fill pool pub ~key:k (label_rng k)) keys;
-  let image = P.pool_save pool pub in
-  (* save is deterministic (sorted labels) and non-destructive *)
-  check_str "save idempotent" image (P.pool_save pool pub);
-  check_int "save non-destructive" 6 (P.pool_depth pool);
-  (* reload into a fresh pool: same depth, same ciphertext bytes *)
-  let pool2 = P.pool_create () in
-  (match P.pool_load pool2 pub image with
-   | Ok n -> check_int "entries reloaded" 6 n
-   | Error e -> Alcotest.failf "load: %s" (Fault.Error.to_string e));
-  check_int "reloaded depth" 6 (P.pool_depth pool2);
-  List.iter
-    (fun k ->
-      let direct = P.encrypt_pooled pub ~key:k (label_rng k) (N.of_int 7) in
-      let pooled =
-        P.encrypt_pooled ~pool:pool2 pub ~key:k (label_rng k) (N.of_int 7)
-      in
-      check_str "reloaded pool bit-identical" (N.to_string direct)
-        (N.to_string pooled))
-    keys;
-  (* wrong key: the fingerprint rejects the whole image *)
-  let other_pub, _ =
-    P.keygen ~bits:128 (Crypto.Drbg.create ~seed:"other-pool-key")
-  in
-  let pool3 = P.pool_create () in
-  (match P.pool_load pool3 other_pub image with
-   | Error (Fault.Error.Crypto_failure _) -> ()
-   | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
-   | Ok _ -> Alcotest.fail "foreign image accepted");
-  check_int "nothing entered the cache" 0 (P.pool_depth pool3);
-  (* corrupt line mid-image: typed error, entries before it are kept *)
-  let corrupted =
-    match String.split_on_char '\n' image with
-    | header :: e1 :: e2 :: _ ->
-      String.concat "\n" [ header; e1; e2; "zz not-hex" ]
-    | _ -> Alcotest.fail "image too short"
-  in
-  let pool4 = P.pool_create () in
-  (match P.pool_load pool4 pub corrupted with
-   | Error (Fault.Error.Crypto_failure _) -> ()
-   | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
-   | Ok _ -> Alcotest.fail "corrupt image accepted");
-  check_int "prefix before the bad line kept" 2 (P.pool_depth pool4)
-
 let paillier_properties =
   [ QCheck.Test.make ~name:"paillier sum homomorphism" ~count:25
       (QCheck.pair (QCheck.int_range (-10000) 10000) (QCheck.int_range (-10000) 10000))
@@ -553,7 +499,6 @@ let () =
        :: Alcotest.test_case "failure paths" `Quick test_failure_paths
        :: Alcotest.test_case "CRT vs lambda" `Quick test_crt_vs_lambda
        :: Alcotest.test_case "noise pool" `Quick test_noise_pool
-       :: Alcotest.test_case "pool persistence" `Quick test_pool_persistence
        :: List.map (fun t -> QCheck_alcotest.to_alcotest t) paillier_properties);
       ("misc",
        [ Alcotest.test_case "hex" `Quick test_hex;

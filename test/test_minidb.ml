@@ -262,42 +262,6 @@ let test_result_tuple_set () =
   check_int "raw tuples" 5 (List.length r.Executor.tuples);
   check_int "deduplicated set" 3 (List.length (Executor.result_tuple_set r))
 
-(* ---- indexes ---- *)
-
-let test_index () =
-  let idx = Minidb.Index.build users "city" in
-  check_str "column" "city" (Minidb.Index.column idx);
-  check_int "distinct keys" 3 (Minidb.Index.cardinality idx);
-  check_int "lookup hits" 3 (List.length (Minidb.Index.lookup idx (v_str "berlin")));
-  check_int "lookup miss" 0 (List.length (Minidb.Index.lookup idx (v_str "tokyo")));
-  check_int "null probe" 0 (List.length (Minidb.Index.lookup idx Value.Vnull));
-  (try ignore (Minidb.Index.build users "nope"); Alcotest.fail "expected Not_found"
-   with Not_found -> ());
-  (* numeric cross-type probe *)
-  let aidx = Minidb.Index.build users "age" in
-  check_int "float probe on int column" 2
-    (List.length (Minidb.Index.lookup aidx (Value.Vfloat 25.0)));
-  (* executor semantics identical with an index attached *)
-  let db_idx = Database.with_index db ~rel:"users" ~col:"city" in
-  let queries =
-    [ "SELECT id FROM users WHERE city = 'berlin' ORDER BY id";
-      "SELECT id FROM users WHERE city = 'berlin' AND age > 26 ORDER BY id";
-      "SELECT id FROM users WHERE city = 'nowhere'";
-      "SELECT id FROM users WHERE age > 26 ORDER BY id";  (* not indexed *)
-      "SELECT COUNT(*) FROM users WHERE city = 'berlin' OR age = 25" ]
-  in
-  List.iter
-    (fun s ->
-      let q = Sqlir.Parser.parse s in
-      let plain = (Executor.run db q).Executor.tuples in
-      let fast = (Executor.run db_idx q).Executor.tuples in
-      if plain <> fast then Alcotest.failf "index changed semantics of %s" s)
-    queries;
-  (* map_tables drops indexes *)
-  let remapped = Database.map_tables Fun.id db_idx in
-  check_bool "indexes dropped on rewrite" true
-    (Database.find_index remapped ~rel:"users" ~col:"city" = None)
-
 (* ---- csv i/o ---- *)
 
 let test_csvio () =
@@ -481,26 +445,8 @@ let tiny_db =
       (add_table (add_table (add_table empty (mk "r" 1)) (mk "s" 2)) (mk "t_" 3))
       (mk "j_rel" 4))
 
-let tiny_db_indexed =
-  List.fold_left
-    (fun db rel ->
-      List.fold_left
-        (fun db col -> Database.with_index db ~rel ~col)
-        db
-        (Schema.column_names (Table.schema (Database.find_exn db rel))))
-    tiny_db [ "r"; "s"; "t_"; "j_rel" ]
-
 let exec_properties =
-  [ QCheck.Test.make
-      ~name:"differential: indexes never change results" ~count:500
-      Testkit.arbitrary_query
-      (fun q ->
-        let run db = match Executor.run db q with
-          | r -> Ok (r.Executor.columns, r.Executor.tuples)
-          | exception Executor.Exec_error e -> Error (Executor.error_to_string e)
-        in
-        run tiny_db = run tiny_db_indexed);
-    QCheck.Test.make ~name:"executor is total (returns or raises Exec_error)"
+  [ QCheck.Test.make ~name:"executor is total (returns or raises Exec_error)"
       ~count:500 Testkit.arbitrary_query
       (fun q ->
         match Executor.run tiny_db q with
@@ -543,7 +489,6 @@ let () =
          Alcotest.test_case "static type checking" `Quick test_static_checks;
          Alcotest.test_case "ambiguity" `Quick test_ambiguity;
          Alcotest.test_case "result tuple set" `Quick test_result_tuple_set ]);
-      ("index", [ Alcotest.test_case "hash index" `Quick test_index ]);
       ("csv",
        Alcotest.test_case "csv io" `Quick test_csvio
        :: Alcotest.test_case "partial parse" `Quick test_csvio_partial

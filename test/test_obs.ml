@@ -201,6 +201,29 @@ let test_json_depth_bound () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an object around max_depth arrays was accepted"
 
+(* [to_int] answers only for integral numbers inside the int range: a
+   fraction is not truncated and an out-of-range value does not wrap *)
+let test_json_to_int_exact () =
+  let to_int s =
+    match Obs.Json.parse s with
+    | Ok j -> Obs.Json.to_int j
+    | Error e -> Alcotest.fail ("parse: " ^ e)
+  in
+  let check what want s =
+    Alcotest.(check (option int)) (what ^ " " ^ s) want (to_int s)
+  in
+  check "integral" (Some 42) "42";
+  check "negative" (Some (-7)) "-7";
+  check "exponent form" (Some 1000) "1e3";
+  check "negative zero" (Some 0) "-0";
+  check "min_int" (Some min_int) "-4611686018427387904";
+  check "fraction" None "2.7";
+  check "half" None "1.5";
+  check "huge" None "1e300";
+  check "2^62" None "4611686018427387904";
+  check "below min_int" None "-4611686018427387905000";
+  check "string" None "\"3\""
+
 (* ---- span ring buffer ---- *)
 
 let test_span_ring_overflow () =
@@ -767,7 +790,8 @@ let () =
          Alcotest.test_case "index build and prewarm sketches" `Quick
            test_build_and_prewarm_sketches ]);
       ("json",
-       [ Alcotest.test_case "depth bound" `Quick test_json_depth_bound ]);
+       [ Alcotest.test_case "depth bound" `Quick test_json_depth_bound;
+         Alcotest.test_case "to_int exact" `Quick test_json_to_int_exact ]);
       ("spans",
        [ Alcotest.test_case "ring overflow" `Quick test_span_ring_overflow;
          Alcotest.test_case "trace export is valid JSON" `Quick

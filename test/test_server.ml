@@ -2,7 +2,7 @@
    cases, protocol parsing, the bounded admission queue, request
    dispatch with graceful degradation, and the full engine loop —
    every framed request answered, deadline expiry typed, drain with
-   zero dropped in-flight requests, noise-pool persistence across
+   zero dropped in-flight requests, byte-identical answers across
    restarts. *)
 
 module J = Obs.Json
@@ -12,8 +12,8 @@ module Admission = Server.Admission
 module Engine = Server.Engine
 module Client = Server.Client
 
-(* counters are no-ops while Obs is disabled; the persistence test reads
-   one, so the whole suite runs with telemetry on (as the server does) *)
+(* counters are no-ops while Obs is disabled; the engine tests read
+   them, so the whole suite runs with telemetry on (as the server does) *)
 let () = Obs.set_enabled true
 
 (* the drain tests write into sockets the server may close first *)
@@ -162,6 +162,42 @@ let test_parse_request_garbage () =
   | Error (Some 4, e) -> check_bool "typed Protocol" true (is_protocol e)
   | Error (_, _) -> Alcotest.fail "id lost"
   | Ok _ -> Alcotest.fail "negative deadline parsed"
+
+(* the client chooses [retries] and [deadline_ms], so both are bounded
+   at the wire, and an integer field never takes a truncated fraction *)
+let test_parse_request_bounds () =
+  let refused what payload =
+    match Proto.parse_request payload with
+    | Error (Some 9, e) -> check_bool (what ^ ": typed Protocol") true (is_protocol e)
+    | Error (_, _) -> Alcotest.failf "%s: id lost" what
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+  in
+  let accepted what payload =
+    match Proto.parse_request payload with
+    | Ok r -> r
+    | Error (_, e) -> Alcotest.failf "%s: %s" what (Fault.Error.to_string e)
+  in
+  let req fields = Printf.sprintf {|{"id":9,"op":"mine",%s}|} fields in
+  refused "retries 10^6" (req {|"retries":1000000|});
+  refused "retries -1" (req {|"retries":-1|});
+  refused "retries max+1" (req (Printf.sprintf {|"retries":%d|} (Proto.max_retries + 1)));
+  check_int "retries max" Proto.max_retries
+    (accepted "retries max"
+       (req (Printf.sprintf {|"retries":%d|} Proto.max_retries))).Proto.retries;
+  check_int "retries 0" 0 (accepted "retries 0" (req {|"retries":0|})).Proto.retries;
+  refused "deadline 3e12 ms" (req {|"deadline_ms":3000000000000|});
+  refused "deadline max+1"
+    (req (Printf.sprintf {|"deadline_ms":%d|} (Proto.max_deadline_ms + 1)));
+  check_bool "deadline 24 h" true
+    ((accepted "deadline max"
+        (req (Printf.sprintf {|"deadline_ms":%d|} Proto.max_deadline_ms))).Proto.deadline_ms
+     = Some Proto.max_deadline_ms);
+  refused "k 2.7" (req {|"k":2.7|});
+  refused "k 1e300" (req {|"k":1e300|});
+  match Proto.parse_request {|{"id":1.5,"op":"health"}|} with
+  | Error (None, e) -> check_bool "fractional id: typed Protocol" true (is_protocol e)
+  | Error (Some id, _) -> Alcotest.failf "fractional id answered as %d" id
+  | Ok r -> Alcotest.failf "fractional id answered as %d" r.Proto.id
 
 let test_render_parse_inverse () =
   let req =
@@ -499,6 +535,29 @@ let test_engine_mine_k_range () =
               check_str "subset < k -> original error" "task-failed"
                 (Option.value ~default:"ok" (error_kind resp)))))
 
+let test_engine_wire_bounds () =
+  (* a retry budget the client picks without limit would spin under the
+     compute lock, and a deadline past the ns range would wrap negative
+     and expire at once: both are protocol answers, while an ordinary
+     deadline still mines *)
+  with_engine (fun t ->
+      with_client t (fun c ->
+          let kind resp = Option.value ~default:"ok" (error_kind resp) in
+          let having =
+            [ "SELECT class FROM photoobj GROUP BY class HAVING SUM(magnitude) > 5" ]
+          in
+          check_str "retries 10^6 -> protocol" "protocol"
+            (kind
+               (call_ok c
+                  (request ~op:Proto.Encrypt ~measure:Distance.Measure.Result
+                     ~retries:1_000_000 ~queries:having ())));
+          let three = List.filteri (fun i _ -> i < 3) sky_queries in
+          check_str "deadline 3e12 ms -> protocol" "protocol"
+            (kind (call_ok c (request ~deadline_ms:3_000_000_000_000 ~queries:three ())));
+          check_str "deadline 1 s mines" "ok"
+            (Proto.response_status
+               (call_ok c (request ~deadline_ms:1000 ~queries:three ())))))
+
 let labels_of resp =
   match Option.bind (J.member "labels" resp) J.to_list with
   | Some ls -> Array.of_list (List.map (fun l -> Option.get (J.to_int l)) ls)
@@ -759,41 +818,27 @@ let test_client_resend_purges_stale () =
           (Option.value ~default:"?" (Option.bind (J.member "tag" r) J.to_str))
       | Error e -> Alcotest.failf "collect 7: %s" (Fault.Error.to_string e))
 
-(* ---- noise-pool persistence through the engine ---- *)
+(* ---- restart ---- *)
 
+(* SUM/AVG make magnitude a HOM column of the result scheme: the one
+   query log whose encryptor holds Paillier state *)
 let hom_queries =
   [ "SELECT class, SUM(magnitude) FROM photoobj GROUP BY class";
     "SELECT class, AVG(magnitude) FROM photoobj GROUP BY class";
     "SELECT objid, ra FROM photoobj WHERE ra BETWEEN 100 AND 200" ]
 
-let test_noise_pool_restart_identical () =
-  let path = Filename.temp_file "kitdpe_pool" ".img" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let cfg = { test_config with Engine.noise_pool_path = Some path } in
-      let encrypt_once () =
-        let resp = ref None in
-        with_engine ~cfg (fun t ->
-            with_client t (fun c ->
-                resp :=
-                  Some
-                    (call_ok c
-                       (request ~id:1 ~op:Proto.Encrypt
-                          ~measure:Distance.Measure.Result
-                          ~queries:hom_queries ()))));
-        match !resp with
-        | Some r -> Proto.render r
-        | None -> Alcotest.fail "no response"
-      in
-      let first = encrypt_once () in
-      check_bool "pool image written at drain" true (Sys.file_exists path);
-      let reloaded = Obs.Registry.counter "kitdpe.server.noise_pool.reloaded" in
-      let before = Obs.Metric.value reloaded in
-      let second = encrypt_once () in
-      check_bool "image reloaded" true (Obs.Metric.value reloaded > before);
-      check_str "ciphertexts bit-identical from reloaded pool" first second)
+let test_restart_identical () =
+  let encrypt_once () =
+    with_engine (fun t ->
+        with_client t (fun c ->
+            call_ok c
+              (request ~id:1 ~op:Proto.Encrypt ~measure:Distance.Measure.Result
+                 ~queries:hom_queries ())))
+  in
+  let first = encrypt_once () in
+  check_str "ok" "ok" (Proto.response_status first);
+  check_str "fresh engines byte-identical" (Proto.render first)
+    (Proto.render (encrypt_once ()))
 
 (* ---- registration ---- *)
 
@@ -813,6 +858,7 @@ let () =
       ("proto",
        [ Alcotest.test_case "defaults" `Quick test_parse_request_defaults;
          Alcotest.test_case "garbage typed" `Quick test_parse_request_garbage;
+         Alcotest.test_case "bounded fields" `Quick test_parse_request_bounds;
          Alcotest.test_case "render/parse inverse" `Quick
            test_render_parse_inverse;
          Alcotest.test_case "response shapes" `Quick test_response_shapes ]);
@@ -836,6 +882,8 @@ let () =
            test_engine_degraded_mine;
          Alcotest.test_case "mine k out of range" `Quick
            test_engine_mine_k_range;
+         Alcotest.test_case "retries and deadline bounded" `Quick
+           test_engine_wire_bounds;
          Alcotest.test_case "index fallback visible" `Quick
            test_engine_index_fallback_visible;
          Alcotest.test_case "drain answers backlog" `Quick
@@ -853,6 +901,6 @@ let () =
            test_client_collect_unknown_id;
          Alcotest.test_case "resend purges stale parked" `Quick
            test_client_resend_purges_stale ]);
-      ("persistence",
-       [ Alcotest.test_case "noise pool across restarts" `Slow
-           test_noise_pool_restart_identical ]) ]
+      ("restart",
+       [ Alcotest.test_case "fresh engines answer a result encrypt byte-identically"
+           `Slow test_restart_identical ]) ]
