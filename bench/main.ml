@@ -1112,28 +1112,24 @@ let perf_index () =
       optimized_ns = t_bk *. 1e9 /. float_of_int n_sample;
       identical = bk_identical };
 
-  (* 3. DBSCAN end-to-end: oracle scans vs the index engine, identical
-     labels (the oracle is itself label-identical to the matrix path —
-     property-tested).  Token space: cheap tree probes, so the probe
-     reduction shows up in wall time (on edit the oracle's banded
-     early-abandon predicate is cheaper per probe than a full tree
-     distance, and the win needs larger n — the vp_range rows above
+  (* 3. DBSCAN end-to-end: brute-force neighbor scans vs the index
+     engine, identical labels.  Token space: cheap tree probes, so the
+     probe reduction shows up in wall time (on edit the brute scan's
+     banded early-abandon predicate is cheaper per probe than a full
+     tree distance, and the win needs larger n — the vp_range rows above
      carry that story). *)
   let n_db = 1000 in
   let sp_db = space_of Index.Space.Token M.Token n_db in
   let vp = Index.Vp_tree.build ~pool ~seed:"p3" sp_db in
-  let oracle =
-    { Mining.Dbscan.o_n = n_db;
-      within = (fun i j -> Index.Space.within sp_db ~eps i j) }
-  in
+  let scans = { Mining.Dbscan.ri_n = n_db; range = brute sp_db } in
   let ri =
     { Mining.Dbscan.ri_n = n_db;
       range = (fun i -> Index.Vp_tree.range vp ~eps i) }
   in
-  let l_oracle = Mining.Dbscan.run_oracle ~min_pts:3 oracle in
+  let l_scans = Mining.Dbscan.run_index ~min_pts:3 scans in
   let l_index = Mining.Dbscan.run_index ~min_pts:3 ri in
-  let t_oracle =
-    time_best ~reps:2 (fun () -> Mining.Dbscan.run_oracle ~min_pts:3 oracle)
+  let t_scans =
+    time_best ~reps:2 (fun () -> Mining.Dbscan.run_index ~min_pts:3 scans)
   in
   let t_index =
     time_best ~reps:2 (fun () -> Mining.Dbscan.run_index ~min_pts:3 ri)
@@ -1141,66 +1137,8 @@ let perf_index () =
   push
     { op = "mining/dbscan_index";
       pe_n = n_db; pe_domains = domains;
-      baseline_ns = t_oracle *. 1e9; optimized_ns = t_index *. 1e9;
-      identical = l_oracle = l_index };
-
-  (* 4. k-medoids at scale: full PAM over the dense matrix vs CLARANS
-     over the feature-table distance function.  [identical] asserts the
-     bounded-error contract: CLARANS cost within 10% of PAM's. *)
-  let n_km = 400 in
-  let k = 4 in
-  let log_km =
-    Workload.Gen_query.skyserver_log
-      { Workload.Gen_query.n = n_km; templates = 8; seed = "p3-km";
-        caps = Workload.Gen_query.caps_for_measure M.Token }
-  in
-  let feats_km = Distance.Features.build ~pool (Array.of_list log_km) in
-  let d_km = Distance.Features.token feats_km in
-  let dm_km = M.matrix ~pool M.default_ctx M.Token log_km in
-  let pam_params = { Mining.Kmedoids.k; max_iter = 50 } in
-  let pam_labels = Mining.Kmedoids.run_pam pam_params dm_km in
-  let partition_cost labels =
-    let total = ref 0.0 in
-    for c = 0 to k - 1 do
-      let members =
-        List.filter (fun i -> labels.(i) = c) (List.init n_km (fun i -> i))
-      in
-      match members with
-      | [] -> ()
-      | _ ->
-        let best = ref infinity in
-        List.iter
-          (fun cand ->
-            let s =
-              List.fold_left (fun acc i -> acc +. d_km cand i) 0.0 members
-            in
-            if s < !best then best := s)
-          members;
-        total := !total +. !best
-    done;
-    !total
-  in
-  let pam_cost = partition_cost pam_labels in
-  let clarans_params =
-    { Mining.Kmedoids.c_k = k; num_local = 2;
-      max_neighbor = max 250 (k * (n_km - k) / 80) }
-  in
-  let run_clarans () =
-    let rng = Crypto.Drbg.create ~seed:"p3-clarans" in
-    Mining.Kmedoids.run_clarans_full
-      ~rand:(fun b -> Crypto.Drbg.uniform_int rng b)
-      clarans_params ~n:n_km ~d:d_km
-  in
-  let _, _, clarans_cost = run_clarans () in
-  let t_pam =
-    time_best ~reps:2 (fun () -> Mining.Kmedoids.run_pam pam_params dm_km)
-  in
-  let t_clarans = time_best ~reps:2 run_clarans in
-  push
-    { op = "mining/kmedoids_clarans";
-      pe_n = n_km; pe_domains = domains;
-      baseline_ns = t_pam *. 1e9; optimized_ns = t_clarans *. 1e9;
-      identical = clarans_cost <= (1.10 *. pam_cost) +. 1e-9 };
+      baseline_ns = t_scans *. 1e9; optimized_ns = t_index *. 1e9;
+      identical = l_scans = l_index };
 
   let entries = List.rev !entries in
   Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"

@@ -240,12 +240,10 @@ let mine_cmd =
   let engine =
     Arg.(value & opt string "auto"
          & info [ "engine" ]
-             ~doc:"Neighbor engine: matrix (dense distance matrix), oracle \
-                   (dbscan over predicate scans, no matrix), index (dbscan \
-                   over a VP-tree; kmedoids by CLARANS, which is approximate \
-                   and may label differently) or auto (the VP-tree for \
-                   dbscan on large indexable logs, matrix otherwise).  auto \
-                   only picks engines whose labels equal the matrix \
+             ~doc:"Neighbor engine: matrix (dense distance matrix), index \
+                   (dbscan over a VP-tree, no matrix) or auto (the VP-tree \
+                   for dbscan on large indexable logs, matrix otherwise).  \
+                   Both engines are exact: index labels equal the matrix \
                    engine's.  An engine that does not cover the algorithm \
                    or measure, or fails, falls back to matrix; the engine \
                    that ran and any fallback reason are printed on stderr.")
@@ -742,8 +740,8 @@ let client_cmd =
   let engine =
     Arg.(value & opt string ""
          & info [ "engine" ]
-             ~doc:"mine: neighbor engine (matrix, oracle or index; empty = \
-                   server default).")
+             ~doc:"mine: neighbor engine (matrix or index; empty = server \
+                   default).")
   in
   let log =
     Arg.(value & pos 0 (some string) None

@@ -229,8 +229,13 @@ let edit_within t ~eps i j =
   else begin
     (* every d with d/n <= eps satisfies d <= eps*n <= bound (the +2
        absorbs float truncation); a banded miss therefore implies
-       d > bound >= eps*n, i.e. the pair is genuinely outside eps *)
-    let bound = min n (int_of_float (eps *. float_of_int n) + 2) in
+       d > bound >= eps*n, i.e. the pair is genuinely outside eps.  The
+       band is clamped to n in floats first: [int_of_float] is undefined
+       past [max_int], and d <= n always holds. *)
+    let band = eps *. float_of_int n in
+    let bound =
+      if band >= float_of_int n then n else min n (int_of_float band + 2)
+    in
     match D_edit.distance_at_most ~bound a.edit_tokens b.edit_tokens with
     | Some d -> float_of_int d /. float_of_int n <= eps
     | None -> false

@@ -14,7 +14,7 @@
 
     The access-area and result measures carry no triangle-inequality
     argument and are deliberately unsupported ({!of_measure} = [None]);
-    callers fall back to the oracle or matrix engines there. *)
+    callers fall back to the matrix engine there. *)
 
 type kind = Token | Structure | Edit | Clause
 

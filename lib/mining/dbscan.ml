@@ -1,10 +1,5 @@
 type params = { eps : float; min_pts : int }
 
-type oracle = {
-  o_n : int;
-  within : int -> int -> bool;
-}
-
 type range_index = {
   ri_n : int;
   range : int -> int list;
@@ -14,32 +9,13 @@ let m_runs = Obs.Registry.counter "kitdpe.mining.dbscan.runs"
 let m_scans = Obs.Registry.counter "kitdpe.mining.dbscan.neighbor_scans"
 let m_clusters = Obs.Registry.counter "kitdpe.mining.dbscan.clusters_found"
 
-(* pairwise predicate evaluations spent inside oracle neighbor scans —
-   the brute-force cost an index engine is bought to avoid, exposed so
-   the two are comparable on one dashboard *)
-let m_oracle_probes = Obs.Registry.counter "kitdpe.mining.dbscan.oracle_probes"
-
-let neighbors m eps i =
-  Obs.Metric.incr m_scans;
-  let n = Dist_matrix.size m in
-  let acc = ref [] in
-  for j = n - 1 downto 0 do
-    if j <> i && Dist_matrix.get m i j <= eps then acc := j :: !acc
-  done;
-  !acc
-
-(* same scan order as [neighbors], so the oracle path assigns identical
-   labels whenever [within i j = (get m i j <= eps)] *)
-let neighbors_oracle o i =
-  Obs.Metric.incr m_scans;
-  Obs.Metric.add m_oracle_probes (o.o_n - 1);
-  let acc = ref [] in
-  for j = o.o_n - 1 downto 0 do
-    if j <> i && o.within i j then acc := j :: !acc
-  done;
-  !acc
-
-let expand ~n ~min_pts ~neighbors =
+(* the one DBSCAN core: every neighborhood comes from [range], whether
+   a matrix scan or an index query answers it *)
+let expand ~n ~min_pts ~range =
+  let neighbors i =
+    Obs.Metric.incr m_scans;
+    range i
+  in
   let labels = Array.make n (-2) in
   (* -2 unvisited, -1 noise, >= 0 cluster id *)
   let cluster = ref (-1) in
@@ -68,41 +44,27 @@ let expand ~n ~min_pts ~neighbors =
   done;
   labels
 
-let run_core { eps; min_pts } m =
-  expand ~n:(Dist_matrix.size m) ~min_pts ~neighbors:(neighbors m eps)
-
-let record_run ~n labels t0 =
+let run_index ~min_pts ri =
+  let t0 = Obs.time_start () in
+  let labels = expand ~n:ri.ri_n ~min_pts ~range:ri.range in
   if t0 > 0 then begin
     Obs.Metric.incr m_runs;
     Obs.Metric.add m_clusters (Array.fold_left max (-1) labels + 1);
     Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "dbscan(n=%d)" n)
+      ~name:(Printf.sprintf "dbscan(n=%d)" ri.ri_n)
       ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ()
-  end
-
-let run p m =
-  let t0 = Obs.time_start () in
-  let labels = run_core p m in
-  record_run ~n:(Dist_matrix.size m) labels t0;
+  end;
   labels
 
-let run_oracle ~min_pts o =
-  let t0 = Obs.time_start () in
-  let labels = expand ~n:o.o_n ~min_pts ~neighbors:(neighbors_oracle o) in
-  record_run ~n:o.o_n labels t0;
-  labels
-
-(* index engine: neighborhoods answered by a pre-built metric index.
-   [range] already returns ascending neighbor lists — the same order
-   [neighbors]/[neighbors_oracle] produce by their downto-prepend scan —
-   so [expand] consumes identical neighbor sequences and assigns
-   identical labels. *)
-let neighbors_index ri i =
-  Obs.Metric.incr m_scans;
-  ri.range i
-
-let run_index ~min_pts ri =
-  let t0 = Obs.time_start () in
-  let labels = expand ~n:ri.ri_n ~min_pts ~neighbors:(neighbors_index ri) in
-  record_run ~n:ri.ri_n labels t0;
-  labels
+(* the matrix's eps-neighborhoods, ascending: the downto-prepend scan
+   yields the order an index's [range] returns *)
+let run { eps; min_pts } m =
+  let n = Dist_matrix.size m in
+  let range i =
+    let acc = ref [] in
+    for j = n - 1 downto 0 do
+      if j <> i && Dist_matrix.get m i j <= eps then acc := j :: !acc
+    done;
+    !acc
+  in
+  run_index ~min_pts { ri_n = n; range }

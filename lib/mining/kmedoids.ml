@@ -164,132 +164,6 @@ let run_pam p m =
   done;
   assign m medoids
 
-(* ---- CLARANS (Ng & Han): randomized-sampled PAM for large n ----
-
-   PAM examines every (medoid, non-medoid) swap per sweep: O(k·(n-k)·n)
-   distance evaluations, on top of an O(n²) matrix.  CLARANS walks the
-   same swap graph but examines only [max_neighbor] uniformly sampled
-   neighbors of the current node before declaring it a local optimum,
-   and restarts [num_local] times keeping the best.  It needs no matrix
-   — only a distance function — so it is the k-medoids engine for logs
-   too large to materialize.
-
-   The swap delta is computed in O(n) from nearest/second-nearest
-   bookkeeping (the standard PAM decomposition): for a swap replacing
-   the medoid in slot [c] with candidate [h], point [i] contributes
-   [min d(i,h) d2(i) - d1(i)] if its nearest medoid is the one leaving,
-   and [min (d(i,h) - d1(i)) 0] otherwise.
-
-   Determinism: the walk consumes randomness only through the
-   caller-supplied [rand] in a fixed order, so a deterministic [rand]
-   (e.g. Crypto.Drbg-backed) makes the whole run a pure function of
-   (rand, params, d). *)
-
-type clarans_params = { c_k : int; num_local : int; max_neighbor : int }
-
-let clarans_nearest ~k ~d medoids near d1 d2 n =
-  for i = 0 to n - 1 do
-    let b = ref 0 and bd = ref infinity and sd = ref infinity in
-    for c = 0 to k - 1 do
-      let dd = d i medoids.(c) in
-      if dd < !bd then begin
-        sd := !bd;
-        bd := dd;
-        b := c
-      end
-      else if dd < !sd then sd := dd
-    done;
-    near.(i) <- !b;
-    d1.(i) <- !bd;
-    d2.(i) <- !sd
-  done
-
-let run_clarans_full ~rand { c_k = k; num_local; max_neighbor } ~n ~d =
-  if k <= 0 || k > n then invalid_arg "Kmedoids.clarans: k out of range";
-  if num_local <= 0 || max_neighbor <= 0 then
-    invalid_arg "Kmedoids.clarans: num_local/max_neighbor must be positive";
-  let t0 = Obs.time_start () in
-  Obs.Metric.incr m_runs;
-  let best_medoids = ref [||] and best_cost = ref infinity in
-  for _local = 1 to num_local do
-    let medoids = Array.make k 0 in
-    let is_medoid = Array.make n false in
-    let filled = ref 0 in
-    while !filled < k do
-      let cand = rand n in
-      if not is_medoid.(cand) then begin
-        is_medoid.(cand) <- true;
-        medoids.(!filled) <- cand;
-        incr filled
-      end
-    done;
-    let near = Array.make n 0 in
-    let d1 = Array.make n infinity in
-    let d2 = Array.make n infinity in
-    clarans_nearest ~k ~d medoids near d1 d2 n;
-    let examined = ref 0 in
-    while !examined < max_neighbor do
-      incr examined;
-      Obs.Metric.incr m_iterations;
-      let c = rand k in
-      let h = ref (rand n) in
-      (* re-draw when the candidate is already a medoid; bounded so a
-         pathological rand cannot spin forever (a medoid draw is then
-         simply a wasted neighbor) *)
-      let redraws = ref 0 in
-      while is_medoid.(!h) && !redraws < 64 do
-        h := rand n;
-        incr redraws
-      done;
-      if not is_medoid.(!h) then begin
-        let h = !h in
-        let delta = ref 0.0 in
-        for i = 0 to n - 1 do
-          let dh = d i h in
-          if near.(i) = c then
-            delta := !delta +. (Float.min dh d2.(i) -. d1.(i))
-          else if dh < d1.(i) then delta := !delta +. (dh -. d1.(i))
-        done;
-        if !delta < -1e-12 then begin
-          is_medoid.(medoids.(c)) <- false;
-          is_medoid.(h) <- true;
-          medoids.(c) <- h;
-          clarans_nearest ~k ~d medoids near d1 d2 n;
-          (* moved to a better node: restart its neighbor count *)
-          examined := 0
-        end
-      end
-    done;
-    let cost = Array.fold_left ( +. ) 0.0 d1 in
-    if cost < !best_cost then begin
-      best_cost := cost;
-      best_medoids := Array.copy medoids
-    end
-  done;
-  let medoids = !best_medoids in
-  (* same tie rule as [assign]: strict [<], first (lowest) slot wins *)
-  let labels =
-    Array.init n (fun i ->
-        let b = ref 0 and bd = ref infinity in
-        for c = 0 to k - 1 do
-          let dd = d i medoids.(c) in
-          if dd < !bd then begin
-            b := c;
-            bd := dd
-          end
-        done;
-        !b)
-  in
-  if t0 > 0 then
-    Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "clarans(n=%d,k=%d)" n k)
-      ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ();
-  (medoids, labels, !best_cost)
-
-let run_clarans ~rand p ~n ~d =
-  let _, labels, _ = run_clarans_full ~rand p ~n ~d in
-  labels
-
 let medoids p m =
   let ms, _ = run_full p m in
   Array.sort Int.compare ms;

@@ -5,7 +5,7 @@
 module M = Distance.Measure
 
 type algo = Dbscan | Kmedoids | Outliers | Clink
-type engine = Matrix | Oracle | Index | Clarans
+type engine = Matrix | Index
 
 type t = {
   measure : M.t;
@@ -16,11 +16,7 @@ type t = {
 
 let auto_index_threshold = 512
 
-let engine_name = function
-  | Matrix -> "matrix"
-  | Oracle -> "oracle"
-  | Index -> "index"
-  | Clarans -> "clarans"
+let engine_name = function Matrix -> "matrix" | Index -> "index"
 
 let protocol fmt =
   Printf.ksprintf (fun reason -> Error (Fault.Error.Protocol { reason })) fmt
@@ -49,17 +45,15 @@ let plan ~measure ~algo:algo_s ~engine:requested ~n ~k =
     | "matrix", _ -> planned Matrix
     | "auto", Dbscan when indexable && n >= auto_index_threshold -> planned Index
     | "auto", _ -> planned Matrix
-    | "oracle", Dbscan when indexable -> planned Oracle
     | "index", Dbscan when indexable -> planned Index
-    | "index", Kmedoids when indexable -> planned Clarans
-    | ("oracle" | "index"), _ ->
+    | "index", _ ->
       Ok
         { measure; algo; engine = Matrix;
           fallback =
             Some
-              (Printf.sprintf "engine %s does not cover algo %s on measure %s"
-                 requested algo_s (M.to_string measure)) }
-    | other, _ -> protocol "unknown engine %S (auto, matrix, oracle or index)" other)
+              (Printf.sprintf "engine index does not cover algo %s on measure %s"
+                 algo_s (M.to_string measure)) }
+    | other, _ -> protocol "unknown engine %S (auto, matrix or index)" other)
 
 type params = { k : int; eps : float; seed : string }
 
@@ -74,32 +68,19 @@ let on_matrix p t dm =
     |> Array.map (fun b -> if b then 1 else 0)
   | Clink -> Mining.Hier.cut_k p.k dm
 
-(* the matrix-free engines over the feature table; every failure,
-   including an armed fault point, comes back typed *)
-let neighbors ctx p t log =
+(* DBSCAN over VP-tree range queries on the feature table; every
+   failure, including an armed fault point, comes back typed *)
+let via_index p t log =
   Fault.protect ~context:"Server.Mine_plan.run" (fun () ->
-      let n = List.length log in
       let feats = Distance.Features.build (Array.of_list log) in
-      (* [plan] picks these engines for indexable measures only *)
-      let space () = Option.get (Index.Space.of_measure t.measure feats) in
-      match t.engine with
-      | Oracle ->
-        let sp = space () in
-        Mining.Dbscan.run_oracle ~min_pts
-          { Mining.Dbscan.o_n = n;
-            within = (fun i j -> Index.Space.within sp ~eps:p.eps i j) }
-      | Index ->
-        let tree = Index.Vp_tree.build ~seed:p.seed (space ()) in
-        Mining.Dbscan.run_index ~min_pts
-          { Mining.Dbscan.ri_n = n;
-            range = (fun i -> Index.Vp_tree.range tree ~eps:p.eps i) }
-      | Clarans | Matrix (* [run] never sends Matrix here *) ->
-        let rng = Crypto.Drbg.create ~seed:(p.seed ^ "/clarans") in
-        Mining.Kmedoids.run_clarans ~rand:(Crypto.Drbg.uniform_int rng)
-          { Mining.Kmedoids.c_k = p.k;
-            num_local = 2;
-            max_neighbor = max 250 (p.k * (n - p.k) / 80) }
-          ~n ~d:(M.pair_of_features ctx t.measure feats))
+      (* [plan] picks Index for indexable measures only *)
+      let tree =
+        Index.Vp_tree.build ~seed:p.seed
+          (Option.get (Index.Space.of_measure t.measure feats))
+      in
+      Mining.Dbscan.run_index ~min_pts
+        { Mining.Dbscan.ri_n = List.length log;
+          range = (fun i -> Index.Vp_tree.range tree ~eps:p.eps i) })
 
 let run ?(ctx = M.default_ctx) p t log =
   let via_matrix t =
@@ -107,8 +88,8 @@ let run ?(ctx = M.default_ctx) p t log =
   in
   match t.engine with
   | Matrix -> via_matrix t
-  | Oracle | Index | Clarans -> (
-    match neighbors ctx p t log with
+  | Index -> (
+    match via_index p t log with
     | Ok labels -> (t, Ok labels)
     | Error e ->
       via_matrix
@@ -116,5 +97,5 @@ let run ?(ctx = M.default_ctx) p t log =
           engine = Matrix;
           fallback =
             Some
-              (Printf.sprintf "%s engine failed: %s" (engine_name t.engine)
+              (Printf.sprintf "index engine failed: %s"
                  (Fault.Error.to_string e)) })

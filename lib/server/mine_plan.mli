@@ -5,23 +5,19 @@
 
     {v
     algo      measure     engine requested       engine planned
-    dbscan    indexable   oracle                 Oracle
     dbscan    indexable   index, or auto n>=512  Index
-    kmedoids  indexable   index                  Clarans (approximate)
     any       any         matrix, or auto        Matrix
-    any       any         oracle, index          Matrix + fallback reason
+    any       any         index                  Matrix + fallback reason
     v}
 
-    [Oracle] and [Index] label bit-identically to [Matrix]; [Clarans]
-    may not, so [auto] never picks it. *)
+    Both engines are exact: [Index] labels bit-identically to
+    [Matrix]. *)
 
 type algo = Dbscan | Kmedoids | Outliers | Clink
 
 type engine =
   | Matrix  (** dense pairwise matrix ({!Distance.Measure.matrix_r}) *)
-  | Oracle  (** DBSCAN over exact eps-predicate scans, no matrix *)
   | Index  (** DBSCAN over VP-tree range queries, no matrix *)
-  | Clarans  (** k-medoids by CLARANS over the feature table; approximate *)
 
 type t = {
   measure : Distance.Measure.t;
@@ -31,7 +27,7 @@ type t = {
 }
 
 val engine_name : engine -> string
-(** ["matrix"], ["oracle"], ["index"] or ["clarans"]. *)
+(** ["matrix"] or ["index"]. *)
 
 val k_fits : algo -> k:int -> n:int -> bool
 (** [kmedoids] and [clink] need [1 <= k <= n] on [n] queries; [dbscan]
@@ -41,13 +37,13 @@ val plan :
   measure:Distance.Measure.t -> algo:string -> engine:string -> n:int
   -> k:int -> (t, Fault.Error.t) result
 (** [algo] is [dbscan], [kmedoids], [outliers] or [clink]; [engine] is
-    [auto], [matrix], [oracle] or [index]; anything else, or a [k] that
-    fails {!k_fits} on [n], is [Error (Protocol _)]. *)
+    [auto], [matrix] or [index]; anything else, or a [k] that fails
+    {!k_fits} on [n], is [Error (Protocol _)]. *)
 
 type params = {
   k : int;  (** cluster count (kmedoids, clink) *)
   eps : float;  (** DBSCAN radius / outlier distance threshold *)
-  seed : string;  (** VP-tree vantage and CLARANS draw seed *)
+  seed : string;  (** VP-tree vantage seed *)
 }
 
 val on_matrix : params -> t -> Mining.Dist_matrix.t -> int array
@@ -59,9 +55,9 @@ val run :
   ?ctx:Distance.Measure.ctx -> params -> t -> Sqlir.Ast.query list
   -> t * (int array, Fault.Error.t list) result
 (** Execute the plan; returns the plan that actually ran and its
-    labels.  A neighbor engine that fails at runtime (feature build,
-    index build, an armed fault) falls back to [Matrix] with the typed
-    error as the [fallback] reason.  [Matrix] builds
+    labels.  An [Index] run that fails (feature build, index build, an
+    armed fault) falls back to [Matrix] with the typed error as the
+    [fallback] reason.  [Matrix] builds
     {!Distance.Measure.matrix_r} under [ctx] (default
     {!Distance.Measure.default_ctx}); its errors are the [Error] case,
     for the caller to degrade or report. *)

@@ -93,7 +93,7 @@ type request = {
   queries : string list;
 }
 
-let engines = [ "matrix"; "oracle"; "index" ]
+let engines = [ "matrix"; "index" ]
 
 let max_retries = 8
 let max_deadline_ms = 86_400_000

@@ -31,7 +31,7 @@ type request = {
           [[1, max_deadline_ms]] *)
   retries : int;           (** per-item retry budget, in [[0, max_retries]] *)
   engine : string option;
-      (** mine: neighbor engine — ["matrix"], ["oracle"] or ["index"];
+      (** mine: neighbor engine — ["matrix"] or ["index"];
           absent means the server's default (matrix) path, so existing
           clients are unaffected *)
   queries : string list;   (** SQL text, one query per entry *)

@@ -499,14 +499,15 @@ let test_features_evaluators () =
       pair "edit" (Distance.Features.edit t i j)
         (Distance.Measure.compute ctx Distance.Measure.Edit qs.(i) qs.(j));
       (* edit_within agrees with the exact normalized comparison at
-         several thresholds, including ones the band rejects *)
+         several thresholds, including ones the band rejects and ones
+         whose band eps*n exceeds max_int *)
       List.iter
         (fun eps ->
           check_bool
-            (Printf.sprintf "edit_within eps=%.2f (%d,%d)" eps i j)
+            (Printf.sprintf "edit_within eps=%g (%d,%d)" eps i j)
             (Distance.Features.edit t i j <= eps)
             (Distance.Features.edit_within t ~eps i j))
-        [ 0.0; 0.1; 0.3; 0.5; 0.9; 1.0 ]
+        [ 0.0; 0.1; 0.3; 0.5; 0.9; 1.0; 1e17; 1e20; 1e300; infinity ]
     done
   done
 

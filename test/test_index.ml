@@ -1,7 +1,6 @@
 (* Metric indexes (lib/index): exactness against brute force, structural
-   determinism across pool sizes, engine equivalence for DBSCAN, the
-   CLARANS cost bound against full PAM, and the ["index.build"] fault
-   surface. *)
+   determinism across pool sizes, engine equivalence for DBSCAN, and the
+   ["index.build"] fault surface. *)
 
 module F = Distance.Features
 module M = Distance.Measure
@@ -146,100 +145,19 @@ let test_dbscan_engines_identical () =
       let log = gen_log ~n:70 ~seed:("eng-" ^ name) m in
       let feats = F.build (Array.of_list log) in
       let sp = Index.Space.of_kind kind feats in
-      let n = Index.Space.size sp in
       let dm = M.matrix M.default_ctx m log in
       let via_matrix = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm in
-      let via_oracle =
-        Mining.Dbscan.run_oracle ~min_pts:3
-          { Mining.Dbscan.o_n = n;
-            within = (fun i j -> Index.Space.within sp ~eps i j) }
-      in
       let tree = Index.Vp_tree.build ~seed:"t" sp in
       let via_index =
         Mining.Dbscan.run_index ~min_pts:3
-          { Mining.Dbscan.ri_n = n;
+          { Mining.Dbscan.ri_n = Index.Space.size sp;
             range = (fun i -> Index.Vp_tree.range tree ~eps i) }
       in
-      check_labels (name ^ " oracle = matrix") via_matrix via_oracle;
-      check_labels (name ^ " index = matrix") via_matrix via_index)
-    kinds
-
-let test_oracle_probe_counter () =
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-  let feats = feats_of ~n:20 ~seed:"probes" M.Token in
-  let sp = Index.Space.of_kind Index.Space.Token feats in
-  (* the registry memoizes by name: this is the very counter the oracle
-     path increments *)
-  let probes = Obs.Registry.counter "kitdpe.mining.dbscan.oracle_probes" in
-  let before = Obs.Metric.value probes in
-  ignore
-    (Mining.Dbscan.run_oracle ~min_pts:3
-       { Mining.Dbscan.o_n = 20;
-         within = (fun i j -> Index.Space.within sp ~eps:0.4 i j) });
-  let spent = Obs.Metric.value probes - before in
-  check_bool "probes counted per scan" true (spent >= 19 && spent mod 19 = 0)
-
-(* ---- CLARANS vs full PAM ---- *)
-
-let test_clarans_cost_bound () =
-  let m = M.Token in
-  let log = gen_log ~n:48 ~seed:"clarans" m in
-  let dm = M.matrix M.default_ctx m log in
-  let n = Mining.Dist_matrix.size dm in
-  let k = 4 in
-  let pam_labels = Mining.Kmedoids.run_pam { Mining.Kmedoids.k; max_iter = 50 } dm in
-  (* PAM cost from its labels: each point to its cluster's medoid is not
-     directly exposed, so recompute the best-medoid cost of the PAM
-     partition via the cluster-minimizing medoid definition *)
-  let pam_cost =
-    let total = ref 0.0 in
-    for c = 0 to k - 1 do
-      let members =
-        List.filter (fun i -> pam_labels.(i) = c) (List.init n (fun i -> i))
-      in
-      match members with
-      | [] -> ()
-      | _ ->
-        let best = ref infinity in
-        List.iter
-          (fun cand ->
-            let s =
-              List.fold_left
-                (fun acc i -> acc +. Mining.Dist_matrix.get dm cand i)
-                0.0 members
-            in
-            if s < !best then best := s)
-          members;
-        total := !total +. !best
-    done;
-    !total
-  in
-  let rng = Crypto.Drbg.create ~seed:"clarans-test" in
-  let rand b = Crypto.Drbg.uniform_int rng b in
-  let _, labels, cost =
-    Mining.Kmedoids.run_clarans_full ~rand
-      { Mining.Kmedoids.c_k = k; num_local = 3; max_neighbor = 250 }
-      ~n
-      ~d:(fun i j -> Mining.Dist_matrix.get dm i j)
-  in
-  check_int "labels cover all points" n (Array.length labels);
-  Array.iter (fun l -> check_bool "label in range" true (l >= 0 && l < k)) labels;
-  check_bool
-    (Printf.sprintf "clarans cost %.4f within 1.10x of pam %.4f" cost pam_cost)
-    true
-    (cost <= (1.10 *. pam_cost) +. 1e-9)
-
-let test_clarans_deterministic () =
-  let d i j = Float.abs (float_of_int i -. float_of_int j) /. 10.0 in
-  let run () =
-    let rng = Crypto.Drbg.create ~seed:"det" in
-    Mining.Kmedoids.run_clarans
-      ~rand:(fun b -> Crypto.Drbg.uniform_int rng b)
-      { Mining.Kmedoids.c_k = 3; num_local = 2; max_neighbor = 60 }
-      ~n:30 ~d
-  in
-  check_labels "same rand, same labels" (run ()) (run ())
+      check_labels (Printf.sprintf "%s eps=%g index = matrix" name eps)
+        via_matrix via_index)
+    (* an eps whose edit band eps*n exceeds max_int: every pair is
+       within, so all points form one cluster *)
+    (kinds @ [ ("edit", Index.Space.Edit, 1e20) ])
 
 (* ---- faults ---- *)
 
@@ -300,10 +218,6 @@ let () =
             test_fingerprint_pool_independent;
           Alcotest.test_case "seed changes tree" `Quick test_seed_changes_tree ] );
       ( "dbscan",
-        [ Alcotest.test_case "engines identical" `Quick test_dbscan_engines_identical;
-          Alcotest.test_case "oracle probes counted" `Quick test_oracle_probe_counter ] );
-      ( "clarans",
-        [ Alcotest.test_case "cost within bound of PAM" `Quick test_clarans_cost_bound;
-          Alcotest.test_case "deterministic" `Quick test_clarans_deterministic ] );
+        [ Alcotest.test_case "engines identical" `Quick test_dbscan_engines_identical ] );
       ( "faults",
         [ Alcotest.test_case "build_r contains" `Quick test_build_r_contains ] ) ]

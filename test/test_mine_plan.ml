@@ -2,8 +2,7 @@
    one table row per decision case.  Each row names a request, the
    engine the planner must choose, and whether it must report a
    fallback; the row is then run and its labels checked against the
-   plain algorithm over Measure.matrix wherever the engine claims
-   identical labels. *)
+   plain algorithm over Measure.matrix: every engine is exact. *)
 
 module M = Distance.Measure
 module P = Server.Mine_plan
@@ -22,19 +21,14 @@ let row ?(n = 70) measure algo engine expect ~falls_back =
   { measure; algo; engine; n; expect; falls_back }
 
 let table =
-  [ row M.Token "dbscan" "oracle" P.Oracle ~falls_back:false;
-    row M.Edit "dbscan" "index" P.Index ~falls_back:false;
+  [ row M.Edit "dbscan" "index" P.Index ~falls_back:false;
     row M.Clause "dbscan" "index" P.Index ~falls_back:false;
     row ~n:512 M.Token "dbscan" "auto" P.Index ~falls_back:false;
     row ~n:511 M.Token "dbscan" "auto" P.Matrix ~falls_back:false;
-    (* the CLARANS swap regression: auto must keep Park-Jun k-medoids *)
     row ~n:512 M.Token "kmedoids" "auto" P.Matrix ~falls_back:false;
-    row M.Structure "kmedoids" "index" P.Clarans ~falls_back:false;
-    row M.Token "kmedoids" "oracle" P.Matrix ~falls_back:true;
+    row M.Structure "kmedoids" "index" P.Matrix ~falls_back:true;
     row M.Edit "clink" "index" P.Matrix ~falls_back:true;
-    row M.Structure "outliers" "oracle" P.Matrix ~falls_back:true;
     row M.Access "dbscan" "index" P.Matrix ~falls_back:true;
-    row M.Access "dbscan" "oracle" P.Matrix ~falls_back:true;
     row M.Result "dbscan" "index" P.Matrix ~falls_back:true;
     row M.Result "kmedoids" "auto" P.Matrix ~falls_back:false;
     row M.Token "clink" "matrix" P.Matrix ~falls_back:false;
@@ -61,8 +55,8 @@ let ctx_for r log =
     M.ctx_with_db (Workload.Gen_db.for_log ~seed:"plan" ~rows:48 log)
   else M.default_ctx
 
-(* the plain algorithm over the dense matrix: what every label-identical
-   engine must reproduce *)
+(* the plain algorithm over the dense matrix: what every engine must
+   reproduce *)
 let reference r ctx log =
   let dm = M.matrix ctx r.measure log in
   match r.algo with
@@ -103,25 +97,12 @@ let test_row r () =
   Alcotest.(check string) "ran as planned" (P.engine_name plan.P.engine)
     (P.engine_name ran.P.engine);
   Alcotest.(check int) "one label per query" r.n (Array.length labels);
-  match r.expect with
-  | P.Clarans ->
-    (* approximate: no label identity, but a seeded, deterministic
-       k-labelling *)
-    Array.iter
-      (fun l ->
-        Alcotest.(check bool) "label in range" true (l >= 0 && l < params.k))
-      labels;
-    Alcotest.(check (array int)) "same seed, same labels" labels
-      (match snd (P.run ~ctx params plan log) with
-       | Ok l -> l
-       | Error _ -> Alcotest.fail "rerun failed")
-  | P.Matrix | P.Oracle | P.Index ->
-    Alcotest.(check (array int)) "labels = plain algorithm on Measure.matrix"
-      (reference r ctx log) labels;
-    (* an all-noise DBSCAN would make the identity vacuous *)
-    if r.algo = "dbscan" then
-      Alcotest.(check bool) "some point clustered" true
-        (Array.exists (fun l -> l >= 0) labels)
+  Alcotest.(check (array int)) "labels = plain algorithm on Measure.matrix"
+    (reference r ctx log) labels;
+  (* an all-noise DBSCAN would make the identity vacuous *)
+  if r.algo = "dbscan" then
+    Alcotest.(check bool) "some point clustered" true
+      (Array.exists (fun l -> l >= 0) labels)
 
 let test_unknown_algo () =
   match P.plan ~measure:M.Token ~algo:"foo" ~engine:"auto" ~n:10 ~k:2 with
@@ -130,10 +111,21 @@ let test_unknown_algo () =
       "unknown algo \"foo\" (dbscan, kmedoids, outliers or clink)" reason
   | _ -> Alcotest.fail "unknown algo must be a protocol error"
 
+(* "oracle" is as unknown as any other name, for every algo and
+   measure *)
 let test_unknown_engine () =
-  match P.plan ~measure:M.Token ~algo:"dbscan" ~engine:"tiles" ~n:10 ~k:2 with
-  | Error (Fault.Error.Protocol _) -> ()
-  | _ -> Alcotest.fail "unknown engine must be a protocol error"
+  List.iter
+    (fun (measure, algo, engine) ->
+      match P.plan ~measure ~algo ~engine ~n:70 ~k:4 with
+      | Error (Fault.Error.Protocol _) -> ()
+      | _ ->
+        Alcotest.failf "%s %s --engine %s must be a protocol error"
+          (M.to_string measure) algo engine)
+    [ (M.Token, "dbscan", "tiles");
+      (M.Token, "dbscan", "oracle");
+      (M.Token, "kmedoids", "oracle");
+      (M.Structure, "outliers", "oracle");
+      (M.Access, "dbscan", "oracle") ]
 
 (* k is checked before any matrix exists: kmedoids and clink need
    1 <= k <= n, while dbscan and outliers ignore k *)

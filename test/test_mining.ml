@@ -250,8 +250,8 @@ let mining_determinism =
         let labels = Mining.Hier.cut_k 2 m in
         Mining.Labeling.adjusted_rand_index labels labels = 1.0) ]
 
-(* ---- PR-5: eps-oracle DBSCAN and early-abandon k-medoids are
-   output-identical to the plain-matrix evaluations ---- *)
+(* ---- DBSCAN over an independent neighbor source and early-abandon
+   k-medoids are output-identical to the plain-matrix evaluations ---- *)
 
 (* a no-abandon reference k-medoids: the same algorithm as
    Mining.Kmedoids (Park–Jun init, alternation, PAM swap) with every
@@ -366,13 +366,17 @@ end
 let pr5_identity =
   let arb = arb_matrix in
   let arb_eps = QCheck.pair arb_matrix (QCheck.float_range 0.5 60.0) in
-  [ QCheck.Test.make ~name:"dbscan oracle = dbscan matrix" ~count:150 arb_eps
+  [ QCheck.Test.make ~name:"dbscan brute range = dbscan matrix" ~count:150
+      arb_eps
       (fun (m, eps) ->
-        let oracle =
-          { Mining.Dbscan.o_n = Mining.Dist_matrix.size m;
-            within = (fun i j -> Mining.Dist_matrix.get m i j <= eps) }
+        let n = Mining.Dist_matrix.size m in
+        (* the same [d <= eps] decision, filtered ascending *)
+        let range i =
+          List.filter
+            (fun j -> j <> i && Mining.Dist_matrix.get m i j <= eps)
+            (List.init n Fun.id)
         in
-        Mining.Dbscan.run_oracle ~min_pts:2 oracle
+        Mining.Dbscan.run_index ~min_pts:2 { Mining.Dbscan.ri_n = n; range }
         = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 2 } m);
     QCheck.Test.make ~name:"kmedoids abandon = full reference" ~count:150 arb
       (fun m ->

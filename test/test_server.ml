@@ -192,6 +192,7 @@ let test_parse_request_bounds () =
     ((accepted "deadline max"
         (req (Printf.sprintf {|"deadline_ms":%d|} Proto.max_deadline_ms))).Proto.deadline_ms
      = Some Proto.max_deadline_ms);
+  refused "engine oracle" (req {|"engine":"oracle"|});
   refused "k 2.7" (req {|"k":2.7|});
   refused "k 1e300" (req {|"k":1e300|});
   match Proto.parse_request {|{"id":1.5,"op":"health"}|} with
@@ -611,6 +612,21 @@ let test_engine_index_fallback_visible () =
                   (contains reason "index.build")
               | None -> Alcotest.fail "no fallback reason")))
 
+let test_engine_kmedoids_index_fallback () =
+  (* "index" does not cover kmedoids, so the request runs on the
+     matrix, says so, and labels like a "matrix" request *)
+  with_engine (fun t ->
+      with_client t (fun c ->
+          let kmedoids engine = call_ok c (request ~algo:"kmedoids" ~engine ()) in
+          let via_matrix = kmedoids "matrix" and via_index = kmedoids "index" in
+          check_str "kmedoids index ok" "ok" (Proto.response_status via_index);
+          check_bool "kmedoids index: the matrix engine ran" true
+            (str_field "engine" via_index = Some "matrix");
+          check_bool "kmedoids index: fallback reported" true
+            (J.member "fallback" via_index <> None);
+          Alcotest.(check (array int)) "kmedoids index labels = matrix labels"
+            (labels_of via_matrix) (labels_of via_index)))
+
 let test_engine_drain_answers_backlog () =
   (* requests in flight when drain starts are all answered: zero dropped *)
   let cfg = { test_config with Engine.workers = 1 } in
@@ -886,6 +902,8 @@ let () =
            test_engine_wire_bounds;
          Alcotest.test_case "index fallback visible" `Quick
            test_engine_index_fallback_visible;
+         Alcotest.test_case "kmedoids index falls back" `Quick
+           test_engine_kmedoids_index_fallback;
          Alcotest.test_case "drain answers backlog" `Quick
            test_engine_drain_answers_backlog;
          Alcotest.test_case "rejects after drain" `Quick
