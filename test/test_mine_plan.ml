@@ -36,8 +36,21 @@ let table =
 
 let params = { P.k = 4; eps = 0.4; seed = "plan-test" }
 
-let name r =
-  Printf.sprintf "%s %s %s n=%d" (M.to_string r.measure) r.algo r.engine r.n
+(* requests the planner must refuse with a Protocol error: "oracle" was
+   an engine once and is now as unknown as any other name, for every algo
+   and measure *)
+let refused =
+  [ (M.Token, "dbscan", "oracle");
+    (M.Token, "kmedoids", "oracle");
+    (M.Structure, "outliers", "oracle");
+    (M.Access, "dbscan", "oracle") ]
+
+let refused_n = 70
+
+let name_of measure algo engine n =
+  Printf.sprintf "%s %s %s n=%d" (M.to_string measure) algo engine n
+
+let name r = name_of r.measure r.algo r.engine r.n
 
 (* parse: the log as the CLI and the server see it *)
 let parse_log r =
@@ -111,21 +124,19 @@ let test_unknown_algo () =
       "unknown algo \"foo\" (dbscan, kmedoids, outliers or clink)" reason
   | _ -> Alcotest.fail "unknown algo must be a protocol error"
 
-(* "oracle" is as unknown as any other name, for every algo and
-   measure *)
+let test_refused (measure, algo, engine) () =
+  match P.plan ~measure ~algo ~engine ~n:refused_n ~k:params.k with
+  | Error (Fault.Error.Protocol { reason }) ->
+    Alcotest.(check bool) "reason names the engine" true
+      (String.starts_with
+         ~prefix:(Printf.sprintf "unknown engine %S" engine)
+         reason)
+  | _ -> Alcotest.fail "an unknown engine must be a protocol error"
+
 let test_unknown_engine () =
-  List.iter
-    (fun (measure, algo, engine) ->
-      match P.plan ~measure ~algo ~engine ~n:70 ~k:4 with
-      | Error (Fault.Error.Protocol _) -> ()
-      | _ ->
-        Alcotest.failf "%s %s --engine %s must be a protocol error"
-          (M.to_string measure) algo engine)
-    [ (M.Token, "dbscan", "tiles");
-      (M.Token, "dbscan", "oracle");
-      (M.Token, "kmedoids", "oracle");
-      (M.Structure, "outliers", "oracle");
-      (M.Access, "dbscan", "oracle") ]
+  match P.plan ~measure:M.Token ~algo:"dbscan" ~engine:"tiles" ~n:10 ~k:2 with
+  | Error (Fault.Error.Protocol _) -> ()
+  | _ -> Alcotest.fail "unknown engine must be a protocol error"
 
 (* k is checked before any matrix exists: kmedoids and clink need
    1 <= k <= n, while dbscan and outliers ignore k *)
@@ -183,7 +194,13 @@ let test_runtime_fallback () =
 let () =
   Alcotest.run "mine_plan"
     [ ("table",
-       List.map (fun r -> Alcotest.test_case (name r) `Quick (test_row r)) table);
+       List.map (fun r -> Alcotest.test_case (name r) `Quick (test_row r)) table
+       @ List.map
+           (fun ((measure, algo, engine) as req) ->
+             Alcotest.test_case
+               (name_of measure algo engine refused_n)
+               `Quick (test_refused req))
+           refused);
       ("errors",
        [ Alcotest.test_case "unknown algo" `Quick test_unknown_algo;
          Alcotest.test_case "unknown engine" `Quick test_unknown_engine;
