@@ -136,6 +136,56 @@ let test_seed_changes_tree () =
   check_bool "different seeds, different vantages" true (fp "a" <> fp "b");
   check_string "same seed, same tree" (fp "a") (fp "a")
 
+(* ---- golden trees: pinned structure and pruning ---- *)
+
+(* SHA-256 of each tree's fingerprint and the probe total of an eps 0.1
+   range query from every point, on a fixed 300-query log per measure.
+   Recorded from the reference implementation: a refactor of the trees
+   or the feature table must leave every row unchanged. *)
+let golden_trees =
+  [ ("vp", "token", M.Token, 35_993,
+     "8e93e77bbd992ad6c155435c12486d74ac986528f8c66c1e0875cc5e02967532");
+    ("vp", "edit", M.Edit, 53_436,
+     "7d43c631ecc2e83ad0f31b6f53435aab11ef78e105b4681613058150518b253c");
+    ("vp", "structure", M.Structure, 35_064,
+     "b911ef3131a01ae01f17f19d7a4f08db052544440e30cb2bdbc0cad5c8e1e967");
+    ("vp", "clause", M.Clause, 50_152,
+     "d06ce5d73d0410a9198182fca4b6993d12b9e7c5b8a6866a3b185a7cafd9f7cf");
+    ("bk", "edit", M.Edit, 14_922,
+     "c3407c0ef2f91ae6619c37c32f93d957c8a85e57bbb8b4c26d2a495e16d2524a") ]
+
+let test_golden_trees () =
+  List.iter
+    (fun (tree, name, m, probes, digest) ->
+      let log =
+        W.skyserver_log
+          { W.n = 300; templates = 6; seed = "fp"; caps = W.caps_for_measure m }
+      in
+      let sp =
+        Index.Space.of_kind
+          (Option.get (Index.Space.kind_of_measure m))
+          (F.build (Array.of_list log))
+      in
+      let fp, range_stats =
+        match tree with
+        | "vp" ->
+          let t = Index.Vp_tree.build ~seed:"s" sp in
+          (Index.Vp_tree.fingerprint t,
+           fun q -> (snd (Index.Vp_tree.range_stats t ~eps:0.1 q)).probes)
+        | _ ->
+          let t = Index.Bk_tree.build ~seed:"s" sp in
+          (Index.Bk_tree.fingerprint t,
+           fun q -> (snd (Index.Bk_tree.range_stats t ~eps:0.1 q)).probes)
+      in
+      let total = ref 0 in
+      for q = 0 to Index.Space.size sp - 1 do
+        total := !total + range_stats q
+      done;
+      let label = tree ^ " " ^ name in
+      check_string (label ^ " fingerprint sha256") digest (Crypto.Sha256.hex fp);
+      check_int (label ^ " probes at eps 0.1") probes !total)
+    golden_trees
+
 (* ---- DBSCAN engine equivalence ---- *)
 
 let test_dbscan_engines_identical () =
@@ -216,7 +266,8 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "fingerprint pool-independent" `Quick
             test_fingerprint_pool_independent;
-          Alcotest.test_case "seed changes tree" `Quick test_seed_changes_tree ] );
+          Alcotest.test_case "seed changes tree" `Quick test_seed_changes_tree;
+          Alcotest.test_case "golden trees" `Quick test_golden_trees ] );
       ( "dbscan",
         [ Alcotest.test_case "engines identical" `Quick test_dbscan_engines_identical ] );
       ( "faults",
