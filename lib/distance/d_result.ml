@@ -31,16 +31,7 @@ let matrix_r ?pool db queries =
     Error errors
   | [] ->
     let sets = Array.map (function Ok s -> s | Error _ -> assert false) sets in
-    (match
-       Parallel.Sym_matrix.build_r ~pool (Array.length sets) (fun i j ->
-           Obs.Metric.incr m_jaccard;
-           Jaccard.distance ~compare:(List.compare Minidb.Value.compare)
-             sets.(i) sets.(j))
-     with
-     | Ok m -> Ok m
-     | Error errs ->
-       Error
-         (List.map
-            (fun (i, cause) ->
-              Fault.Error.Task_failed { label = "result.row"; index = i; cause })
-            errs))
+    Mining.Dist_matrix.of_fun_r ~pool (Array.length sets) (fun i j ->
+        Obs.Metric.incr m_jaccard;
+        Jaccard.distance ~compare:(List.compare Minidb.Value.compare)
+          sets.(i) sets.(j))

@@ -16,11 +16,11 @@ val matrix_r :
 (** The full pairwise distance matrix, evaluating each query {e once}
     instead of once per pair — an O(n) vs O(n²) difference in executor
     work that dominates result-distance mining (see the perf bench).
-    Query execution and the Jaccard pass run across [pool] (default
-    [Parallel.Pool.global ()]).
+    Query execution and the Jaccard pass ({!Mining.Dist_matrix.of_fun_r})
+    run across [pool] (default [Parallel.Pool.global ()]).
 
     Crash-contained: a query whose execution raises is
     reported as [Task_failed {label = "result.query"; index; cause}]
     (its row would be meaningless, so no matrix is returned); a Jaccard
-    row failure reports [label = "result.row"].  All healthy work still
-    runs to completion. *)
+    row failure reports [label = "dist_matrix.row"].  All healthy work
+    still runs to completion. *)

@@ -34,15 +34,14 @@ module Interner = struct
 end
 
 type record = {
-  printed : string;
-  edit_tokens : int array;
-  peq : int array;
-  token_set : int array;
-  structure_set : int array;
-  clause_proj : int array;
+  edit_tokens : int array;  (* interned fused token sequence: edit input *)
+  peq : int array;  (* Myers pattern bitvectors of [edit_tokens] *)
+  token_set : int array;  (* sorted duplicate-free [edit_tokens] *)
+  structure_set : int array;  (* interned Feature.t set *)
+  clause_proj : int array;  (* interned D_clause component sets *)
   clause_group : int array;
   clause_sel : int array;
-  areas : (string * Access_area.t) list;
+  areas : (string * Access_area.t) list;  (* Access_area.of_query *)
 }
 
 type t = {
@@ -51,8 +50,6 @@ type t = {
 }
 
 let length t = Array.length t.records
-let record t i = t.records.(i)
-let alphabet t = t.alphabet
 
 let m_builds = Obs.Registry.counter "kitdpe.distance.features.builds"
 let m_reuse = Obs.Registry.counter "kitdpe.distance.features.reuse"
@@ -60,7 +57,6 @@ let m_reuse = Obs.Registry.counter "kitdpe.distance.features.reuse"
 (* phase A output: everything derivable from one query alone, before
    any cross-query interning *)
 type raw = {
-  r_printed : string;
   r_fused : string array;
   r_structure : Feature.t list;
   r_proj : string list;
@@ -72,10 +68,10 @@ type raw = {
 let raw_of_query i q =
   Fault.point ~key:i "distance.features.build";
   Obs.Metric.incr m_builds;
-  let printed = Sqlir.Printer.to_string q in
   {
-    r_printed = printed;
-    r_fused = Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize printed));
+    r_fused =
+      Array.of_list
+        (D_token.fuse (Sqlir.Lexer.tokenize (Sqlir.Printer.to_string q)));
     r_structure = Feature.of_query q;
     r_proj = D_clause.projection_set q;
     r_group = D_clause.group_by_set q;
@@ -134,7 +130,6 @@ let finish ~pool raws =
     Parallel.Pool.map_array pool
       (fun (r, edit_tokens, structure_set, clause_proj, clause_group, clause_sel) ->
         {
-          printed = r.r_printed;
           edit_tokens;
           peq = D_edit.myers_peq ~alphabet edit_tokens;
           token_set = sorted_set_of_seq edit_tokens;
@@ -217,9 +212,6 @@ let edit t i j =
   else float_of_int (edit_distance_int t i j) /. float_of_int n
 
 let edit_len t i = Array.length t.records.(i).edit_tokens
-
-let max_edit_len t =
-  Array.fold_left (fun acc r -> max acc (Array.length r.edit_tokens)) 0 t.records
 
 let edit_within t ~eps i j =
   Obs.Metric.add m_reuse 2;

@@ -35,30 +35,9 @@
     ["distance.features.build"] injection point keyed by the query
     index. *)
 
-type record = {
-  printed : string;  (** canonical printed form ([Sqlir.Printer]) *)
-  edit_tokens : int array;
-      (** fused token {e sequence} (interned), the edit-distance input *)
-  peq : int array;
-      (** Myers pattern bitvectors of [edit_tokens]
-          ({!D_edit.myers_peq}) *)
-  token_set : int array;
-      (** sorted duplicate-free [edit_tokens] — {!D_token} input *)
-  structure_set : int array;  (** interned {!Feature.t} set *)
-  clause_proj : int array;    (** interned {!D_clause.projection_set} *)
-  clause_group : int array;   (** interned {!D_clause.group_by_set} *)
-  clause_sel : int array;     (** interned {!D_clause.selection_set} *)
-  areas : (string * Access_area.t) list;  (** {!Access_area.of_query} *)
-}
-
 type t
 
 val length : t -> int
-val record : t -> int -> record
-
-val alphabet : t -> int
-(** Size of the edit-token interning (>= 1), the [~alphabet] of the
-    Myers kernel. *)
 
 val build_r :
   ?pool:Parallel.Pool.t
@@ -104,10 +83,6 @@ val edit_len : t -> int -> int
     {!edit} is [max (edit_len i) (edit_len j)].  The metric indexes
     ([Index]) use it to convert a normalized radius into a sound
     integer Levenshtein bound per subtree. *)
-
-val max_edit_len : t -> int
-(** [Array.fold_left max 0] over all {!edit_len} — an upper bound on
-    any pair's normalizer. *)
 
 val edit_within : t -> eps:float -> int -> int -> bool
 (** [edit_within t ~eps i j = (edit t i j <= eps)], decided by the

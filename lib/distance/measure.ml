@@ -72,7 +72,7 @@ let record_matrix_span measure queries t0 =
   end
 
 (* feature-table pair evaluator: closes over the precomputed table, so
-   the Sym_matrix fill touches no query text.  Bit-identical to
+   the matrix fill touches no query text.  Bit-identical to
    [compute] per pair (see Features). *)
 let pair_of_features ctx measure feats =
   match measure with
@@ -97,21 +97,9 @@ let matrix_r ?pool ctx measure queries =
     | (Token | Structure | Access | Edit | Clause), _ ->
       let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
       let qs = Array.of_list queries in
-      (match Features.build_r ~pool qs with
-       | Error errs -> Error errs
-       | Ok feats ->
-         (match
-            Parallel.Sym_matrix.build_r ~pool (Array.length qs)
-              (pair_of_features ctx measure feats)
-          with
-          | Ok m -> Ok m
-          | Error errs ->
-            Error
-              (List.map
-                 (fun (i, cause) ->
-                   Fault.Error.Task_failed
-                     { label = "measure.row"; index = i; cause })
-                 errs)))
+      Result.bind (Features.build_r ~pool qs) (fun feats ->
+          Mining.Dist_matrix.of_fun_r ~pool (Array.length qs)
+            (pair_of_features ctx measure feats))
   in
   record_matrix_span measure queries t0;
   r

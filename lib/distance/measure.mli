@@ -58,15 +58,15 @@ val matrix_r :
     sequences, feature / clause sets, access areas) are precomputed once
     into a {!Features} table — O(n) tokenizations instead of O(n²) — and
     pairs are evaluated from the table, bit-identically to {!compute}
-    (the result measure likewise evaluates each query once).  Large
-    matrices are filled across [pool] (default
-    [Parallel.Pool.global ()]); all measures are pure, so the result is
-    identical for every pool size.
+    (the result measure likewise evaluates each query once).  The
+    matrix is filled by {!Mining.Dist_matrix.of_fun_r} across [pool]
+    (default [Parallel.Pool.global ()]); all measures are pure, so the
+    result is identical for every pool size.
 
     Crash-contained: failures (including injected faults) are collected
     as typed [Task_failed] errors instead of raised — per-query feature
     builds as [label = "features.build"], matrix rows as
-    [label = "measure.row"] — and every healthy task still runs; a
+    [label = "dist_matrix.row"] — and every healthy task still runs; a
     missing database for {!Result} returns [Error [Invariant _]]. *)
 
 val matrix :

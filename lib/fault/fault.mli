@@ -4,10 +4,13 @@
 
     Injection points are named [<layer>.<module>.<site>]
     (e.g. [dpe.db_encryptor.row], [minidb.csvio.row],
-    [crypto.ope.encrypt], [mining.dist_matrix.eval],
+    [crypto.ope.encrypt], [mining.dist_matrix.eval], [index.build],
     [parallel.pool.task]) and pass a stable per-call key — row index,
-    physical CSV line, plaintext value — so armed triggers pick the
-    same victims on every run (DESIGN.md §9).
+    physical CSV line, plaintext value, matrix cell, point id — so
+    armed triggers pick the same victims on every run (DESIGN.md §9).
+    [mining.dist_matrix.eval] sits in the one matrix fill and
+    [index.build] in the one tree build, so both are on the paths mine
+    requests run.
 
     With nothing armed, {!point} costs a single atomic load, the same
     contract as [Obs.is_enabled]. *)

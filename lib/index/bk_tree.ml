@@ -9,8 +9,8 @@
 
    Built bulk-recursively: pivot drawn from a path-keyed DRBG,
    distances to the pivot evaluated across the pool, members bucketed
-   by exact distance — a pure function of (space, seed, point set), so
-   the tree is bit-identical for every pool size. *)
+   by exact distance — a pure function of (space, seed), so the tree
+   is bit-identical for every pool size. *)
 
 type node = {
   v : int;                        (* pivot id *)
@@ -25,7 +25,6 @@ and sub = {
 type t = {
   space : Space.t;
   root : sub option;
-  indexed : int array;
 }
 
 let par_dist_cutoff = 192
@@ -86,62 +85,19 @@ let rec build_node pool space ~seed ~path ids =
   in
   { v; children }
 
-let build_over ?pool ~seed space ids =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let t0 = Obs.time_start () in
-  let root =
-    if Array.length ids = 0 then None
-    else
-      Some
-        { maxlen = maxlen_of space ids;
-          node = build_node pool space ~seed ~path:"r" ids }
-  in
-  let indexed = Array.copy ids in
-  Array.sort Int.compare indexed;
-  if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
-    Obs.Metric.incr Space.m_builds;
-    Obs.observe_latency Space.m_build dt;
-    Obs.Span.record ~cat:"index"
-      ~name:(Printf.sprintf "bk.build(n=%d)" (Array.length ids))
-      ~ts_ns:t0 ~dur_ns:dt ()
-  end;
-  { space; root; indexed }
-
-let all_ids space = Array.init (Space.size space) (fun i -> i)
-
-let require_int_metric space =
-  if not (Space.is_int_metric space) then
-    invalid_arg "Index.Bk_tree: integer (edit) metric required"
-
 let build ?pool ~seed space =
-  require_int_metric space;
-  let ids = all_ids space in
-  if Fault.enabled () then Array.iter Space.build_point ids;
-  build_over ?pool ~seed space ids
-
-let build_r ?pool ~seed space =
-  require_int_metric space;
-  let errs = ref [] in
-  let healthy = ref [] in
-  Array.iter
-    (fun i ->
-      match Space.build_point i with
-      | () -> healthy := i :: !healthy
-      | exception e ->
-        errs :=
-          Fault.Error.Task_failed
-            { label = "index.build";
-              index = i;
-              cause = Fault.Error.of_exn ~context:"Index.Bk_tree.build_r" e }
-          :: !errs)
-    (all_ids space);
-  let ids = Array.of_list (List.rev !healthy) in
-  (build_over ?pool ~seed space ids, List.rev !errs)
-
-let indexed t = t.indexed
-let size t = Array.length t.indexed
-let space t = t.space
+  if not (Space.is_int_metric space) then
+    invalid_arg "Index.Bk_tree: integer (edit) metric required";
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  let root =
+    Space.build ~name:"bk" space (fun ids ->
+        if Array.length ids = 0 then None
+        else
+          Some
+            { maxlen = maxlen_of space ids;
+              node = build_node pool space ~seed ~path:"r" ids })
+  in
+  { space; root }
 
 type stats = { probes : int; prunes : int }
 
@@ -166,11 +122,7 @@ let range_core t ~eps q =
       children
   in
   (match t.root with None -> () | Some root -> walk root);
-  if Obs.is_enabled () then begin
-    Obs.Metric.incr Space.m_queries;
-    Obs.Metric.add Space.m_probes !probes;
-    Obs.Metric.add Space.m_prunes !prunes
-  end;
+  Space.count_query ~probes:!probes ~prunes:!prunes;
   (List.sort Int.compare !acc, { probes = !probes; prunes = !prunes })
 
 let range_stats t ~eps q = range_core t ~eps q

@@ -9,24 +9,16 @@
 
     Determinism, fault behavior and accounting mirror {!Vp_tree}:
     path-keyed DRBG pivots, bit-identical structure across pool sizes,
-    ["index.build"] gate with a {!build_r} partial surface, and
-    [kitdpe.index.*] probe/prune counters. *)
+    one build through {!Space.build} (the ["index.build"] gate, no
+    partial tree), and [kitdpe.index.*] probe/prune counters. *)
 
 type t
 
 val build : ?pool:Parallel.Pool.t -> seed:string -> Space.t -> t
 (** Index every point of the space.
-    @raise Invalid_argument unless [Space.is_int_metric space]. *)
-
-val build_r :
-  ?pool:Parallel.Pool.t -> seed:string -> Space.t -> t * Fault.Error.t list
-(** Crash-contained {!build}: failing points are excluded and reported
-    as [Task_failed {label = "index.build"; index; _}]; the tree indexes
-    the healthy subset. *)
-
-val indexed : t -> int array
-val size : t -> int
-val space : t -> Space.t
+    @raise Invalid_argument unless [Space.is_int_metric space].
+    @raise Fault.Error.E [(Injected _)] when an armed ["index.build"]
+    trigger fires. *)
 
 val range : t -> eps:float -> int -> int list
 (** Exact eps-neighborhood of point [q] (ascending, [q] excluded) —

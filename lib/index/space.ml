@@ -38,8 +38,6 @@ let of_measure m feats =
 let of_kind kind feats = { feats; kind; n = F.length feats }
 
 let size t = t.n
-let kind t = t.kind
-let features t = t.feats
 
 let is_int_metric t = t.kind = Edit
 
@@ -62,7 +60,6 @@ let int_dist t i j =
     invalid_arg "Index.Space.int_dist: edit space required"
 
 let len t i = match t.kind with Edit -> F.edit_len t.feats i | _ -> 0
-let max_len t = match t.kind with Edit -> F.max_edit_len t.feats | _ -> 0
 
 (* exact membership — decides exactly what the brute-force scan decides.
    The set measures compare the measure value itself; edit delegates to
@@ -103,7 +100,29 @@ let radius t ~eps ~qlen ~sublen =
   | Token | Structure | Clause -> eps +. 1e-9
   | Edit -> (eps *. float_of_int (max qlen sublen)) +. 0.5
 
-(* the per-point construction fault gate: every build passes the
-   ["index.build"] injection point once per point, keyed by the point id
-   so an armed trigger picks the same victims for every pool size *)
-let build_point i = Fault.point ~key:i "index.build"
+(* The one tree build: the ["index.build"] injection point once per
+   point id, keyed by the id so an armed trigger picks the same victims
+   for every pool size, then [f] over all ids, timed. *)
+let build ~name t f =
+  if Fault.enabled () then
+    for i = 0 to t.n - 1 do
+      Fault.point ~key:i "index.build"
+    done;
+  let t0 = Obs.time_start () in
+  let tree = f (Array.init t.n Fun.id) in
+  if t0 > 0 then begin
+    let dt = Obs.now_ns () - t0 in
+    Obs.Metric.incr m_builds;
+    Obs.observe_latency m_build dt;
+    Obs.Span.record ~cat:"index"
+      ~name:(Printf.sprintf "%s.build(n=%d)" name t.n)
+      ~ts_ns:t0 ~dur_ns:dt ()
+  end;
+  tree
+
+let count_query ~probes ~prunes =
+  if Obs.is_enabled () then begin
+    Obs.Metric.incr m_queries;
+    Obs.Metric.add m_probes probes;
+    Obs.Metric.add m_prunes prunes
+  end

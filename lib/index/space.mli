@@ -29,8 +29,6 @@ val of_measure : Distance.Measure.t -> Distance.Features.t -> t option
 val of_kind : kind -> Distance.Features.t -> t
 
 val size : t -> int
-val kind : t -> kind
-val features : t -> Distance.Features.t
 
 val is_int_metric : t -> bool
 (** True iff the tree metric is integer-valued (edit) — the precondition
@@ -46,8 +44,6 @@ val int_dist : t -> int -> int -> int
 
 val len : t -> int -> int
 (** Edit-token length of point [i] (0 for the set measures). *)
-
-val max_len : t -> int
 
 val within : t -> eps:float -> int -> int -> bool
 (** Exact eps-membership — the same decision the brute-force neighbor
@@ -67,15 +63,16 @@ val radius : t -> eps:float -> qlen:int -> sublen:int -> float
     that makes the bound safe against rounding (0.5 on integer edit
     distances, 1e-9 on Jaccard values). *)
 
-val build_point : int -> unit
-(** Pass the ["index.build"] injection point keyed by a point id (used
-    by both tree builders; raises when an armed trigger fires). *)
+val build : name:string -> t -> (int array -> 'a) -> 'a
+(** [build ~name t f] is the one tree build: it passes the
+    ["index.build"] injection point once per point id (keyed by the id;
+    an armed trigger raises [Fault.Error.E (Injected _)] before any tree
+    work), then runs [f] over all ids [0 .. size t - 1], ascending.
+    With telemetry on, the build is counted in [kitdpe.index.builds],
+    timed into the [kitdpe.index.build] sketch and recorded as a
+    [<name>.build(n=…)] span. *)
 
-(**/**)
-
-(* shared [kitdpe.index.*] metrics, updated by the tree implementations *)
-val m_builds : Obs.Metric.counter
-val m_build : Obs.Sketch.t
-val m_queries : Obs.Metric.counter
-val m_probes : Obs.Metric.counter
-val m_prunes : Obs.Metric.counter
+val count_query : probes:int -> prunes:int -> unit
+(** Account one range query in [kitdpe.index.queries],
+    [kitdpe.index.probes] (distance evaluations) and
+    [kitdpe.index.prunes] (subtrees discarded) when telemetry is on. *)

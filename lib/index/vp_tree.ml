@@ -1,10 +1,10 @@
 (* Vantage-point tree over a [Space.t].
 
-   Construction is a pure function of (space, seed, point set): the
-   vantage of every node is drawn from a DRBG derived from the build
-   seed and the node's tree path — never from scheduling — and the
-   split is a median partition with a monomorphic total order, so the
-   tree is bit-identical for every pool size.  The pool only decides
+   Construction is a pure function of (space, seed): the vantage of
+   every node is drawn from a DRBG derived from the build seed and the
+   node's tree path — never from scheduling — and the split is a median
+   partition with a monomorphic total order, so the tree is
+   bit-identical for every pool size.  The pool only decides
    *where* the vantage-distance batches and the two subtree builds run.
 
    Exactness: subtrees are discarded only when the triangle-inequality
@@ -31,7 +31,6 @@ and sub = {
 type t = {
   space : Space.t;
   root : sub;
-  indexed : int array;  (* ids in the tree, ascending *)
 }
 
 let leaf_cap = 12
@@ -120,50 +119,10 @@ let rec build_tree pool space ~seed ~path ids =
     end
   end
 
-let build_over ?pool ~seed space ids =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let t0 = Obs.time_start () in
-  let root = build_tree pool space ~seed ~path:"r" ids in
-  let indexed = Array.copy ids in
-  Array.sort Int.compare indexed;
-  if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
-    Obs.Metric.incr Space.m_builds;
-    Obs.observe_latency Space.m_build dt;
-    Obs.Span.record ~cat:"index"
-      ~name:(Printf.sprintf "vp.build(n=%d)" (Array.length ids))
-      ~ts_ns:t0 ~dur_ns:dt ()
-  end;
-  { space; root; indexed }
-
-let all_ids space = Array.init (Space.size space) (fun i -> i)
-
 let build ?pool ~seed space =
-  let ids = all_ids space in
-  if Fault.enabled () then Array.iter Space.build_point ids;
-  build_over ?pool ~seed space ids
-
-let build_r ?pool ~seed space =
-  let errs = ref [] in
-  let healthy = ref [] in
-  Array.iter
-    (fun i ->
-      match Space.build_point i with
-      | () -> healthy := i :: !healthy
-      | exception e ->
-        errs :=
-          Fault.Error.Task_failed
-            { label = "index.build";
-              index = i;
-              cause = Fault.Error.of_exn ~context:"Index.Vp_tree.build_r" e }
-          :: !errs)
-    (all_ids space);
-  let ids = Array.of_list (List.rev !healthy) in
-  (build_over ?pool ~seed space ids, List.rev !errs)
-
-let indexed t = t.indexed
-let size t = Array.length t.indexed
-let space t = t.space
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  let root = Space.build ~name:"vp" space (build_tree pool space ~seed ~path:"r") in
+  { space; root }
 
 type stats = { probes : int; prunes : int }
 
@@ -195,11 +154,7 @@ let range_core t ~eps q =
       else incr prunes
   in
   walk t.root;
-  if Obs.is_enabled () then begin
-    Obs.Metric.incr Space.m_queries;
-    Obs.Metric.add Space.m_probes !probes;
-    Obs.Metric.add Space.m_prunes !prunes
-  end;
+  Space.count_query ~probes:!probes ~prunes:!prunes;
   (List.sort Int.compare !acc, { probes = !probes; prunes = !prunes })
 
 let range_stats t ~eps q = range_core t ~eps q

@@ -1,11 +1,10 @@
 (** Vantage-point tree: exact eps-range queries over any {!Space}
     metric in ~O(log n) probes per query (near-duplicate radii).
 
-    {b Determinism.}  The tree is a pure function of
-    (space, seed, point set): each node's vantage is drawn from a DRBG
-    keyed by [seed] and the node's tree path, and the median split uses
-    a total monomorphic order — so the structure is bit-identical for
-    every pool size ({!fingerprint} is compared across pools in the
+    {b Determinism.}  The tree is a pure function of (space, seed):
+    each node's vantage is drawn from a DRBG keyed by [seed] and the
+    node's tree path, and the median split uses a total monomorphic
+    order — so the structure is bit-identical for every pool size ({!fingerprint} is compared across pools in the
     chaos suite).  The pool only parallelizes the vantage-distance
     batches and the subtree builds.
 
@@ -15,27 +14,17 @@
     returns {e exactly} the brute-force neighbor set (property-tested
     per measure and pool size).
 
-    {b Faults.}  Construction passes the ["index.build"] point once per
-    point id; {!build_r} contains the failures and indexes the healthy
-    subset (the partial surface the chaos stage checks). *)
+    {b Faults.}  {!build} goes through {!Space.build}, which passes the
+    ["index.build"] point once per point id before any tree work.  There
+    is no partial tree: a tree over a subset would leave the failed
+    points out of every range answer. *)
 
 type t
 
 val build : ?pool:Parallel.Pool.t -> seed:string -> Space.t -> t
-(** Index every point of the space.  An armed ["index.build"] fault
-    propagates ({!build_r} is the contained surface). *)
-
-val build_r :
-  ?pool:Parallel.Pool.t -> seed:string -> Space.t -> t * Fault.Error.t list
-(** Crash-contained {!build}: points whose gate raises are excluded and
-    reported as [Task_failed {label = "index.build"; index; _}]; the
-    returned tree indexes the healthy subset ({!indexed}). *)
-
-val indexed : t -> int array
-(** Ids actually in the tree, ascending (all of them under {!build}). *)
-
-val size : t -> int
-val space : t -> Space.t
+(** Index every point of the space.
+    @raise Fault.Error.E [(Injected _)] when an armed ["index.build"]
+    trigger fires. *)
 
 val range : t -> eps:float -> int -> int list
 (** [range t ~eps q] is the exact eps-neighborhood of point [q]

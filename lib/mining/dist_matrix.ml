@@ -1,47 +1,68 @@
 type t = float array array
 
-let m_evals = Obs.Registry.counter "kitdpe.mining.dist_matrix.evals"
 let m_build = Obs.Registry.sketch "kitdpe.mining.dist_matrix.build"
 
-(* Where did the wall-clock go?  [of_fun_r] counts every distance
-   evaluation (the n(n-1)/2 upper-triangle calls) and records one span
-   per matrix build.  The counting closure is allocated once per matrix
-   and only when observability is on; the disabled path is the bare
-   builder. *)
-let build_instrumented ?pool n d =
-  let build = Parallel.Sym_matrix.build_r ?pool in
-  if not (Obs.is_enabled ()) then build n d
-  else begin
-    let t0 = Obs.now_ns () in
-    let d i j =
-      Obs.Metric.incr m_evals;
-      d i j
-    in
-    let m = build n d in
-    let dt = Obs.now_ns () - t0 in
-    Obs.observe_latency m_build dt;
-    Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "dist_matrix(n=%d)" n)
-      ~ts_ns:t0 ~dur_ns:dt ();
-    m
-  end
+(* below this many rows the n(n-1)/2 evaluations are too cheap to
+   amortize task dispatch *)
+let par_threshold = 64
 
 (* cells are identified by (i, j) with j < 2^20 — plenty for any matrix
    this repository builds — giving each evaluation a stable injection
    key independent of row scheduling *)
 let eval_key i j = (i lsl 20) lor j
 
+let context = "Mining.Dist_matrix.of_fun_r"
+
 let of_fun_r ?pool n d =
-  let d =
-    if Fault.enabled () then (fun i j ->
-      Fault.point ~key:(eval_key i j) "mining.dist_matrix.eval";
-      d i j)
-    else d
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  let t0 = Obs.time_start () in
+  let m = Array.make_matrix n n 0.0 in
+  let faults = Fault.enabled () in
+  (* Lanes write disjoint cells: row [i] owns [m.(i).(j)] for [j > i]
+     plus the mirror cells [m.(j).(i)], i.e. column [i] below the
+     diagonal; the pool's strided rows balance the triangular costs. *)
+  let fill i =
+    let row = m.(i) in
+    for j = i + 1 to n - 1 do
+      if faults then Fault.point ~key:(eval_key i j) "mining.dist_matrix.eval";
+      let v = d i j in
+      row.(j) <- v;
+      m.(j).(i) <- v
+    done
   in
-  Result.map_error
-    (List.map (fun (index, cause) ->
-         Fault.Error.Task_failed { label = "dist_matrix.row"; index; cause }))
-    (build_instrumented ?pool n d)
+  let errors =
+    if n < par_threshold || Parallel.Pool.size pool <= 1 then begin
+      (* the pool's containment contract, sequentially: a failing row is
+         reported, the remaining rows are still built, and an expired
+         request deadline abandons the remaining rows *)
+      let errs = ref [] in
+      for i = 0 to n - 1 do
+        match
+          Parallel.Pool.check_deadline ~context ();
+          fill i
+        with
+        | () -> ()
+        | exception e -> errs := (i, Fault.Error.of_exn ~context e) :: !errs
+      done;
+      List.rev !errs
+    end
+    else Parallel.Pool.for_range_r pool n fill
+  in
+  if t0 > 0 then begin
+    let dt = Obs.now_ns () - t0 in
+    Obs.observe_latency m_build dt;
+    Obs.Span.record ~cat:"mining"
+      ~name:(Printf.sprintf "dist_matrix(n=%d)" n)
+      ~ts_ns:t0 ~dur_ns:dt ()
+  end;
+  match errors with
+  | [] -> Ok m
+  | errors ->
+    Error
+      (List.map
+         (fun (index, cause) ->
+           Fault.Error.Task_failed { label = "dist_matrix.row"; index; cause })
+         errors)
 
 let of_fun ?pool n d = Fault.Error.get_ok (of_fun_r ?pool n d)
 

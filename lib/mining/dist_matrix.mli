@@ -9,17 +9,25 @@ val of_fun_r :
   int ->
   (int -> int -> float) ->
   (t, Fault.Error.t list) result
-(** [of_fun_r n d] evaluates [d i j] for [i < j] and mirrors it.  For
-    [n >= Parallel.Sym_matrix.par_threshold] the rows are computed
-    across [pool] (default [Parallel.Pool.global ()]); [d] must be pure,
-    and the result is bit-for-bit identical to the sequential evaluation
-    for every pool size.
+(** [of_fun_r n d] evaluates [d i j] once for each [i < j] and mirrors
+    it; the diagonal is [0.0].  This is the one matrix fill of the
+    repository: {!Distance.Measure.matrix_r} and the result measure
+    build through it.  Row [i] writes cells [j > i] and their mirrors.
+    Below 64 rows, or on a 1-lane [pool] (default
+    [Parallel.Pool.global ()]), the rows run sequentially; otherwise
+    they run through [Parallel.Pool.for_range_r].  [d] must be pure (or
+    at least domain-safe), so the result is bit-for-bit identical for
+    every pool size.
 
     Crash-contained: a row whose evaluations raise is reported as
     [Task_failed {label = "dist_matrix.row"; index; cause}] while all
     other rows still compute; [Ok] only when the matrix is complete.
-    Carries the ["mining.dist_matrix.eval"] injection point keyed by
-    cell coordinates. *)
+    The request deadline is checked once per row, and an expired one
+    abandons the remaining rows.  Carries the
+    ["mining.dist_matrix.eval"] injection point keyed by cell
+    coordinates.  With telemetry on, the fill is timed into the
+    [kitdpe.mining.dist_matrix.build] sketch and a [dist_matrix(n=…)]
+    span. *)
 
 val of_fun : ?pool:Parallel.Pool.t -> int -> (int -> int -> float) -> t
 (** {!of_fun_r}, raising [Fault.Error.E] of the first row error. *)

@@ -29,6 +29,7 @@ let merges m ~stop =
   let out = ref [] in
   let continue = ref true in
   while !continue && List.length !clusters > 1 do
+    Parallel.Pool.check_deadline ~context:"Mining.Hier.merges" ();
     (* find the closest pair; ties break on (smaller left id, smaller right id) *)
     let best = ref None in
     let rec scan = function

@@ -14,4 +14,8 @@ val dendrogram : Dist_matrix.t -> merge list
 
 val cut_k : int -> Dist_matrix.t -> int array
 (** Stop when [k] clusters remain; labels in [0, k) by first-member order.
-    @raise Invalid_argument unless [1 <= k <= n]. *)
+    The request deadline ({!Parallel.Pool.with_deadline}) is checked
+    once per merge.
+    @raise Invalid_argument unless [1 <= k <= n].
+    @raise Fault.Error.E [(Deadline_exceeded _)] once the deadline has
+    passed. *)

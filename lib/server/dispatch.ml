@@ -6,16 +6,18 @@
    Deadlines: the worker passes the absolute deadline computed at
    arrival; [handle] installs it with [Parallel.Pool.with_deadline], so
    the [_r] combinators underneath (feature builds, matrix rows, row
-   encryption) abandon remaining work the moment it expires and the
-   pool lanes go back to serving other requests.  Only encrypt/mine
+   encryption) and complete link's merge loop abandon remaining work
+   the moment it expires and the pool lanes go back to serving other
+   requests.  Only encrypt/mine
    install it: stats/health never consult the deadline, and keeping
    them away from the slot means only the compute path (one request at
    a time under the engine's compute lock) ever touches it.
 
    Graceful degradation: a mine request whose matrix has failed rows is
-   re-run once on the healthy subset; the response is status "partial"
-   with the surviving labels ([-1] for excluded queries) plus the typed
-   error manifest.  Encrypt likewise returns the ciphertexts that
+   re-run once on the healthy subset (never one above
+   [Mine_plan.max_matrix_n]); the response is status "partial" with the
+   surviving labels ([-1] for excluded queries) plus the typed error
+   manifest.  Encrypt likewise returns the ciphertexts that
    succeeded plus per-query errors. *)
 
 module M = Distance.Measure
@@ -148,46 +150,48 @@ let mine (req : Proto.request) log =
     in
     let params = { Mine_plan.k = req.k; eps = req.eps; seed = "serve" } in
     let ran, result = Mine_plan.run ~ctx:mctx params plan log in
+    let deadline () =
+      Obs.Metric.incr m_deadline;
+      Proto.response_error ~id:req.id (deadline_err "Server.Dispatch.mine")
+    in
     match result with
     | Ok labels -> Proto.response_ok ~id:req.id (labels_body labels @ plan_body ran)
+    | Error errors when List.exists deadline_rooted errors -> deadline ()
     | Error errors -> (
-      if List.exists deadline_rooted errors then begin
-        Obs.Metric.incr m_deadline;
-        Proto.response_error ~id:req.id (deadline_err "Server.Dispatch.mine")
-      end
-      else
-        match failed_indices errors with
-        | None -> Proto.response_error ~id:req.id (List.hd errors)
-        | Some bad -> (
-          let n = List.length log in
-          let healthy = List.filteri (fun i _ -> not (List.mem i bad)) log in
-          let healthy_ix =
-            List.filter (fun i -> not (List.mem i bad)) (List.init n Fun.id)
-          in
-          let m = List.length healthy in
-          if m < 2 || not (Mine_plan.k_fits ran.algo ~k:req.k ~n:m) then
-            Proto.response_error ~id:req.id (List.hd errors)
-          else
-            (* one degradation attempt on the healthy subset; a second
-               failure means the fault is not row-scoped after all *)
-            match M.matrix_r mctx req.measure healthy with
-            | Error _ -> Proto.response_error ~id:req.id (List.hd errors)
-            | Ok dm ->
-              let labels = Mine_plan.on_matrix params ran dm in
-              (* scatter the subset labels back; excluded queries are -1 *)
-              let full = Array.make n (-1) in
-              List.iteri (fun pos ix -> full.(ix) <- labels.(pos)) healthy_ix;
-              Obs.Metric.incr m_partial;
-              Proto.response_partial ~id:req.id
-                (labels_body full
-                @ [ ("excluded",
-                     J.Arr
-                       (List.filter_map
-                          (fun i ->
-                            if List.mem i healthy_ix then None else Some (num i))
-                          (List.init n Fun.id))) ]
-                @ plan_body ran)
-                ~errors)))
+      match failed_indices errors with
+      | None -> Proto.response_error ~id:req.id (List.hd errors)
+      | Some bad -> (
+        let n = List.length log in
+        let healthy = List.filteri (fun i _ -> not (List.mem i bad)) log in
+        let healthy_ix =
+          List.filter (fun i -> not (List.mem i bad)) (List.init n Fun.id)
+        in
+        let m = List.length healthy in
+        if m < 2 || m > Mine_plan.max_matrix_n
+           || not (Mine_plan.k_fits ran.algo ~k:req.k ~n:m)
+        then Proto.response_error ~id:req.id (List.hd errors)
+        else
+          (* one degradation attempt on the healthy subset, with the
+             plan that ran; a second failure means the fault is not
+             row-scoped after all *)
+          match snd (Mine_plan.run ~ctx:mctx params ran healthy) with
+          | Error errs when List.exists deadline_rooted errs -> deadline ()
+          | Error _ -> Proto.response_error ~id:req.id (List.hd errors)
+          | Ok labels ->
+            (* scatter the subset labels back; excluded queries are -1 *)
+            let full = Array.make n (-1) in
+            List.iteri (fun pos ix -> full.(ix) <- labels.(pos)) healthy_ix;
+            Obs.Metric.incr m_partial;
+            Proto.response_partial ~id:req.id
+              (labels_body full
+              @ [ ("excluded",
+                   J.Arr
+                     (List.filter_map
+                        (fun i ->
+                          if List.mem i healthy_ix then None else Some (num i))
+                        (List.init n Fun.id))) ]
+              @ plan_body ran)
+              ~errors)))
 
 (* ---- stats / health ---- *)
 

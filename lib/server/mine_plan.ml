@@ -16,6 +16,9 @@ type t = {
 
 let auto_index_threshold = 512
 
+(* 4096² floats are 128 MiB: the largest matrix one request may build *)
+let max_matrix_n = 4096
+
 let engine_name = function Matrix -> "matrix" | Index -> "index"
 
 let protocol fmt =
@@ -41,19 +44,36 @@ let plan ~measure ~algo:algo_s ~engine:requested ~n ~k =
   | Ok algo -> (
     let indexable = Index.Space.supported measure in
     let planned engine = Ok { measure; algo; engine; fallback = None } in
-    match (requested, algo) with
-    | "matrix", _ -> planned Matrix
-    | "auto", Dbscan when indexable && n >= auto_index_threshold -> planned Index
-    | "auto", _ -> planned Matrix
-    | "index", Dbscan when indexable -> planned Index
-    | "index", _ ->
-      Ok
-        { measure; algo; engine = Matrix;
-          fallback =
-            Some
-              (Printf.sprintf "engine index does not cover algo %s on measure %s"
-                 algo_s (M.to_string measure)) }
-    | other, _ -> protocol "unknown engine %S (auto, matrix or index)" other)
+    let chosen =
+      match (requested, algo) with
+      | "matrix", _ -> planned Matrix
+      | "auto", Dbscan when indexable && n >= auto_index_threshold ->
+        planned Index
+      | "auto", _ -> planned Matrix
+      | "index", Dbscan when indexable -> planned Index
+      | "index", _ ->
+        Ok
+          { measure; algo; engine = Matrix;
+            fallback =
+              Some
+                (Printf.sprintf
+                   "engine index does not cover algo %s on measure %s" algo_s
+                   (M.to_string measure)) }
+      | other, _ -> protocol "unknown engine %S (auto, matrix or index)" other
+    in
+    match chosen with
+    | Ok { engine = Matrix; _ } when n > max_matrix_n ->
+      if algo = Dbscan && indexable then
+        Ok
+          { measure; algo; engine = Index;
+            fallback =
+              Some
+                (Printf.sprintf "matrix engine bounded at n <= %d, log has %d"
+                   max_matrix_n n) }
+      else
+        protocol "n = %d exceeds the matrix bound %d for algo %s on measure %s"
+          n max_matrix_n algo_s (M.to_string measure)
+    | chosen -> chosen)
 
 type params = { k : int; eps : float; seed : string }
 
@@ -84,13 +104,22 @@ let via_index p t log =
 
 let run ?(ctx = M.default_ctx) p t log =
   let via_matrix t =
-    (t, Result.map (on_matrix p t) (M.matrix_r ctx t.measure log))
+    ( t,
+      Result.bind (M.matrix_r ctx t.measure log) (fun dm ->
+          (* the algorithm checks the request deadline, so it can fail
+             too *)
+          Fault.protect ~context:"Server.Mine_plan.run" (fun () ->
+              on_matrix p t dm)
+          |> Result.map_error (fun e -> [ e ])) )
   in
   match t.engine with
   | Matrix -> via_matrix t
   | Index -> (
     match via_index p t log with
     | Ok labels -> (t, Ok labels)
+    | Error e when List.length log > max_matrix_n ->
+      (* no fallback can build a matrix above the bound *)
+      (t, Error [ e ])
     | Error e ->
       via_matrix
         { t with

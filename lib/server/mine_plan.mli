@@ -10,6 +10,11 @@
     any       any         index                  Matrix + fallback reason
     v}
 
+    No plan builds a matrix over more than {!max_matrix_n} queries.
+    Where the table says [Matrix] and [n > max_matrix_n], dbscan on an
+    indexable measure plans [Index] with a fallback reason naming the
+    bound, and every other request is [Error (Protocol _)].
+
     Both engines are exact: [Index] labels bit-identically to
     [Matrix]. *)
 
@@ -26,6 +31,10 @@ type t = {
   fallback : string option;  (** why a requested engine is not the one used *)
 }
 
+val max_matrix_n : int
+(** 4096: the largest log a request may mine over a dense matrix
+    (4096² floats, 128 MiB). *)
+
 val engine_name : engine -> string
 (** ["matrix"] or ["index"]. *)
 
@@ -37,8 +46,9 @@ val plan :
   measure:Distance.Measure.t -> algo:string -> engine:string -> n:int
   -> k:int -> (t, Fault.Error.t) result
 (** [algo] is [dbscan], [kmedoids], [outliers] or [clink]; [engine] is
-    [auto], [matrix] or [index]; anything else, or a [k] that fails
-    {!k_fits} on [n], is [Error (Protocol _)]. *)
+    [auto], [matrix] or [index]; anything else, a [k] that fails
+    {!k_fits} on [n], or a matrix over [n > max_matrix_n] queries that
+    the index cannot replace, is [Error (Protocol _)]. *)
 
 type params = {
   k : int;  (** cluster count (kmedoids, clink) *)
@@ -46,18 +56,18 @@ type params = {
   seed : string;  (** VP-tree vantage seed *)
 }
 
-val on_matrix : params -> t -> Mining.Dist_matrix.t -> int array
-(** The planned algorithm over a dense matrix: DBSCAN with
-    [min_pts = 3], k-medoids with [max_iter = 50], outliers with
-    [p = 0.95] (1 = outlier), complete link cut at [k]. *)
-
 val run :
   ?ctx:Distance.Measure.ctx -> params -> t -> Sqlir.Ast.query list
   -> t * (int array, Fault.Error.t list) result
 (** Execute the plan; returns the plan that actually ran and its
-    labels.  An [Index] run that fails (feature build, index build, an
-    armed fault) falls back to [Matrix] with the typed error as the
-    [fallback] reason.  [Matrix] builds
+    labels.  The algorithms: DBSCAN with [min_pts = 3], k-medoids with
+    [max_iter = 50], outliers with [p = 0.95] (1 = outlier), complete
+    link cut at [k].  An [Index] run that fails (feature build, index
+    build, an armed fault) falls back to [Matrix] with the typed error
+    as the [fallback] reason, unless the log has more than
+    {!max_matrix_n} queries: then the index error is the answer.
+    [Matrix] builds
     {!Distance.Measure.matrix_r} under [ctx] (default
-    {!Distance.Measure.default_ctx}); its errors are the [Error] case,
-    for the caller to degrade or report. *)
+    {!Distance.Measure.default_ctx}); its errors, and those of the
+    algorithm (an expired request deadline), are the [Error] case, for
+    the caller to degrade or report. *)

@@ -42,7 +42,7 @@ let test_to_string () =
 let test_injected_points () =
   let deep =
     E.Task_failed
-      { label = "measure.row"; index = 1;
+      { label = "dist_matrix.row"; index = 1;
         cause =
           E.Row_failed
             { rel = "t"; row = 0; attempts = 1;

@@ -117,6 +117,65 @@ let test_row r () =
     Alcotest.(check bool) "some point clustered" true
       (Array.exists (fun l -> l >= 0) labels)
 
+(* the matrix bound, at and just above it: planned but not run, since
+   the 4096-query reference matrix alone is 128 MiB.  [Some (engine,
+   falls_back)] is the plan, [None] a protocol error *)
+let bounded =
+  let at = P.max_matrix_n and above = P.max_matrix_n + 1 in
+  [ (M.Token, "clink", "matrix", at, Some (P.Matrix, false));
+    (M.Token, "clink", "matrix", above, None);
+    (M.Token, "dbscan", "matrix", at, Some (P.Matrix, false));
+    (M.Token, "dbscan", "matrix", above, Some (P.Index, true));
+    (M.Edit, "dbscan", "auto", above, Some (P.Index, false));
+    (M.Token, "kmedoids", "index", at, Some (P.Matrix, true));
+    (M.Token, "kmedoids", "index", above, None);
+    (M.Access, "dbscan", "auto", above, None) ]
+
+let test_bounded (measure, algo, engine, n, expect) () =
+  match (P.plan ~measure ~algo ~engine ~n ~k:params.k, expect) with
+  | Ok plan, Some (engine, falls_back) ->
+    Alcotest.(check string) "planned engine" (P.engine_name engine)
+      (P.engine_name plan.P.engine);
+    Alcotest.(check bool) "fallback reported" falls_back
+      (plan.P.fallback <> None);
+    if n > P.max_matrix_n && falls_back then
+      Alcotest.(check bool) "reason names the bound" true
+        (match plan.P.fallback with
+         | Some r ->
+           String.starts_with ~prefix:"matrix engine bounded at n <= 4096" r
+         | None -> false)
+  | Error (Fault.Error.Protocol _), None -> ()
+  | Ok _, None -> Alcotest.fail "a matrix above the bound was planned"
+  | Error e, _ -> Alcotest.fail (Fault.Error.to_string e)
+
+let test_index_error_above_bound () =
+  (* above the bound a failed index has no matrix to fall back to: the
+     index error is the answer *)
+  let r =
+    row ~n:(P.max_matrix_n + 1) M.Token "dbscan" "index" P.Index
+      ~falls_back:false
+  in
+  let log = parse_log r in
+  let plan =
+    Result.get_ok
+      (P.plan ~measure:r.measure ~algo:r.algo ~engine:r.engine ~n:r.n
+         ~k:params.k)
+  in
+  Fault.Inject.disarm_all ();
+  (match Fault.Inject.arm_spec "index.build=always;seed=plan" with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  let ran, labels =
+    Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+        P.run params plan log)
+  in
+  Alcotest.(check string) "no matrix ran" "index" (P.engine_name ran.P.engine);
+  match labels with
+  | Error [ Fault.Error.Injected { point = "index.build"; _ } ] -> ()
+  | Error es ->
+    Alcotest.fail (String.concat "; " (List.map Fault.Error.to_string es))
+  | Ok _ -> Alcotest.fail "an armed index build must fail the request"
+
 let test_unknown_algo () =
   match P.plan ~measure:M.Token ~algo:"foo" ~engine:"auto" ~n:10 ~k:2 with
   | Error (Fault.Error.Protocol { reason }) ->
@@ -200,9 +259,16 @@ let () =
              Alcotest.test_case
                (name_of measure algo engine refused_n)
                `Quick (test_refused req))
-           refused);
+           refused
+       @ List.map
+           (fun ((measure, algo, engine, n, _) as b) ->
+             Alcotest.test_case (name_of measure algo engine n) `Quick
+               (test_bounded b))
+           bounded);
       ("errors",
        [ Alcotest.test_case "unknown algo" `Quick test_unknown_algo;
          Alcotest.test_case "unknown engine" `Quick test_unknown_engine;
          Alcotest.test_case "k out of range" `Quick test_k_range;
-         Alcotest.test_case "runtime fallback" `Quick test_runtime_fallback ]) ]
+         Alcotest.test_case "runtime fallback" `Quick test_runtime_fallback;
+         Alcotest.test_case "no fallback above the bound" `Quick
+           test_index_error_above_bound ]) ]

@@ -387,6 +387,21 @@ let pr5_identity =
         Mining.Kmedoids.run_pam { Mining.Kmedoids.k = 2; max_iter = 30 } m
         = Ref_kmedoids.run_pam ~k:2 ~max_iter:30 m) ]
 
+(* complete link checks the request deadline once per merge: inside an
+   already-expired deadline it stops with the typed error instead of
+   finishing the agglomeration; without a deadline the labels are the
+   plain run's *)
+let test_hier_deadline () =
+  check_bool "expired deadline raises Deadline_exceeded" true
+    (match
+       Parallel.Pool.with_deadline ~deadline_ns:(Obs.now_ns () - 1) (fun () ->
+           Mining.Hier.cut_k 3 blobs)
+     with
+     | _ -> false
+     | exception Fault.Error.E (Fault.Error.Deadline_exceeded _) -> true);
+  Alcotest.(check (array int)) "no deadline: labels unchanged"
+    [| 0; 0; 0; 1; 1; 1; 2 |] (Mining.Hier.cut_k 3 blobs)
+
 let () =
   Alcotest.run "mining"
     [ ("matrix", [ Alcotest.test_case "dist matrix" `Quick test_dist_matrix ]);
@@ -394,7 +409,9 @@ let () =
       ("kmedoids",
        [ Alcotest.test_case "kmedoids" `Quick test_kmedoids;
          Alcotest.test_case "pam swap phase" `Quick test_pam ]);
-      ("hierarchical", [ Alcotest.test_case "complete link" `Quick test_hier ]);
+      ("hierarchical",
+       [ Alcotest.test_case "complete link" `Quick test_hier;
+         Alcotest.test_case "deadline per merge" `Quick test_hier_deadline ]);
       ("outliers", [ Alcotest.test_case "knorr-ng" `Quick test_outlier ]);
       ("labeling", [ Alcotest.test_case "partition comparison" `Quick test_labeling ]);
       ("apriori", [ Alcotest.test_case "association rules" `Quick test_apriori ]);

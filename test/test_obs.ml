@@ -103,13 +103,18 @@ let test_shard_merge () =
 (* ---- workload-semantic metrics are pool-size invariant ---- *)
 
 let test_domain_invariance () =
+  let log =
+    Workload.Gen_query.skyserver_log
+      { Workload.Gen_query.n = 80; templates = 4; seed = "obs-invariance";
+        caps = Workload.Gen_query.caps_for_measure Distance.Measure.Token }
+  in
   let evals_with domains =
     with_obs (fun () ->
         with_pool ~domains (fun p ->
             ignore
-              (Mining.Dist_matrix.of_fun ~pool:p 80 (fun i j ->
-                   float_of_int (i + j))));
-        match Obs.Registry.find "kitdpe.mining.dist_matrix.evals" with
+              (Distance.Measure.matrix ~pool:p Distance.Measure.default_ctx
+                 Distance.Measure.Token log));
+        match Obs.Registry.find "kitdpe.distance.measure.evals" with
         | Some (Obs.Registry.Vcounter n) -> n
         | _ -> Alcotest.fail "evals counter missing")
   in

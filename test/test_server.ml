@@ -507,6 +507,50 @@ let test_engine_degraded_mine () =
 
 let error_kind resp = Option.bind (J.member "error_kind" resp) J.to_str
 
+let test_engine_dist_matrix_partial () =
+  (* the mine path fills its matrix through Dist_matrix.of_fun_r, so an
+     armed eval point fails the row it hits.  Keys are cell coordinates:
+     (4, 5) is the last cell of row 4 of 6, which the rebuild over the 5
+     healthy queries never reaches, so the answer is a deterministic
+     partial with query 4 excluded *)
+  Fault.Inject.disarm_all ();
+  (match
+     Fault.Inject.arm_spec
+       (Printf.sprintf "mining.dist_matrix.eval=nth:%d;seed=dm" ((4 lsl 20) lor 5))
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+      with_engine (fun t ->
+          with_client t (fun c ->
+              let resp = call_ok c (request ()) in
+              check_str "armed eval -> partial" "partial"
+                (Proto.response_status resp);
+              (match Option.bind (J.member "excluded" resp) J.to_list with
+               | Some ex ->
+                 Alcotest.(check (list int)) "failed row excluded" [ 4 ]
+                   (List.filter_map J.to_int ex)
+               | None -> Alcotest.fail "no excluded list");
+              check_bool "error manifest present" true
+                (J.member "errors" resp <> None))))
+
+let test_engine_matrix_bound () =
+  (* a clink over more queries than the matrix bound is a protocol
+     answer from the planner, before any distance is evaluated *)
+  let queries =
+    List.init (Server.Mine_plan.max_matrix_n + 1) (fun i ->
+        Printf.sprintf
+          "SELECT objid, ra FROM photoobj WHERE ra BETWEEN %d AND %d" i (i + 50))
+  in
+  let evals = Obs.Registry.counter "kitdpe.distance.measure.evals" in
+  with_engine (fun t ->
+      with_client t (fun c ->
+          let before = Obs.Metric.value evals in
+          let resp = call_ok c (request ~queries ()) in
+          check_str "4097-query clink -> protocol" "protocol"
+            (Option.value ~default:"ok" (error_kind resp));
+          check_int "no distance evaluated" before (Obs.Metric.value evals)))
+
 let test_engine_mine_k_range () =
   (* an out-of-range k is a protocol error from the planner, answered
      before any distance is evaluated *)
@@ -896,6 +940,10 @@ let () =
          Alcotest.test_case "queue deadline" `Quick test_engine_queue_deadline;
          Alcotest.test_case "degraded mine partial" `Quick
            test_engine_degraded_mine;
+         Alcotest.test_case "armed matrix eval partial" `Quick
+           test_engine_dist_matrix_partial;
+         Alcotest.test_case "matrix bound is protocol" `Quick
+           test_engine_matrix_bound;
          Alcotest.test_case "mine k out of range" `Quick
            test_engine_mine_k_range;
          Alcotest.test_case "retries and deadline bounded" `Quick
