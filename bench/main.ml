@@ -1165,46 +1165,43 @@ let perf_index () =
   entries
 
 let emit_perf_json ~metrics path entries =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"pr\": 10,\n";
-  Printf.fprintf oc "  \"bench\": \"perf --json\",\n";
-  (* host metadata, so a snapshot from a single-CPU runner is
-     self-describing next to one from a many-core box *)
-  Printf.fprintf oc "  \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  Printf.fprintf oc "  \"os_type\": %S,\n" Sys.os_type;
-  Printf.fprintf oc "  \"word_size\": %d,\n" Sys.word_size;
-  Printf.fprintf oc "  \"host_cpus\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"recommended_domain_count\": %d,\n"
-    (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"pool_domains\": %d,\n" (Parallel.Pool.default_domains ());
-  Printf.fprintf oc "  \"kitdpe_domains_env\": %s,\n"
-    (match Sys.getenv_opt "KITDPE_DOMAINS" with
-     | Some s -> Printf.sprintf "%S" s
-     | None -> "null");
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
+  let module J = Obs.Json in
+  let int = J.int and str s = J.Str s in
   (* GC counters at emit time: how much allocator pressure the whole
      bench run generated on this host *)
   let gc = Gc.quick_stat () in
-  Printf.fprintf oc "  \"gc_minor_collections\": %d,\n" gc.Gc.minor_collections;
-  Printf.fprintf oc "  \"gc_major_collections\": %d,\n" gc.Gc.major_collections;
-  Printf.fprintf oc "  \"gc_heap_words\": %d,\n" gc.Gc.heap_words;
-  Printf.fprintf oc "  \"gc_promoted_words\": %.0f,\n" gc.Gc.promoted_words;
-  Printf.fprintf oc "  \"results\": [\n";
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    {\"op\": %S, \"n\": %d, \"domains\": %d, \
-         \"baseline_ns_per_op\": %.0f, \"ns_per_op\": %.0f, \
-         \"speedup\": %.3f, \"identical\": %b}%s\n"
-        e.op e.pe_n e.pe_domains e.baseline_ns e.optimized_ns (pe_speedup e)
-        e.identical
-        (if i = last then "" else ","))
-    entries;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"metrics\": %s\n" metrics;
-  Printf.fprintf oc "}\n";
+  let result e =
+    J.Obj
+      [ ("op", str e.op); ("n", int e.pe_n); ("domains", int e.pe_domains);
+        ("baseline_ns_per_op", J.Num (Float.round e.baseline_ns));
+        ("ns_per_op", J.Num (Float.round e.optimized_ns));
+        ("speedup", J.Num (Float.round (pe_speedup e *. 1e3) /. 1e3));
+        ("identical", J.Bool e.identical) ]
+  in
+  let oc = open_out path in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [ ("pr", int 10); ("bench", str "perf --json");
+            (* host metadata, so a snapshot from a single-CPU runner is
+               self-describing next to one from a many-core box *)
+            ("ocaml_version", str Sys.ocaml_version);
+            ("os_type", str Sys.os_type);
+            ("word_size", int Sys.word_size);
+            ("host_cpus", int (Domain.recommended_domain_count ()));
+            ("recommended_domain_count", int (Domain.recommended_domain_count ()));
+            ("pool_domains", int (Parallel.Pool.default_domains ()));
+            ("kitdpe_domains_env",
+             Option.fold ~none:J.Null ~some:str
+               (Sys.getenv_opt "KITDPE_DOMAINS"));
+            ("unix_time", J.Num (Unix.time ()));
+            ("gc_minor_collections", int gc.Gc.minor_collections);
+            ("gc_major_collections", int gc.Gc.major_collections);
+            ("gc_heap_words", int gc.Gc.heap_words);
+            ("gc_promoted_words", J.Num gc.Gc.promoted_words);
+            ("results", J.Arr (List.map result entries));
+            ("metrics", metrics) ]));
+  output_char oc '\n';
   close_out oc;
   Format.printf "@.wrote %s@." path
 
@@ -1615,7 +1612,7 @@ let metered_metrics_snapshot () =
        (Obs.Registry.gauge "kitdpe.lint.findings")
        (List.length r.Lint_core.Engine.findings);
      Obs.Metric.set_gauge (Obs.Registry.gauge "kitdpe.lint.ns") (int_of_float ns));
-  let snap = Obs.Export.snapshot_json () in
+  let snap = Obs.Export.snapshot () in
   if not was_on then Obs.set_enabled false;
   snap
 

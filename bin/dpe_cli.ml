@@ -254,16 +254,6 @@ let mine_cmd =
     Term.(const mine $ measure_arg $ algo $ k $ eps $ seed_arg $ rows_arg
           $ trace_arg $ engine $ log_arg)
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let write_whole_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 (* the representative telemetry workload shared by [stats] and [top]:
    encrypt the log twice (the warm pass lights up any OPE/DET memo
@@ -349,17 +339,19 @@ let stats m pass seed rows json diff openmetrics trace path =
   (match openmetrics with
    | None -> ()
    | Some file ->
-     write_whole_file file (Obs.Export.openmetrics ());
+     Out_channel.with_open_bin file (fun oc ->
+         output_string oc (Obs.Export.openmetrics ()));
      Printf.eprintf "wrote OpenMetrics exposition %s\n%!" file);
   match diff with
   | Some old_file ->
-    (match Obs.Export.diff ~old_json:(read_whole_file old_file) with
+    let old_json = In_channel.with_open_bin old_file In_channel.input_all in
+    (match Obs.Export.diff ~old_json with
      | Ok table -> print_string table
      | Error e ->
        Printf.eprintf "stats --diff: %s\n%!" e;
        exit 2)
   | None ->
-    if json then print_endline (Obs.Export.snapshot_json ())
+    if json then print_endline (Obs.Json.to_string (Obs.Export.snapshot ()))
     else begin
       Format.printf "%t" Obs.Registry.dump;
       print_window_footer ()
@@ -691,7 +683,7 @@ let client host port op_s tenant m algo k eps deadline_ms retries attempts engin
     Server.Client.close c;
     (match r with
      | Ok resp ->
-       print_endline (Server.Proto.render resp);
+       print_endline (Obs.Json.to_string resp);
        (match Server.Proto.response_status resp with
         | "ok" | "partial" -> ()
         | _ -> exit 1)
@@ -1041,24 +1033,33 @@ let chaos seed rows domains report_path =
         algo = "clink"; k = 3; eps = 0.45; deadline_ms; retries = 1;
         engine = None; queries }
   in
+  let fault_counts () =
+    Array.map
+      (fun n -> Obs.Metric.value (Obs.Registry.counter ("kitdpe.fault." ^ n)))
+      [| "injected"; "caught"; "retried" |]
+  in
+  (* the faults a deadline-carrying request fires depend on timing; the
+     client waits for each answer, so the counter moves over its call
+     are its own, and the counters line leaves them out *)
+  let timed_out = ref [| 0; 0; 0 |] in
+  let call c req =
+    let before = fault_counts () in
+    let r = Server.Client.call c req in
+    if Obs.Json.member "deadline_ms" req <> None then
+      timed_out := Array.map2 ( + ) !timed_out (Array.map2 ( - ) (fault_counts ()) before);
+    r
+  in
   let call_all t reqs =
     match Server.Client.connect ~port:(Server.Engine.port t) () with
     | Error e -> List.map (fun _ -> Error e) reqs
     | Ok c ->
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
-        (fun () -> List.map (Server.Client.call c) reqs)
+        (fun () -> List.map (call c) reqs)
   in
-  let renderings rs =
-    List.filter_map
-      (function Ok j -> Some (Server.Proto.render j) | Error _ -> None)
-      rs
-  in
-  let statuses rs =
-    List.filter_map
-      (function Ok j -> Some (Server.Proto.response_status j) | Error _ -> None)
-      rs
-  in
+  let answers f = List.filter_map (fun r -> Option.map f (Result.to_option r)) in
+  let renderings rs = answers Obs.Json.to_string rs in
+  let statuses rs = answers Server.Proto.response_status rs in
   (* 9a. faults off: two fresh instances (fresh tenant keys, same DRBG
      streams) answer an identical workload bit-identically *)
   let baseline_reqs =
@@ -1164,7 +1165,7 @@ let chaos seed rows domains report_path =
              let alive =
                match
                  Server.Frame.write fd
-                   (Server.Proto.render (mk ~id:99 ~op:Server.Proto.Health []))
+                   (Obs.Json.to_string (mk ~id:99 ~op:Server.Proto.Health []))
                with
                | Error _ -> false
                | Ok () -> (
@@ -1182,10 +1183,9 @@ let chaos seed rows domains report_path =
        "session closed after garbage payload"
    | None -> ());
 
-  note "# counters: injected=%d caught=%d retried=%d"
-    (Obs.Metric.value (Obs.Registry.counter "kitdpe.fault.injected"))
-    (Obs.Metric.value (Obs.Registry.counter "kitdpe.fault.caught"))
-    (Obs.Metric.value (Obs.Registry.counter "kitdpe.fault.retried"));
+  let counts = Array.map2 ( - ) (fault_counts ()) !timed_out in
+  note "# counters: injected=%d caught=%d retried=%d" counts.(0) counts.(1)
+    counts.(2);
   note "# %s" (if !failures = 0 then "all invariants hold" else "INVARIANT FAILURES");
 
   let report = Buffer.contents buf in

@@ -1,5 +1,5 @@
 (* The single on/off switch for the whole observability subsystem, plus
-   the clock and JSON helpers shared by the sibling modules.  Everything
+   the clock shared by the sibling modules.  Everything
    here is dependency-free so every other layer of the tree can link
    against [obs] without cycles. *)
 
@@ -17,19 +17,3 @@ let is_on () = Atomic.get enabled
    gettimeofday is only microsecond-granular, which is fine: every timed
    operation here costs at least a handful of microseconds. *)
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'

@@ -1,5 +1,5 @@
 (** The single on/off switch for the observability subsystem, plus the
-    clock and the JSON string escaper shared by the sibling modules.
+    clock shared by the sibling modules.
     Dependency-free so every layer can link [obs] without cycles. *)
 
 val enabled : bool Atomic.t
@@ -11,6 +11,3 @@ val is_on : unit -> bool
 val now_ns : unit -> int
 (** Wall-clock nanoseconds as a native int (microsecond granularity —
     every timed operation here costs at least a few microseconds). *)
-
-val add_json_string : Buffer.t -> string -> unit
-(** Append [s] as a quoted, escaped JSON string literal. *)

@@ -3,7 +3,7 @@
 
    Every consumer of the registry outside the library goes through one
    of these two renderings: `dpe_cli stats/top` and the bench "metrics"
-   stamp embed [snapshot_json] (schema "kitdpe.metrics" version 2, so
+   stamp embed [snapshot] (schema "kitdpe.metrics" version 2, so
    later readers — `stats --diff`, tools/trend — can detect layout
    changes instead of misparsing), and [openmetrics] emits the
    Prometheus/OpenMetrics text format for scrape-style consumption.
@@ -76,58 +76,47 @@ let is_rated name = function
          && String.sub name 0 22 = "kitdpe.parallel.pool.l")
   | Registry.Gauge _ -> false
 
-let snapshot_json ?now () =
+let snapshot ?now () =
   refresh_runtime ();
   let now = match now with Some t -> t | None -> Control.now_ns () in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"%s\",\"schema_version\":%d,\"generated_ns\":%d"
-       schema_name schema_version now);
-  Buffer.add_string b
-    (Printf.sprintf ",\"spans\":{\"dropped\":%d,\"buffered\":%d}"
-       (Span.dropped ())
-       (List.length (Span.events ())));
   (* windowed view: ops/s for every monotonic metric, recent quantiles
      for every sketch *)
-  Buffer.add_string b
-    (Printf.sprintf ",\"window\":{\"epoch_ns\":%d,\"capacity\":%d,\"epochs\":%d"
-       (Window.epoch_ns ()) (Window.capacity ()) (Window.epoch_count ()));
   let rates = ref [] and quantiles = ref [] in
   Registry.iter (fun name m ->
       if is_rated name m then (
         match Window.rate ~now name with
-        | Some r -> rates := (name, r) :: !rates
+        | Some r -> rates := (name, Json.Num r) :: !rates
         | None -> ());
       match m with
       | Registry.Sketch _ ->
         let q p = Window.quantile ~now name p in
         (match (q 0.5, q 0.9, q 0.99) with
          | Some p50, Some p90, Some p99 ->
-           quantiles := (name, (p50, p90, p99)) :: !quantiles
+           quantiles :=
+             ( name,
+               Json.Obj
+                 [ ("p50_ns", Json.Num p50);
+                   ("p90_ns", Json.Num p90);
+                   ("p99_ns", Json.Num p99) ] )
+             :: !quantiles
          | _ -> ())
       | _ -> ());
-  Buffer.add_string b ",\"rates\":{";
-  List.iteri
-    (fun i (name, r) ->
-      if i > 0 then Buffer.add_char b ',';
-      Control.add_json_string b name;
-      Buffer.add_string b (Printf.sprintf ":%.3f" r))
-    (List.rev !rates);
-  Buffer.add_string b "},\"quantiles\":{";
-  List.iteri
-    (fun i (name, (p50, p90, p99)) ->
-      if i > 0 then Buffer.add_char b ',';
-      Control.add_json_string b name;
-      Buffer.add_string b
-        (Printf.sprintf ":{\"p50_ns\":%.1f,\"p90_ns\":%.1f,\"p99_ns\":%.1f}"
-           p50 p90 p99))
-    (List.rev !quantiles);
-  Buffer.add_string b "}}";
-  Buffer.add_string b ",\"metrics\":";
-  Buffer.add_string b (Registry.dump_json ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    [ ("schema", Json.Str schema_name);
+      ("schema_version", Json.int schema_version);
+      ("generated_ns", Json.int now);
+      ("spans",
+       Json.Obj
+         [ ("dropped", Json.int (Span.dropped ()));
+           ("buffered", Json.int (List.length (Span.events ()))) ]);
+      ("window",
+       Json.Obj
+         [ ("epoch_ns", Json.int (Window.epoch_ns ()));
+           ("capacity", Json.int (Window.capacity ()));
+           ("epochs", Json.int (Window.epoch_count ()));
+           ("rates", Json.Obj (List.rev !rates));
+           ("quantiles", Json.Obj (List.rev !quantiles)) ]);
+      ("metrics", Registry.to_json ()) ]
 
 (* ---- snapshot diffing ---- *)
 

@@ -6,7 +6,7 @@ val schema_name : string
 (** ["kitdpe.metrics"]. *)
 
 val schema_version : int
-(** Bump on any incompatible change to {!snapshot_json}'s layout.
+(** Bump on any incompatible change to {!snapshot}'s layout.
     Version 2 removed the log2 [*_ns] histograms: every latency is a
     sketch. *)
 
@@ -14,7 +14,7 @@ val refresh_runtime : unit -> unit
 (** Refresh the [kitdpe.runtime.*] gauges
     ([minor_collections]/[major_collections]/[heap_words]/
     [promoted_words]) from [Gc.quick_stat].  Called automatically by
-    {!openmetrics} and {!snapshot_json}. *)
+    {!openmetrics} and {!snapshot}. *)
 
 val openmetrics : unit -> string
 (** The registry in OpenMetrics/Prometheus text exposition format:
@@ -23,18 +23,18 @@ val openmetrics : unit -> string
     [# EOF].  Metric names are
     sanitized ([.] -> [_]). *)
 
-val snapshot_json : ?now:int -> unit -> string
-(** One JSON object:
+val snapshot : ?now:int -> unit -> Json.t
+(** One JSON object (render with {!Json.to_string}):
     [{"schema": "kitdpe.metrics", "schema_version": 2,
       "generated_ns": ..., "spans": {...},
       "window": {"epoch_ns", "capacity", "epochs", "rates", "quantiles"},
       "metrics": {...}}]
     where [rates] maps monotonic metric names to windowed ops/s,
     [quantiles] maps sketch names to recent p50/p90/p99, and [metrics]
-    is the [Registry.dump_json] map.  [?now] (ns) is injectable for
+    is the [Registry.to_json] map.  [?now] (ns) is injectable for
     deterministic tests. *)
 
 val diff : old_json:string -> (string, string) result
 (** Render a per-metric old/new/delta table of the live registry against
-    a previously saved {!snapshot_json} (a bare registry dump is also
+    a previously saved {!snapshot} (a bare registry dump is also
     accepted).  [Error] when the old snapshot does not parse. *)

@@ -1,8 +1,9 @@
-(* Minimal recursive-descent JSON reader for the export layer's own
-   artifacts (metric snapshots, BENCH_PR*.json).  Full RFC 8259 value
-   grammar, no streaming, no dependency — the repo deliberately carries
-   no third-party JSON library.  Numbers are floats (ints in our
-   snapshots are well below 2^53, so round-tripping is exact). *)
+(* Recursive-descent JSON reader and the one JSON writer of the tree:
+   every payload, report and artifact is built as a [t] and rendered by
+   [to_string].  Full RFC 8259 value grammar, no streaming, no
+   dependency — the repo deliberately carries no third-party JSON
+   library.  Numbers are floats, and [to_string] writes each one so
+   that [parse] reads back the same float. *)
 
 type t =
   | Null
@@ -169,6 +170,71 @@ let parse s =
       Error (Printf.sprintf "trailing garbage at offset %d" c.pos)
     else Ok v
   | exception Parse_error m -> Error m
+
+(* ---- writer ---- *)
+
+(* integral values inside 2^53 print as integer digits (a request id is
+   never "1e+15"); any other finite value prints with the fewest of
+   15, 16 or 17 significant digits that read back equal; JSON has no
+   nan or infinity, so those print as null *)
+let number f =
+  if Float.is_integer f && Float.abs f < 0x1p53 then Printf.sprintf "%.0f" f
+  else if not (Float.is_finite f) then "null"
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p = 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    shortest 15
+
+(* only the quote, the backslash and control characters are escaped:
+   bytes >= 0x80 pass through raw, so every byte string round-trips *)
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec add_value buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> Buffer.add_string buf (number f)
+  | Str s -> add_string buf s
+  | Arr items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_value buf v)
+      items;
+    Buffer.add_char buf ']'
+  | Obj kvs ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_string buf k;
+        Buffer.add_char buf ':';
+        add_value buf v)
+      kvs;
+    Buffer.add_char buf '}'
+
+let to_string j =
+  let buf = Buffer.create 256 in
+  add_value buf j;
+  Buffer.contents buf
+
+let int i = Num (float_of_int i)
 
 (* ---- accessors ---- *)
 

@@ -1,7 +1,21 @@
-(** Minimal JSON reader for the export layer's own artifacts (metric
-    snapshots, [BENCH_PR*.json]) — full RFC 8259 value grammar, no
-    third-party dependency.  Numbers are floats; every integer in our
-    snapshots is far below 2^53 so round-tripping is exact. *)
+(** JSON reader and writer: the one codec of the tree.  Every wire
+    payload, metric snapshot, trace, bench artifact and lint report is
+    built as a {!t} and rendered by {!to_string}; full RFC 8259 value
+    grammar, no third-party dependency.
+
+    {!to_string} is the exact inverse of {!parse}:
+    [parse (to_string j) = Ok j] for every [j] whose numbers are finite
+    and whose nesting is within {!max_depth}.  Numbers are floats,
+    written by one rule:
+    - an integral value with [|f| < 2^53] as integer digits
+      ([1000000000000001], never [1e+15]);
+    - any other finite value with the first of [%.15g], [%.16g],
+      [%.17g] that reads back equal ([1/3] is [0.3333333333333333]);
+    - a non-finite value as [null] (JSON has no nan or infinity).
+
+    Strings escape the quote, the backslash and control characters
+    only; bytes [>= 0x80] pass through raw, so any byte string
+    round-trips. *)
 
 type t =
   | Null
@@ -18,6 +32,12 @@ val parse : string -> (t, string) result
 (** [Error] on malformed input, and on nesting deeper than {!max_depth}
     (["nesting deeper than 512 ..."]), which is rejected after reading
     at most [max_depth + 1] brackets. *)
+
+val to_string : t -> string
+(** Compact single-line rendering, by the rules above. *)
+
+val int : int -> t
+(** [Num (float_of_int i)]. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on non-objects and missing keys. *)

@@ -4,7 +4,10 @@
     Chrome [trace_event] exporter, rolling time-window aggregation, and
     an OpenMetrics / versioned-JSON export layer.  The sketch is the one
     latency instrument: each timed layer feeds one clock read into one
-    sketch, via {!observe_latency}.
+    sketch, via {!observe_latency}.  {!Json} is the one JSON codec:
+    {!Registry.to_json} and {!Export.snapshot} build {!Json.t} values,
+    and {!Json.to_string} renders them and every other JSON the tree
+    writes.
 
     The whole subsystem sits behind one atomic guard: with it off (the
     default), every instrumentation point in the tree performs a single

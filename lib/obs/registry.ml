@@ -152,33 +152,27 @@ let dump ppf =
     (fun s -> Format.fprintf ppf "%-52s %a@." s.name pp_value s.value)
     (snapshot ())
 
-let add_json_value b = function
-  | Vcounter v ->
-    Buffer.add_string b (Printf.sprintf "{\"type\":\"counter\",\"value\":%d}" v)
-  | Vgauge v ->
-    Buffer.add_string b (Printf.sprintf "{\"type\":\"gauge\",\"value\":%d}" v)
+let json_of_value = function
+  | Vcounter v -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.int v) ]
+  | Vgauge v -> Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.int v) ]
   | Vsketch { count; sum; max; p50; p90; p99; exemplar } ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"type\":\"sketch\",\"count\":%d,\"sum_ns\":%d,\"max_ns\":%d,\"p50_ns\":%.1f,\"p90_ns\":%.1f,\"p99_ns\":%.1f"
-         count sum max p50 p90 p99);
-    (match exemplar with
-     | Some (v, trace, span) ->
-       Buffer.add_string b
-         (Printf.sprintf ",\"exemplar\":{\"value_ns\":%d,\"trace\":%d,\"span\":%d}"
-            v trace span)
-     | None -> ());
-    Buffer.add_char b '}'
+    Json.Obj
+      ([ ("type", Json.Str "sketch");
+         ("count", Json.int count);
+         ("sum_ns", Json.int sum);
+         ("max_ns", Json.int max);
+         ("p50_ns", Json.Num p50);
+         ("p90_ns", Json.Num p90);
+         ("p99_ns", Json.Num p99) ]
+      @
+      match exemplar with
+      | Some (v, trace, span) ->
+        [ ("exemplar",
+           Json.Obj
+             [ ("value_ns", Json.int v);
+               ("trace", Json.int trace);
+               ("span", Json.int span) ]) ]
+      | None -> [])
 
-let dump_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Control.add_json_string b s.name;
-      Buffer.add_char b ':';
-      add_json_value b s.value)
-    (snapshot ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+let to_json () =
+  Json.Obj (List.map (fun s -> (s.name, json_of_value s.value)) (snapshot ()))

@@ -43,8 +43,8 @@ val reset : unit -> unit
 val dump : Format.formatter -> unit
 (** Human-readable one-line-per-metric text dump. *)
 
-val dump_json : unit -> string
-(** The snapshot as one JSON object:
+val to_json : unit -> Json.t
+(** The snapshot as one JSON object (render with {!Json.to_string}):
     [{"<name>": {"type": "counter", "value": n}, ...}]; sketches carry
     [count]/[sum_ns]/[max_ns], [p50_ns]/[p90_ns]/[p99_ns] and an
     optional outlier [exemplar]. *)

@@ -12,32 +12,41 @@
    ("f", bp:"e") on the child's, both keyed by the child's span id —
    Perfetto draws these as request -> lane-task arrows. *)
 
-let add_event b (e : Span.event) =
-  Buffer.add_string b "{\"name\":";
-  Control.add_json_string b e.Span.name;
-  Buffer.add_string b ",\"cat\":";
-  Control.add_json_string b e.Span.cat;
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"trace\":%d,\"span\":%d,\"parent\":%d}}"
-       (float_of_int e.Span.ts_ns /. 1e3)
-       (float_of_int e.Span.dur_ns /. 1e3)
-       e.Span.tid e.Span.trace_id e.Span.span_id e.Span.parent_id)
+let us ns = Json.Num (float_of_int ns /. 1e3)
 
-let add_metadata b ~name ~tid ~value =
-  Buffer.add_string b "{\"name\":";
-  Control.add_json_string b name;
-  Buffer.add_string b (Printf.sprintf ",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":" tid);
-  Control.add_json_string b value;
-  Buffer.add_string b "}}"
+let event (e : Span.event) =
+  Json.Obj
+    [ ("name", Json.Str e.Span.name);
+      ("cat", Json.Str e.Span.cat);
+      ("ph", Json.Str "X");
+      ("ts", us e.Span.ts_ns);
+      ("dur", us e.Span.dur_ns);
+      ("pid", Json.int 1);
+      ("tid", Json.int e.Span.tid);
+      ("args",
+       Json.Obj
+         [ ("trace", Json.int e.Span.trace_id);
+           ("span", Json.int e.Span.span_id);
+           ("parent", Json.int e.Span.parent_id) ]) ]
 
-let add_flow b ~ph ~id ~tid ~ts_ns ~extra =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"submit\",\"cat\":\"flow\",\"ph\":\"%s\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%.3f%s}"
-       ph id tid
-       (float_of_int ts_ns /. 1e3)
-       extra)
+let metadata ~name ~tid ~value =
+  Json.Obj
+    [ ("name", Json.Str name);
+      ("ph", Json.Str "M");
+      ("pid", Json.int 1);
+      ("tid", Json.int tid);
+      ("args", Json.Obj [ ("name", Json.Str value) ]) ]
+
+let flow ~ph ~id ~tid ~ts_ns ~extra =
+  Json.Obj
+    ([ ("name", Json.Str "submit");
+       ("cat", Json.Str "flow");
+       ("ph", Json.Str ph);
+       ("id", Json.int id);
+       ("pid", Json.int 1);
+       ("tid", Json.int tid);
+       ("ts", us ts_ns) ]
+    @ extra)
 
 let to_string () =
   let events = Span.events () in
@@ -49,44 +58,39 @@ let to_string () =
     (fun (e : Span.event) ->
       if e.Span.span_id <> 0 then Hashtbl.replace by_span e.Span.span_id e)
     events;
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  add_metadata b ~name:"process_name" ~tid:0 ~value:"kitdpe";
-  List.iter
-    (fun tid ->
-      Buffer.add_char b ',';
-      add_metadata b ~name:"thread_name" ~tid
-        ~value:(Printf.sprintf "domain %d" tid))
-    tids;
-  List.iter
-    (fun e ->
-      Buffer.add_char b ',';
-      add_event b e)
-    events;
   (* cross-domain parent edges become flow arrows; the start point is
      clamped into the parent slice so renderers anchor it correctly *)
-  List.iter
-    (fun (e : Span.event) ->
-      if e.Span.parent_id <> 0 then
+  let flows =
+    List.concat_map
+      (fun (e : Span.event) ->
         match Hashtbl.find_opt by_span e.Span.parent_id with
         | Some p when p.Span.tid <> e.Span.tid ->
           let anchor =
             min (max e.Span.ts_ns p.Span.ts_ns) (p.Span.ts_ns + p.Span.dur_ns)
           in
-          Buffer.add_char b ',';
-          add_flow b ~ph:"s" ~id:e.Span.span_id ~tid:p.Span.tid ~ts_ns:anchor
-            ~extra:"";
-          Buffer.add_char b ',';
-          add_flow b ~ph:"f" ~id:e.Span.span_id ~tid:e.Span.tid
-            ~ts_ns:e.Span.ts_ns ~extra:",\"bp\":\"e\""
-        | _ -> ())
-    events;
-  Buffer.add_string b "],\"otherData\":{\"dropped_spans\":";
-  Buffer.add_string b (string_of_int (Span.dropped ()));
-  Buffer.add_string b ",\"metrics\":";
-  Buffer.add_string b (Registry.dump_json ());
-  Buffer.add_string b "}}";
-  Buffer.contents b
+          [ flow ~ph:"s" ~id:e.Span.span_id ~tid:p.Span.tid ~ts_ns:anchor
+              ~extra:[];
+            flow ~ph:"f" ~id:e.Span.span_id ~tid:e.Span.tid ~ts_ns:e.Span.ts_ns
+              ~extra:[ ("bp", Json.Str "e") ] ]
+        | _ -> [])
+      events
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents",
+          Json.Arr
+            ((metadata ~name:"process_name" ~tid:0 ~value:"kitdpe"
+             :: List.map
+                  (fun tid ->
+                    metadata ~name:"thread_name" ~tid
+                      ~value:(Printf.sprintf "domain %d" tid))
+                  tids)
+            @ List.map event events @ flows));
+         ("otherData",
+          Json.Obj
+            [ ("dropped_spans", Json.int (Span.dropped ()));
+              ("metrics", Registry.to_json ()) ]) ])
 
 let write_file path =
   let oc = open_out path in

@@ -103,10 +103,10 @@ let send t request =
   let request =
     match request with
     | J.Obj kvs when List.mem_assoc "id" kvs -> request
-    | J.Obj kvs -> J.Obj (("id", J.Num (float_of_int id)) :: kvs)
+    | J.Obj kvs -> J.Obj (("id", J.int id) :: kvs)
     | other -> other
   in
-  match send_raw t (Proto.render request) with
+  match send_raw t (J.to_string request) with
   | Error e -> Error e
   | Ok () ->
     (* a resend under a caller-supplied fixed id (retry after a failed

@@ -124,9 +124,8 @@ let failed_indices errors =
     (Some []) errors
   |> Option.map (List.sort_uniq Int.compare)
 
-let num i = J.Num (float_of_int i)
 let labels_body labels =
-  [ ("labels", J.Arr (Array.to_list (Array.map num labels))) ]
+  [ ("labels", J.Arr (Array.to_list (Array.map J.int labels))) ]
 
 let plan_body (plan : Mine_plan.t) =
   ("engine", J.Str (Mine_plan.engine_name plan.engine))
@@ -188,7 +187,7 @@ let mine (req : Proto.request) log =
                    J.Arr
                      (List.filter_map
                         (fun i ->
-                          if List.mem i healthy_ix then None else Some (num i))
+                          if List.mem i healthy_ix then None else Some (J.int i))
                         (List.init n Fun.id))) ]
               @ plan_body ran)
               ~errors)))
@@ -196,23 +195,16 @@ let mine (req : Proto.request) log =
 (* ---- stats / health ---- *)
 
 let stats (req : Proto.request) =
-  Obs.Export.refresh_runtime ();
-  match J.parse (Obs.Export.snapshot_json ()) with
-  | Ok snapshot -> Proto.response_ok ~id:req.id [ ("snapshot", snapshot) ]
-  | Error e ->
-    Proto.response_error ~id:req.id
-      (Fault.Error.Invariant
-         { context = "Server.Dispatch.stats"; reason = "snapshot unparseable: " ^ e })
+  Proto.response_ok ~id:req.id [ ("snapshot", Obs.Export.snapshot ()) ]
 
 let health ctx (req : Proto.request) =
   Proto.response_ok ~id:req.id
     [ ("health",
        J.Obj
          [ ("draining", J.Bool (ctx.draining ()));
-           ("inflight", J.Num (float_of_int (ctx.inflight ())));
-           ("queue_depth", J.Num (float_of_int (ctx.queue_depth ())));
-           ("pool_lanes",
-            J.Num (float_of_int (Parallel.Pool.size (Parallel.Pool.global ())))) ]) ]
+           ("inflight", J.int (ctx.inflight ()));
+           ("queue_depth", J.int (ctx.queue_depth ()));
+           ("pool_lanes", J.int (Parallel.Pool.size (Parallel.Pool.global ()))) ]) ]
 
 (* ---- entry point ---- *)
 

@@ -103,7 +103,7 @@ let port t = t.bound_port
 (* every response funnels through here: the counters make requests-in =
    responses-out checkable from the metrics snapshot alone *)
 let send conn resp =
-  let payload = Proto.render resp in
+  let payload = Obs.Json.to_string resp in
   Mutex.lock conn.wlock;
   let delivered =
     conn.alive

@@ -1,7 +1,6 @@
 (* Wire vocabulary of the dpe_serve protocol: JSON payloads inside
-   Frame frames.  Requests and responses reuse [Obs.Json.t] as the
-   value type — the parser already exists in the export layer, and
-   [render] below is its inverse.
+   Frame frames.  Requests and responses are [Obs.Json.t] values, read
+   by [Obs.Json.parse] and written by its inverse [Obs.Json.to_string].
 
    Responses are deterministic functions of the request and the typed
    error (no timestamps, no addresses), so seeded chaos runs can compare
@@ -10,57 +9,9 @@
 module J = Obs.Json
 module M = Distance.Measure
 
-(* ---- JSON rendering ---- *)
-
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let rec render_to buf = function
-  | J.Null -> Buffer.add_string buf "null"
-  | J.Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | J.Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.12g" f)
-  | J.Str s ->
-    Buffer.add_char buf '"';
-    add_escaped buf s;
-    Buffer.add_char buf '"'
-  | J.Arr items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        render_to buf v)
-      items;
-    Buffer.add_char buf ']'
-  | J.Obj kvs ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        add_escaped buf k;
-        Buffer.add_string buf "\":";
-        render_to buf v)
-      kvs;
-    Buffer.add_char buf '}'
-
-let render j =
-  let buf = Buffer.create 256 in
-  render_to buf j;
-  Buffer.contents buf
+(* kept only for servebench/, which calls it; everything else calls
+   [Obs.Json.to_string] *)
+let render = J.to_string
 
 (* ---- requests ---- *)
 
@@ -194,19 +145,19 @@ let parse_request s =
 
 let request_to_json r =
   let base =
-    [ ("id", J.Num (float_of_int r.id));
+    [ ("id", J.int r.id);
       ("op", J.Str (op_to_string r.op));
       ("tenant", J.Str r.tenant);
       ("measure", J.Str (M.to_string r.measure));
       ("algo", J.Str r.algo);
-      ("k", J.Num (float_of_int r.k));
+      ("k", J.int r.k);
       ("eps", J.Num r.eps);
-      ("retries", J.Num (float_of_int r.retries)) ]
+      ("retries", J.int r.retries) ]
   in
   let dl =
     match r.deadline_ms with
     | None -> []
-    | Some ms -> [ ("deadline_ms", J.Num (float_of_int ms)) ]
+    | Some ms -> [ ("deadline_ms", J.int ms) ]
   in
   let eng =
     match r.engine with None -> [] | Some e -> [ ("engine", J.Str e) ]
@@ -241,7 +192,7 @@ let error_kind = function
 
 let id_field = function
   | None -> ("id", J.Null)
-  | Some id -> ("id", J.Num (float_of_int id))
+  | Some id -> ("id", J.int id)
 
 let error_json e = J.Str (Fault.Error.to_string e)
 
@@ -260,8 +211,8 @@ let response_error ?id e =
   let extra =
     match e with
     | Fault.Error.Overloaded { queue_depth; retry_after_ms } ->
-      [ ("queue_depth", J.Num (float_of_int queue_depth));
-        ("retry_after_ms", J.Num (float_of_int retry_after_ms)) ]
+      [ ("queue_depth", J.int queue_depth);
+        ("retry_after_ms", J.int retry_after_ms) ]
     | _ -> []
   in
   J.Obj

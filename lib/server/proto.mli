@@ -1,7 +1,7 @@
 (** JSON wire vocabulary of the [dpe_serve] protocol.
 
-    Payloads are {!Obs.Json.t} values; {!render} is the inverse of
-    [Obs.Json.parse].  A request names an operation, a tenant, and the
+    Payloads are {!Obs.Json.t} values, read by [Obs.Json.parse] and
+    written by its inverse [Obs.Json.to_string].  A request names an operation, a tenant, and the
     mining parameters; a response carries the request's [id], a
     [status] of ["ok"], ["partial"], ["error"] or ["overloaded"], and —
     on anything but ["ok"] — a machine-readable [error_kind] plus the
@@ -10,8 +10,8 @@
     bit-reproducible (the chaos invariant of DESIGN.md §14). *)
 
 val render : Obs.Json.t -> string
-(** RFC 8259 serialization; integers within 2^53 print without a
-    fractional part, so values round-trip through [Obs.Json.parse]. *)
+(** [Obs.Json.to_string].  An alias kept only because [servebench/]
+    calls it; everything else calls [Obs.Json.to_string] directly. *)
 
 type op = Encrypt | Mine | Stats | Health
 

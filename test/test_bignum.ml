@@ -251,90 +251,9 @@ let test_random_below () =
     (Invalid_argument "Bignat.random_below: zero bound") (fun () ->
       ignore (N.random_below rng N.zero))
 
-(* ---- Bigint (signed) ---- *)
-
-module Z = Bignum.Bigint
-
-let test_bigint_basics () =
-  check_str "negative parse/print" "-12345678901234567890"
-    (Z.to_string (Z.of_string "-12345678901234567890"));
-  check_int "sign neg" (-1) (Z.sign (Z.of_int (-5)));
-  check_int "sign zero" 0 (Z.sign Z.zero);
-  check_bool "neg zero is zero" true (Z.equal (Z.neg Z.zero) Z.zero);
-  check_bool "of_int roundtrip" true (Z.to_int_opt (Z.of_int (-42)) = Some (-42));
-  check_str "mixed-sign add" "-1" (Z.to_string (Z.add (Z.of_int 4) (Z.of_int (-5))));
-  check_str "mixed-sign mul" "-20" (Z.to_string (Z.mul (Z.of_int 4) (Z.of_int (-5))));
-  check_bool "compare" true (Z.compare (Z.of_int (-3)) (Z.of_int 2) < 0);
-  check_bool "compare negatives" true (Z.compare (Z.of_int (-3)) (Z.of_int (-2)) < 0);
-  (* truncated division: remainder carries the dividend's sign *)
-  let q, r = Z.divmod (Z.of_int (-7)) (Z.of_int 2) in
-  check_int "trunc q" (-3) (Option.get (Z.to_int_opt q));
-  check_int "trunc r" (-1) (Option.get (Z.to_int_opt r));
-  let q, r = Z.divmod (Z.of_int 7) (Z.of_int (-2)) in
-  check_int "trunc q2" (-3) (Option.get (Z.to_int_opt q));
-  check_int "trunc r2" 1 (Option.get (Z.to_int_opt r));
-  check_bool "to_bignat_opt negative" true (Z.to_bignat_opt (Z.of_int (-1)) = None)
-
-let test_bigint_egcd () =
-  let g, x, y = Z.egcd (Z.of_int 240) (Z.of_int 46) in
-  check_int "gcd" 2 (Option.get (Z.to_int_opt g));
-  check_bool "bezout" true
-    (Z.equal g (Z.add (Z.mul (Z.of_int 240) x) (Z.mul (Z.of_int 46) y)));
-  check_bool "inverse" true (Z.mod_inv (Z.of_int 3) (Z.of_int 7) = Some (Z.of_int 5));
-  check_bool "inverse of negative" true
-    (Z.mod_inv (Z.of_int (-3)) (Z.of_int 7) = Some (Z.of_int 2));
-  check_bool "no inverse" true (Z.mod_inv (Z.of_int 6) (Z.of_int 9) = None);
-  (* agreement with Bignat.mod_inv on naturals *)
-  let m = N.of_string "1000000007" and a = N.of_string "987654321" in
-  check_bool "agrees with Bignat" true
-    (match N.mod_inv a m, Z.mod_inv (Z.of_bignat a) (Z.of_bignat m) with
-     | Some x, Some z -> Z.equal (Z.of_bignat x) z
-     | _ -> false)
-
-let gen_bigint =
-  QCheck.Gen.(map2 (fun neg ds ->
-      let s = String.concat "" (List.map string_of_int ds) in
-      let s = if s = "" then "0" else s in
-      Z.of_string (if neg then "-" ^ s else s))
-      bool (list_size (int_range 1 15) (int_range 0 9)))
-
-let arb_bigint = QCheck.make ~print:Z.to_string gen_bigint
+(* ---- properties ---- *)
 
 let prop name count arb f = QCheck.Test.make ~name ~count arb f
-
-let bigint_properties =
-  [ prop "bigint add commutative" 200 (QCheck.pair arb_bigint arb_bigint)
-      (fun (a, b) -> Z.equal (Z.add a b) (Z.add b a));
-    prop "bigint neg involution" 200 arb_bigint
-      (fun a -> Z.equal a (Z.neg (Z.neg a)));
-    prop "bigint sub is add neg" 200 (QCheck.pair arb_bigint arb_bigint)
-      (fun (a, b) -> Z.equal (Z.sub a b) (Z.add a (Z.neg b)));
-    prop "bigint divmod invariant" 300 (QCheck.pair arb_bigint arb_bigint)
-      (fun (a, b) ->
-        if Z.sign b = 0 then true
-        else begin
-          let q, r = Z.divmod a b in
-          Z.equal a (Z.add (Z.mul q b) r)
-          && Z.compare (Z.abs r) (Z.abs b) < 0
-          && (Z.sign r = 0 || Z.sign r = Z.sign a)
-        end);
-    prop "bigint string roundtrip" 200 arb_bigint
-      (fun a -> Z.equal a (Z.of_string (Z.to_string a)));
-    prop "bigint egcd bezout" 200 (QCheck.pair arb_bigint arb_bigint)
-      (fun (a, b) ->
-        let g, x, y = Z.egcd a b in
-        Z.sign g >= 0 && Z.equal g (Z.add (Z.mul a x) (Z.mul b y)));
-    prop "bigint mod_inv verifies" 200 (QCheck.pair arb_bigint arb_bigint)
-      (fun (a, m) ->
-        let m = Z.add (Z.abs m) Z.one in
-        match Z.mod_inv a m with
-        | None -> true
-        | Some x ->
-          let _, r = Z.divmod (Z.mul a x) m in
-          let r = if Z.sign r < 0 then Z.add r m else r in
-          Z.equal m Z.one || Z.equal r Z.one) ]
-
-(* ---- properties ---- *)
 
 let gen_bignat =
   QCheck.Gen.(
@@ -407,8 +326,4 @@ let () =
          Alcotest.test_case "montgomery" `Quick test_montgomery;
          Alcotest.test_case "montgomery window" `Quick test_mont_window;
          Alcotest.test_case "random below" `Quick test_random_below ]);
-      ("bigint",
-       [ Alcotest.test_case "basics" `Quick test_bigint_basics;
-         Alcotest.test_case "egcd and inverse" `Quick test_bigint_egcd ]);
-      ("bigint-properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) bigint_properties);
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) properties) ]

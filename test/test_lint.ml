@@ -177,6 +177,53 @@ let test_whole_fixture_tree () =
   Alcotest.(check int) "DOM02 count" 2 (by_rule "DOM02");
   Alcotest.(check int) "total" 31 (List.length r.Engine.findings)
 
+(* ---- the JSON and SARIF reports ---- *)
+
+let test_reports_parse () =
+  let module J = Obs.Json in
+  let roots = [ "fixtures/lint/tree" ] in
+  let r = Engine.run ~roots in
+  let parse what s =
+    match J.parse s with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s report does not parse: %s" what e
+  in
+  let get k j = Option.get (J.member k j) in
+  let items j = Option.get (J.to_list j) in
+  let str j = Option.get (J.to_str j) and int j = Option.get (J.to_int j) in
+  let want =
+    List.map
+      (fun (f : Rule.finding) -> (f.Rule.rule, f.Rule.file, f.Rule.line, f.Rule.message))
+      r.Engine.findings
+  in
+  let row = Alcotest.(list (pair (pair string string) (pair int string))) in
+  let nest = List.map (fun (a, b, c, d) -> ((a, b), (c, d))) in
+  let report = parse "JSON" (Engine.to_json ~roots r) in
+  Alcotest.check row "JSON lists every finding" (nest want)
+    (nest
+       (List.map
+          (fun f -> (str (get "rule" f), str (get "file" f), int (get "line" f),
+                     str (get "message" f)))
+          (items (get "findings" report))));
+  Alcotest.(check int) "JSON summary total" (List.length want)
+    (int (get "total" (get "summary" report)));
+  let sarif =
+    parse "SARIF" (Lint_core.Sarif.render ~rules:(Engine.rule_meta ()) r.Engine.findings)
+  in
+  let run = List.hd (items (get "runs" sarif)) in
+  Alcotest.(check int) "SARIF declares every rule" (List.length (Engine.rule_meta ()))
+    (List.length (items (get "rules" (get "driver" (get "tool" run)))));
+  Alcotest.check row "SARIF lists every finding" (nest want)
+    (nest
+       (List.map
+          (fun res ->
+            let loc = get "physicalLocation" (List.hd (items (get "locations" res))) in
+            ( str (get "ruleId" res),
+              str (get "uri" (get "artifactLocation" loc)),
+              int (get "startLine" (get "region" loc)),
+              str (get "text" (get "message" res)) ))
+          (items (get "results" run))))
+
 (* ---- the baseline mechanism ---- *)
 
 let test_baseline () =
@@ -233,7 +280,8 @@ let () =
           Alcotest.test_case "clean file" `Quick test_good_clean;
           Alcotest.test_case "suppression" `Quick test_suppression;
           Alcotest.test_case "whole tree" `Quick test_whole_fixture_tree;
-          Alcotest.test_case "baseline" `Quick test_baseline ] );
+          Alcotest.test_case "baseline" `Quick test_baseline;
+          Alcotest.test_case "JSON and SARIF reports parse" `Quick test_reports_parse ] );
       ( "typed",
         [ Alcotest.test_case "SECFLOW01 direct" `Quick test_secflow01_direct;
           Alcotest.test_case "SECFLOW01 interproc" `Quick test_secflow01_interproc;

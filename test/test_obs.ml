@@ -229,6 +229,81 @@ let test_json_to_int_exact () =
   check "below min_int" None "-4611686018427387905000";
   check "string" None "\"3\""
 
+(* ---- JSON writer ---- *)
+
+let test_json_number_rule () =
+  let check what want f =
+    Alcotest.(check string) what want (Obs.Json.to_string (Obs.Json.Num f))
+  in
+  check "10^15 + 1 as digits" "1000000000000001" 1_000_000_000_000_001.;
+  check "2^53 - 1 as digits" "9007199254740991" 0x1.fffffffffffffp52;
+  check "negative zero" "-0" (-0.);
+  check "short decimal" "0.1" 0.1;
+  check "1/3 to 16 digits" "0.3333333333333333" (1. /. 3.);
+  check "0.1 + 0.2 to 17 digits" "0.30000000000000004" (0.1 +. 0.2);
+  check "large" "1e+300" 1e300;
+  check "nan" "null" Float.nan;
+  check "infinity" "null" Float.neg_infinity;
+  Alcotest.(check string) "escapes only quote, backslash and controls"
+    "\"q\\\"b\\\\n\\nc\\u0001\\u001f\\t\\r\127\255\""
+    (Obs.Json.to_string (Obs.Json.Str "q\"b\\n\nc\001\031\t\r\127\255"))
+
+(* bit equality: [-0.] must come back as [-0.] *)
+let rec json_equal a b =
+  match (a, b) with
+  | Obs.Json.Num x, Obs.Json.Num y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Obs.Json.Arr xs, Obs.Json.Arr ys -> List.equal json_equal xs ys
+  | Obs.Json.Obj xs, Obs.Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && json_equal x y) xs ys
+  | _ -> a = b
+
+let gen_json =
+  let open QCheck.Gen in
+  let num =
+    frequency
+      [ (3, map (fun f -> if Float.is_finite f then f else 0.5)
+             (map Int64.float_of_bits int64));
+        (2, map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53)));
+        (* subnormals: exponent bits zero *)
+        (1, map (fun b -> Int64.float_of_bits (Int64.logand b 0x800f_ffff_ffff_ffffL))
+             int64);
+        (1, oneofl [ 0.; -0.; Float.min_float; -.Float.max_float; 1. /. 3. ]) ]
+  in
+  let str = string_size ~gen:char (int_bound 12) in
+  let leaf =
+    frequency
+      [ (1, return Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        (4, map (fun f -> Obs.Json.Num f) num);
+        (3, map (fun s -> Obs.Json.Str s) str) ]
+  in
+  let tree =
+    sized_size (int_bound 40)
+      (fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [ (1, leaf);
+                 (2, map (fun l -> Obs.Json.Arr l) (list_size (int_bound 4) (self (n / 4))));
+                 (2, map (fun l -> Obs.Json.Obj l)
+                       (list_size (int_bound 4) (pair str (self (n / 4))))) ]))
+  in
+  (* up to max_depth brackets, the deepest [parse] accepts *)
+  let rec wrap d v =
+    if d = 0 then v
+    else wrap (d - 1) (if d mod 2 = 0 then Obs.Json.Arr [ v ] else Obs.Json.Obj [ ("k", v) ])
+  in
+  frequency [ (4, tree); (1, map2 wrap (int_bound Obs.Json.max_depth) leaf) ]
+
+let json_properties =
+  [ QCheck.Test.make ~name:"to_string inverts parse" ~count:1000
+      (QCheck.make ~print:Obs.Json.to_string gen_json)
+      (fun j ->
+        match Obs.Json.parse (Obs.Json.to_string j) with
+        | Ok j' -> json_equal j j'
+        | Error _ -> false) ]
+
 (* ---- span ring buffer ---- *)
 
 let test_span_ring_overflow () =
@@ -419,12 +494,12 @@ let test_trace_export () =
         (contains "test.obs.trace_counter");
       Alcotest.(check bool) "escapes newlines" true (contains "beta\\nnewline"))
 
-let test_registry_dump_json () =
+let test_registry_to_json () =
   with_obs (fun () ->
       Obs.Metric.incr (Obs.Registry.counter "test.obs.dump_c");
       Obs.Sketch.observe (Obs.Registry.sketch "test.obs.dump_sk") 42;
       Obs.Metric.set_gauge (Obs.Registry.gauge "test.obs.dump_g") 3;
-      let json = Obs.Registry.dump_json () in
+      let json = Obs.Json.to_string (Obs.Registry.to_json ()) in
       ignore (check_json "registry dump" json);
       Alcotest.check_raises "kind mismatch rejected"
         (Invalid_argument
@@ -665,7 +740,7 @@ let test_snapshot_and_diff () =
   with_obs (fun () ->
       let c = Obs.Registry.counter "test.obs.snap_c" in
       Obs.Metric.add c 5;
-      let old = Obs.Export.snapshot_json () in
+      let old = Obs.Json.to_string (Obs.Export.snapshot ()) in
       ignore (check_json "snapshot" old);
       Alcotest.(check bool) "schema name" true
         (contains old "\"schema\":\"kitdpe.metrics\"");
@@ -796,10 +871,12 @@ let () =
            test_build_and_prewarm_sketches ]);
       ("json",
        [ Alcotest.test_case "depth bound" `Quick test_json_depth_bound;
-         Alcotest.test_case "to_int exact" `Quick test_json_to_int_exact ]);
+         Alcotest.test_case "to_int exact" `Quick test_json_to_int_exact;
+         Alcotest.test_case "writer number rule" `Quick test_json_number_rule ]
+       @ List.map (fun t -> QCheck_alcotest.to_alcotest t) json_properties);
       ("spans",
        [ Alcotest.test_case "ring overflow" `Quick test_span_ring_overflow;
          Alcotest.test_case "trace export is valid JSON" `Quick
            test_trace_export;
          Alcotest.test_case "registry dump json" `Quick
-           test_registry_dump_json ]) ]
+           test_registry_to_json ]) ]

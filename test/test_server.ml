@@ -207,9 +207,41 @@ let test_render_parse_inverse () =
       deadline_ms = Some 250; retries = 2; engine = Some "index";
       queries = [ "SELECT a FROM r"; "SELECT b FROM s" ] }
   in
-  match Proto.parse_request (Proto.render (Proto.request_to_json req)) with
+  match Proto.parse_request (J.to_string (Proto.request_to_json req)) with
   | Error (_, e) -> Alcotest.failf "re-parse: %s" (Fault.Error.to_string e)
   | Ok r -> check_bool "request roundtrips" true (r = req)
+
+(* integral ids up to 2^53 and a non-integral eps cross the wire
+   exactly: a rounded id is dropped by the client as unsolicited, a
+   rounded eps mines with another radius than the owner's *)
+let test_wire_numbers_exact () =
+  let req =
+    { Proto.id = (1 lsl 53) - 1; op = Proto.Mine; tenant = "t1";
+      measure = Distance.Measure.Token; algo = "dbscan"; k = 2;
+      eps = 1. /. 3.; deadline_ms = None; retries = 1; engine = None;
+      queries = [ "SELECT a FROM r" ] }
+  in
+  (match Proto.parse_request (J.to_string (Proto.request_to_json req)) with
+   | Error (_, e) -> Alcotest.failf "re-parse: %s" (Fault.Error.to_string e)
+   | Ok r ->
+     check_int "id 2^53 - 1" req.Proto.id r.Proto.id;
+     check_bool "eps 1/3 bit-identical" true (Float.equal r.Proto.eps req.Proto.eps));
+  let ctx =
+    { Server.Dispatch.tenants = Server.Tenant.create ~master:"ids";
+      queue_depth = (fun () -> 0);
+      inflight = (fun () -> 0);
+      draining = (fun () -> false) }
+  in
+  let id = 1_000_000_000_000_001 in
+  match Proto.parse_request (Printf.sprintf {|{"id":%d,"op":"health"}|} id) with
+  | Error (_, e) -> Alcotest.failf "parse: %s" (Fault.Error.to_string e)
+  | Ok r -> (
+    let wire = J.to_string (Server.Dispatch.handle ctx r) in
+    match J.parse wire with
+    | Ok resp ->
+      check_bool (Printf.sprintf "answered %s with the id 10^15 + 1" wire) true
+        (Proto.response_id resp = Some id)
+    | Error e -> Alcotest.failf "response %s does not parse: %s" wire e)
 
 let test_response_shapes () =
   let ok = Proto.response_ok ~id:1 [ ("x", J.Num 1.) ] in
@@ -407,7 +439,7 @@ let test_engine_warm_cache_identical () =
       with_client t (fun c ->
           let a = call_ok c (request ~id:1 ~op:Proto.Encrypt ()) in
           let b = call_ok c (request ~id:1 ~op:Proto.Encrypt ()) in
-          check_str "warm cache bit-identical" (Proto.render a) (Proto.render b)))
+          check_str "warm cache bit-identical" (J.to_string a) (J.to_string b)))
 
 let test_engine_typed_errors () =
   with_engine (fun t ->
@@ -749,7 +781,7 @@ let test_engine_drain_chatty_client () =
   with_engine ~cfg (fun t ->
       let fd = connect_raw t in
       let stop = Atomic.make false in
-      let payload = Proto.render (request ~op:Proto.Health ~queries:[] ()) in
+      let payload = J.to_string (request ~op:Proto.Health ~queries:[] ()) in
       let pump =
         Thread.create
           (fun () ->
@@ -810,7 +842,7 @@ let with_fake_client serve f =
 let simple_req id = J.Obj [ ("id", J.Num (float_of_int id)); ("op", J.Str "health") ]
 
 let tagged id tag =
-  Proto.render (Proto.response_ok ~id [ ("tag", J.Str tag) ])
+  J.to_string (Proto.response_ok ~id [ ("tag", J.Str tag) ])
 
 let test_client_drops_unsolicited () =
   (* a server emitting responses for ids that were never requested must
@@ -897,8 +929,8 @@ let test_restart_identical () =
   in
   let first = encrypt_once () in
   check_str "ok" "ok" (Proto.response_status first);
-  check_str "fresh engines byte-identical" (Proto.render first)
-    (Proto.render (encrypt_once ()))
+  check_str "fresh engines byte-identical" (J.to_string first)
+    (J.to_string (encrypt_once ()))
 
 (* ---- registration ---- *)
 
@@ -921,7 +953,9 @@ let () =
          Alcotest.test_case "bounded fields" `Quick test_parse_request_bounds;
          Alcotest.test_case "render/parse inverse" `Quick
            test_render_parse_inverse;
-         Alcotest.test_case "response shapes" `Quick test_response_shapes ]);
+         Alcotest.test_case "response shapes" `Quick test_response_shapes;
+         Alcotest.test_case "exact numbers on the wire" `Quick
+           test_wire_numbers_exact ]);
       ("fuzz", List.map (fun t -> QCheck_alcotest.to_alcotest t) fuzz_properties);
       ("admission",
        [ Alcotest.test_case "sheds when full" `Quick test_admission_sheds;

@@ -200,40 +200,17 @@ let apply_baseline entries result =
 
 (* ---- rendering ---- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_json ~roots result =
-  let b = Buffer.create 2048 in
-  let str s = Buffer.add_char b '"'; json_escape b s; Buffer.add_char b '"' in
-  Buffer.add_string b "{\"version\":1,\"roots\":[";
-  List.iteri (fun i r -> if i > 0 then Buffer.add_char b ','; str r) roots;
-  Buffer.add_string b
-    (Printf.sprintf "],\"files_scanned\":%d,\"typed_cmts\":%d,\"typed_units\":%d,\"findings\":["
-       result.files_scanned result.typed_cmts result.typed_units);
-  List.iteri
-    (fun i (f : Rule.finding) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"rule\":";
-      str f.Rule.rule;
-      Buffer.add_string b ",\"severity\":";
-      str (Rule.severity_to_string f.Rule.severity);
-      Buffer.add_string b ",\"file\":";
-      str f.Rule.file;
-      Buffer.add_string b (Printf.sprintf ",\"line\":%d,\"col\":%d,\"message\":" f.Rule.line f.Rule.col);
-      str f.Rule.message;
-      Buffer.add_char b '}')
-    result.findings;
+  let module J = Obs.Json in
+  let finding (f : Rule.finding) =
+    J.Obj
+      [ ("rule", J.Str f.Rule.rule);
+        ("severity", J.Str (Rule.severity_to_string f.Rule.severity));
+        ("file", J.Str f.Rule.file);
+        ("line", J.int f.Rule.line);
+        ("col", J.int f.Rule.col);
+        ("message", J.Str f.Rule.message) ]
+  in
   let by_rule =
     List.fold_left
       (fun acc (f : Rule.finding) ->
@@ -243,18 +220,19 @@ let to_json ~roots result =
       [] result.findings
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Buffer.add_string b
-    (Printf.sprintf "],\"summary\":{\"total\":%d,\"errors\":%d,\"by_rule\":{"
-       (List.length result.findings)
-       (List.length (errors result)));
-  List.iteri
-    (fun i (rule, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      str rule;
-      Buffer.add_string b (Printf.sprintf ":%d" n))
-    by_rule;
-  Buffer.add_string b "}}}";
-  Buffer.contents b
+  J.to_string
+    (J.Obj
+       [ ("version", J.int 1);
+         ("roots", J.Arr (List.map (fun r -> J.Str r) roots));
+         ("files_scanned", J.int result.files_scanned);
+         ("typed_cmts", J.int result.typed_cmts);
+         ("typed_units", J.int result.typed_units);
+         ("findings", J.Arr (List.map finding result.findings));
+         ("summary",
+          J.Obj
+            [ ("total", J.int (List.length result.findings));
+              ("errors", J.int (List.length (errors result)));
+              ("by_rule", J.Obj (List.map (fun (rule, n) -> (rule, J.int n)) by_rule)) ]) ])
 
 let print_text result =
   List.iter

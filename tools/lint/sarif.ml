@@ -4,20 +4,6 @@
    [tool.driver.rules]; columns are converted from the 0-based internal
    representation to SARIF's 1-based one. *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let level = function Rule.Error -> "error" | Rule.Warning -> "warning"
 
 (* GitHub resolves relative URIs against the checkout root; absolute
@@ -30,39 +16,44 @@ let uri_of_file f =
   f
 
 let render ~rules (findings : Rule.finding list) =
-  let b = Buffer.create 4096 in
-  let str s = Buffer.add_char b '"'; escape b s; Buffer.add_char b '"' in
-  Buffer.add_string b
-    "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",";
-  Buffer.add_string b "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{";
-  Buffer.add_string b "\"name\":\"kitdpe_lint\",\"rules\":[";
-  List.iteri
-    (fun i (id, severity, doc) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"id\":";
-      str id;
-      Buffer.add_string b ",\"shortDescription\":{\"text\":";
-      str doc;
-      Buffer.add_string b "},\"defaultConfiguration\":{\"level\":";
-      str (level severity);
-      Buffer.add_string b "}}")
-    rules;
-  Buffer.add_string b "]}},\"results\":[";
-  List.iteri
-    (fun i (f : Rule.finding) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"ruleId\":";
-      str f.Rule.rule;
-      Buffer.add_string b ",\"level\":";
-      str (level f.Rule.severity);
-      Buffer.add_string b ",\"message\":{\"text\":";
-      str f.Rule.message;
-      Buffer.add_string b "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":";
-      str (uri_of_file f.Rule.file);
-      Buffer.add_string b
-        (Printf.sprintf
-           "},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
-           (max 1 f.Rule.line) (f.Rule.col + 1)))
-    findings;
-  Buffer.add_string b "]}]}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let text s = J.Obj [ ("text", J.Str s) ] in
+  let rule (id, severity, doc) =
+    J.Obj
+      [ ("id", J.Str id);
+        ("shortDescription", text doc);
+        ("defaultConfiguration", J.Obj [ ("level", J.Str (level severity)) ]) ]
+  in
+  let result (f : Rule.finding) =
+    J.Obj
+      [ ("ruleId", J.Str f.Rule.rule);
+        ("level", J.Str (level f.Rule.severity));
+        ("message", text f.Rule.message);
+        ("locations",
+         J.Arr
+           [ J.Obj
+               [ ("physicalLocation",
+                  J.Obj
+                    [ ("artifactLocation",
+                       J.Obj [ ("uri", J.Str (uri_of_file f.Rule.file)) ]);
+                      ("region",
+                       J.Obj
+                         [ ("startLine", J.int (max 1 f.Rule.line));
+                           ("startColumn", J.int (f.Rule.col + 1)) ]) ]) ] ]) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("$schema",
+          J.Str
+            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json");
+         ("version", J.Str "2.1.0");
+         ("runs",
+          J.Arr
+            [ J.Obj
+                [ ("tool",
+                   J.Obj
+                     [ ("driver",
+                        J.Obj
+                          [ ("name", J.Str "kitdpe_lint");
+                            ("rules", J.Arr (List.map rule rules)) ]) ]);
+                  ("results", J.Arr (List.map result findings)) ] ]) ])

@@ -141,54 +141,27 @@ let print_table snapshots series =
       Printf.printf " %9.2fx\n" f)
     series
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit_json path snapshots series =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"kitdpe.trend\",\n";
-  Buffer.add_string b "  \"schema_version\": 1,\n";
-  Buffer.add_string b "  \"snapshots\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"pr\": %d, \"file\": \"%s\"}" s.s_pr
-           (json_escape s.s_file)))
-    snapshots;
-  Buffer.add_string b "],\n  \"series\": [\n";
-  let last = List.length series - 1 in
-  List.iteri
-    (fun i ((op, n, d), points) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"op\": \"%s\", \"n\": %d, \"domains\": %d, \
-            \"improvement\": %.3f, \"points\": ["
-           (json_escape op) n d (improvement points));
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"pr\": %d, \"ns_per_op\": %.0f, \"speedup\": %.3f, \
-                \"identical\": %b}"
-               p.pr p.ns_per_op p.speedup p.identical))
-        points;
-      Buffer.add_string b "]}";
-      Buffer.add_string b (if i = last then "\n" else ",\n"))
-    series;
-  Buffer.add_string b "  ]\n}\n";
+  let point p =
+    J.Obj
+      [ ("pr", J.int p.pr); ("ns_per_op", J.Num (Float.round p.ns_per_op));
+        ("speedup", J.Num p.speedup); ("identical", J.Bool p.identical) ]
+  in
+  let row ((op, n, d), points) =
+    J.Obj
+      [ ("op", J.Str op); ("n", J.int n); ("domains", J.int d);
+        ("improvement", J.Num (Float.round (improvement points *. 1e3) /. 1e3));
+        ("points", J.Arr (List.map point points)) ]
+  in
+  let snapshot s = J.Obj [ ("pr", J.int s.s_pr); ("file", J.Str s.s_file) ] in
   let oc = open_out path in
-  output_string oc (Buffer.contents b);
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [ ("schema", J.Str "kitdpe.trend"); ("schema_version", J.int 1);
+            ("snapshots", J.Arr (List.map snapshot snapshots));
+            ("series", J.Arr (List.map row series)) ]));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" path
 
