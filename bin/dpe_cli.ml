@@ -241,8 +241,9 @@ let mine_cmd =
     Arg.(value & opt string "auto"
          & info [ "engine" ]
              ~doc:"Neighbor engine: matrix (dense distance matrix), index \
-                   (dbscan over a VP-tree, no matrix) or auto (the VP-tree \
-                   for dbscan on large indexable logs, matrix otherwise).  \
+                   (dbscan over a metric index, no matrix: a VP-tree, a \
+                   BK-tree for edit) or auto (the index for dbscan on \
+                   large indexable logs, matrix otherwise).  \
                    Both engines are exact: index labels equal the matrix \
                    engine's.  An engine that does not cover the algorithm \
                    or measure, or fails, falls back to matrix; the engine \

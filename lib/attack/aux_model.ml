@@ -32,8 +32,6 @@ let ranked t =
 
 let mode t = match ranked t with [] -> None | (v, _) :: _ -> Some v
 
-let by_value_order t = t.counts
-
 let quantile t p =
   if t.counts = [] then None
   else begin

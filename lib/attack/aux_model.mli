@@ -17,9 +17,5 @@ val mode : t -> Minidb.Value.t option
 val ranked : t -> (Minidb.Value.t * int) list
 (** Values by descending frequency (ties broken by value order). *)
 
-val by_value_order : t -> (Minidb.Value.t * int) list
-(** Values in ascending value order with counts — the CDF view the sorting
-    attack needs. *)
-
 val quantile : t -> float -> Minidb.Value.t option
 (** [quantile t p] is the value at cumulative position [p] in [0,1]. *)

@@ -27,15 +27,3 @@ let ctr_transform key ~iv data =
     i := !i + 16
   done;
   Bytes.to_string out
-
-let map_blocks f key data =
-  let n = String.length data in
-  if n mod 16 <> 0 then invalid_arg "Block_modes: data not block-aligned";
-  let buf = Buffer.create n in
-  for i = 0 to (n / 16) - 1 do
-    Buffer.add_string buf (f key (String.sub data (i * 16) 16))
-  done;
-  Buffer.contents buf
-
-let ecb_encrypt key data = map_blocks Aes128.encrypt_block key data
-let ecb_decrypt key data = map_blocks Aes128.decrypt_block key data

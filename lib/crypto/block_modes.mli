@@ -4,10 +4,3 @@ val ctr_transform : Aes128.key -> iv:string -> string -> string
 (** [ctr_transform k ~iv data] encrypts or decrypts [data] (the operation is
     its own inverse) in counter mode.  [iv] is a 16-byte initial counter
     block; successive blocks increment its low 64 bits big-endian. *)
-
-val ecb_encrypt : Aes128.key -> string -> string
-(** Encrypt a multiple-of-16-byte string block by block.  Exposed only for
-    tests and for the attack harness's "worst baseline" configuration —
-    never used by the DPE schemes themselves. *)
-
-val ecb_decrypt : Aes128.key -> string -> string

@@ -44,7 +44,6 @@ type crt = {
 type secret = { pub : public; lambda : N.t; mu : N.t; crt : crt }
 
 let modulus pub = pub.n
-let public_of_secret sk = sk.pub
 
 let pow pub b e =
   Obs.Metric.incr m_modexp;

@@ -24,7 +24,6 @@ val keygen : ?bits:int -> Drbg.t -> public * secret
     the construction is parametric). *)
 
 val modulus : public -> Bignum.Bignat.t
-val public_of_secret : secret -> public
 
 val encrypt : public -> Drbg.t -> Bignum.Bignat.t -> Bignum.Bignat.t
 (** @raise Invalid_argument if the plaintext is [>= n]. *)

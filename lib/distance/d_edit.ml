@@ -17,30 +17,6 @@ let levenshtein (type a) (equal : a -> a -> bool) (a : a array) (b : a array) =
     prev.(m)
   end
 
-(* the same one-row program, monomorphic on int symbols: no equality
-   closure, no polymorphic dispatch in the inner loop *)
-let levenshtein_ints (a : int array) (b : int array) =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 then m
-  else if m = 0 then n
-  else begin
-    let prev = Array.init (m + 1) Fun.id in
-    let cur = Array.make (m + 1) 0 in
-    for i = 1 to n do
-      cur.(0) <- i;
-      let ai = Array.unsafe_get a (i - 1) in
-      for j = 1 to m do
-        let cost = if ai = Array.unsafe_get b (j - 1) then 0 else 1 in
-        let del = Array.unsafe_get prev j + 1 in
-        let ins = Array.unsafe_get cur (j - 1) + 1 in
-        let sub = Array.unsafe_get prev (j - 1) + cost in
-        Array.unsafe_set cur j (min (min ins del) sub)
-      done;
-      Array.blit cur 0 prev 0 (m + 1)
-    done;
-    prev.(m)
-  end
-
 (* ---- Myers / Hyyrö bit-parallel Levenshtein ----------------------------
 
    Classic bit-vector algorithm (Myers 1999, blocked form after Hyyrö
@@ -124,64 +100,6 @@ let myers_with_peq ~alphabet ~m ~peq (text : int array) =
       done
     done;
     !score
-  end
-
-let myers ~alphabet (a : int array) (b : int array) =
-  let m = Array.length a in
-  if m = 0 then Array.length b
-  else
-    myers_with_peq ~alphabet ~m ~peq:(myers_peq ~alphabet a) b
-
-(* ---- Ukkonen banded early-abandon variant ------------------------------
-
-   [distance_at_most ~bound a b] is [Some d] when the edit distance [d]
-   is [<= bound] and [None] otherwise, visiting only the diagonal band
-   of half-width [bound]: O(bound * min(n,m)) instead of O(nm).  The
-   answer, when present, is exact (not clamped), so eps-bounded callers
-   can compare the true distance against their threshold. *)
-let distance_at_most ~bound (a : int array) (b : int array) =
-  if bound < 0 then None
-  else begin
-    let n = Array.length a and m = Array.length b in
-    if abs (n - m) > bound then None
-    else if n = 0 then (if m <= bound then Some m else None)
-    else if m = 0 then (if n <= bound then Some n else None)
-    else begin
-      (* big = an unreachable sentinel that cannot overflow when +1 *)
-      let big = max n m + bound + 1 in
-      let prev = Array.make (m + 1) big in
-      let cur = Array.make (m + 1) big in
-      for j = 0 to min m bound do prev.(j) <- j done;
-      let abandoned = ref false in
-      let i = ref 1 in
-      while (not !abandoned) && !i <= n do
-        let ii = !i in
-        let lo = max 0 (ii - bound) and hi = min m (ii + bound) in
-        Array.fill cur 0 (m + 1) big;
-        if lo = 0 then cur.(0) <- ii;
-        let ai = a.(ii - 1) in
-        let row_min = ref big in
-        for j = max 1 lo to hi do
-          let cost = if ai = b.(j - 1) then 0 else 1 in
-          let v =
-            min
-              (min (cur.(j - 1) + 1) (prev.(j) + 1))
-              (prev.(j - 1) + cost)
-          in
-          cur.(j) <- v;
-          if v < !row_min then row_min := v
-        done;
-        if lo = 0 && cur.(0) < !row_min then row_min := cur.(0);
-        if !row_min > bound then abandoned := true
-        else begin
-          Array.blit cur 0 prev 0 (m + 1);
-          incr i
-        end
-      done;
-      if !abandoned then None
-      else if prev.(m) <= bound then Some prev.(m)
-      else None
-    end
   end
 
 (* character-level DP straight off the strings: no boxed [char array]

@@ -12,26 +12,15 @@
     plaintexts — which is exactly why the measure must be defined on token
     sequences.  [char_distance] is provided for that demonstration.
 
-    Three kernels compute the same integer distance (DESIGN.md §10):
-    the classic one-row DP ({!levenshtein}, {!levenshtein_ints}), the
-    Myers bit-parallel algorithm over interned symbols ({!myers},
-    O(nm/w) with w = 62 payload bits per word) and the Ukkonen banded
-    early-abandon variant ({!distance_at_most}).  The feature-table
-    matrix path ({!Features}) uses Myers with per-query precomputed
-    pattern bitvectors. *)
+    Two kernels compute the same integer distance (DESIGN.md §10):
+    the classic one-row DP ({!levenshtein}) and the Myers bit-parallel
+    algorithm over interned symbols ({!myers_with_peq}, O(nm/w) with
+    w = 62 payload bits per word).  The feature-table path
+    ({!Features}) uses Myers with per-query precomputed pattern
+    bitvectors; the property tests check it against the DP. *)
 
 val levenshtein : ('a -> 'a -> bool) -> 'a array -> 'a array -> int
 (** Classic one-row DP under a caller-supplied equality. *)
-
-val levenshtein_ints : int array -> int array -> int
-(** {!levenshtein} specialized to interned int symbols (no equality
-    closure in the inner loop); same result as
-    [levenshtein Int.equal]. *)
-
-val myers : alphabet:int -> int array -> int array -> int
-(** Myers bit-parallel edit distance of two interned symbol sequences.
-    Symbols must lie in [\[0, alphabet)].  Equals {!levenshtein_ints} on
-    every input (property-tested), at O(nm/62) word operations. *)
 
 val myers_peq : alphabet:int -> int array -> int array
 (** Pattern preprocessing for {!myers_with_peq}: the per-symbol position
@@ -40,20 +29,10 @@ val myers_peq : alphabet:int -> int array -> int array
     across a whole matrix row ({!Features}). *)
 
 val myers_with_peq : alphabet:int -> m:int -> peq:int array -> int array -> int
-(** [myers_with_peq ~alphabet ~m ~peq text] where [peq] is
-    [myers_peq ~alphabet pat] and [m = Array.length pat]. *)
-
-val myers_blocks : int -> int
-(** Number of bit-vector blocks a pattern of the given length needs
-    (exposed for tests). *)
-
-val distance_at_most : bound:int -> int array -> int array -> int option
-(** [Some d] iff the edit distance [d] of the two sequences is
-    [<= bound], else [None]; visits only the diagonal band of
-    half-width [bound] and abandons as soon as every band cell exceeds
-    [bound].  The returned distance is exact, so eps-bounded callers
-    (DBSCAN neighbor checks) can compare it against their threshold
-    with the same float expression as the full path. *)
+(** [myers_with_peq ~alphabet ~m ~peq text] is the Levenshtein
+    distance of [pat] and [text], where [peq] is
+    [myers_peq ~alphabet pat] and [m = Array.length pat].  Symbols
+    must lie in [\[0, alphabet)]. *)
 
 val char_distance : string -> string -> int
 (** Plain character-level Levenshtein (for the negative demonstration).

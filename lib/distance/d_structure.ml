@@ -1,4 +1,2 @@
 let distance a b =
   Jaccard.distance ~compare:Feature.compare (Feature.of_query a) (Feature.of_query b)
-
-let distance_str a b = distance (Sqlir.Parser.parse a) (Sqlir.Parser.parse b)

@@ -2,6 +2,3 @@
     feature sets ({!Feature}) of the two queries. *)
 
 val distance : Sqlir.Ast.query -> Sqlir.Ast.query -> float
-
-val distance_str : string -> string -> float
-(** Convenience over query strings; parses both sides. *)

@@ -212,23 +212,3 @@ let edit t i j =
   else float_of_int (edit_distance_int t i j) /. float_of_int n
 
 let edit_len t i = Array.length t.records.(i).edit_tokens
-
-let edit_within t ~eps i j =
-  Obs.Metric.add m_reuse 2;
-  let a = t.records.(i) and b = t.records.(j) in
-  let n = max (Array.length a.edit_tokens) (Array.length b.edit_tokens) in
-  if n = 0 then 0.0 <= eps
-  else begin
-    (* every d with d/n <= eps satisfies d <= eps*n <= bound (the +2
-       absorbs float truncation); a banded miss therefore implies
-       d > bound >= eps*n, i.e. the pair is genuinely outside eps.  The
-       band is clamped to n in floats first: [int_of_float] is undefined
-       past [max_int], and d <= n always holds. *)
-    let band = eps *. float_of_int n in
-    let bound =
-      if band >= float_of_int n then n else min n (int_of_float band + 2)
-    in
-    match D_edit.distance_at_most ~bound a.edit_tokens b.edit_tokens with
-    | Some d -> float_of_int d /. float_of_int n <= eps
-    | None -> false
-  end

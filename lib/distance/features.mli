@@ -80,14 +80,6 @@ val edit_distance_int : t -> int -> int -> int
 
 val edit_len : t -> int -> int
 (** Length of query [i]'s fused token sequence — the normalizer of
-    {!edit} is [max (edit_len i) (edit_len j)].  The metric indexes
-    ([Index]) use it to convert a normalized radius into a sound
-    integer Levenshtein bound per subtree. *)
-
-val edit_within : t -> eps:float -> int -> int -> bool
-(** [edit_within t ~eps i j = (edit t i j <= eps)], decided by the
-    banded early-abandoning kernel ({!D_edit.distance_at_most}) without
-    computing the full matrix entry: within the band the exact distance
-    is confirmed against [eps] by the same float comparison, and a
-    banded miss implies the true distance exceeds the bound and hence
-    [eps]. *)
+    {!edit} is [max (edit_len i) (edit_len j)].  The BK-tree
+    ([Index.Bk_tree]) uses it to convert a normalized radius into a
+    sound integer Levenshtein bound per subtree. *)

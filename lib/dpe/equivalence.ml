@@ -12,12 +12,6 @@ let of_measure = function
   | Distance.Measure.Result -> Result_equivalence
   | Distance.Measure.Access -> Access_area_equivalence
 
-let measure_of = function
-  | Token_equivalence -> Distance.Measure.Token
-  | Structural_equivalence -> Distance.Measure.Structure
-  | Result_equivalence -> Distance.Measure.Result
-  | Access_area_equivalence -> Distance.Measure.Access
-
 let to_string = function
   | Token_equivalence -> "Token Equivalence"
   | Structural_equivalence -> "Structural Equivalence"

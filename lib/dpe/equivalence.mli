@@ -10,7 +10,6 @@ type t =
 [@@deriving show, eq]
 
 val of_measure : Distance.Measure.t -> t
-val measure_of : t -> Distance.Measure.t
 val to_string : t -> string
 val characteristic_name : t -> string
 (** The name the paper gives [c]: "tokens", "features", "result tuples"

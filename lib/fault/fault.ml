@@ -16,6 +16,3 @@ let protect ~context f =
   match f () with
   | v -> Ok v
   | exception e -> Error (Error.of_exn ~context e)
-
-let m_retried = Obs.Registry.counter "kitdpe.fault.retried"
-let count_retry () = Obs.Metric.incr m_retried

@@ -35,6 +35,3 @@ val key_of_string : string -> int
 val protect : context:string -> (unit -> 'a) -> ('a, Error.t) result
 (** Run a thunk, converting any escaping exception through
     [Error.of_exn ~context]. *)
-
-val count_retry : unit -> unit
-(** Bump [kitdpe.fault.retried] (called by retry loops). *)

@@ -34,12 +34,6 @@ let seed = Atomic.make "kitdpe-fault"
 
 let m_injected = Obs.Registry.counter "kitdpe.fault.injected"
 
-let trigger_to_string = function
-  | Always -> "always"
-  | Nth k -> Printf.sprintf "nth:%d" k
-  | Every k -> Printf.sprintf "every:%d" k
-  | Prob p -> Printf.sprintf "prob:%g" p
-
 let set_seed s = Atomic.set seed s
 let get_seed () = Atomic.get seed
 

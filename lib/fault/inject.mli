@@ -45,5 +45,3 @@ val check : ?key:int -> string -> int option
 val armed : unit -> (string * trigger) list
 val stats : unit -> (string * trigger * int * int) list
 (** [(name, trigger, calls, fired)] for every armed point. *)
-
-val trigger_to_string : trigger -> string

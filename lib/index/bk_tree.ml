@@ -101,6 +101,21 @@ let build ?pool ~seed space =
 
 type stats = { probes : int; prunes : int }
 
+(* eps-membership of point [j] from its integer distance [d] to the
+   query (edit length [qlen]), without re-evaluating the pair: the very
+   division [Features.edit] evaluates, so bit-identical to
+   [Space.within] *)
+let member sp ~eps ~qlen j d =
+  let nl = max qlen (Space.len sp j) in
+  if nl = 0 then 0.0 <= eps else float_of_int d /. float_of_int nl <= eps
+
+(* Sound pruning radius for a subtree whose members' edit lengths are
+   all <= [sublen]: membership means lev(q,j) / max(qlen, len j) <= eps,
+   hence lev(q,j) <= eps * max(qlen, sublen) in the reals.  Distances
+   are exact integers, and the 0.5 slack dominates any rounding of the
+   eps * length product (integers differ by >= 1). *)
+let radius ~eps ~qlen ~sublen = (eps *. float_of_int (max qlen sublen)) +. 0.5
+
 let range_core t ~eps q =
   let sp = t.space in
   let qlen = Space.len sp q in
@@ -111,12 +126,11 @@ let range_core t ~eps q =
     incr probes;
     let d = Space.int_dist sp q v in
     let df = float_of_int d in
-    if v <> q && Space.member_of_tree_dist sp ~eps ~qlen v df then
-      acc := v :: !acc;
+    if v <> q && member sp ~eps ~qlen v d then acc := v :: !acc;
     Array.iter
       (fun (w, child) ->
         if Float.abs (df -. float_of_int w)
-           <= Space.radius sp ~eps ~qlen ~sublen:child.maxlen
+           <= radius ~eps ~qlen ~sublen:child.maxlen
         then walk child
         else incr prunes)
       children

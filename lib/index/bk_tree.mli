@@ -1,11 +1,14 @@
 (** Burkhard–Keller tree: exact eps-range queries over the {e integer}
-    edit metric ({!Space.is_int_metric} spaces only).
+    edit metric ({!Space.is_int_metric} spaces only).  The index for
+    edit: {!Vp_tree.build} hands every edit space to {!build}.
 
     Children are bucketed by exact pivot distance; a query at integer
     distance [d] from a pivot descends only into edges [w] with
-    [|d - w| <= radius] (triangle inequality on the raw Levenshtein
-    metric).  Membership is confirmed with the exact normalized
-    predicate, so results equal the brute-force neighbor set.
+    [|d - w| <= eps * max(len q, maxlen) + 0.5], where [maxlen] is the
+    longest member of the child subtree (triangle inequality on the raw
+    Levenshtein metric).  Membership is confirmed with the exact
+    normalized predicate, so results equal the brute-force neighbor
+    set.
 
     Determinism, fault behavior and accounting mirror {!Vp_tree}:
     path-keyed DRBG pivots, bit-identical structure across pool sizes,
@@ -29,5 +32,6 @@ type stats = { probes : int; prunes : int }
 val range_stats : t -> eps:float -> int -> int list * stats
 
 val fingerprint : t -> string
-(** Deterministic structural rendering; equal fingerprints mean
-    bit-identical trees. *)
+(** Deterministic structural rendering (pivots, edge distances,
+    per-subtree length bounds); equal fingerprints mean bit-identical
+    trees. *)

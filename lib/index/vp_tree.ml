@@ -1,4 +1,5 @@
-(* Vantage-point tree over a [Space.t].
+(* Vantage-point tree over a [Space.t] of the Jaccard family, and the one
+   index entry point: an edit space is handed to [Bk_tree] instead.
 
    Construction is a pure function of (space, seed): the vantage of
    every node is drawn from a DRBG derived from the build seed and the
@@ -7,31 +8,27 @@
    bit-identical for every pool size.  The pool only decides
    *where* the vantage-distance batches and the two subtree builds run.
 
-   Exactness: subtrees are discarded only when the triangle-inequality
-   lower bound on the tree distance exceeds [Space.radius], which is a
-   sound over-approximation of the eps-membership threshold; every
+   Exactness: the tree routes on the measure value itself, and subtrees
+   are discarded only when the triangle-inequality lower bound exceeds
+   [eps] plus a 1e-9 slack (the few-ulp gap between the computed Jaccard
+   values and the real ones the triangle inequality holds for); every
    surviving candidate is confirmed with the exact predicate
-   ([Space.within] / [Space.member_of_tree_dist]).  An eps-range query
-   therefore returns exactly the brute-force neighbor set. *)
+   [Space.within], or with [d <= eps] on a vantage distance [d] already
+   in hand.  An eps-range query therefore returns exactly the
+   brute-force neighbor set. *)
 
 type tree =
   | Leaf of int array  (* point ids, ascending *)
   | Node of {
       v : int;         (* vantage point id *)
-      mu : float;      (* median tree-distance to [v] *)
-      inside : sub;    (* members with tree_dist(v, .) <= mu *)
-      outside : sub;   (* members with tree_dist(v, .) >  mu *)
+      mu : float;      (* median distance to [v] *)
+      inside : tree;   (* members with dist(v, .) <= mu *)
+      outside : tree;  (* members with dist(v, .) >  mu *)
     }
 
-and sub = {
-  maxlen : int;  (* max edit length over the subtree (0 for set spaces) *)
-  tree : tree;
-}
-
-type t = {
-  space : Space.t;
-  root : sub;
-}
+type t =
+  | Vp of { space : Space.t; root : tree }
+  | Bk of Bk_tree.t
 
 let leaf_cap = 12
 
@@ -39,18 +36,14 @@ let leaf_cap = 12
 let par_dist_cutoff = 192
 let par_build_cutoff = 768
 
-let maxlen_of space ids =
-  Array.fold_left (fun acc i -> max acc (Space.len space i)) 0 ids
-
-let sub_of space ids tree = { maxlen = maxlen_of space ids; tree }
+let sorted_leaf ids =
+  let ids = Array.copy ids in
+  Array.sort Int.compare ids;
+  Leaf ids
 
 let rec build_tree pool space ~seed ~path ids =
   let k = Array.length ids in
-  if k <= leaf_cap then begin
-    let ids = Array.copy ids in
-    Array.sort Int.compare ids;
-    sub_of space ids (Leaf ids)
-  end
+  if k <= leaf_cap then sorted_leaf ids
   else begin
     let rng = Crypto.Drbg.create ~seed:(Printf.sprintf "%s/vp/%s" seed path) in
     let vi = Crypto.Drbg.uniform_int rng k in
@@ -67,8 +60,8 @@ let rec build_tree pool space ~seed ~path ids =
     let dists =
       if k - 1 >= par_dist_cutoff then
         Parallel.Pool.map_range pool (k - 1) (fun i ->
-            Space.tree_dist space v rest.(i))
-      else Array.init (k - 1) (fun i -> Space.tree_dist space v rest.(i))
+            Space.dist space v rest.(i))
+      else Array.init (k - 1) (fun i -> Space.dist space v rest.(i))
     in
     let order = Array.init (k - 1) (fun i -> i) in
     (* total, monomorphic order: by distance then id — the partition is
@@ -83,13 +76,10 @@ let rec build_tree pool space ~seed ~path ids =
     let mu = dists.(order.(mid)) in
     let n_in = ref 0 in
     Array.iter (fun i -> if dists.(i) <= mu then incr n_in) order;
-    if !n_in = k - 1 then begin
+    if !n_in = k - 1 then
       (* every member is at distance <= mu (all ties): no split exists;
          store the flat set *)
-      let ids = Array.copy ids in
-      Array.sort Int.compare ids;
-      sub_of space ids (Leaf ids)
-    end
+      sorted_leaf ids
     else begin
       let inside = Array.make !n_in 0 and outside = Array.make (k - 1 - !n_in) 0 in
       let wi = ref 0 and wo = ref 0 in
@@ -109,30 +99,29 @@ let rec build_tree pool space ~seed ~path ids =
       and build_out () =
         build_tree pool space ~seed ~path:(path ^ "o") outside
       in
-      let s_in, s_out =
+      let inside, outside =
         if k >= par_build_cutoff then Parallel.Pool.both pool build_in build_out
         else (build_in (), build_out ())
       in
-      sub_of space
-        (Array.append [| v |] (Array.append inside outside))
-        (Node { v; mu; inside = s_in; outside = s_out })
+      Node { v; mu; inside; outside }
     end
   end
 
 let build ?pool ~seed space =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let root = Space.build ~name:"vp" space (build_tree pool space ~seed ~path:"r") in
-  { space; root }
+  if Space.is_int_metric space then Bk (Bk_tree.build ?pool ~seed space)
+  else begin
+    let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+    let root = Space.build ~name:"vp" space (build_tree pool space ~seed ~path:"r") in
+    Vp { space; root }
+  end
 
-type stats = { probes : int; prunes : int }
+type stats = Bk_tree.stats = { probes : int; prunes : int }
 
-let range_core t ~eps q =
-  let sp = t.space in
-  let qlen = Space.len sp q in
+let vp_range sp root ~eps q =
+  let radius = eps +. 1e-9 in
   let probes = ref 0 and prunes = ref 0 in
   let acc = ref [] in
-  let rec walk sub =
-    match sub.tree with
+  let rec walk = function
     | Leaf ids ->
       Array.iter
         (fun p ->
@@ -143,22 +132,21 @@ let range_core t ~eps q =
         ids
     | Node { v; mu; inside; outside } ->
       incr probes;
-      let d = Space.tree_dist sp q v in
-      if v <> q && Space.member_of_tree_dist sp ~eps ~qlen v d then
-        acc := v :: !acc;
-      if d -. mu <= Space.radius sp ~eps ~qlen ~sublen:inside.maxlen then
-        walk inside
-      else incr prunes;
-      if mu -. d <= Space.radius sp ~eps ~qlen ~sublen:outside.maxlen then
-        walk outside
-      else incr prunes
+      let d = Space.dist sp q v in
+      if v <> q && d <= eps then acc := v :: !acc;
+      if d -. mu <= radius then walk inside else incr prunes;
+      if mu -. d <= radius then walk outside else incr prunes
   in
-  walk t.root;
+  walk root;
   Space.count_query ~probes:!probes ~prunes:!prunes;
   (List.sort Int.compare !acc, { probes = !probes; prunes = !prunes })
 
-let range_stats t ~eps q = range_core t ~eps q
-let range t ~eps q = fst (range_core t ~eps q)
+let range_stats t ~eps q =
+  match t with
+  | Vp { space; root } -> vp_range space root ~eps q
+  | Bk bk -> Bk_tree.range_stats bk ~eps q
+
+let range t ~eps q = fst (range_stats t ~eps q)
 
 let rec fingerprint_tree buf = function
   | Leaf ids ->
@@ -170,14 +158,15 @@ let rec fingerprint_tree buf = function
       ids;
     Buffer.add_char buf ']'
   | Node { v; mu; inside; outside } ->
-    Buffer.add_string buf (Printf.sprintf "N(%d;%.17g;%d;%d" v mu inside.maxlen outside.maxlen);
+    Buffer.add_string buf (Printf.sprintf "N(%d;%.17g;" v mu);
+    fingerprint_tree buf inside;
     Buffer.add_char buf ';';
-    fingerprint_tree buf inside.tree;
-    Buffer.add_char buf ';';
-    fingerprint_tree buf outside.tree;
+    fingerprint_tree buf outside;
     Buffer.add_char buf ')'
 
-let fingerprint t =
-  let buf = Buffer.create 1024 in
-  fingerprint_tree buf t.root.tree;
-  Buffer.contents buf
+let fingerprint = function
+  | Bk bk -> Bk_tree.fingerprint bk
+  | Vp { root; _ } ->
+    let buf = Buffer.create 1024 in
+    fingerprint_tree buf root;
+    Buffer.contents buf

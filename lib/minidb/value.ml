@@ -7,12 +7,6 @@ type t =
 
 type ty = Tint | Tfloat | Tstring [@@deriving show, eq, ord]
 
-let type_of = function
-  | Vint _ -> Some Tint
-  | Vfloat _ -> Some Tfloat
-  | Vstring _ -> Some Tstring
-  | Vnull -> None
-
 let of_const = function
   | Sqlir.Ast.Cint n -> Vint n
   | Sqlir.Ast.Cfloat f -> Vfloat f

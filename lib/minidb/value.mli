@@ -14,9 +14,6 @@ type t =
 
 type ty = Tint | Tfloat | Tstring [@@deriving show, eq, ord]
 
-val type_of : t -> ty option
-(** [None] for [Vnull]. *)
-
 val of_const : Sqlir.Ast.const -> t
 val to_const : t -> Sqlir.Ast.const option
 (** [None] for [Vnull]. *)

@@ -37,12 +37,6 @@ let depth t =
   Mutex.unlock t.lock;
   d
 
-let is_draining t =
-  Mutex.lock t.lock;
-  let d = t.draining in
-  Mutex.unlock t.lock;
-  d
-
 (* the hint grows with the backlog so a stampede of retries spreads out;
    deterministic in the observed depth (no timestamps, no randomness) *)
 let retry_after_ms depth = min 250 (10 + (5 * depth))

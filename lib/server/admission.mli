@@ -24,7 +24,6 @@ val create : capacity:int -> 'a t
 
 val capacity : 'a t -> int
 val depth : 'a t -> int
-val is_draining : 'a t -> bool
 
 val submit : 'a t -> key:int -> 'a -> (unit, Fault.Error.t) result
 (** Non-blocking admission.  [Error (Overloaded _)] when full (or the

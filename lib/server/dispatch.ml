@@ -231,16 +231,12 @@ let run ctx (req : Proto.request) =
           (Fault.Error.Protocol { reason = "mine needs at least 2 queries" })
       else mine req log)
 
-let consults_deadline = function
-  | Proto.Encrypt | Proto.Mine -> true
-  | Proto.Stats | Proto.Health -> false
-
 let handle ?deadline_ns ctx (req : Proto.request) =
   let t0 = Obs.time_start () in
   let resp =
     match
       match deadline_ns with
-      | Some d when consults_deadline req.op ->
+      | Some d when Proto.compute_op req.op ->
         Parallel.Pool.with_deadline ~deadline_ns:d (fun () -> run ctx req)
       | _ -> run ctx req
     with

@@ -203,10 +203,6 @@ let reader t conn =
 
 (* ---- workers ---- *)
 
-let compute_op = function
-  | Proto.Encrypt | Proto.Mine -> true
-  | Proto.Stats | Proto.Health -> false
-
 let worker t ctx =
   let continue = ref true in
   while !continue do
@@ -223,7 +219,7 @@ let worker t ctx =
           Proto.response_error ~id:req.Proto.id
             (Fault.Error.Deadline_exceeded { context = "Server.Engine.queue_wait" })
         | _ ->
-          if compute_op req.Proto.op then begin
+          if Proto.compute_op req.Proto.op then begin
             Mutex.lock t.compute_lock;
             let r =
               Fun.protect

@@ -22,7 +22,8 @@ type algo = Dbscan | Kmedoids | Outliers | Clink
 
 type engine =
   | Matrix  (** dense pairwise matrix ({!Distance.Measure.matrix_r}) *)
-  | Index  (** DBSCAN over VP-tree range queries, no matrix *)
+  | Index  (** DBSCAN over index range queries, no matrix: the VP-tree;
+               the BK-tree for edit *)
 
 type t = {
   measure : Distance.Measure.t;
@@ -53,7 +54,7 @@ val plan :
 type params = {
   k : int;  (** cluster count (kmedoids, clink) *)
   eps : float;  (** DBSCAN radius / outlier distance threshold *)
-  seed : string;  (** VP-tree vantage seed *)
+  seed : string;  (** index vantage / pivot seed *)
 }
 
 val run :

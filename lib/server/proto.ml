@@ -30,6 +30,10 @@ let op_of_string = function
   | "health" -> Some Health
   | _ -> None
 
+let compute_op = function
+  | Encrypt | Mine -> true
+  | Stats | Health -> false
+
 type request = {
   id : int;
   op : op;

@@ -18,6 +18,11 @@ type op = Encrypt | Mine | Stats | Health
 val op_to_string : op -> string
 val op_of_string : string -> op option
 
+val compute_op : op -> bool
+(** [encrypt] and [mine]: the ops that take the server's compute lock
+    and run under the request deadline.  [stats] and [health] answer
+    without either. *)
+
 type request = {
   id : int;                (** client-chosen correlation id, echoed back *)
   op : op;

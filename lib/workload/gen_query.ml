@@ -29,8 +29,6 @@ type params = {
   caps : caps;
 }
 
-let default_params = { n = 60; templates = 4; seed = "log"; caps = caps_full }
-
 let attr name = Ast.attr name
 let qattr rel name = Ast.attr ~rel name
 

@@ -29,8 +29,6 @@ type params = {
   caps : caps;
 }
 
-val default_params : params
-
 val skyserver_log : params -> Sqlir.Ast.query list
 (** Log over {!Gen_db.skyserver_info}. *)
 
