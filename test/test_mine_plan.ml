@@ -250,6 +250,76 @@ let test_runtime_fallback () =
       (reference r M.default_ctx log) l
   | Error _ -> Alcotest.fail "matrix fallback failed"
 
+(* Golden labels: SHA-256 of the matrix engine's labels for every
+   feature measure x algorithm on one generated log.  The digests pin
+   the mining output bit for bit across refactors of the matrix, the
+   measures and the algorithms; n = 120 keeps complete link cheap. *)
+let golden_log =
+  lazy
+    (W.skyserver_log
+       { W.n = 120; templates = 24; seed = "golden-labels"; caps = W.caps_full })
+
+let golden_params = { P.k = 4; eps = 0.2; seed = "golden-labels" }
+
+let golden =
+  [ (M.Token, "dbscan",
+     "a37de26bcaac939e24a38b09d19ac4b9d03c50730e512ba710bf1b9277f9495f");
+    (M.Token, "kmedoids",
+     "09d9ada7b0bc8ccf68a2084ba1283e6df41b80d9aeeae5ca9618f7d788bc9df9");
+    (M.Token, "outliers",
+     "7148e4e997146a8bd7bc934c420ebe86d6a807b5e88a985933710cdf706c565f");
+    (M.Token, "clink",
+     "d0288358444d66836895ea7f1f5ba559f2f5d20c0d963ef6a148cb7db27efa6d");
+    (M.Edit, "dbscan",
+     "27e4b9195425f957e242f52c97d53d26ab45567b51762786bddb6ea8a80effbb");
+    (M.Edit, "kmedoids",
+     "f506b72cf6f5d47dafa8bf36d41be8fe6546c7010b775c18f9414f50ed793597");
+    (M.Edit, "outliers",
+     "d4920e7ac282f4600f21f7ea4698017c90ec009682aeddb328c3111e8e70cb5f");
+    (M.Edit, "clink",
+     "d0288358444d66836895ea7f1f5ba559f2f5d20c0d963ef6a148cb7db27efa6d");
+    (M.Structure, "dbscan",
+     "f67a75223409f0507cf0c0bb151c8f4f5d42c0f75e43642eac277817e12e9539");
+    (M.Structure, "kmedoids",
+     "7a519be233680301422b31eca7d34fe2b55955092a7cd4ec5c5d4aba597af33c");
+    (M.Structure, "outliers",
+     "d4920e7ac282f4600f21f7ea4698017c90ec009682aeddb328c3111e8e70cb5f");
+    (M.Structure, "clink",
+     "d0288358444d66836895ea7f1f5ba559f2f5d20c0d963ef6a148cb7db27efa6d");
+    (M.Clause, "dbscan",
+     "e716c0be47e7641332be34e7e8beb9f34567c0293478ce2ec1e0862e6e6005f1");
+    (M.Clause, "kmedoids",
+     "7a519be233680301422b31eca7d34fe2b55955092a7cd4ec5c5d4aba597af33c");
+    (M.Clause, "outliers",
+     "499ad6f43f35a8a821dab12e82259308b56b7ed8c20f692619f1cb911e054c13");
+    (M.Clause, "clink",
+     "d0288358444d66836895ea7f1f5ba559f2f5d20c0d963ef6a148cb7db27efa6d");
+    (M.Access, "dbscan",
+     "c1541830203bc46f2a1b43fd4d391ca6dba7ce00037b444c3a640b97f8a70c49");
+    (M.Access, "kmedoids",
+     "7a519be233680301422b31eca7d34fe2b55955092a7cd4ec5c5d4aba597af33c");
+    (M.Access, "outliers",
+     "c6d5010e47030fe9be0c7d7a86fb087bc28c61347cef256f9cd804835125068c");
+    (M.Access, "clink",
+     "d0288358444d66836895ea7f1f5ba559f2f5d20c0d963ef6a148cb7db27efa6d") ]
+
+let test_golden (measure, algo, digest) () =
+  let log = Lazy.force golden_log in
+  let plan =
+    Result.get_ok
+      (P.plan ~measure ~algo ~engine:"matrix" ~n:(List.length log)
+         ~k:golden_params.P.k)
+  in
+  match P.run golden_params plan log with
+  | _, Ok labels ->
+    let got =
+      Crypto.Sha256.hex
+        (String.concat "," (Array.to_list (Array.map string_of_int labels)))
+    in
+    Alcotest.(check string) "labels digest" digest got
+  | _, Error es ->
+    Alcotest.fail (String.concat "; " (List.map Fault.Error.to_string es))
+
 let () =
   Alcotest.run "mine_plan"
     [ ("table",
@@ -271,4 +341,11 @@ let () =
          Alcotest.test_case "k out of range" `Quick test_k_range;
          Alcotest.test_case "runtime fallback" `Quick test_runtime_fallback;
          Alcotest.test_case "no fallback above the bound" `Quick
-           test_index_error_above_bound ]) ]
+           test_index_error_above_bound ]);
+      ("golden",
+       List.map
+         (fun ((measure, algo, _) as g) ->
+           Alcotest.test_case
+             (Printf.sprintf "labels %s %s" (M.to_string measure) algo)
+             `Quick (test_golden g))
+         golden) ]
