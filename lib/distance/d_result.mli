@@ -12,7 +12,7 @@ val result_set : Minidb.Database.t -> Sqlir.Ast.query -> Minidb.Value.t list lis
 
 val matrix_r :
   ?pool:Parallel.Pool.t -> Minidb.Database.t -> Sqlir.Ast.query list
-  -> (float array array, Fault.Error.t list) result
+  -> (Mining.Dist_matrix.t, Fault.Error.t list) result
 (** The full pairwise distance matrix, evaluating each query {e once}
     instead of once per pair — an O(n) vs O(n²) difference in executor
     work that dominates result-distance mining (see the perf bench).

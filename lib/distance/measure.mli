@@ -52,16 +52,15 @@ val pair_of_features : ctx -> t -> Features.t -> int -> int -> float
 
 val matrix_r :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
-  -> (float array array, Fault.Error.t list) result
+  -> (Mining.Dist_matrix.t, Fault.Error.t list) result
 (** The full symmetric pairwise matrix.  Prefer this over calling
     {!compute} per pair: per-query artifacts (printed form, token
     sequences, feature / clause sets, access areas) are precomputed once
     into a {!Features} table — O(n) tokenizations instead of O(n²) — and
     pairs are evaluated from the table, bit-identically to {!compute}
-    (the result measure likewise evaluates each query once).  The
-    matrix is filled by {!Mining.Dist_matrix.of_fun_r} across [pool]
-    (default [Parallel.Pool.global ()]); all measures are pure, so the
-    result is identical for every pool size.
+    (the result measure likewise evaluates each query once).  Filled by
+    {!Mining.Dist_matrix.of_fun_r} across [pool] (default
+    [Parallel.Pool.global ()]), identically for every pool size.
 
     Crash-contained: failures (including injected faults) are collected
     as typed [Task_failed] errors instead of raised — per-query feature
@@ -71,5 +70,5 @@ val matrix_r :
 
 val matrix :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
-  -> float array array
+  -> Mining.Dist_matrix.t
 (** {!matrix_r}, raising [Fault.Error.E] of the first error. *)

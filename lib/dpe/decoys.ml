@@ -61,6 +61,6 @@ let strip plan v =
   Array.sub v 0 plan.real_count
 
 let strip_matrix plan m =
-  if Array.length m <> List.length plan.log then
+  if Mining.Dist_matrix.size m <> List.length plan.log then
     invalid_arg "Decoys.strip_matrix: matrix does not match padded log";
-  Array.init plan.real_count (fun i -> Array.sub m.(i) 0 plan.real_count)
+  Mining.Dist_matrix.prefix m plan.real_count

@@ -33,5 +33,5 @@ val strip : plan -> 'a array -> 'a array
 (** Drop the decoy entries from a per-query result vector (labels,
     outlier flags) the provider computed over the padded log. *)
 
-val strip_matrix : plan -> float array array -> float array array
+val strip_matrix : plan -> Mining.Dist_matrix.t -> Mining.Dist_matrix.t
 (** Drop decoy rows/columns from a padded distance matrix. *)

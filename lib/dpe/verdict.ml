@@ -22,21 +22,17 @@ let check_dpe ?plain_db ?cipher_db ?(x = Distance.D_access.default_x)
   let cipher_ctx = { M.db = cipher_db; x } in
   let dp = M.matrix plain_ctx measure log in
   let dc = M.matrix cipher_ctx measure enc_log in
-  let n = Array.length dp in
-  let max_dev = ref 0.0 and sum = ref 0.0 and pairs = ref 0 in
+  let n = Mining.Dist_matrix.size dp in
+  let pairs = n * (n - 1) / 2 and sum = ref 0.0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      incr pairs;
-      sum := !sum +. dp.(i).(j);
-      let dev = Float.abs (dp.(i).(j) -. dc.(i).(j)) in
-      if dev > !max_dev then max_dev := dev
+      sum := !sum +. Mining.Dist_matrix.get dp i j
     done
   done;
-  { measure;
-    pairs = !pairs;
-    max_deviation = !max_dev;
-    mean_plain_distance = (if !pairs = 0 then 0.0 else !sum /. float_of_int !pairs);
-    ok = !max_dev = 0.0 }
+  let max_deviation = Mining.Dist_matrix.max_abs_diff dp dc in
+  { measure; pairs; max_deviation;
+    mean_plain_distance = (if pairs = 0 then 0.0 else !sum /. float_of_int pairs);
+    ok = max_deviation = 0.0 }
 
 (* token-level encryption: what Enc does to one (fused) token of the query
    text.  Fused LIMIT tokens are structural and stay put. *)

@@ -1,4 +1,10 @@
-type t = float array array
+(* row [i] owns the cells (i, j), j > i, at [cells.(rows.(i) + j)]; the
+   diagonal is implicit *)
+type t = { rows : int array; cells : Float.Array.t }
+
+let create n =
+  { rows = Array.init n (fun i -> (i * (2 * n - i - 1) / 2) - i - 1);
+    cells = Float.Array.make (n * (n - 1) / 2) 0.0 }
 
 let m_build = Obs.Registry.sketch "kitdpe.mining.dist_matrix.build"
 
@@ -16,18 +22,15 @@ let context = "Mining.Dist_matrix.of_fun_r"
 let of_fun_r ?pool n d =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
   let t0 = Obs.time_start () in
-  let m = Array.make_matrix n n 0.0 in
+  let m = create n in
   let faults = Fault.enabled () in
-  (* Lanes write disjoint cells: row [i] owns [m.(i).(j)] for [j > i]
-     plus the mirror cells [m.(j).(i)], i.e. column [i] below the
-     diagonal; the pool's strided rows balance the triangular costs. *)
+  (* lanes write disjoint rows; the pool's strided rows balance the
+     triangular costs *)
   let fill i =
-    let row = m.(i) in
+    let base = m.rows.(i) in
     for j = i + 1 to n - 1 do
       if faults then Fault.point ~key:(eval_key i j) "mining.dist_matrix.eval";
-      let v = d i j in
-      row.(j) <- v;
-      m.(j).(i) <- v
+      Float.Array.set m.cells (base + j) (d i j)
     done
   in
   let errors =
@@ -66,45 +69,41 @@ let of_fun_r ?pool n d =
 
 let of_fun ?pool n d = Fault.Error.get_ok (of_fun_r ?pool n d)
 
-let size (m : t) = Array.length m
-let get (m : t) i j = m.(i).(j)
+let size m = Array.length m.rows
 
-exception Bad of string
+let get m i j =
+  (* both row lookups are bounds-checked: a packed offset alone could
+     put an index outside [0, n) on another row's cell *)
+  let ri = m.rows.(i) and rj = m.rows.(j) in
+  if i < j then Float.Array.unsafe_get m.cells (ri + j)
+  else if i > j then Float.Array.unsafe_get m.cells (rj + i)
+  else 0.0
+
+let invariant context reason =
+  raise (Fault.Error.E (Fault.Error.Invariant { context; reason }))
+
+let prefix m k =
+  if k < 0 || k > size m then
+    invariant "Mining.Dist_matrix.prefix" "block size out of range";
+  let block = create k in
+  (* row [i] of the block is the first [k - 1 - i] cells of row [i] *)
+  for i = 0 to k - 2 do
+    Float.Array.blit m.cells (m.rows.(i) + i + 1) block.cells
+      (block.rows.(i) + i + 1) (k - 1 - i)
+  done;
+  block
 
 let validate m =
-  let n = size m in
-  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  try
-    Array.iteri
-      (fun i row ->
-        if Array.length row <> n then
-          bad "row %d has length %d, expected %d" i (Array.length row) n)
-      m;
-    for i = 0 to n - 1 do
-      if m.(i).(i) <> 0.0 then bad "diagonal (%d,%d) is %g" i i m.(i).(i);
-      for j = i + 1 to n - 1 do
-        if m.(i).(j) <> m.(j).(i) then bad "asymmetry at (%d,%d)" i j;
-        if m.(i).(j) < 0.0 then bad "negative distance at (%d,%d)" i j
-      done
-    done;
-    Ok ()
-  with Bad p -> Error p
+  (* [>=] is false for NaN too *)
+  if Float.Array.for_all (fun v -> v >= 0.0) m.cells then Ok ()
+  else Error "a distance is negative or NaN"
 
 let max_abs_diff a b =
-  let n = size a in
-  if size b <> n then
-    raise
-      (Fault.Error.E
-         (Fault.Error.Invariant
-            { context = "Mining.Dist_matrix.max_abs_diff"; reason = "size mismatch" }));
+  if size a <> size b then
+    invariant "Mining.Dist_matrix.max_abs_diff" "size mismatch";
   let worst = ref 0.0 in
-  for i = 0 to n - 1 do
-    let ra = a.(i) and rb = b.(i) in
-    (* distance matrices are symmetric: the upper triangle (diagonal
-       included) covers every distinct entry at half the cost *)
-    for j = i to n - 1 do
-      let d = Float.abs (ra.(j) -. rb.(j)) in
-      if d > !worst then worst := d
-    done
+  for k = 0 to Float.Array.length a.cells - 1 do
+    let d = Float.abs (Float.Array.get a.cells k -. Float.Array.get b.cells k) in
+    if d > !worst then worst := d
   done;
   !worst

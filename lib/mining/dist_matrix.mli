@@ -1,23 +1,26 @@
 (** Symmetric pairwise distance matrices — the only input the distance-based
     mining algorithms ([3] [4] [5] [6]) ever see, which is precisely why
-    distance-preserving encryption preserves their output. *)
+    distance-preserving encryption preserves their output.
 
-type t = float array array
+    Abstract: the strict upper triangle, row-major, in one [Float.Array]
+    of n(n−1)/2 cells (64 MiB at n = 4096, half the full square), plus n
+    row offsets.  Row [i] owns the cells [(i, j)], [j > i]. *)
+
+type t
 
 val of_fun_r :
   ?pool:Parallel.Pool.t ->
   int ->
   (int -> int -> float) ->
   (t, Fault.Error.t list) result
-(** [of_fun_r n d] evaluates [d i j] once for each [i < j] and mirrors
-    it; the diagonal is [0.0].  This is the one matrix fill of the
-    repository: {!Distance.Measure.matrix_r} and the result measure
-    build through it.  Row [i] writes cells [j > i] and their mirrors.
-    Below 64 rows, or on a 1-lane [pool] (default
+(** [of_fun_r n d] evaluates [d i j] once for each [i < j] (never for
+    [i >= j]): the one matrix fill of the repository, used by
+    {!Distance.Measure.matrix_r} and the result measure.  Row [i] writes
+    its cells [j > i].  Below 64 rows, or on a 1-lane [pool] (default
     [Parallel.Pool.global ()]), the rows run sequentially; otherwise
-    they run through [Parallel.Pool.for_range_r].  [d] must be pure (or
-    at least domain-safe), so the result is bit-for-bit identical for
-    every pool size.
+    through [Parallel.Pool.for_range_r].  [d] must be pure (or at least
+    domain-safe), so the result is bit-for-bit identical for every pool
+    size.
 
     Crash-contained: a row whose evaluations raise is reported as
     [Task_failed {label = "dist_matrix.row"; index; cause}] while all
@@ -33,14 +36,22 @@ val of_fun : ?pool:Parallel.Pool.t -> int -> (int -> int -> float) -> t
 (** {!of_fun_r}, raising [Fault.Error.E] of the first row error. *)
 
 val size : t -> int
+
 val get : t -> int -> int -> float
+(** [0.0] on the diagonal; [(j, i)] reads [(i, j)].  O(1), no allocation:
+    two row-offset loads, a comparison and one cell load.
+    @raise Invalid_argument unless [0 <= i, j < size m]. *)
+
+val prefix : t -> int -> t
+(** [prefix m k] copies the block of points [0 .. k-1] without evaluating
+    any distance: no injection point, no fill span.
+    @raise Fault.Error.E [(Invariant _)] unless [0 <= k <= size m]. *)
 
 val validate : t -> (unit, string) result
-(** Checks squareness, zero diagonal, symmetry and non-negativity,
-    scanning only the upper triangle and stopping at the first problem. *)
+(** Checks that every distance is [>= 0.0], which also rejects NaN;
+    symmetry and a zero diagonal hold by construction. *)
 
 val max_abs_diff : t -> t -> float
-(** Largest entrywise deviation between two matrices of the same size.
-    Both arguments are assumed symmetric (as every distance matrix is),
-    so only the upper triangle, diagonal included, is scanned.
+(** Largest entrywise deviation between two matrices of the same size,
+    in one pass over the stored cells.
     @raise Fault.Error.E [(Invariant _)] on a size mismatch. *)

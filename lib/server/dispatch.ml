@@ -108,21 +108,16 @@ let rec deadline_rooted = function
     deadline_rooted cause
   | _ -> false
 
+(* [None] when a failure is not row-scoped (e.g. the result measure
+   without a database); deadline skips are batch-wide and name no row *)
 let failed_indices errors =
-  List.fold_left
-    (fun acc e ->
-      match (acc, e) with
-      | None, _ -> None
-      | Some _, Fault.Error.Invariant _ ->
-        (* e.g. result measure without a database: not row-scoped *)
-        None
-      | Some ixs, Fault.Error.Task_failed { index; _ } -> Some (index :: ixs)
-      | Some ixs, Fault.Error.Deadline_exceeded _ ->
-        (* deadline skips are batch-wide, not a recoverable subset *)
-        Some ixs
-      | Some ixs, _ -> Some ixs)
-    (Some []) errors
-  |> Option.map (List.sort_uniq Int.compare)
+  if List.exists (function Fault.Error.Invariant _ -> true | _ -> false) errors
+  then None
+  else
+    Some
+      (List.filter_map
+         (function Fault.Error.Task_failed { index; _ } -> Some index | _ -> None)
+         errors)
 
 let labels_body labels =
   [ ("labels", J.Arr (Array.to_list (Array.map J.int labels))) ]
@@ -161,9 +156,11 @@ let mine (req : Proto.request) log =
       | None -> Proto.response_error ~id:req.id (List.hd errors)
       | Some bad -> (
         let n = List.length log in
-        let healthy = List.filteri (fun i _ -> not (List.mem i bad)) log in
-        let healthy_ix =
-          List.filter (fun i -> not (List.mem i bad)) (List.init n Fun.id)
+        let failed = Array.make n false in
+        List.iter (fun i -> if 0 <= i && i < n then failed.(i) <- true) bad;
+        let healthy = List.filteri (fun i _ -> not failed.(i)) log in
+        let healthy_ix, excluded =
+          List.partition (fun i -> not failed.(i)) (List.init n Fun.id)
         in
         let m = List.length healthy in
         if m < 2 || m > Mine_plan.max_matrix_n
@@ -183,12 +180,7 @@ let mine (req : Proto.request) log =
             Obs.Metric.incr m_partial;
             Proto.response_partial ~id:req.id
               (labels_body full
-              @ [ ("excluded",
-                   J.Arr
-                     (List.filter_map
-                        (fun i ->
-                          if List.mem i healthy_ix then None else Some (J.int i))
-                        (List.init n Fun.id))) ]
+              @ [ ("excluded", J.Arr (List.map J.int excluded)) ]
               @ plan_body ran)
               ~errors)))
 

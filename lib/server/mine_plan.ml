@@ -16,7 +16,8 @@ type t = {
 
 let auto_index_threshold = 512
 
-(* 4096² floats are 128 MiB: the largest matrix one request may build *)
+(* 4096·4095/2 packed floats are 64 MiB: the largest matrix one request
+   may build *)
 let max_matrix_n = 4096
 
 let engine_name = function Matrix -> "matrix" | Index -> "index"

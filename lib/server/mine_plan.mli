@@ -34,7 +34,7 @@ type t = {
 
 val max_matrix_n : int
 (** 4096: the largest log a request may mine over a dense matrix
-    (4096² floats, 128 MiB). *)
+    (4096·4095/2 packed floats, 64 MiB). *)
 
 val engine_name : engine -> string
 (** ["matrix"] or ["index"]. *)

@@ -388,6 +388,16 @@ let test_decoys () =
   in
   check_bool "real distances unchanged" true
     (Dpe.Decoys.strip_matrix plan d_padded = d_orig);
+  (* stripping copies cells and evaluates no distance, so an armed
+     eval fault point cannot fire *)
+  (match Fault.Inject.arm_spec "mining.dist_matrix.eval=always;seed=decoys" with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  let stripped =
+    Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+        Dpe.Decoys.strip_matrix plan d_padded)
+  in
+  check_bool "strip evaluates no distance" true (stripped = d_orig);
   (* strip drops exactly the decoy entries *)
   let labels = Array.init (List.length plan.Dpe.Decoys.log) Fun.id in
   check_int "strip length" (List.length log)

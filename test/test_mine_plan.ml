@@ -118,7 +118,7 @@ let test_row r () =
       (Array.exists (fun l -> l >= 0) labels)
 
 (* the matrix bound, at and just above it: planned but not run, since
-   the 4096-query reference matrix alone is 128 MiB.  [Some (engine,
+   the 4096-query reference matrix alone is 64 MiB.  [Some (engine,
    falls_back)] is the plan, [None] a protocol error *)
 let bounded =
   let at = P.max_matrix_n and above = P.max_matrix_n + 1 in

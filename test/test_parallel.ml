@@ -125,11 +125,9 @@ let pseudo_distance i j =
   (* pure, irregular, cheap *)
   Float.abs (sin (float_of_int ((i * 7919) lxor (j * 104729))))
 
-let check_same_matrix name a b =
-  Alcotest.(check bool) name true (a = b)
-
 (* the sequential reference: the naive row-by-row upper-triangle loop,
-   mirrored — what every pooled builder must reproduce bit for bit *)
+   mirrored into full rows — what every pooled builder must reproduce
+   bit for bit *)
 let naive_matrix n d =
   let m = Array.make_matrix n n 0.0 in
   for i = 0 to n - 1 do
@@ -141,25 +139,60 @@ let naive_matrix n d =
   done;
   m
 
+(* [m] against the reference rows through [get], for every (i, j) with
+   the diagonal included *)
+let check_same_matrix name reference m =
+  let n = Array.length reference in
+  Alcotest.(check int) (name ^ ": size") n (Mining.Dist_matrix.size m);
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let got = Mining.Dist_matrix.get m i j in
+      if not (Float.equal got reference.(i).(j)) then
+        Alcotest.failf "%s: (%d,%d) is %h, expected %h" name i j got
+          reference.(i).(j)
+    done
+  done
+
+let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
 let test_of_fun_matches_seq () =
-  let n = 200 in
-  let reference = naive_matrix n pseudo_distance in
+  let check pool n =
+    let name = Printf.sprintf "n=%d lanes=%d" n (Parallel.Pool.size pool) in
+    let calls = Atomic.make 0 and misordered = Atomic.make 0 in
+    let d i j =
+      Atomic.incr calls;
+      if i >= j then Atomic.incr misordered;
+      pseudo_distance i j
+    in
+    let m = Mining.Dist_matrix.of_fun ~pool n d in
+    check_same_matrix name (naive_matrix n pseudo_distance) m;
+    Alcotest.(check int) (name ^ ": one call per pair") (n * (n - 1) / 2)
+      (Atomic.get calls);
+    Alcotest.(check int) (name ^ ": always i < j") 0 (Atomic.get misordered);
+    Alcotest.(check bool) (name ^ ": j = n rejected") true
+      (invalid (fun () -> Mining.Dist_matrix.get m 0 n));
+    Alcotest.(check bool) (name ^ ": i = -1 rejected") true
+      (invalid (fun () -> Mining.Dist_matrix.get m (-1) 0))
+  in
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun p ->
-          check_same_matrix
-            (Printf.sprintf "n=%d domains=%d" n domains)
-            reference
-            (Mining.Dist_matrix.of_fun ~pool:p n pseudo_distance)))
+    (fun domains -> with_pool ~domains (fun p -> check p 200))
     [ 1; 2; 3; 4 ];
-  with_pool ~domains:4 (fun p ->
-      List.iter
-        (fun n ->
-          check_same_matrix
-            (Printf.sprintf "small n=%d" n)
-            (naive_matrix n pseudo_distance)
-            (Mining.Dist_matrix.of_fun ~pool:p n pseudo_distance))
-        [ 0; 1; 2; 5; 63; 65 ])
+  with_pool ~domains:4 (fun p -> List.iter (check p) [ 0; 1; 2; 5; 63; 65 ]);
+  (* one stored cell per pair: 8·n(n-1)/2 bytes plus bookkeeping, where
+     the full square costs 8·n².  [d] returns constants, so it allocates
+     nothing itself *)
+  with_pool ~domains:1 (fun p ->
+      let n = 1000 in
+      let d i j = if (i + j) land 1 = 0 then 0.25 else 0.5 in
+      let before = Gc.allocated_bytes () in
+      let m = Mining.Dist_matrix.of_fun ~pool:p n d in
+      let used = Gc.allocated_bytes () -. before in
+      ignore (Sys.opaque_identity m);
+      let bound = (8 * n * (n - 1) / 2) + (64 * 1024) in
+      Alcotest.(check bool)
+        (Printf.sprintf "of_fun %d allocates %.0f <= %d bytes" n used bound)
+        true
+        (used <= float_of_int bound))
 
 let test_measure_matrix_matches_seq () =
   let log =
@@ -185,32 +218,25 @@ let test_measure_matrix_matches_seq () =
 
 (* ---- dist-matrix satellites: validate / max_abs_diff ---- *)
 
+(* [pseudo_distance] with cell (i, j) replaced by [v] *)
+let with_cell (i0, j0) v i j = if (i, j) = (i0, j0) then v else pseudo_distance i j
+
 let test_validate () =
-  let ok = naive_matrix 5 pseudo_distance in
+  let ok = Mining.Dist_matrix.of_fun 5 pseudo_distance in
   Alcotest.(check bool) "valid" true (Mining.Dist_matrix.validate ok = Ok ());
-  let asym = Array.map Array.copy ok in
-  asym.(1).(3) <- asym.(1).(3) +. 1.0;
-  Alcotest.(check bool) "asymmetry detected" true
-    (Result.is_error (Mining.Dist_matrix.validate asym));
-  let neg = Array.map Array.copy ok in
-  neg.(0).(2) <- -1.0;
-  neg.(2).(0) <- -1.0;
+  let neg = Mining.Dist_matrix.of_fun 5 (with_cell (0, 2) (-1.0)) in
   Alcotest.(check bool) "negative detected" true
     (Result.is_error (Mining.Dist_matrix.validate neg));
-  let diag = Array.map Array.copy ok in
-  diag.(2).(2) <- 0.5;
-  Alcotest.(check bool) "diagonal detected" true
-    (Result.is_error (Mining.Dist_matrix.validate diag));
-  let ragged = [| [| 0.0; 1.0 |]; [| 1.0 |] |] in
-  Alcotest.(check bool) "ragged detected" true
-    (Result.is_error (Mining.Dist_matrix.validate ragged))
+  let nan = Mining.Dist_matrix.of_fun 5 (with_cell (1, 3) Float.nan) in
+  Alcotest.(check bool) "NaN detected" true
+    (Result.is_error (Mining.Dist_matrix.validate nan))
 
 let test_max_abs_diff () =
-  let a = naive_matrix 6 pseudo_distance in
+  let a = Mining.Dist_matrix.of_fun 6 pseudo_distance in
   Alcotest.(check (float 0.0)) "self" 0.0 (Mining.Dist_matrix.max_abs_diff a a);
-  let b = Array.map Array.copy a in
-  b.(2).(4) <- b.(2).(4) +. 0.25;
-  b.(4).(2) <- b.(2).(4);
+  let b =
+    Mining.Dist_matrix.of_fun 6 (with_cell (2, 4) (pseudo_distance 2 4 +. 0.25))
+  in
   Alcotest.(check (float 1e-12)) "perturbed" 0.25
     (Mining.Dist_matrix.max_abs_diff a b)
 
