@@ -955,20 +955,42 @@ let chaos seed rows domains report_path =
     "neighbor sets differ";
 
   (* 6. pool: the armed task crashes, the batch still completes *)
+  let errors_of = function Ok _ -> [] | Error errs -> errs in
   let pool_run () =
     with_pool domains (fun p ->
         let ran = Atomic.make 0 in
         let errs =
-          Parallel.Pool.run_tasks_r p
-            (List.init 8 (fun _ () -> Atomic.incr ran))
+          errors_of
+            (Parallel.Pool.map_range_r p ~label:"chaos.pool" 8 (fun _ ->
+                 Atomic.incr ran))
         in
         (Atomic.get ran, errs))
   in
   let ran, pool_errs = staged "parallel.pool.task=nth:3" pool_run in
-  keep (List.map snd pool_errs);
+  keep pool_errs;
   check "pool: batch completes around the crashed task"
-    (ran = 7 && List.map fst pool_errs = [ 3 ])
+    (ran = 7
+    &&
+    match pool_errs with
+    | [ Fault.Error.Task_failed { index = 3; _ } ] -> true
+    | _ -> false)
     (Printf.sprintf "%d ran, %d errors" ran (List.length pool_errs));
+
+  (* 6b. the matrix fill is a pool batch on every pool size: the armed
+     task point fails the same row on 1 lane as on [domains] lanes *)
+  let mx_run lanes () =
+    with_pool lanes (fun pool ->
+        report_of
+          (errors_of
+             (Mining.Dist_matrix.of_fun_r ~pool 100 (fun i j ->
+                  float_of_int (abs (i - j))))))
+  in
+  let mx_one = staged "parallel.pool.task=nth:5" (mx_run 1) in
+  let mx_wide = staged "parallel.pool.task=nth:5" (mx_run domains) in
+  check "matrix: pool-task victims identical across pool sizes"
+    (mx_one <> [] && mx_one = mx_wide)
+    (Printf.sprintf "1 lane: [%s]; %d lanes: [%s]" (String.concat "; " mx_one)
+       domains (String.concat "; " mx_wide));
 
   (* 7. a crypto-layer point, exercised directly *)
   let ope_err =

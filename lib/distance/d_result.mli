@@ -19,8 +19,10 @@ val matrix_r :
     Query execution and the Jaccard pass ({!Mining.Dist_matrix.of_fun_r})
     run across [pool] (default [Parallel.Pool.global ()]).
 
-    Crash-contained: a query whose execution raises is
-    reported as [Task_failed {label = "result.query"; index; cause}]
+    Crash-contained: the executions are one
+    [Parallel.Pool.map_range_r ~label:"result.query"] batch, so a query
+    whose execution raises is reported as
+    [Task_failed {label = "result.query"; index; cause}]
     (its row would be meaningless, so no matrix is returned); a Jaccard
     row failure reports [label = "dist_matrix.row"].  All healthy work
     still runs to completion. *)

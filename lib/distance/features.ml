@@ -127,8 +127,10 @@ let finish ~pool raws =
   in
   let alphabet = max 1 (Interner.size edit_int) in
   let records =
-    Parallel.Pool.map_array pool
-      (fun (r, edit_tokens, structure_set, clause_proj, clause_group, clause_sel) ->
+    Parallel.Pool.map_range pool (Array.length interned) (fun i ->
+        let r, edit_tokens, structure_set, clause_proj, clause_group, clause_sel =
+          interned.(i)
+        in
         {
           edit_tokens;
           peq = D_edit.myers_peq ~alphabet edit_tokens;
@@ -139,33 +141,14 @@ let finish ~pool raws =
           clause_sel;
           areas = r.r_areas;
         })
-      interned
   in
   { records; alphabet }
 
 let build_r ?pool (queries : Sqlir.Ast.query array) =
   let pool = resolve_pool pool in
-  let slots =
-    Parallel.Pool.map_range_r pool (Array.length queries) (fun i ->
-        raw_of_query i queries.(i))
-  in
-  let errs = ref [] in
-  Array.iteri
-    (fun i -> function
-      | Ok _ -> ()
-      | Error cause ->
-        errs :=
-          Fault.Error.Task_failed { label = "features.build"; index = i; cause }
-          :: !errs)
-    slots;
-  match List.rev !errs with
-  | [] ->
-    Ok
-      (finish ~pool
-         (Array.map
-            (function Ok r -> r | Error _ -> assert false)
-            slots))
-  | errs -> Error errs
+  Parallel.Pool.map_range_r pool ~label:"features.build" (Array.length queries)
+    (fun i -> raw_of_query i queries.(i))
+  |> Result.map (finish ~pool)
 
 let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
 

@@ -45,10 +45,11 @@ val build_r :
   -> (t, Fault.Error.t list) result
 (** Build the table, one record per query, across [pool] (default
     {!Parallel.Pool.global}[ ()]).  Pure per query, so the table is
-    identical for every pool size.  Crash-contained: per-query failures
-    (including injected faults) are collected as
-    [Task_failed { label = "features.build"; index; _ }] instead of
-    raised. *)
+    identical for every pool size.  Crash-contained: one
+    [Parallel.Pool.map_range_r ~label:"features.build"] batch, so
+    per-query failures (including injected faults and deadline skips)
+    are collected as [Task_failed { label = "features.build"; index; _ }]
+    instead of raised. *)
 
 val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
 (** {!build_r}, raising [Fault.Error.E] of the first error. *)

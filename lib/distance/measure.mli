@@ -62,9 +62,11 @@ val matrix_r :
     {!Mining.Dist_matrix.of_fun_r} across [pool] (default
     [Parallel.Pool.global ()]), identically for every pool size.
 
-    Crash-contained: failures (including injected faults) are collected
-    as typed [Task_failed] errors instead of raised — per-query feature
-    builds as [label = "features.build"], matrix rows as
+    Crash-contained: the feature build and the matrix fill are each one
+    [Parallel.Pool.map_range_r] batch, so failures (including injected
+    faults and deadline skips) come back as typed [Task_failed] errors
+    labelled by that batch — per-query feature builds as
+    [label = "features.build"], matrix rows as
     [label = "dist_matrix.row"] — and every healthy task still runs; a
     missing database for {!Result} returns [Error [Invariant _]]. *)
 

@@ -56,10 +56,13 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
   in
   let rows = Array.of_list (Table.rows table) in
   let t0 = Obs.time_start () in
-  let encrypt_row i row =
-    (* [mapi_array] is a plain (deadline-blind) combinator, so the row
+  let encrypt_row i =
+    let row = rows.(i) in
+    (* [map_range] is a plain (deadline-blind) combinator, so the row
        closure enforces the request deadline itself: rows starting after
-       expiry are abandoned as typed errors, releasing the lane *)
+       expiry are abandoned as typed errors, releasing the lane.  Rows
+       retry themselves and fail as [Row_failed] beside a partial table,
+       so this is not a [map_range_r] batch *)
     if Parallel.Pool.deadline_expired () then
       Error
         (Fault.Error.Deadline_exceeded { context = "Dpe.Db_encryptor.encrypt_row" })
@@ -91,7 +94,7 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
         Error (Fault.Error.Row_failed { rel; row = i; attempts; cause })
     end
   in
-  let results = Parallel.Pool.mapi_array pool encrypt_row rows in
+  let results = Parallel.Pool.map_range pool (Array.length rows) encrypt_row in
   let cipher_rows = ref [] and errors = ref [] in
   for i = Array.length results - 1 downto 0 do
     match results.(i) with
@@ -176,13 +179,18 @@ let prewarm_hom_noise_r ?pool ?capacity enc db =
     let pub, _ = Encryptor.paillier enc in
     let t0 = Obs.time_start () in
     let failures =
-      Parallel.Pool.for_range_r pool (Array.length work) (fun i ->
-          let key = work.(i) in
-          Crypto.Paillier.noise_fill noise_pool pub ~key
-            (Encryptor.hom_noise_rng enc key))
+      match
+        Parallel.Pool.map_range_r pool ~label:"db_encryptor.prewarm"
+          (Array.length work) (fun i ->
+            let key = work.(i) in
+            Crypto.Paillier.noise_fill noise_pool pub ~key
+              (Encryptor.hom_noise_rng enc key))
+      with
+      | Ok _ -> []
+      | Error errs -> errs
     in
     if t0 > 0 then Obs.observe_latency m_prewarm (Obs.now_ns () - t0);
-    (Array.length work - List.length failures, List.map snd failures)
+    (Array.length work - List.length failures, failures)
   end
 
 let decrypt_table enc ~plain_schema table =

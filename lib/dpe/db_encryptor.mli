@@ -61,7 +61,8 @@ val prewarm_hom_noise_r :
     factor of every HOM cell of [db] across [pool]'s lanes, so a
     following {!encrypt_database} pays only the cheap
     [(1 + m·n) · r^n mod n²] assembly per HOM cell.  Returns the number
-    of cells prewarmed and the fill errors.  The prewarm is an
+    of cells prewarmed and the fill errors, each
+    [Task_failed {label = "db_encryptor.prewarm"; index; cause}].  The prewarm is an
     optimization, never a correctness dependency: ciphertexts are
     bit-identical whether it ran fully, partially, or not at all, because
     fill and encrypt derive the same randomness from the same per-cell

@@ -16,7 +16,6 @@ type t =
   | Csv_malformed of { line : int; reason : string }
   | Row_failed of { rel : string; row : int; attempts : int; cause : t }
   | Task_failed of { label : string; index : int; cause : t }
-  | Pool_lane_crash of { lane : int; reason : string }
   | Io_failure of { path : string; reason : string }
   | Invariant of { context : string; reason : string }
   | Unexpected of { context : string; exn : string }
@@ -43,8 +42,6 @@ let rec to_string = function
       attempts (to_string cause)
   | Task_failed { label; index; cause } ->
     Printf.sprintf "task %s[%d] failed: %s" label index (to_string cause)
-  | Pool_lane_crash { lane; reason } ->
-    Printf.sprintf "pool lane %d crashed: %s" lane reason
   | Io_failure { path; reason } ->
     Printf.sprintf "I/O failure on %s: %s" path reason
   | Invariant { context; reason } ->
@@ -70,9 +67,8 @@ let rec injected_points = function
   | Injected { point; _ } -> [ point ]
   | Row_failed { cause; _ } | Task_failed { cause; _ } -> injected_points cause
   | Crypto_failure _ | Ope_range_exhausted _ | Paillier_mismatch _
-  | Csv_malformed _ | Pool_lane_crash _ | Io_failure _ | Invariant _
-  | Unexpected _ | Deadline_exceeded _ | Overloaded _ | Protocol _
-  | Draining -> []
+  | Csv_malformed _ | Io_failure _ | Invariant _ | Unexpected _
+  | Deadline_exceeded _ | Overloaded _ | Protocol _ | Draining -> []
 
 (* layers register translators for their own exception constructors so
    [of_exn] can map e.g. [Encrypt_error] to [Crypto_failure] without

@@ -19,7 +19,6 @@ type t =
   | Row_failed of { rel : string; row : int; attempts : int; cause : t }
       (** A database row that still failed after [attempts] tries. *)
   | Task_failed of { label : string; index : int; cause : t }
-  | Pool_lane_crash of { lane : int; reason : string }
   | Io_failure of { path : string; reason : string }
   | Invariant of { context : string; reason : string }
   | Unexpected of { context : string; exn : string }

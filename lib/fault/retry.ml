@@ -83,8 +83,7 @@ let retryable = function
   | Error.Protocol _ | Error.Invariant _ -> false
   | Error.Injected _ | Error.Crypto_failure _ | Error.Ope_range_exhausted _
   | Error.Paillier_mismatch _ | Error.Csv_malformed _ | Error.Row_failed _
-  | Error.Task_failed _ | Error.Pool_lane_crash _ | Error.Io_failure _
-  | Error.Unexpected _ -> true
+  | Error.Task_failed _ | Error.Io_failure _ | Error.Unexpected _ -> true
 
 let m_retried = Obs.Registry.counter "kitdpe.fault.retried"
 let m_exhausted = Obs.Registry.counter "kitdpe.fault.retry_exhausted"

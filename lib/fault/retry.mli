@@ -6,8 +6,7 @@
     runs with the same inputs retry on the same schedule — which is what
     keeps chaos reports reproducible (DESIGN.md §9/§14).
 
-    Applied to the [_r] fault surfaces (per-row encrypt retry in
-    [Dpe.Db_encryptor], per-cell retry in [Mining.Dist_matrix]) and to
+    Applied to the per-row encrypt retry in [Dpe.Db_encryptor] and to
     the server's request handlers. *)
 
 type policy = {

@@ -9,18 +9,23 @@ let create n =
 let m_build = Obs.Registry.sketch "kitdpe.mining.dist_matrix.build"
 
 (* below this many rows the n(n-1)/2 evaluations are too cheap to
-   amortize task dispatch *)
+   amortize task dispatch: the fill runs on a 1-lane pool, which spawns
+   no domain and runs every row in the caller *)
 let par_threshold = 64
+let sequential = Parallel.Pool.create ~domains:1 ()
 
 (* cells are identified by (i, j) with j < 2^20 — plenty for any matrix
    this repository builds — giving each evaluation a stable injection
    key independent of row scheduling *)
 let eval_key i j = (i lsl 20) lor j
 
-let context = "Mining.Dist_matrix.of_fun_r"
-
 let of_fun_r ?pool n d =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  let pool =
+    match pool with
+    | _ when n < par_threshold -> sequential
+    | Some p -> p
+    | None -> Parallel.Pool.global ()
+  in
   let t0 = Obs.time_start () in
   let m = create n in
   let faults = Fault.enabled () in
@@ -33,24 +38,7 @@ let of_fun_r ?pool n d =
       Float.Array.set m.cells (base + j) (d i j)
     done
   in
-  let errors =
-    if n < par_threshold || Parallel.Pool.size pool <= 1 then begin
-      (* the pool's containment contract, sequentially: a failing row is
-         reported, the remaining rows are still built, and an expired
-         request deadline abandons the remaining rows *)
-      let errs = ref [] in
-      for i = 0 to n - 1 do
-        match
-          Parallel.Pool.check_deadline ~context ();
-          fill i
-        with
-        | () -> ()
-        | exception e -> errs := (i, Fault.Error.of_exn ~context e) :: !errs
-      done;
-      List.rev !errs
-    end
-    else Parallel.Pool.for_range_r pool n fill
-  in
+  let rows = Parallel.Pool.map_range_r pool ~label:"dist_matrix.row" n fill in
   if t0 > 0 then begin
     let dt = Obs.now_ns () - t0 in
     Obs.observe_latency m_build dt;
@@ -58,14 +46,7 @@ let of_fun_r ?pool n d =
       ~name:(Printf.sprintf "dist_matrix(n=%d)" n)
       ~ts_ns:t0 ~dur_ns:dt ()
   end;
-  match errors with
-  | [] -> Ok m
-  | errors ->
-    Error
-      (List.map
-         (fun (index, cause) ->
-           Fault.Error.Task_failed { label = "dist_matrix.row"; index; cause })
-         errors)
+  Result.map (fun _ -> m) rows
 
 let of_fun ?pool n d = Fault.Error.get_ok (of_fun_r ?pool n d)
 

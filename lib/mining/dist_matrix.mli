@@ -16,18 +16,19 @@ val of_fun_r :
 (** [of_fun_r n d] evaluates [d i j] once for each [i < j] (never for
     [i >= j]): the one matrix fill of the repository, used by
     {!Distance.Measure.matrix_r} and the result measure.  Row [i] writes
-    its cells [j > i].  Below 64 rows, or on a 1-lane [pool] (default
-    [Parallel.Pool.global ()]), the rows run sequentially; otherwise
-    through [Parallel.Pool.for_range_r].  [d] must be pure (or at least
-    domain-safe), so the result is bit-for-bit identical for every pool
-    size.
+    its cells [j > i].  The rows are one
+    [Parallel.Pool.map_range_r ~label:"dist_matrix.row"] batch across
+    [pool] (default [Parallel.Pool.global ()]), or on a 1-lane pool
+    below 64 rows.  [d] must be pure (or at least domain-safe), so the
+    result is bit-for-bit identical for every pool size.
 
-    Crash-contained: a row whose evaluations raise is reported as
-    [Task_failed {label = "dist_matrix.row"; index; cause}] while all
-    other rows still compute; [Ok] only when the matrix is complete.
-    The request deadline is checked once per row, and an expired one
-    abandons the remaining rows.  Carries the
-    ["mining.dist_matrix.eval"] injection point keyed by cell
+    Crash-contained by that batch: a row whose evaluations raise is
+    reported as [Task_failed {label = "dist_matrix.row"; index; cause}]
+    while all other rows still compute; [Ok] only when the matrix is
+    complete.  The request deadline is checked once per row, and an
+    expired one abandons the remaining rows.  Every row passes the
+    ["parallel.pool.task"] point keyed by row, for every pool size, and
+    every cell the ["mining.dist_matrix.eval"] point keyed by cell
     coordinates.  With telemetry on, the fill is timed into the
     [kitdpe.mining.dist_matrix.build] sketch and a [dist_matrix(n=…)]
     span. *)

@@ -17,13 +17,13 @@ type t = {
    request ([max_int] = none): the submitter sets it with
    [with_deadline], [run_tasks] snapshots it into every queued job, and
    [run_job] installs it on whichever lane runs the job.  The
-   crash-contained combinators check it before each index, so an
+   crash-contained [map_range_r] checks it before each index, so an
    expired batch drains in O(remaining indices) bookkeeping — the lanes
    are released, not orphaned on abandoned work — and every skipped
    index is reported as a typed [Deadline_exceeded].  The plain
-   (non-[_r]) combinators are deliberately left deadline-blind: their
-   contract is bit-identical complete output, and callers that want
-   abandonment use the [_r] surfaces.
+   combinators are deliberately left deadline-blind: their contract is
+   bit-identical complete output, and callers that want abandonment use
+   [map_range_r].
 
    Storage is per sys-thread, not per domain.  A bare [Domain.DLS] slot
    would be shared by every sys-thread the server runs on domain 0, and
@@ -81,10 +81,6 @@ let with_deadline ~deadline_ns f =
 let check_deadline ~context () =
   if deadline_expired () then
     raise (Fault.Error.E (Fault.Error.Deadline_exceeded { context }))
-
-let deadline_error context =
-  Obs.Metric.incr m_deadline_skips;
-  Fault.Error.Deadline_exceeded { context }
 
 (* ---- observability ----
 
@@ -348,9 +344,6 @@ let map_range t n f =
     res
   end
 
-let mapi_array t f a = map_range t (Array.length a) (fun i -> f i a.(i))
-let map_array t f a = mapi_array t (fun _ x -> f x) a
-
 (* fork/join over two thunks: the only parallel shape the recursive
    index builders need.  [run_tasks] already guarantees completion and
    first-exception propagation; the slots are written before the batch
@@ -372,81 +365,41 @@ let both t f g =
               { context = "Parallel.Pool.both"; reason = "slot never written" }))
   end
 
-(* ---- crash-contained variants ----
+(* ---- the crash-contained batch ----
 
-   Same distribution as the plain combinators, but a task that raises is
-   converted to a typed [Fault.Error.t] tied to its index instead of
-   poisoning the batch.  Each task also carries the
-   ["parallel.pool.task"] injection point, keyed by index so a chaos
-   trigger picks the same victims for any pool size. *)
+   [map_range] underneath, but a task that raises becomes a typed error
+   tied to its index instead of poisoning the batch.  Each task carries
+   the ["parallel.pool.task"] injection point, keyed by index so a chaos
+   trigger picks the same victims for any pool size; an expired request
+   deadline skips the index in O(1). *)
 
-let push_error errors i err =
-  Obs.Metric.incr m_contained;
-  let rec go () =
-    let cur = Atomic.get errors in
-    if not (Atomic.compare_and_set errors cur ((i, err) :: cur)) then go ()
-  in
-  go ()
+let context = "Parallel.Pool.map_range_r"
 
-let by_index (i, _) (j, _) = Int.compare i j
-
-let run_tasks_r t tasks =
-  let errors = Atomic.make [] in
-  let guard i f () =
-    if deadline_expired () then
-      push_error errors i (deadline_error "Parallel.Pool.run_tasks_r")
+let map_range_r t ~label n f =
+  let slot i =
+    if deadline_expired () then begin
+      Obs.Metric.incr m_deadline_skips;
+      Error (Fault.Error.Deadline_exceeded { context })
+    end
     else
       match
         Fault.point ~key:i "parallel.pool.task";
-        f ()
+        f i
       with
-      | () -> ()
+      | v -> Ok v
       | exception e ->
-        push_error errors i (Fault.Error.of_exn ~context:"Parallel.Pool.run_tasks_r" e)
+        Obs.Metric.incr m_contained;
+        Error (Fault.Error.of_exn ~context e)
   in
-  run_tasks t (List.mapi guard tasks);
-  List.sort by_index (Atomic.get errors)
-
-let for_range_r t n f =
-  if n <= 0 then []
-  else begin
-    let errors = Atomic.make [] in
-    for_range t n (fun i ->
-        if deadline_expired () then
-          push_error errors i (deadline_error "Parallel.Pool.for_range_r")
-        else
-          match
-            Fault.point ~key:i "parallel.pool.task";
-            f i
-          with
-          | () -> ()
-          | exception e ->
-            push_error errors i
-              (Fault.Error.of_exn ~context:"Parallel.Pool.for_range_r" e));
-    List.sort by_index (Atomic.get errors)
-  end
-
-let map_range_r t n f =
-  if n <= 0 then [||]
-  else begin
-    let uninit =
-      Error
-        (Fault.Error.Invariant
-           { context = "Parallel.Pool.map_range_r"; reason = "slot never written" })
-    in
-    let res = Array.make n uninit in
-    for_range t n (fun i ->
-        res.(i) <-
-          (if deadline_expired () then
-             Error (deadline_error "Parallel.Pool.map_range_r")
-           else
-             match
-               Fault.point ~key:i "parallel.pool.task";
-               f i
-             with
-             | v -> Ok v
-             | exception e ->
-               Obs.Metric.incr m_contained;
-               Error (Fault.Error.of_exn ~context:"Parallel.Pool.map_range_r" e)));
-    res
-  end
+  let slots = map_range t n slot in
+  (* one backward pass keeps both lists in index order *)
+  let values = ref [] and errors = ref [] in
+  for i = Array.length slots - 1 downto 0 do
+    match slots.(i) with
+    | Ok v -> values := v :: !values
+    | Error cause ->
+      errors := Fault.Error.Task_failed { label; index = i; cause } :: !errors
+  done;
+  match !errors with
+  | [] -> Ok (Array.of_list !values)
+  | errors -> Error errors

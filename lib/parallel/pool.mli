@@ -7,12 +7,18 @@
     the regular workloads here — distance matrices and bulk row
     encryption.
 
+    Two failure contracts.  The plain combinators ({!run_tasks},
+    {!for_range}, {!map_range}, {!both}) run the whole batch and then
+    re-raise the first exception a task raised.  {!map_range_r} is the
+    one crash-contained batch: it turns each failing index into a typed
+    [Fault.Error.Task_failed] and returns the report.
+
     A pool of size 1 spawns no domains at all and runs every operation
     sequentially in the caller, so library code can thread a pool
     unconditionally and keep a zero-overhead sequential fallback.
 
     Determinism: none of the combinators change *what* is computed, only
-    *where*.  Every [map_*]/[for_range] call applies a caller-supplied
+    *where*.  Every [map_range]/[for_range] call applies a caller-supplied
     function to each index exactly once and stores the result at that
     index, so for a pure function the output is bit-for-bit identical for
     every pool size (including 1).  Functions that close over mutable
@@ -56,7 +62,7 @@ val run_tasks : t -> (unit -> unit) list -> unit
     parented on the batch, and the submitter's [Obs.Span] context is
     transplanted onto whichever lane runs a task — so spans opened inside
     a task carry the submitting request's trace id regardless of pool
-    size.  [for_range]/[map_range] and the [_r] variants inherit this by
+    size.  [for_range], [map_range] and {!map_range_r} inherit this by
     construction. *)
 
 val for_range : t -> int -> (int -> unit) -> unit
@@ -68,12 +74,6 @@ val for_range : t -> int -> (int -> unit) -> unit
 val map_range : t -> int -> (int -> 'a) -> 'a array
 (** [map_range p n f] is [Array.init n f] evaluated across the pool
     ([f 0] runs first, in the caller, to seed the result array). *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array p f a] is [Array.map f a] evaluated across the pool. *)
-
-val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** [mapi_array p f a] is [Array.mapi f a] evaluated across the pool. *)
 
 val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [both p f g] runs the two thunks (possibly on different lanes) and
@@ -88,27 +88,26 @@ val shutdown : t -> unit
     operation is in flight; further use of the pool falls back to
     sequential execution.  Idempotent. *)
 
-(** {2 Crash-contained variants}
+(** {2 The crash-contained batch} *)
 
-    Same work distribution as the plain combinators, but a task that
-    raises is converted to a typed [Fault.Error.t] tied to its index
-    instead of poisoning the batch: the batch always runs to
-    completion, good results are kept and the caller receives an
-    explicit per-index error report — never a hang, never a silently
-    missing entry.  Each task carries the ["parallel.pool.task"]
-    injection point keyed by its index, so an armed chaos trigger
-    selects the same victims for every pool size. *)
+val map_range_r :
+  t -> label:string -> int -> (int -> 'a) -> ('a array, Fault.Error.t list) result
+(** [map_range_r p ~label n f] is {!map_range}[ p n f] with every index
+    contained: a task that raises becomes a typed error tied to its
+    index instead of poisoning the batch.  The batch always runs to
+    completion; [Ok] holds all [n] results, else [Error] lists each
+    failed index [i] as [Task_failed {label; index = i; cause}] in
+    index order — never a hang, never a silently missing entry.  This
+    is the pool's one contained combinator: matrix rows, feature
+    builds, query executions and noise fills are all one
+    [map_range_r] call with their own [label].
 
-val run_tasks_r : t -> (unit -> unit) list -> (int * Fault.Error.t) list
-(** Run every thunk; return the contained failures as
-    [(task_index, error)], sorted by index ([[]] = all succeeded). *)
-
-val for_range_r : t -> int -> (int -> unit) -> (int * Fault.Error.t) list
-(** As {!for_range}, returning the indices whose [f i] raised. *)
-
-val map_range_r : t -> int -> (int -> 'a) -> ('a, Fault.Error.t) result array
-(** As {!map_range}, with per-slot results: [Ok (f i)] or the typed
-    error [f i] raised. *)
+    Per index, before [f i] runs: an expired request deadline (see
+    Deadlines below) skips it with [cause = Deadline_exceeded], and
+    the ["parallel.pool.task"] injection point fires keyed by [i], so an
+    armed chaos trigger selects the same victims for every pool size,
+    1 lane included.  Each caught exception counts once in
+    [kitdpe.parallel.pool.contained]. *)
 
 val lane_crashes : unit -> int
 (** Number of times a worker lane had to be respawned because an
@@ -130,10 +129,9 @@ val lane_crashes : unit -> int
     so overlapping {!with_deadline} scopes can never corrupt one
     another's save/restore.
 
-    The crash-contained combinators ({!run_tasks_r}, {!for_range_r},
-    {!map_range_r}) check the deadline before every index: once it
+    {!map_range_r} checks the deadline before every index: once it
     expires, remaining indices are skipped in O(1) each and reported as
-    typed [Deadline_exceeded] errors — the batch completes immediately
+    typed [Deadline_exceeded] causes — the batch completes immediately
     and the lanes are released to other requests, never left grinding
     orphaned work.  The plain combinators stay deadline-blind: their
     contract is complete, bit-identical output.
@@ -159,4 +157,4 @@ val check_deadline : context:string -> unit -> unit
 (** Raise [Fault.Error.E (Deadline_exceeded {context})] if
     {!deadline_expired}.  For hand-rolled loops on the request path
     (e.g. per-row encryption) that want the same abandonment behaviour
-    as the [_r] combinators. *)
+    as {!map_range_r}. *)

@@ -5,13 +5,13 @@
 
    Deadlines: the worker passes the absolute deadline computed at
    arrival; [handle] installs it with [Parallel.Pool.with_deadline], so
-   the [_r] combinators underneath (feature builds, matrix rows, row
-   encryption) and complete link's merge loop abandon remaining work
-   the moment it expires and the pool lanes go back to serving other
-   requests.  Only encrypt/mine
-   install it: stats/health never consult the deadline, and keeping
-   them away from the slot means only the compute path (one request at
-   a time under the engine's compute lock) ever touches it.
+   the [Parallel.Pool.map_range_r] batches underneath (feature builds,
+   matrix rows), row encryption and complete link's merge loop abandon
+   remaining work the moment it expires and the pool lanes go back to
+   serving other requests.  Only encrypt/mine install it: stats/health
+   never consult the deadline, and keeping them away from the slot
+   means only the compute path (one request at a time under the
+   engine's compute lock) ever touches it.
 
    Graceful degradation: a mine request whose matrix has failed rows is
    re-run once on the healthy subset (never one above

@@ -6,8 +6,9 @@
 
     Deadline propagation: [?deadline_ns] (absolute, computed at
     arrival) is installed via [Parallel.Pool.with_deadline] for the
-    request's duration, so the [_r] combinators underneath — feature
-    builds, matrix rows, per-query encryption — abandon remaining work
+    request's duration, so the contained batches underneath — feature
+    builds and matrix rows ([Parallel.Pool.map_range_r]), per-query
+    encryption — abandon remaining work
     the moment it expires and release their pool lanes.  Only
     encrypt/mine install it; stats/health never consult a deadline and
     leave the calling thread's slot untouched.

@@ -189,7 +189,6 @@ let error_kind = function
   | Fault.Error.Csv_malformed _ -> "csv"
   | Fault.Error.Row_failed _ -> "row-failed"
   | Fault.Error.Task_failed _ -> "task-failed"
-  | Fault.Error.Pool_lane_crash _ -> "lane-crash"
   | Fault.Error.Io_failure _ -> "io"
   | Fault.Error.Invariant _ -> "invariant"
   | Fault.Error.Unexpected _ -> "unexpected"

@@ -149,9 +149,8 @@ let test_protect () =
 
 let run_batch p =
   let ran = Atomic.make 0 in
-  let bump () = Atomic.incr ran in
-  let errs = Parallel.Pool.run_tasks_r p (List.init 6 (fun _ -> bump)) in
-  (Atomic.get ran, errs)
+  let res = Parallel.Pool.map_range_r p ~label:"batch" 6 (fun _ -> Atomic.incr ran) in
+  (Atomic.get ran, match res with Ok _ -> [] | Error errs -> errs)
 
 let test_pool_task_injection () =
   (* same victim for every pool size: the trigger keys on task index *)
@@ -162,10 +161,36 @@ let test_pool_task_injection () =
               let ran, errs = run_batch p in
               check_int "other tasks ran" 5 ran;
               match errs with
-              | [ (2, E.Injected { point = "parallel.pool.task"; key = 2 }) ] ->
+              | [ E.Task_failed
+                    { label = "batch"; index = 2;
+                      cause = E.Injected { point = "parallel.pool.task"; key = 2 } } ] ->
                 ()
               | _ -> Alcotest.fail "wrong containment report")))
     [ 1; 2; 4 ]
+
+let test_matrix_pool_task_victims () =
+  (* the matrix fill is one pool batch at every size: the armed task
+     point fails the same row on 1 lane (and below 64 rows) as on 2 or
+     4 lanes *)
+  List.iter
+    (fun (domains, n) ->
+      with_pool ~domains (fun pool ->
+          with_faults "parallel.pool.task=nth:5" (fun () ->
+              match
+                Mining.Dist_matrix.of_fun_r ~pool n (fun i j ->
+                    float_of_int (abs (i - j)))
+              with
+              | Error
+                  [ E.Task_failed
+                      { label = "dist_matrix.row"; index = 5;
+                        cause = E.Injected { point = "parallel.pool.task"; key = 5 } } ] ->
+                ()
+              | Ok _ ->
+                Alcotest.failf "n=%d on %d lanes: armed row not reported" n domains
+              | Error errs ->
+                Alcotest.failf "n=%d on %d lanes: %s" n domains
+                  (String.concat "; " (List.map E.to_string errs)))))
+    [ (1, 100); (2, 100); (4, 100); (2, 40) ]
 
 (* ---------------- Db_encryptor: retry and determinism ---------------- *)
 
@@ -434,7 +459,9 @@ let () =
           Alcotest.test_case "protect" `Quick test_protect ] );
       ( "pool",
         [ Alcotest.test_case "task injection contained" `Quick
-            test_pool_task_injection ] );
+            test_pool_task_injection;
+          Alcotest.test_case "matrix victims on every pool size" `Quick
+            test_matrix_pool_task_victims ] );
       ( "db_encryptor",
         [ Alcotest.test_case "partial results" `Quick
             test_encrypt_table_partial;

@@ -60,7 +60,7 @@ let test_unsafe01 () =
 
 let test_exn01 () =
   check_findings "EXN01 fixture" "lib/mining/bad_exn01.ml"
-    [ ("EXN01", 4); ("EXN01", 5) ];
+    [ ("EXN01", 4); ("EXN01", 5); ("EXN01", 8) ];
   check_errors_nonzero "lib/mining/bad_exn01.ml"
 
 let test_mli01 () =
@@ -110,7 +110,7 @@ let test_secflow01_good () =
 
 let test_dom01 () =
   check_typed_findings "DOM01 fixture" "lib/typedfix/bad_dom01.ml"
-    [ ("DOM01", 6); ("DOM01", 12); ("DOM01", 19) ]
+    [ ("DOM01", 6); ("DOM01", 12); ("DOM01", 19); ("DOM01", 24) ]
 
 let test_dom01_good () =
   (* Atomic, Mutex, per-index array, DLS: all recognized as safe *)
@@ -167,15 +167,15 @@ let test_whole_fixture_tree () =
   Alcotest.(check int) "CT02 count" 2 (by_rule "CT02");
   Alcotest.(check int) "RNG01 count" 2 (by_rule "RNG01");
   Alcotest.(check int) "UNSAFE01 count" 2 (by_rule "UNSAFE01");
-  Alcotest.(check int) "EXN01 count" 2 (by_rule "EXN01");
+  Alcotest.(check int) "EXN01 count" 3 (by_rule "EXN01");
   Alcotest.(check int) "ERR01 count" 2 (by_rule "ERR01");
   Alcotest.(check int) "MLI01 count" 1 (by_rule "MLI01");
   Alcotest.(check int) "PERF01 count" 2 (by_rule "PERF01");
   Alcotest.(check int) "OBS02 count" 2 (by_rule "OBS02");
   Alcotest.(check int) "SECFLOW01 count" 7 (by_rule "SECFLOW01");
-  Alcotest.(check int) "DOM01 count" 3 (by_rule "DOM01");
+  Alcotest.(check int) "DOM01 count" 4 (by_rule "DOM01");
   Alcotest.(check int) "DOM02 count" 2 (by_rule "DOM02");
-  Alcotest.(check int) "total" 31 (List.length r.Engine.findings)
+  Alcotest.(check int) "total" 33 (List.length r.Engine.findings)
 
 (* ---- the JSON and SARIF reports ---- *)
 

@@ -30,12 +30,7 @@ let test_map_edge_cases () =
             (Parallel.Pool.map_range p 1 (fun i -> i + 100));
           Alcotest.(check (array int)) "n=1000"
             (Array.init 1000 (fun i -> i * i))
-            (Parallel.Pool.map_range p 1000 (fun i -> i * i));
-          Alcotest.(check (array string)) "map_array"
-            [| "0a"; "1b"; "2c" |]
-            (Parallel.Pool.mapi_array p
-               (fun i s -> string_of_int i ^ s)
-               [| "a"; "b"; "c" |])))
+            (Parallel.Pool.map_range p 1000 (fun i -> i * i))))
     [ 1; 2; 4 ]
 
 let test_for_range_covers_once () =
@@ -51,10 +46,13 @@ let test_for_range_covers_once () =
         (Array.make n 1) hits;
       (* n = 0: the closure must never run, so even a raising body
          produces an empty containment report *)
-      Alcotest.(check int) "n=0 reports nothing" 0
-        (List.length
-           (Parallel.Pool.for_range_r p 0 (fun _ ->
-                raise (Failure "must not run")))))
+      match
+        Parallel.Pool.map_range_r p ~label:"t" 0 (fun _ ->
+            raise (Failure "must not run"))
+      with
+      | Ok [||] -> ()
+      | Ok _ -> Alcotest.fail "n=0 returned values"
+      | Error _ -> Alcotest.fail "n=0 reported an error")
 
 let test_exception_propagates () =
   with_pool ~domains:2 (fun p ->
@@ -72,19 +70,20 @@ let test_exception_propagates () =
 let test_contained_crash () =
   with_pool ~domains:2 (fun p ->
       let before = Parallel.Pool.lane_crashes () in
-      let ran = ref 0 in
-      let lock = Mutex.create () in
-      let bump () = Mutex.lock lock; incr ran; Mutex.unlock lock in
-      let errs =
-        Parallel.Pool.run_tasks_r p
-          [ bump; (fun () -> raise (Failure "boom")); bump; bump ]
+      let ran = Atomic.make 0 in
+      let res =
+        Parallel.Pool.map_range_r p ~label:"crash" 4 (fun i ->
+            if i = 1 then raise (Failure "boom") else Atomic.incr ran)
       in
       (* the crash is contained as a typed per-task error: every other
          task ran, the batch completed, no worker domain died *)
-      (match errs with
-       | [ (1, Fault.Error.Unexpected _) ] -> ()
+      (match res with
+       | Error
+           [ Fault.Error.Task_failed
+               { label = "crash"; index = 1; cause = Fault.Error.Unexpected _ } ]
+         -> ()
        | _ -> Alcotest.fail "expected exactly task 1 to be contained");
-      Alcotest.(check int) "other tasks still ran" 3 !ran;
+      Alcotest.(check int) "other tasks still ran" 3 (Atomic.get ran);
       Alcotest.(check int) "no lane died" before (Parallel.Pool.lane_crashes ());
       (* the pool is still fully operational after the contained crash *)
       Alcotest.(check (array int)) "pool still works"
@@ -95,18 +94,31 @@ let test_map_range_r_contains () =
   List.iter
     (fun domains ->
       with_pool ~domains (fun p ->
-          let res =
-            Parallel.Pool.map_range_r p 9 (fun i ->
-                if i mod 4 = 2 then raise (Failure "bad slot") else i * 10)
-          in
-          Array.iteri
-            (fun i r ->
-              match r with
-              | Ok v -> Alcotest.(check int) "good slot" (i * 10) v
-              | Error (Fault.Error.Unexpected _) ->
-                Alcotest.(check bool) "only armed slots fail" true (i mod 4 = 2)
-              | Error e -> Alcotest.fail (Fault.Error.to_string e))
-            res))
+          (match Parallel.Pool.map_range_r p ~label:"slot" 9 (fun i -> i * 10) with
+           | Ok vs ->
+             Alcotest.(check (array int)) "good slots" (Array.init 9 (fun i -> i * 10)) vs
+           | Error es ->
+             Alcotest.fail (String.concat "; " (List.map Fault.Error.to_string es)));
+          let ran = Atomic.make 0 in
+          match
+            Parallel.Pool.map_range_r p ~label:"slot" 9 (fun i ->
+                if i mod 4 = 2 then raise (Failure "bad slot")
+                else begin
+                  Atomic.incr ran;
+                  i * 10
+                end)
+          with
+          | Ok _ -> Alcotest.fail "failing slots not reported"
+          | Error es ->
+            Alcotest.(check int) "healthy slots still ran" 7 (Atomic.get ran);
+            Alcotest.(check (list int)) "only the failing slots, in order" [ 2; 6 ]
+              (List.map
+                 (function
+                   | Fault.Error.Task_failed
+                       { label = "slot"; index; cause = Fault.Error.Unexpected _ } ->
+                     index
+                   | e -> Alcotest.fail (Fault.Error.to_string e))
+                 es)))
     [ 1; 2; 4 ]
 
 let test_nested_pool_use () =
@@ -440,29 +452,32 @@ let test_deadline_expiry () =
         Alcotest.(check string) "context carried" "test" context)
 
 let test_deadline_r_combinators () =
-  (* an expired deadline makes the _r combinators abandon every index
-     with a typed error instead of computing *)
-  with_pool ~domains:2 (fun p ->
-      Parallel.Pool.with_deadline ~deadline_ns:1 (fun () ->
-          let ran = Atomic.make 0 in
-          (match Parallel.Pool.map_range_r p 16 (fun i -> Atomic.incr ran; i) with
-           | rs ->
-             Alcotest.(check int) "map_range_r: no task body ran" 0
-               (Atomic.get ran);
-             Array.iter
-               (fun r ->
-                 match r with
-                 | Error (Fault.Error.Deadline_exceeded _) -> ()
-                 | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
-                 | Ok _ -> Alcotest.fail "index computed past its deadline")
-               rs);
-          let errs = Parallel.Pool.for_range_r p 8 (fun _ -> Atomic.incr ran) in
-          Alcotest.(check int) "for_range_r abandons all" 8 (List.length errs);
-          Alcotest.(check bool) "all deadline errors" true
-            (List.for_all
-               (fun (_, e) ->
-                 match e with Fault.Error.Deadline_exceeded _ -> true | _ -> false)
-               errs)))
+  (* an expired deadline makes map_range_r abandon every index with a
+     typed error instead of computing, on every pool size *)
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun p ->
+          Parallel.Pool.with_deadline ~deadline_ns:1 (fun () ->
+              let ran = Atomic.make 0 in
+              match
+                Parallel.Pool.map_range_r p ~label:"late" 16 (fun i ->
+                    Atomic.incr ran;
+                    i)
+              with
+              | Ok _ -> Alcotest.fail "indices computed past their deadline"
+              | Error es ->
+                Alcotest.(check int) "no task body ran" 0 (Atomic.get ran);
+                Alcotest.(check (list int)) "every index abandoned"
+                  (List.init 16 Fun.id)
+                  (List.map
+                     (function
+                       | Fault.Error.Task_failed
+                           { label = "late"; index;
+                             cause = Fault.Error.Deadline_exceeded _ } ->
+                         index
+                       | e -> Alcotest.fail (Fault.Error.to_string e))
+                     es))))
+    [ 1; 2 ]
 
 let test_deadline_thread_isolation () =
   (* regression: deadline slots are per sys-thread.  A single shared

@@ -6,8 +6,10 @@
    contract), by which point the lane's partial work is silently gone.
    Flags [assert false] and [failwith] occurring inside a syntactic
    [fun]/[function] argument of a [Pool.run_tasks] / [Pool.for_range] /
-   [Pool.map_range] / [Pool.map_array] / [Pool.mapi_array] call (both
-   [Pool.x] and [Parallel.Pool.x] spellings).  Named task functions are
+   [Pool.map_range] / [Pool.map_range_r] / [Pool.both] call (both
+   [Pool.x] and [Parallel.Pool.x] spellings).  [map_range_r] contains
+   the exception, but a panic there still reports an anonymous
+   [Unexpected] instead of the typed cause.  Named task functions are
    a known blind spot of the syntactic check. *)
 
 open Parsetree
@@ -16,7 +18,7 @@ let id = "EXN01"
 let severity = Rule.Error
 
 let pool_combinators =
-  [ "run_tasks"; "for_range"; "map_range"; "map_array"; "mapi_array" ]
+  [ "run_tasks"; "for_range"; "map_range"; "map_range_r"; "both" ]
 
 let is_pool_call txt =
   match List.rev (Rule.flatten_longident txt) with

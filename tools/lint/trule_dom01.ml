@@ -23,10 +23,8 @@
 module C = Typed_common
 
 let pool_combinators =
-  [ [ "Pool"; "run_tasks" ]; [ "Pool"; "run_tasks_r" ];
-    [ "Pool"; "for_range" ]; [ "Pool"; "for_range_r" ];
-    [ "Pool"; "map_range" ]; [ "Pool"; "map_range_r" ];
-    [ "Pool"; "map_array" ]; [ "Pool"; "mapi_array" ] ]
+  [ [ "Pool"; "run_tasks" ]; [ "Pool"; "for_range" ];
+    [ "Pool"; "map_range" ]; [ "Pool"; "map_range_r" ]; [ "Pool"; "both" ] ]
 
 let guard_fns =
   [ [ "Mutex"; "lock" ]; [ "Mutex"; "try_lock" ]; [ "Mutex"; "protect" ];
