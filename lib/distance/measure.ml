@@ -60,17 +60,6 @@ let compute ctx measure q1 q2 =
 let missing_db context =
   Fault.Error.Invariant { context; reason = "result distance needs a database" }
 
-let record_matrix_span measure queries t0 =
-  if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
-    Obs.observe_latency m_matrix dt;
-    Obs.Span.record ~cat:"distance"
-      ~name:
-        (Printf.sprintf "measure.matrix/%s(n=%d)" (to_string measure)
-           (List.length queries))
-      ~ts_ns:t0 ~dur_ns:dt ()
-  end
-
 (* feature-table pair evaluator: closes over the precomputed table, so
    the matrix fill touches no query text.  Bit-identical to
    [compute] per pair (see Features). *)
@@ -89,20 +78,19 @@ let pair_of_features ctx measure feats =
               reason = "the result distance has no feature-table form" }))
 
 let matrix_r ?pool ctx measure queries =
-  let t0 = Obs.time_start () in
-  let r =
-    match measure, ctx.db with
-    | Result, Some db -> D_result.matrix_r ?pool db queries
-    | Result, None -> Error [ missing_db "Distance.Measure.matrix_r" ]
-    | (Token | Structure | Access | Edit | Clause), _ ->
-      let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-      let qs = Array.of_list queries in
-      Result.bind (Features.build_r ~pool qs) (fun feats ->
-          Mining.Dist_matrix.of_fun_r ~pool (Array.length qs)
-            (pair_of_features ctx measure feats))
-  in
-  record_matrix_span measure queries t0;
-  r
+  Obs.Span.with_span ~sketch:m_matrix ~cat:"distance"
+    (Printf.sprintf "measure.matrix/%s(n=%d)" (to_string measure)
+       (List.length queries))
+    (fun () ->
+      match measure, ctx.db with
+      | Result, Some db -> D_result.matrix_r ?pool db queries
+      | Result, None -> Error [ missing_db "Distance.Measure.matrix_r" ]
+      | (Token | Structure | Access | Edit | Clause), _ ->
+        let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+        let qs = Array.of_list queries in
+        Result.bind (Features.build_r ~pool qs) (fun feats ->
+            Mining.Dist_matrix.of_fun_r ~pool (Array.length qs)
+              (pair_of_features ctx measure feats)))
 
 let matrix ?pool ctx measure queries =
   Fault.Error.get_ok (matrix_r ?pool ctx measure queries)

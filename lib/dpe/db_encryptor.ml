@@ -55,7 +55,6 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
       (List.map (fun name -> Encryptor.column_encoder enc ~rel ~attr:name) names)
   in
   let rows = Array.of_list (Table.rows table) in
-  let t0 = Obs.time_start () in
   let encrypt_row i =
     let row = rows.(i) in
     (* [map_range] is a plain (deadline-blind) combinator, so the row
@@ -94,7 +93,11 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
         Error (Fault.Error.Row_failed { rel; row = i; attempts; cause })
     end
   in
-  let results = Parallel.Pool.map_range pool (Array.length rows) encrypt_row in
+  let results =
+    Obs.Span.with_span ~sketch:m_table ~cat:"dpe"
+      (Printf.sprintf "encrypt_table/%s(rows=%d)" rel (Array.length rows))
+      (fun () -> Parallel.Pool.map_range pool (Array.length rows) encrypt_row)
+  in
   let cipher_rows = ref [] and errors = ref [] in
   for i = Array.length results - 1 downto 0 do
     match results.(i) with
@@ -102,7 +105,7 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
     | Error e -> errors := e :: !errors
   done;
   let cipher_rows = !cipher_rows and errors = !errors in
-  if t0 > 0 then begin
+  if Obs.is_enabled () then begin
     (* bulk accounting after the parallel map: rows and cells overall,
        plus cells broken down by the constant class that encrypted them
        ("which scheme did the work?") *)
@@ -116,12 +119,7 @@ let encrypt_table_r ?pool ?(retries = 0) enc table =
              ("kitdpe.dpe.db_encryptor.cells."
              ^ class_label (Scheme.class_for_attr (Encryptor.scheme enc) name)))
           nrows)
-      names;
-    let dt = Obs.now_ns () - t0 in
-    Obs.observe_latency m_table dt;
-    Obs.Span.record ~cat:"dpe"
-      ~name:(Printf.sprintf "encrypt_table/%s(rows=%d)" rel (Array.length rows))
-      ~ts_ns:t0 ~dur_ns:dt ()
+      names
   end;
   (Table.of_rows cipher_schema cipher_rows, errors)
 

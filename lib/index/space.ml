@@ -71,17 +71,10 @@ let build ~name t f =
     for i = 0 to t.n - 1 do
       Fault.point ~key:i "index.build"
     done;
-  let t0 = Obs.time_start () in
-  let tree = f (Array.init t.n Fun.id) in
-  if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
-    Obs.Metric.incr m_builds;
-    Obs.observe_latency m_build dt;
-    Obs.Span.record ~cat:"index"
-      ~name:(Printf.sprintf "%s.build(n=%d)" name t.n)
-      ~ts_ns:t0 ~dur_ns:dt ()
-  end;
-  tree
+  Obs.Metric.incr m_builds;
+  Obs.Span.with_span ~sketch:m_build ~cat:"index"
+    (Printf.sprintf "%s.build(n=%d)" name t.n)
+    (fun () -> f (Array.init t.n Fun.id))
 
 let count_query ~probes ~prunes =
   if Obs.is_enabled () then begin

@@ -45,16 +45,14 @@ let expand ~n ~min_pts ~range =
   labels
 
 let run_index ~min_pts ri =
-  let t0 = Obs.time_start () in
-  let labels = expand ~n:ri.ri_n ~min_pts ~range:ri.range in
-  if t0 > 0 then begin
-    Obs.Metric.incr m_runs;
-    Obs.Metric.add m_clusters (Array.fold_left max (-1) labels + 1);
-    Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "dbscan(n=%d)" ri.ri_n)
-      ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ()
-  end;
-  labels
+  Obs.Span.with_span ~cat:"mining" (Printf.sprintf "dbscan(n=%d)" ri.ri_n)
+    (fun () ->
+      let labels = expand ~n:ri.ri_n ~min_pts ~range:ri.range in
+      if Obs.is_enabled () then begin
+        Obs.Metric.incr m_runs;
+        Obs.Metric.add m_clusters (Array.fold_left max (-1) labels + 1)
+      end;
+      labels)
 
 (* the matrix's eps-neighborhoods, ascending: the downto-prepend scan
    yields the order an index's [range] returns *)

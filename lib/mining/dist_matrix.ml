@@ -26,7 +26,6 @@ let of_fun_r ?pool n d =
     | Some p -> p
     | None -> Parallel.Pool.global ()
   in
-  let t0 = Obs.time_start () in
   let m = create n in
   let faults = Fault.enabled () in
   (* lanes write disjoint rows; the pool's strided rows balance the
@@ -38,15 +37,10 @@ let of_fun_r ?pool n d =
       Float.Array.set m.cells (base + j) (d i j)
     done
   in
-  let rows = Parallel.Pool.map_range_r pool ~label:"dist_matrix.row" n fill in
-  if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
-    Obs.observe_latency m_build dt;
-    Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "dist_matrix(n=%d)" n)
-      ~ts_ns:t0 ~dur_ns:dt ()
-  end;
-  Result.map (fun _ -> m) rows
+  Obs.Span.with_span ~sketch:m_build ~cat:"mining"
+    (Printf.sprintf "dist_matrix(n=%d)" n)
+    (fun () -> Parallel.Pool.map_range_r pool ~label:"dist_matrix.row" n fill)
+  |> Result.map (fun _ -> m)
 
 let of_fun ?pool n d = Fault.Error.get_ok (of_fun_r ?pool n d)
 

@@ -23,50 +23,50 @@ let cluster_distance m ca cb =
 
 let merges m ~stop =
   let n = Dist_matrix.size m in
-  let t0 = Obs.time_start () in
-  let clusters = ref (List.init n (fun i -> { id = i; members = [ i ] })) in
-  let next_id = ref n in
-  let out = ref [] in
-  let continue = ref true in
-  while !continue && List.length !clusters > 1 do
-    Parallel.Pool.check_deadline ~context:"Mining.Hier.merges" ();
-    (* find the closest pair; ties break on (smaller left id, smaller right id) *)
-    let best = ref None in
-    let rec scan = function
-      | [] | [ _ ] -> ()
-      | ca :: rest ->
-        List.iter
-          (fun cb ->
-            let d = cluster_distance m ca cb in
-            let a, b = if ca.id < cb.id then (ca, cb) else (cb, ca) in
-            match !best with
-            | None -> best := Some (d, a, b)
-            | Some (bd, ba, bb) ->
-              if d < bd
-                 || (d = bd && (a.id < ba.id || (a.id = ba.id && b.id < bb.id)))
-              then best := Some (d, a, b))
-          rest;
-        scan rest
-    in
-    scan !clusters;
-    match !best with
-    | None -> continue := false
-    | Some (d, a, b) ->
-      if stop ~remaining:(List.length !clusters) then continue := false
-      else begin
-        let merged = { id = !next_id; members = a.members @ b.members } in
-        incr next_id;
-        Obs.Metric.incr m_merges;
-        clusters :=
-          merged :: List.filter (fun c -> c.id <> a.id && c.id <> b.id) !clusters;
-        out := { left = a.id; right = b.id; height = d } :: !out
-      end
-  done;
-  if t0 > 0 then
-    Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "hier.merges(n=%d)" n)
-      ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ();
-  (List.rev !out, !clusters)
+  Obs.Span.with_span ~cat:"mining" (Printf.sprintf "hier.merges(n=%d)" n)
+    (fun () ->
+      let clusters = ref (List.init n (fun i -> { id = i; members = [ i ] })) in
+      let next_id = ref n in
+      let out = ref [] in
+      let continue = ref true in
+      while !continue && List.length !clusters > 1 do
+        Parallel.Pool.check_deadline ~context:"Mining.Hier.merges" ();
+        (* find the closest pair; ties break on (smaller left id,
+           smaller right id) *)
+        let best = ref None in
+        let rec scan = function
+          | [] | [ _ ] -> ()
+          | ca :: rest ->
+            List.iter
+              (fun cb ->
+                let d = cluster_distance m ca cb in
+                let a, b = if ca.id < cb.id then (ca, cb) else (cb, ca) in
+                match !best with
+                | None -> best := Some (d, a, b)
+                | Some (bd, ba, bb) ->
+                  if d < bd
+                     || d = bd
+                        && (a.id < ba.id || (a.id = ba.id && b.id < bb.id))
+                  then best := Some (d, a, b))
+              rest;
+            scan rest
+        in
+        scan !clusters;
+        match !best with
+        | None -> continue := false
+        | Some (d, a, b) ->
+          if stop ~remaining:(List.length !clusters) then continue := false
+          else begin
+            let merged = { id = !next_id; members = a.members @ b.members } in
+            incr next_id;
+            Obs.Metric.incr m_merges;
+            clusters :=
+              merged
+              :: List.filter (fun c -> c.id <> a.id && c.id <> b.id) !clusters;
+            out := { left = a.id; right = b.id; height = d } :: !out
+          end
+      done;
+      (List.rev !out, !clusters))
 
 let dendrogram m =
   fst (merges m ~stop:(fun ~remaining:_ -> false))

@@ -78,30 +78,29 @@ let update_medoids m labels k =
 let run_full { k; max_iter } m =
   let n = Dist_matrix.size m in
   if k <= 0 || k > n then invalid_arg "Kmedoids: k out of range";
-  let t0 = Obs.time_start () in
-  Obs.Metric.incr m_runs;
-  let medoids = ref (initial_medoids k m) in
-  let labels = ref (assign m !medoids) in
-  let continue = ref true in
-  let iter = ref 0 in
-  while !continue && !iter < max_iter do
-    incr iter;
-    Obs.Metric.incr m_iterations;
-    let medoids' = update_medoids m !labels k in
-    (* a cluster can become empty only on degenerate inputs: keep the old
-       medoid in that case *)
-    Array.iteri (fun c mid -> if mid = -1 then medoids'.(c) <- !medoids.(c)) medoids';
-    if medoids' = !medoids then continue := false
-    else begin
-      medoids := medoids';
-      labels := assign m !medoids
-    end
-  done;
-  if t0 > 0 then
-    Obs.Span.record ~cat:"mining"
-      ~name:(Printf.sprintf "kmedoids(n=%d,k=%d)" n k)
-      ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ();
-  (!medoids, !labels)
+  Obs.Span.with_span ~cat:"mining" (Printf.sprintf "kmedoids(n=%d,k=%d)" n k)
+    (fun () ->
+      Obs.Metric.incr m_runs;
+      let medoids = ref (initial_medoids k m) in
+      let labels = ref (assign m !medoids) in
+      let continue = ref true in
+      let iter = ref 0 in
+      while !continue && !iter < max_iter do
+        incr iter;
+        Obs.Metric.incr m_iterations;
+        let medoids' = update_medoids m !labels k in
+        (* a cluster can become empty only on degenerate inputs: keep the
+           old medoid in that case *)
+        Array.iteri
+          (fun c mid -> if mid = -1 then medoids'.(c) <- !medoids.(c))
+          medoids';
+        if medoids' = !medoids then continue := false
+        else begin
+          medoids := medoids';
+          labels := assign m !medoids
+        end
+      done;
+      (!medoids, !labels))
 
 let run p m = snd (run_full p m)
 

@@ -1,6 +1,7 @@
 module Metric = Metric
 module Sketch = Sketch
 module Registry = Registry
+module Slot = Slot
 module Span = Span
 module Window = Window
 module Trace = Trace

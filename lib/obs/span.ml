@@ -1,27 +1,17 @@
-(* Lightweight spans collected into a bounded ring buffer.
-
-   Spans are coarse-grained (a matrix build, a table encryption, a pool
-   batch — not per-cell work), so a mutex-protected ring is plenty: the
-   lock is taken once per completed span, never inside element loops.
-   When the subsystem is disabled, [with_span] is a direct tail call to
-   the thunk and [record] is a no-op — nothing is allocated.
-
-   Causality: every span carries a trace id (shared by a whole request)
-   and a parent span id.  The current context lives in domain-local
-   storage; [with_span] pushes itself as the parent for its dynamic
-   extent, and [with_context] transplants a captured context onto
-   another domain — that is how [Parallel.Pool] makes lane-side spans
-   children of the submitting span.  Ids are process-unique positive
-   ints from one atomic counter; 0 means "none". *)
+(* Lightweight spans collected into a bounded ring buffer; the lock is
+   taken once per completed span, never inside element loops.  The
+   current context lives in a per-sys-thread [Slot]: [with_span] pushes
+   itself as the parent for its dynamic extent, and [with_context]
+   transplants a captured context onto another domain (how
+   [Parallel.Pool] parents lane-side spans on the submitter).  Ids come
+   from one atomic counter; 0 means "none". *)
 
 type context = { trace : int; span : int }
 
 let root_context = { trace = 0; span = 0 }
 
-(* domain-local: lanes inherit nothing implicitly; the pool transplants
-   the submitter's context explicitly via [with_context] *)
-let ctx_key = Domain.DLS.new_key (fun () -> root_context)
-let current () = Domain.DLS.get ctx_key
+let ctx_slot = Slot.make root_context
+let current () = Slot.get ctx_slot
 let next_span_id = Atomic.make 1
 let new_span_id () = Atomic.fetch_and_add next_span_id 1
 
@@ -30,12 +20,7 @@ let child_context parent =
   { trace = (if parent.trace = 0 then id else parent.trace); span = id }
 
 let with_context ctx f =
-  if not (Control.is_on ()) then f ()
-  else begin
-    let saved = Domain.DLS.get ctx_key in
-    Domain.DLS.set ctx_key ctx;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set ctx_key saved) f
-  end
+  if Control.is_on () then Slot.with_value ctx_slot ctx f else f ()
 
 type event = {
   name : string;
@@ -86,7 +71,7 @@ let record ?(cat = "kitdpe") ?trace_id ?span_id ?parent_id ~name ~ts_ns ~dur_ns
   if Control.is_on () then begin
     (* post-hoc call sites (timed without a closure) default to a fresh
        span id parented on whatever context is current *)
-    let ctx = Domain.DLS.get ctx_key in
+    let ctx = current () in
     let span_id =
       match span_id with Some id -> id | None -> new_span_id ()
     in
@@ -112,22 +97,24 @@ let record ?(cat = "kitdpe") ?trace_id ?span_id ?parent_id ~name ~ts_ns ~dur_ns
     Mutex.unlock ring.lock
   end
 
-let with_span ?cat name f =
+(* the span opens before [f] runs, so everything [f] times nests under
+   it; it closes, feeding [sketch] with its own ids as the exemplar,
+   whether [f] returns or raises *)
+let with_span ?sketch ?cat name f =
   if not (Control.is_on ()) then f ()
   else begin
-    let parent = Domain.DLS.get ctx_key in
-    let id = new_span_id () in
-    let trace = if parent.trace = 0 then id else parent.trace in
-    Domain.DLS.set ctx_key { trace; span = id };
-    let t0 = Control.now_ns () in
+    let parent = current () in
+    let ctx = child_context parent in
+    let ts_ns = Control.now_ns () in
     Fun.protect
       ~finally:(fun () ->
-        Domain.DLS.set ctx_key parent;
-        record ?cat ~trace_id:trace ~span_id:id ~parent_id:parent.span ~name
-          ~ts_ns:t0
-          ~dur_ns:(Control.now_ns () - t0)
-          ())
-      f
+        let dur_ns = Control.now_ns () - ts_ns in
+        Option.iter
+          (fun s -> Sketch.observe s ~trace_id:ctx.trace ~span_id:ctx.span dur_ns)
+          sketch;
+        record ?cat ~trace_id:ctx.trace ~span_id:ctx.span ~parent_id:parent.span
+          ~name ~ts_ns ~dur_ns ())
+      (fun () -> Slot.with_value ctx_slot ctx f)
   end
 
 (* oldest-first; ring order is completion order *)

@@ -6,11 +6,12 @@
     span.
 
     Every span carries a trace id and a parent span id.  The current
-    context lives in domain-local storage: {!with_span} pushes itself as
-    parent for its dynamic extent, and {!with_context} transplants a
-    captured context onto another domain (how [Parallel.Pool] parents
-    lane-side spans on the submitting span).  Ids are process-unique
-    positive ints; [0] means "none". *)
+    context lives in a per-sys-thread {!Slot}, so server threads sharing
+    domain 0 each keep their own: {!with_span} pushes itself as parent
+    for its dynamic extent, and {!with_context} transplants a captured
+    context onto another domain (how [Parallel.Pool] parents lane-side
+    spans on the submitting span).  Ids are process-unique positive
+    ints; [0] means "none". *)
 
 type context = { trace : int; span : int }
 
@@ -18,9 +19,7 @@ val root_context : context
 (** [{trace = 0; span = 0}] — no enclosing span. *)
 
 val current : unit -> context
-(** The calling domain's context (domain-local read, no allocation). *)
-
-val new_span_id : unit -> int
+(** The calling thread's context (a {!Slot.get}). *)
 
 val child_context : context -> context
 (** Fresh span id under the parent's trace (a fresh trace when the
@@ -45,11 +44,14 @@ type event = {
 val default_capacity : int
 (** 8192 events. *)
 
-val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
-(** Run the thunk and record one event; when disabled this is a direct
-    call to the thunk.  The event is recorded even if the thunk raises,
-    and is the parent of any span started inside the thunk (same domain,
-    or another lane via {!with_context}). *)
+val with_span : ?sketch:Sketch.t -> ?cat:string -> string -> (unit -> 'a) -> 'a
+(** [with_span ?sketch ?cat name f] is the one way a layer times a
+    section.  The span opens before [f] runs, so every span and pool
+    batch inside [f] is its child (same thread, or another lane via
+    {!with_context}).  When [f] returns or raises, the section records
+    its event and observes its duration in [sketch], with its own trace
+    and span ids as the exemplar.  Disabled, it is a direct call to
+    [f]: the caller still pays for building [name] and the closure. *)
 
 val record :
   ?cat:string ->
@@ -61,9 +63,9 @@ val record :
   dur_ns:int ->
   unit ->
   unit
-(** Record a pre-timed event (for call sites that avoid closures on the
-    hot path).  Ids default to a fresh span id parented on the current
-    context. *)
+(** Record a pre-timed event whose ids were allocated ahead of its
+    body ([Parallel.Pool]'s batches and tasks).  Ids default to a fresh
+    span id parented on the current context. *)
 
 val events : unit -> event list
 (** Oldest first. *)

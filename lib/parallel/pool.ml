@@ -25,40 +25,13 @@ type t = {
    bit-identical complete output, and callers that want abandonment use
    [map_range_r].
 
-   Storage is per sys-thread, not per domain.  A bare [Domain.DLS] slot
-   would be shared by every sys-thread the server runs on domain 0, and
-   two overlapping [with_deadline] calls from different threads would
-   interleave their save/restores — leaving a stale (soon-expired)
-   deadline permanently installed, after which every later request on
-   that domain is answered [Deadline_exceeded].  Each domain instead
-   holds a table keyed by [Thread.id]; pool lane domains run exactly
-   one thread, so their lookups never contend. *)
+   Storage is the per-sys-thread [Obs.Slot] the span context also
+   lives in, so server threads sharing domain 0 never see each other's
+   deadline. *)
 
 let no_deadline = max_int
-
-type deadline_slots = { slock : Mutex.t; stbl : (int, int) Hashtbl.t }
-
-let deadline_key =
-  Domain.DLS.new_key (fun () ->
-      { slock = Mutex.create (); stbl = Hashtbl.create 4 })
-
-let get_deadline () =
-  let s = Domain.DLS.get deadline_key in
-  let tid = Thread.id (Thread.self ()) in
-  Mutex.lock s.slock;
-  let d =
-    match Hashtbl.find_opt s.stbl tid with Some d -> d | None -> no_deadline
-  in
-  Mutex.unlock s.slock;
-  d
-
-let set_deadline d =
-  let s = Domain.DLS.get deadline_key in
-  let tid = Thread.id (Thread.self ()) in
-  Mutex.lock s.slock;
-  if d = no_deadline then Hashtbl.remove s.stbl tid
-  else Hashtbl.replace s.stbl tid d;
-  Mutex.unlock s.slock
+let deadline_slot = Obs.Slot.make no_deadline
+let get_deadline () = Obs.Slot.get deadline_slot
 
 let m_deadline_skips = Obs.Registry.counter "kitdpe.parallel.pool.deadline_skips"
 
@@ -71,12 +44,10 @@ let deadline_expired () =
   let d = get_deadline () in
   d <> no_deadline && Obs.now_ns () > d
 
+(* nested deadlines only tighten: an inner batch can never outlive the
+   request that submitted it *)
 let with_deadline ~deadline_ns f =
-  let prev = get_deadline () in
-  (* nested deadlines only tighten: an inner batch can never outlive the
-     request that submitted it *)
-  set_deadline (min prev deadline_ns);
-  Fun.protect ~finally:(fun () -> set_deadline prev) f
+  Obs.Slot.with_value deadline_slot (min (get_deadline ()) deadline_ns) f
 
 let check_deadline ~context () =
   if deadline_expired () then
@@ -146,11 +117,7 @@ let run_job ?ctx ?deadline job =
   match deadline with
   | None -> run_instrumented ?ctx job
   | Some d ->
-    let prev = get_deadline () in
-    set_deadline d;
-    Fun.protect
-      ~finally:(fun () -> set_deadline prev)
-      (fun () -> run_instrumented ?ctx job)
+    Obs.Slot.with_value deadline_slot d (fun () -> run_instrumented ?ctx job)
 
 let default_domains () =
   let fallback = max 1 (Domain.recommended_domain_count () - 1) in
@@ -257,9 +224,11 @@ let run_tasks t tasks =
     (* the batch is a span of its own: tasks parent on it (carried with
        each queued job), and it parents on whatever span submitted the
        batch — that is the request -> lane-task edge the trace shows *)
-    let submit_ctx = Obs.Span.current () in
-    let batch_ctx =
-      if batch_t0 > 0 then Obs.Span.child_context submit_ctx else submit_ctx
+    let submit_ctx, batch_ctx =
+      if batch_t0 > 0 then
+        let c = Obs.Span.current () in
+        (c, Obs.Span.child_context c)
+      else Obs.Span.(root_context, root_context)
     in
     let submit_deadline = get_deadline () in
     let remaining = ref (List.length tasks) in

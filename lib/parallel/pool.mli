@@ -124,10 +124,8 @@ val lane_crashes : unit -> int
     budget regardless of which domain runs them, with telemetry on or
     off.
 
-    The slot is keyed per sys-thread (not per domain): concurrent
-    server threads sharing domain 0 each get an independent deadline,
-    so overlapping {!with_deadline} scopes can never corrupt one
-    another's save/restore.
+    The slot is the per-sys-thread [Obs.Slot]: server threads sharing
+    domain 0 each keep their own deadline.
 
     {!map_range_r} checks the deadline before every index: once it
     expires, remaining indices are skipped in O(1) each and reported as

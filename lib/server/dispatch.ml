@@ -9,9 +9,12 @@
    matrix rows), row encryption and complete link's merge loop abandon
    remaining work the moment it expires and the pool lanes go back to
    serving other requests.  Only encrypt/mine install it: stats/health
-   never consult the deadline, and keeping them away from the slot
-   means only the compute path (one request at a time under the
-   engine's compute lock) ever touches it.
+   never consult a deadline.
+
+   Telemetry: [handle] is one section, [serve.<op>], timed into
+   [kitdpe.server.request].  Span contexts are per sys-thread, so every
+   span and pool batch the request opens joins its trace, and the
+   sketch's exemplar names the request's own span.
 
    Graceful degradation: a mine request whose matrix has failed rows is
    re-run once on the healthy subset (never one above
@@ -224,25 +227,17 @@ let run ctx (req : Proto.request) =
       else mine req log)
 
 let handle ?deadline_ns ctx (req : Proto.request) =
-  let t0 = Obs.time_start () in
-  let resp =
-    match
-      match deadline_ns with
-      | Some d when Proto.compute_op req.op ->
-        Parallel.Pool.with_deadline ~deadline_ns:d (fun () -> run ctx req)
-      | _ -> run ctx req
-    with
-    | resp -> resp
-    | exception e ->
-      (* last-resort containment: no request may crash a worker *)
-      Proto.response_error ~id:req.id
-        (Fault.Error.of_exn ~context:"Server.Dispatch.handle" e)
-  in
-  if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
-    Obs.observe_latency m_request dt;
-    Obs.Span.record ~cat:"server"
-      ~name:(Printf.sprintf "serve.%s" (Proto.op_to_string req.op))
-      ~ts_ns:t0 ~dur_ns:dt ()
-  end;
-  resp
+  Obs.Span.with_span ~sketch:m_request ~cat:"server"
+    (Printf.sprintf "serve.%s" (Proto.op_to_string req.op))
+    (fun () ->
+      match
+        match deadline_ns with
+        | Some d when Proto.compute_op req.op ->
+          Parallel.Pool.with_deadline ~deadline_ns:d (fun () -> run ctx req)
+        | _ -> run ctx req
+      with
+      | resp -> resp
+      | exception e ->
+        (* last-resort containment: no request may crash a worker *)
+        Proto.response_error ~id:req.id
+          (Fault.Error.of_exn ~context:"Server.Dispatch.handle" e))

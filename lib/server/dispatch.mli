@@ -28,7 +28,7 @@
     deadline.
 
     Metrics: [kitdpe.server.requests.{encrypt,mine,stats,health}],
-    [kitdpe.server.request] (latency sketch),
+    [kitdpe.server.request] (latency sketch of the [serve.<op>] span),
     [kitdpe.server.deadline_exceeded],
     [kitdpe.server.partial]. *)
 

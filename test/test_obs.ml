@@ -838,6 +838,87 @@ let test_parenting_invariance () =
       end)
     e1
 
+(* ---- span contexts are per sys-thread ---- *)
+
+let find_span name evs =
+  match List.find_opt (fun e -> String.equal e.Obs.Span.name name) evs with
+  | Some e -> e
+  | None -> Alcotest.failf "no %s span" name
+
+(* Two threads of one domain interleave their sections as open a, open
+   b, close a, close b.  Each section is a root of its own, parents its
+   own child, and leaves its thread at the root context: the server's
+   health and stats threads run beside a compute request like this. *)
+let test_span_thread_isolation () =
+  with_obs (fun () ->
+      let stage = ref 0 and m = Mutex.create () and c = Condition.create () in
+      let advance n =
+        Mutex.lock m;
+        stage := n;
+        Condition.broadcast c;
+        Mutex.unlock m
+      in
+      let await n =
+        Mutex.lock m;
+        while !stage < n do
+          Condition.wait c m
+        done;
+        Mutex.unlock m
+      in
+      let after_a = ref None and after_b = ref None in
+      let section name ~opened ~close_after after =
+        Obs.Span.with_span ~cat:"test" name (fun () ->
+            advance opened;
+            await close_after;
+            Obs.Span.with_span ~cat:"test" (name ^ ".child") ignore);
+        after := Some (Obs.Span.current ())
+      in
+      let a =
+        Thread.create
+          (fun () -> section "a" ~opened:1 ~close_after:2 after_a; advance 3)
+          ()
+      in
+      let b =
+        Thread.create
+          (fun () -> await 1; section "b" ~opened:2 ~close_after:3 after_b)
+          ()
+      in
+      Thread.join a;
+      Thread.join b;
+      let evs = Obs.Span.events () in
+      let span name = find_span name evs in
+      Alcotest.(check int) "b is a root" 0 (span "b").parent_id;
+      Alcotest.(check int) "a.child under a" (span "a").span_id
+        (span "a.child").parent_id;
+      Alcotest.(check int) "b.child under b" (span "b").span_id
+        (span "b.child").parent_id;
+      List.iter
+        (fun (who, after) ->
+          Alcotest.(check bool) (who ^ " back at the root context") true
+            (!after = Some Obs.Span.root_context))
+        [ ("a", after_a); ("b", after_b) ])
+
+(* a section that raises still records its span, and spans recorded on
+   the way out parent on the enclosing section: complete link stopped by
+   an expired deadline keeps its [hier.merges] span *)
+let test_raising_section_recorded () =
+  let m = Mining.Dist_matrix.of_fun 12 (fun i j -> float_of_int (abs (i - j))) in
+  with_obs (fun () ->
+      let raised =
+        Obs.Span.with_span ~cat:"test" "req" (fun () ->
+            match
+              Parallel.Pool.with_deadline ~deadline_ns:(Obs.now_ns () - 1)
+                (fun () -> Mining.Hier.cut_k 3 m)
+            with
+            | _ -> false
+            | exception Fault.Error.E (Fault.Error.Deadline_exceeded _) -> true)
+      in
+      Alcotest.(check bool) "cut_k raised Deadline_exceeded" true raised;
+      let evs = Obs.Span.events () in
+      Alcotest.(check int) "hier.merges under req"
+        (find_span "req" evs).span_id
+        (find_span "hier.merges(n=12)" evs).parent_id)
+
 let () =
   Alcotest.run "obs"
     [ ("metrics",
@@ -879,4 +960,8 @@ let () =
          Alcotest.test_case "trace export is valid JSON" `Quick
            test_trace_export;
          Alcotest.test_case "registry dump json" `Quick
-           test_registry_to_json ]) ]
+           test_registry_to_json;
+         Alcotest.test_case "contexts are per thread" `Quick
+           test_span_thread_isolation;
+         Alcotest.test_case "raising section recorded" `Quick
+           test_raising_section_recorded ]) ]
