@@ -1030,16 +1030,16 @@ let perf_parallel () =
     entries;
   entries
 
-(* P3: metric indexes.  Each range row compares the brute-force neighbor
+(* P3: indexes.  Each range row compares the brute-force neighbor
    scan (n-1 exact predicate probes per query) against the index that
    [Index.Vp_tree.build] picks on a sampled query set, with [identical]
-   asserting equal neighbor sets.  The edit rows keep their
-   [index/vp_*] names so [--compare] lines up with older snapshots, but
-   they run the BK-tree, the one index for edit; the token row runs the
-   VP-tree.
+   asserting equal neighbor sets.  Every row keeps its [index/vp_*] name
+   so [--compare] lines up with older snapshots, but none runs a
+   VP-tree: the edit rows run the BK-tree and the token rows the prefix
+   filter.
    Probe counts ride along as their own rows (op suffix "/probes"): the
    two ns fields carry {e probe counts per query}, baseline = n-1 and
-   optimized = the tree's mean, so sub-linearity is visible in the same
+   optimized = the index's mean, so sub-linearity is visible in the same
    trajectory table as the timings.  Templates scale with n (constant
    cluster size) and eps stays at near-duplicate radius — the regime the
    indexes are built for. *)

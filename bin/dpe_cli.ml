@@ -241,8 +241,8 @@ let mine_cmd =
     Arg.(value & opt string "auto"
          & info [ "engine" ]
              ~doc:"Neighbor engine: matrix (dense distance matrix), index \
-                   (dbscan over a metric index, no matrix: a VP-tree, a \
-                   BK-tree for edit) or auto (the index for dbscan on \
+                   (dbscan over an exact index, no matrix: a prefix \
+                   filter on token/structure/clause, a BK-tree for edit) or auto (the index for dbscan on \
                    large indexable logs, matrix otherwise).  \
                    Both engines are exact: index labels equal the matrix \
                    engine's.  An engine that does not cover the algorithm \
@@ -915,13 +915,14 @@ let chaos seed rows domains report_path =
     (report_of ft_a = report_of ft_b) "reports differ";
   check "features: clean once disarmed" (feat_run () = []) "errors remain";
 
-  (* 5c. metric index: an armed build fails whole at index.build — no
-     tree over a subset, which would silently drop the failed points
-     from every range answer; disarmed builds are bit-identical for
-     every pool size and answer exactly *)
+  (* 5c. index: an armed build fails whole at index.build — no index
+     over a subset, which would silently drop the failed points from
+     every range answer; a disarmed build answers exactly, and the
+     BK-tree, the one index built on the pool, is bit-identical for
+     every pool size *)
   let feats_ix = Distance.Features.build qs in
   let sp_ix = Index.Space.of_kind Index.Space.Token feats_ix in
-  let ix_build ?pool () = Index.Vp_tree.build ?pool ~seed:"chaos" sp_ix in
+  let ix_build () = Index.Vp_tree.build ~seed:"chaos" sp_ix in
   let ix_run () =
     match Fault.protect ~context:"chaos.index" (fun () -> ix_build ()) with
     | Ok _ -> []
@@ -936,11 +937,14 @@ let chaos seed rows domains report_path =
   check "index: identical report on rerun"
     (report_of ix_a = report_of ix_b) "reports differ";
   check "index: clean once disarmed" (ix_run () = []) "errors remain";
-  let ix_clean = ix_build () in
-  let ix_wide = with_pool domains (fun pool -> ix_build ~pool ()) in
+  let sp_edit = Index.Space.of_kind Index.Space.Edit feats_ix in
+  let bk_fp ?pool () =
+    Index.Bk_tree.fingerprint (Index.Bk_tree.build ?pool ~seed:"chaos" sp_edit)
+  in
   check "index: tree bit-identical across pool sizes"
-    (Index.Vp_tree.fingerprint ix_clean = Index.Vp_tree.fingerprint ix_wide)
+    (bk_fp () = with_pool domains (fun pool -> bk_fp ~pool ()))
     "fingerprints differ";
+  let ix_clean = ix_build () in
   let ix_brute q =
     let acc = ref [] in
     for j = Array.length qs - 1 downto 0 do

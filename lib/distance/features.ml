@@ -167,10 +167,10 @@ let structure t i j =
   Jaccard.distance_sorted_ints t.records.(i).structure_set
     t.records.(j).structure_set
 
-let clause ?weights t i j =
+let clause t i j =
   Obs.Metric.add m_reuse 2;
   let a = t.records.(i) and b = t.records.(j) in
-  D_clause.combine ?weights
+  D_clause.combine
     ~projection:(Jaccard.distance_sorted_ints a.clause_proj b.clause_proj)
     ~group_by:(Jaccard.distance_sorted_ints a.clause_group b.clause_group)
     ~selection:(Jaccard.distance_sorted_ints a.clause_sel b.clause_sel)
@@ -195,3 +195,7 @@ let edit t i j =
   else float_of_int (edit_distance_int t i j) /. float_of_int n
 
 let edit_len t i = Array.length t.records.(i).edit_tokens
+
+let token_set t i = t.records.(i).token_set
+let structure_set t i = t.records.(i).structure_set
+let clause_projection t i = t.records.(i).clause_proj

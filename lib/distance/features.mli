@@ -65,9 +65,8 @@ val token : t -> int -> int -> float
 val structure : t -> int -> int -> float
 (** = [D_structure.distance]. *)
 
-val clause : ?weights:D_clause.weights -> t -> int -> int -> float
-(** = [D_clause.distance].
-    @raise Invalid_argument on invalid weights. *)
+val clause : t -> int -> int -> float
+(** = [D_clause.distance], under [D_clause.default_weights]. *)
 
 val access : x:float -> t -> int -> int -> float
 (** = [D_access.distance ~x].
@@ -84,3 +83,14 @@ val edit_len : t -> int -> int
     {!edit} is [max (edit_len i) (edit_len j)].  The BK-tree
     ([Index.Bk_tree]) uses it to convert a normalized radius into a
     sound integer Levenshtein bound per subtree. *)
+
+(** {2 Interned sets}
+
+    Query [i]'s sorted, duplicate-free set as the Jaccard evaluators
+    read it: the table's own array, not to be mutated. *)
+
+val token_set : t -> int -> int array
+val structure_set : t -> int -> int array
+
+val clause_projection : t -> int -> int array
+(** The projection component of {!clause}. *)

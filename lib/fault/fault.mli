@@ -9,7 +9,7 @@
     physical CSV line, plaintext value, matrix cell, point id — so
     armed triggers pick the same victims on every run (DESIGN.md §9).
     [mining.dist_matrix.eval] sits in the one matrix fill and
-    [index.build] in the one tree build, so both are on the paths mine
+    [index.build] in the one index build, so both are on the paths mine
     requests run.
 
     With nothing armed, {!point} costs a single atomic load, the same

@@ -99,7 +99,7 @@ let build ?pool ~seed space =
   in
   { space; root }
 
-type stats = { probes : int; prunes : int }
+type stats = Space.stats = { probes : int; prunes : int }
 
 (* eps-membership of point [j] from its integer distance [d] to the
    query (edit length [qlen]), without re-evaluating the pair: the very
@@ -136,8 +136,7 @@ let range_core t ~eps q =
       children
   in
   (match t.root with None -> () | Some root -> walk root);
-  Space.count_query ~probes:!probes ~prunes:!prunes;
-  (List.sort Int.compare !acc, { probes = !probes; prunes = !prunes })
+  (List.sort Int.compare !acc, Space.count_query ~probes:!probes ~prunes:!prunes)
 
 let range_stats t ~eps q = range_core t ~eps q
 let range t ~eps q = fst (range_core t ~eps q)

@@ -10,10 +10,13 @@
     normalized predicate, so results equal the brute-force neighbor
     set.
 
-    Determinism, fault behavior and accounting mirror {!Vp_tree}:
-    path-keyed DRBG pivots, bit-identical structure across pool sizes,
-    one build through {!Space.build} (the ["index.build"] gate, no
-    partial tree), and [kitdpe.index.*] probe/prune counters. *)
+    Determinism: each pivot is drawn from a DRBG keyed by the build seed
+    and the node's tree path, so the structure is bit-identical for
+    every pool size ({!fingerprint} is compared across pools in the
+    chaos suite); the pool only runs the distance batches and the
+    subtree builds.  One build through {!Space.build} (the
+    ["index.build"] gate, no partial tree), and [kitdpe.index.*]
+    probe/prune counters. *)
 
 type t
 
@@ -27,7 +30,7 @@ val range : t -> eps:float -> int -> int list
 (** Exact eps-neighborhood of point [q] (ascending, [q] excluded) —
     identical to the brute-force scan over {!Space.within}. *)
 
-type stats = { probes : int; prunes : int }
+type stats = Space.stats = { probes : int; prunes : int }
 
 val range_stats : t -> eps:float -> int -> int list * stats
 

@@ -1,6 +1,6 @@
 (** DBSCAN density-based clustering (Ester et al. [4]).  One core
     expands clusters from eps-neighborhoods; the neighborhoods come
-    from a distance-matrix scan ({!run}) or a metric index
+    from a distance-matrix scan ({!run}) or an exact index
     ({!run_index}). *)
 
 type params = { eps : float; min_pts : int }
@@ -9,9 +9,10 @@ type range_index = {
   ri_n : int;  (** number of points *)
   range : int -> int list;
       (** [range i] = the exact eps-neighborhood of [i], ascending, [i]
-          excluded (e.g. [Index.Vp_tree.range]) *)
+          excluded (e.g. [Index.Vp_tree.range], which answers from the
+          prefix filter, or the BK-tree on edit) *)
 }
-(** Neighborhoods answered wholesale, e.g. by a pre-built metric index;
+(** Neighborhoods answered wholesale, e.g. by a pre-built index;
     DBSCAN never needs the distance values themselves. *)
 
 val run_index : min_pts:int -> range_index -> int array

@@ -313,27 +313,6 @@ let map_range t n f =
     res
   end
 
-(* fork/join over two thunks: the only parallel shape the recursive
-   index builders need.  [run_tasks] already guarantees completion and
-   first-exception propagation; the slots are written before the batch
-   returns, so [Option.get] cannot fail on the success path. *)
-let both t f g =
-  if t.lanes <= 1 then
-    let a = f () in
-    let b = g () in
-    (a, b)
-  else begin
-    let ra = ref None and rb = ref None in
-    run_tasks t [ (fun () -> ra := Some (f ())); (fun () -> rb := Some (g ())) ];
-    match (!ra, !rb) with
-    | Some a, Some b -> (a, b)
-    | _ ->
-      raise
-        (Fault.Error.E
-           (Fault.Error.Invariant
-              { context = "Parallel.Pool.both"; reason = "slot never written" }))
-  end
-
 (* ---- the crash-contained batch ----
 
    [map_range] underneath, but a task that raises becomes a typed error

@@ -8,7 +8,7 @@
     encryption.
 
     Two failure contracts.  The plain combinators ({!run_tasks},
-    {!for_range}, {!map_range}, {!both}) run the whole batch and then
+    {!for_range}, {!map_range}) run the whole batch and then
     re-raise the first exception a task raised.  {!map_range_r} is the
     one crash-contained batch: it turns each failing index into a typed
     [Fault.Error.Task_failed] and returns the report.
@@ -74,14 +74,6 @@ val for_range : t -> int -> (int -> unit) -> unit
 val map_range : t -> int -> (int -> 'a) -> 'a array
 (** [map_range p n f] is [Array.init n f] evaluated across the pool
     ([f 0] runs first, in the caller, to seed the result array). *)
-
-val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** [both p f g] runs the two thunks (possibly on different lanes) and
-    returns both results — the fork/join shape of recursive divide-and-
-    conquer builds (e.g. the metric-tree constructors in [Index]).
-    Sequential on a 1-lane pool.  If either thunk raises, the batch
-    still completes and the first exception observed is re-raised, same
-    as {!run_tasks}. *)
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains.  Call only when no bulk

@@ -89,9 +89,9 @@ let on_matrix p t dm =
     |> Array.map (fun b -> if b then 1 else 0)
   | Clink -> Mining.Hier.cut_k p.k dm
 
-(* DBSCAN over index range queries on the feature table (the VP-tree;
-   the BK-tree for edit); every failure, including an armed fault
-   point, comes back typed *)
+(* DBSCAN over index range queries on the feature table (the prefix
+   filter; the BK-tree for edit); every failure, including an armed
+   fault point, comes back typed *)
 let via_index p t log =
   Fault.protect ~context:"Server.Mine_plan.run" (fun () ->
       let feats = Distance.Features.build (Array.of_list log) in

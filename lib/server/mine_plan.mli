@@ -22,8 +22,8 @@ type algo = Dbscan | Kmedoids | Outliers | Clink
 
 type engine =
   | Matrix  (** dense pairwise matrix ({!Distance.Measure.matrix_r}) *)
-  | Index  (** DBSCAN over index range queries, no matrix: the VP-tree;
-               the BK-tree for edit *)
+  | Index  (** DBSCAN over index range queries, no matrix: the prefix
+               filter; the BK-tree for edit *)
 
 type t = {
   measure : Distance.Measure.t;
@@ -54,7 +54,7 @@ val plan :
 type params = {
   k : int;  (** cluster count (kmedoids, clink) *)
   eps : float;  (** DBSCAN radius / outlier distance threshold *)
-  seed : string;  (** index vantage / pivot seed *)
+  seed : string;  (** BK-tree pivot seed (edit) *)
 }
 
 val run :

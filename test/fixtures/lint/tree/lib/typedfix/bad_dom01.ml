@@ -18,8 +18,3 @@ let racy_record pool n =
   let a = { total = 0 } in
   Parallel.Pool.for_range pool n (fun i -> a.total <- a.total + i);
   a.total
-
-let racy_pair pool =
-  let calls = ref 0 in
-  ignore (Parallel.Pool.both pool (fun () -> incr calls) (fun () -> ()));
-  !calls

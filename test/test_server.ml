@@ -650,7 +650,7 @@ let contains hay needle =
   go 0
 
 let test_engine_index_fallback_visible () =
-  (* the VP-tree engine fails to build: the mine still answers ok with
+  (* the index engine fails to build: the mine still answers ok with
      the matrix labels, and says which engine ran and why *)
   let expected =
     let log =

@@ -24,7 +24,7 @@ module C = Typed_common
 
 let pool_combinators =
   [ [ "Pool"; "run_tasks" ]; [ "Pool"; "for_range" ];
-    [ "Pool"; "map_range" ]; [ "Pool"; "map_range_r" ]; [ "Pool"; "both" ] ]
+    [ "Pool"; "map_range" ]; [ "Pool"; "map_range_r" ] ]
 
 let guard_fns =
   [ [ "Mutex"; "lock" ]; [ "Mutex"; "try_lock" ]; [ "Mutex"; "protect" ];
