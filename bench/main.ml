@@ -623,10 +623,7 @@ let perf_parallel () =
       (fun _ -> Crypto.Drbg.uniform_int lrng lev_alphabet)
   in
   let lev_inputs = Array.init lev_pairs (fun _ -> (rand_seq (), rand_seq ())) in
-  let myers (a, b) =
-    Distance.D_edit.myers_with_peq ~alphabet:lev_alphabet ~m:(Array.length a)
-      ~peq:(Distance.D_edit.myers_peq ~alphabet:lev_alphabet a) b
-  in
+  let myers (a, b) = Distance.D_edit.myers ~alphabet:lev_alphabet a b in
   let dp (a, b) = levenshtein_ints a b in
   let dp_dists = Array.map dp lev_inputs in
   let my_dists = Array.map myers lev_inputs in

@@ -36,13 +36,12 @@ let levenshtein (type a) (equal : a -> a -> bool) (a : a array) (b : a array) =
 let word_bits = 62
 let word_mask = (1 lsl word_bits) - 1
 
-let myers_blocks m = (m + word_bits - 1) / word_bits
-
-(* pattern bitvectors for [myers_with_peq]; symbols outside
+(* staged: [myers ~alphabet pat] builds [peq] once, and the result is
+   the Levenshtein distance of [pat] to a text; symbols outside
    [0, alphabet) are invalid *)
-let myers_peq ~alphabet (pat : int array) =
+let myers ~alphabet (pat : int array) =
   let m = Array.length pat in
-  let nb = max 1 (myers_blocks m) in
+  let nb = max 1 ((m + word_bits - 1) / word_bits) in
   let peq = Array.make (nb * alphabet) 0 in
   Array.iteri
     (fun i sym ->
@@ -50,57 +49,52 @@ let myers_peq ~alphabet (pat : int array) =
       let idx = (blk * alphabet) + sym in
       peq.(idx) <- peq.(idx) lor (1 lsl bit))
     pat;
-  peq
-
-(* Levenshtein distance of [pat] (represented by [peq]/[m]) against
-   [text].  [peq] must come from [myers_peq ~alphabet pat]. *)
-let myers_with_peq ~alphabet ~m ~peq (text : int array) =
-  let n = Array.length text in
-  if m = 0 then n
-  else if n = 0 then m
-  else begin
-    let nb = myers_blocks m in
-    (* vertical deltas, all +1 initially (column 0 of the DP table) *)
-    let pv = Array.make nb word_mask in
-    let mv = Array.make nb 0 in
-    let score = ref m in
-    (* bit of cell (m-1) inside the last block *)
-    let last = nb - 1 in
-    let last_bit = 1 lsl ((m - 1) mod word_bits) in
-    for j = 0 to n - 1 do
-      let sym = Array.unsafe_get text j in
-      (* horizontal deltas carried into the current block from below *)
-      let ph_in = ref 1 and mh_in = ref 0 in
-      for b = 0 to nb - 1 do
-        let eq0 = Array.unsafe_get peq ((b * alphabet) + sym) in
-        let pvb = Array.unsafe_get pv b and mvb = Array.unsafe_get mv b in
-        let xv = eq0 lor mvb in
-        (* a negative horizontal delta entering the block acts like a
-           match in its lowest cell *)
-        let eq = eq0 lor !mh_in in
-        let xh =
-          ((((eq land pvb) + pvb) land word_mask) lxor pvb) lor eq
-        in
-        let ph = mvb lor (lnot (xh lor pvb) land word_mask) in
-        let mh = pvb land xh in
-        (* the DP score lives in the bottom row of the pattern: test the
-           cell (m-1) bit of the pre-shift horizontal deltas *)
-        if b = last then begin
-          if ph land last_bit <> 0 then incr score
-          else if mh land last_bit <> 0 then decr score
-        end;
-        let ph_out = (ph lsr (word_bits - 1)) land 1 in
-        let mh_out = (mh lsr (word_bits - 1)) land 1 in
-        let ph = ((ph lsl 1) lor !ph_in) land word_mask in
-        let mh = ((mh lsl 1) lor !mh_in) land word_mask in
-        Array.unsafe_set pv b (mh lor (lnot (xv lor ph) land word_mask));
-        Array.unsafe_set mv b (ph land xv);
-        ph_in := ph_out;
-        mh_in := mh_out
-      done
-    done;
-    !score
-  end
+  fun (text : int array) ->
+    let n = Array.length text in
+    if m = 0 then n
+    else if n = 0 then m
+    else begin
+      (* vertical deltas, all +1 initially (column 0 of the DP table) *)
+      let pv = Array.make nb word_mask in
+      let mv = Array.make nb 0 in
+      let score = ref m in
+      (* bit of cell (m-1) inside the last block *)
+      let last = nb - 1 in
+      let last_bit = 1 lsl ((m - 1) mod word_bits) in
+      for j = 0 to n - 1 do
+        let sym = Array.unsafe_get text j in
+        (* horizontal deltas carried into the current block from below *)
+        let ph_in = ref 1 and mh_in = ref 0 in
+        for b = 0 to nb - 1 do
+          let eq0 = Array.unsafe_get peq ((b * alphabet) + sym) in
+          let pvb = Array.unsafe_get pv b and mvb = Array.unsafe_get mv b in
+          let xv = eq0 lor mvb in
+          (* a negative horizontal delta entering the block acts like a
+             match in its lowest cell *)
+          let eq = eq0 lor !mh_in in
+          let xh =
+            ((((eq land pvb) + pvb) land word_mask) lxor pvb) lor eq
+          in
+          let ph = mvb lor (lnot (xh lor pvb) land word_mask) in
+          let mh = pvb land xh in
+          (* the DP score lives in the bottom row of the pattern: test the
+             cell (m-1) bit of the pre-shift horizontal deltas *)
+          if b = last then begin
+            if ph land last_bit <> 0 then incr score
+            else if mh land last_bit <> 0 then decr score
+          end;
+          let ph_out = (ph lsr (word_bits - 1)) land 1 in
+          let mh_out = (mh lsr (word_bits - 1)) land 1 in
+          let ph = ((ph lsl 1) lor !ph_in) land word_mask in
+          let mh = ((mh lsl 1) lor !mh_in) land word_mask in
+          Array.unsafe_set pv b (mh lor (lnot (xv lor ph) land word_mask));
+          Array.unsafe_set mv b (ph land xv);
+          ph_in := ph_out;
+          mh_in := mh_out
+        done
+      done;
+      !score
+    end
 
 (* character-level DP straight off the strings: no boxed [char array]
    per call, [String.unsafe_get] in the inner loop *)

@@ -14,25 +14,20 @@
 
     Two kernels compute the same integer distance (DESIGN.md §10):
     the classic one-row DP ({!levenshtein}) and the Myers bit-parallel
-    algorithm over interned symbols ({!myers_with_peq}, O(nm/w) with
+    algorithm over interned symbols ({!myers}, O(nm/w) with
     w = 62 payload bits per word).  The feature-table path
-    ({!Features}) uses Myers with per-query precomputed pattern
-    bitvectors; the property tests check it against the DP. *)
+    ({!Features}) uses Myers, building a query's pattern bitvectors
+    once per matrix row or index query; the property tests check it
+    against the DP. *)
 
 val levenshtein : ('a -> 'a -> bool) -> 'a array -> 'a array -> int
 (** Classic one-row DP under a caller-supplied equality. *)
 
-val myers_peq : alphabet:int -> int array -> int array
-(** Pattern preprocessing for {!myers_with_peq}: the per-symbol position
-    bitmasks, one word per 62-symbol block, laid out block-major
-    ([peq.(block * alphabet + sym)]).  Build once per query and reuse
-    across a whole matrix row ({!Features}). *)
-
-val myers_with_peq : alphabet:int -> m:int -> peq:int array -> int array -> int
-(** [myers_with_peq ~alphabet ~m ~peq text] is the Levenshtein
-    distance of [pat] and [text], where [peq] is
-    [myers_peq ~alphabet pat] and [m = Array.length pat].  Symbols
-    must lie in [\[0, alphabet)]. *)
+val myers : alphabet:int -> int array -> int array -> int
+(** [myers ~alphabet pat text] is the Levenshtein distance of [pat] and
+    [text].  Staged: [myers ~alphabet pat] builds the pattern's
+    per-symbol position bitmasks ([alphabet] words per 62-symbol block)
+    once, for every text.  Symbols must lie in [\[0, alphabet)]. *)
 
 val char_distance : string -> string -> int
 (** Plain character-level Levenshtein (for the negative demonstration).

@@ -10,7 +10,7 @@
    - interning is injective, so intersection/union cardinalities of the
      interned sets equal those of the original string / Feature.t sets
      and the Jaccard float is the same division;
-   - the edit kernel ({!D_edit.myers_with_peq}) computes the same
+   - the edit kernel ({!D_edit.myers}) computes the same
      integer distance as the seed DP, so the normalized float is the
      same division;
    - access and clause distances go through the exact seed expressions
@@ -35,7 +35,6 @@ end
 
 type record = {
   edit_tokens : int array;  (* interned fused token sequence: edit input *)
-  peq : int array;  (* Myers pattern bitvectors of [edit_tokens] *)
   token_set : int array;  (* sorted duplicate-free [edit_tokens] *)
   structure_set : int array;  (* interned Feature.t set *)
   clause_proj : int array;  (* interned D_clause component sets *)
@@ -103,52 +102,39 @@ let intern_set intern xs =
   Array.sort Int.compare a;
   a
 
-let resolve_pool = function
-  | Some p -> p
-  | None -> Parallel.Pool.global ()
-
-(* phases B (sequential interning — the tables are not domain-safe) and
-   C (parallel peq construction) *)
-let finish ~pool raws =
+(* phase B: sequential interning — the tables are not domain-safe *)
+let finish raws =
   let edit_int = Interner.create () in
   let feat_int = Interner.create () in
   let clause_int = Interner.create () in
-  let interned =
+  let records =
     Array.map
       (fun r ->
+        (* the three clause components share ids, assigned selection
+           first: the prefix index breaks rank ties by id *)
+        let clause_sel = intern_set clause_int r.r_sel in
+        let clause_group = intern_set clause_int r.r_group in
+        let clause_proj = intern_set clause_int r.r_proj in
         let edit_tokens = Array.map (Interner.id edit_int) r.r_fused in
-        ( r,
-          edit_tokens,
-          intern_set feat_int r.r_structure,
-          intern_set clause_int r.r_proj,
-          intern_set clause_int r.r_group,
-          intern_set clause_int r.r_sel ))
-      raws
-  in
-  let alphabet = max 1 (Interner.size edit_int) in
-  let records =
-    Parallel.Pool.map_range pool (Array.length interned) (fun i ->
-        let r, edit_tokens, structure_set, clause_proj, clause_group, clause_sel =
-          interned.(i)
-        in
         {
           edit_tokens;
-          peq = D_edit.myers_peq ~alphabet edit_tokens;
           token_set = sorted_set_of_seq edit_tokens;
-          structure_set;
+          structure_set = intern_set feat_int r.r_structure;
           clause_proj;
           clause_group;
           clause_sel;
           areas = r.r_areas;
         })
+      raws
   in
+  let alphabet = max 1 (Interner.size edit_int) in
   { records; alphabet }
 
 let build_r ?pool (queries : Sqlir.Ast.query array) =
-  let pool = resolve_pool pool in
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
   Parallel.Pool.map_range_r pool ~label:"features.build" (Array.length queries)
     (fun i -> raw_of_query i queries.(i))
-  |> Result.map (finish ~pool)
+  |> Result.map finish
 
 let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
 
@@ -180,19 +166,19 @@ let access ~x t i j =
   Obs.Metric.add m_reuse 2;
   D_access.distance_of_areas ~x t.records.(i).areas t.records.(j).areas
 
-let edit_distance_int t i j =
-  let a = t.records.(i) and b = t.records.(j) in
-  let m = Array.length a.edit_tokens in
-  if m = 0 then Array.length b.edit_tokens
-  else
-    D_edit.myers_with_peq ~alphabet:t.alphabet ~m ~peq:a.peq b.edit_tokens
+(* staged: [edit_distance_int t i] builds query [i]'s pattern table
+   once, for every [j] of its row *)
+let edit_distance_int t i =
+  let dist = D_edit.myers ~alphabet:t.alphabet t.records.(i).edit_tokens in
+  fun j -> dist t.records.(j).edit_tokens
 
-let edit t i j =
-  Obs.Metric.add m_reuse 2;
-  let a = t.records.(i) and b = t.records.(j) in
-  let n = max (Array.length a.edit_tokens) (Array.length b.edit_tokens) in
-  if n = 0 then 0.0
-  else float_of_int (edit_distance_int t i j) /. float_of_int n
+let edit t i =
+  let dist = edit_distance_int t i in
+  let m = Array.length t.records.(i).edit_tokens in
+  fun j ->
+    Obs.Metric.add m_reuse 2;
+    let n = max m (Array.length t.records.(j).edit_tokens) in
+    if n = 0 then 0.0 else float_of_int (dist j) /. float_of_int n
 
 let edit_len t i = Array.length t.records.(i).edit_tokens
 

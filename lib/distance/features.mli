@@ -73,10 +73,12 @@ val access : x:float -> t -> int -> int -> float
     @raise Invalid_argument unless [0 < x < 1]. *)
 
 val edit : t -> int -> int -> float
-(** = [D_edit.distance_q], via the bit-parallel kernel. *)
+(** = [D_edit.distance_q], via the bit-parallel kernel.  Staged:
+    [edit t i] builds query [i]'s {!D_edit.myers} pattern once, for
+    every [j]; the table stores no patterns. *)
 
 val edit_distance_int : t -> int -> int -> int
-(** The raw (unnormalized) token-level Levenshtein distance. *)
+(** The raw (unnormalized) token-level Levenshtein distance, staged. *)
 
 val edit_len : t -> int -> int
 (** Length of query [i]'s fused token sequence — the normalizer of

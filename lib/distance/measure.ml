@@ -67,7 +67,10 @@ let pair_of_features ctx measure feats =
   match measure with
   | Token -> fun i j -> Obs.Metric.incr m_evals; Features.token feats i j
   | Structure -> fun i j -> Obs.Metric.incr m_evals; Features.structure feats i j
-  | Edit -> fun i j -> Obs.Metric.incr m_evals; Features.edit feats i j
+  | Edit ->
+    fun i ->
+      let edit_i = Features.edit feats i in
+      fun j -> Obs.Metric.incr m_evals; edit_i j
   | Clause -> fun i j -> Obs.Metric.incr m_evals; Features.clause feats i j
   | Access -> fun i j -> Obs.Metric.incr m_evals; Features.access ~x:ctx.x feats i j
   | Result ->

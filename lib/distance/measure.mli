@@ -46,7 +46,7 @@ val compute : ctx -> t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
 val pair_of_features : ctx -> t -> Features.t -> int -> int -> float
 (** [pair_of_features ctx m feats i j] is [compute ctx m] on queries
     [i] and [j] of the table, bit-identically, without touching query
-    text.
+    text.  Staged like {!Features.edit}: apply it to [i] once per row.
     @raise Fault.Error.E [(Invariant _)] for {!Result}, which has no
     feature-table form. *)
 

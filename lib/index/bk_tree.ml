@@ -47,10 +47,11 @@ let rec build_node pool space ~seed ~path ids =
         incr w
       end)
     ids;
+  let dist_v = Space.int_dist space v in
   let dists =
     if k - 1 >= par_dist_cutoff then
-      Parallel.Pool.map_range pool (k - 1) (fun i -> Space.int_dist space v rest.(i))
-    else Array.init (k - 1) (fun i -> Space.int_dist space v rest.(i))
+      Parallel.Pool.map_range pool (k - 1) (fun i -> dist_v rest.(i))
+    else Array.init (k - 1) (fun i -> dist_v rest.(i))
   in
   (* bucket by exact distance; ascending (distance, id) order makes the
      bucket contents and their order a pure function of the values *)
@@ -118,13 +119,13 @@ let radius ~eps ~qlen ~sublen = (eps *. float_of_int (max qlen sublen)) +. 0.5
 
 let range_core t ~eps q =
   let sp = t.space in
-  let qlen = Space.len sp q in
+  let qlen = Space.len sp q and dist_q = Space.int_dist sp q in
   let probes = ref 0 and prunes = ref 0 in
   let acc = ref [] in
   let rec walk sub =
     let { v; children } = sub.node in
     incr probes;
-    let d = Space.int_dist sp q v in
+    let d = dist_q v in
     let df = float_of_int d in
     if v <> q && member sp ~eps ~qlen v d then acc := v :: !acc;
     Array.iter

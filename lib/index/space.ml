@@ -53,9 +53,9 @@ let dist t i j =
 
 let within t ~eps i j = dist t i j <= eps
 
-let int_dist t i j =
+let int_dist t i =
   match t.kind with
-  | Edit -> F.edit_distance_int t.feats i j
+  | Edit -> F.edit_distance_int t.feats i
   | Token | Structure | Clause ->
     invalid_arg "Index.Space.int_dist: edit space required"
 

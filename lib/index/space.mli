@@ -45,6 +45,7 @@ val within : t -> eps:float -> int -> int -> bool
 
 val int_dist : t -> int -> int -> int
 (** Raw integer Levenshtein distance, the BK-tree routing metric.
+    Staged: [int_dist t i] builds [i]'s pattern once, for every [j].
     @raise Invalid_argument unless {!is_int_metric}. *)
 
 val len : t -> int -> int

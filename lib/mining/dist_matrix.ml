@@ -31,10 +31,10 @@ let of_fun_r ?pool n d =
   (* lanes write disjoint rows; the pool's strided rows balance the
      triangular costs *)
   let fill i =
-    let base = m.rows.(i) in
+    let base = m.rows.(i) and d_i = d i in
     for j = i + 1 to n - 1 do
       if faults then Fault.point ~key:(eval_key i j) "mining.dist_matrix.eval";
-      Float.Array.set m.cells (base + j) (d i j)
+      Float.Array.set m.cells (base + j) (d_i j)
     done
   in
   Obs.Span.with_span ~sketch:m_build ~cat:"mining"
@@ -56,6 +56,21 @@ let get m i j =
 
 let invariant context reason =
   raise (Fault.Error.E (Fault.Error.Invariant { context; reason }))
+
+module Work = struct
+  type nonrec t = t
+
+  (* the offset table is never written, so the copy shares it *)
+  let copy m = { m with cells = Float.Array.copy m.cells }
+
+  let get = get
+
+  let set m i j v =
+    let ri = m.rows.(i) and rj = m.rows.(j) in
+    if i < j then Float.Array.unsafe_set m.cells (ri + j) v
+    else if i > j then Float.Array.unsafe_set m.cells (rj + i) v
+    else invariant "Mining.Dist_matrix.Work.set" "the diagonal is fixed at 0.0"
+end
 
 let prefix m k =
   if k < 0 || k > size m then

@@ -16,7 +16,8 @@ val of_fun_r :
 (** [of_fun_r n d] evaluates [d i j] once for each [i < j] (never for
     [i >= j]): the one matrix fill of the repository, used by
     {!Distance.Measure.matrix_r} and the result measure.  Row [i] writes
-    its cells [j > i].  The rows are one
+    its cells [j > i] and applies [d i] once, so a staged [d] does its
+    per-query work once per row.  The rows are one
     [Parallel.Pool.map_range_r ~label:"dist_matrix.row"] batch across
     [pool] (default [Parallel.Pool.global ()]), or on a 1-lane pool
     below 64 rows.  [d] must be pure (or at least domain-safe), so the
@@ -42,6 +43,19 @@ val get : t -> int -> int -> float
 (** [0.0] on the diagonal; [(j, i)] reads [(i, j)].  O(1), no allocation:
     two row-offset loads, a comparison and one cell load.
     @raise Invalid_argument unless [0 <= i, j < size m]. *)
+
+(** A mutable copy of a matrix, of its own type so that no caller can
+    write to a shared {!t}: complete link's working matrix ({!Hier}).
+    [copy] takes another n(n−1)/2 floats (64 MiB at n = 4096), [get] is
+    {!Dist_matrix.get}, and [set w i j v] writes [(i, j)] and so
+    [(j, i)], raising [Fault.Error.E (Invariant _)] when [i = j]. *)
+module Work : sig
+  type matrix := t
+  type t
+  val copy : matrix -> t
+  val get : t -> int -> int -> float
+  val set : t -> int -> int -> float -> unit
+end
 
 val prefix : t -> int -> t
 (** [prefix m k] copies the block of points [0 .. k-1] without evaluating

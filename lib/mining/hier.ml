@@ -4,91 +4,72 @@ type merge = {
   height : float;
 }
 
-(* naive O(n^3) complete-link agglomeration: every merge rescans every
-   cluster pair; plenty fast for query-log sizes *)
-
-type cluster = { id : int; members : int list }
+module W = Dist_matrix.Work
 
 let m_merges = Obs.Registry.counter "kitdpe.mining.hier.merges"
 let m_cluster_dists = Obs.Registry.counter "kitdpe.mining.hier.cluster_dists"
 
-let cluster_distance m ca cb =
-  Obs.Metric.incr m_cluster_dists;
-  let ds =
-    List.concat_map
-      (fun i -> List.map (fun j -> Dist_matrix.get m i j) cb.members)
-      ca.members
-  in
-  List.fold_left Float.max neg_infinity ds
-
-let merges m ~stop =
+(* Agglomerates down to [k] clusters and returns the merges and the
+   clusters' members, by first member.  [w] holds the distance of every
+   pair of alive slots.  A merge keeps the lower slot, so slot [s]'s
+   smallest member stays [s]. *)
+let agglomerate m ~k =
   let n = Dist_matrix.size m in
   Obs.Span.with_span ~cat:"mining" (Printf.sprintf "hier.merges(n=%d)" n)
     (fun () ->
-      let clusters = ref (List.init n (fun i -> { id = i; members = [ i ] })) in
-      let next_id = ref n in
+      let w = W.copy m in
+      let id = Array.init n Fun.id in
+      let members = Array.init n (fun i -> [ i ]) in
+      (* the [r] alive slots, ascending *)
+      let alive = Array.init n Fun.id in
+      let r = ref n in
       let out = ref [] in
-      let continue = ref true in
-      while !continue && List.length !clusters > 1 do
+      while !r > k do
         Parallel.Pool.check_deadline ~context:"Mining.Hier.merges" ();
-        (* find the closest pair; ties break on (smaller left id,
-           smaller right id) *)
-        let best = ref None in
-        let rec scan = function
-          | [] | [ _ ] -> ()
-          | ca :: rest ->
-            List.iter
-              (fun cb ->
-                let d = cluster_distance m ca cb in
-                let a, b = if ca.id < cb.id then (ca, cb) else (cb, ca) in
-                match !best with
-                | None -> best := Some (d, a, b)
-                | Some (bd, ba, bb) ->
-                  if d < bd
-                     || d = bd
-                        && (a.id < ba.id || (a.id = ba.id && b.id < bb.id))
-                  then best := Some (d, a, b))
-              rest;
-            scan rest
-        in
-        scan !clusters;
-        match !best with
-        | None -> continue := false
-        | Some (d, a, b) ->
-          if stop ~remaining:(List.length !clusters) then continue := false
-          else begin
-            let merged = { id = !next_id; members = a.members @ b.members } in
-            incr next_id;
-            Obs.Metric.incr m_merges;
-            clusters :=
-              merged
-              :: List.filter (fun c -> c.id <> a.id && c.id <> b.id) !clusters;
-            out := { left = a.id; right = b.id; height = d } :: !out
-          end
+        Obs.Metric.add m_cluster_dists (!r * (!r - 1) / 2);
+        (* the closest pair by (distance, smaller id, larger id) *)
+        let bd = ref infinity and blo = ref max_int and bhi = ref max_int in
+        let bp = ref 0 and bq = ref 0 in
+        for p = 0 to !r - 2 do
+          let i = alive.(p) in
+          for q = p + 1 to !r - 1 do
+            let j = alive.(q) in
+            let d = W.get w i j in
+            if d <= !bd then begin
+              let lo = Int.min id.(i) id.(j) and hi = Int.max id.(i) id.(j) in
+              if d < !bd || lo < !blo || (lo = !blo && hi < !bhi) then begin
+                bd := d;
+                blo := lo;
+                bhi := hi;
+                bp := p;
+                bq := q
+              end
+            end
+          done
+        done;
+        let a = alive.(!bp) and b = alive.(!bq) in
+        for p = 0 to !r - 1 do
+          let x = alive.(p) in
+          if x <> a && x <> b then
+            W.set w x a (Float.max (W.get w x a) (W.get w x b))
+        done;
+        (* merged clusters take ids n, n + 1, … *)
+        id.(a) <- (2 * n) - !r;
+        members.(a) <- List.rev_append members.(b) members.(a);
+        Array.blit alive (!bq + 1) alive !bq (!r - !bq - 1);
+        decr r;
+        Obs.Metric.incr m_merges;
+        out := { left = !blo; right = !bhi; height = !bd } :: !out
       done;
-      (List.rev !out, !clusters))
+      (List.rev !out, Array.init !r (fun p -> members.(alive.(p)))))
 
-let dendrogram m =
-  fst (merges m ~stop:(fun ~remaining:_ -> false))
-
-let labels_of_clusters n clusters =
-  (* label clusters by their smallest member for determinism *)
-  let sorted =
-    List.sort
-      (fun a b ->
-        Int.compare
-          (List.fold_left min max_int a.members)
-          (List.fold_left min max_int b.members))
-      clusters
-  in
-  let labels = Array.make n (-1) in
-  List.iteri
-    (fun idx c -> List.iter (fun i -> labels.(i) <- idx) c.members)
-    sorted;
-  labels
+let dendrogram m = fst (agglomerate m ~k:1)
 
 let cut_k k m =
   let n = Dist_matrix.size m in
   if k <= 0 || k > n then invalid_arg "Hier.cut_k: k out of range";
-  let _, clusters = merges m ~stop:(fun ~remaining -> remaining <= k) in
-  labels_of_clusters n clusters
+  let labels = Array.make n (-1) in
+  Array.iteri
+    (fun label cluster -> List.iter (fun i -> labels.(i) <- label) cluster)
+    (snd (agglomerate m ~k));
+  labels

@@ -1,6 +1,13 @@
-(** Agglomerative hierarchical clustering with the complete-link criterion
-    (Defays [3]): the distance between clusters is the maximum pairwise
-    distance, merged bottom-up.  Complete link is the only criterion. *)
+(** Agglomerative hierarchical clustering with the complete-link
+    criterion: the distance between clusters is the maximum pairwise
+    distance, merged bottom-up.  The stored-matrix algorithm
+    (Lance–Williams; Müllner, arXiv:1109.2378): each merge scans the
+    r(r−1)/2 pairs of live clusters in a {!Dist_matrix.Work} copy of
+    the input (counted in [kitdpe.mining.hier.cluster_dists]) and folds
+    the merged rows with [Float.max], which is exact.  O(n³) time,
+    n(n−1)/2 working floats; the input is not modified.  Defays'
+    O(n²) CLINK is not used: its merges can differ from this tie
+    order. *)
 
 type merge = {
   left : int;    (** cluster id merged from (ids >= n are prior merges) *)

@@ -414,19 +414,16 @@ let kernel_properties =
      multi-block carry chain is exercised, not just the 1-block fast
      path *)
   let arr = QCheck.(array_of_size (QCheck.Gen.int_range 0 150) (int_range 0 40)) in
-  let myers ~peq a b =
-    DE.myers_with_peq ~alphabet:41 ~m:(Array.length a) ~peq b
-  in
   [ QCheck.Test.make ~name:"myers = classic DP (incl. >1 block)" ~count:400
       (QCheck.pair arr arr)
-      (fun (a, b) -> myers ~peq:(DE.myers_peq ~alphabet:41 a) a b = classic a b);
+      (fun (a, b) -> DE.myers ~alphabet:41 a b = classic a b);
     (* one pattern's bitvectors reused across a row of texts, as the
        feature table reuses them across a matrix row *)
     QCheck.Test.make ~name:"myers via precomputed peq = classic DP" ~count:400
       (QCheck.triple arr arr arr)
       (fun (a, b, c) ->
-        let peq = DE.myers_peq ~alphabet:41 a in
-        List.for_all (fun t -> myers ~peq a t = classic a t) [ b; c; a ]) ]
+        let myers_a = DE.myers ~alphabet:41 a in
+        List.for_all (fun t -> myers_a t = classic a t) [ b; c; a ]) ]
 
 (* ---- PR-5: the feature-precomputed matrix path is bit-identical to the
    seed's per-pair evaluation, for every measure and pool size ---- *)

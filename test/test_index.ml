@@ -264,6 +264,28 @@ let test_dbscan_engines_identical () =
        within, so all points form one cluster *)
     (kinds @ [ ("edit", Index.Space.Edit, 1e20) ])
 
+(* ---- feature table size ---- *)
+
+(* the table holds no per-query Myers pattern table: those take
+   [alphabet] words each, and the alphabet grows with the log, so they
+   made the table grow superlinearly in n *)
+let test_features_linear () =
+  let live_words n =
+    let log = Array.of_list (gen_log ~n ~seed:"footprint" M.Token) in
+    Gc.full_major ();
+    let before = (Gc.stat ()).live_words in
+    let t = F.build log in
+    Gc.full_major ();
+    let words = (Gc.stat ()).live_words - before in
+    ignore (Sys.opaque_identity t);
+    words
+  in
+  let w1 = live_words 300 and w2 = live_words 600 in
+  check_bool
+    (Printf.sprintf "n 300 -> 600: %d -> %d words, at most 2.2x" w1 w2)
+    true
+    (float_of_int w2 <= 2.2 *. float_of_int w1)
+
 (* ---- faults ---- *)
 
 let with_faults spec f =
@@ -307,4 +329,6 @@ let () =
       ( "dbscan",
         [ Alcotest.test_case "engines identical" `Quick test_dbscan_engines_identical ] );
       ( "faults",
-        [ Alcotest.test_case "build_r contains" `Quick test_build_r_contains ] ) ]
+        [ Alcotest.test_case "build_r contains" `Quick test_build_r_contains ] );
+      ( "features",
+        [ Alcotest.test_case "table linear in n" `Quick test_features_linear ] ) ]

@@ -385,6 +385,131 @@ let pr5_identity =
         Mining.Kmedoids.run_pam { Mining.Kmedoids.k = 2; max_iter = 30 } m
         = Ref_kmedoids.run_pam ~k:2 ~max_iter:30 m) ]
 
+(* the list-based complete link that Mining.Hier replaced, kept as the
+   reference it must match merge for merge and label for label: every
+   merge rescans every cluster pair, each pair's distance the maximum
+   over a list of all its member-pair distances *)
+module Ref_hier = struct
+  type cluster = { id : int; members : int list }
+
+  let cluster_distance m ca cb =
+    List.fold_left Float.max neg_infinity
+      (List.concat_map
+         (fun i -> List.map (fun j -> Mining.Dist_matrix.get m i j) cb.members)
+         ca.members)
+
+  let merges m ~stop =
+    let n = Mining.Dist_matrix.size m in
+    let clusters = ref (List.init n (fun i -> { id = i; members = [ i ] })) in
+    let next_id = ref n in
+    let out = ref [] in
+    let continue = ref true in
+    while !continue && List.length !clusters > 1 do
+      (* the closest pair; ties break on (smaller left id, smaller right
+         id) *)
+      let best = ref None in
+      let rec scan = function
+        | [] | [ _ ] -> ()
+        | ca :: rest ->
+          List.iter
+            (fun cb ->
+              let d = cluster_distance m ca cb in
+              let a, b = if ca.id < cb.id then (ca, cb) else (cb, ca) in
+              match !best with
+              | None -> best := Some (d, a, b)
+              | Some (bd, ba, bb) ->
+                if d < bd
+                   || d = bd && (a.id < ba.id || (a.id = ba.id && b.id < bb.id))
+                then best := Some (d, a, b))
+            rest;
+          scan rest
+      in
+      scan !clusters;
+      match !best with
+      | None -> continue := false
+      | Some (d, a, b) ->
+        if stop ~remaining:(List.length !clusters) then continue := false
+        else begin
+          let merged = { id = !next_id; members = a.members @ b.members } in
+          incr next_id;
+          clusters :=
+            merged :: List.filter (fun c -> c.id <> a.id && c.id <> b.id) !clusters;
+          out := { Mining.Hier.left = a.id; right = b.id; height = d } :: !out
+        end
+    done;
+    (List.rev !out, !clusters)
+
+  let dendrogram m = fst (merges m ~stop:(fun ~remaining:_ -> false))
+
+  (* clusters labelled by their smallest member *)
+  let cut_k k m =
+    let n = Mining.Dist_matrix.size m in
+    let _, clusters = merges m ~stop:(fun ~remaining -> remaining <= k) in
+    let first c = List.fold_left min max_int c.members in
+    let sorted = List.sort (fun a b -> Int.compare (first a) (first b)) clusters in
+    let labels = Array.make n (-1) in
+    List.iteri (fun idx c -> List.iter (fun i -> labels.(i) <- idx) c.members) sorted;
+    labels
+end
+
+(* a random matrix with n <= 200 and a cut k in [1, n]: values in
+   {0, 1} or {0 .. 3}, where most pairs tie, or uniform floats *)
+let gen_hier_case =
+  QCheck.Gen.(
+    let* n = int_range 1 200 in
+    let* name, value =
+      oneofl
+        [ ("{0,1}", map float_of_int (int_bound 1));
+          ("{0..3}", map float_of_int (int_bound 3));
+          ("uniform", float_bound_exclusive 1.0) ]
+    in
+    let* vals = array_size (return (n * n)) value in
+    let* k = int_range 1 n in
+    return (name, Mining.Dist_matrix.of_fun n (fun i j -> vals.((i * n) + j)), k))
+
+let arb_hier_case =
+  QCheck.make
+    ~print:(fun (name, m, k) ->
+      Printf.sprintf "%s n=%d k=%d" name (Mining.Dist_matrix.size m) k)
+    gen_hier_case
+
+let merge_bits l =
+  List.map
+    (fun { Mining.Hier.left; right; height } ->
+      (left, right, Int64.bits_of_float height))
+    l
+
+let hier_reference =
+  [ QCheck.Test.make ~name:"hier = list reference, input unchanged" ~count:40
+      arb_hier_case
+      (fun (_, m, k) ->
+        let before = Mining.Dist_matrix.prefix m (Mining.Dist_matrix.size m) in
+        merge_bits (Mining.Hier.dendrogram m) = merge_bits (Ref_hier.dendrogram m)
+        && Mining.Hier.cut_k k m = Ref_hier.cut_k k m
+        && Mining.Dist_matrix.max_abs_diff m before = 0.0) ]
+
+(* [cluster_dists] counts the pairs each merge scans: r(r-1)/2 with r
+   clusters alive, for r = n down to k + 1 *)
+let test_hier_counters () =
+  let n = 30 and k = 4 in
+  let m =
+    Mining.Dist_matrix.of_fun n (fun i j -> float_of_int (((i * 7) + (j * 13)) mod 5))
+  in
+  let merges = Obs.Registry.counter "kitdpe.mining.hier.merges" in
+  let dists = Obs.Registry.counter "kitdpe.mining.hier.cluster_dists" in
+  let was = Obs.is_enabled () in
+  Obs.set_enabled true;
+  let m0 = Obs.Metric.value merges and d0 = Obs.Metric.value dists in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+      ignore (Mining.Hier.cut_k k m));
+  let expected = ref 0 in
+  for r = k + 1 to n do
+    expected := !expected + (r * (r - 1) / 2)
+  done;
+  check_int "merges = n - k" (n - k) (Obs.Metric.value merges - m0);
+  check_int "cluster_dists = sum of r(r-1)/2" !expected
+    (Obs.Metric.value dists - d0)
+
 (* complete link checks the request deadline once per merge: inside an
    already-expired deadline it stops with the typed error instead of
    finishing the agglomeration; without a deadline the labels are the
@@ -409,11 +534,13 @@ let () =
          Alcotest.test_case "pam swap phase" `Quick test_pam ]);
       ("hierarchical",
        [ Alcotest.test_case "complete link" `Quick test_hier;
-         Alcotest.test_case "deadline per merge" `Quick test_hier_deadline ]);
+         Alcotest.test_case "deadline per merge" `Quick test_hier_deadline;
+         Alcotest.test_case "scan counters" `Quick test_hier_counters ]);
       ("outliers", [ Alcotest.test_case "knorr-ng" `Quick test_outlier ]);
       ("labeling", [ Alcotest.test_case "partition comparison" `Quick test_labeling ]);
       ("apriori", [ Alcotest.test_case "association rules" `Quick test_apriori ]);
       ("silhouette", [ Alcotest.test_case "cluster quality" `Quick test_silhouette ]);
       ("dtw", [ Alcotest.test_case "dynamic time warping" `Quick test_dtw ]);
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) mining_determinism);
-      ("pr5 identity", List.map (fun t -> QCheck_alcotest.to_alcotest t) pr5_identity) ]
+      ("pr5 identity", List.map (fun t -> QCheck_alcotest.to_alcotest t) pr5_identity);
+      ("hier reference", List.map (fun t -> QCheck_alcotest.to_alcotest t) hier_reference) ]
