@@ -1,6 +1,7 @@
 type key = { siv : string; enc : Aes128.key }
 
 let m_encrypt = Obs.Registry.sketch "kitdpe.crypto.det.encrypt"
+let m_calls = Obs.Registry.counter "kitdpe.crypto.det.calls"
 let m_cache = Memo.counters "kitdpe.crypto.det"
 
 let key_of_master ~master ~purpose =
@@ -9,7 +10,7 @@ let key_of_master ~master ~purpose =
 
 let siv_of k msg = String.sub (Hmac.hmac_sha256 ~key:k.siv msg) 0 16
 
-let encrypt k msg =
+let encrypt_uncounted k msg =
   if Fault.enabled () then
     Fault.point ~key:(Fault.key_of_string msg) "crypto.det.encrypt";
   let t0 = Obs.time_start () in
@@ -17,6 +18,10 @@ let encrypt k msg =
   let ct = iv ^ Block_modes.ctr_transform k.enc ~iv msg in
   if t0 > 0 then Obs.observe_latency m_encrypt (Obs.now_ns () - t0);
   ct
+
+let encrypt k msg =
+  Obs.Metric.incr m_calls;
+  encrypt_uncounted k msg
 
 let decrypt k ct =
   let n = String.length ct in
@@ -34,4 +39,6 @@ let token = siv_of
 type cache = (string, string) Memo.t
 
 let make_cache ?bound () = Memo.create ?bound m_cache
-let encrypt_cached cache k msg = Memo.find_or_add cache msg (encrypt k)
+let encrypt_cached cache k msg =
+  Obs.Metric.incr m_calls;
+  Memo.find_or_add cache msg (encrypt_uncounted k)

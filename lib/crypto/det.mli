@@ -10,7 +10,11 @@ type key
 val key_of_master : master:string -> purpose:string -> key
 
 val encrypt : key -> string -> string
-(** Layout: SIV (16) ‖ CT (|msg|).  Deterministic. *)
+(** Layout: SIV (16) ‖ CT (|msg|).  Deterministic.  Every call, and
+    every {!encrypt_cached} call whether the memo serves it or not,
+    counts once in [kitdpe.crypto.det.calls]; the
+    [kitdpe.crypto.det.encrypt] sketch times the encryptions actually
+    computed. *)
 
 val decrypt : key -> string -> string option
 (** [None] if the ciphertext is malformed or its SIV does not re-verify.

@@ -43,6 +43,8 @@ type record = {
   areas : (string * Access_area.t) list;  (* Access_area.of_query *)
 }
 
+(* [records.(i)] is query [i]'s record; queries with the same printed
+   text and AST share one record, built once *)
 type t = {
   records : record array;
   alphabet : int;
@@ -64,13 +66,10 @@ type raw = {
   r_areas : (string * Access_area.t) list;
 }
 
-let raw_of_query i q =
-  Fault.point ~key:i "distance.features.build";
+let raw_of_query text q =
   Obs.Metric.incr m_builds;
   {
-    r_fused =
-      Array.of_list
-        (D_token.fuse (Sqlir.Lexer.tokenize (Sqlir.Printer.to_string q)));
+    r_fused = Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize text));
     r_structure = Feature.of_query q;
     r_proj = D_clause.projection_set q;
     r_group = D_clause.group_by_set q;
@@ -102,47 +101,143 @@ let intern_set intern xs =
   Array.sort Int.compare a;
   a
 
-(* phase B: sequential interning — the tables are not domain-safe *)
-let finish raws =
+(* phase B: sequential interning — the tables are not domain-safe.
+   [raws.(i)] is [None] for a query that shares the record of the
+   earlier query [first.(i)].  [Array.map] runs in index order, so the
+   distinct raws meet the interners in query order and every id is what
+   a per-query build assigns. *)
+let finish first raws =
   let edit_int = Interner.create () in
   let feat_int = Interner.create () in
   let clause_int = Interner.create () in
-  let records =
-    Array.map
-      (fun r ->
-        (* the three clause components share ids, assigned selection
-           first: the prefix index breaks rank ties by id *)
-        let clause_sel = intern_set clause_int r.r_sel in
-        let clause_group = intern_set clause_int r.r_group in
-        let clause_proj = intern_set clause_int r.r_proj in
-        let edit_tokens = Array.map (Interner.id edit_int) r.r_fused in
-        {
-          edit_tokens;
-          token_set = sorted_set_of_seq edit_tokens;
-          structure_set = intern_set feat_int r.r_structure;
-          clause_proj;
-          clause_group;
-          clause_sel;
-          areas = r.r_areas;
-        })
-      raws
+  let record r =
+    (* the three clause components share ids, assigned selection
+       first: the prefix index breaks rank ties by id *)
+    let clause_sel = intern_set clause_int r.r_sel in
+    let clause_group = intern_set clause_int r.r_group in
+    let clause_proj = intern_set clause_int r.r_proj in
+    let edit_tokens = Array.map (Interner.id edit_int) r.r_fused in
+    {
+      edit_tokens;
+      token_set = sorted_set_of_seq edit_tokens;
+      structure_set = intern_set feat_int r.r_structure;
+      clause_proj;
+      clause_group;
+      clause_sel;
+      areas = r.r_areas;
+    }
   in
-  let alphabet = max 1 (Interner.size edit_int) in
-  { records; alphabet }
+  let built = Array.map (Option.map record) raws in
+  let records =
+    Array.mapi
+      (fun i r -> match r with Some r -> r | None -> Option.get built.(first.(i)))
+      built
+  in
+  { records; alphabet = max 1 (Interner.size edit_int) }
+
+(* Queries are the same record when their printed texts are equal (the
+   token and edit measures read the text) and so are their ASTs (the
+   others read the AST: [%g] printing can merge two float constants). *)
+module Distinct = Hashtbl.Make (struct
+  type t = string * Sqlir.Ast.query
+
+  let equal (s, q) (s', q') =
+    String.equal s s' && (q == q' || Sqlir.Ast.equal_query q q')
+
+  let hash (s, _) = Hashtbl.hash s
+end)
+
+(* [first.(i)] is the smallest index of a query that is the same
+   record as query [i] *)
+let first_occurrences texts queries =
+  let seen = Distinct.create 64 in
+  Array.mapi
+    (fun i text ->
+      let key = (text, queries.(i)) in
+      match Distinct.find_opt seen key with
+      | Some f -> f
+      | None ->
+        Distinct.add seen key i;
+        i)
+    texts
 
 let build_r ?pool (queries : Sqlir.Ast.query array) =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  let texts = Array.map Sqlir.Printer.to_string queries in
+  let first = first_occurrences texts queries in
   Parallel.Pool.map_range_r pool ~label:"features.build" (Array.length queries)
-    (fun i -> raw_of_query i queries.(i))
-  |> Result.map finish
+    (fun i ->
+      Fault.point ~key:i "distance.features.build";
+      if first.(i) = i then Some (raw_of_query texts.(i) queries.(i)) else None)
+  |> Result.map (finish first)
 
 let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
+
+let sub t ids = { t with records = Array.map (fun i -> t.records.(i)) ids }
+
+(* ---- class maps ------------------------------------------------------ *)
+
+type key = Token_set | Edit_tokens | Structure_set | Clause_sets | Areas
+
+type classes = {
+  class_of : int array;
+  reps : int array;
+  members : int array array;
+}
+
+(* Group [0 .. n-1] by [key_of i] under structural equality.  The
+   hash reads up to 256 values, so keys that share a long prefix (the
+   templated head of a query) still spread.  Classes are numbered by
+   first member, so the representative is the smallest member and the
+   representatives ascend. *)
+let group (type k) n (key_of : int -> k) =
+  let module H = Hashtbl.Make (struct
+    type t = k
+
+    let equal a b = compare a b = 0
+    let hash = Hashtbl.hash_param 256 256
+  end) in
+  let seen = H.create 64 in
+  let class_of = Array.make n 0 in
+  let sizes = ref [] in
+  for i = 0 to n - 1 do
+    let key = key_of i in
+    match H.find_opt seen key with
+    | Some (c, count) ->
+      class_of.(i) <- c;
+      incr count
+    | None ->
+      let c = H.length seen and count = ref 1 in
+      H.add seen key (c, count);
+      class_of.(i) <- c;
+      sizes := (i, count) :: !sizes
+  done;
+  let sizes = Array.of_list (List.rev !sizes) in
+  let members = Array.map (fun (_, count) -> Array.make !count 0) sizes in
+  let fill = Array.make (Array.length sizes) 0 in
+  Array.iteri
+    (fun i c ->
+      members.(c).(fill.(c)) <- i;
+      fill.(c) <- fill.(c) + 1)
+    class_of;
+  { class_of; reps = Array.map fst sizes; members }
+
+let classes t key =
+  let r i = t.records.(i) in
+  let n = length t in
+  match key with
+  | Token_set -> group n (fun i -> (r i).token_set)
+  | Edit_tokens -> group n (fun i -> (r i).edit_tokens)
+  | Structure_set -> group n (fun i -> (r i).structure_set)
+  | Clause_sets ->
+    group n (fun i -> ((r i).clause_proj, (r i).clause_group, (r i).clause_sel))
+  | Areas -> group n (fun i -> (r i).areas)
 
 (* ---- pair evaluators ---------------------------------------------------
 
    Each evaluation touches two precomputed records, hence [reuse += 2]:
-   a full n-matrix performs n(n-1)/2 pair evaluations and reports
-   [builds = n], [reuse = n^2 - n]. *)
+   a matrix over d classes, m of them with two or more members,
+   performs d(d-1)/2 + m evaluations (see Measure.matrix_r). *)
 
 let token t i j =
   Obs.Metric.add m_reuse 2;

@@ -4,9 +4,9 @@
     printing, lexing, SnipSuggest feature extraction, clause component
     sets, access areas — which makes an [n]-query matrix cost O(n²)
     tokenizations.  A feature table is built {e once per matrix}
-    (O(n) tokenizations, in parallel across the pool), with all symbols
-    interned into dense small ints, and pairs are then evaluated from
-    the table.
+    (one tokenization per distinct query, in parallel across the pool),
+    with all symbols interned into dense small ints, and pairs are then
+    evaluated from the table.
 
     {b Bit-identity.}  Every pair evaluator returns the exact float the
     corresponding per-pair measure returns:
@@ -25,15 +25,22 @@
     [Mining.Dist_matrix.max_abs_diff = 0.0] against the per-pair
     matrices for every measure and pool size.
 
-    {b Observability.}  [kitdpe.distance.features.builds] counts
-    per-query builds and [kitdpe.distance.features.reuse] counts record
-    reuses (2 per pair evaluation): a full [n]-matrix reports
-    [builds = n] and [reuse = n² − n], the witness that tokenization is
-    amortized to O(n).
+    {b Distinct queries.}  Queries with the same printed text and the
+    same AST share one record, built once; the AST check matters because
+    [%g] printing can give two float constants one text.  Equal records
+    give bit-equal distances, because every evaluator is a pure
+    function of its two records.
 
-    {b Faults.}  Each per-query build passes the
-    ["distance.features.build"] injection point keyed by the query
-    index. *)
+    {b Observability.}  [kitdpe.distance.features.builds] counts record
+    builds, one per distinct query, and [kitdpe.distance.features.reuse]
+    counts record reuses, 2 per pair evaluation: an [n]-query matrix
+    with [d] measure classes ({!classes}), [m] of them with two or more
+    members, reports [builds] = the number of distinct queries and
+    [reuse = 2 (d (d - 1) / 2 + m)].
+
+    {b Faults.}  Each query, repeated or not, passes the
+    ["distance.features.build"] injection point keyed by its index,
+    inside the build batch. *)
 
 type t
 
@@ -43,7 +50,7 @@ val build_r :
   ?pool:Parallel.Pool.t
   -> Sqlir.Ast.query array
   -> (t, Fault.Error.t list) result
-(** Build the table, one record per query, across [pool] (default
+(** Build the table, one record per distinct query, across [pool] (default
     {!Parallel.Pool.global}[ ()]).  Pure per query, so the table is
     identical for every pool size.  Crash-contained: one
     [Parallel.Pool.map_range_r ~label:"features.build"] batch, so
@@ -53,6 +60,37 @@ val build_r :
 
 val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
 (** {!build_r}, raising [Fault.Error.E] of the first error. *)
+
+val sub : t -> int array -> t
+(** [sub t ids] is the table of queries [ids]: its point [k] is query
+    [ids.(k)] of [t], with the same interned ids and alphabet, so every
+    evaluator returns the same float as on [t]. *)
+
+(** {2 Class maps}
+
+    A measure reads one part of each record: the token set, the fused
+    token sequence, the structure set, the three clause sets, or the
+    access areas.  Queries whose parts are equal are one class of that
+    measure: every distance to them is bit-equal, so a matrix or an
+    index needs one representative per class. *)
+
+type key =
+  | Token_set  (** {!token} *)
+  | Edit_tokens  (** {!edit} *)
+  | Structure_set  (** {!structure} *)
+  | Clause_sets  (** {!clause} *)
+  | Areas  (** {!access} *)
+
+type classes = {
+  class_of : int array;  (** the class of each query *)
+  reps : int array;
+      (** the smallest member of each class; classes are numbered by
+          it, so [reps] ascends *)
+  members : int array array;  (** each class's queries, ascending *)
+}
+
+val classes : t -> key -> classes
+(** The queries grouped on exactly what the [key]'s evaluator reads. *)
 
 (** {2 Pair evaluators}
 

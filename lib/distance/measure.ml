@@ -60,6 +60,11 @@ let compute ctx measure q1 q2 =
 let missing_db context =
   Fault.Error.Invariant { context; reason = "result distance needs a database" }
 
+let no_feature_form context =
+  Fault.Error.E
+    (Fault.Error.Invariant
+       { context; reason = "the result distance has no feature-table form" })
+
 (* feature-table pair evaluator: closes over the precomputed table, so
    the matrix fill touches no query text.  Bit-identical to
    [compute] per pair (see Features). *)
@@ -73,12 +78,47 @@ let pair_of_features ctx measure feats =
       fun j -> Obs.Metric.incr m_evals; edit_i j
   | Clause -> fun i j -> Obs.Metric.incr m_evals; Features.clause feats i j
   | Access -> fun i j -> Obs.Metric.incr m_evals; Features.access ~x:ctx.x feats i j
-  | Result ->
-    raise
-      (Fault.Error.E
-         (Fault.Error.Invariant
-            { context = "Distance.Measure.pair_of_features";
-              reason = "the result distance has no feature-table form" }))
+  | Result -> raise (no_feature_form "Distance.Measure.pair_of_features")
+
+let classes measure feats =
+  Features.classes feats
+    (match measure with
+     | Token -> Features.Token_set
+     | Edit -> Features.Edit_tokens
+     | Structure -> Features.Structure_set
+     | Clause -> Features.Clause_sets
+     | Access -> Features.Areas
+     | Result -> raise (no_feature_form "Distance.Measure.classes"))
+
+(* The distances between class representatives: a packed upper
+   triangle with the diagonal, where [(a, a)] is [d(rep, rep)] for a
+   class of two or more members (a singleton's is never read).  Rows
+   check the request deadline: an expired one leaves its rows unfilled,
+   and the matrix fill that reads them skips every row for the same
+   reason. *)
+let quotient ~pool eval (c : Features.classes) =
+  let d = Array.length c.reps in
+  (* cell (a, b), b >= a, sits at [off.(a) + b] *)
+  let off = Array.init d (fun a -> (a * d) - (a * (a - 1) / 2) - a) in
+  let cells = Float.Array.make (d * (d + 1) / 2) 0.0 in
+  let fill a =
+    if not (Parallel.Pool.deadline_expired ()) then begin
+      let eval_a = eval c.reps.(a) and base = off.(a) in
+      if Array.length c.members.(a) > 1 then
+        Float.Array.set cells (base + a) (eval_a c.reps.(a));
+      for b = a + 1 to d - 1 do
+        Float.Array.set cells (base + b) (eval_a c.reps.(b))
+      done
+    end
+  in
+  Fault.protect ~context:"Distance.Measure.matrix_r" (fun () ->
+      Parallel.Pool.for_range pool d fill)
+  |> Result.map (fun () i ->
+         let a = c.class_of.(i) in
+         fun j ->
+           let b = c.class_of.(j) in
+           if a <= b then Float.Array.get cells (off.(a) + b)
+           else Float.Array.get cells (off.(b) + a))
 
 let matrix_r ?pool ctx measure queries =
   Obs.Span.with_span ~sketch:m_matrix ~cat:"distance"
@@ -91,9 +131,17 @@ let matrix_r ?pool ctx measure queries =
       | (Token | Structure | Access | Edit | Clause), _ ->
         let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
         let qs = Array.of_list queries in
+        let n = Array.length qs in
         Result.bind (Features.build_r ~pool qs) (fun feats ->
-            Mining.Dist_matrix.of_fun_r ~pool (Array.length qs)
-              (pair_of_features ctx measure feats)))
+            let eval = pair_of_features ctx measure feats in
+            let c = classes measure feats in
+            if Array.length c.reps = n then
+              (* no two queries share a class: fill directly *)
+              Mining.Dist_matrix.of_fun_r ~pool n eval
+            else
+              match quotient ~pool eval c with
+              | Ok lookup -> Mining.Dist_matrix.of_fun_r ~pool n lookup
+              | Error e -> Error [ e ]))
 
 let matrix ?pool ctx measure queries =
   Fault.Error.get_ok (matrix_r ?pool ctx measure queries)

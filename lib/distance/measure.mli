@@ -50,17 +50,33 @@ val pair_of_features : ctx -> t -> Features.t -> int -> int -> float
     @raise Fault.Error.E [(Invariant _)] for {!Result}, which has no
     feature-table form. *)
 
+val classes : t -> Features.t -> Features.classes
+(** The table's queries grouped on exactly what the measure's feature
+    evaluator reads ({!Features.classes}): any two members of a class
+    are at the same distance from every query, bit for bit.
+    @raise Fault.Error.E [(Invariant _)] for {!Result}. *)
+
 val matrix_r :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
   -> (Mining.Dist_matrix.t, Fault.Error.t list) result
 (** The full symmetric pairwise matrix.  Prefer this over calling
     {!compute} per pair: per-query artifacts (printed form, token
     sequences, feature / clause sets, access areas) are precomputed once
-    into a {!Features} table — O(n) tokenizations instead of O(n²) — and
-    pairs are evaluated from the table, bit-identically to {!compute}
-    (the result measure likewise evaluates each query once).  Filled by
-    {!Mining.Dist_matrix.of_fun_r} across [pool] (default
-    [Parallel.Pool.global ()]), identically for every pool size.
+    per distinct query into a {!Features} table, and pairs are evaluated
+    from the table, bit-identically to {!compute} (the result measure
+    likewise evaluates each query once).
+
+    Each distance is evaluated once per pair of {!classes}: with [d]
+    classes, [m] of them with two or more members, the fill makes
+    [d (d - 1) / 2] evaluations between representatives plus one
+    [d(rep, rep)] per class of [m], counted in
+    [kitdpe.distance.measure.evals].  The [n]-query matrix is then
+    filled by {!Mining.Dist_matrix.of_fun_r} across [pool] (default
+    [Parallel.Pool.global ()]) with a lookup into those values, so the
+    matrix, its per-cell injection point and its row batch are those of
+    a per-pair fill, identically for every pool size.  While the
+    representative distances are held, they take another [d (d + 1) / 2]
+    floats; a log with no repeated class skips them and fills directly.
 
     Crash-contained: the feature build and the matrix fill are each one
     [Parallel.Pool.map_range_r] batch, so failures (including injected

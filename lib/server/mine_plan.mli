@@ -16,14 +16,19 @@
     bound, and every other request is [Error (Protocol _)].
 
     Both engines are exact: [Index] labels bit-identically to
-    [Matrix]. *)
+    [Matrix].  Both evaluate each distance once per pair of the
+    measure's classes ({!Distance.Measure.classes}): [Matrix] fills the
+    [n]-query matrix from the representatives' distances, and [Index]
+    indexes only the representatives, asks one range query per class
+    and expands each hit class into its members. *)
 
 type algo = Dbscan | Kmedoids | Outliers | Clink
 
 type engine =
   | Matrix  (** dense pairwise matrix ({!Distance.Measure.matrix_r}) *)
   | Index  (** DBSCAN over index range queries, no matrix: the prefix
-               filter; the BK-tree for edit *)
+               filter; the BK-tree for edit; over the class
+               representatives *)
 
 type t = {
   measure : Distance.Measure.t;

@@ -495,15 +495,38 @@ let test_features_metrics () =
   let builds = Obs.Registry.counter "kitdpe.distance.features.builds" in
   let reuse = Obs.Registry.counter "kitdpe.distance.features.reuse" in
   let b0 = Obs.Metric.value builds and r0 = Obs.Metric.value reuse in
-  let n = List.length feature_queries in
+  (* every query twice and the first three times: 17 queries, 8 distinct
+     ones in 8 token classes, each of two or more members *)
+  let log = feature_queries @ feature_queries @ [ List.hd feature_queries ] in
+  let d = List.length feature_queries in
   let _m =
     Distance.Measure.matrix Distance.Measure.default_ctx Distance.Measure.Token
-      feature_queries
+      log
   in
-  Alcotest.(check int) "O(n) feature builds" n (Obs.Metric.value builds - b0);
-  Alcotest.(check int) "n^2 - n pair evals reuse the table"
-    ((n * n) - n)
+  Alcotest.(check int) "one feature build per distinct query" d
+    (Obs.Metric.value builds - b0);
+  Alcotest.(check int) "2 reuses per eval: d(d-1)/2 pairs, d self-distances"
+    (2 * ((d * (d - 1) / 2) + d))
     (Obs.Metric.value reuse - r0)
+
+(* [%g] printing keeps six digits, so two float constants can print
+   alike; the access measure reads the AST, so the two queries keep
+   their own records, while a true repeat shares one *)
+let test_features_float_repeats () =
+  Obs.set_enabled true;
+  let a = parse "SELECT a FROM r WHERE a > 1.0000001"
+  and b = parse "SELECT a FROM r WHERE a > 1.0000002" in
+  Alcotest.(check string) "one printed text" (Sqlir.Printer.to_string a)
+    (Sqlir.Printer.to_string b);
+  let builds = Obs.Registry.counter "kitdpe.distance.features.builds" in
+  let b0 = Obs.Metric.value builds in
+  let ctx = Distance.Measure.default_ctx in
+  let m = Distance.Measure.matrix ctx Distance.Measure.Access [ a; b; a ] in
+  Alcotest.(check int) "two records" 2 (Obs.Metric.value builds - b0);
+  Alcotest.(check (float 0.0)) "access (a, b) = compute"
+    (Distance.Measure.compute ctx Distance.Measure.Access a b)
+    (Mining.Dist_matrix.get m 0 1);
+  Alcotest.(check bool) "and it is not 0" true (Mining.Dist_matrix.get m 0 1 > 0.0)
 
 let test_features_fault () =
   Fault.Inject.disarm_all ();
@@ -563,4 +586,6 @@ let () =
            test_features_matrix_identity;
          Alcotest.test_case "pair evaluators" `Quick test_features_evaluators;
          Alcotest.test_case "builds/reuse metrics" `Quick test_features_metrics;
-         Alcotest.test_case "fault point surfaces" `Quick test_features_fault ]) ]
+         Alcotest.test_case "fault point surfaces" `Quick test_features_fault;
+         Alcotest.test_case "floats that print alike" `Quick
+           test_features_float_repeats ]) ]

@@ -128,6 +128,24 @@ let test_table1_rows () =
 
 let scheme_for m log = Dpe.Selector.select m (Dpe.Log_profile.of_log log)
 
+(* [kitdpe.crypto.det.calls] counts every DET call, repeats and memo
+   hits included: under the token scheme (one global DET map) the query
+   below makes one call for [r], three for [a, a, b] and two for the
+   constants [5, 5] *)
+let test_det_calls () =
+  Obs.set_enabled true;
+  let calls = Obs.Registry.counter "kitdpe.crypto.det.calls" in
+  let q = parse "SELECT a FROM r WHERE a = 5 AND b = 5" in
+  let enc = Dpe.Encryptor.create keyring (scheme_for M.Token [ q ]) in
+  let before = Obs.Metric.value calls in
+  ignore (Dpe.Encryptor.encrypt_query enc q);
+  check_int "one query" 6 (Obs.Metric.value calls - before);
+  let key = Crypto.Keyring.det keyring "det-calls" in
+  let memo = Crypto.Det.make_cache () in
+  let before = Obs.Metric.value calls in
+  List.iter (fun m -> ignore (Crypto.Det.encrypt_cached memo key m)) [ "x"; "x"; "y" ];
+  check_int "memo hits count" 3 (Obs.Metric.value calls - before)
+
 let test_encrypt_names () =
   let enc = Dpe.Encryptor.create keyring (scheme_for M.Result (List.map parse rich_log)) in
   let e = Dpe.Encryptor.encrypt_rel enc "photoobj" in
@@ -522,7 +540,8 @@ let () =
        [ Alcotest.test_case "names" `Quick test_encrypt_names;
          Alcotest.test_case "query roundtrip" `Quick test_encrypt_query_roundtrip;
          Alcotest.test_case "constants" `Quick test_encrypt_constants;
-         Alcotest.test_case "values" `Quick test_encrypt_values ]);
+         Alcotest.test_case "values" `Quick test_encrypt_values;
+         Alcotest.test_case "DET call count" `Quick test_det_calls ]);
       ("database",
        [ Alcotest.test_case "db encryption" `Quick test_db_encryptor;
          Alcotest.test_case "hom aggregation" `Quick test_hom_aggregate ]);

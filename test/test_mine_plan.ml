@@ -320,6 +320,235 @@ let test_golden (measure, algo, digest) () =
   | _, Error es ->
     Alcotest.fail (String.concat "; " (List.map Fault.Error.to_string es))
 
+(* ---- repeated queries: the class-grouped engines against a
+   no-grouping reference ---- *)
+
+(* What the engines computed before queries were grouped into measure
+   classes: every pair evaluated on its own by [Measure.compute], and
+   index DBSCAN over all n points, one range query per point. *)
+module Ref_fill = struct
+  let matrix measure log =
+    let qs = Array.of_list log in
+    Mining.Dist_matrix.of_fun (Array.length qs) (fun i j ->
+        M.compute M.default_ctx measure qs.(i) qs.(j))
+
+  let dbscan_matrix ~eps dm = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm
+
+  let dbscan_index measure ~eps log =
+    let feats = Distance.Features.build (Array.of_list log) in
+    let tree =
+      Index.Vp_tree.build ~seed:"ref"
+        (Option.get (Index.Space.of_measure measure feats))
+    in
+    Mining.Dbscan.run_index ~min_pts:3
+      { Mining.Dbscan.ri_n = List.length log;
+        range = (fun i -> Index.Vp_tree.range tree ~eps i) }
+end
+
+(* a query whose structure set is empty ([SELECT *] without FROM) and
+   one whose clause projection is empty (no select item) *)
+let empty_structure = Sqlir.Ast.simple_query
+let empty_projection = { Sqlir.Ast.simple_query with select = []; from = [ "r" ] }
+
+(* forced duplicates: every query of a generated log twice, the first
+   three times, and the two empty-set queries twice each *)
+let repeated_log ~seed ~n =
+  let base =
+    W.skyserver_log
+      { W.n; templates = 3; seed = "repeat-" ^ string_of_int seed;
+        caps = W.caps_full }
+    @ [ empty_structure; empty_projection ]
+  in
+  (List.hd base :: base) @ base
+
+let grouped_measures = [ M.Token; M.Structure; M.Clause; M.Edit; M.Access ]
+let grouped_eps = [ -0.1; 0.0; 0.1; 0.6; Float.nan ]
+
+let dbscan_labels measure engine ~eps log =
+  let plan =
+    Result.get_ok
+      (P.plan ~measure ~algo:"dbscan" ~engine ~n:(List.length log) ~k:1)
+  in
+  match P.run { P.k = 1; eps; seed = "grouped" } plan log with
+  | _, Ok labels -> labels
+  | _, Error es ->
+    QCheck.Test.fail_reportf "%s"
+      (String.concat "; " (List.map Fault.Error.to_string es))
+
+let grouped_matches_reference (seed, n) =
+  let log = repeated_log ~seed ~n in
+  List.for_all
+    (fun measure ->
+      let reference = Ref_fill.matrix measure log in
+      let grouped = M.matrix M.default_ctx measure log in
+      if Mining.Dist_matrix.max_abs_diff grouped reference <> 0.0 then
+        QCheck.Test.fail_reportf "%s: matrix differs" (M.to_string measure);
+      List.for_all
+        (fun eps ->
+          let want = Ref_fill.dbscan_matrix ~eps reference in
+          let agrees engine =
+            dbscan_labels measure engine ~eps log = want
+            || QCheck.Test.fail_reportf "%s eps %g: %s engine labels differ"
+                 (M.to_string measure) eps engine
+          in
+          agrees "matrix" && agrees "index"
+          && ((not (Index.Space.supported measure))
+             || Ref_fill.dbscan_index measure ~eps log = want
+             || QCheck.Test.fail_reportf "%s eps %g: reference index differs"
+                  (M.to_string measure) eps))
+        grouped_eps)
+    grouped_measures
+
+let grouped_property =
+  QCheck.Test.make ~name:"grouped engines = no-grouping reference" ~count:15
+    QCheck.(pair small_nat (int_range 3 14))
+    grouped_matches_reference
+
+(* ---- exact counters on a generated log ---- *)
+
+let counter name = Obs.Registry.counter name
+
+let delta name f =
+  Obs.set_enabled true;
+  let c = counter name in
+  let before = Obs.Metric.value c in
+  let v = f () in
+  (v, Obs.Metric.value c - before)
+
+(* each measure's classes, grouped apart from [Distance.Features] on the
+   inputs its per-pair definition reads; returns the class count and the
+   number of classes with two or more members *)
+let class_counts measure log =
+  let printed q = Sqlir.Printer.to_string q in
+  let tokens q = Distance.D_token.fuse (Sqlir.Lexer.tokenize (printed q)) in
+  let key q =
+    match measure with
+    | M.Token -> `Strings (List.sort_uniq String.compare (tokens q))
+    | M.Edit -> `Strings (tokens q)
+    | M.Structure ->
+      `Strings (List.map Distance.Feature.to_string (Distance.Feature.of_query q))
+    | M.Clause ->
+      `Clause
+        ( Distance.D_clause.projection_set q,
+          Distance.D_clause.group_by_set q,
+          Distance.D_clause.selection_set q )
+    | M.Access -> `Areas (Distance.Access_area.of_query q)
+    | M.Result -> Alcotest.fail "result has no classes"
+  in
+  let sizes = Hashtbl.create 16 in
+  List.iter
+    (fun q ->
+      let k = key q in
+      Hashtbl.replace sizes k (1 + Option.value ~default:0 (Hashtbl.find_opt sizes k)))
+    log;
+  (Hashtbl.length sizes, Hashtbl.fold (fun _ c m -> if c > 1 then m + 1 else m) sizes 0)
+
+let counted_log =
+  lazy
+    (let log =
+       W.skyserver_log
+         { W.n = 90; templates = 4; seed = "counted"; caps = W.caps_full }
+     in
+     (* as the server sees it: printed, then parsed *)
+     List.map (fun q -> Sqlir.Parser.parse (Sqlir.Printer.to_string q)) (log @ log))
+
+let test_counted_evals () =
+  let log = Lazy.force counted_log in
+  List.iter
+    (fun measure ->
+      let d, m = class_counts measure log in
+      let _, evals =
+        delta "kitdpe.distance.measure.evals" (fun () ->
+            M.matrix M.default_ctx measure log)
+      in
+      Alcotest.(check bool)
+        (M.to_string measure ^ " repeats a class") true (m > 0 && d < List.length log);
+      Alcotest.(check int)
+        (M.to_string measure ^ ": d(d-1)/2 + m evals")
+        ((d * (d - 1) / 2) + m) evals)
+    grouped_measures
+
+let test_counted_builds () =
+  let log = Lazy.force counted_log in
+  let distinct =
+    List.length (List.sort_uniq String.compare (List.map Sqlir.Printer.to_string log))
+  in
+  let _, builds =
+    delta "kitdpe.distance.features.builds" (fun () ->
+        M.matrix M.default_ctx M.Token log)
+  in
+  Alcotest.(check int) "one build per distinct printed query" distinct builds
+
+let test_counted_index_queries () =
+  let log = Lazy.force counted_log in
+  List.iter
+    (fun measure ->
+      let d, _ = class_counts measure log in
+      let labels, queries =
+        delta "kitdpe.index.queries" (fun () ->
+            dbscan_labels measure "index" ~eps:0.3 log)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d index queries <= %d classes" (M.to_string measure)
+           queries d)
+        true
+        (queries > 0 && queries <= d);
+      Alcotest.(check (array int))
+        (M.to_string measure ^ " labels = matrix")
+        (dbscan_labels measure "matrix" ~eps:0.3 log)
+        labels)
+    [ M.Token; M.Structure; M.Clause; M.Edit ]
+
+(* ---- faults still pass per query, repeats included ---- *)
+
+let with_armed spec f =
+  Fault.Inject.disarm_all ();
+  (match Fault.Inject.arm_spec spec with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+      let v = f () in
+      (v, Fault.Inject.stats ()))
+
+let failed_rows label = function
+  | Ok _ -> Alcotest.fail "an armed point must fail the matrix"
+  | Error es ->
+    List.map
+      (function
+        | Fault.Error.Task_failed { label = l; index; _ } when l = label -> index
+        | e -> Alcotest.fail (Fault.Error.to_string e))
+      es
+
+let calls_of point stats =
+  match List.find_opt (fun (name, _, _, _) -> name = point) stats with
+  | Some (_, _, calls, _) -> calls
+  | None -> Alcotest.fail ("not armed: " ^ point)
+
+let test_faults_per_query () =
+  let log = repeated_log ~seed:7 ~n:6 in
+  let n = List.length log in
+  (* 17 queries: index 1 repeats index 0, and 9 .. 16 repeat 1 .. 8 *)
+  let result, stats =
+    with_armed "distance.features.build=every:3" (fun () ->
+        M.matrix_r M.default_ctx M.Token log)
+  in
+  Alcotest.(check (list int)) "every third query fails its build"
+    (List.filter (fun i -> i mod 3 = 0) (List.init n Fun.id))
+    (failed_rows "features.build" result);
+  Alcotest.(check int) "one build point per query" n
+    (calls_of "distance.features.build" stats);
+  (* cell (1, 10) pairs two repeats of one query *)
+  let result, stats =
+    with_armed
+      (Printf.sprintf "mining.dist_matrix.eval=nth:%d" ((1 lsl 20) lor 10))
+      (fun () -> M.matrix_r M.default_ctx M.Token log)
+  in
+  Alcotest.(check (list int)) "the repeated cell fails its row" [ 1 ]
+    (failed_rows "dist_matrix.row" result);
+  (* row 1 stops at its failed cell, before cells (1, 11) .. (1, n-1) *)
+  Alcotest.(check int) "one eval point per cell" ((n * (n - 1) / 2) - (n - 11))
+    (calls_of "mining.dist_matrix.eval" stats)
+
 let () =
   Alcotest.run "mine_plan"
     [ ("table",
@@ -342,6 +571,13 @@ let () =
          Alcotest.test_case "runtime fallback" `Quick test_runtime_fallback;
          Alcotest.test_case "no fallback above the bound" `Quick
            test_index_error_above_bound ]);
+      ("classes",
+       [ QCheck_alcotest.to_alcotest grouped_property;
+         Alcotest.test_case "evals per class pair" `Quick test_counted_evals;
+         Alcotest.test_case "builds per distinct query" `Quick test_counted_builds;
+         Alcotest.test_case "index queries per class" `Quick
+           test_counted_index_queries;
+         Alcotest.test_case "faults per query" `Quick test_faults_per_query ]);
       ("golden",
        List.map
          (fun ((measure, algo, _) as g) ->
