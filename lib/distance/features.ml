@@ -161,15 +161,45 @@ let first_occurrences texts queries =
         i)
     texts
 
+(* A repeat's record is its first occurrence's, so a failed first
+   occurrence fails its repeats too, each under its own index, as when
+   every query builds its own record.  [es] lists [Task_failed] errors
+   only (see [Parallel.Pool.map_range_r]). *)
+let with_repeats first es =
+  let cause = Array.make (Array.length first) None in
+  List.iter
+    (function
+      | Fault.Error.Task_failed { index; cause = c; _ } -> cause.(index) <- Some c
+      | _ -> ())
+    es;
+  List.filter_map
+    (fun i ->
+      match cause.(i), cause.(first.(i)) with
+      | (Some c, _ | None, Some c) ->
+        Some (Fault.Error.Task_failed { label = "features.build"; index = i; cause = c })
+      | None, None -> None)
+    (List.init (Array.length first) Fun.id)
+
+(* Two batches over every query: the first prints it (and carries the
+   fault point), the second builds the record of each first
+   occurrence. *)
 let build_r ?pool (queries : Sqlir.Ast.query array) =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let texts = Array.map Sqlir.Printer.to_string queries in
-  let first = first_occurrences texts queries in
-  Parallel.Pool.map_range_r pool ~label:"features.build" (Array.length queries)
-    (fun i ->
-      Fault.point ~key:i "distance.features.build";
-      if first.(i) = i then Some (raw_of_query texts.(i) queries.(i)) else None)
-  |> Result.map (finish first)
+  let batch f =
+    Parallel.Pool.map_range_r pool ~label:"features.build" (Array.length queries) f
+  in
+  Result.bind
+    (batch (fun i ->
+         Fault.point ~key:i "distance.features.build";
+         Sqlir.Printer.to_string queries.(i)))
+    (fun texts ->
+      let first = first_occurrences texts queries in
+      match
+        batch (fun i ->
+            if first.(i) = i then Some (raw_of_query texts.(i) queries.(i)) else None)
+      with
+      | Ok raws -> Ok (finish first raws)
+      | Error es -> Error (with_repeats first es))
 
 let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
 

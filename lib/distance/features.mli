@@ -40,7 +40,7 @@
 
     {b Faults.}  Each query, repeated or not, passes the
     ["distance.features.build"] injection point keyed by its index,
-    inside the build batch. *)
+    inside the printing batch. *)
 
 type t
 
@@ -52,11 +52,14 @@ val build_r :
   -> (t, Fault.Error.t list) result
 (** Build the table, one record per distinct query, across [pool] (default
     {!Parallel.Pool.global}[ ()]).  Pure per query, so the table is
-    identical for every pool size.  Crash-contained: one
-    [Parallel.Pool.map_range_r ~label:"features.build"] batch, so
-    per-query failures (including injected faults and deadline skips)
-    are collected as [Task_failed { label = "features.build"; index; _ }]
-    instead of raised. *)
+    identical for every pool size.  Crash-contained: two
+    [Parallel.Pool.map_range_r ~label:"features.build"] batches over
+    every query, one printing it and one building the record of each
+    first occurrence, so per-query failures (including injected faults
+    and deadline skips) are collected as
+    [Task_failed { label = "features.build"; index; _ }] instead of
+    raised.  A record that fails to build fails every query that shares
+    it. *)
 
 val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
 (** {!build_r}, raising [Fault.Error.E] of the first error. *)

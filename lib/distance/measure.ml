@@ -90,35 +90,68 @@ let classes measure feats =
      | Access -> Features.Areas
      | Result -> raise (no_feature_form "Distance.Measure.classes"))
 
-(* The distances between class representatives: a packed upper
-   triangle with the diagonal, where [(a, a)] is [d(rep, rep)] for a
-   class of two or more members (a singleton's is never read).  Rows
-   check the request deadline: an expired one leaves its rows unfilled,
-   and the matrix fill that reads them skips every row for the same
-   reason. *)
-let quotient ~pool eval (c : Features.classes) =
+(* The n-query matrix from one evaluation per pair of classes.  A class
+   of two or more members ("repeated") gets a row of d cells in
+   [cells]: the distances from its representative to every class,
+   itself included, except to the repeated classes before it, whose
+   rows hold those.  A pair of singleton classes, whose queries are
+   their own representatives, is evaluated where its matrix cell is
+   filled.  So the d(d-1)/2 pairs and the m self-distances are each
+   evaluated once, and the rows take m*d cells: none on a log without
+   repeats, at most n^2/4 (m <= n/2, d <= n - m).
+
+   A table cell whose evaluation raised keeps its exception, and the
+   matrix cells that read it raise it again, so the same matrix rows
+   fail as when every cell evaluates its own pair.  Rows check the
+   request deadline: an expired one leaves its cells unfilled, and the
+   matrix fill that reads them skips every row for the same reason. *)
+let class_matrix ~pool n eval (c : Features.classes) =
   let d = Array.length c.reps in
-  (* cell (a, b), b >= a, sits at [off.(a) + b] *)
-  let off = Array.init d (fun a -> (a * d) - (a * (a - 1) / 2) - a) in
-  let cells = Float.Array.make (d * (d + 1) / 2) 0.0 in
-  let fill a =
-    if not (Parallel.Pool.deadline_expired ()) then begin
-      let eval_a = eval c.reps.(a) and base = off.(a) in
-      if Array.length c.members.(a) > 1 then
-        Float.Array.set cells (base + a) (eval_a c.reps.(a));
-      for b = a + 1 to d - 1 do
-        Float.Array.set cells (base + b) (eval_a c.reps.(b))
-      done
-    end
+  let repeated =
+    List.filter (fun a -> Array.length c.members.(a) > 1) (List.init d Fun.id)
+    |> Array.of_list
   in
-  Fault.protect ~context:"Distance.Measure.matrix_r" (fun () ->
-      Parallel.Pool.for_range pool d fill)
-  |> Result.map (fun () i ->
-         let a = c.class_of.(i) in
-         fun j ->
-           let b = c.class_of.(j) in
-           if a <= b then Float.Array.get cells (off.(a) + b)
-           else Float.Array.get cells (off.(b) + a))
+  (* [row.(a)]: class [a]'s row in [cells], or -1 for a singleton *)
+  let row = Array.make d (-1) in
+  Array.iteri (fun k a -> row.(a) <- k) repeated;
+  let cells = Float.Array.make (Array.length repeated * d) 0.0 in
+  (* a row's failed cells, [-1] for all of them *)
+  let failed = Array.make (Array.length repeated) [] in
+  let fill k =
+    let a = repeated.(k) and base = k * d in
+    if not (Parallel.Pool.deadline_expired ()) then
+      match eval c.reps.(a) with
+      | exception e -> failed.(k) <- [ (-1, e) ]
+      | eval_a ->
+        for b = 0 to d - 1 do
+          if b >= a || row.(b) < 0 then
+            match eval_a c.reps.(b) with
+            | v -> Float.Array.set cells (base + b) v
+            | exception e -> failed.(k) <- (b, e) :: failed.(k)
+        done
+  in
+  Parallel.Pool.for_range pool (Array.length repeated) fill;
+  (* the cell of repeated class [a] and class [b], with [b >= a] or [b]
+     a singleton *)
+  let cell a b =
+    let k = row.(a) in
+    (match failed.(k) with
+     | [] -> ()
+     | fs -> List.iter (fun (b', e) -> if b' = b || b' < 0 then raise e) fs);
+    Float.Array.get cells ((k * d) + b)
+  in
+  let lookup i =
+    let a = c.class_of.(i) in
+    if row.(a) >= 0 then fun j ->
+      let b = c.class_of.(j) in
+      if row.(b) >= 0 && b < a then cell b a else cell a b
+    else
+      let eval_i = eval i in
+      fun j ->
+        let b = c.class_of.(j) in
+        if row.(b) >= 0 then cell b a else eval_i j
+  in
+  Mining.Dist_matrix.of_fun_r ~pool n lookup
 
 let matrix_r ?pool ctx measure queries =
   Obs.Span.with_span ~sketch:m_matrix ~cat:"distance"
@@ -131,17 +164,10 @@ let matrix_r ?pool ctx measure queries =
       | (Token | Structure | Access | Edit | Clause), _ ->
         let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
         let qs = Array.of_list queries in
-        let n = Array.length qs in
         Result.bind (Features.build_r ~pool qs) (fun feats ->
-            let eval = pair_of_features ctx measure feats in
-            let c = classes measure feats in
-            if Array.length c.reps = n then
-              (* no two queries share a class: fill directly *)
-              Mining.Dist_matrix.of_fun_r ~pool n eval
-            else
-              match quotient ~pool eval c with
-              | Ok lookup -> Mining.Dist_matrix.of_fun_r ~pool n lookup
-              | Error e -> Error [ e ]))
+            class_matrix ~pool (Array.length qs)
+              (pair_of_features ctx measure feats)
+              (classes measure feats)))
 
 let matrix ?pool ctx measure queries =
   Fault.Error.get_ok (matrix_r ?pool ctx measure queries)

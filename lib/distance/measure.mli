@@ -74,9 +74,11 @@ val matrix_r :
     filled by {!Mining.Dist_matrix.of_fun_r} across [pool] (default
     [Parallel.Pool.global ()]) with a lookup into those values, so the
     matrix, its per-cell injection point and its row batch are those of
-    a per-pair fill, identically for every pool size.  While the
-    representative distances are held, they take another [d (d + 1) / 2]
-    floats; a log with no repeated class skips them and fills directly.
+    a per-pair fill, identically for every pool size.  The distances
+    from each of the [m] repeated classes are held in a row of [d]
+    floats while the matrix fills: none on a log without repeats, at
+    most [n^2 / 4] in all.  An evaluation that raises fails the matrix
+    rows that read it, as in a per-pair fill.
 
     Crash-contained: the feature build and the matrix fill are each one
     [Parallel.Pool.map_range_r] batch, so failures (including injected

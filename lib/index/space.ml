@@ -3,10 +3,14 @@ module M = Distance.Measure
 
 type kind = Token | Structure | Edit | Clause
 
+(* [log_n] is the number of queries of the log the space came from:
+   [n] itself, except on a space of class representatives *)
 type t = {
   feats : F.t;
   kind : kind;
   n : int;
+  log_n : int;
+  classes : F.classes option;
 }
 
 (* probe/prune accounting shared by both indexes — the raw material of an
@@ -31,14 +35,21 @@ let kind_of_measure = function
 
 let supported m = kind_of_measure m <> None
 
-let of_measure m feats =
-  match kind_of_measure m with
-  | None -> None
-  | Some kind -> Some { feats; kind; n = F.length feats }
+let of_kind kind feats =
+  let n = F.length feats in
+  { feats; kind; n; log_n = n; classes = None }
 
-let of_kind kind feats = { feats; kind; n = F.length feats }
+let of_measure m feats =
+  Option.map
+    (fun kind -> { (of_kind kind feats) with classes = Some (M.classes m feats) })
+    (kind_of_measure m)
 
 let size t = t.n
+
+let classes t = t.classes
+
+let representatives t (c : F.classes) =
+  { t with feats = F.sub t.feats c.reps; n = Array.length c.reps; classes = None }
 
 let is_int_metric t = t.kind = Edit
 
@@ -80,11 +91,12 @@ let set_eps t ~eps =
   | Token | Structure | Edit -> eps
 
 (* The one index build: the ["index.build"] injection point once per
-   point id, keyed by the id so an armed trigger picks the same victims
-   for every pool size, then [f] over all ids, timed. *)
+   query of the log, keyed by the query index so an armed trigger picks
+   the same victims for every pool size and whether or not the index
+   holds every query, then [f] over all ids, timed. *)
 let build ~name t f =
   if Fault.enabled () then
-    for i = 0 to t.n - 1 do
+    for i = 0 to t.log_n - 1 do
       Fault.point ~key:i "index.build"
     done;
   Obs.Metric.incr m_builds;

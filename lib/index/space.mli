@@ -28,11 +28,24 @@ val kind_of_measure : Distance.Measure.t -> kind option
 val supported : Distance.Measure.t -> bool
 
 val of_measure : Distance.Measure.t -> Distance.Features.t -> t option
-(** [None] for the access-area and result measures. *)
+(** The mining engine's space: {!of_kind} plus the measure's class map
+    ({!Distance.Measure.classes}), so that {!Vp_tree.build} indexes one
+    representative per class.  [None] for the access-area and result
+    measures. *)
 
 val of_kind : kind -> Distance.Features.t -> t
+(** Every point on its own: no class map. *)
 
 val size : t -> int
+
+val classes : t -> Distance.Features.classes option
+(** The class map of an {!of_measure} space; [None] on an {!of_kind}
+    space. *)
+
+val representatives : t -> Distance.Features.classes -> t
+(** [representatives t c] is the space of the class representatives of
+    [t]: its point [a] is query [c.reps.(a)], with no class map.  Its
+    {!build} still passes the fault point once per query of [t]. *)
 
 val is_int_metric : t -> bool
 (** True iff the space is edit — the precondition of the BK-tree. *)
@@ -68,9 +81,11 @@ val set_eps : t -> eps:float -> float
 
 val build : name:string -> t -> (int array -> 'a) -> 'a
 (** [build ~name t f] is the one index build: it passes the
-    ["index.build"] injection point once per point id (keyed by the id;
-    an armed trigger raises [Fault.Error.E (Injected _)] before any
-    index work), then runs [f] over all ids [0 .. size t - 1],
+    ["index.build"] injection point once per query of the log the space
+    was made from, keyed by the query index, so a space of
+    {!representatives} fails on the same keys as the full one (an armed
+    trigger raises [Fault.Error.E (Injected _)] before any index work),
+    then runs [f] over all ids [0 .. size t - 1],
     ascending.  With telemetry on, the build is counted in
     [kitdpe.index.builds], timed into the [kitdpe.index.build] sketch
     and recorded as a [<name>.build(n=…)] span. *)

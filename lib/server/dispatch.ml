@@ -47,22 +47,11 @@ let deadline_err context = Fault.Error.Deadline_exceeded { context }
    for request latency *)
 let db_for_log = Workload.Gen_db.for_log ~seed:"serve" ~rows:48
 
-(* each distinct wire text is parsed once: its repeats share the AST,
-   and the first failing text is still the first failing index *)
 let parse_queries (req : Proto.request) =
-  let parsed = Hashtbl.create 64 in
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
     | q :: rest -> (
-      let ast =
-        match Hashtbl.find_opt parsed q with
-        | Some ast -> ast
-        | None ->
-          let ast = Sqlir.Parser.parse_result q in
-          Hashtbl.add parsed q ast;
-          ast
-      in
-      match ast with
+      match Sqlir.Parser.parse_result q with
       | Ok ast -> go (i + 1) (ast :: acc) rest
       | Error e ->
         Error

@@ -90,53 +90,19 @@ let on_matrix p t dm =
   | Clink -> Mining.Hier.cut_k p.k dm
 
 (* DBSCAN over index range queries (the prefix filter; the BK-tree for
-   edit) on the measure's class representatives: one range query per
-   class, whose hit classes expand into their members.  A query's own
-   class is in its neighborhood iff [d(rep, rep) <= eps].  DBSCAN asks
-   for each query's neighborhood once, so a class's expansion is kept
-   only until its last member has asked.  Every failure, including an
-   armed fault point, comes back typed. *)
+   edit) on the measure's class representatives ({!Index.Vp_tree});
+   every failure, including an armed fault point, comes back typed *)
 let via_index p t log =
   Fault.protect ~context:"Server.Mine_plan.run" (fun () ->
       let feats = Distance.Features.build (Array.of_list log) in
-      let c = M.classes t.measure feats in
       (* [plan] picks Index for indexable measures only *)
-      let space =
-        Option.get
-          (Index.Space.of_measure t.measure (Distance.Features.sub feats c.reps))
-      in
-      let tree = Index.Vp_tree.build ~seed:p.seed space in
-      let pending = Array.map Array.length c.members in
-      let hits = Array.make (Array.length c.reps) None in
-      let class_range a =
-        let ms =
-          match hits.(a) with
-          | Some ms -> ms
-          | None ->
-            let own =
-              Array.length c.members.(a) > 1
-              && Index.Space.within space ~eps:p.eps a a
-            in
-            let hit = Index.Vp_tree.range tree ~eps:p.eps a in
-            let ms =
-              Array.concat
-                (List.map (fun b -> c.members.(b)) (if own then a :: hit else hit))
-            in
-            Array.sort Int.compare ms;
-            hits.(a) <- Some ms;
-            ms
-        in
-        pending.(a) <- pending.(a) - 1;
-        if pending.(a) = 0 then hits.(a) <- None;
-        ms
-      in
-      let range i =
-        Array.fold_right
-          (fun j acc -> if j = i then acc else j :: acc)
-          (class_range c.class_of.(i)) []
+      let tree =
+        Index.Vp_tree.build ~seed:p.seed
+          (Option.get (Index.Space.of_measure t.measure feats))
       in
       Mining.Dbscan.run_index ~min_pts
-        { Mining.Dbscan.ri_n = List.length log; range })
+        { Mining.Dbscan.ri_n = List.length log;
+          range = (fun i -> Index.Vp_tree.range tree ~eps:p.eps i) })
 
 let run ?(ctx = M.default_ctx) p t log =
   let via_matrix t =

@@ -19,8 +19,10 @@
     [Matrix].  Both evaluate each distance once per pair of the
     measure's classes ({!Distance.Measure.classes}): [Matrix] fills the
     [n]-query matrix from the representatives' distances, and [Index]
-    indexes only the representatives, asks one range query per class
-    and expands each hit class into its members. *)
+    indexes only the representatives ({!Index.Vp_tree}), asks one range
+    query per class and expands each hit class into its members.  The
+    ["index.build"] fault point still passes once per query, keyed by
+    the query index. *)
 
 type algo = Dbscan | Kmedoids | Outliers | Clink
 

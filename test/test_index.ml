@@ -113,6 +113,43 @@ let prop_prefix_exact =
             prop_eps)
         [ Index.Space.Token; Index.Space.Structure; Index.Space.Clause ])
 
+(* An [of_measure] space indexes one representative per class.  Every
+   answer is still the brute-force one over all points, asked in any
+   order and more than once, and a pass that asks each point once runs
+   exactly one index query per class. *)
+let test_grouped_range () =
+  List.iter
+    (fun (name, kind, eps) ->
+      let m = measure_of_kind kind in
+      let base = gen_log ~n:30 ~seed:("grouped-" ^ name) m in
+      let log = Array.of_list (base @ List.rev base @ [ List.hd base ]) in
+      let n = Array.length log in
+      let feats = F.build log in
+      let flat = Index.Space.of_kind kind feats in
+      let sp = Option.get (Index.Space.of_measure m feats) in
+      let d = Array.length (Option.get (Index.Space.classes sp)).F.reps in
+      let t = Index.Vp_tree.build ~seed:"g" sp in
+      let queries = Obs.Registry.counter "kitdpe.index.queries" in
+      let was = Obs.is_enabled () in
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+          List.iter
+            (fun eps ->
+              let ask q =
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s q%d eps%g" name q eps)
+                  (brute flat ~eps q) (Index.Vp_tree.range t ~eps q)
+              in
+              let before = Obs.Metric.value queries in
+              for q = 0 to n - 1 do ask q done;
+              check_int
+                (Printf.sprintf "%s eps%g: one query per class" name eps)
+                d
+                (Obs.Metric.value queries - before);
+              for q = n - 1 downto 0 do ask q; ask q done)
+            [ eps; 0.0; -0.1; Float.nan ]))
+    kinds
+
 let test_bk_range_exact () =
   let feats = feats_of ~n:90 ~seed:"bk" M.Edit in
   let sp = Index.Space.of_kind Index.Space.Edit feats in
@@ -319,7 +356,8 @@ let () =
         [ Alcotest.test_case "vp = brute force" `Quick test_vp_range_exact;
           QCheck_alcotest.to_alcotest prop_prefix_exact;
           Alcotest.test_case "bk = brute force" `Quick test_bk_range_exact;
-          Alcotest.test_case "bk needs edit" `Quick test_bk_requires_edit ] );
+          Alcotest.test_case "bk needs edit" `Quick test_bk_requires_edit;
+          Alcotest.test_case "grouped = brute force" `Quick test_grouped_range ] );
       ( "determinism",
         [ Alcotest.test_case "fingerprint pool-independent" `Quick
             test_fingerprint_pool_independent;

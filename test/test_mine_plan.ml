@@ -338,7 +338,9 @@ module Ref_fill = struct
     let feats = Distance.Features.build (Array.of_list log) in
     let tree =
       Index.Vp_tree.build ~seed:"ref"
-        (Option.get (Index.Space.of_measure measure feats))
+        (Index.Space.of_kind
+           (Option.get (Index.Space.kind_of_measure measure))
+           feats)
     in
     Mining.Dbscan.run_index ~min_pts:3
       { Mining.Dbscan.ri_n = List.length log;
@@ -549,6 +551,57 @@ let test_faults_per_query () =
   Alcotest.(check int) "one eval point per cell" ((n * (n - 1) / 2) - (n - 11))
     (calls_of "mining.dist_matrix.eval" stats)
 
+(* The index holds one point per class, but [index.build] still passes
+   once per query, keyed by the query index: a trigger on a key past the
+   class count fires, and the run falls back to the matrix. *)
+let test_index_build_keys () =
+  let log = repeated_log ~seed:7 ~n:6 in
+  let n = List.length log in
+  let d, _ = class_counts M.Token log in
+  Alcotest.(check bool) (Printf.sprintf "%d classes < key %d" d (n - 1)) true (d < n - 1);
+  let plan = Result.get_ok (P.plan ~measure:M.Token ~algo:"dbscan" ~engine:"index" ~n ~k:1) in
+  let params = { P.k = 1; eps = 0.3; seed = "keys" } in
+  let (ran, labels), stats =
+    with_armed (Printf.sprintf "index.build=nth:%d" (n - 1)) (fun () -> P.run params plan log)
+  in
+  Alcotest.(check int) "one build point per query" n (calls_of "index.build" stats);
+  Alcotest.(check string) "matrix ran" "matrix" (P.engine_name ran.P.engine);
+  Alcotest.(check bool) "the reason names the failed index" true
+    (match ran.P.fallback with
+     | Some r -> String.starts_with ~prefix:"index engine failed:" r
+     | None -> false);
+  Alcotest.(check (array int)) "labels of the matrix"
+    (dbscan_labels M.Token "matrix" ~eps:0.3 log)
+    (Result.get_ok labels)
+
+(* An evaluation that raises (the access measure outside 0 < x < 1)
+   fails the same matrix rows, with the same errors, as the per-pair
+   fill, for every pool size. *)
+let test_raising_rows () =
+  let log = repeated_log ~seed:3 ~n:5 in
+  let qs = Array.of_list log in
+  let ctx = { M.default_ctx with x = 1.5 } in
+  let errors = function
+    | Ok _ -> Alcotest.fail "every evaluation raises"
+    | Error es -> List.map Fault.Error.to_string es
+  in
+  let reference =
+    errors
+      (Mining.Dist_matrix.of_fun_r (Array.length qs) (fun i j ->
+           M.compute ctx M.Access qs.(i) qs.(j)))
+  in
+  Alcotest.(check int) "every row with a cell fails" (Array.length qs - 1)
+    (List.length reference);
+  List.iter
+    (fun domains ->
+      let pool = Parallel.Pool.create ~domains () in
+      Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "rows of the per-pair fill, %d domains" domains)
+            reference
+            (errors (M.matrix_r ~pool ctx M.Access log))))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "mine_plan"
     [ ("table",
@@ -577,7 +630,11 @@ let () =
          Alcotest.test_case "builds per distinct query" `Quick test_counted_builds;
          Alcotest.test_case "index queries per class" `Quick
            test_counted_index_queries;
-         Alcotest.test_case "faults per query" `Quick test_faults_per_query ]);
+         Alcotest.test_case "faults per query" `Quick test_faults_per_query;
+         Alcotest.test_case "index.build keyed per query" `Quick
+           test_index_build_keys;
+         Alcotest.test_case "raising evaluations fail their rows" `Quick
+           test_raising_rows ]);
       ("golden",
        List.map
          (fun ((measure, algo, _) as g) ->
