@@ -537,10 +537,10 @@ let perf_parallel () =
   let push e = entries := e :: !entries in
 
   (* 1. distance matrices: the seed's sequential per-pair loop (every
-     cell re-prints, re-lexes and re-extracts both queries, on a 1-lane
-     pool) vs the current [Measure.matrix] path — per-query feature
-     precomputation (Distance.Features), interned-int kernels and pooled
-     row blocks *)
+     cell re-prints, re-lexes and re-extracts both queries with the
+     per-pair definitions of [Reference], on a 1-lane pool) vs the
+     current [Measure.matrix] path — per-query feature precomputation
+     (Distance.Features), interned-int kernels and pooled row blocks *)
   let seq_pool = Parallel.Pool.create ~domains:1 () in
   List.iter
     (fun (m, n) ->
@@ -550,7 +550,7 @@ let perf_parallel () =
             caps = Workload.Gen_query.caps_for_measure m }
       in
       let qs = Array.of_list log in
-      let d i j = M.compute M.default_ctx m qs.(i) qs.(j) in
+      let d i j = Reference.compute M.default_ctx m qs.(i) qs.(j) in
       let seq = Mining.Dist_matrix.of_fun ~pool:seq_pool n d in
       let feat = M.matrix ~pool M.default_ctx m log in
       let t_seq = time_best (fun () -> Mining.Dist_matrix.of_fun ~pool:seq_pool n d) in
@@ -564,9 +564,9 @@ let perf_parallel () =
   Parallel.Pool.shutdown seq_pool;
 
   (* 1b. the feature-table win in isolation: both sides run on the same
-     pool, baseline re-derives per pair (the PR-4 path), optimized reads
-     the precomputed table — so any speedup here is amortized
-     tokenization + interned kernels, not parallelism *)
+     pool, baseline re-derives per pair ([Reference], the PR-4 path),
+     optimized reads the precomputed table — so any speedup here is
+     amortized tokenization + interned kernels, not parallelism *)
   List.iter
     (fun (m, n) ->
       let log =
@@ -575,7 +575,7 @@ let perf_parallel () =
             caps = Workload.Gen_query.caps_for_measure m }
       in
       let qs = Array.of_list log in
-      let d i j = M.compute M.default_ctx m qs.(i) qs.(j) in
+      let d i j = Reference.compute M.default_ctx m qs.(i) qs.(j) in
       let per_pair = Mining.Dist_matrix.of_fun ~pool n d in
       let feat = M.matrix ~pool M.default_ctx m log in
       let t_pair = time_best (fun () -> Mining.Dist_matrix.of_fun ~pool n d) in
@@ -1491,17 +1491,16 @@ let sessions () =
   let scheme = Dpe.Selector.select M.Structure (Dpe.Log_profile.of_log flat) in
   let enc = Dpe.Encryptor.create keyring scheme in
   let cipher = List.map (List.map (Dpe.Encryptor.encrypt_query enc)) plain in
-  let matrix logs =
-    let arr = Array.of_list (List.map Array.of_list logs) in
-    Mining.Dist_matrix.of_fun (Array.length arr) (fun i j ->
-        Mining.Dtw.normalized ~cost:Distance.D_structure.distance arr.(i) arr.(j))
-  in
-  let dp = matrix plain and dc = matrix cipher in
+  let dp = M.session_matrix plain
+  and dc = M.session_matrix cipher in
   let lp = Mining.Hier.cut_k 4 dp and lc = Mining.Hier.cut_k 4 dc in
   Format.printf "sessions: %d (avg %.1f queries each)@." (List.length plain)
     (float_of_int (List.length flat) /. float_of_int (List.length plain));
   Format.printf "max |DTW(enc) - DTW(plain)|: %g@."
     (Mining.Dist_matrix.max_abs_diff dp dc);
+  Format.printf "max |DTW - per-pair reference DTW|: %g@."
+    (Mining.Dist_matrix.max_abs_diff dp
+       (Reference.session_matrix plain));
   Format.printf "session clusterings identical: %b@."
     (Mining.Labeling.same_partition lp lc);
   Format.printf "clusters vs planted templates: ARI %.3f, purity %.3f,                  silhouette %.3f@."

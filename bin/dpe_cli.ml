@@ -594,12 +594,7 @@ let sessions n templates length seed pass =
   let scheme = scheme_of M.Structure flat in
   let enc = Dpe.Encryptor.create (Crypto.Keyring.of_passphrase pass) scheme in
   let cipher = List.map (List.map (Dpe.Encryptor.encrypt_query enc)) plain in
-  let matrix logs =
-    let arr = Array.of_list (List.map Array.of_list logs) in
-    Mining.Dist_matrix.of_fun (Array.length arr) (fun i j ->
-        Mining.Dtw.normalized ~cost:Distance.D_structure.distance arr.(i) arr.(j))
-  in
-  let dc = matrix cipher in
+  let dc = M.session_matrix cipher in
   let labels = Mining.Hier.cut_k templates dc in
   Format.printf "session clustering over ciphertext (DTW + complete link):@.";
   Array.iteri

@@ -30,10 +30,9 @@ let () =
     (Sqlir.Printer.to_string (List.hd cipher_log));
 
   (* 4. the service provider computes distances on ciphertexts only *)
-  let d_plain = Distance.D_token.distance_q (List.nth log 0) (List.nth log 1) in
-  let d_cipher =
-    Distance.D_token.distance_q (List.nth cipher_log 0) (List.nth cipher_log 1)
-  in
+  let token = Distance.Measure.(compute default_ctx Token) in
+  let d_plain = token (List.nth log 0) (List.nth log 1) in
+  let d_cipher = token (List.nth cipher_log 0) (List.nth cipher_log 1) in
   Format.printf "d(Q0, Q1) on plaintext  = %.4f@." d_plain;
   Format.printf "d(Q0, Q1) on ciphertext = %.4f@.@." d_cipher;
 

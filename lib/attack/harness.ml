@@ -67,6 +67,8 @@ let attack_log ~label ~class_of ~plain ~cipher =
   let groups = group_pairs (constants_by_attr plain) (constants_by_attr cipher) in
   report_of_groups ~label ~class_of groups
 
+(* every relation- and attribute-name occurrence in traversal order,
+   tagged "rel" or "attr" *)
 let names_by_position log =
   let acc = ref [] in
   let collect_rel r = acc := ("rel", r) :: !acc; r in

@@ -33,11 +33,6 @@ val attack_log :
     constant distribution per attribute, and attack each attribute with
     the strongest attack for its class. *)
 
-val names_by_position :
-  Sqlir.Ast.query list -> (string * string) list
-(** Every relation- and attribute-name occurrence in traversal order,
-    tagged ["rel"] or ["attr"]. *)
-
 val attack_names :
   label:string ->
   plain:Sqlir.Ast.query list ->

@@ -57,7 +57,6 @@ val sub : t -> t -> t
 (** [sub a b] requires [a >= b]. @raise Invalid_argument otherwise. *)
 
 val mul : t -> t -> t
-val mul_int : t -> int -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. @raise Division_by_zero. *)
 

@@ -17,5 +17,3 @@ val encrypt : key -> Drbg.t -> string -> string
 val decrypt : key -> string -> string option
 (** [None] when the ciphertext is malformed or the tag does not verify.
     The tag comparison is constant-time ({!Ct.equal}, lint rule CT01). *)
-
-val min_ciphertext_length : int

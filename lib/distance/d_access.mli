@@ -7,21 +7,11 @@
 
 val default_x : float
 
-val distance : ?x:float -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
-(** @raise Invalid_argument unless [0 < x < 1]. *)
-
-val per_attribute : ?x:float -> Sqlir.Ast.query -> Sqlir.Ast.query
-  -> (string * float) list
-(** The individual δ values, keyed by attribute — useful for debugging and
-    for the experiment reports. *)
-
 val distance_of_areas :
   x:float
   -> (string * Access_area.t) list
   -> (string * Access_area.t) list
   -> float
-(** {!distance} on two precomputed [Access_area.of_query] maps — the
-    exact expression used by [distance], so the feature-table path
-    ({!Features}) is bit-identical while amortizing area extraction to
-    once per query.
+(** The distance of two queries given their [Access_area.of_query]
+    maps, which {!Features} computes once per query.
     @raise Invalid_argument unless [0 < x < 1]. *)

@@ -1,12 +1,8 @@
 module Ast = Sqlir.Ast
 
-type weights = {
-  w_projection : float;
-  w_group_by : float;
-  w_selection : float;
-}
-
-let default_weights = { w_projection = 0.35; w_group_by = 0.50; w_selection = 0.15 }
+let w_projection = 0.35
+let w_group_by = 0.50
+let w_selection = 0.15
 
 let attr_str = Sqlir.Printer.attr_to_string
 
@@ -62,22 +58,8 @@ let selection_set (q : Ast.query) =
   in
   (List.filter_map atom_shape preds @ joins) |> List.sort_uniq String.compare
 
-(* the weighted combination shared by the per-pair path below and the
-   feature-table path ({!Features.clause}): identical expression order,
-   so both produce bit-identical floats from equal component
-   distances *)
-let combine ?(weights = default_weights) ~projection ~group_by ~selection () =
-  let { w_projection; w_group_by; w_selection } = weights in
-  if w_projection < 0.0 || w_group_by < 0.0 || w_selection < 0.0 then
-    invalid_arg "D_clause: negative weight";
-  let total = w_projection +. w_group_by +. w_selection in
-  if not (total > 0.0) then invalid_arg "D_clause: weights sum to zero";
+let combine ~projection ~group_by ~selection =
   ((w_projection *. projection)
    +. (w_group_by *. group_by)
    +. (w_selection *. selection))
-  /. total
-
-let distance ?weights q1 q2 =
-  let j f = Jaccard.distance_strings (f q1) (f q2) in
-  combine ?weights ~projection:(j projection_set) ~group_by:(j group_by_set)
-    ~selection:(j selection_set) ()
+  /. (w_projection +. w_group_by +. w_selection)

@@ -12,29 +12,17 @@
     preserved by the same scheme as the query-structure distance (DET
     names, PROB constants); this is verified in the test suite. *)
 
-type weights = {
-  w_projection : float;
-  w_group_by : float;
-  w_selection : float;
-}
-(** Must be non-negative and sum to a positive value; they are normalized
-    internally. *)
-
-val default_weights : weights
-(** Aligon et al.'s emphasis on the group-by set: 0.35 / 0.50 / 0.15. *)
+val w_projection : float
+val w_group_by : float
+val w_selection : float
+(** The component weights: Aligon et al.'s emphasis on the group-by set,
+    0.35 / 0.50 / 0.15. *)
 
 val projection_set : Sqlir.Ast.query -> string list
 val group_by_set : Sqlir.Ast.query -> string list
 val selection_set : Sqlir.Ast.query -> string list
 
-val combine :
-  ?weights:weights -> projection:float -> group_by:float -> selection:float
-  -> unit -> float
-(** The weighted average of three component distances — the single
-    arithmetic expression shared by {!distance} and the feature-table
-    path ({!Features.clause}), so precomputed component sets yield
-    bit-identical results.
-    @raise Invalid_argument on invalid weights. *)
-
-val distance : ?weights:weights -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
-(** @raise Invalid_argument on invalid weights. *)
+val combine : projection:float -> group_by:float -> selection:float -> float
+(** The weighted average of three component distances, divided by the
+    weight sum: the measure {!Features.clause} evaluates from the
+    Jaccard distances of the three interned component sets. *)

@@ -1,22 +1,3 @@
-let levenshtein (type a) (equal : a -> a -> bool) (a : a array) (b : a array) =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 then m
-  else if m = 0 then n
-  else begin
-    (* one-row dynamic program *)
-    let prev = Array.init (m + 1) Fun.id in
-    let cur = Array.make (m + 1) 0 in
-    for i = 1 to n do
-      cur.(0) <- i;
-      for j = 1 to m do
-        let cost = if equal a.(i - 1) b.(j - 1) then 0 else 1 in
-        cur.(j) <- min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
-      done;
-      Array.blit cur 0 prev 0 (m + 1)
-    done;
-    prev.(m)
-  end
-
 (* ---- Myers / Hyyrö bit-parallel Levenshtein ----------------------------
 
    Classic bit-vector algorithm (Myers 1999, blocked form after Hyyrö
@@ -95,41 +76,3 @@ let myers ~alphabet (pat : int array) =
       done;
       !score
     end
-
-(* character-level DP straight off the strings: no boxed [char array]
-   per call, [String.unsafe_get] in the inner loop *)
-let char_distance a b =
-  let n = String.length a and m = String.length b in
-  if n = 0 then m
-  else if m = 0 then n
-  else begin
-    let prev = Array.init (m + 1) Fun.id in
-    let cur = Array.make (m + 1) 0 in
-    for i = 1 to n do
-      cur.(0) <- i;
-      let ai = String.unsafe_get a (i - 1) in
-      for j = 1 to m do
-        let cost = if Char.equal ai (String.unsafe_get b (j - 1)) then 0 else 1 in
-        let del = Array.unsafe_get prev j + 1 in
-        let ins = Array.unsafe_get cur (j - 1) + 1 in
-        let sub = Array.unsafe_get prev (j - 1) + cost in
-        Array.unsafe_set cur j (min (min ins del) sub)
-      done;
-      Array.blit cur 0 prev 0 (m + 1)
-    done;
-    prev.(m)
-  end
-
-let token_seq s = Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize s))
-
-let token_distance a b =
-  levenshtein String.equal (token_seq a) (token_seq b)
-
-let distance a b =
-  let ta = token_seq a and tb = token_seq b in
-  let n = max (Array.length ta) (Array.length tb) in
-  if n = 0 then 0.0
-  else float_of_int (levenshtein String.equal ta tb) /. float_of_int n
-
-let distance_q a b =
-  distance (Sqlir.Printer.to_string a) (Sqlir.Printer.to_string b)

@@ -7,9 +7,6 @@
 val distance : Minidb.Database.t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
 (** @raise Minidb.Executor.Exec_error if either query is invalid for [db]. *)
 
-val result_set : Minidb.Database.t -> Sqlir.Ast.query -> Minidb.Value.t list list
-(** The deduplicated result tuple set ([result tuples(Q)] of Definition 4). *)
-
 val matrix_r :
   ?pool:Parallel.Pool.t -> Minidb.Database.t -> Sqlir.Ast.query list
   -> (Mining.Dist_matrix.t, Fault.Error.t list) result

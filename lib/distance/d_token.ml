@@ -18,8 +18,3 @@ let tokens s =
   Sqlir.Lexer.tokenize s
   |> fuse
   |> List.sort_uniq String.compare
-
-let distance a b = Jaccard.distance_strings (tokens a) (tokens b)
-
-let distance_q a b =
-  distance (Sqlir.Printer.to_string a) (Sqlir.Printer.to_string b)

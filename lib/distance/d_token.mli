@@ -1,7 +1,7 @@
-(** Token-based query-string distance (Definition 3).
-
-    A query is viewed as the {e set} of its lexical tokens; the distance is
-    the Jaccard distance of the two token sets. *)
+(** Token-based query-string distance (Definition 3): a query is viewed
+    as the {e set} of its lexical tokens, and the distance is the Jaccard
+    distance of the two token sets.  {!Features.token} evaluates it from
+    these tokens. *)
 
 val fuse : Sqlir.Lexer.token list -> string list
 (** Lexemes with [LIMIT n] fused into one structural token — necessary for
@@ -12,9 +12,3 @@ val tokens : string -> string list
 (** Normalized token set of a query string (keywords uppercased, string
     literals re-quoted, LIMIT fused).
     @raise Sqlir.Lexer.Lex_error on garbage. *)
-
-val distance : string -> string -> float
-(** Distance between two query strings. *)
-
-val distance_q : Sqlir.Ast.query -> Sqlir.Ast.query -> float
-(** Distance between two parsed queries via their canonical printing. *)

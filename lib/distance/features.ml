@@ -1,25 +1,22 @@
-(* Per-query feature precomputation for pairwise distance matrices.
+(* Per-query feature precomputation: the one implementation of the
+   token, structure, clause, access and edit measures.
 
-   The seed path re-derives everything per pair: printing, lexing,
-   feature extraction, access-area analysis — O(n^2) tokenizations for
-   an n-query matrix.  This module builds every per-query artifact once
-   (O(n) tokenizations), interns symbols into small ints per matrix, and
-   exposes pair evaluators that are bit-identical to the per-pair
-   measures:
+   Every per-query artifact is built once (O(n) tokenizations for an
+   n-query matrix), symbols are interned into small ints per table, and
+   pairs are evaluated from the records:
 
    - interning is injective, so intersection/union cardinalities of the
      interned sets equal those of the original string / Feature.t sets
      and the Jaccard float is the same division;
-   - the edit kernel ({!D_edit.myers}) computes the same
-     integer distance as the seed DP, so the normalized float is the
-     same division;
-   - access and clause distances go through the exact seed expressions
-     ({!D_access.distance_of_areas}, {!D_clause.combine}). *)
+   - the edit kernel ({!D_edit.myers}) computes the Levenshtein distance
+     of the interned token sequences, which is that of the tokens;
+   - access and clause distances combine the per-query parts with
+     {!D_access.distance_of_areas} and {!D_clause.combine}. *)
 
 module Interner = struct
   type 'a t = { tbl : ('a, int) Hashtbl.t; mutable next : int }
 
-  let create () = { tbl = Hashtbl.create 256; next = 0 }
+  let create size = { tbl = Hashtbl.create size; next = 0 }
 
   let id t x =
     match Hashtbl.find_opt t.tbl x with
@@ -66,15 +63,25 @@ type raw = {
   r_areas : (string * Access_area.t) list;
 }
 
-let raw_of_query text q =
+(* the part of a record each measure reads, see {!classes} *)
+type key = Token_set | Edit_tokens | Structure_set | Clause_sets | Areas
+
+(* With [only], just the parts that key's evaluator reads are built and
+   the others left empty; [text] is lexed only for the token parts. *)
+let raw_of_query ?only text q =
   Obs.Metric.incr m_builds;
+  let wants k = match only with None -> true | Some o -> o = k in
+  let clause = wants Clause_sets in
   {
-    r_fused = Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize text));
-    r_structure = Feature.of_query q;
-    r_proj = D_clause.projection_set q;
-    r_group = D_clause.group_by_set q;
-    r_sel = D_clause.selection_set q;
-    r_areas = Access_area.of_query q;
+    r_fused =
+      (if wants Token_set || wants Edit_tokens then
+         Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize text))
+       else [||]);
+    r_structure = (if wants Structure_set then Feature.of_query q else []);
+    r_proj = (if clause then D_clause.projection_set q else []);
+    r_group = (if clause then D_clause.group_by_set q else []);
+    r_sel = (if clause then D_clause.selection_set q else []);
+    r_areas = (if wants Areas then Access_area.of_query q else []);
   }
 
 (* sorted duplicate-free id set of a token sequence *)
@@ -107,9 +114,11 @@ let intern_set intern xs =
    distinct raws meet the interners in query order and every id is what
    a per-query build assigns. *)
 let finish first raws =
-  let edit_int = Interner.create () in
-  let feat_int = Interner.create () in
-  let clause_int = Interner.create () in
+  (* sized to the log: {!of_pair} builds a table on every call *)
+  let size = min 256 (8 * Array.length raws) in
+  let edit_int = Interner.create size in
+  let feat_int = Interner.create size in
+  let clause_int = Interner.create size in
   let record r =
     (* the three clause components share ids, assigned selection
        first: the prefix index breaks rank ties by id *)
@@ -203,11 +212,20 @@ let build_r ?pool (queries : Sqlir.Ast.query array) =
 
 let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
 
+(* two records with only [key]'s parts, in the calling thread; the
+   queries are printed only for the token parts *)
+let of_pair key q1 q2 =
+  let text q =
+    match key with
+    | Token_set | Edit_tokens -> Sqlir.Printer.to_string q
+    | Structure_set | Clause_sets | Areas -> ""
+  in
+  let raw q = Some (raw_of_query ~only:key (text q) q) in
+  finish [| 0; 1 |] [| raw q1; raw q2 |]
+
 let sub t ids = { t with records = Array.map (fun i -> t.records.(i)) ids }
 
 (* ---- class maps ------------------------------------------------------ *)
-
-type key = Token_set | Edit_tokens | Structure_set | Clause_sets | Areas
 
 type classes = {
   class_of : int array;
@@ -285,7 +303,6 @@ let clause t i j =
     ~projection:(Jaccard.distance_sorted_ints a.clause_proj b.clause_proj)
     ~group_by:(Jaccard.distance_sorted_ints a.clause_group b.clause_group)
     ~selection:(Jaccard.distance_sorted_ints a.clause_sel b.clause_sel)
-    ()
 
 let access ~x t i j =
   Obs.Metric.add m_reuse 2;

@@ -1,29 +1,24 @@
-(** Per-query feature precomputation for pairwise distance matrices.
+(** Per-query features: the one implementation of the token,
+    structure, clause, access and edit measures.
 
-    The per-pair measures re-derive every artifact from scratch —
-    printing, lexing, SnipSuggest feature extraction, clause component
-    sets, access areas — which makes an [n]-query matrix cost O(n²)
-    tokenizations.  A feature table is built {e once per matrix}
-    (one tokenization per distinct query, in parallel across the pool),
-    with all symbols interned into dense small ints, and pairs are then
-    evaluated from the table.
+    Each measure is a set distance over a per-query characteristic
+    (the paper's Definition 2): the token set, the fused token
+    sequence, the SnipSuggest feature set, the three clause component
+    sets, or the access areas.  A table holds that record for every
+    query, built {e once} (one tokenization per distinct query, in
+    parallel across the pool), with all symbols interned into dense
+    small ints, and pairs are evaluated from the records.  A matrix
+    ({!Measure.matrix_r}), an index ([Index.Space]) and a single pair
+    ({!Measure.compute}, through {!of_pair}) all read a table.
 
-    {b Bit-identity.}  Every pair evaluator returns the exact float the
-    corresponding per-pair measure returns:
-
-    - interning is injective, so Jaccard intersection/union
-      cardinalities — plain ints — are unchanged and the final division
-      is the same ({!Jaccard.distance_sorted_ints});
-    - the bit-parallel edit kernel computes the same integer distance
-      as the seed dynamic program, so the normalized float is the same
-      division;
-    - clause and access distances are computed by the seed's own
-      shared expressions ({!D_clause.combine},
-      {!D_access.distance_of_areas}).
-
-    Verified by the property tests ([test/test_distance.ml]) with
-    [Mining.Dist_matrix.max_abs_diff = 0.0] against the per-pair
-    matrices for every measure and pool size.
+    {b Interning.}  Interning is injective, so Jaccard intersection and
+    union cardinalities — plain ints — are those of the original sets,
+    and the edit kernel's integer distance is that of the original
+    token sequences: a distance does not depend on the ids, hence not
+    on which other queries share the table.  The tests check every
+    evaluator against per-pair definitions that share nothing across
+    pairs ([bench/reference]), with [Mining.Dist_matrix.max_abs_diff =
+    0.0] for every measure and pool size.
 
     {b Distinct queries.}  Queries with the same printed text and the
     same AST share one record, built once; the AST check matters because
@@ -95,28 +90,38 @@ type classes = {
 val classes : t -> key -> classes
 (** The queries grouped on exactly what the [key]'s evaluator reads. *)
 
+val of_pair : key -> Sqlir.Ast.query -> Sqlir.Ast.query -> t
+(** The two-query table of queries 0 and 1 for the [key]'s evaluator
+    only: the records hold just the part that evaluator reads, so a
+    structure, clause or access pair is neither printed nor lexed.
+    Built in the calling thread, with no pool batch and no injection
+    point; it counts two record builds.  The other evaluators must not
+    be applied to it. *)
+
 (** {2 Pair evaluators}
 
-    [f t i j] is the distance of queries [i] and [j]; each is
-    bit-identical to the corresponding per-pair measure. *)
+    [f t i j] is the distance of queries [i] and [j]. *)
 
 val token : t -> int -> int -> float
-(** = [D_token.distance_q]. *)
+(** Jaccard distance of the token sets ({!D_token.tokens}). *)
 
 val structure : t -> int -> int -> float
-(** = [D_structure.distance]. *)
+(** Jaccard distance of the SnipSuggest feature sets
+    ({!Feature.of_query}). *)
 
 val clause : t -> int -> int -> float
-(** = [D_clause.distance], under [D_clause.default_weights]. *)
+(** {!D_clause.combine} of the Jaccard distances of the three clause
+    component sets. *)
 
 val access : x:float -> t -> int -> int -> float
-(** = [D_access.distance ~x].
+(** {!D_access.distance_of_areas} of the two access-area maps.
     @raise Invalid_argument unless [0 < x < 1]. *)
 
 val edit : t -> int -> int -> float
-(** = [D_edit.distance_q], via the bit-parallel kernel.  Staged:
-    [edit t i] builds query [i]'s {!D_edit.myers} pattern once, for
-    every [j]; the table stores no patterns. *)
+(** Normalized token-level Levenshtein distance (see {!D_edit}), via
+    the bit-parallel kernel.  Staged: [edit t i] builds query [i]'s
+    {!D_edit.myers} pattern once, for every [j]; the table stores no
+    patterns. *)
 
 val edit_distance_int : t -> int -> int -> int
 (** The raw (unnormalized) token-level Levenshtein distance, staged. *)

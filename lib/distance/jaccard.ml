@@ -17,8 +17,6 @@ let similarity ~compare a b =
 
 let distance ~compare a b = 1.0 -. similarity ~compare a b
 
-let distance_strings a b = distance ~compare:String.compare a b
-
 (* merge-count on pre-sorted, pre-deduplicated int arrays: the
    feature-table fast path.  Intersection and union cardinalities are
    integers, so the resulting float is bit-identical to [distance] on

@@ -9,14 +9,9 @@ val distance : compare:('a -> 'a -> int) -> 'a list -> 'a list -> float
 val similarity : compare:('a -> 'a -> int) -> 'a list -> 'a list -> float
 (** [1 - distance]. *)
 
-val distance_strings : string list -> string list -> float
-
-val sizes_sorted_ints : int array -> int array -> int * int
-(** [(|A ∩ B|, |A ∪ B|)] of two {e sorted, duplicate-free} int arrays by
-    merge-count, no allocation. *)
-
 val distance_sorted_ints : int array -> int array -> float
-(** {!distance} on sorted duplicate-free int arrays.  Bit-identical to
-    [distance] on the pre-interning sets: the cardinalities are
-    integers, so the float division is the same in both paths.  Used by
-    the {!Features} matrix path. *)
+(** {!distance} on sorted duplicate-free int arrays, by merge-count
+    without allocation.  Bit-identical to [distance] on the
+    pre-interning sets: the cardinalities are integers, so the float
+    division is the same in both paths.  Used by the {!Features}
+    evaluators. *)

@@ -39,24 +39,6 @@ let needs_domains = function
 let m_evals = Obs.Registry.counter "kitdpe.distance.measure.evals"
 let m_matrix = Obs.Registry.sketch "kitdpe.distance.measure.matrix"
 
-let compute ctx measure q1 q2 =
-  Obs.Metric.incr m_evals;
-  match measure with
-  | Token -> D_token.distance_q q1 q2
-  | Edit -> D_edit.distance_q q1 q2
-  | Clause -> D_clause.distance q1 q2
-  | Structure -> D_structure.distance q1 q2
-  | Access -> D_access.distance ~x:ctx.x q1 q2
-  | Result ->
-    (match ctx.db with
-     | Some db -> D_result.distance db q1 q2
-     | None ->
-       raise
-         (Fault.Error.E
-            (Fault.Error.Invariant
-               { context = "Distance.Measure.compute";
-                 reason = "result distance needs a database" })))
-
 let missing_db context =
   Fault.Error.Invariant { context; reason = "result distance needs a database" }
 
@@ -65,9 +47,8 @@ let no_feature_form context =
     (Fault.Error.Invariant
        { context; reason = "the result distance has no feature-table form" })
 
-(* feature-table pair evaluator: closes over the precomputed table, so
-   the matrix fill touches no query text.  Bit-identical to
-   [compute] per pair (see Features). *)
+(* the pair evaluator of every measure but result: closes over the
+   table, so the evaluations touch no query text *)
 let pair_of_features ctx measure feats =
   match measure with
   | Token -> fun i j -> Obs.Metric.incr m_evals; Features.token feats i j
@@ -80,15 +61,28 @@ let pair_of_features ctx measure feats =
   | Access -> fun i j -> Obs.Metric.incr m_evals; Features.access ~x:ctx.x feats i j
   | Result -> raise (no_feature_form "Distance.Measure.pair_of_features")
 
+(* the record part the measure's evaluator reads *)
+let key_of context = function
+  | Token -> Features.Token_set
+  | Edit -> Features.Edit_tokens
+  | Structure -> Features.Structure_set
+  | Clause -> Features.Clause_sets
+  | Access -> Features.Areas
+  | Result -> raise (no_feature_form context)
+
+let compute ctx measure q1 q2 =
+  match measure with
+  | Result ->
+    Obs.Metric.incr m_evals;
+    (match ctx.db with
+     | Some db -> D_result.distance db q1 q2
+     | None -> raise (Fault.Error.E (missing_db "Distance.Measure.compute")))
+  | Token | Structure | Access | Edit | Clause ->
+    let key = key_of "Distance.Measure.compute" measure in
+    pair_of_features ctx measure (Features.of_pair key q1 q2) 0 1
+
 let classes measure feats =
-  Features.classes feats
-    (match measure with
-     | Token -> Features.Token_set
-     | Edit -> Features.Edit_tokens
-     | Structure -> Features.Structure_set
-     | Clause -> Features.Clause_sets
-     | Access -> Features.Areas
-     | Result -> raise (no_feature_form "Distance.Measure.classes"))
+  Features.classes feats (key_of "Distance.Measure.classes" measure)
 
 (* The n-query matrix from one evaluation per pair of classes.  A class
    of two or more members ("repeated") gets a row of d cells in
@@ -171,3 +165,20 @@ let matrix_r ?pool ctx measure queries =
 
 let matrix ?pool ctx measure queries =
   Fault.Error.get_ok (matrix_r ?pool ctx measure queries)
+
+(* DTW over one table of every session's queries *)
+let session_matrix sessions =
+  let feats = Features.build (Array.of_list (List.concat sessions)) in
+  let cost = pair_of_features default_ctx Structure feats in
+  (* query [k] of a session starting at table row [start] is row
+     [start + k] *)
+  let _, rows =
+    List.fold_left_map
+      (fun start s ->
+        let n = List.length s in
+        (start + n, Array.init n (fun k -> start + k)))
+      0 sessions
+  in
+  let rows = Array.of_list rows in
+  Mining.Dist_matrix.of_fun (Array.length rows) (fun a b ->
+      Mining.Dtw.normalized ~cost rows.(a) rows.(b))

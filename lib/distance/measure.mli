@@ -40,7 +40,12 @@ val needs_domains : t -> bool
 (** Table I column "Shared information: Domains". *)
 
 val compute : ctx -> t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
-(** @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
+(** The distance of one pair, counted once in
+    [kitdpe.distance.measure.evals].  Every measure but {!Result} is
+    evaluated from the two-query table {!Features.of_pair}, built in
+    the calling thread with only the parts that measure reads; {!Result} runs both queries on [ctx.db]
+    ({!D_result.distance}).  Prefer {!matrix_r} for many pairs.
+    @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
     without a database. *)
 
 val pair_of_features : ctx -> t -> Features.t -> int -> int -> float
@@ -92,3 +97,15 @@ val matrix :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
   -> Mining.Dist_matrix.t
 (** {!matrix_r}, raising [Fault.Error.E] of the first error. *)
+
+val session_matrix : Sqlir.Ast.query list list -> Mining.Dist_matrix.t
+(** Session distances: [Mining.Dtw.normalized] between every two
+    sessions (ordered query sequences), with the {!Structure} distance
+    as the per-query cost.  The queries of all sessions share one
+    {!Features} table, and every cost is a table evaluation, counted
+    in [kitdpe.distance.measure.evals]; the table and the matrix are
+    built across [Parallel.Pool.global ()].  Because the cost is a
+    preserved query distance, sessions encrypted under the structure
+    scheme get the same matrix.
+    @raise Fault.Error.E of the first feature-build or matrix-row
+    error. *)

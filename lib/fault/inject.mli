@@ -32,7 +32,6 @@ val arm_spec : string -> (unit, string) result
 
 val disarm_all : unit -> unit
 
-val set_seed : string -> unit
 val get_seed : unit -> string
 
 val check : ?key:int -> string -> int option

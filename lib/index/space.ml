@@ -84,9 +84,7 @@ let set t i =
 let set_eps t ~eps =
   match t.kind with
   | Clause ->
-    let { Distance.D_clause.w_projection; w_group_by; w_selection } =
-      Distance.D_clause.default_weights
-    in
+    let open Distance.D_clause in
     eps *. (w_projection +. w_group_by +. w_selection) /. w_projection
   | Token | Structure | Edit -> eps
 

@@ -76,7 +76,7 @@ val set_eps : t -> eps:float -> float
     reals, a pair with [measure <= eps] has Jaccard distance at most
     [set_eps t ~eps] between its {!set}s.  That is [eps] for token and
     structure, and [eps * W / w_projection] for clause under
-    [D_clause.default_weights] (summing to [W]), because the projection
+    the [D_clause] weights (summing to [W]), because the projection
     term of the weighted average is at most the whole. *)
 
 val build : name:string -> t -> (int array -> 'a) -> 'a

@@ -199,12 +199,9 @@ let rec eval_having (group : env list) (repr : env) (p : Ast.pred) : tv =
 
 (* ---- the pipeline ---- *)
 
-let scan (db : Database.t) (rel : string) : (string * Schema.t * Value.t array) Seq.t =
-  match Database.find db rel with
-  | None -> fail (Unknown_relation rel)
-  | Some table ->
-    let schema = Table.schema table in
-    List.to_seq (Table.rows table) |> Seq.map (fun row -> (rel, schema, row))
+let scan (rel : string) (table : Table.t) : (string * Schema.t * Value.t array) Seq.t =
+  let schema = Table.schema table in
+  List.to_seq (Table.rows table) |> Seq.map (fun row -> (rel, schema, row))
 
 let cartesian (envs : env list) (more : (string * Schema.t * Value.t array) Seq.t) : env list =
   let entries = List.of_seq more in
@@ -216,14 +213,17 @@ let run (db : Database.t) (q : Ast.query) : result =
   let rels = q.Ast.from @ List.map (fun j -> j.Ast.jrel) q.Ast.joins in
   if List.length (List.sort_uniq String.compare rels) <> List.length rels then
     fail (Unsupported "self-joins / duplicate relation mentions");
-  let schemas =
+  let tables =
     List.map
       (fun r ->
         match Database.find db r with
         | None -> fail (Unknown_relation r)
-        | Some t -> Table.schema t)
+        | Some t -> (r, t))
       rels
   in
+  (* relation names are distinct, so this finds the one mention *)
+  let table r = List.assoc r tables in
+  let schemas = List.map (fun (_, t) -> Table.schema t) tables in
   (* Static validation: resolve every attribute and type-check every
      predicate against the schemas BEFORE touching any rows, like a real
      SQL engine.  This makes error behavior independent of the data — a
@@ -296,18 +296,20 @@ let run (db : Database.t) (q : Ast.query) : result =
   Option.iter (check_pred ~in_having:true) q.Ast.having;
   List.iter (fun a -> ignore (resolve_origin schemas a)) q.Ast.group_by;
   List.iter (fun (a, _) -> ignore (resolve_origin schemas a)) q.Ast.order_by;
-  let static_grouped =
+  let grouped =
     q.Ast.group_by <> []
     || List.exists (function Ast.Sel_agg _ -> true | _ -> false) q.Ast.select
     || q.Ast.having <> None
   in
+  (* a grouped query selects only grouping attributes and aggregates,
+     which the projection below relies on *)
   List.iter
     (function
       | Ast.Star ->
-        if static_grouped then fail (Unsupported "SELECT * with grouping")
+        if grouped then fail (Unsupported "SELECT * with grouping")
       | Ast.Sel_attr (a, _) ->
         ignore (resolve_origin schemas a);
-        if static_grouped && not (List.exists (Ast.equal_attr a) q.Ast.group_by)
+        if grouped && not (List.exists (Ast.equal_attr a) q.Ast.group_by)
         then
           fail
             (Unsupported
@@ -324,19 +326,18 @@ let run (db : Database.t) (q : Ast.query) : result =
     q.Ast.joins;
   (* FROM *)
   let envs =
-    List.fold_left (fun acc rel -> cartesian acc (scan db rel)) [ [] ] q.Ast.from
+    List.fold_left
+      (fun acc rel -> cartesian acc (scan rel (table rel)))
+      [ [] ] q.Ast.from
   in
   (* JOINs: inner keeps matches only; left keeps unmatched left rows padded
      with an all-null row for the joined relation.  When the ON predicate
      cleanly splits into one attribute per side, a hash join turns the
      O(|left| * |right|) nested loop into O(|left| + |right|). *)
   let join_step (acc, env_schemas) (j : Ast.join) =
-    let jschema =
-      match Database.find db j.Ast.jrel with
-      | None -> fail (Unknown_relation j.Ast.jrel)
-      | Some table -> Table.schema table
-    in
-    let entries = List.of_seq (scan db j.Ast.jrel) in
+    let jtable = table j.Ast.jrel in
+    let jschema = Table.schema jtable in
+    let entries = List.of_seq (scan j.Ast.jrel jtable) in
     let null_entry =
       (j.Ast.jrel, jschema, Array.make (Schema.arity jschema) Value.Vnull)
     in
@@ -411,14 +412,7 @@ let run (db : Database.t) (q : Ast.query) : result =
     in
     (joined, env_schemas @ entry_schemas)
   in
-  let from_schemas =
-    List.map
-      (fun r ->
-        match Database.find db r with
-        | None -> fail (Unknown_relation r)
-        | Some t -> (r, Table.schema t))
-      q.Ast.from
-  in
+  let from_schemas = List.map (fun r -> (r, Table.schema (table r))) q.Ast.from in
   let envs = fst (List.fold_left join_step (envs, from_schemas) q.Ast.joins) in
   (* WHERE *)
   let envs =
@@ -426,11 +420,6 @@ let run (db : Database.t) (q : Ast.query) : result =
     | None -> envs
     | Some p -> List.filter (fun env -> eval_pred env p = T) envs
   in
-  let has_agg =
-    List.exists (function Ast.Sel_agg _ -> true | _ -> false) q.Ast.select
-    || q.Ast.having <> None
-  in
-  let grouped = q.Ast.group_by <> [] || has_agg in
   let expand_star () =
     List.concat_map
       (fun s -> List.map (fun c -> (s.Schema.rel, c)) (Schema.column_names s))
@@ -491,8 +480,6 @@ let run (db : Database.t) (q : Ast.query) : result =
       List.map project envs
     end
     else begin
-      if List.exists (function Ast.Star -> true | _ -> false) q.Ast.select then
-        fail (Unsupported "SELECT * with grouping");
       (* bucket rows by group-by key *)
       let tbl = Hashtbl.create 64 in
       let order = ref [] in
@@ -514,11 +501,12 @@ let run (db : Database.t) (q : Ast.query) : result =
       let project group =
         match group with
         | [] ->
-          (* only the implicit group can be empty *)
+          (* only the implicit group can be empty, and it has no
+             grouping attribute to select *)
           let item = function
             | Ast.Sel_agg (Ast.Count, _, _) -> [ Value.Vint 0 ]
             | Ast.Sel_agg (_, _, _) -> [ Value.Vnull ]
-            | Ast.Sel_attr _ | Ast.Star -> fail (Unsupported "column without rows")
+            | Ast.Sel_attr _ | Ast.Star -> assert false
           in
           Some (([] : Value.t list), List.concat_map item q.Ast.select)
         | repr :: _ ->
@@ -531,14 +519,7 @@ let run (db : Database.t) (q : Ast.query) : result =
           else begin
             let item = function
               | Ast.Star -> assert false
-              | Ast.Sel_attr (a, _) ->
-                (* must be a group-by attribute to be well-defined *)
-                if not (List.exists (Ast.equal_attr a) q.Ast.group_by) then
-                  fail
-                    (Unsupported
-                       (Printf.sprintf "non-grouped attribute %s in aggregate query"
-                          a.Ast.name));
-                [ resolve_in_env repr a ]
+              | Ast.Sel_attr (a, _) -> [ resolve_in_env repr a ]
               | Ast.Sel_agg (fn, arg, _) -> [ agg_eval fn arg group ]
             in
             let tuple = List.concat_map item q.Ast.select in

@@ -6,8 +6,6 @@ type token =
   | Str_lit of string
   | Sym of string
 
-let equal_token (a : token) (b : token) = a = b
-
 let keywords =
   [ "SELECT"; "DISTINCT"; "FROM"; "WHERE"; "JOIN"; "INNER"; "LEFT"; "OUTER";
     "ON"; "GROUP";
@@ -26,8 +24,6 @@ let token_to_string = function
     let escaped = String.concat "''" (String.split_on_char '\'' s) in
     "'" ^ escaped ^ "'"
   | Sym s -> s
-
-let pp_token fmt t = Format.pp_print_string fmt (token_to_string t)
 
 exception Lex_error of string * int
 

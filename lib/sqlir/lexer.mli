@@ -12,8 +12,6 @@ type token =
   | Str_lit of string   (** contents without the quotes *)
   | Sym of string       (** punctuation / operators: [","], ["("], ["<="], … *)
 
-val equal_token : token -> token -> bool
-val pp_token : Format.formatter -> token -> unit
 val token_to_string : token -> string
 (** Lexeme as it would appear in SQL text (strings re-quoted). *)
 

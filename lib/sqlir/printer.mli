@@ -9,5 +9,4 @@ val const_to_string : Ast.const -> string
 val attr_to_string : Ast.attr -> string
 val cmp_to_string : Ast.cmp -> string
 val pred_to_string : Ast.pred -> string
-val select_item_to_string : Ast.select_item -> string
 val to_string : Ast.query -> string

@@ -1,6 +1,7 @@
 module Ast = Sqlir.Ast
 module Interval = Distance.Interval
 module AA = Distance.Access_area
+module M = Distance.Measure
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -10,7 +11,7 @@ let parse = Sqlir.Parser.parse
 
 (* ---- Jaccard ---- *)
 
-let jac = Distance.Jaccard.distance_strings
+let jac = Distance.Jaccard.distance ~compare:String.compare
 
 let test_jaccard () =
   check_float "identical" 0.0 (jac [ "a"; "b" ] [ "b"; "a" ]);
@@ -154,7 +155,7 @@ let test_features () =
   let q2 = parse "SELECT a1 FROM r WHERE a2 > 99999" in
   check_bool "same features" true
     (Distance.Feature.of_query q = Distance.Feature.of_query q2);
-  check_float "structure distance zero" 0.0 (Distance.D_structure.distance q q2);
+  check_float "structure distance zero" 0.0 (M.compute M.default_ctx M.Structure q q2);
   (* every clause contributes *)
   let q3 =
     parse
@@ -171,68 +172,76 @@ let test_features () =
 (* ---- token distance ---- *)
 
 let test_token_distance () =
-  check_float "identical" 0.0 (Distance.D_token.distance "SELECT a FROM r" "SELECT a FROM r");
+  let token a b = M.compute M.default_ctx M.Token (parse a) (parse b) in
+  check_float "identical" 0.0 (token "SELECT a FROM r" "SELECT a FROM r");
   check_float "case-insensitive keywords" 0.0
-    (Distance.D_token.distance "select a from r" "SELECT a FROM r");
+    (Reference.token_of_text "select a from r" "SELECT a FROM r");
   check_bool "shared constant counts" true
-    (Distance.D_token.distance "SELECT a FROM r WHERE x = 5"
-       "SELECT b FROM r WHERE y = 5"
-     < Distance.D_token.distance "SELECT a FROM r WHERE x = 5"
-         "SELECT b FROM r WHERE y = 6");
-  let d = Distance.D_token.distance_q (parse "SELECT a FROM r") (parse "SELECT a FROM r WHERE b = 1") in
+    (token "SELECT a FROM r WHERE x = 5" "SELECT b FROM r WHERE y = 5"
+     < token "SELECT a FROM r WHERE x = 5" "SELECT b FROM r WHERE y = 6");
+  let d = token "SELECT a FROM r" "SELECT a FROM r WHERE b = 1" in
   check_bool "subset query closer than disjoint" true (d < 1.0 && d > 0.0)
 
 (* ---- edit distance (extension) ---- *)
 
 let test_edit_distance () =
-  check_int "char identical" 0 (Distance.D_edit.char_distance "kitten" "kitten");
-  check_int "char classic" 3 (Distance.D_edit.char_distance "kitten" "sitting");
-  check_int "char to empty" 6 (Distance.D_edit.char_distance "kitten" "");
+  check_int "char identical" 0 (Reference.char_levenshtein "kitten" "kitten");
+  check_int "char classic" 3 (Reference.char_levenshtein "kitten" "sitting");
+  check_int "char to empty" 6 (Reference.char_levenshtein "kitten" "");
   check_int "token identical" 0
-    (Distance.D_edit.token_distance "SELECT a FROM r" "select a from r");
+    (Reference.token_edits "SELECT a FROM r" "select a from r");
   check_int "token one substitution" 1
-    (Distance.D_edit.token_distance "SELECT a FROM r" "SELECT b FROM r");
+    (Reference.token_edits "SELECT a FROM r" "SELECT b FROM r");
   check_int "token insertion" 2
-    (Distance.D_edit.token_distance "SELECT a FROM r" "SELECT a, b FROM r");
+    (Reference.token_edits "SELECT a FROM r" "SELECT a, b FROM r");
   (* fused LIMIT counts as one token *)
   check_int "limit fused" 1
-    (Distance.D_edit.token_distance "SELECT a FROM r LIMIT 5" "SELECT a FROM r LIMIT 9");
-  check_float "normalized self" 0.0 (Distance.D_edit.distance "SELECT a FROM r" "SELECT a FROM r");
+    (Reference.token_edits "SELECT a FROM r LIMIT 5" "SELECT a FROM r LIMIT 9");
+  let edit a b = M.compute M.default_ctx M.Edit (parse a) (parse b) in
+  check_float "normalized self" 0.0 (edit "SELECT a FROM r" "SELECT a FROM r");
   check_bool "normalized bounded" true
-    (let d = Distance.D_edit.distance "SELECT a FROM r" "SELECT x, y FROM s WHERE z = 1" in
+    (let d = edit "SELECT a FROM r" "SELECT x, y FROM s WHERE z = 1" in
      d > 0.0 && d <= 1.0)
+
+(* the integer token edit distance the BK-tree routes on, between
+   queries [i] and [j] of one table of [qs] *)
+let edit_ints qs =
+  let t = Distance.Features.build (Array.of_list qs) in
+  (Distance.Features.edit_distance_int t, Distance.Features.edit_len t)
+
+(* an injective renaming of every relation and attribute name *)
+let rename_names =
+  let r s = if s = "*" then s else "t" ^ Crypto.Sha256.hex s in
+  Sqlir.Ast.map_query ~rel:r
+    ~attr:(fun (a : Sqlir.Ast.attr) -> { Sqlir.Ast.rel = Option.map r a.rel; name = r a.name })
+    ~const:(fun _ c -> c)
 
 let edit_properties =
   let pairs = QCheck.pair Testkit.arbitrary_query Testkit.arbitrary_query in
   [ QCheck.Test.make ~name:"edit symmetric" ~count:200 pairs (fun (a, b) ->
-        Distance.D_edit.distance_q a b = Distance.D_edit.distance_q b a);
+        let d, _ = edit_ints [ a; b ] in
+        d 0 1 = d 1 0);
     QCheck.Test.make ~name:"edit bounded" ~count:200 pairs (fun (a, b) ->
-        let d = Distance.D_edit.distance_q a b in
-        d >= 0.0 && d <= 1.0);
+        let d, len = edit_ints [ a; b ] in
+        d 0 1 >= 0 && d 0 1 <= max (len 0) (len 1));
     QCheck.Test.make ~name:"edit self zero" ~count:100 Testkit.arbitrary_query
-      (fun a -> Distance.D_edit.distance_q a a = 0.0);
+      (fun a ->
+        let d, _ = edit_ints [ a ] in
+        d 0 0 = 0);
     QCheck.Test.make ~name:"unnormalized edit triangle inequality" ~count:150
       (QCheck.triple Testkit.arbitrary_query Testkit.arbitrary_query
          Testkit.arbitrary_query)
       (fun (a, b, c) ->
-        let d x y =
-          Distance.D_edit.token_distance (Sqlir.Printer.to_string x)
-            (Sqlir.Printer.to_string y)
-        in
-        d a c <= d a b + d b c);
-    (* the preservation argument: any injective token renaming leaves the
-       token edit distance unchanged *)
+        let d, _ = edit_ints [ a; b; c ] in
+        d 0 2 <= d 0 1 + d 1 2);
+    (* the preservation argument: an injective renaming of the names
+       leaves the token edit distance unchanged *)
     QCheck.Test.make ~name:"edit invariant under injective token renaming"
       ~count:150 pairs
       (fun (a, b) ->
-        let rename s =
-          String.concat " "
-            (List.map (fun t -> "T" ^ Crypto.Sha256.hex t)
-               (Distance.D_token.fuse (Sqlir.Lexer.tokenize s)))
-        in
-        let sa = Sqlir.Printer.to_string a and sb = Sqlir.Printer.to_string b in
-        Distance.D_edit.token_distance sa sb
-        = Distance.D_edit.token_distance (rename sa) (rename sb)) ]
+        let d, _ = edit_ints [ a; b ]
+        and d', _ = edit_ints [ rename_names a; rename_names b ] in
+        d 0 1 = d' 0 1) ]
 
 (* ---- clause-based (Aligon) distance ---- *)
 
@@ -240,29 +249,19 @@ let test_clause_distance () =
   let q1 = parse "SELECT a, SUM(x) FROM r WHERE b = 1 GROUP BY a" in
   let q2 = parse "SELECT a, SUM(x) FROM r WHERE b = 99 GROUP BY a" in
   (* constants differ, components identical *)
-  check_float "constants invisible" 0.0 (Distance.D_clause.distance q1 q2);
+  let clause = M.compute M.default_ctx M.Clause in
+  check_float "constants invisible" 0.0 (clause q1 q2);
   let q3 = parse "SELECT a, SUM(x) FROM r WHERE b = 1 GROUP BY c" in
-  let d13 = Distance.D_clause.distance q1 q3 in
+  let d13 = clause q1 q3 in
   check_bool "group-by change dominates" true (d13 >= 0.4);
   let q4 = parse "SELECT z FROM s WHERE w > 0 GROUP BY z" in
-  check_float "disjoint queries" 1.0 (Distance.D_clause.distance q1 q4);
+  check_float "disjoint queries" 1.0 (clause q1 q4);
   (* component extraction *)
   check_bool "projection set" true
     (Distance.D_clause.projection_set q1 = [ "a"; "sum(x)" ]);
   check_bool "selection drops constants" true
     (Distance.D_clause.selection_set q1 = [ "b =" ]);
-  check_bool "group set" true (Distance.D_clause.group_by_set q1 = [ "a" ]);
-  (* custom weights *)
-  let only_proj = { Distance.D_clause.w_projection = 1.0; w_group_by = 0.0; w_selection = 0.0 } in
-  check_float "projection-only weighting" 0.0
-    (Distance.D_clause.distance ~weights:only_proj q1 q3);
-  Alcotest.check_raises "weights validated"
-    (Invalid_argument "D_clause: weights sum to zero") (fun () ->
-      ignore
-        (Distance.D_clause.distance
-           ~weights:{ Distance.D_clause.w_projection = 0.0; w_group_by = 0.0;
-                      w_selection = 0.0 }
-           q1 q2))
+  check_bool "group set" true (Distance.D_clause.group_by_set q1 = [ "a" ])
 
 (* ---- access areas ---- *)
 
@@ -321,19 +320,21 @@ let test_delta () =
 
 let test_access_distance () =
   (* identical queries: distance 0 *)
+  let access ?(x = Distance.D_access.default_x) =
+    M.compute { M.default_ctx with x } M.Access
+  in
   let q = parse "SELECT x FROM r WHERE ra BETWEEN 1 AND 5" in
-  check_float "self distance" 0.0 (Distance.D_access.distance q q);
+  check_float "self distance" 0.0 (access q q);
   (* Definition 5 averaging *)
   let q1 = parse "SELECT x FROM r WHERE ra BETWEEN 0 AND 10 AND dec = 3" in
   let q2 = parse "SELECT x FROM r WHERE ra BETWEEN 5 AND 15 AND dec = 4" in
   (* attrs: x (All=All -> 0), ra (overlap -> 0.5), dec (disjoint -> 1) *)
-  check_float "averaged" ((0.0 +. 0.5 +. 1.0) /. 3.0) (Distance.D_access.distance q1 q2);
-  let per = Distance.D_access.per_attribute q1 q2 in
+  check_float "averaged" ((0.0 +. 0.5 +. 1.0) /. 3.0) (access q1 q2);
+  let per = Reference.access_per_attribute q1 q2 in
   check_int "three attrs" 3 (List.length per);
-  check_float "custom x" ((0.0 +. 0.25 +. 1.0) /. 3.0)
-    (Distance.D_access.distance ~x:0.25 q1 q2);
+  check_float "custom x" ((0.0 +. 0.25 +. 1.0) /. 3.0) (access ~x:0.25 q1 q2);
   Alcotest.check_raises "x bounds" (Invalid_argument "D_access: x must be in (0,1)")
-    (fun () -> ignore (Distance.D_access.distance ~x:1.0 q1 q2))
+    (fun () -> ignore (access ~x:1.0 q1 q2))
 
 (* ---- result distance ---- *)
 
@@ -407,7 +408,7 @@ let measure_properties =
 
 module DE = Distance.D_edit
 
-let classic = DE.levenshtein Int.equal
+let classic = Reference.levenshtein Int.equal
 
 let kernel_properties =
   (* lengths up to 150 cross the 62-symbol block boundary, so the
@@ -425,8 +426,8 @@ let kernel_properties =
         let myers_a = DE.myers ~alphabet:41 a in
         List.for_all (fun t -> myers_a t = classic a t) [ b; c; a ]) ]
 
-(* ---- PR-5: the feature-precomputed matrix path is bit-identical to the
-   seed's per-pair evaluation, for every measure and pool size ---- *)
+(* ---- the feature table against the per-pair definitions of
+   [Reference], for every measure and pool size ---- *)
 
 let feature_queries =
   List.map parse
@@ -443,37 +444,49 @@ let with_pool domains f =
   let p = Parallel.Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown p) (fun () -> f p)
 
+(* the hand-written queries, and a generated log in plaintext and
+   encrypted under the measure's scheme *)
+let reference_logs m =
+  let log =
+    Workload.Gen_query.skyserver_log
+      { Workload.Gen_query.n = 40; templates = 4; seed = "ref/" ^ M.to_string m;
+        caps = Workload.Gen_query.caps_for_measure m }
+  in
+  let scheme = Dpe.Selector.select m (Dpe.Log_profile.of_log log) in
+  let enc = Dpe.Encryptor.create (Crypto.Keyring.create ~master:"reference") scheme in
+  [ ("hand-written", feature_queries); ("plaintext", log);
+    ("ciphertext", Dpe.Encryptor.encrypt_log enc log) ]
+
 let test_features_matrix_identity () =
-  let ctx = Distance.Measure.default_ctx in
-  let qs = Array.of_list feature_queries in
-  let n = Array.length qs in
+  let ctx = M.default_ctx in
   List.iter
     (fun m ->
-      let name = Distance.Measure.to_string m in
       List.iter
-        (fun domains ->
-          with_pool domains (fun pool ->
-              let fast = Distance.Measure.matrix ~pool ctx m feature_queries in
-              (* every (i, j), both orders: the packed matrix is
-                 symmetric by construction, so this also checks that
-                 each measure is *)
-              for i = 0 to n - 1 do
-                for j = 0 to n - 1 do
-                  if
-                    Mining.Dist_matrix.get fast i j
-                    <> Distance.Measure.compute ctx m qs.(i) qs.(j)
-                  then
-                    Alcotest.failf "%s (%d,%d) differs from compute (domains=%d)"
-                      name i j domains
-                done
-              done))
-        [ 1; 3 ])
-    [ Distance.Measure.Token; Distance.Measure.Structure;
-      Distance.Measure.Edit; Distance.Measure.Clause;
-      Distance.Measure.Access ]
+        (fun (kind, log) ->
+          let name = M.to_string m ^ ", " ^ kind in
+          let qs = Array.of_list log in
+          let n = Array.length qs in
+          let reference = Reference.matrix ctx m log in
+          (* every (i, j), both orders: the packed matrix is symmetric by
+             construction, so this also checks that each measure is *)
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if M.compute ctx m qs.(i) qs.(j) <> Reference.compute ctx m qs.(i) qs.(j)
+              then Alcotest.failf "%s: compute (%d,%d) differs from the reference" name i j
+            done
+          done;
+          List.iter
+            (fun domains ->
+              with_pool domains (fun pool ->
+                  Alcotest.(check (float 0.0))
+                    (Printf.sprintf "%s: matrix = reference (domains=%d)" name domains)
+                    0.0
+                    (Mining.Dist_matrix.max_abs_diff reference (M.matrix ~pool ctx m log))))
+            [ 1; 3 ])
+        (reference_logs m))
+    [ M.Token; M.Structure; M.Edit; M.Clause; M.Access ]
 
 let test_features_evaluators () =
-  let ctx = Distance.Measure.default_ctx in
   let qs = Array.of_list feature_queries in
   let t = Distance.Features.build qs in
   let n = Distance.Features.length t in
@@ -483,10 +496,8 @@ let test_features_evaluators () =
       let pair name fast seedf =
         check_bool (Printf.sprintf "%s (%d,%d)" name i j) true (fast = seedf)
       in
-      pair "token" (Distance.Features.token t i j)
-        (Distance.Measure.compute ctx Distance.Measure.Token qs.(i) qs.(j));
-      pair "edit" (Distance.Features.edit t i j)
-        (Distance.Measure.compute ctx Distance.Measure.Edit qs.(i) qs.(j))
+      pair "token" (Distance.Features.token t i j) (Reference.token qs.(i) qs.(j));
+      pair "edit" (Distance.Features.edit t i j) (Reference.edit qs.(i) qs.(j))
     done
   done
 
@@ -523,8 +534,7 @@ let test_features_float_repeats () =
   let ctx = Distance.Measure.default_ctx in
   let m = Distance.Measure.matrix ctx Distance.Measure.Access [ a; b; a ] in
   Alcotest.(check int) "two records" 2 (Obs.Metric.value builds - b0);
-  Alcotest.(check (float 0.0)) "access (a, b) = compute"
-    (Distance.Measure.compute ctx Distance.Measure.Access a b)
+  Alcotest.(check (float 0.0)) "access (a, b) = reference" (Reference.access a b)
     (Mining.Dist_matrix.get m 0 1);
   Alcotest.(check bool) "and it is not 0" true (Mining.Dist_matrix.get m 0 1 > 0.0)
 

@@ -234,8 +234,87 @@ let test_roundtrip () =
         (Minidb.Database.tables db))
     cases
 
+(* ---- distances ---- *)
+
+(* every cell [i < j] of a matrix, as exact hex floats *)
+let matrix_digest dm =
+  let n = Mining.Dist_matrix.size dm in
+  digest
+    (List.concat_map
+       (fun i ->
+         List.init (n - i - 1) (fun k ->
+             Printf.sprintf "%h" (Mining.Dist_matrix.get dm i (i + k + 1))))
+       (List.init n Fun.id))
+
+(* the session fixture of test_integration: structure-measure DTW over
+   12 sessions, plaintext and encrypted *)
+let session_digests () =
+  let sessions =
+    Workload.Gen_query.skyserver_sessions
+      { Workload.Gen_query.n = 12; templates = 3; seed = "sess";
+        caps = Workload.Gen_query.caps_full }
+      ~length:5
+  in
+  let plain = List.map snd sessions in
+  let scheme =
+    Dpe.Selector.select M.Structure (Dpe.Log_profile.of_log (List.concat plain))
+  in
+  let enc = Dpe.Encryptor.create (Crypto.Keyring.create ~master:"integration") scheme in
+  let cipher = List.map (List.map (Dpe.Encryptor.encrypt_query enc)) plain in
+  (matrix_digest (M.session_matrix plain), matrix_digest (M.session_matrix cipher))
+
+(* the 300-query log the index golden rows are taken on (test_index) *)
+let golden_log m =
+  Workload.Gen_query.skyserver_log
+    { Workload.Gen_query.n = 300; templates = 6; seed = "fp";
+      caps = Workload.Gen_query.caps_for_measure m }
+
+(* [Measure.matrix] over the log, whose every cell is [Measure.compute]
+   of its pair; [compute] itself is checked on every 97th pair *)
+let matrix_digest_checked m =
+  let log = golden_log m in
+  let qs = Array.of_list log and dm = M.matrix M.default_ctx m log in
+  let n = Array.length qs in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if ((i * n) + j) mod 97 = 0 then begin
+        let c = M.compute M.default_ctx m qs.(i) qs.(j) in
+        if Int64.bits_of_float c <> Int64.bits_of_float (Mining.Dist_matrix.get dm i j)
+        then Alcotest.failf "%s: compute differs from the matrix at (%d, %d)"
+            (M.to_string m) i j
+      end
+    done
+  done;
+  matrix_digest dm
+
+(* recorded from the per-pair definitions, before the measures moved
+   onto the feature table *)
+let expected_sessions =
+  ("865ff6f089eff7aed935f5d4f5fb0b8194d4e0c6cb6085d8959ae671dc8e3f15",
+   "865ff6f089eff7aed935f5d4f5fb0b8194d4e0c6cb6085d8959ae671dc8e3f15")
+
+let expected_pairs =
+  [ (M.Token, "7a3e178cfdf88d060f5b8b370900e1464dd3ed0df543eb4e9be5c63c81c0f6b5");
+    (M.Structure, "914d7d89108a31afcb23b76400a834ee204b954269ae966bee6218c2083a83cb");
+    (M.Access, "13c2d946d8fb86141cef64226b875ce42f683db5a03287b43d47c781e7e6707d");
+    (M.Edit, "db77de229ab862c2f5339ffdb91843d1339257277d4a9556c534af9d74c004b4");
+    (M.Clause, "98bcf3da916071c5506de150e4de4c37459f4ab595bc4f1ea7bd4a673f7be826") ]
+
+let test_session_digests () =
+  let plain, cipher = session_digests () in
+  Alcotest.(check (pair string string)) "session DTW matrices" expected_sessions
+    (plain, cipher)
+
+let test_pair_digests () =
+  Alcotest.(check (list (pair string string))) "every pair"
+    (List.map (fun (m, d) -> (M.to_string m, d)) expected_pairs)
+    (List.map (fun (m, _) -> (M.to_string m, matrix_digest_checked m)) expected_pairs)
+
 let () =
   Alcotest.run "golden"
     [ ("ciphertexts",
        [ Alcotest.test_case "digests pinned" `Quick test_digests;
-         Alcotest.test_case "decrypt round-trip" `Quick test_roundtrip ]) ]
+         Alcotest.test_case "decrypt round-trip" `Quick test_roundtrip ]);
+      ("distances",
+       [ Alcotest.test_case "session DTW pinned" `Quick test_session_digests;
+         Alcotest.test_case "pair distances pinned" `Quick test_pair_digests ]) ]

@@ -157,13 +157,7 @@ let test_session_mining () =
   let scheme = Dpe.Selector.select M.Structure (Dpe.Log_profile.of_log flat) in
   let enc = Dpe.Encryptor.create keyring scheme in
   let cipher = List.map (List.map (Dpe.Encryptor.encrypt_query enc)) plain in
-  let session_matrix logs =
-    let arr = Array.of_list (List.map Array.of_list logs) in
-    let cost a b = Distance.D_structure.distance a b in
-    Mining.Dist_matrix.of_fun (Array.length arr) (fun i j ->
-        Mining.Dtw.normalized ~cost arr.(i) arr.(j))
-  in
-  let dp = session_matrix plain and dc = session_matrix cipher in
+  let dp = M.session_matrix plain and dc = M.session_matrix cipher in
   check_bool "session distances identical" true
     (Mining.Dist_matrix.max_abs_diff dp dc = 0.0);
   let lp = Mining.Hier.cut_k 3 dp and lc = Mining.Hier.cut_k 3 dc in

@@ -324,13 +324,11 @@ let test_golden (measure, algo, digest) () =
    no-grouping reference ---- *)
 
 (* What the engines computed before queries were grouped into measure
-   classes: every pair evaluated on its own by [Measure.compute], and
-   index DBSCAN over all n points, one range query per point. *)
+   classes: every pair evaluated on its own by the per-pair definitions
+   of [Reference], and index DBSCAN over all n points, one range query
+   per point. *)
 module Ref_fill = struct
-  let matrix measure log =
-    let qs = Array.of_list log in
-    Mining.Dist_matrix.of_fun (Array.length qs) (fun i j ->
-        M.compute M.default_ctx measure qs.(i) qs.(j))
+  let matrix measure log = Reference.matrix M.default_ctx measure log
 
   let dbscan_matrix ~eps dm = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm
 

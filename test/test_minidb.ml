@@ -239,6 +239,25 @@ let test_static_checks () =
   expect_exec "SELECT AVG(city) FROM users";
   expect_exec "SELECT id FROM users GROUP BY city";  (* non-grouped *)
   expect_exec "SELECT id FROM users HAVING MIN(age) > 'x'";
+  (* the grouping and relation errors, each on a query whose WHERE
+     matches no row *)
+  let expect_error s e =
+    match run s with
+    | exception Executor.Exec_error e' when e' = e -> ()
+    | exception Executor.Exec_error e' ->
+      Alcotest.failf "%s: %s" s (Executor.error_to_string e')
+    | _ -> Alcotest.failf "expected %s for %s" (Executor.error_to_string e) s
+  in
+  expect_error "SELECT * FROM users WHERE id = -1 GROUP BY city"
+    (Executor.Unsupported "SELECT * with grouping");
+  expect_error "SELECT name, COUNT(*) FROM users WHERE id = -1"
+    (Executor.Unsupported "non-grouped attribute name in aggregate query");
+  expect_error "SELECT id FROM users WHERE id = -1 GROUP BY city"
+    (Executor.Unsupported "non-grouped attribute id in aggregate query");
+  expect_error "SELECT id FROM missing WHERE id = -1"
+    (Executor.Unknown_relation "missing");
+  expect_error "SELECT id FROM users JOIN missing ON users.id = missing.uid WHERE id = -1"
+    (Executor.Unknown_relation "missing");
   (* well-typed queries with empty results still succeed *)
   check_int "empty ok" 0
     (List.length (tuples "SELECT id FROM users WHERE city = 'nowhere' AND age > 3"))

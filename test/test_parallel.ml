@@ -217,8 +217,7 @@ let test_measure_matrix_matches_seq () =
   List.iter
     (fun m ->
       let reference =
-        naive_matrix (Array.length qs) (fun i j ->
-            Distance.Measure.compute ctx m qs.(i) qs.(j))
+        naive_matrix (Array.length qs) (fun i j -> Reference.compute ctx m qs.(i) qs.(j))
       in
       with_pool ~domains:3 (fun p ->
           check_same_matrix
@@ -226,7 +225,8 @@ let test_measure_matrix_matches_seq () =
             reference
             (Distance.Measure.matrix ~pool:p ctx m log)))
     [ Distance.Measure.Token; Distance.Measure.Edit;
-      Distance.Measure.Structure; Distance.Measure.Access ]
+      Distance.Measure.Structure; Distance.Measure.Access;
+      Distance.Measure.Clause ]
 
 (* ---- dist-matrix satellites: validate / max_abs_diff ---- *)
 

@@ -117,18 +117,28 @@ let test_parse_request_garbage () =
    | Ok _ -> Alcotest.fail "garbage parsed");
   (* the parse runs on the reader thread before admission, so no deadline
      covers it: a deeply nested frame must fail at the JSON depth bound,
-     not after millions of recursive calls *)
-  let t0 = Unix.gettimeofday () in
+     having read at most [max_depth + 1] of its 4M brackets *)
   (match Proto.parse_request (String.make (4 * 1024 * 1024) '[') with
-   | Error (None, e) -> check_bool "nested frame typed Protocol" true (is_protocol e)
+   | Error (None, Fault.Error.Protocol { reason }) -> (
+     match
+       Scanf.sscanf_opt reason "unparseable request: nesting deeper than %d at offset %d%!"
+         (fun depth offset -> (depth, offset))
+     with
+     | Some (depth, offset) ->
+       check_int "nested frame: the JSON depth bound" J.max_depth depth;
+       check_bool
+         (Printf.sprintf "nested frame: rejected at offset %d <= %d" offset
+            (J.max_depth + 1))
+         true
+         (offset <= J.max_depth + 1)
+     | None -> Alcotest.failf "nested frame: not the depth-bound error: %s" reason)
+   | Error (None, _) -> Alcotest.fail "nested frame: not a Protocol error"
    | Error (Some _, _) -> Alcotest.fail "id invented for a nested frame"
    | Ok _ -> Alcotest.fail "4 MB of '[' parsed");
-  let dt = Unix.gettimeofday () -. t0 in
-  check_bool (Printf.sprintf "nested frame rejected in %.3f s (< 1 s)" dt) true
-    (dt < 1.0);
   (* hostile SQL inside a well-formed frame: an integer literal that
      overflows [int] and a million nested parentheses are typed protocol
-     errors (the SQL parser is total and depth-bounded), answered fast *)
+     errors (the SQL parser is total and depth-bounded); the nesting
+     fails at the parser's depth bound *)
   let ctx =
     { Server.Dispatch.tenants = Server.Tenant.create ~master:"garbage";
       queue_depth = (fun () -> 0);
@@ -136,23 +146,29 @@ let test_parse_request_garbage () =
       draining = (fun () -> false) }
   in
   List.iter
-    (fun (what, sql) ->
+    (fun (what, sql, error) ->
       let req =
         { Proto.id = 5; op = Proto.Encrypt; tenant = "t"; measure = Distance.Measure.Token;
           algo = "clink"; k = 2; eps = 0.45; deadline_ms = None; retries = 1;
           engine = None; queries = [ "SELECT a FROM t"; sql ] }
       in
-      let t0 = Unix.gettimeofday () in
       let resp = Server.Dispatch.handle ctx req in
-      let dt = Unix.gettimeofday () -. t0 in
       check_str (what ^ " -> error") "error" (Proto.response_status resp);
       check_bool (what ^ ": kind protocol") true
         (Option.bind (J.member "error_kind" resp) J.to_str = Some "protocol");
-      check_bool (Printf.sprintf "%s answered in %.3f s (< 1 s)" what dt) true (dt < 1.0))
-    [ ("overflowing literal", "SELECT a FROM t WHERE a = 99999999999999999999999");
+      Option.iter
+        (fun error ->
+          check_str (what ^ ": error") error
+            (Option.value ~default:"" (Option.bind (J.member "error" resp) J.to_str)))
+        error)
+    [ ("overflowing literal", "SELECT a FROM t WHERE a = 99999999999999999999999", None);
       ("1M-deep nesting",
        "SELECT a FROM t WHERE " ^ String.make 1_000_000 '(' ^ "a = 1"
-       ^ String.make 1_000_000 ')') ];
+       ^ String.make 1_000_000 ')',
+       Some
+         (Printf.sprintf
+            "protocol error: queries[1]: parse error: predicate nesting deeper than %d"
+            Sqlir.Parser.max_depth)) ];
   (* id recoverable even when the rest of the request is malformed *)
   (match Proto.parse_request {|{"id":3,"op":"noop"}|} with
    | Error (Some 3, e) -> check_bool "typed Protocol" true (is_protocol e)

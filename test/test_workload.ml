@@ -138,7 +138,10 @@ let test_cluster_structure () =
       List.iteri
         (fun j (lj, qj) ->
           if i < j then begin
-            let d = Distance.D_structure.distance qi qj in
+            let d =
+              Distance.Measure.compute Distance.Measure.default_ctx
+                Distance.Measure.Structure qi qj
+            in
             if li = lj then intra := d :: !intra else inter := d :: !inter
           end)
         labelled)
