@@ -263,6 +263,50 @@ let test_clause_distance () =
     (Distance.D_clause.selection_set q1 = [ "b =" ]);
   check_bool "group set" true (Distance.D_clause.group_by_set q1 = [ "a" ])
 
+(* The float order of the clause combination: projection plus group-by,
+   then selection, over the weight sum.  Swapping the two operands of one
+   addition gives the same bits, so each of the 12 ways to add the three
+   weighted terms matches the literal exactly when it adds projection and
+   group-by first; on these component distances every other way gives
+   other bits.  The query pair has those components, so the measure is
+   pinned through the feature table too. *)
+let test_clause_float_order () =
+  let bits = Int64.bits_of_float in
+  let projection = 1.0 -. (2.0 /. 3.0)
+  and group_by = 1.0 -. (2.0 /. 3.0)
+  and selection = 1.0 -. (1.0 /. 3.0) in
+  let literal =
+    ((0.35 *. projection) +. (0.50 *. group_by) +. (0.15 *. selection))
+    /. (0.35 +. 0.50 +. 0.15)
+  in
+  let terms =
+    [ ("p", 0.35 *. projection); ("g", 0.50 *. group_by); ("s", 0.15 *. selection) ]
+  in
+  let matches sum = bits (sum /. (0.35 +. 0.50 +. 0.15)) = bits literal in
+  List.iter
+    (fun (n1, t1) ->
+      List.iter
+        (fun (n2, t2) ->
+          List.iter
+            (fun (n3, t3) ->
+              if n1 <> n2 && n2 <> n3 && n1 <> n3 then begin
+                check_bool
+                  (Printf.sprintf "(%s + %s) + %s matches" n1 n2 n3)
+                  (n3 = "s") (matches ((t1 +. t2) +. t3));
+                check_bool
+                  (Printf.sprintf "%s + (%s + %s) matches" n1 n2 n3)
+                  (n1 = "s") (matches (t1 +. (t2 +. t3)))
+              end)
+            terms)
+        terms)
+    terms;
+  check_bool "combine" true
+    (bits (Distance.D_clause.combine ~projection ~group_by ~selection) = bits literal);
+  let q1 = parse "SELECT a, b FROM r WHERE x = 1 AND y = 2 GROUP BY a, b" in
+  let q2 = parse "SELECT a, b, c FROM r WHERE x = 1 AND z = 2 GROUP BY a, b, c" in
+  check_bool "Measure.compute" true
+    (bits (M.compute M.default_ctx M.Clause q1 q2) = bits literal)
+
 (* ---- access areas ---- *)
 
 let area q name = List.assoc name (AA.of_query (parse q))
@@ -580,7 +624,9 @@ let () =
       ("edit",
        Alcotest.test_case "edit distance" `Quick test_edit_distance
        :: List.map (fun t -> QCheck_alcotest.to_alcotest t) edit_properties);
-      ("clause", [ Alcotest.test_case "aligon distance" `Quick test_clause_distance ]);
+      ("clause",
+       [ Alcotest.test_case "aligon distance" `Quick test_clause_distance;
+         Alcotest.test_case "combine float order" `Quick test_clause_float_order ]);
       ("access",
        [ Alcotest.test_case "areas" `Quick test_access_areas;
          Alcotest.test_case "delta" `Quick test_delta;

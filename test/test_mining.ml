@@ -100,7 +100,18 @@ let test_hier () =
     Mining.Dist_matrix.of_fun 4 (fun i j -> Float.abs (float_of_int (i - j)))
   in
   let last = List.nth (Mining.Hier.dendrogram chain) 2 in
-  check_float "complete link last merge" 3.0 last.Mining.Hier.height
+  check_float "complete link last merge" 3.0 last.Mining.Hier.height;
+  (* a NaN distance never merges: 0-2 merge first, then the fold makes
+     the distance to 1 NaN and nothing is left to merge *)
+  let nan_01 =
+    Mining.Dist_matrix.of_fun 3 (fun i j -> if i = 0 && j = 1 then nan else 1.0)
+  in
+  Alcotest.(check (array int)) "NaN pair skipped" [| 0; 1; 0 |]
+    (Mining.Hier.cut_k 2 nan_01);
+  check_bool "only NaN left raises Invariant" true
+    (match Mining.Hier.dendrogram nan_01 with
+     | _ -> false
+     | exception Fault.Error.E (Fault.Error.Invariant _) -> true)
 
 let test_outlier () =
   let flags = Mining.Outlier.run { Mining.Outlier.p = 0.9; d = 5.0 } blobs in
@@ -479,36 +490,95 @@ let merge_bits l =
       (left, right, Int64.bits_of_float height))
     l
 
-let hier_reference =
-  [ QCheck.Test.make ~name:"hier = list reference, input unchanged" ~count:40
-      arb_hier_case
-      (fun (_, m, k) ->
-        let before = Mining.Dist_matrix.prefix m (Mining.Dist_matrix.size m) in
-        merge_bits (Mining.Hier.dendrogram m) = merge_bits (Ref_hier.dendrogram m)
-        && Mining.Hier.cut_k k m = Ref_hier.cut_k k m
-        && Mining.Dist_matrix.max_abs_diff m before = 0.0) ]
-
-(* [cluster_dists] counts the pairs each merge scans: r(r-1)/2 with r
-   clusters alive, for r = n down to k + 1 *)
-let test_hier_counters () =
-  let n = 30 and k = 4 in
-  let m =
-    Mining.Dist_matrix.of_fun n (fun i j -> float_of_int (((i * 7) + (j * 13)) mod 5))
-  in
+(* the merges and the [hier.cluster_dists] reads of [f ()] *)
+let hier_counted f =
   let merges = Obs.Registry.counter "kitdpe.mining.hier.merges" in
   let dists = Obs.Registry.counter "kitdpe.mining.hier.cluster_dists" in
   let was = Obs.is_enabled () in
   Obs.set_enabled true;
   let m0 = Obs.Metric.value merges and d0 = Obs.Metric.value dists in
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
-      ignore (Mining.Hier.cut_k k m));
-  let expected = ref 0 in
+  let x = Fun.protect ~finally:(fun () -> Obs.set_enabled was) f in
+  (x, Obs.Metric.value merges - m0, Obs.Metric.value dists - d0)
+
+(* the reads of the all-pairs scan that the neighbour cache replaced:
+   r(r-1)/2 per merge, r = n down to k + 1 clusters alive *)
+let scan_reads n k =
+  let s = ref 0 in
   for r = k + 1 to n do
-    expected := !expected + (r * (r - 1) / 2)
+    s := !s + (r * (r - 1) / 2)
   done;
-  check_int "merges = n - k" (n - k) (Obs.Metric.value merges - m0);
-  check_int "cluster_dists = sum of r(r-1)/2" !expected
-    (Obs.Metric.value dists - d0)
+  !s
+
+(* The dendrogram's reads never exceed the scan's: after a merge from r
+   clusters, each row but the merged one reads its one candidate (the
+   merged cluster, which has the largest id) or every cluster of larger
+   id, so each pair of the r - 1 left at most once, (r-1)(r-2)/2 in all;
+   with the initial n(n-1)/2 that sums to the scan's reads down to
+   k = 1. *)
+let hier_reference =
+  [ QCheck.Test.make ~name:"hier = list reference, input unchanged" ~count:40
+      arb_hier_case
+      (fun (_, m, k) ->
+        let n = Mining.Dist_matrix.size m in
+        let before = Mining.Dist_matrix.prefix m n in
+        let dendrogram, _, reads = hier_counted (fun () -> Mining.Hier.dendrogram m) in
+        merge_bits dendrogram = merge_bits (Ref_hier.dendrogram m)
+        && reads <= scan_reads n 1
+        && Mining.Hier.cut_k k m = Ref_hier.cut_k k m
+        && Mining.Dist_matrix.max_abs_diff m before = 0.0) ]
+
+(* [cluster_dists] counts the reads that find neighbours: the initial
+   row scans, n(n-1)/2, then per merge the rescan of each row whose
+   neighbour was merged away and one candidate read for every other row
+   but the merged one *)
+let test_hier_counters () =
+  let n = 30 and k = 4 in
+  let cut value =
+    hier_counted (fun () -> ignore (Mining.Hier.cut_k k (Mining.Dist_matrix.of_fun n value)))
+  in
+  (* All distances equal: every row's neighbour is the next larger id
+     and each merge joins the two smallest ids, so no other row pointed
+     at them and none is rescanned.  The merge from r clusters makes
+     r - 2 candidate reads:
+     n(n-1)/2 + sum_{r=k+1..n} (r-2) = n(n-1)/2 + (n-1)(n-2)/2 - (k-1)(k-2)/2
+     = 435 + 406 - 3 = 838. *)
+  let closed = (n * (n - 1) / 2) + ((n - 1) * (n - 2) / 2) - ((k - 1) * (k - 2) / 2) in
+  check_int "closed form" 838 closed;
+  let (), merges, reads = cut (fun _ _ -> 1.0) in
+  check_int "equal: merges = n - k" (n - k) merges;
+  check_int "equal: cluster_dists" closed reads;
+  let (), merges, reads = cut (fun i j -> float_of_int (((i * 7) + (j * 13)) mod 5)) in
+  check_int "mod 5: merges = n - k" (n - k) merges;
+  check_int "mod 5: cluster_dists" 838 reads
+
+(* two larger dendrograms from a fixed Drbg seed, against the scan's
+   r(r-1)/2 per merge.  At n = 300 a 2% gate would leave no room: the
+   initial scan and one candidate read per row and merge alone are
+   n(n-1)/2 + (n-1)(n-2)/2 = 89,401 reads, 1.99% of the scan's
+   4,499,950, and ties make rows rescan, so that gate is 3%. *)
+let test_hier_cache_gates () =
+  let drbg = Crypto.Drbg.create ~seed:"kitdpe.test.hier" in
+  let gate name ~n ~pct value =
+    let m = Mining.Dist_matrix.of_fun n value in
+    let _, merges, reads = hier_counted (fun () -> Mining.Hier.dendrogram m) in
+    check_int (name ^ ": merges") (n - 1) merges;
+    check_bool
+      (Printf.sprintf "%s: %d reads < %d%% of the scan's %d" name reads pct
+         (scan_reads n 1))
+      true
+      (reads * 100 < pct * scan_reads n 1)
+  in
+  (* one byte per (i, j), two bits of it: most pairs tie *)
+  let n = 300 in
+  let bytes = Crypto.Drbg.generate drbg (n * n) in
+  gate "n=300 {0..3}" ~n ~pct:3 (fun i j ->
+      float_of_int (Char.code bytes.[(i * n) + j] land 3));
+  (* four bytes per pair i < j, uniform in [0, 1) *)
+  let n = 1024 in
+  let bytes = Crypto.Drbg.generate drbg (2 * n * (n - 1)) in
+  let cell i j = (i * ((2 * n) - i - 1) / 2) + (j - i - 1) in
+  gate "n=1024 uniform" ~n ~pct:2 (fun i j ->
+      (Int32.to_float (String.get_int32_le bytes (4 * cell i j)) /. 4294967296.0) +. 0.5)
 
 (* complete link checks the request deadline once per merge: inside an
    already-expired deadline it stops with the typed error instead of
@@ -535,7 +605,8 @@ let () =
       ("hierarchical",
        [ Alcotest.test_case "complete link" `Quick test_hier;
          Alcotest.test_case "deadline per merge" `Quick test_hier_deadline;
-         Alcotest.test_case "scan counters" `Quick test_hier_counters ]);
+         Alcotest.test_case "scan counters" `Quick test_hier_counters;
+         Alcotest.test_case "cache read gates" `Quick test_hier_cache_gates ]);
       ("outliers", [ Alcotest.test_case "knorr-ng" `Quick test_outlier ]);
       ("labeling", [ Alcotest.test_case "partition comparison" `Quick test_labeling ]);
       ("apriori", [ Alcotest.test_case "association rules" `Quick test_apriori ]);
