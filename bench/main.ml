@@ -1,14 +1,15 @@
 (* Experiment harness: regenerates every display item of the paper plus the
-   formal claims as measurable artifacts, and runs the Bechamel performance
-   micro-benchmarks.
+   formal claims as measurable artifacts, and runs the performance rows.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig1    -- only Fig. 1
-     ... fig1 | table1 | preserve | mining | security | perf
-     dune exec bench/main.exe -- perf --json            -- write BENCH_PR7.json
+     ... fig1 | table1 | preserve | mining | security | perf | ...
+     dune exec bench/main.exe -- perf --json            -- write BENCH_PR31.json
      dune exec bench/main.exe -- perf --json=perf.json  -- explicit output path
-     ... perf --json --compare BENCH_PR6.json  -- diff vs an old snapshot
-                                                  (exit 3 on >20% regression)
+     ... perf --json --compare BENCH_PR31.json  -- diff vs an old snapshot
+                        (exit 4 if a count rose, 3 if a timed row got slower)
+
+   An unknown experiment name exits 2.
 
    See DESIGN.md section 3 for the experiment index and EXPERIMENTS.md for
    recorded paper-vs-measured outcomes. *)
@@ -310,152 +311,149 @@ let security () =
   Format.printf "@.C3 overall: %s@." (if !all_ok then "PASS" else "FAIL")
 
 (* ---------------------------------------------------------------- *)
-(* P1: performance micro-benchmarks (Bechamel)                        *)
+(* P1-P3: performance rows                                           *)
 (* ---------------------------------------------------------------- *)
 
-let run_bechamel tests =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  (* merged : measure-label -> (test-name -> OLS.t) *)
-  Hashtbl.iter
-    (fun _measure tbl ->
-      let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) tbl [] in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-            let pretty =
-              if est > 1e6 then Printf.sprintf "%8.3f ms" (est /. 1e6)
-              else if est > 1e3 then Printf.sprintf "%8.3f us" (est /. 1e3)
-              else Printf.sprintf "%8.1f ns" est
-            in
-            Format.printf "  %-42s %s/op@." name pretty
-          | _ -> Format.printf "  %-42s (no estimate)@." name)
-        (List.sort compare rows))
-    merged
+(* The one sampler behind every timed row.  Each path gets one warm-up,
+   which also works out how many back-to-back runs make a sample last at
+   least [min_sample_ns].  Then every registered path is sampled once
+   per round, for [samples] rounds, each sample on a freshly compacted
+   heap: a row's baseline and optimized samples alternate, and a slow
+   phase of the host lands on one sample of many rows rather than on
+   every sample of one.  A path reports the median and the interquartile
+   range of its samples, per operation. *)
+let samples = 5
+let min_sample_ns = 1e7
 
-let perf () =
-  section "P1: performance micro-benchmarks";
-  let open Bechamel in
+(* [setup reps] runs untimed before every sample of [reps] runs, for a
+   path whose runs use up state *)
+type path = { setup : int -> unit; run : unit -> unit }
+
+let path ?(setup = ignore) f =
+  { setup; run = (fun () -> ignore (Sys.opaque_identity (f ()))) }
+
+let batch_ns p reps =
+  p.setup reps;
+  Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do p.run () done;
+  (Unix.gettimeofday () -. t0) *. 1e9
+
+(* the warm-up doubles the batch until it reads at least 1 ms, then
+   scales it to [min_sample_ns] *)
+let warm_up p =
+  let rec go reps =
+    let ns = batch_ns p reps in
+    if ns >= min_sample_ns then reps
+    else if ns >= 1e6 then
+      int_of_float (Float.ceil (min_sample_ns *. float_of_int reps /. ns))
+    else go (2 * reps)
+  in
+  go 1
+
+(* [per] operations make one run of the path *)
+type timing = { p : path; reps : int; per : int; xs : float array }
+
+let timing ?(per = 1) p =
+  { p; reps = warm_up p; per; xs = Array.make samples Float.nan }
+
+let sample_rounds timings =
+  for i = 0 to samples - 1 do
+    List.iter
+      (fun t -> t.xs.(i) <- batch_ns t.p t.reps /. float_of_int (t.reps * t.per))
+      timings
+  done
+
+let spread t = Perf_compare.summarize t.xs
+
+(* Rows are registered (and warmed up) by the sections, then sampled
+   together. *)
+type pending = {
+  op : string;
+  n : int;
+  domains : int;
+  cur : timing;
+  base : (timing * bool) option;
+}
+
+let pending = ref []
+
+(* [base] is the baseline path and whether it computed the same answer
+   as [cur]. *)
+let row ~op ~n ?(domains = 1) ?per ?base cur =
+  let base = Option.map (fun (b, identical) -> (timing ?per b, identical)) base in
+  pending := { op; n; domains; cur = timing ?per cur; base } :: !pending
+
+let sample_rows () =
+  let rows = List.rev !pending in
+  pending := [];
+  sample_rounds
+    (List.concat_map
+       (fun r -> Option.fold ~none:[] ~some:(fun (b, _) -> [ b ]) r.base @ [ r.cur ])
+       rows);
+  List.map
+    (fun r ->
+      { Perf_compare.op = r.op; n = r.n; domains = r.domains; cur = spread r.cur;
+        base = Option.map (fun (b, identical) -> (spread b, identical)) r.base })
+    rows
+
+(* P1: the cost of each PPE class's primitive, and what encryption adds
+   to one distance and to the whole pipeline: the plaintext input is the
+   baseline, and [identical] checks that the ciphertext input gives the
+   same distances (Definition 1). *)
+let perf_primitives () =
   let rng = Crypto.Drbg.create ~seed:"perf" in
   let det = Crypto.Keyring.det keyring "perf-det" in
   let prob = Crypto.Keyring.prob keyring "perf-prob" in
   let ope = Crypto.Keyring.ope keyring "perf-ope" in
   let pub, _ = Crypto.Paillier.keygen ~bits:512 (Crypto.Drbg.create ~seed:"perf-p") in
   let msg = "a sixteen-byte-ish message for the scheme benchmarks" in
+  let len = String.length msg in
   let aes_key = Crypto.Aes128.expand (String.make 16 'k') in
   let block = String.make 16 'b' in
   let counter = ref 0 in
-  let primitive_tests =
-    Test.make_grouped ~name:"ppe-classes"
-      [ Test.make ~name:"sha256 (64B)" (Staged.stage (fun () ->
-            ignore (Crypto.Sha256.digest msg)));
-        Test.make ~name:"aes128 block" (Staged.stage (fun () ->
-            ignore (Crypto.Aes128.encrypt_block aes_key block)));
-        Test.make ~name:"DET encrypt" (Staged.stage (fun () ->
-            ignore (Crypto.Det.encrypt det msg)));
-        Test.make ~name:"PROB encrypt" (Staged.stage (fun () ->
-            ignore (Crypto.Prob.encrypt prob rng msg)));
-        Test.make ~name:"OPE encrypt (32-bit domain)" (Staged.stage (fun () ->
-            incr counter;
-            ignore (Crypto.Ope.encrypt ope (!counter land 0xFFFFFF))));
-        Test.make ~name:"HOM (Paillier-512) encrypt" (Staged.stage (fun () ->
-            ignore (Crypto.Paillier.encrypt_int pub rng 12345))) ]
-  in
-  Format.printf "PPE primitive cost:@.";
-  run_bechamel primitive_tests;
+  row ~op:"ppe/sha256" ~n:len (path (fun () -> Crypto.Sha256.digest msg));
+  row ~op:"ppe/aes128_block" ~n:16
+    (path (fun () -> Crypto.Aes128.encrypt_block aes_key block));
+  row ~op:"ppe/det_encrypt" ~n:len (path (fun () -> Crypto.Det.encrypt det msg));
+  row ~op:"ppe/prob_encrypt" ~n:len
+    (path (fun () -> Crypto.Prob.encrypt prob rng msg));
+  (* a fresh plaintext per run, so the OPE memo never hits *)
+  row ~op:"ppe/ope_encrypt" ~n:32
+    (path (fun () ->
+         incr counter;
+         Crypto.Ope.encrypt ope (!counter land 0xFFFFFF)));
+  row ~op:"ppe/hom_encrypt" ~n:512
+    (path (fun () -> Crypto.Paillier.encrypt_int pub rng 12345));
 
-  (* Montgomery modular exponentiation (what Paillier uses); the division-
-     based comparison lives in P2's modexp-stack rows *)
-  let module N = Bignum.Bignat in
-  let nrng = Crypto.Drbg.create ~seed:"mont" in
-  let modulus =
-    N.add (N.shift_left (N.random_bits (Crypto.Drbg.bytes_fn nrng) 1023) 1) N.one
-  in
-  let base_v = N.random_below (Crypto.Drbg.bytes_fn nrng) modulus in
-  let expo = N.random_bits (Crypto.Drbg.bytes_fn nrng) 1024 in
-  let ctx = Option.get (N.mont_create modulus) in
-  Format.printf "@.modular exponentiation, 1024-bit modulus:@.";
-  run_bechamel
-    (Test.make_grouped ~name:"modexp"
-       [ Test.make ~name:"mont_pow (Montgomery)"
-           (Staged.stage (fun () -> ignore (N.mont_pow ctx base_v expo))) ]);
-
-  (* per-measure distance computation, plaintext vs ciphertext *)
-  let mlog m =
+  let mlog m n =
     Workload.Gen_query.skyserver_log
-      { Workload.Gen_query.n = 20; templates = 3; seed = "perf";
+      { Workload.Gen_query.n; templates = 3; seed = "perf";
         caps = Workload.Gen_query.caps_for_measure m }
   in
-  let distance_tests =
-    List.concat_map
-      (fun m ->
-        let log = mlog m in
-        let scheme = Dpe.Selector.select m (Dpe.Log_profile.of_log log) in
-        let enc = Dpe.Encryptor.create keyring scheme in
-        let elog = Dpe.Encryptor.encrypt_log enc log in
-        let ctx_p, ctx_c =
-          if m = M.Result then begin
-            let db = Workload.Gen_db.skyserver ~seed:"perf" ~rows:60 in
-            (M.ctx_with_db db,
-             M.ctx_with_db (Dpe.Db_encryptor.encrypt_database enc db))
-          end
-          else (M.default_ctx, M.default_ctx)
-        in
-        let q1 = List.nth log 0 and q2 = List.nth log 1 in
-        let e1 = List.nth elog 0 and e2 = List.nth elog 1 in
-        [ Test.make ~name:(M.to_string m ^ " distance, plaintext")
-            (Staged.stage (fun () -> ignore (M.compute ctx_p m q1 q2)));
-          Test.make ~name:(M.to_string m ^ " distance, ciphertext")
-            (Staged.stage (fun () -> ignore (M.compute ctx_c m e1 e2))) ])
-      M.all
-  in
-  Format.printf "@.per-pair distance computation:@.";
-  run_bechamel (Test.make_grouped ~name:"distance" distance_tests);
+  List.iter
+    (fun m ->
+      let log = mlog m 20 in
+      let scheme = Dpe.Selector.select m (Dpe.Log_profile.of_log log) in
+      let enc = Dpe.Encryptor.create keyring scheme in
+      let elog = Dpe.Encryptor.encrypt_log enc log in
+      let ctx_p, ctx_c =
+        if m = M.Result then begin
+          let db = Workload.Gen_db.skyserver ~seed:"perf" ~rows:60 in
+          (M.ctx_with_db db,
+           M.ctx_with_db (Dpe.Db_encryptor.encrypt_database enc db))
+        end
+        else (M.default_ctx, M.default_ctx)
+      in
+      let q1 = List.nth log 0 and q2 = List.nth log 1 in
+      let e1 = List.nth elog 0 and e2 = List.nth elog 1 in
+      let plain () = M.compute ctx_p m q1 q2 and cipher () = M.compute ctx_c m e1 e2 in
+      row ~op:("distance/" ^ M.to_string m) ~n:1
+        ~base:(path plain, plain () = cipher ())
+        (path cipher))
+    M.all;
 
-  (* memoized result-distance matrix vs naive per-pair evaluation *)
-  let rlog = mlog M.Result in
-  let rdb = Workload.Gen_db.skyserver ~seed:"perf" ~rows:60 in
-  let rctx = M.ctx_with_db rdb in
-  Format.printf "@.result-distance matrix over %d queries:@." (List.length rlog);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    (Unix.gettimeofday () -. t0) *. 1e3
-  in
-  let naive () =
-    let qs = Array.of_list rlog in
-    Array.init (Array.length qs) (fun i ->
-        Array.init (Array.length qs) (fun j ->
-            if i = j then 0.0 else M.compute rctx M.Result qs.(i) qs.(j)))
-  in
-  Format.printf "  per-pair evaluation: %7.1f ms@." (time naive);
-  Format.printf "  memoized matrix:     %7.1f ms@."
-    (time (fun () -> M.matrix rctx M.Result rlog));
-
-  (* end-to-end log encryption throughput *)
-  let log40 = mlog M.Structure in
-  let scheme = Dpe.Selector.select M.Structure (Dpe.Log_profile.of_log log40) in
-  let enc = Dpe.Encryptor.create keyring scheme in
-  let e2e =
-    Test.make_grouped ~name:"end-to-end"
-      [ Test.make ~name:"encrypt 20-query log (structure scheme)"
-          (Staged.stage (fun () -> ignore (Dpe.Encryptor.encrypt_log enc log40))) ]
-  in
-  Format.printf "@.end-to-end:@.";
-  run_bechamel e2e;
-
-  (* scaling of the full pipeline, wall-clock *)
-  Format.printf "@.pipeline scaling (log size -> encrypt + distance matrix, structure):@.";
+  let domains = Parallel.Pool.default_domains () in
   List.iter
     (fun n ->
       let log = Workload.Gen_query.skyserver_log
@@ -463,44 +461,19 @@ let perf () =
             caps = Workload.Gen_query.caps_full } in
       let scheme = Dpe.Selector.select M.Structure (Dpe.Log_profile.of_log log) in
       let enc = Dpe.Encryptor.create keyring scheme in
-      let t0 = Unix.gettimeofday () in
-      let elog = Dpe.Encryptor.encrypt_log enc log in
-      let t1 = Unix.gettimeofday () in
-      ignore (M.matrix M.default_ctx M.Structure elog);
-      let t2 = Unix.gettimeofday () in
-      Format.printf "  n=%-4d encrypt %6.1f ms   %d-pair matrix %6.1f ms@." n
-        ((t1 -. t0) *. 1e3) (n * (n - 1) / 2) ((t2 -. t1) *. 1e3))
+      let plain () = M.matrix M.default_ctx M.Structure log in
+      let cipher () =
+        M.matrix M.default_ctx M.Structure (Dpe.Encryptor.encrypt_log enc log)
+      in
+      row ~op:"pipeline/structure" ~n ~domains
+        ~base:(path plain, Mining.Dist_matrix.max_abs_diff (plain ()) (cipher ()) = 0.0)
+        (path cipher))
     [ 25; 50; 100 ]
 
-(* ---------------------------------------------------------------- *)
-(* P2: perf trajectory — emits BENCH_PR<k>.json                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Each entry compares a baseline implementation against the current
+(* P2: each row times a baseline implementation against the current
    optimized path for the same operation.  [identical] asserts the two
    paths computed the same answer (bit-for-bit for distance matrices and
-   deterministic ciphers); probabilistic ciphers are compared
-   sequential-vs-parallel under the per-row DRBG contract instead. *)
-type perf_entry = {
-  op : string;
-  pe_n : int;
-  pe_domains : int;
-  baseline_ns : float;  (* ns per operation, baseline *)
-  optimized_ns : float; (* ns per operation, PR-1 path *)
-  identical : bool;
-}
-
-let pe_speedup e = e.baseline_ns /. e.optimized_ns
-
-let time_best ?(reps = 3) f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
+   deterministic ciphers). *)
 
 (* replica of the seed's sequential encrypt_table (per-value calls into
    the encryptor's shared DRBG, no memo) — the pre-PR baseline *)
@@ -527,20 +500,15 @@ let db_rows db =
     (Minidb.Database.tables db)
 
 let perf_parallel () =
-  section "P2: multicore & feature-cache trajectory";
   let domains = Parallel.Pool.default_domains () in
   let pool = Parallel.Pool.global () in
-  Format.printf
-    "recommended domains %d, pool size %d (override with KITDPE_DOMAINS)@.@."
-    (Domain.recommended_domain_count ()) domains;
-  let entries = ref [] in
-  let push e = entries := e :: !entries in
 
   (* 1. distance matrices: the seed's sequential per-pair loop (every
-     cell re-prints, re-lexes and re-extracts both queries with the
-     per-pair definitions of [Reference], on a 1-lane pool) vs the
-     current [Measure.matrix] path — per-query feature precomputation
-     (Distance.Features), interned-int kernels and pooled row blocks *)
+     cell re-prints, re-lexes and re-extracts both queries, or re-runs
+     both result queries, with the per-pair definitions of [Reference],
+     on a 1-lane pool) vs the current [Measure.matrix] path — per-query
+     feature precomputation (Distance.Features), interned-int kernels
+     and pooled row blocks *)
   let seq_pool = Parallel.Pool.create ~domains:1 () in
   List.iter
     (fun (m, n) ->
@@ -549,43 +517,20 @@ let perf_parallel () =
           { Workload.Gen_query.n; templates = 4; seed = "p2-dm";
             caps = Workload.Gen_query.caps_for_measure m }
       in
-      let qs = Array.of_list log in
-      let d i j = Reference.compute M.default_ctx m qs.(i) qs.(j) in
-      let seq = Mining.Dist_matrix.of_fun ~pool:seq_pool n d in
-      let feat = M.matrix ~pool M.default_ctx m log in
-      let t_seq = time_best (fun () -> Mining.Dist_matrix.of_fun ~pool:seq_pool n d) in
-      let t_feat = time_best (fun () -> M.matrix ~pool M.default_ctx m log) in
-      push
-        { op = "dist_matrix/" ^ M.to_string m;
-          pe_n = n; pe_domains = domains;
-          baseline_ns = t_seq *. 1e9; optimized_ns = t_feat *. 1e9;
-          identical = Mining.Dist_matrix.max_abs_diff seq feat = 0.0 })
-    [ (M.Edit, 200); (M.Edit, 400); (M.Token, 300) ];
-  Parallel.Pool.shutdown seq_pool;
-
-  (* 1b. the feature-table win in isolation: both sides run on the same
-     pool, baseline re-derives per pair ([Reference], the PR-4 path),
-     optimized reads the precomputed table — so any speedup here is
-     amortized tokenization + interned kernels, not parallelism *)
-  List.iter
-    (fun (m, n) ->
-      let log =
-        Workload.Gen_query.skyserver_log
-          { Workload.Gen_query.n; templates = 4; seed = "p2-dm";
-            caps = Workload.Gen_query.caps_for_measure m }
+      let ctx =
+        if m = M.Result then
+          M.ctx_with_db (Workload.Gen_db.skyserver ~seed:"perf" ~rows:60)
+        else M.default_ctx
       in
       let qs = Array.of_list log in
-      let d i j = Reference.compute M.default_ctx m qs.(i) qs.(j) in
-      let per_pair = Mining.Dist_matrix.of_fun ~pool n d in
-      let feat = M.matrix ~pool M.default_ctx m log in
-      let t_pair = time_best (fun () -> Mining.Dist_matrix.of_fun ~pool n d) in
-      let t_feat = time_best (fun () -> M.matrix ~pool M.default_ctx m log) in
-      push
-        { op = "dist_matrix/" ^ M.to_string m ^ "/features";
-          pe_n = n; pe_domains = domains;
-          baseline_ns = t_pair *. 1e9; optimized_ns = t_feat *. 1e9;
-          identical = Mining.Dist_matrix.max_abs_diff per_pair feat = 0.0 })
-    [ (M.Edit, 200); (M.Token, 300) ];
+      let d i j = Reference.compute ctx m qs.(i) qs.(j) in
+      let per_pair () = Mining.Dist_matrix.of_fun ~pool:seq_pool n d in
+      let feat () = M.matrix ~pool ctx m log in
+      row ~op:("dist_matrix/" ^ M.to_string m) ~n ~domains
+        ~base:(path per_pair, Mining.Dist_matrix.max_abs_diff (per_pair ()) (feat ()) = 0.0)
+        (path feat))
+    [ (M.Edit, 200); (M.Edit, 400); (M.Token, 300); (M.Result, 20) ];
+  Parallel.Pool.shutdown seq_pool;
 
   (* 1c. the edit kernel alone: classic one-row DP vs the Myers
      bit-parallel kernel on identical interned-int sequences (lengths
@@ -625,16 +570,10 @@ let perf_parallel () =
   let lev_inputs = Array.init lev_pairs (fun _ -> (rand_seq (), rand_seq ())) in
   let myers (a, b) = Distance.D_edit.myers ~alphabet:lev_alphabet a b in
   let dp (a, b) = levenshtein_ints a b in
-  let dp_dists = Array.map dp lev_inputs in
-  let my_dists = Array.map myers lev_inputs in
-  let t_dp = time_best (fun () -> Array.map dp lev_inputs) in
-  let t_my = time_best (fun () -> Array.map myers lev_inputs) in
-  push
-    { op = "levenshtein/myers";
-      pe_n = lev_pairs; pe_domains = 1;
-      baseline_ns = t_dp *. 1e9 /. float_of_int lev_pairs;
-      optimized_ns = t_my *. 1e9 /. float_of_int lev_pairs;
-      identical = dp_dists = my_dists };
+  row ~op:"levenshtein/myers" ~n:lev_pairs ~per:lev_pairs
+    ~base:(path (fun () -> Array.map dp lev_inputs),
+           Array.map dp lev_inputs = Array.map myers lev_inputs)
+    (path (fun () -> Array.map myers lev_inputs));
 
   (* 2. bulk database encryption: seed's per-value sequential loop vs the
      chunked pooled path with DET/OPE memos and per-row DRBGs *)
@@ -644,21 +583,11 @@ let perf_parallel () =
         caps = Workload.Gen_query.caps_for_measure M.Result }
   in
   let dbscheme = Dpe.Selector.select M.Result (Dpe.Log_profile.of_log dblog) in
-  let rows = 800 in
-  let db = Workload.Gen_db.skyserver ~seed:"p2-db" ~rows in
+  let db = Workload.Gen_db.skyserver ~seed:"p2-db" ~rows:800 in
   let total_rows =
     List.fold_left
       (fun acc t -> acc + Minidb.Table.cardinality t)
       0 (Minidb.Database.tables db)
-  in
-  let t_base =
-    time_best ~reps:2 (fun () ->
-        seed_encrypt_database (Dpe.Encryptor.create keyring dbscheme) db)
-  in
-  let t_par =
-    time_best ~reps:2 (fun () ->
-        Dpe.Db_encryptor.encrypt_database ~pool
-          (Dpe.Encryptor.create keyring dbscheme) db)
   in
   let identical =
     let seq_pool = Parallel.Pool.create ~domains:1 () in
@@ -673,10 +602,13 @@ let perf_parallel () =
     Parallel.Pool.shutdown seq_pool;
     db_rows a = db_rows b
   in
-  push
-    { op = "encrypt_database/skyserver";
-      pe_n = total_rows; pe_domains = domains;
-      baseline_ns = t_base *. 1e9; optimized_ns = t_par *. 1e9; identical };
+  row ~op:"encrypt_database/skyserver" ~n:total_rows ~domains
+    ~base:(path (fun () ->
+               seed_encrypt_database (Dpe.Encryptor.create keyring dbscheme) db),
+           identical)
+    (path (fun () ->
+         Dpe.Db_encryptor.encrypt_database ~pool
+           (Dpe.Encryptor.create keyring dbscheme) db));
 
   (* 3. the modexp stack: the seed's division-based square-and-multiply
      (kept as [Bignat.mod_pow_binary]) vs CIOS Montgomery with a fixed
@@ -693,24 +625,19 @@ let perf_parallel () =
   List.iter
     (fun bits ->
       let m, b, e = modexp_case bits in
-      let t_naive = time_best (fun () -> Bn.mod_pow_binary b e m) in
-      let t_mont = time_best (fun () -> Bn.mod_pow b e m) in
-      push
-        { op = Printf.sprintf "bignum/modexp/%d" bits;
-          pe_n = bits; pe_domains = 1;
-          baseline_ns = t_naive *. 1e9; optimized_ns = t_mont *. 1e9;
-          identical = Bn.equal (Bn.mod_pow_binary b e m) (Bn.mod_pow b e m) })
+      row ~op:(Printf.sprintf "bignum/modexp/%d" bits) ~n:bits
+        ~base:(path (fun () -> Bn.mod_pow_binary b e m),
+               Bn.equal (Bn.mod_pow_binary b e m) (Bn.mod_pow b e m))
+        (path (fun () -> Bn.mod_pow b e m)))
     [ 512; 1024 ];
   List.iter
-    (fun (opname, bits) ->
+    (fun (op, bits) ->
       let m, b, e = modexp_case bits in
       let ctx = Option.get (Bn.mont_create m) in
-      let t_bin = time_best (fun () -> Bn.mont_pow_binary ctx b e) in
-      let t_win = time_best (fun () -> Bn.mont_pow ctx b e) in
-      push
-        { op = opname; pe_n = bits; pe_domains = 1;
-          baseline_ns = t_bin *. 1e9; optimized_ns = t_win *. 1e9;
-          identical = Bn.equal (Bn.mont_pow_binary ctx b e) (Bn.mont_pow ctx b e) })
+      row ~op ~n:bits
+        ~base:(path (fun () -> Bn.mont_pow_binary ctx b e),
+               Bn.equal (Bn.mont_pow_binary ctx b e) (Bn.mont_pow ctx b e))
+        (path (fun () -> Bn.mont_pow ctx b e)))
     [ ("bignum/mont_pow_w4", 512); ("bignum/mont_pow_w5", 1024) ];
 
   (* 4. Paillier end to end at 512-bit keys.  The encrypt baseline
@@ -742,73 +669,48 @@ let perf_parallel () =
   in
   let enc_k = 8 in
   let msgs = Array.init enc_k (fun i -> Bn.of_int (1000 + i)) in
-  let run_enc f = Array.map f msgs in
-  let t_enc_base =
-    time_best (fun () ->
-        let rng = Crypto.Drbg.create ~seed:"p2-enc" in
-        run_enc (naive_encrypt rng))
-  in
-  let t_enc_opt =
-    time_best (fun () ->
-        let rng = Crypto.Drbg.create ~seed:"p2-enc" in
-        run_enc (Crypto.Paillier.encrypt ppub rng))
-  in
-  let enc_identical =
-    let a =
-      let rng = Crypto.Drbg.create ~seed:"p2-enc" in
-      run_enc (naive_encrypt rng)
-    in
-    let b =
-      let rng = Crypto.Drbg.create ~seed:"p2-enc" in
-      run_enc (Crypto.Paillier.encrypt ppub rng)
-    in
-    Array.for_all2 Bn.equal a b
-  in
-  push
-    { op = "paillier/encrypt";
-      pe_n = enc_k; pe_domains = 1;
-      baseline_ns = t_enc_base *. 1e9 /. float_of_int enc_k;
-      optimized_ns = t_enc_opt *. 1e9 /. float_of_int enc_k;
-      identical = enc_identical };
+  let run_enc f = Array.map (f (Crypto.Drbg.create ~seed:"p2-enc")) msgs in
+  row ~op:"paillier/encrypt" ~n:enc_k ~per:enc_k
+    ~base:(path (fun () -> run_enc naive_encrypt),
+           Array.for_all2 Bn.equal (run_enc naive_encrypt)
+             (run_enc (Crypto.Paillier.encrypt ppub)))
+    (path (fun () -> run_enc (Crypto.Paillier.encrypt ppub)));
 
-  (* warm-pool encryption: the pool entry is consumed per call, so fills
-     run untimed inside each rep and only the request path is clocked *)
+  (* warm-pool encryption: every run uses up one pool entry per label,
+     so each sample's setup fills one fresh round of labels per run,
+     untimed, and only the request path is clocked *)
   let pool_k = 32 in
-  let pool_labels = Array.init pool_k (Printf.sprintf "bench/%d") in
+  let label round i = Printf.sprintf "bench/%d/%d" round i in
   let label_rng k = Crypto.Drbg.create ~seed:("p2-pool/" ^ k) in
-  let pooled_run pl =
-    Array.map
-      (fun k ->
+  let encrypt_round pl round =
+    Array.init pool_k (fun i ->
+        let k = label round i in
         Crypto.Paillier.encrypt_pooled ?pool:pl ppub ~key:k (label_rng k)
           (Bn.of_int 7))
-      pool_labels
   in
-  let filled_pool () =
+  let fill pl round =
+    for i = 0 to pool_k - 1 do
+      let k = label round i in
+      Crypto.Paillier.noise_fill pl ppub ~key:k (label_rng k)
+    done
+  in
+  let pool_now = ref (Crypto.Paillier.pool_create ()) and round = ref 0 in
+  let setup reps =
     let pl = Crypto.Paillier.pool_create () in
-    Array.iter
-      (fun k -> Crypto.Paillier.noise_fill pl ppub ~key:k (label_rng k))
-      pool_labels;
-    pl
+    for r = 0 to reps - 1 do fill pl r done;
+    pool_now := pl;
+    round := 0
   in
-  let t_pooled =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let pl = filled_pool () in
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (pooled_run (Some pl)));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+  let pooled () =
+    let r = !round in
+    incr round;
+    encrypt_round (Some !pool_now) r
   in
-  let t_unpooled = time_best (fun () -> pooled_run None) in
-  push
-    { op = "paillier/encrypt_pooled";
-      pe_n = pool_k; pe_domains = 1;
-      baseline_ns = t_unpooled *. 1e9 /. float_of_int pool_k;
-      optimized_ns = t_pooled *. 1e9 /. float_of_int pool_k;
-      identical =
-        Array.for_all2 Bn.equal (pooled_run (Some (filled_pool ()))) (pooled_run None) };
+  row ~op:"paillier/encrypt_pooled" ~n:pool_k ~per:pool_k
+    ~base:(path (fun () -> encrypt_round None 0),
+           (setup 1;
+            Array.for_all2 Bn.equal (pooled ()) (encrypt_round None 0)))
+    (path ~setup pooled);
 
   let dec_k = 8 in
   let cts =
@@ -820,65 +722,29 @@ let perf_parallel () =
   let lam_dec () = Array.map (Crypto.Paillier.decrypt_lambda psec) cts in
   let crt_dec () = Array.map (Crypto.Paillier.decrypt psec) cts in
   let fake_lambda = Bn.add (Bn.shift_left Bn.one 511) (Bn.random_bits brng 511) in
-  let t_dec_base =
-    time_best (fun () -> Array.map (fun c -> Bn.mod_pow_binary c fake_lambda pn2) cts)
-  in
-  let t_dec_lambda = time_best lam_dec in
-  let t_dec_crt = time_best crt_dec in
   let dec_identical = Array.for_all2 Bn.equal (lam_dec ()) (crt_dec ()) in
-  push
-    { op = "paillier/decrypt";
-      pe_n = dec_k; pe_domains = 1;
-      baseline_ns = t_dec_base *. 1e9 /. float_of_int dec_k;
-      optimized_ns = t_dec_crt *. 1e9 /. float_of_int dec_k;
-      identical = dec_identical };
+  row ~op:"paillier/decrypt" ~n:dec_k ~per:dec_k
+    ~base:(path (fun () ->
+               Array.map (fun c -> Bn.mod_pow_binary c fake_lambda pn2) cts),
+           dec_identical)
+    (path crt_dec);
   (* the CRT gain in isolation: against the already-Montgomery lambda path *)
-  push
-    { op = "paillier/decrypt_crt";
-      pe_n = dec_k; pe_domains = 1;
-      baseline_ns = t_dec_lambda *. 1e9 /. float_of_int dec_k;
-      optimized_ns = t_dec_crt *. 1e9 /. float_of_int dec_k;
-      identical = dec_identical };
-
-  let ca = cts.(0) in
-  let t_add_base =
-    time_best (fun () -> Array.map (fun c -> Bn.rem (Bn.mul ca c) pn2) cts)
-  in
-  let t_add_opt = time_best (fun () -> Array.map (Crypto.Paillier.add ppub ca) cts) in
-  push
-    { op = "paillier/hom_add";
-      pe_n = dec_k; pe_domains = 1;
-      baseline_ns = t_add_base *. 1e9 /. float_of_int dec_k;
-      optimized_ns = t_add_opt *. 1e9 /. float_of_int dec_k;
-      identical =
-        Array.for_all2 Bn.equal
-          (Array.map (fun c -> Bn.rem (Bn.mul ca c) pn2) cts)
-          (Array.map (Crypto.Paillier.add ppub ca) cts) };
+  row ~op:"paillier/decrypt_crt" ~n:dec_k ~per:dec_k
+    ~base:(path lam_dec, dec_identical) (path crt_dec);
   let k_scalar = 1000 in
-  let t_smul_base =
-    time_best (fun () ->
-        Array.map (fun c -> Bn.mod_pow_binary c (Bn.of_int k_scalar) pn2) cts)
+  let smul_base () =
+    Array.map (fun c -> Bn.mod_pow_binary c (Bn.of_int k_scalar) pn2) cts
   in
-  let t_smul_opt =
-    time_best (fun () ->
-        Array.map (fun c -> Crypto.Paillier.scalar_mul ppub c k_scalar) cts)
-  in
-  push
-    { op = "paillier/scalar_mul";
-      pe_n = dec_k; pe_domains = 1;
-      baseline_ns = t_smul_base *. 1e9 /. float_of_int dec_k;
-      optimized_ns = t_smul_opt *. 1e9 /. float_of_int dec_k;
-      identical =
-        Array.for_all2 Bn.equal
-          (Array.map (fun c -> Bn.mod_pow_binary c (Bn.of_int k_scalar) pn2) cts)
-          (Array.map (fun c -> Crypto.Paillier.scalar_mul ppub c k_scalar) cts) };
+  let smul () = Array.map (fun c -> Crypto.Paillier.scalar_mul ppub c k_scalar) cts in
+  row ~op:"paillier/scalar_mul" ~n:dec_k ~per:dec_k
+    ~base:(path smul_base, Array.for_all2 Bn.equal (smul_base ()) (smul ()))
+    (path smul);
 
-  (* 5. encrypt_database over a HOM column — the tentpole target.  The
-     baseline replays the seed's sequential per-value loop with
-     division-based Paillier on every HOM cell (same per-cell DRBG, so
-     the ciphertexts are bit-identical); the optimized path prewarms the
-     noise pool across the lanes and only assembles on the request
-     path. *)
+  (* 5. encrypt_database over a HOM column.  The baseline replays the
+     seed's sequential per-value loop with division-based Paillier on
+     every HOM cell (same per-cell DRBG, so the ciphertexts are
+     bit-identical); the optimized path prewarms the noise pool across
+     the lanes and only assembles on the request path. *)
   let hom_q =
     match
       Sqlir.Parser.parse_result
@@ -888,6 +754,7 @@ let perf_parallel () =
     | Error e -> failwith e
   in
   let hom_scheme = Dpe.Selector.select M.Result (Dpe.Log_profile.of_log (hom_q :: dblog)) in
+  (* photoobj has one HOM attribute (redshift); specobj has none *)
   let hom_rows = 32 in
   let hom_db = Workload.Gen_db.skyserver ~seed:"p2-hom" ~rows:hom_rows in
   let naive_hom_database enc db =
@@ -934,15 +801,10 @@ let perf_parallel () =
         Minidb.Database.add_table acc ct)
       Minidb.Database.empty (Minidb.Database.tables db)
   in
-  let t_hom_base =
-    time_best ~reps:2 (fun () ->
-        naive_hom_database (Dpe.Encryptor.create keyring hom_scheme) hom_db)
-  in
-  let t_hom_opt =
-    time_best ~reps:2 (fun () ->
-        let enc = Dpe.Encryptor.create keyring hom_scheme in
-        assert (snd (Dpe.Db_encryptor.prewarm_hom_noise_r ~pool enc hom_db) = []);
-        Dpe.Db_encryptor.encrypt_database ~pool enc hom_db)
+  let prewarmed () =
+    let enc = Dpe.Encryptor.create keyring hom_scheme in
+    assert (snd (Dpe.Db_encryptor.prewarm_hom_noise_r ~pool enc hom_db) = []);
+    Dpe.Db_encryptor.encrypt_database ~pool enc hom_db
   in
   let hom_identical =
     (* pool off, sequential vs prewarmed multi-domain — and the naive
@@ -953,9 +815,7 @@ let perf_parallel () =
         (Dpe.Encryptor.create keyring hom_scheme) hom_db
     in
     Parallel.Pool.shutdown seq_pool;
-    let enc = Dpe.Encryptor.create keyring hom_scheme in
-    assert (snd (Dpe.Db_encryptor.prewarm_hom_noise_r ~pool enc hom_db) = []);
-    let b = Dpe.Db_encryptor.encrypt_database ~pool enc hom_db in
+    let b = prewarmed () in
     let naive_hom_rows =
       List.concat_map
         (fun t ->
@@ -976,76 +836,40 @@ let perf_parallel () =
     && naive_hom_rows (Minidb.Database.tables (naive_hom_database (Dpe.Encryptor.create keyring hom_scheme) hom_db))
        = naive_hom_rows (Minidb.Database.tables b)
   in
-  let hom_cells =
-    hom_rows
-    (* photoobj has one HOM attribute (redshift); specobj has none *)
-  in
-  push
-    { op = "encrypt_database/hom";
-      pe_n = hom_cells; pe_domains = domains;
-      baseline_ns = t_hom_base *. 1e9; optimized_ns = t_hom_opt *. 1e9;
-      identical = hom_identical };
+  row ~op:"encrypt_database/hom" ~n:hom_rows ~domains
+    ~base:(path (fun () ->
+               naive_hom_database (Dpe.Encryptor.create keyring hom_scheme) hom_db),
+           hom_identical)
+    (path prewarmed);
 
-  (* 3. OPE memo: cold tree descents vs cache hits, same key *)
+  (* 6. OPE memo: cold tree descents vs cache hits, same key *)
   let ope = Crypto.Keyring.ope keyring "p2-ope" in
   let orng = Crypto.Drbg.create ~seed:"p2-ope" in
   let n_ope = 2000 in
   let vals = Array.init n_ope (fun _ -> Crypto.Drbg.uniform_int orng (1 lsl 24)) in
-  let t_cold =
-    time_best (fun () ->
-        Crypto.Ope.cache_clear ope;
-        Array.iter (fun v -> ignore (Crypto.Ope.encrypt ope v)) vals)
+  let cold () =
+    Crypto.Ope.cache_clear ope;
+    Array.map (Crypto.Ope.encrypt ope) vals
   in
-  let cold = Array.map (Crypto.Ope.encrypt ope) vals in
-  let t_hot =
-    time_best (fun () ->
-        Array.iter (fun v -> ignore (Crypto.Ope.encrypt ope v)) vals)
-  in
-  let hot = Array.map (Crypto.Ope.encrypt ope) vals in
-  push
-    { op = "ope_encrypt/memo";
-      pe_n = n_ope; pe_domains = 1;
-      baseline_ns = t_cold *. 1e9 /. float_of_int n_ope;
-      optimized_ns = t_hot *. 1e9 /. float_of_int n_ope;
-      identical = cold = hot };
+  let hot () = Array.map (Crypto.Ope.encrypt ope) vals in
+  row ~op:"ope_encrypt/memo" ~n:n_ope ~per:n_ope
+    ~base:(path cold, cold () = hot ())
+    (path hot)
 
-  let entries = List.rev !entries in
-  Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"
-    "baseline" "optimized" "speedup" "identical";
-  hr ();
-  let pretty ns =
-    if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  List.iter
-    (fun e ->
-      Format.printf "%-28s %-7d %-8d %-14s %-14s %-9.2f %b@." e.op e.pe_n
-        e.pe_domains (pretty e.baseline_ns) (pretty e.optimized_ns)
-        (pe_speedup e) e.identical)
-    entries;
-  entries
-
-(* P3: indexes.  Each range row compares the brute-force neighbor
-   scan (n-1 exact predicate probes per query) against the index that
-   [Index.Vp_tree.build] picks on a sampled query set, with [identical]
-   asserting equal neighbor sets.  Every row keeps its [index/vp_*] name
-   so [--compare] lines up with older snapshots, but none runs a
-   VP-tree: the edit rows run the BK-tree and the token rows the prefix
-   filter.
-   Probe counts ride along as their own rows (op suffix "/probes"): the
-   two ns fields carry {e probe counts per query}, baseline = n-1 and
-   optimized = the index's mean, so sub-linearity is visible in the same
-   trajectory table as the timings.  Templates scale with n (constant
-   cluster size) and eps stays at near-duplicate radius — the regime the
-   indexes are built for. *)
+(* P3: indexes.  Each range row compares the brute-force neighbor scan
+   (n-1 exact probes per query, the query's side staged once as
+   [Features.edit] stages its pattern table) against the index that
+   [Index.Vp_tree.build] picks on a sampled query set, per query, with
+   [identical] asserting equal neighbor sets.  Every row keeps its
+   [index/vp_*] name so [--compare] lines up with older snapshots, but
+   none runs a VP-tree: the edit rows run the BK-tree and the token rows
+   the prefix filter.  The index's probes, summed over the sampled
+   queries, are returned as exact counts.  Templates scale with n
+   (constant cluster size) and eps stays at near-duplicate radius — the
+   regime the indexes are built for. *)
 let perf_index () =
-  section "P3: sub-quadratic neighbor search (metric indexes)";
   let domains = Parallel.Pool.default_domains () in
   let pool = Parallel.Pool.global () in
-  let entries = ref [] in
-  let push e = entries := e :: !entries in
   let eps = 0.1 in
   let n_sample = 64 in
   let space_of kind m n =
@@ -1054,150 +878,73 @@ let perf_index () =
         { Workload.Gen_query.n; templates = max 4 (n / 50); seed = "p3-index";
           caps = Workload.Gen_query.caps_for_measure m }
     in
-    Index.Space.of_kind kind (Distance.Features.build ~pool (Array.of_list log))
+    let feats = Distance.Features.build ~pool (Array.of_list log) in
+    let staged =
+      match kind with
+      | Index.Space.Edit -> Distance.Features.edit feats
+      | Index.Space.Token -> Distance.Features.token feats
+      | Index.Space.Structure -> Distance.Features.structure feats
+      | Index.Space.Clause -> Distance.Features.clause feats
+    in
+    (Index.Space.of_kind kind feats, staged)
   in
-  let brute sp q =
+  let brute (sp, staged) q =
+    let d = staged q in
     let acc = ref [] in
     for j = Index.Space.size sp - 1 downto 0 do
-      if j <> q && Index.Space.within sp ~eps q j then acc := j :: !acc
+      if j <> q && d j <= eps then acc := j :: !acc
     done;
     !acc
   in
   let sampled n = Array.init n_sample (fun i -> i * n / n_sample) in
 
   (* 1. index eps-range vs brute force *)
-  List.iter
-    (fun (kind, mname, n) ->
-      let m =
-        match kind with
-        | Index.Space.Edit -> M.Edit
-        | Index.Space.Token -> M.Token
-        | Index.Space.Structure -> M.Structure
-        | Index.Space.Clause -> M.Clause
-      in
-      let sp = space_of kind m n in
-      let tree = Index.Vp_tree.build ~pool ~seed:"p3" sp in
-      let queries = sampled n in
-      let brute_sets = Array.map (brute sp) queries in
-      let vp_sets = Array.map (Index.Vp_tree.range tree ~eps) queries in
-      let identical = brute_sets = vp_sets in
-      let t_brute =
-        time_best ~reps:2 (fun () -> Array.map (brute sp) queries)
-      in
-      let t_vp =
-        time_best ~reps:2 (fun () ->
-            Array.map (Index.Vp_tree.range tree ~eps) queries)
-      in
-      let per_q t = t *. 1e9 /. float_of_int n_sample in
-      push
-        { op = "index/vp_range/" ^ mname;
-          pe_n = n; pe_domains = domains;
-          baseline_ns = per_q t_brute; optimized_ns = per_q t_vp; identical };
-      let probes =
-        Array.fold_left
-          (fun acc q ->
-            let _, st = Index.Vp_tree.range_stats tree ~eps q in
-            acc + st.Index.Vp_tree.probes)
-          0 queries
-      in
-      push
-        { op = "index/vp_probes/" ^ mname;
-          pe_n = n; pe_domains = domains;
-          baseline_ns = float_of_int (n - 1);
-          optimized_ns = float_of_int probes /. float_of_int n_sample;
-          identical })
-    [ (Index.Space.Edit, "edit", 1000);
-      (Index.Space.Edit, "edit", 10000);
-      (Index.Space.Token, "token", 1000) ];
+  let probe_counts =
+    List.map
+      (fun (kind, mname, n) ->
+        let m =
+          match kind with
+          | Index.Space.Edit -> M.Edit
+          | Index.Space.Token -> M.Token
+          | Index.Space.Structure -> M.Structure
+          | Index.Space.Clause -> M.Clause
+        in
+        let ((sp, _) as space) = space_of kind m n in
+        let tree = Index.Vp_tree.build ~pool ~seed:"p3" sp in
+        let queries = sampled n in
+        let brute_all () = Array.map (brute space) queries in
+        let index_all () = Array.map (Index.Vp_tree.range tree ~eps) queries in
+        row ~op:("index/vp_range/" ^ mname) ~n ~domains ~per:n_sample
+          ~base:(path brute_all, brute_all () = index_all ())
+          (path index_all);
+        let probes =
+          Array.fold_left
+            (fun acc q ->
+              let _, st = Index.Vp_tree.range_stats tree ~eps q in
+              acc + st.Index.Vp_tree.probes)
+            0 queries
+        in
+        (Printf.sprintf "index/probes/%s/%d" mname n, probes))
+      [ (Index.Space.Edit, "edit", 1000);
+        (Index.Space.Edit, "edit", 10000);
+        (Index.Space.Token, "token", 1000) ]
+  in
 
   (* 2. DBSCAN end-to-end: brute-force neighbor scans vs the index
      engine, identical labels, on the token space *)
   let n_db = 1000 in
-  let sp_db = space_of Index.Space.Token M.Token n_db in
+  let ((sp_db, _) as space_db) = space_of Index.Space.Token M.Token n_db in
   let vp = Index.Vp_tree.build ~pool ~seed:"p3" sp_db in
-  let scans = { Mining.Dbscan.ri_n = n_db; range = brute sp_db } in
+  let scans = { Mining.Dbscan.ri_n = n_db; range = brute space_db } in
   let ri =
     { Mining.Dbscan.ri_n = n_db;
       range = (fun i -> Index.Vp_tree.range vp ~eps i) }
   in
-  let l_scans = Mining.Dbscan.run_index ~min_pts:3 scans in
-  let l_index = Mining.Dbscan.run_index ~min_pts:3 ri in
-  let t_scans =
-    time_best ~reps:2 (fun () -> Mining.Dbscan.run_index ~min_pts:3 scans)
-  in
-  let t_index =
-    time_best ~reps:2 (fun () -> Mining.Dbscan.run_index ~min_pts:3 ri)
-  in
-  push
-    { op = "mining/dbscan_index";
-      pe_n = n_db; pe_domains = domains;
-      baseline_ns = t_scans *. 1e9; optimized_ns = t_index *. 1e9;
-      identical = l_scans = l_index };
-
-  let entries = List.rev !entries in
-  Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"
-    "baseline" "optimized" "speedup" "identical";
-  hr ();
-  let pretty ns =
-    if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  List.iter
-    (fun e ->
-      let is_probes =
-        List.exists
-          (fun s -> s = "probes" || s = "vp_probes" || s = "bk_probes")
-          (String.split_on_char '/' e.op)
-      in
-      let show v = if is_probes then Printf.sprintf "%.0f probes" v else pretty v in
-      Format.printf "%-28s %-7d %-8d %-14s %-14s %-9.2f %b@." e.op e.pe_n
-        e.pe_domains (show e.baseline_ns) (show e.optimized_ns)
-        (pe_speedup e) e.identical)
-    entries;
-  entries
-
-let emit_perf_json ~metrics path entries =
-  let module J = Obs.Json in
-  let int = J.int and str s = J.Str s in
-  (* GC counters at emit time: how much allocator pressure the whole
-     bench run generated on this host *)
-  let gc = Gc.quick_stat () in
-  let result e =
-    J.Obj
-      [ ("op", str e.op); ("n", int e.pe_n); ("domains", int e.pe_domains);
-        ("baseline_ns_per_op", J.Num (Float.round e.baseline_ns));
-        ("ns_per_op", J.Num (Float.round e.optimized_ns));
-        ("speedup", J.Num (Float.round (pe_speedup e *. 1e3) /. 1e3));
-        ("identical", J.Bool e.identical) ]
-  in
-  let oc = open_out path in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [ ("pr", int 10); ("bench", str "perf --json");
-            (* host metadata, so a snapshot from a single-CPU runner is
-               self-describing next to one from a many-core box *)
-            ("ocaml_version", str Sys.ocaml_version);
-            ("os_type", str Sys.os_type);
-            ("word_size", int Sys.word_size);
-            ("host_cpus", int (Domain.recommended_domain_count ()));
-            ("recommended_domain_count", int (Domain.recommended_domain_count ()));
-            ("pool_domains", int (Parallel.Pool.default_domains ()));
-            ("kitdpe_domains_env",
-             Option.fold ~none:J.Null ~some:str
-               (Sys.getenv_opt "KITDPE_DOMAINS"));
-            ("unix_time", J.Num (Unix.time ()));
-            ("gc_minor_collections", int gc.Gc.minor_collections);
-            ("gc_major_collections", int gc.Gc.major_collections);
-            ("gc_heap_words", int gc.Gc.heap_words);
-            ("gc_promoted_words", J.Num gc.Gc.promoted_words);
-            ("results", J.Arr (List.map result entries));
-            ("metrics", metrics) ]));
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.wrote %s@." path
+  let dbscan r () = Mining.Dbscan.run_index ~min_pts:3 r in
+  row ~op:"mining/dbscan_index" ~n:n_db ~domains
+    ~base:(path (dbscan scans), dbscan scans () = dbscan ri ())
+    (path (dbscan ri));
+  probe_counts
 
 (* ---------------------------------------------------------------- *)
 (* A1: ablation — uniform-split OPE vs Boldyreva-style HGD OPE        *)
@@ -1215,13 +962,17 @@ let ablation_ope () =
       { Ablation.Ope_hgd.plain_bits = bits; cipher_bits = 2 * bits }
   in
   let n = 1 lsl bits in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n)
+  (* the uniform sampler's memo is cleared per run, so both encrypt cold *)
+  let uni_all () =
+    Crypto.Ope.cache_clear uni;
+    Array.init n (Crypto.Ope.encrypt uni)
   in
-  let cu, tu = time (fun () -> Array.init n (Crypto.Ope.encrypt uni)) in
-  let ch, th = time (fun () -> Array.init n (Ablation.Ope_hgd.encrypt hgd)) in
+  let hgd_all () = Array.init n (Ablation.Ope_hgd.encrypt hgd) in
+  let cu = uni_all () and ch = hgd_all () in
+  let tu = timing ~per:n (path uni_all) and th = timing ~per:n (path hgd_all) in
+  sample_rounds [ tu; th ];
+  let tu = (spread tu).Perf_compare.median /. 1e3
+  and th = (spread th).Perf_compare.median /. 1e3 in
   let monotone a = Array.for_all Fun.id (Array.init (n - 1) (fun i -> a.(i) < a.(i + 1))) in
   Format.printf "  %-22s %-12s %-12s@." "" "uniform" "hgd";
   Format.printf "  %-22s %-12s %-12s@." "strictly monotone"
@@ -1538,28 +1289,25 @@ let kmedoids_ablation () =
 
 (* ---------------------------------------------------------------- *)
 
-(* [-- perf --json [PATH]] additionally writes the machine-readable perf
-   trajectory (op, n, domains, ns/op, speedup) plus a kitdpe.* metrics
-   snapshot.  [--compare OLD.json] prints a per-op table against an
-   earlier snapshot and makes the process exit 3 if any op that both
-   snapshots measured with [identical = true] got > 20% slower. *)
+(* [-- perf --json [PATH]] additionally writes the perf snapshot (every
+   row's median and interquartile range, and the exact counts) plus a
+   kitdpe.* metrics snapshot.  [--compare OLD.json] prints a row-by-row
+   table against an earlier snapshot; the process exits 4 if a count
+   rose and 3 if a timed row got slower beyond its spread
+   ([Perf_compare.exit_code]). *)
 let json_path = ref None
-let json_default = "BENCH_PR10.json"
+let json_default = "BENCH_PR31.json"
 let compare_path = ref None
-let compare_regressed = ref false
+let exit_status = ref 0
 
-(* A metrics snapshot for the JSON artifact.  If telemetry was already on
-   (KITDPE_OBS=1) the snapshot keeps whatever the timed runs above
-   accumulated; otherwise telemetry is switched on just for a small fixed
-   workload that touches every instrumented layer, so the snapshot is
-   populated without perturbing the timings. *)
+(* The metrics snapshot of one small fixed workload that touches every
+   instrumented layer, run on a reset registry with telemetry on, so its
+   work counters are exact and the same from run to run. *)
 let metered_metrics_snapshot () =
   let was_on = Obs.is_enabled () in
-  if not was_on then begin
-    Obs.set_enabled true;
-    Obs.Registry.reset ();
-    Obs.Span.clear ()
-  end;
+  Obs.set_enabled true;
+  Obs.Registry.reset ();
+  Obs.Span.clear ();
   (* baseline epoch: the fixed workload below then shows up as windowed
      throughput in the snapshot's "window" section *)
   Obs.Window.reset ();
@@ -1609,41 +1357,91 @@ let metered_metrics_snapshot () =
   if not was_on then Obs.set_enabled false;
   snap
 
-let perf_and_trajectory () =
-  perf ();
-  (* let-bound in order: [a @ b] evaluates [b] first, and P2 must not
-     inherit P3's heap *)
-  let p2 = perf_parallel () in
-  let p3 = perf_index () in
-  let entries = p2 @ p3 in
-  (match !json_path with
-   | Some path -> emit_perf_json ~metrics:(metered_metrics_snapshot ()) path entries
-   | None -> ());
-  match !compare_path with
-  | None -> ()
-  | Some old_path ->
-    (match Perf_compare.load old_path with
-     | Error e ->
-       Format.printf "@.cannot compare against %s: %s@." old_path e;
-       compare_regressed := true
-     | Ok old_entries ->
-       let cur_entries =
-         List.map
-           (fun e ->
-             { Perf_compare.op = e.op; n = e.pe_n;
-               ns_per_op = e.optimized_ns;
-               baseline_ns_per_op = e.baseline_ns;
-               identical = e.identical })
-           entries
-       in
-       if
-         Perf_compare.report ~old_label:old_path ~old_entries ~cur_entries
-           Format.std_formatter
-       then compare_regressed := true)
+(* the fixed workload's work counters that the snapshot gates exactly *)
+let workload_counts snap =
+  let value name =
+    let module J = Obs.Json in
+    match
+      Option.bind (J.member "metrics" snap) (J.member ("kitdpe." ^ name))
+      |> Fun.flip Option.bind (J.member "value")
+      |> Fun.flip Option.bind J.to_int
+    with
+    | Some v -> (name, v)
+    | None -> failwith ("metrics snapshot lacks kitdpe." ^ name)
+  in
+  List.map value
+    [ "distance.measure.evals"; "distance.features.builds";
+      "mining.hier.cluster_dists"; "crypto.det.calls";
+      "crypto.ope.cache_misses" ]
+
+let emit_perf_json ~metrics path snap =
+  let module J = Obs.Json in
+  let int = J.int and str s = J.Str s in
+  (* GC counters at emit time: how much allocator pressure the whole
+     bench run generated on this host *)
+  let gc = Gc.quick_stat () in
+  let oc = open_out path in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          ([ ("pr", int 31); ("bench", str "perf --json");
+             ("samples", int samples);
+             (* host metadata, so a snapshot from a single-CPU runner is
+                self-describing next to one from a many-core box *)
+             ("ocaml_version", str Sys.ocaml_version);
+             ("os_type", str Sys.os_type);
+             ("word_size", int Sys.word_size);
+             ("host_cpus", int (Domain.recommended_domain_count ()));
+             ("recommended_domain_count", int (Domain.recommended_domain_count ()));
+             ("pool_domains", int (Parallel.Pool.default_domains ()));
+             ("kitdpe_domains_env",
+              Option.fold ~none:J.Null ~some:str
+                (Sys.getenv_opt "KITDPE_DOMAINS"));
+             ("unix_time", J.Num (Unix.time ()));
+             ("gc_minor_collections", int gc.Gc.minor_collections);
+             ("gc_major_collections", int gc.Gc.major_collections);
+             ("gc_heap_words", int gc.Gc.heap_words);
+             ("gc_promoted_words", J.Num gc.Gc.promoted_words) ]
+           @ Perf_compare.fields snap
+           @ [ ("metrics", metrics) ])));
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "@.wrote %s@." path
+
+let perf () =
+  section "P1-P3: performance rows";
+  Format.printf
+    "recommended domains %d, pool size %d (override with KITDPE_DOMAINS); \
+     median and interquartile range of %d samples per path@.@."
+    (Domain.recommended_domain_count ())
+    (Parallel.Pool.default_domains ()) samples;
+  perf_primitives ();
+  perf_parallel ();
+  let probe_counts = perf_index () in
+  let rows = sample_rows () in
+  let metrics = metered_metrics_snapshot () in
+  let snap =
+    { Perf_compare.rows; counts = probe_counts @ workload_counts metrics }
+  in
+  Perf_compare.print_header Format.std_formatter;
+  List.iter (Perf_compare.print_row Format.std_formatter) rows;
+  Perf_compare.print_counts Format.std_formatter snap.Perf_compare.counts;
+  Option.iter (fun path -> emit_perf_json ~metrics path snap) !json_path;
+  Option.iter
+    (fun old_path ->
+      match Perf_compare.load old_path with
+      | Error e ->
+        Format.eprintf "cannot compare against %s: %s@." old_path e;
+        exit 2
+      | Ok old ->
+        let lines = Perf_compare.compare ~old ~cur:snap in
+        Perf_compare.report ~old_label:old_path lines Format.std_formatter;
+        exit_status := Perf_compare.exit_code lines)
+    !compare_path
 
 let experiments =
   [ ("fig1", fig1); ("table1", table1); ("preserve", preserve);
-    ("mining", mining); ("security", security); ("perf", perf_and_trajectory);
+    ("mining", mining); ("security", security); ("perf", perf);
     ("ablation-ope", ablation_ope); ("ablation-x", ablation_x);
     ("rules", rules); ("decoys", decoys); ("anchors", anchors);
     ("sessions", sessions); ("ablation-kmedoids", kmedoids_ablation) ]
@@ -1685,21 +1483,17 @@ let rec parse_args = function
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let names = parse_args args in
+  List.iter
+    (fun n ->
+      if not (List.mem_assoc n experiments) then begin
+        Format.eprintf "unknown experiment %S (have: %s)@." n
+          (String.concat ", " (List.map fst experiments));
+        exit 2
+      end)
+    names;
   let requested =
-    match names with
-    | _ :: _ ->
-      List.filter_map
-        (fun n ->
-          match List.assoc_opt n experiments with
-          | Some f -> Some (n, f)
-          | None ->
-            Format.printf "unknown experiment %S (have: %s)@." n
-              (String.concat ", " (List.map fst experiments));
-            None)
-        names
-    | [] -> experiments
+    if names = [] then List.map snd experiments
+    else List.map (fun n -> List.assoc n experiments) names
   in
-  List.iter (fun (_, f) -> f ()) requested;
-  (* exit 3 = perf regression detected by [--compare] (distinct from a
-     crash, so CI can treat it as a warning) *)
-  if !compare_regressed then exit 3
+  List.iter (fun f -> f ()) requested;
+  exit !exit_status

@@ -30,11 +30,6 @@ let sbox =
       let rot b n = ((b lsl n) lor (b lsr (8 - n))) land 0xff in
       b lxor rot b 1 lxor rot b 2 lxor rot b 3 lxor rot b 4 lxor 0x63)
 
-let inv_sbox =
-  let t = Array.make 256 0 in
-  Array.iteri (fun i s -> t.(s) <- i) sbox;
-  t
-
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 
 type key = int array array
@@ -76,14 +71,6 @@ let shift_rows state =
     done
   done
 
-let inv_shift_rows state =
-  let tmp = Array.copy state in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      state.(4 * ((c + r) mod 4) + r) <- tmp.(4 * c + r)
-    done
-  done
-
 let mix_columns state =
   for c = 0 to 3 do
     let a0 = state.(4 * c) and a1 = state.(4 * c + 1)
@@ -94,18 +81,7 @@ let mix_columns state =
     state.(4 * c + 3) <- gmul 3 a0 lxor a1 lxor a2 lxor gmul 2 a3
   done
 
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.(4 * c + 1)
-    and a2 = state.(4 * c + 2) and a3 = state.(4 * c + 3) in
-    state.(4 * c) <- gmul 14 a0 lxor gmul 11 a1 lxor gmul 13 a2 lxor gmul 9 a3;
-    state.(4 * c + 1) <- gmul 9 a0 lxor gmul 14 a1 lxor gmul 11 a2 lxor gmul 13 a3;
-    state.(4 * c + 2) <- gmul 13 a0 lxor gmul 9 a1 lxor gmul 14 a2 lxor gmul 11 a3;
-    state.(4 * c + 3) <- gmul 11 a0 lxor gmul 13 a1 lxor gmul 9 a2 lxor gmul 14 a3
-  done
-
 let sub_bytes state = Array.iteri (fun i b -> state.(i) <- sbox.(b)) state
-let inv_sub_bytes state = Array.iteri (fun i b -> state.(i) <- inv_sbox.(b)) state
 
 let encrypt_block rk block =
   if String.length block <> 16 then invalid_arg "Aes128.encrypt_block";
@@ -120,19 +96,4 @@ let encrypt_block rk block =
   sub_bytes state;
   shift_rows state;
   add_round_key state rk.(10);
-  String.init 16 (fun i -> Char.chr state.(i))
-
-let decrypt_block rk block =
-  if String.length block <> 16 then invalid_arg "Aes128.decrypt_block";
-  let state = Array.init 16 (fun i -> Char.code block.[i]) in
-  add_round_key state rk.(10);
-  inv_shift_rows state;
-  inv_sub_bytes state;
-  for round = 9 downto 1 do
-    add_round_key state rk.(round);
-    inv_mix_columns state;
-    inv_shift_rows state;
-    inv_sub_bytes state
-  done;
-  add_round_key state rk.(0);
   String.init 16 (fun i -> Char.chr state.(i))

@@ -14,6 +14,3 @@ val expand : string -> key
 
 val encrypt_block : key -> string -> string
 (** [encrypt_block k block] encrypts one 16-byte block. *)
-
-val decrypt_block : key -> string -> string
-(** Inverse of {!encrypt_block}. *)

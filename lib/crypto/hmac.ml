@@ -9,7 +9,8 @@ let hmac_sha256 ~key msg =
   let ipad = xor_pad 0x36 and opad = xor_pad 0x5c in
   Sha256.digest (opad ^ Sha256.digest (ipad ^ msg))
 
-let hkdf_extract ?(salt = "") ikm = hmac_sha256 ~key:salt ikm
+(* HKDF-Extract with the RFC 5869 default salt (empty) *)
+let hkdf_extract ikm = hmac_sha256 ~key:"" ikm
 
 let hkdf_expand ~prk ~info len =
   if len > 255 * 32 then invalid_arg "Hmac.hkdf_expand: too long";

@@ -7,13 +7,10 @@
 val hmac_sha256 : key:string -> string -> string
 (** [hmac_sha256 ~key msg] is the 32-byte HMAC-SHA256 tag. *)
 
-val hkdf_extract : ?salt:string -> string -> string
-(** [hkdf_extract ?salt ikm] is the 32-byte pseudorandom key. *)
-
 val hkdf_expand : prk:string -> info:string -> int -> string
 (** [hkdf_expand ~prk ~info len] derives [len] bytes ([len <= 255 * 32]). *)
 
 val derive : master:string -> purpose:string -> int -> string
-(** [derive ~master ~purpose len] is a convenience for
-    [hkdf_expand ~prk:(hkdf_extract master) ~info:purpose len]; distinct
-    [purpose] strings yield independent keys. *)
+(** [derive ~master ~purpose len] is [hkdf_expand] of [len] bytes under
+    [~info:purpose], keyed by the HKDF extract of [master] with the empty
+    salt; distinct [purpose] strings yield independent keys. *)

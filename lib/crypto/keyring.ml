@@ -11,13 +11,11 @@ let master t = t.master
 let det t purpose = Det.key_of_master ~master:t.master ~purpose
 let prob t purpose = Prob.key_of_master ~master:t.master ~purpose
 
-let ope t ?(params = Ope.default_params) purpose =
-  Ope.create ~master:t.master ~purpose params
+let ope t purpose = Ope.create ~master:t.master ~purpose Ope.default_params
 
 let join_det t group = Join_enc.det_key ~master:t.master group
 
-let join_ope t ?(params = Ope.default_params) group =
-  Join_enc.ope_key ~master:t.master group params
+let join_ope t group = Join_enc.ope_key ~master:t.master group Ope.default_params
 
 let derive t ns =
   { master = Hmac.derive ~master:t.master ~purpose:("kitdpe/tenant/" ^ ns) 32 }

@@ -21,8 +21,8 @@ val derive : t -> string -> t
 
 val det : t -> string -> Det.key
 val prob : t -> string -> Prob.key
-val ope : t -> ?params:Ope.params -> string -> Ope.key
+val ope : t -> string -> Ope.key
 val join_det : t -> Join_enc.group -> Det.key
-val join_ope : t -> ?params:Ope.params -> Join_enc.group -> Ope.key
+val join_ope : t -> Join_enc.group -> Ope.key
 val drbg : t -> string -> Drbg.t
 (** Fresh deterministic randomness stream for a purpose (IVs, Paillier r). *)

@@ -13,8 +13,8 @@ let () =
       Some (Fault.Error.Crypto_failure { op = "dpe.encryptor"; reason })
     | _ -> None)
 
-(* OPE domain: signed 32-bit integers, shifted into [0, 2^32) *)
-let ope_params = { Crypto.Ope.plain_bits = 32; cipher_bits = 48 }
+(* OPE domain ([Crypto.Ope.default_params]): signed 32-bit integers,
+   shifted into [0, 2^32) *)
 let ope_offset = 1 lsl 31
 
 (* One attribute, one cipher: the key its constant class resolves to. *)
@@ -93,10 +93,9 @@ let cipher t ~attr =
     cached ("prob/" ^ p) (fun () -> Prob (Crypto.Keyring.prob kr p))
   | Scheme.C_ope ->
     let p = "const/" ^ attr in
-    cached ("ope/" ^ p) (fun () -> Ope (Crypto.Keyring.ope kr ~params:ope_params p))
+    cached ("ope/" ^ p) (fun () -> Ope (Crypto.Keyring.ope kr p))
   | Scheme.C_ope_join g ->
-    cached ("ope/join:" ^ g)
-      (fun () -> Ope (Crypto.Keyring.join_ope kr ~params:ope_params g))
+    cached ("ope/join:" ^ g) (fun () -> Ope (Crypto.Keyring.join_ope kr g))
   | Scheme.C_hom -> Hom (fst (paillier t))
 
 (* ---- HOM noise pool ----

@@ -61,8 +61,6 @@ let test_aes_vectors () =
   let k2 = Crypto.Aes128.expand (unhex "2b7e151628aed2a6abf7158809cf4f3c") in
   check_str "sp800-38a" "3ad77bb40d7a3660a89ecaf32466ef97"
     (hex (Crypto.Aes128.encrypt_block k2 (unhex "6bc1bee22e409f96e93d7e117393172a")));
-  check_str "decrypt inverts" "6bc1bee22e409f96e93d7e117393172a"
-    (hex (Crypto.Aes128.decrypt_block k2 (unhex "3ad77bb40d7a3660a89ecaf32466ef97")));
   Alcotest.check_raises "bad key size"
     (Invalid_argument "Aes128.expand: need 16-byte key") (fun () ->
       ignore (Crypto.Aes128.expand "short"))

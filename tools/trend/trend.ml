@@ -27,14 +27,14 @@ let read_file path =
 type point = {
   pr : int;
   ns_per_op : float;
-  speedup : float;
+  speedup : float option;  (* rows without a baseline path have none *)
   identical : bool;
 }
 
 type snapshot = {
   s_pr : int;
   s_file : string;
-  s_results : (string * int * int * float * float * bool) list;
+  s_results : (string * int * int * float * float option * bool) list;
       (* op, n, domains, ns_per_op, speedup, identical *)
 }
 
@@ -66,7 +66,7 @@ let load_snapshot path =
               field "n" J.to_int r,
               field "domains" J.to_int r,
               field "ns_per_op" J.to_num r,
-              field "speedup" J.to_num r,
+              Option.bind (J.member "speedup" r) J.to_num,
               match Option.bind (J.member "identical" r) (function
                   | J.Bool b -> Some b
                   | _ -> None)
@@ -145,7 +145,8 @@ let emit_json path snapshots series =
   let point p =
     J.Obj
       [ ("pr", J.int p.pr); ("ns_per_op", J.Num (Float.round p.ns_per_op));
-        ("speedup", J.Num p.speedup); ("identical", J.Bool p.identical) ]
+        ("speedup", Option.fold ~none:J.Null ~some:(fun x -> J.Num x) p.speedup);
+        ("identical", J.Bool p.identical) ]
   in
   let row ((op, n, d), points) =
     J.Obj
