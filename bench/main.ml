@@ -4,9 +4,9 @@
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig1    -- only Fig. 1
      ... fig1 | table1 | preserve | mining | security | perf | ...
-     dune exec bench/main.exe -- perf --json            -- write BENCH_PR31.json
+     dune exec bench/main.exe -- perf --json            -- write BENCH_PR32.json
      dune exec bench/main.exe -- perf --json=perf.json  -- explicit output path
-     ... perf --json --compare BENCH_PR31.json  -- diff vs an old snapshot
+     ... perf --json --compare BENCH_PR32.json  -- diff vs an old snapshot
                         (exit 4 if a count rose, 3 if a timed row got slower)
 
    An unknown experiment name exits 2.
@@ -1296,7 +1296,7 @@ let kmedoids_ablation () =
    rose and 3 if a timed row got slower beyond its spread
    ([Perf_compare.exit_code]). *)
 let json_path = ref None
-let json_default = "BENCH_PR31.json"
+let json_default = "BENCH_PR32.json"
 let compare_path = ref None
 let exit_status = ref 0
 
@@ -1323,6 +1323,7 @@ let metered_metrics_snapshot () =
   ignore (Dpe.Encryptor.encrypt_log enc log); (* warm pass: memo-cache hits *)
   let dm = M.matrix M.default_ctx M.Access cipher in
   ignore (Mining.Hier.cut_k 4 dm);
+  ignore (Mining.Dbscan.run { Mining.Dbscan.eps = 0.3; min_pts = 3 } dm);
   let db = Workload.Gen_db.skyserver ~seed:"p2-obs" ~rows:60 in
   let rlog =
     Workload.Gen_query.skyserver_log
@@ -1371,8 +1372,8 @@ let workload_counts snap =
   in
   List.map value
     [ "distance.measure.evals"; "distance.features.builds";
-      "mining.hier.cluster_dists"; "crypto.det.calls";
-      "crypto.ope.cache_misses" ]
+      "mining.hier.cluster_dists"; "mining.dbscan.neighbor_scans";
+      "crypto.det.calls"; "crypto.ope.cache_misses" ]
 
 let emit_perf_json ~metrics path snap =
   let module J = Obs.Json in
@@ -1384,7 +1385,7 @@ let emit_perf_json ~metrics path snap =
   output_string oc
     (J.to_string
        (J.Obj
-          ([ ("pr", int 31); ("bench", str "perf --json");
+          ([ ("pr", int 32); ("bench", str "perf --json");
              ("samples", int samples);
              (* host metadata, so a snapshot from a single-CPU runner is
                 self-describing next to one from a many-core box *)

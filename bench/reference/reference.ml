@@ -106,3 +106,124 @@ let session_matrix sessions =
   let arr = Array.of_list (List.map Array.of_list sessions) in
   Mining.Dist_matrix.of_fun (Array.length arr) (fun i j ->
       Mining.Dtw.normalized ~cost:structure arr.(i) arr.(j))
+
+(* ---- lexer ---- *)
+
+let keywords =
+  [ "SELECT"; "DISTINCT"; "FROM"; "WHERE"; "JOIN"; "INNER"; "LEFT"; "OUTER";
+    "ON"; "GROUP";
+    "BY"; "HAVING"; "ORDER"; "ASC"; "DESC"; "LIMIT"; "AND"; "OR"; "NOT";
+    "BETWEEN"; "IN"; "LIKE"; "IS"; "NULL"; "AS";
+    "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
+
+let is_reserved s = List.mem (String.uppercase_ascii s) keywords
+
+let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+let is_digit c = c >= '0' && c <= '9'
+
+let tokenize input =
+  let open Sqlir.Lexer in
+  let n = String.length input in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else begin
+      let c = input.[i] in
+      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then go (i + 1) acc
+      else if is_ident_start c then begin
+        let j = ref i in
+        while !j < n && is_ident_char input.[!j] do incr j done;
+        let word = String.sub input i (!j - i) in
+        let tok =
+          if is_reserved word then Kw (String.uppercase_ascii word) else Ident word
+        in
+        go !j (tok :: acc)
+      end
+      else if is_digit c
+              || (c = '-' && i + 1 < n && is_digit input.[i + 1]
+                  && (match acc with
+                      | (Int_lit _ | Float_lit _ | Ident _ | Str_lit _) :: _ -> false
+                      | Sym ")" :: _ -> false
+                      | _ -> true))
+      then begin
+        let j = ref i in
+        if input.[!j] = '-' then incr j;
+        while !j < n && is_digit input.[!j] do incr j done;
+        let is_float =
+          !j + 1 < n && input.[!j] = '.' && is_digit input.[!j + 1]
+        in
+        if is_float then begin
+          incr j;
+          while !j < n && is_digit input.[!j] do incr j done;
+          go !j (Float_lit (float_of_string (String.sub input i (!j - i))) :: acc)
+        end
+        else
+          match int_of_string_opt (String.sub input i (!j - i)) with
+          | Some v -> go !j (Int_lit v :: acc)
+          | None -> raise (Lex_error ("integer literal out of range", i))
+      end
+      else if c = '\'' then begin
+        (* string literal; '' escapes a quote *)
+        let buf = Buffer.create 16 in
+        let rec scan j =
+          if j >= n then raise (Lex_error ("unterminated string literal", i))
+          else if input.[j] = '\'' then
+            if j + 1 < n && input.[j + 1] = '\'' then begin
+              Buffer.add_char buf '\'';
+              scan (j + 2)
+            end
+            else j + 1
+          else begin
+            Buffer.add_char buf input.[j];
+            scan (j + 1)
+          end
+        in
+        let j = scan (i + 1) in
+        go j (Str_lit (Buffer.contents buf) :: acc)
+      end
+      else begin
+        let two = if i + 1 < n then String.sub input i 2 else "" in
+        match two with
+        | "<=" | ">=" | "<>" | "!=" ->
+          let sym = if two = "!=" then "<>" else two in
+          go (i + 2) (Sym sym :: acc)
+        | _ ->
+          (match c with
+           | ',' | '(' | ')' | '.' | '*' | '=' | '<' | '>' | ';' | '-' | '+' | '/' ->
+             go (i + 1) (Sym (String.make 1 c) :: acc)
+           | _ ->
+             raise (Lex_error (Printf.sprintf "unexpected character %C" c, i)))
+      end
+    end
+  in
+  go 0 []
+
+(* ---- DBSCAN ---- *)
+
+let dbscan_expand ~n ~min_pts ~range =
+  let labels = Array.make n (-2) in
+  (* -2 unvisited, -1 noise, >= 0 cluster id *)
+  let cluster = ref (-1) in
+  for i = 0 to n - 1 do
+    if labels.(i) = -2 then begin
+      let nbrs = range i in
+      if List.length nbrs + 1 < min_pts then labels.(i) <- -1
+      else begin
+        incr cluster;
+        labels.(i) <- !cluster;
+        let queue = Queue.create () in
+        List.iter (fun j -> Queue.add j queue) nbrs;
+        while not (Queue.is_empty queue) do
+          let j = Queue.pop queue in
+          if labels.(j) = -1 then labels.(j) <- !cluster (* border point *)
+          else if labels.(j) = -2 then begin
+            labels.(j) <- !cluster;
+            let nbrs_j = range j in
+            if List.length nbrs_j + 1 >= min_pts then
+              List.iter (fun k -> Queue.add k queue) nbrs_j
+          end
+        done
+      end
+    end
+  done;
+  labels

@@ -1,4 +1,6 @@
-(** The five feature measures defined per pair, on query text or ASTs.
+(** The five feature measures defined per pair, on query text or ASTs,
+    and the first versions of the lexer and of the DBSCAN core, which the
+    tests compare the library's against.
 
     Each function derives everything it reads from its two arguments:
     it prints, lexes and extracts features for that pair alone, with no
@@ -79,3 +81,19 @@ val matrix :
 val session_matrix : Sqlir.Ast.query list list -> Mining.Dist_matrix.t
 (** Normalized DTW ([Mining.Dtw.normalized]) between every two
     sessions, with {!structure} as the per-query cost. *)
+
+(** {2 Lexer} *)
+
+val tokenize : string -> Sqlir.Lexer.token list
+(** The lexer as first written: a keyword is found by uppercasing every
+    word and scanning the keyword list, every symbol and string literal
+    is copied out byte by byte.  {!Sqlir.Lexer.tokenize} must return the
+    same tokens, or raise the same [Lex_error]. *)
+
+(** {2 DBSCAN} *)
+
+val dbscan_expand :
+  n:int -> min_pts:int -> range:(int -> int list) -> int array
+(** The DBSCAN core with a [Queue] work list and [List.length] core
+    tests, uncounted: [Mining.Dbscan.run_index] must give the same
+    labels and call [range] in the same order. *)

@@ -57,10 +57,11 @@ let range_stats t ~eps q =
   let n = Array.length t.sets in
   let probes = ref 0 and prunes = ref 0 in
   let acc = ref [] in
+  let within_q = Space.within sp ~eps q in
   let probe j =
     if j <> q then begin
       incr probes;
-      if Space.within sp ~eps q j then acc := j :: !acc
+      if within_q j then acc := j :: !acc
     end
   in
   let x = t.sets.(q) in

@@ -54,15 +54,17 @@ let representatives t (c : F.classes) =
 let is_int_metric t = t.kind = Edit
 
 (* the measure value itself: what the brute-force scan compares against
-   eps *)
-let dist t i j =
+   eps; staged like [F.edit], which builds [i]'s pattern once *)
+let dist t i =
   match t.kind with
-  | Token -> F.token t.feats i j
-  | Structure -> F.structure t.feats i j
-  | Clause -> F.clause t.feats i j
-  | Edit -> F.edit t.feats i j
+  | Token -> F.token t.feats i
+  | Structure -> F.structure t.feats i
+  | Clause -> F.clause t.feats i
+  | Edit -> F.edit t.feats i
 
-let within t ~eps i j = dist t i j <= eps
+let within t ~eps i =
+  let d = dist t i in
+  fun j -> d j <= eps
 
 let int_dist t i =
   match t.kind with

@@ -54,7 +54,8 @@ val within : t -> eps:float -> int -> int -> bool
 (** [within t ~eps i j] is [measure(i,j) <= eps] with the measure value
     bit-identical to the matrix entry — the decision the brute-force
     neighbor scan makes, for every measure.  Every call is a "probe" in
-    the cost model. *)
+    the cost model.  Staged: [within t ~eps i] builds [i]'s edit
+    pattern once, for every [j]. *)
 
 val int_dist : t -> int -> int -> int
 (** Raw integer Levenshtein distance, the BK-tree routing metric.

@@ -11,7 +11,6 @@ type index =
    until every member has asked. *)
 type groups = {
   classes : Distance.Features.classes;
-  reps : Space.t;
   pending : int array;  (* members of each class yet to ask *)
   hits : (float * int array) option array;  (* (eps, members in range) *)
 }
@@ -29,11 +28,10 @@ let build ?pool ~seed space =
   match Space.classes space with
   | None -> { index = build_index ?pool ~seed space; groups = None }
   | Some c ->
-    let reps = Space.representatives space c in
-    { index = build_index ?pool ~seed reps;
+    { index = build_index ?pool ~seed (Space.representatives space c);
       groups =
         Some
-          { classes = c; reps;
+          { classes = c;
             pending = Array.map Array.length c.members;
             hits = Array.make (Array.length c.reps) None } }
 
@@ -46,12 +44,12 @@ let index_range t ~eps q =
 
 (* the members of every class within eps of class [a]: the index's hit
    classes, and [a] itself when it has other members and
-   [d(rep, rep) <= eps] (nan, or a negative eps, excludes it) *)
+   [d(rep, rep) <= eps].  Every measure of a space is 0 on a point and
+   itself (an empty Jaccard union and an empty edit sequence both read
+   0), so that is [0 <= eps]: nan, or a negative eps, excludes it *)
 let class_range t g ~eps a =
   let hit, st = index_range t ~eps a in
-  let own =
-    Array.length g.classes.members.(a) > 1 && Space.within g.reps ~eps a a
-  in
+  let own = Array.length g.classes.members.(a) > 1 && 0.0 <= eps in
   let ms =
     Array.concat
       (List.map (fun b -> g.classes.members.(b)) (if own then a :: hit else hit))

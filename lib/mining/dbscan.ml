@@ -16,28 +16,39 @@ let expand ~n ~min_pts ~range =
     Obs.Metric.incr m_scans;
     range i
   in
+  (* |nbrs| + 1 >= min_pts, counting no further than min_pts - 1 *)
+  let core nbrs = List.compare_length_with nbrs (min_pts - 1) >= 0 in
   let labels = Array.make n (-2) in
-  (* -2 unvisited, -1 noise, >= 0 cluster id *)
+  (* -2 unvisited, -3 queued, -1 noise, >= 0 cluster id *)
   let cluster = ref (-1) in
+  (* the FIFO work list: an unvisited point is queued at its first push
+     and scanned when it is popped, in the order a queue of every push
+     would scan it; a noise point reached from a core point is a border
+     point at once.  Each point is queued at most once, so n cells
+     hold the queue of the whole run. *)
+  let work = Array.make n 0 and head = ref 0 and tail = ref 0 in
+  let push j =
+    if labels.(j) = -1 then labels.(j) <- !cluster
+    else if labels.(j) = -2 then begin
+      labels.(j) <- -3;
+      work.(!tail) <- j;
+      incr tail
+    end
+  in
   for i = 0 to n - 1 do
     if labels.(i) = -2 then begin
       let nbrs = neighbors i in
-      if List.length nbrs + 1 < min_pts then labels.(i) <- -1
+      if not (core nbrs) then labels.(i) <- -1
       else begin
         incr cluster;
         labels.(i) <- !cluster;
-        (* expand the cluster with a work queue *)
-        let queue = Queue.create () in
-        List.iter (fun j -> Queue.add j queue) nbrs;
-        while not (Queue.is_empty queue) do
-          let j = Queue.pop queue in
-          if labels.(j) = -1 then labels.(j) <- !cluster (* border point *)
-          else if labels.(j) = -2 then begin
-            labels.(j) <- !cluster;
-            let nbrs_j = neighbors j in
-            if List.length nbrs_j + 1 >= min_pts then
-              List.iter (fun k -> Queue.add k queue) nbrs_j
-          end
+        List.iter push nbrs;
+        while !head < !tail do
+          let j = work.(!head) in
+          incr head;
+          labels.(j) <- !cluster;
+          let nbrs_j = neighbors j in
+          if core nbrs_j then List.iter push nbrs_j
         done
       end
     end

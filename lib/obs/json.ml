@@ -43,9 +43,9 @@ let literal c word value =
   end
   else fail "invalid literal at offset %d" c.pos
 
-let parse_string c =
-  expect c '"';
-  let b = Buffer.create 16 in
+(* the byte-wise decoder: the rest of a string from its first
+   backslash at [c.pos], appended to [b] *)
+let parse_escaped c b =
   let rec go () =
     if c.pos >= String.length c.s then fail "unterminated string"
     else begin
@@ -92,6 +92,26 @@ let parse_string c =
     end
   in
   go ()
+
+(* a string without a backslash is one [String.sub] *)
+let parse_string c =
+  expect c '"';
+  let start = c.pos and len = String.length c.s in
+  let rec plain i =
+    if i >= len then fail "unterminated string"
+    else match c.s.[i] with '"' | '\\' -> i | _ -> plain (i + 1)
+  in
+  let stop = plain start in
+  if c.s.[stop] = '"' then begin
+    c.pos <- stop + 1;
+    String.sub c.s start (stop - start)
+  end
+  else begin
+    let b = Buffer.create (stop - start + 16) in
+    Buffer.add_substring b c.s start (stop - start);
+    c.pos <- stop;
+    parse_escaped c b
+  end
 
 let parse_number c =
   let start = c.pos in
@@ -191,18 +211,23 @@ let number f =
    bytes >= 0x80 pass through raw, so every byte string round-trips *)
 let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let rec go start i =
+    if i = String.length s then Buffer.add_substring buf s start (i - start)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+         | '"' -> Buffer.add_string buf "\\\""
+         | '\\' -> Buffer.add_string buf "\\\\"
+         | '\n' -> Buffer.add_string buf "\\n"
+         | '\r' -> Buffer.add_string buf "\\r"
+         | '\t' -> Buffer.add_string buf "\\t"
+         | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let rec add_value buf = function

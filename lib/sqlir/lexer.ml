@@ -13,7 +13,18 @@ let keywords =
     "BETWEEN"; "IN"; "LIKE"; "IS"; "NULL"; "AS";
     "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+(* every ciphertext identifier is longer than the longest keyword, so a
+   length check rejects it before any uppercasing; a hit returns the
+   table's own string *)
+let keyword_table = Hashtbl.of_seq (Seq.map (fun k -> (k, k)) (List.to_seq keywords))
+
+let max_keyword_len = List.fold_left (fun m k -> max m (String.length k)) 0 keywords
+
+let keyword word =
+  if String.length word > max_keyword_len then None
+  else Hashtbl.find_opt keyword_table (String.uppercase_ascii word)
+
+let is_keyword s = keyword s <> None
 
 let token_to_string = function
   | Kw k -> k
@@ -42,9 +53,7 @@ let tokenize input =
         let j = ref i in
         while !j < n && is_ident_char input.[!j] do incr j done;
         let word = String.sub input i (!j - i) in
-        let tok =
-          if is_keyword word then Kw (String.uppercase_ascii word) else Ident word
-        in
+        let tok = match keyword word with Some k -> Kw k | None -> Ident word in
         go !j (tok :: acc)
       end
       else if is_digit c
@@ -71,36 +80,46 @@ let tokenize input =
           | None -> raise (Lex_error ("integer literal out of range", i))
       end
       else if c = '\'' then begin
-        (* string literal; '' escapes a quote *)
-        let buf = Buffer.create 16 in
-        let rec scan j =
-          if j >= n then raise (Lex_error ("unterminated string literal", i))
-          else if input.[j] = '\'' then
-            if j + 1 < n && input.[j + 1] = '\'' then begin
-              Buffer.add_char buf '\'';
-              scan (j + 2)
-            end
-            else j + 1
-          else begin
-            Buffer.add_char buf input.[j];
-            scan (j + 1)
-          end
+        (* string literal; '' escapes a quote, and only a literal that
+           holds one is copied piecewise *)
+        let close j =
+          match String.index_from_opt input j '\'' with
+          | Some k -> k
+          | None -> raise (Lex_error ("unterminated string literal", i))
         in
-        let j = scan (i + 1) in
-        go j (Str_lit (Buffer.contents buf) :: acc)
+        let doubled k = k + 1 < n && input.[k + 1] = '\'' in
+        let k = close (i + 1) in
+        if not (doubled k) then
+          go (k + 1) (Str_lit (String.sub input (i + 1) (k - i - 1)) :: acc)
+        else begin
+          let buf = Buffer.create 16 in
+          let rec scan j k =
+            Buffer.add_substring buf input j (k - j);
+            if doubled k then begin
+              Buffer.add_char buf '\'';
+              scan (k + 2) (close (k + 2))
+            end
+            else k + 1
+          in
+          let j = scan (i + 1) k in
+          go j (Str_lit (Buffer.contents buf) :: acc)
+        end
       end
       else begin
-        let two = if i + 1 < n then String.sub input i 2 else "" in
-        match two with
-        | "<=" | ">=" | "<>" | "!=" ->
-          let sym = if two = "!=" then "<>" else two in
-          go (i + 2) (Sym sym :: acc)
+        let next = if i + 1 < n then input.[i + 1] else ' ' in
+        match c, next with
+        | '<', '=' -> go (i + 2) (Sym "<=" :: acc)
+        | '>', '=' -> go (i + 2) (Sym ">=" :: acc)
+        | '<', '>' | '!', '=' -> go (i + 2) (Sym "<>" :: acc)
         | _ ->
-          (match c with
-           | ',' | '(' | ')' | '.' | '*' | '=' | '<' | '>' | ';' | '-' | '+' | '/' ->
-             go (i + 1) (Sym (String.make 1 c) :: acc)
-           | _ ->
-             raise (Lex_error (Printf.sprintf "unexpected character %C" c, i)))
+          let sym =
+            match c with
+            | ',' -> "," | '(' -> "(" | ')' -> ")" | '.' -> "." | '*' -> "*"
+            | '=' -> "=" | '<' -> "<" | '>' -> ">" | ';' -> ";" | '-' -> "-"
+            | '+' -> "+" | '/' -> "/"
+            | _ -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, i))
+          in
+          go (i + 1) (Sym sym :: acc)
       end
     end
   in

@@ -38,9 +38,10 @@ let measure_of_kind = function
 (* the reference answer: the brute-force scan over the exact predicate,
    ascending — precisely what the trees must reproduce *)
 let brute sp ~eps q =
+  let within_q = Index.Space.within sp ~eps q in
   let acc = ref [] in
   for j = Index.Space.size sp - 1 downto 0 do
-    if j <> q && Index.Space.within sp ~eps q j then acc := j :: !acc
+    if j <> q && within_q j then acc := j :: !acc
   done;
   !acc
 

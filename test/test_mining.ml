@@ -396,6 +396,48 @@ let pr5_identity =
         Mining.Kmedoids.run_pam { Mining.Kmedoids.k = 2; max_iter = 30 } m
         = Ref_kmedoids.run_pam ~k:2 ~max_iter:30 m) ]
 
+(* random symmetric neighborhoods: the DBSCAN core labels as the
+   Queue-based [Reference.dbscan_expand] does, asks [range] in the same
+   order, and scans every point exactly once *)
+let dbscan_reference =
+  let gen =
+    QCheck.Gen.(quad (int_bound 60) (int_bound 6) (float_bound_inclusive 0.4) int)
+  in
+  let print (n, min_pts, p, seed) =
+    Printf.sprintf "n=%d min_pts=%d p=%g seed=%d" n min_pts p seed
+  in
+  [ QCheck.Test.make ~name:"run_index = Queue reference, n scans" ~count:300
+      (QCheck.make ~print gen)
+      (fun (n, min_pts, p, seed) ->
+        let bytes =
+          Crypto.Drbg.generate (Crypto.Drbg.create ~seed:(string_of_int seed)) (n * n)
+        in
+        let adj = Array.make_matrix n n false in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            let e = float_of_int (Char.code bytes.[(i * n) + j]) < p *. 256.0 in
+            adj.(i).(j) <- e;
+            adj.(j).(i) <- e
+          done
+        done;
+        let calls = ref [] in
+        let range i =
+          calls := i :: !calls;
+          List.filter (fun j -> adj.(i).(j)) (List.init n Fun.id)
+        in
+        let want = Reference.dbscan_expand ~n ~min_pts ~range in
+        let want_calls = !calls in
+        calls := [];
+        let scans = Obs.Registry.counter "kitdpe.mining.dbscan.neighbor_scans" in
+        let was = Obs.is_enabled () in
+        Obs.set_enabled true;
+        let s0 = Obs.Metric.value scans in
+        let got =
+          Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+              Mining.Dbscan.run_index ~min_pts { Mining.Dbscan.ri_n = n; range })
+        in
+        got = want && !calls = want_calls && Obs.Metric.value scans - s0 = n) ]
+
 (* the list-based complete link that Mining.Hier replaced, kept as the
    reference it must match merge for merge and label for label: every
    merge rescans every cluster pair, each pair's distance the maximum
@@ -598,7 +640,9 @@ let test_hier_deadline () =
 let () =
   Alcotest.run "mining"
     [ ("matrix", [ Alcotest.test_case "dist matrix" `Quick test_dist_matrix ]);
-      ("dbscan", [ Alcotest.test_case "dbscan" `Quick test_dbscan ]);
+      ("dbscan",
+       Alcotest.test_case "dbscan" `Quick test_dbscan
+       :: List.map (fun t -> QCheck_alcotest.to_alcotest t) dbscan_reference);
       ("kmedoids",
        [ Alcotest.test_case "kmedoids" `Quick test_kmedoids;
          Alcotest.test_case "pam swap phase" `Quick test_pam ]);

@@ -248,6 +248,26 @@ let test_json_to_int_exact () =
   check "below min_int" None "-4611686018427387905000";
   check "string" None "\"3\""
 
+(* the string reader's errors: a string without a backslash takes the
+   one-copy path, one with a backslash the byte-wise decoder, and both
+   report as before and leave the cursor after the closing quote *)
+let test_json_string_errors () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check (result reject string)) s (Error want)
+        (Result.map (fun _ -> ()) (Obs.Json.parse s)))
+    [ ("\"abc", "unterminated string");
+      ("\"a\\nbc", "unterminated string");
+      ("\"abc\\", "unterminated escape");
+      ("\"a\\qb\"", "bad escape '\\q'");
+      ("\"a\\u12", "truncated \\u escape");
+      ("\"a\\u12zz\"", "bad \\u escape 12zz");
+      ("[\"ab\" x]", "expected ',' or ']' at offset 6");
+      ("[\"a\\nb\" x]", "expected ',' or ']' at offset 8");
+      ("{\"ab\" 1}", "expected ':' at offset 6, found '1'");
+      ("\"ab\"x", "trailing garbage at offset 4");
+      ("\"\\u00e9\\u20ac\"x", "trailing garbage at offset 14") ]
+
 (* ---- JSON writer ---- *)
 
 let test_json_number_rule () =
@@ -315,13 +335,34 @@ let gen_json =
   in
   frequency [ (4, tree); (1, map2 wrap (int_bound Obs.Json.max_depth) leaf) ]
 
+(* byte strings with a quote, a backslash, a control character or a
+   byte >= 0x80 first, in the middle and last: the edges of every run
+   the writer copies whole and the reader takes in one piece *)
+let gen_edgy_string =
+  let open QCheck.Gen in
+  let edge =
+    map (String.make 1)
+      (oneof
+         [ oneofl [ '"'; '\\' ]; map Char.chr (int_range 0 0x1f);
+           map Char.chr (int_range 0x80 0xff) ])
+  in
+  let body = string_size ~gen:char (int_bound 20) in
+  frequency
+    [ (1, string_size ~gen:char (int_bound 40));
+      (3, map3 (fun (a, b) c (l, r) -> a ^ l ^ b ^ r ^ c) (pair edge edge) edge
+            (pair body body)) ]
+
 let json_properties =
   [ QCheck.Test.make ~name:"to_string inverts parse" ~count:1000
       (QCheck.make ~print:Obs.Json.to_string gen_json)
       (fun j ->
         match Obs.Json.parse (Obs.Json.to_string j) with
         | Ok j' -> json_equal j j'
-        | Error _ -> false) ]
+        | Error _ -> false);
+    QCheck.Test.make ~name:"byte strings round-trip" ~count:2000
+      (QCheck.make ~print:String.escaped gen_edgy_string)
+      (fun s ->
+        Obs.Json.parse (Obs.Json.to_string (Obs.Json.Str s)) = Ok (Obs.Json.Str s)) ]
 
 (* ---- span ring buffer ---- *)
 
@@ -972,6 +1013,7 @@ let () =
       ("json",
        [ Alcotest.test_case "depth bound" `Quick test_json_depth_bound;
          Alcotest.test_case "to_int exact" `Quick test_json_to_int_exact;
+         Alcotest.test_case "string errors" `Quick test_json_string_errors;
          Alcotest.test_case "writer number rule" `Quick test_json_number_rule ]
        @ List.map (fun t -> QCheck_alcotest.to_alcotest t) json_properties);
       ("spans",

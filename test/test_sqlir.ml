@@ -32,13 +32,33 @@ let test_lexer_basics () =
    | [ Lexer.Kw "WHERE"; Lexer.Ident "a"; Lexer.Sym "="; Lexer.Int_lit (-5) ] -> ()
    | _ -> Alcotest.fail "negative literal after =");
   check_bool "keyword predicate" true (Lexer.is_keyword "select");
-  check_bool "non-keyword" false (Lexer.is_keyword "foo")
+  check_bool "non-keyword" false (Lexer.is_keyword "foo");
+  (* the keyword table: case-insensitive, whole words only, and words
+     longer than every keyword never reach it *)
+  (match Lexer.tokenize "SeLeCt SELECTED selecting" with
+   | [ Lexer.Kw "SELECT"; Lexer.Ident "SELECTED"; Lexer.Ident "selecting" ] -> ()
+   | _ -> Alcotest.fail "keyword table");
+  (match Lexer.tokenize "'' 'a''b''' 'x'" with
+   | [ Lexer.Str_lit ""; Lexer.Str_lit "a'b'"; Lexer.Str_lit "x" ] -> ()
+   | _ -> Alcotest.fail "string literals");
+  match Lexer.tokenize "(a) -3 <= b" with
+  | [ Lexer.Sym "("; Lexer.Ident "a"; Lexer.Sym ")"; Lexer.Sym "-"; Lexer.Int_lit 3;
+      Lexer.Sym "<="; Lexer.Ident "b" ] -> ()
+  | _ -> Alcotest.fail "minus after ) is a symbol"
 
 let test_lexer_errors () =
   (try
      ignore (Lexer.tokenize "SELECT 'unterminated");
      Alcotest.fail "expected lex error"
    with Lexer.Lex_error (_, off) -> check_int "error offset" 7 off);
+  List.iter
+    (fun s ->
+      match Lexer.tokenize s with
+      | exception Lexer.Lex_error (msg, off) ->
+        check_str "message" "unterminated string literal" msg;
+        check_int ("offset in " ^ s) 2 off
+      | _ -> Alcotest.fail ("lexed " ^ s))
+    [ "a 'abc"; "a 'it''s"; "a '''" ];
   (try
      ignore (Lexer.tokenize "a ? b");
      Alcotest.fail "expected lex error"
@@ -337,6 +357,31 @@ let lexeme =
 
 let total = Testkit.never_raises Parser.parse_result
 
+(* the lexer against the one it replaced: the same tokens, or the same
+   [Lex_error] message and offset *)
+let lexes_as_reference s =
+  let outcome f =
+    match f s with
+    | toks -> Ok toks
+    | exception Lexer.Lex_error (msg, off) -> Error (msg, off)
+  in
+  outcome Lexer.tokenize = outcome Reference.tokenize
+
+(* lexemes in any case and of every length around the longest keyword,
+   joined with or without a separator, so that symbols can fuse *)
+let mixed_soup =
+  QCheck.Gen.(
+    let word =
+      frequency
+        [ (6, lexeme);
+          (2, map String.lowercase_ascii lexeme);
+          (1, map (fun n -> "x_" ^ String.make n 'a') (int_range 0 48));
+          (1, oneofl [ "SeLeCt"; "SELECTED"; "selecting"; "!"; "!="; "'"; "''" ]) ]
+    in
+    map
+      (fun parts -> String.concat "" (List.concat_map (fun (w, sep) -> [ w; sep ]) parts))
+      (list_size (int_range 0 40) (pair word (oneofl [ " "; ""; "\n" ]))))
+
 let fuzz_properties =
   [ QCheck.Test.make ~name:"parse_result total on arbitrary bytes" ~count:1000
       QCheck.(string_gen_of_size Gen.(int_range 0 80) Gen.char)
@@ -353,7 +398,12 @@ let fuzz_properties =
            map
              (fun ts -> "SELECT a FROM t WHERE " ^ String.concat " " ts)
              (list_size (int_range 0 40) lexeme)))
-      total ]
+      total;
+    QCheck.Test.make ~name:"tokenize = reference on arbitrary bytes" ~count:2000
+      QCheck.(string_gen_of_size Gen.(int_range 0 80) Gen.char)
+      lexes_as_reference;
+    QCheck.Test.make ~name:"tokenize = reference on query-shaped token soup"
+      ~count:2000 (QCheck.make ~print:Fun.id mixed_soup) lexes_as_reference ]
 
 let () =
   Alcotest.run "sqlir"
