@@ -857,10 +857,10 @@ let perf_parallel () =
     (path hot)
 
 (* P3: indexes.  Each range row compares the brute-force neighbor scan
-   (n-1 exact probes per query, the query's side staged once as
-   [Features.edit] stages its pattern table) against the index that
-   [Index.Vp_tree.build] picks on a sampled query set, per query, with
-   [identical] asserting equal neighbor sets.  Every row keeps its
+   (n-1 exact probes per query through the library's staged evaluator,
+   [Index.Space.within], the query's side staged once) against the index
+   that [Index.Vp_tree.build] picks on a sampled query set, per query,
+   with [identical] asserting equal neighbor sets.  Every row keeps its
    [index/vp_*] name so [--compare] lines up with older snapshots, but
    none runs a VP-tree: the edit rows run the BK-tree and the token rows
    the prefix filter.  The index's probes, summed over the sampled
@@ -872,27 +872,19 @@ let perf_index () =
   let pool = Parallel.Pool.global () in
   let eps = 0.1 in
   let n_sample = 64 in
-  let space_of kind m n =
+  let space_of m n =
     let log =
       Workload.Gen_query.skyserver_log
         { Workload.Gen_query.n; templates = max 4 (n / 50); seed = "p3-index";
           caps = Workload.Gen_query.caps_for_measure m }
     in
-    let feats = Distance.Features.build ~pool (Array.of_list log) in
-    let staged =
-      match kind with
-      | Index.Space.Edit -> Distance.Features.edit feats
-      | Index.Space.Token -> Distance.Features.token feats
-      | Index.Space.Structure -> Distance.Features.structure feats
-      | Index.Space.Clause -> Distance.Features.clause feats
-    in
-    (Index.Space.of_kind kind feats, staged)
+    Index.Space.flat m (Distance.Features.build ~pool (Array.of_list log))
   in
-  let brute (sp, staged) q =
-    let d = staged q in
+  let brute sp q =
+    let within_q = Index.Space.within sp ~eps q in
     let acc = ref [] in
     for j = Index.Space.size sp - 1 downto 0 do
-      if j <> q && d j <= eps then acc := j :: !acc
+      if j <> q && within_q j then acc := j :: !acc
     done;
     !acc
   in
@@ -901,18 +893,12 @@ let perf_index () =
   (* 1. index eps-range vs brute force *)
   let probe_counts =
     List.map
-      (fun (kind, mname, n) ->
-        let m =
-          match kind with
-          | Index.Space.Edit -> M.Edit
-          | Index.Space.Token -> M.Token
-          | Index.Space.Structure -> M.Structure
-          | Index.Space.Clause -> M.Clause
-        in
-        let ((sp, _) as space) = space_of kind m n in
+      (fun (m, n) ->
+        let mname = M.to_string m in
+        let sp = space_of m n in
         let tree = Index.Vp_tree.build ~pool ~seed:"p3" sp in
         let queries = sampled n in
-        let brute_all () = Array.map (brute space) queries in
+        let brute_all () = Array.map (brute sp) queries in
         let index_all () = Array.map (Index.Vp_tree.range tree ~eps) queries in
         row ~op:("index/vp_range/" ^ mname) ~n ~domains ~per:n_sample
           ~base:(path brute_all, brute_all () = index_all ())
@@ -925,17 +911,15 @@ let perf_index () =
             0 queries
         in
         (Printf.sprintf "index/probes/%s/%d" mname n, probes))
-      [ (Index.Space.Edit, "edit", 1000);
-        (Index.Space.Edit, "edit", 10000);
-        (Index.Space.Token, "token", 1000) ]
+      [ (M.Edit, 1000); (M.Edit, 10000); (M.Token, 1000) ]
   in
 
   (* 2. DBSCAN end-to-end: brute-force neighbor scans vs the index
      engine, identical labels, on the token space *)
   let n_db = 1000 in
-  let ((sp_db, _) as space_db) = space_of Index.Space.Token M.Token n_db in
+  let sp_db = space_of M.Token n_db in
   let vp = Index.Vp_tree.build ~pool ~seed:"p3" sp_db in
-  let scans = { Mining.Dbscan.ri_n = n_db; range = brute space_db } in
+  let scans = { Mining.Dbscan.ri_n = n_db; range = brute sp_db } in
   let ri =
     { Mining.Dbscan.ri_n = n_db;
       range = (fun i -> Index.Vp_tree.range vp ~eps i) }

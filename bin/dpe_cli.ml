@@ -916,7 +916,7 @@ let chaos seed rows domains report_path =
      BK-tree, the one index built on the pool, is bit-identical for
      every pool size *)
   let feats_ix = Distance.Features.build qs in
-  let sp_ix = Index.Space.of_kind Index.Space.Token feats_ix in
+  let sp_ix = Index.Space.flat M.Token feats_ix in
   let ix_build () = Index.Vp_tree.build ~seed:"chaos" sp_ix in
   let ix_run () =
     match Fault.protect ~context:"chaos.index" (fun () -> ix_build ()) with
@@ -932,7 +932,7 @@ let chaos seed rows domains report_path =
   check "index: identical report on rerun"
     (report_of ix_a = report_of ix_b) "reports differ";
   check "index: clean once disarmed" (ix_run () = []) "errors remain";
-  let sp_edit = Index.Space.of_kind Index.Space.Edit feats_ix in
+  let sp_edit = Index.Space.flat M.Edit feats_ix in
   let bk_fp ?pool () =
     Index.Bk_tree.fingerprint (Index.Bk_tree.build ?pool ~seed:"chaos" sp_edit)
   in

@@ -31,34 +31,41 @@ let create ?(bound = 1 lsl 16) obs =
     misses = 0;
     evictions = 0 }
 
-let find_or_add m k f =
+(* [v] computed for the missing key [k]: the caller whose insert adds
+   [k] counts the miss, so [misses] is the number of keys inserted for
+   every pool size; one that finds [k] stored by another caller in the
+   meantime counts a hit and returns the stored value *)
+let insert m k v =
   Mutex.lock m.lock;
-  let hit = Hashtbl.find_opt m.tbl k in
-  (match hit with
+  let stored = Hashtbl.find_opt m.tbl k in
+  let evicted = if Hashtbl.length m.tbl >= m.bound then Hashtbl.length m.tbl else 0 in
+  (match stored with
    | Some _ -> m.hits <- m.hits + 1
-   | None -> m.misses <- m.misses + 1);
+   | None ->
+     m.misses <- m.misses + 1;
+     if evicted > 0 then Hashtbl.reset m.tbl;
+     m.evictions <- m.evictions + evicted;
+     Hashtbl.replace m.tbl k v);
   Mutex.unlock m.lock;
-  match hit with
+  match stored with
   | Some v ->
     Obs.Metric.incr m.obs.c_hits;
     v
   | None ->
     Obs.Metric.incr m.obs.c_misses;
-    let v = f k in
-    Mutex.lock m.lock;
-    let evicted =
-      if Hashtbl.length m.tbl >= m.bound then begin
-        let n = Hashtbl.length m.tbl in
-        Hashtbl.reset m.tbl;
-        m.evictions <- m.evictions + n;
-        n
-      end
-      else 0
-    in
-    Hashtbl.replace m.tbl k v;
-    Mutex.unlock m.lock;
     if evicted > 0 then Obs.Metric.add m.obs.c_evictions evicted;
     v
+
+let find_or_add m k f =
+  Mutex.lock m.lock;
+  let hit = Hashtbl.find_opt m.tbl k in
+  if Option.is_some hit then m.hits <- m.hits + 1;
+  Mutex.unlock m.lock;
+  match hit with
+  | Some v ->
+    Obs.Metric.incr m.obs.c_hits;
+    v
+  | None -> insert m k (f k)
 
 let clear m =
   Mutex.lock m.lock;

@@ -24,5 +24,5 @@ val selection_set : Sqlir.Ast.query -> string list
 
 val combine : projection:float -> group_by:float -> selection:float -> float
 (** The weighted average of three component distances, divided by the
-    weight sum: the measure {!Features.clause} evaluates from the
+    weight sum: the measure {!Features.eval} evaluates from the
     Jaccard distances of the three interned component sets. *)

@@ -11,7 +11,7 @@
 
     The distance of two queries is the Levenshtein distance of their
     fused token sequences ({!D_token.fuse}) divided by the longer
-    length, 0 when both are empty.  {!Features.edit} evaluates it with
+    length, 0 when both are empty.  {!Features.eval} evaluates it with
     the Myers bit-parallel kernel below over interned symbols
     (O(nm/w), w = 62 payload bits per word), building a query's
     pattern bitvectors once per matrix row or index query; the property

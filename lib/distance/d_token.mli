@@ -1,6 +1,6 @@
 (** Token-based query-string distance (Definition 3): a query is viewed
     as the {e set} of its lexical tokens, and the distance is the Jaccard
-    distance of the two token sets.  {!Features.token} evaluates it from
+    distance of the two token sets.  {!Features.eval} evaluates it from
     these tokens. *)
 
 val fuse : Sqlir.Lexer.token list -> string list

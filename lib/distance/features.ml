@@ -1,9 +1,9 @@
 (* Per-query feature precomputation: the one implementation of the
    token, structure, clause, access and edit measures.
 
-   Every per-query artifact is built once (O(n) tokenizations for an
-   n-query matrix), symbols are interned into small ints per table, and
-   pairs are evaluated from the records:
+   A table holds one key's part per query, built once per distinct
+   query, with its symbols interned into small ints, and pairs are
+   evaluated from the parts:
 
    - interning is injective, so intersection/union cardinalities of the
      interned sets equal those of the original string / Feature.t sets
@@ -30,119 +30,29 @@ module Interner = struct
   let size t = t.next
 end
 
-type record = {
-  edit_tokens : int array;  (* interned fused token sequence: edit input *)
-  token_set : int array;  (* sorted duplicate-free [edit_tokens] *)
-  structure_set : int array;  (* interned Feature.t set *)
-  clause_proj : int array;  (* interned D_clause component sets *)
-  clause_group : int array;
-  clause_sel : int array;
-  areas : (string * Access_area.t) list;  (* Access_area.of_query *)
-}
-
-(* [records.(i)] is query [i]'s record; queries with the same printed
-   text and AST share one record, built once *)
+(* [first.(i)] is the smallest index of a query that shares query [i]'s
+   record *)
 type t = {
-  records : record array;
-  alphabet : int;
+  queries : Sqlir.Ast.query array;
+  texts : string array;
+  first : int array;
 }
 
-let length t = Array.length t.records
+type key = Token_set | Edit_tokens | Structure_set | Clause_sets | Areas
+
+type clauses = { proj : int array; group : int array; sel : int array }
+
+(* per query, shared by the queries of one record *)
+type part =
+  | Sets of int array array  (* token or structure sets *)
+  | Seqs of int array array * int  (* edit sequences, alphabet size *)
+  | Clauses of clauses array
+  | Area_maps of (string * Access_area.t) list array
+
+type table = { key : key; part : part }
 
 let m_builds = Obs.Registry.counter "kitdpe.distance.features.builds"
 let m_reuse = Obs.Registry.counter "kitdpe.distance.features.reuse"
-
-(* phase A output: everything derivable from one query alone, before
-   any cross-query interning *)
-type raw = {
-  r_fused : string array;
-  r_structure : Feature.t list;
-  r_proj : string list;
-  r_group : string list;
-  r_sel : string list;
-  r_areas : (string * Access_area.t) list;
-}
-
-(* the part of a record each measure reads, see {!classes} *)
-type key = Token_set | Edit_tokens | Structure_set | Clause_sets | Areas
-
-(* With [only], just the parts that key's evaluator reads are built and
-   the others left empty; [text] is lexed only for the token parts. *)
-let raw_of_query ?only text q =
-  Obs.Metric.incr m_builds;
-  let wants k = match only with None -> true | Some o -> o = k in
-  let clause = wants Clause_sets in
-  {
-    r_fused =
-      (if wants Token_set || wants Edit_tokens then
-         Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize text))
-       else [||]);
-    r_structure = (if wants Structure_set then Feature.of_query q else []);
-    r_proj = (if clause then D_clause.projection_set q else []);
-    r_group = (if clause then D_clause.group_by_set q else []);
-    r_sel = (if clause then D_clause.selection_set q else []);
-    r_areas = (if wants Areas then Access_area.of_query q else []);
-  }
-
-(* sorted duplicate-free id set of a token sequence *)
-let sorted_set_of_seq arr =
-  let a = Array.copy arr in
-  Array.sort Int.compare a;
-  let n = Array.length a in
-  if n = 0 then a
-  else begin
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!k - 1) then begin
-        a.(!k) <- a.(i);
-        incr k
-      end
-    done;
-    Array.sub a 0 !k
-  end
-
-(* [xs] is already deduplicated in its source domain, so the injective
-   ids need only sorting *)
-let intern_set intern xs =
-  let a = Array.of_list (List.map (Interner.id intern) xs) in
-  Array.sort Int.compare a;
-  a
-
-(* phase B: sequential interning — the tables are not domain-safe.
-   [raws.(i)] is [None] for a query that shares the record of the
-   earlier query [first.(i)].  [Array.map] runs in index order, so the
-   distinct raws meet the interners in query order and every id is what
-   a per-query build assigns. *)
-let finish first raws =
-  (* sized to the log: {!of_pair} builds a table on every call *)
-  let size = min 256 (8 * Array.length raws) in
-  let edit_int = Interner.create size in
-  let feat_int = Interner.create size in
-  let clause_int = Interner.create size in
-  let record r =
-    (* the three clause components share ids, assigned selection
-       first: the prefix index breaks rank ties by id *)
-    let clause_sel = intern_set clause_int r.r_sel in
-    let clause_group = intern_set clause_int r.r_group in
-    let clause_proj = intern_set clause_int r.r_proj in
-    let edit_tokens = Array.map (Interner.id edit_int) r.r_fused in
-    {
-      edit_tokens;
-      token_set = sorted_set_of_seq edit_tokens;
-      structure_set = intern_set feat_int r.r_structure;
-      clause_proj;
-      clause_group;
-      clause_sel;
-      areas = r.r_areas;
-    }
-  in
-  let built = Array.map (Option.map record) raws in
-  let records =
-    Array.mapi
-      (fun i r -> match r with Some r -> r | None -> Option.get built.(first.(i)))
-      built
-  in
-  { records; alphabet = max 1 (Interner.size edit_int) }
 
 (* Queries are the same record when their printed texts are equal (the
    token and edit measures read the text) and so are their ASTs (the
@@ -156,8 +66,6 @@ module Distinct = Hashtbl.Make (struct
   let hash (s, _) = Hashtbl.hash s
 end)
 
-(* [first.(i)] is the smallest index of a query that is the same
-   record as query [i] *)
 let first_occurrences texts queries =
   let seen = Distinct.create 64 in
   Array.mapi
@@ -169,6 +77,20 @@ let first_occurrences texts queries =
         Distinct.add seen key i;
         i)
     texts
+
+let batch pool n f =
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  Parallel.Pool.map_range_r pool ~label:"features.build" n f
+
+(* one batch that prints every query and carries the fault point *)
+let build_r ?pool queries =
+  Result.map
+    (fun texts -> { queries; texts; first = first_occurrences texts queries })
+    (batch pool (Array.length queries) (fun i ->
+         Fault.point ~key:i "distance.features.build";
+         Sqlir.Printer.to_string queries.(i)))
+
+let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
 
 (* A repeat's record is its first occurrence's, so a failed first
    occurrence fails its repeats too, each under its own index, as when
@@ -189,41 +111,103 @@ let with_repeats first es =
       | None, None -> None)
     (List.init (Array.length first) Fun.id)
 
-(* Two batches over every query: the first prints it (and carries the
-   fault point), the second builds the record of each first
-   occurrence. *)
-let build_r ?pool (queries : Sqlir.Ast.query array) =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let batch f =
-    Parallel.Pool.map_range_r pool ~label:"features.build" (Array.length queries) f
+(* [xs] is already deduplicated in its source domain, so the injective
+   ids need only sorting *)
+let intern_set intern xs =
+  let a = Array.of_list (List.map (Interner.id intern) xs) in
+  Array.sort Int.compare a;
+  a
+
+(* how the per-query builder runs over the queries: a pool batch for a
+   log, the calling thread for one pair *)
+type runner = { run : 'r. (int -> 'r) -> ('r array, Fault.Error.t list) result }
+
+(* The part builder.  [run] builds the raw part of each first occurrence
+   (counted in [m_builds]); then [intern], which is not domain-safe,
+   takes the raw parts in query order ([Array.map] runs in index order),
+   so every id is what a per-query build assigns, and each repeat shares
+   its first occurrence's part. *)
+let part { run } ~text key queries first =
+  let parts raw intern =
+    Result.map
+      (fun raws ->
+        let built = Array.map (Option.map intern) raws in
+        Array.mapi
+          (fun i p -> match p with Some p -> p | None -> Option.get built.(first.(i)))
+          built)
+      (run (fun i ->
+           if first.(i) = i then begin
+             Obs.Metric.incr m_builds;
+             Some (raw i)
+           end
+           else None))
   in
-  Result.bind
-    (batch (fun i ->
-         Fault.point ~key:i "distance.features.build";
-         Sqlir.Printer.to_string queries.(i)))
-    (fun texts ->
-      let first = first_occurrences texts queries in
-      match
-        batch (fun i ->
-            if first.(i) = i then Some (raw_of_query texts.(i) queries.(i)) else None)
-      with
-      | Ok raws -> Ok (finish first raws)
-      | Error es -> Error (with_repeats first es))
+  let fused i = Array.of_list (D_token.fuse (Sqlir.Lexer.tokenize (text i))) in
+  (* the key's interner, sized to the log: {!distance} builds one on
+     every call *)
+  let interner () = Interner.create (min 256 (8 * Array.length queries)) in
+  Result.map
+    (fun part -> { key; part })
+    (match key with
+     | Token_set ->
+       let ids = interner () in
+       (* the sorted duplicate-free ids of the token sequence *)
+       parts fused (fun s ->
+           let seq = Array.to_list (Array.map (Interner.id ids) s) in
+           Array.of_list (List.sort_uniq Int.compare seq))
+       |> Result.map (fun s -> Sets s)
+     | Edit_tokens ->
+       let ids = interner () in
+       parts fused (Array.map (Interner.id ids))
+       |> Result.map (fun s -> Seqs (s, max 1 (Interner.size ids)))
+     | Structure_set ->
+       parts (fun i -> Feature.of_query queries.(i)) (intern_set (interner ()))
+       |> Result.map (fun s -> Sets s)
+     | Clause_sets ->
+       let ids = interner () in
+       parts
+         (fun i ->
+           let q = queries.(i) in
+           (D_clause.selection_set q, D_clause.group_by_set q, D_clause.projection_set q))
+         (fun (sel, group, proj) ->
+           (* the three components share ids, assigned selection first:
+              the prefix index breaks rank ties by id *)
+           let sel = intern_set ids sel in
+           let group = intern_set ids group in
+           { proj = intern_set ids proj; group; sel })
+       |> Result.map (fun c -> Clauses c)
+     | Areas ->
+       parts (fun i -> Access_area.of_query queries.(i)) Fun.id
+       |> Result.map (fun a -> Area_maps a))
 
-let build ?pool queries = Fault.Error.get_ok (build_r ?pool queries)
+let table_r ?pool key log =
+  let run f = batch pool (Array.length log.queries) f in
+  part { run } ~text:(Array.get log.texts) key log.queries log.first
+  |> Result.map_error (with_repeats log.first)
 
-(* two records with only [key]'s parts, in the calling thread; the
-   queries are printed only for the token parts *)
-let of_pair key q1 q2 =
-  let text q =
-    match key with
-    | Token_set | Edit_tokens -> Sqlir.Printer.to_string q
-    | Structure_set | Clause_sets | Areas -> ""
+let key t = t.key
+
+let length t =
+  match t.part with
+  | Sets s | Seqs (s, _) -> Array.length s
+  | Clauses c -> Array.length c
+  | Area_maps a -> Array.length a
+
+let sub t ids =
+  let pick a = Array.map (Array.get a) ids in
+  let part =
+    match t.part with
+    | Sets s -> Sets (pick s)
+    | Seqs (s, alphabet) -> Seqs (pick s, alphabet)
+    | Clauses c -> Clauses (pick c)
+    | Area_maps a -> Area_maps (pick a)
   in
-  let raw q = Some (raw_of_query ~only:key (text q) q) in
-  finish [| 0; 1 |] [| raw q1; raw q2 |]
+  { t with part }
 
-let sub t ids = { t with records = Array.map (fun i -> t.records.(i)) ids }
+let wrong_key context =
+  Fault.Error.E
+    (Fault.Error.Invariant
+       { context; reason = "the table holds another key's part" })
 
 (* ---- class maps ------------------------------------------------------ *)
 
@@ -233,23 +217,24 @@ type classes = {
   members : int array array;
 }
 
-(* Group [0 .. n-1] by [key_of i] under structural equality.  The
-   hash reads up to 256 values, so keys that share a long prefix (the
+(* Group [0 .. n-1] by [parts.(i)] under structural equality.  The
+   hash reads up to 256 values, so parts that share a long prefix (the
    templated head of a query) still spread.  Classes are numbered by
    first member, so the representative is the smallest member and the
    representatives ascend. *)
-let group (type k) n (key_of : int -> k) =
+let group (type k) (parts : k array) =
   let module H = Hashtbl.Make (struct
     type t = k
 
     let equal a b = compare a b = 0
     let hash = Hashtbl.hash_param 256 256
   end) in
+  let n = Array.length parts in
   let seen = H.create 64 in
   let class_of = Array.make n 0 in
   let sizes = ref [] in
   for i = 0 to n - 1 do
-    let key = key_of i in
+    let key = parts.(i) in
     match H.find_opt seen key with
     | Some (c, count) ->
       class_of.(i) <- c;
@@ -270,60 +255,70 @@ let group (type k) n (key_of : int -> k) =
     class_of;
   { class_of; reps = Array.map fst sizes; members }
 
-let classes t key =
-  let r i = t.records.(i) in
-  let n = length t in
-  match key with
-  | Token_set -> group n (fun i -> (r i).token_set)
-  | Edit_tokens -> group n (fun i -> (r i).edit_tokens)
-  | Structure_set -> group n (fun i -> (r i).structure_set)
-  | Clause_sets ->
-    group n (fun i -> ((r i).clause_proj, (r i).clause_group, (r i).clause_sel))
-  | Areas -> group n (fun i -> (r i).areas)
+let classes t =
+  match t.part with
+  | Sets s | Seqs (s, _) -> group s
+  | Clauses c -> group c
+  | Area_maps a -> group a
 
-(* ---- pair evaluators ---------------------------------------------------
+(* ---- the evaluator -----------------------------------------------------
 
-   Each evaluation touches two precomputed records, hence [reuse += 2]:
+   Each evaluation touches two precomputed parts, hence [reuse += 2]:
    a matrix over d classes, m of them with two or more members,
    performs d(d-1)/2 + m evaluations (see Measure.matrix_r). *)
-
-let token t i j =
-  Obs.Metric.add m_reuse 2;
-  Jaccard.distance_sorted_ints t.records.(i).token_set t.records.(j).token_set
-
-let structure t i j =
-  Obs.Metric.add m_reuse 2;
-  Jaccard.distance_sorted_ints t.records.(i).structure_set
-    t.records.(j).structure_set
-
-let clause t i j =
-  Obs.Metric.add m_reuse 2;
-  let a = t.records.(i) and b = t.records.(j) in
-  D_clause.combine
-    ~projection:(Jaccard.distance_sorted_ints a.clause_proj b.clause_proj)
-    ~group_by:(Jaccard.distance_sorted_ints a.clause_group b.clause_group)
-    ~selection:(Jaccard.distance_sorted_ints a.clause_sel b.clause_sel)
-
-let access ~x t i j =
-  Obs.Metric.add m_reuse 2;
-  D_access.distance_of_areas ~x t.records.(i).areas t.records.(j).areas
 
 (* staged: [edit_distance_int t i] builds query [i]'s pattern table
    once, for every [j] of its row *)
 let edit_distance_int t i =
-  let dist = D_edit.myers ~alphabet:t.alphabet t.records.(i).edit_tokens in
-  fun j -> dist t.records.(j).edit_tokens
+  match t.part with
+  | Seqs (s, alphabet) ->
+    let dist = D_edit.myers ~alphabet s.(i) in
+    fun j -> dist s.(j)
+  | Sets _ | Clauses _ | Area_maps _ ->
+    raise (wrong_key "Distance.Features.edit_distance_int")
 
-let edit t i =
-  let dist = edit_distance_int t i in
-  let m = Array.length t.records.(i).edit_tokens in
-  fun j ->
-    Obs.Metric.add m_reuse 2;
-    let n = max m (Array.length t.records.(j).edit_tokens) in
-    if n = 0 then 0.0 else float_of_int (dist j) /. float_of_int n
+let eval ~x t i =
+  match t.part with
+  | Sets s ->
+    let a = s.(i) in
+    fun j ->
+      Obs.Metric.add m_reuse 2;
+      Jaccard.distance_sorted_ints a s.(j)
+  | Clauses c ->
+    let a = c.(i) in
+    fun j ->
+      Obs.Metric.add m_reuse 2;
+      let b = c.(j) in
+      D_clause.combine
+        ~projection:(Jaccard.distance_sorted_ints a.proj b.proj)
+        ~group_by:(Jaccard.distance_sorted_ints a.group b.group)
+        ~selection:(Jaccard.distance_sorted_ints a.sel b.sel)
+  | Area_maps areas ->
+    let a = areas.(i) in
+    fun j ->
+      Obs.Metric.add m_reuse 2;
+      D_access.distance_of_areas ~x a areas.(j)
+  | Seqs (s, _) ->
+    let dist = edit_distance_int t i in
+    let m = Array.length s.(i) in
+    fun j ->
+      Obs.Metric.add m_reuse 2;
+      let n = max m (Array.length s.(j)) in
+      if n = 0 then 0.0 else float_of_int (dist j) /. float_of_int n
 
-let edit_len t i = Array.length t.records.(i).edit_tokens
+let distance ~x key q1 q2 =
+  let queries = [| q1; q2 |] in
+  let run f = Ok (Array.init 2 f) in
+  let text i = Sqlir.Printer.to_string queries.(i) in
+  eval ~x (Fault.Error.get_ok (part { run } ~text key queries [| 0; 1 |])) 0 1
 
-let token_set t i = t.records.(i).token_set
-let structure_set t i = t.records.(i).structure_set
-let clause_projection t i = t.records.(i).clause_proj
+let len t i =
+  match t.part with
+  | Seqs (s, _) -> Array.length s.(i)
+  | Sets _ | Clauses _ | Area_maps _ -> raise (wrong_key "Distance.Features.len")
+
+let set t i =
+  match t.part with
+  | Sets s -> s.(i)
+  | Clauses c -> c.(i).proj
+  | Seqs _ | Area_maps _ -> raise (wrong_key "Distance.Features.set")

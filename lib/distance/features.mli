@@ -1,83 +1,98 @@
 (** Per-query features: the one implementation of the token,
     structure, clause, access and edit measures.
 
-    Each measure is a set distance over a per-query characteristic
-    (the paper's Definition 2): the token set, the fused token
-    sequence, the SnipSuggest feature set, the three clause component
-    sets, or the access areas.  A table holds that record for every
-    query, built {e once} (one tokenization per distinct query, in
-    parallel across the pool), with all symbols interned into dense
-    small ints, and pairs are evaluated from the records.  A matrix
-    ({!Measure.matrix_r}), an index ([Index.Space]) and a single pair
-    ({!Measure.compute}, through {!of_pair}) all read a table.
+    Each measure is a set distance over one per-query characteristic
+    c(Q) (the paper's Definition 2, Table I): the token set, the fused
+    token sequence, the SnipSuggest feature set, the three clause
+    component sets, or the access areas.  That characteristic is the
+    {e part} a measure reads, named by a {!key}, and
+    {!Measure.key_of} is the one place where a measure decides its key.
+    A table holds one key's part per query and records the key; reading
+    another key's part is an [Invariant] error.
 
-    {b Interning.}  Interning is injective, so Jaccard intersection and
-    union cardinalities — plain ints — are those of the original sets,
-    and the edit kernel's integer distance is that of the original
-    token sequences: a distance does not depend on the ids, hence not
-    on which other queries share the table.  The tests check every
-    evaluator against per-pair definitions that share nothing across
-    pairs ([bench/reference]), with [Mining.Dist_matrix.max_abs_diff =
-    0.0] for every measure and pool size.
+    A table is built in two halves: {!build_r} prints every query and
+    finds the queries that share a record, and {!table_r} builds one
+    key's part for the first occurrence of each distinct query, across
+    the pool, then interns its symbols into dense small ints in query
+    order.  A matrix ({!Measure.matrix_r}), an index ([Index.Space]) and
+    session DTW read a table; a single pair ({!Measure.compute}) goes
+    through {!distance}, with the same per-query builder.
+
+    {b Interning.}  Each key has its own interner, so the ids do not
+    depend on which other parts were built.  Interning is injective, so
+    Jaccard intersection and union cardinalities are those of the
+    original sets, and the edit kernel's integer distance is that of
+    the original token sequences: a distance does not depend on the
+    ids, hence not on which other queries share the table.  The tests
+    check the evaluator against per-pair definitions that share nothing
+    across pairs ([bench/reference]), with
+    [Mining.Dist_matrix.max_abs_diff = 0.0] for every measure and pool
+    size.
 
     {b Distinct queries.}  Queries with the same printed text and the
-    same AST share one record, built once; the AST check matters because
-    [%g] printing can give two float constants one text.  Equal records
-    give bit-equal distances, because every evaluator is a pure
-    function of its two records.
+    same AST share one record; the AST check matters because [%g]
+    printing can give two float constants one text.  Equal records give
+    bit-equal distances, because the evaluator is a pure function of
+    its two records.
 
     {b Observability.}  [kitdpe.distance.features.builds] counts record
-    builds, one per distinct query, and [kitdpe.distance.features.reuse]
-    counts record reuses, 2 per pair evaluation: an [n]-query matrix
-    with [d] measure classes ({!classes}), [m] of them with two or more
-    members, reports [builds] = the number of distinct queries and
-    [reuse = 2 (d (d - 1) / 2 + m)].
+    builds, one per distinct query of a {!table_r}, and
+    [kitdpe.distance.features.reuse] counts record reuses, 2 per pair
+    evaluation: an [n]-query matrix with [d] classes ({!classes}), [m]
+    of them with two or more members, reports [builds] = the number of
+    distinct queries and [reuse = 2 (d (d - 1) / 2 + m)].
 
     {b Faults.}  Each query, repeated or not, passes the
     ["distance.features.build"] injection point keyed by its index,
-    inside the printing batch. *)
+    inside the printing batch of {!build_r}. *)
 
 type t
-
-val length : t -> int
+(** A printed log: every query's text, and which queries share a
+    record.  It holds no part. *)
 
 val build_r :
-  ?pool:Parallel.Pool.t
-  -> Sqlir.Ast.query array
-  -> (t, Fault.Error.t list) result
-(** Build the table, one record per distinct query, across [pool] (default
-    {!Parallel.Pool.global}[ ()]).  Pure per query, so the table is
-    identical for every pool size.  Crash-contained: two
-    [Parallel.Pool.map_range_r ~label:"features.build"] batches over
-    every query, one printing it and one building the record of each
-    first occurrence, so per-query failures (including injected faults
-    and deadline skips) are collected as
-    [Task_failed { label = "features.build"; index; _ }] instead of
-    raised.  A record that fails to build fails every query that shares
-    it. *)
+  ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> (t, Fault.Error.t list) result
+(** Print every query across [pool] (default
+    {!Parallel.Pool.global}[ ()]) and find the first occurrence of each
+    distinct one.  Crash-contained: one
+    [Parallel.Pool.map_range_r ~label:"features.build"] batch, so
+    per-query failures (including injected faults and deadline skips)
+    are collected as [Task_failed { label = "features.build"; index; _ }]
+    instead of raised. *)
 
 val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
 (** {!build_r}, raising [Fault.Error.E] of the first error. *)
 
-val sub : t -> int array -> t
-(** [sub t ids] is the table of queries [ids]: its point [k] is query
-    [ids.(k)] of [t], with the same interned ids and alphabet, so every
-    evaluator returns the same float as on [t]. *)
-
-(** {2 Class maps}
-
-    A measure reads one part of each record: the token set, the fused
-    token sequence, the structure set, the three clause sets, or the
-    access areas.  Queries whose parts are equal are one class of that
-    measure: every distance to them is bit-equal, so a matrix or an
-    index needs one representative per class. *)
+(** {2 Keyed tables} *)
 
 type key =
-  | Token_set  (** {!token} *)
-  | Edit_tokens  (** {!edit} *)
-  | Structure_set  (** {!structure} *)
-  | Clause_sets  (** {!clause} *)
-  | Areas  (** {!access} *)
+  | Token_set  (** the token set *)
+  | Edit_tokens  (** the fused token sequence *)
+  | Structure_set  (** the SnipSuggest feature set *)
+  | Clause_sets  (** the projection, group-by and selection sets *)
+  | Areas  (** the access areas *)
+
+type table
+(** One key's part for every query of a log. *)
+
+val table_r :
+  ?pool:Parallel.Pool.t -> key -> t -> (table, Fault.Error.t list) result
+(** The [key]'s part of every query: one
+    [Parallel.Pool.map_range_r ~label:"features.build"] batch across
+    [pool] (default {!Parallel.Pool.global}[ ()]) builds the part of
+    each first occurrence, then the parts are interned in query order.
+    Pure per query, so the table is identical for every pool size.  A
+    part that fails to build fails every query that shares it, each
+    under its own index. *)
+
+val key : table -> key
+
+val length : table -> int
+
+val sub : table -> int array -> table
+(** [sub t ids] is the table of queries [ids]: its point [k] is query
+    [ids.(k)] of [t], with the same key, interned ids and alphabet, so
+    the evaluator returns the same float as on [t]. *)
 
 type classes = {
   class_of : int array;  (** the class of each query *)
@@ -87,58 +102,45 @@ type classes = {
   members : int array array;  (** each class's queries, ascending *)
 }
 
-val classes : t -> key -> classes
-(** The queries grouped on exactly what the [key]'s evaluator reads. *)
+val classes : table -> classes
+(** The queries grouped on their part.  Every distance to two members
+    of a class is bit-equal, so a matrix or an index needs one
+    representative per class. *)
 
-val of_pair : key -> Sqlir.Ast.query -> Sqlir.Ast.query -> t
-(** The two-query table of queries 0 and 1 for the [key]'s evaluator
-    only: the records hold just the part that evaluator reads, so a
-    structure, clause or access pair is neither printed nor lexed.
-    Built in the calling thread, with no pool batch and no injection
-    point; it counts two record builds.  The other evaluators must not
-    be applied to it. *)
+(** {2 Reading a table} *)
 
-(** {2 Pair evaluators}
+val eval : x:float -> table -> int -> int -> float
+(** [eval ~x t i j] is the distance of queries [i] and [j] under the
+    table's key: the Jaccard distance of the sets (token, structure),
+    {!D_clause.combine} of the three clause Jaccard distances,
+    {!D_access.distance_of_areas} [~x] of the access areas, or the
+    normalized token-level Levenshtein distance ({!D_edit}).  Staged:
+    [eval ~x t i] reads query [i]'s part once, and on an edit table
+    builds its {!D_edit.myers} pattern, for every [j].
+    @raise Invalid_argument on an access table unless [0 < x < 1]. *)
 
-    [f t i j] is the distance of queries [i] and [j]. *)
+val distance : x:float -> key -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
+(** {!eval} on the two-query table of one pair, built in the calling
+    thread with the per-query builder of {!table_r}: no pool batch and
+    no injection point, two record builds.  The queries are printed
+    only for the token keys. *)
 
-val token : t -> int -> int -> float
-(** Jaccard distance of the token sets ({!D_token.tokens}). *)
+val edit_distance_int : table -> int -> int -> int
+(** The raw (unnormalized) token-level Levenshtein distance, staged.
+    @raise Fault.Error.E [(Invariant _)] unless the key is
+    {!Edit_tokens}. *)
 
-val structure : t -> int -> int -> float
-(** Jaccard distance of the SnipSuggest feature sets
-    ({!Feature.of_query}). *)
-
-val clause : t -> int -> int -> float
-(** {!D_clause.combine} of the Jaccard distances of the three clause
-    component sets. *)
-
-val access : x:float -> t -> int -> int -> float
-(** {!D_access.distance_of_areas} of the two access-area maps.
-    @raise Invalid_argument unless [0 < x < 1]. *)
-
-val edit : t -> int -> int -> float
-(** Normalized token-level Levenshtein distance (see {!D_edit}), via
-    the bit-parallel kernel.  Staged: [edit t i] builds query [i]'s
-    {!D_edit.myers} pattern once, for every [j]; the table stores no
-    patterns. *)
-
-val edit_distance_int : t -> int -> int -> int
-(** The raw (unnormalized) token-level Levenshtein distance, staged. *)
-
-val edit_len : t -> int -> int
-(** Length of query [i]'s fused token sequence — the normalizer of
-    {!edit} is [max (edit_len i) (edit_len j)].  The BK-tree
+val len : table -> int -> int
+(** Length of query [i]'s fused token sequence — the normalizer of the
+    edit distance is [max (len i) (len j)].  The BK-tree
     ([Index.Bk_tree]) uses it to convert a normalized radius into a
-    sound integer Levenshtein bound per subtree. *)
+    sound integer Levenshtein bound per subtree.
+    @raise Fault.Error.E [(Invariant _)] unless the key is
+    {!Edit_tokens}. *)
 
-(** {2 Interned sets}
-
-    Query [i]'s sorted, duplicate-free set as the Jaccard evaluators
-    read it: the table's own array, not to be mutated. *)
-
-val token_set : t -> int -> int array
-val structure_set : t -> int -> int array
-
-val clause_projection : t -> int -> int array
-(** The projection component of {!clause}. *)
+val set : table -> int -> int array
+(** Query [i]'s sorted, duplicate-free interned set as the Jaccard
+    evaluation reads it: the token set, the structure feature set, or
+    the clause projection set.  The table's own array, not to be
+    mutated.
+    @raise Fault.Error.E [(Invariant _)] on an edit or access table. *)

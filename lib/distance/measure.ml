@@ -42,47 +42,41 @@ let m_matrix = Obs.Registry.sketch "kitdpe.distance.measure.matrix"
 let missing_db context =
   Fault.Error.Invariant { context; reason = "result distance needs a database" }
 
-let no_feature_form context =
-  Fault.Error.E
-    (Fault.Error.Invariant
-       { context; reason = "the result distance has no feature-table form" })
+(* the part of a query's record that the measure reads: the one place
+   where a measure decides its key *)
+let key_of = function
+  | Token -> Some Features.Token_set
+  | Edit -> Some Features.Edit_tokens
+  | Structure -> Some Features.Structure_set
+  | Clause -> Some Features.Clause_sets
+  | Access -> Some Features.Areas
+  | Result -> None
+
+let invariant context reason =
+  Fault.Error.E (Fault.Error.Invariant { context; reason })
 
 (* the pair evaluator of every measure but result: closes over the
    table, so the evaluations touch no query text *)
 let pair_of_features ctx measure feats =
-  match measure with
-  | Token -> fun i j -> Obs.Metric.incr m_evals; Features.token feats i j
-  | Structure -> fun i j -> Obs.Metric.incr m_evals; Features.structure feats i j
-  | Edit ->
+  let context = "Distance.Measure.pair_of_features" in
+  match key_of measure with
+  | None -> raise (invariant context "the result distance has no feature-table form")
+  | Some key when key <> Features.key feats ->
+    raise (invariant context "the table holds another measure's part")
+  | Some _ ->
+    let eval = Features.eval ~x:ctx.x feats in
     fun i ->
-      let edit_i = Features.edit feats i in
-      fun j -> Obs.Metric.incr m_evals; edit_i j
-  | Clause -> fun i j -> Obs.Metric.incr m_evals; Features.clause feats i j
-  | Access -> fun i j -> Obs.Metric.incr m_evals; Features.access ~x:ctx.x feats i j
-  | Result -> raise (no_feature_form "Distance.Measure.pair_of_features")
-
-(* the record part the measure's evaluator reads *)
-let key_of context = function
-  | Token -> Features.Token_set
-  | Edit -> Features.Edit_tokens
-  | Structure -> Features.Structure_set
-  | Clause -> Features.Clause_sets
-  | Access -> Features.Areas
-  | Result -> raise (no_feature_form context)
+      let eval_i = eval i in
+      fun j ->
+        Obs.Metric.incr m_evals;
+        eval_i j
 
 let compute ctx measure q1 q2 =
-  match measure with
-  | Result ->
-    Obs.Metric.incr m_evals;
-    (match ctx.db with
-     | Some db -> D_result.distance db q1 q2
-     | None -> raise (Fault.Error.E (missing_db "Distance.Measure.compute")))
-  | Token | Structure | Access | Edit | Clause ->
-    let key = key_of "Distance.Measure.compute" measure in
-    pair_of_features ctx measure (Features.of_pair key q1 q2) 0 1
-
-let classes measure feats =
-  Features.classes feats (key_of "Distance.Measure.classes" measure)
+  Obs.Metric.incr m_evals;
+  match key_of measure, ctx.db with
+  | Some key, _ -> Features.distance ~x:ctx.x key q1 q2
+  | None, Some db -> D_result.distance db q1 q2
+  | None, None -> raise (Fault.Error.E (missing_db "Distance.Measure.compute"))
 
 (* The n-query matrix from one evaluation per pair of classes.  A class
    of two or more members ("repeated") gets a row of d cells in
@@ -152,23 +146,26 @@ let matrix_r ?pool ctx measure queries =
     (Printf.sprintf "measure.matrix/%s(n=%d)" (to_string measure)
        (List.length queries))
     (fun () ->
-      match measure, ctx.db with
-      | Result, Some db -> D_result.matrix_r ?pool db queries
-      | Result, None -> Error [ missing_db "Distance.Measure.matrix_r" ]
-      | (Token | Structure | Access | Edit | Clause), _ ->
+      match key_of measure, ctx.db with
+      | Some key, _ ->
         let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
         let qs = Array.of_list queries in
-        Result.bind (Features.build_r ~pool qs) (fun feats ->
-            class_matrix ~pool (Array.length qs)
-              (pair_of_features ctx measure feats)
-              (classes measure feats)))
+        Result.bind (Features.build_r ~pool qs) (fun log ->
+            Result.bind (Features.table_r ~pool key log) (fun feats ->
+                class_matrix ~pool (Array.length qs)
+                  (pair_of_features ctx measure feats)
+                  (Features.classes feats)))
+      | None, Some db -> D_result.matrix_r ?pool db queries
+      | None, None -> Error [ missing_db "Distance.Measure.matrix_r" ])
 
 let matrix ?pool ctx measure queries =
   Fault.Error.get_ok (matrix_r ?pool ctx measure queries)
 
 (* DTW over one table of every session's queries *)
 let session_matrix sessions =
-  let feats = Features.build (Array.of_list (List.concat sessions)) in
+  let log = Features.build (Array.of_list (List.concat sessions)) in
+  let key = Option.get (key_of Structure) in
+  let feats = Fault.Error.get_ok (Features.table_r key log) in
   let cost = pair_of_features default_ctx Structure feats in
   (* query [k] of a session starting at table row [start] is row
      [start + k] *)

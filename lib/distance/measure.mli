@@ -39,27 +39,28 @@ val needs_db_content : t -> bool
 val needs_domains : t -> bool
 (** Table I column "Shared information: Domains". *)
 
+val key_of : t -> Features.key option
+(** The part of a query's record the measure reads (its characteristic
+    c(Q), Definition 2): the one place where a measure decides its
+    {!Features.key}.  [None] for {!Result}, which reads database
+    content instead. *)
+
 val compute : ctx -> t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
 (** The distance of one pair, counted once in
     [kitdpe.distance.measure.evals].  Every measure but {!Result} is
-    evaluated from the two-query table {!Features.of_pair}, built in
-    the calling thread with only the parts that measure reads; {!Result} runs both queries on [ctx.db]
-    ({!D_result.distance}).  Prefer {!matrix_r} for many pairs.
+    {!Features.distance}: two records holding only the measure's part,
+    built in the calling thread; {!Result} runs both queries on
+    [ctx.db] ({!D_result.distance}).  Prefer {!matrix_r} for many pairs.
     @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
     without a database. *)
 
-val pair_of_features : ctx -> t -> Features.t -> int -> int -> float
+val pair_of_features : ctx -> t -> Features.table -> int -> int -> float
 (** [pair_of_features ctx m feats i j] is [compute ctx m] on queries
     [i] and [j] of the table, bit-identically, without touching query
-    text.  Staged like {!Features.edit}: apply it to [i] once per row.
+    text.  Staged like {!Features.eval}: apply it to [i] once per row.
     @raise Fault.Error.E [(Invariant _)] for {!Result}, which has no
-    feature-table form. *)
-
-val classes : t -> Features.t -> Features.classes
-(** The table's queries grouped on exactly what the measure's feature
-    evaluator reads ({!Features.classes}): any two members of a class
-    are at the same distance from every query, bit for bit.
-    @raise Fault.Error.E [(Invariant _)] for {!Result}. *)
+    feature-table form, and on a table built for another key than
+    {!key_of}[ m]. *)
 
 val matrix_r :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
@@ -67,12 +68,13 @@ val matrix_r :
 (** The full symmetric pairwise matrix.  Prefer this over calling
     {!compute} per pair: per-query artifacts (printed form, token
     sequences, feature / clause sets, access areas) are precomputed once
-    per distinct query into a {!Features} table, and pairs are evaluated
-    from the table, bit-identically to {!compute} (the result measure
-    likewise evaluates each query once).
+    per distinct query into a {!Features} table holding the measure's
+    part ({!key_of}) only, and pairs are evaluated from the table,
+    bit-identically to {!compute} (the result measure likewise evaluates
+    each query once).
 
-    Each distance is evaluated once per pair of {!classes}: with [d]
-    classes, [m] of them with two or more members, the fill makes
+    Each distance is evaluated once per pair of {!Features.classes}:
+    with [d] classes, [m] of them with two or more members, the fill makes
     [d (d - 1) / 2] evaluations between representatives plus one
     [d(rep, rep)] per class of [m], counted in
     [kitdpe.distance.measure.evals].  The [n]-query matrix is then
@@ -85,7 +87,8 @@ val matrix_r :
     most [n^2 / 4] in all.  An evaluation that raises fails the matrix
     rows that read it, as in a per-pair fill.
 
-    Crash-contained: the feature build and the matrix fill are each one
+    Crash-contained: the printing ({!Features.build_r}), the part build
+    ({!Features.table_r}) and the matrix fill are each one
     [Parallel.Pool.map_range_r] batch, so failures (including injected
     faults and deadline skips) come back as typed [Task_failed] errors
     labelled by that batch — per-query feature builds as
@@ -102,8 +105,9 @@ val session_matrix : Sqlir.Ast.query list list -> Mining.Dist_matrix.t
 (** Session distances: [Mining.Dtw.normalized] between every two
     sessions (ordered query sequences), with the {!Structure} distance
     as the per-query cost.  The queries of all sessions share one
-    {!Features} table, and every cost is a table evaluation, counted
-    in [kitdpe.distance.measure.evals]; the table and the matrix are
+    {!Features} table of structure sets, and every cost is a table
+    evaluation, counted in [kitdpe.distance.measure.evals]; the table
+    and the matrix are
     built across [Parallel.Pool.global ()].  Because the cost is a
     preserved query distance, sessions encrypted under the structure
     scheme get the same matrix.

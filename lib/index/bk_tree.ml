@@ -104,8 +104,8 @@ type stats = Space.stats = { probes : int; prunes : int }
 
 (* eps-membership of point [j] from its integer distance [d] to the
    query (edit length [qlen]), without re-evaluating the pair: the very
-   division [Features.edit] evaluates, so bit-identical to
-   [Space.within] *)
+   division [Features.eval] makes on an edit table, so bit-identical
+   to [Space.within] *)
 let member sp ~eps ~qlen j d =
   let nl = max qlen (Space.len sp j) in
   if nl = 0 then 0.0 <= eps else float_of_int d /. float_of_int nl <= eps

@@ -1,14 +1,10 @@
 module F = Distance.Features
 module M = Distance.Measure
 
-type kind = Token | Structure | Edit | Clause
-
 (* [log_n] is the number of queries of the log the space came from:
-   [n] itself, except on a space of class representatives *)
+   its size, except on a space of class representatives *)
 type t = {
-  feats : F.t;
-  kind : kind;
-  n : int;
+  feats : F.table;
   log_n : int;
   classes : F.classes option;
 }
@@ -23,72 +19,56 @@ let m_queries = Obs.Registry.counter "kitdpe.index.queries"
 let m_probes = Obs.Registry.counter "kitdpe.index.probes"
 let m_prunes = Obs.Registry.counter "kitdpe.index.prunes"
 
-let kind_of_measure = function
-  | M.Token -> Some Token
-  | M.Structure -> Some Structure
-  | M.Edit -> Some Edit
-  | M.Clause -> Some Clause
-  (* access mixes interval overlap with a tuning exponent and result
-     depends on database content: neither is a Jaccard distance of
-     interned sets or comes with a metric to route on *)
-  | M.Access | M.Result -> None
+(* access mixes interval overlap with a tuning exponent and result
+   depends on database content: neither is a Jaccard distance of
+   interned sets or comes with a metric to route on *)
+let index_key m = match M.key_of m with Some F.Areas | None -> None | key -> key
 
-let supported m = kind_of_measure m <> None
+let supported m = index_key m <> None
 
-let of_kind kind feats =
-  let n = F.length feats in
-  { feats; kind; n; log_n = n; classes = None }
+let space key log =
+  let feats = Fault.Error.get_ok (F.table_r key log) in
+  { feats; log_n = F.length feats; classes = None }
 
-let of_measure m feats =
+let flat m log =
+  match index_key m with
+  | Some key -> space key log
+  | None -> invalid_arg ("Index.Space.flat: no index for " ^ M.to_string m)
+
+let of_measure m log =
   Option.map
-    (fun kind -> { (of_kind kind feats) with classes = Some (M.classes m feats) })
-    (kind_of_measure m)
+    (fun key ->
+      let t = space key log in
+      { t with classes = Some (F.classes t.feats) })
+    (index_key m)
 
-let size t = t.n
+let size t = F.length t.feats
 
 let classes t = t.classes
 
 let representatives t (c : F.classes) =
-  { t with feats = F.sub t.feats c.reps; n = Array.length c.reps; classes = None }
+  { t with feats = F.sub t.feats c.reps; classes = None }
 
-let is_int_metric t = t.kind = Edit
+let is_int_metric t = F.key t.feats = F.Edit_tokens
 
 (* the measure value itself: what the brute-force scan compares against
-   eps; staged like [F.edit], which builds [i]'s pattern once *)
-let dist t i =
-  match t.kind with
-  | Token -> F.token t.feats i
-  | Structure -> F.structure t.feats i
-  | Clause -> F.clause t.feats i
-  | Edit -> F.edit t.feats i
-
+   eps; staged like [F.eval], which builds [i]'s edit pattern once.  No
+   access space exists, so the access weight is never read. *)
 let within t ~eps i =
-  let d = dist t i in
+  let d = F.eval ~x:Distance.D_access.default_x t.feats i in
   fun j -> d j <= eps
 
-let int_dist t i =
-  match t.kind with
-  | Edit -> F.edit_distance_int t.feats i
-  | Token | Structure | Clause ->
-    invalid_arg "Index.Space.int_dist: edit space required"
-
-let len t i = match t.kind with Edit -> F.edit_len t.feats i | _ -> 0
-
-let set t i =
-  match t.kind with
-  | Token -> F.token_set t.feats i
-  | Structure -> F.structure_set t.feats i
-  | Clause -> F.clause_projection t.feats i
-  | Edit -> invalid_arg "Index.Space.set: Jaccard-family space required"
+let int_dist t i = F.edit_distance_int t.feats i
+let len t i = F.len t.feats i
+let set t i = F.set t.feats i
 
 (* clause = (wp*dp + wg*dg + ws*ds) / W with every term non-negative, so
    clause <= eps gives dp <= eps * W / wp *)
 let set_eps t ~eps =
-  match t.kind with
-  | Clause ->
+  if F.key t.feats = F.Clause_sets then
     let open Distance.D_clause in
     eps *. (w_projection +. w_group_by +. w_selection) /. w_projection
-  | Token | Structure | Edit -> eps
+  else eps
 
 (* The one index build: the ["index.build"] injection point once per
    query of the log, keyed by the query index so an armed trigger picks
@@ -101,8 +81,8 @@ let build ~name t f =
     done;
   Obs.Metric.incr m_builds;
   Obs.Span.with_span ~sketch:m_build ~cat:"index"
-    (Printf.sprintf "%s.build(n=%d)" name t.n)
-    (fun () -> f (Array.init t.n Fun.id))
+    (Printf.sprintf "%s.build(n=%d)" name (size t))
+    (fun () -> f (Array.init (size t) Fun.id))
 
 type stats = { probes : int; prunes : int }
 

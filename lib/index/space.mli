@@ -1,15 +1,15 @@
-(** The space the indexes are built over: a {!Distance.Features} table
-    plus the measure interpretation.
+(** The space the indexes are built over: a keyed
+    {!Distance.Features.table} plus an optional class map.  The
+    measure's key ({!Distance.Measure.key_of}) picks what the space
+    holds, and the table's key picks the index ({!Vp_tree.build}):
 
-    One index per measure family ({!Vp_tree.build} picks it):
-
-    - the Jaccard-family measures (token / structure / clause) go to
+    - the Jaccard-family keys (token, structure and clause sets) go to
       the prefix filter ({!Prefix}), which generates candidates from
       the interned sets ({!set}) and needs no triangle inequality;
-    - edit goes to the BK-tree, which routes on the {e raw integer}
-      Levenshtein distance ({!int_dist}, a metric by construction), so
-      exactness never rests on the normalized edit distance satisfying
-      the triangle inequality.
+    - the edit sequences go to the BK-tree, which routes on the
+      {e raw integer} Levenshtein distance ({!int_dist}, a metric by
+      construction), so exactness never rests on the normalized edit
+      distance satisfying the triangle inequality.
 
     The query predicate ({!within}) is the brute-force scan's decision
     [measure(i,j) <= eps] for every measure; both indexes confirm every
@@ -20,26 +20,28 @@
     ({!of_measure} = [None]); callers fall back to the matrix engine
     there. *)
 
-type kind = Token | Structure | Edit | Clause
-
 type t
 
-val kind_of_measure : Distance.Measure.t -> kind option
 val supported : Distance.Measure.t -> bool
 
 val of_measure : Distance.Measure.t -> Distance.Features.t -> t option
-(** The mining engine's space: {!of_kind} plus the measure's class map
-    ({!Distance.Measure.classes}), so that {!Vp_tree.build} indexes one
+(** The mining engine's space: the measure's part of every query of the
+    printed log ({!Distance.Features.table_r}) plus its class map
+    ({!Distance.Features.classes}), so that {!Vp_tree.build} indexes one
     representative per class.  [None] for the access-area and result
-    measures. *)
+    measures.
+    @raise Fault.Error.E of the first part-build error. *)
 
-val of_kind : kind -> Distance.Features.t -> t
-(** Every point on its own: no class map. *)
+val flat : Distance.Measure.t -> Distance.Features.t -> t
+(** The measure's part of every query, each point on its own: no class
+    map.
+    @raise Invalid_argument unless {!supported}.
+    @raise Fault.Error.E of the first part-build error. *)
 
 val size : t -> int
 
 val classes : t -> Distance.Features.classes option
-(** The class map of an {!of_measure} space; [None] on an {!of_kind}
+(** The class map of an {!of_measure} space; [None] on a {!flat}
     space. *)
 
 val representatives : t -> Distance.Features.classes -> t
@@ -58,19 +60,21 @@ val within : t -> eps:float -> int -> int -> bool
     pattern once, for every [j]. *)
 
 val int_dist : t -> int -> int -> int
-(** Raw integer Levenshtein distance, the BK-tree routing metric.
-    Staged: [int_dist t i] builds [i]'s pattern once, for every [j].
-    @raise Invalid_argument unless {!is_int_metric}. *)
+(** Raw integer Levenshtein distance, the BK-tree routing metric
+    ({!Distance.Features.edit_distance_int}).  Staged: [int_dist t i]
+    builds [i]'s pattern once, for every [j].
+    @raise Fault.Error.E [(Invariant _)] unless {!is_int_metric}. *)
 
 val len : t -> int -> int
-(** Edit-token length of point [i] (0 for the set measures): the
-    normalizer of the edit measure is [max (len i) (len j)]. *)
+(** Edit-token length of point [i]: the normalizer of the edit measure
+    is [max (len i) (len j)].
+    @raise Fault.Error.E [(Invariant _)] unless {!is_int_metric}. *)
 
 val set : t -> int -> int array
 (** Point [i]'s sorted, duplicate-free interned set on a Jaccard-family
     space: the token set, the structure feature set, or the clause
-    projection set.  Not to be mutated.
-    @raise Invalid_argument on an edit space. *)
+    projection set ({!Distance.Features.set}).  Not to be mutated.
+    @raise Fault.Error.E [(Invariant _)] on an edit space. *)
 
 val set_eps : t -> eps:float -> float
 (** The set radius of a query radius on a Jaccard-family space: in the

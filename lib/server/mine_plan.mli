@@ -16,9 +16,9 @@
     bound, and every other request is [Error (Protocol _)].
 
     Both engines are exact: [Index] labels bit-identically to
-    [Matrix].  Both evaluate each distance once per pair of the
-    measure's classes ({!Distance.Measure.classes}): [Matrix] fills the
-    [n]-query matrix from the representatives' distances, and [Index]
+    [Matrix].  Both evaluate each distance once per pair of classes of
+    the measure's part ({!Distance.Features.classes}): [Matrix] fills
+    the [n]-query matrix from the representatives' distances, and [Index]
     indexes only the representatives ({!Index.Vp_tree}), asks one range
     query per class and expands each hit class into its members.  The
     ["index.build"] fault point still passes once per query, keyed by

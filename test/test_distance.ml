@@ -203,11 +203,16 @@ let test_edit_distance () =
     (let d = edit "SELECT a FROM r" "SELECT x, y FROM s WHERE z = 1" in
      d > 0.0 && d <= 1.0)
 
+(* the [key] part of every query of [qs] *)
+let table key qs =
+  Fault.Error.get_ok
+    (Distance.Features.table_r key (Distance.Features.build (Array.of_list qs)))
+
 (* the integer token edit distance the BK-tree routes on, between
    queries [i] and [j] of one table of [qs] *)
 let edit_ints qs =
-  let t = Distance.Features.build (Array.of_list qs) in
-  (Distance.Features.edit_distance_int t, Distance.Features.edit_len t)
+  let t = table Distance.Features.Edit_tokens qs in
+  (Distance.Features.edit_distance_int t, Distance.Features.len t)
 
 (* an injective renaming of every relation and attribute name *)
 let rename_names =
@@ -530,20 +535,98 @@ let test_features_matrix_identity () =
         (reference_logs m))
     [ M.Token; M.Structure; M.Edit; M.Clause; M.Access ]
 
+(* every measure with a feature-table form, and its per-pair
+   definition *)
+let references =
+  [ (M.Token, Reference.token); (M.Edit, Reference.edit);
+    (M.Structure, Reference.structure); (M.Clause, Reference.clause);
+    (M.Access, Reference.access ?x:None) ]
+
 let test_features_evaluators () =
   let qs = Array.of_list feature_queries in
-  let t = Distance.Features.build qs in
-  let n = Distance.Features.length t in
-  Alcotest.(check int) "table length" (Array.length qs) n;
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let pair name fast seedf =
-        check_bool (Printf.sprintf "%s (%d,%d)" name i j) true (fast = seedf)
-      in
-      pair "token" (Distance.Features.token t i j) (Reference.token qs.(i) qs.(j));
-      pair "edit" (Distance.Features.edit t i j) (Reference.edit qs.(i) qs.(j))
-    done
-  done
+  let n = Array.length qs in
+  let ctx = M.default_ctx in
+  List.iter
+    (fun (m, reference) ->
+      let key = Option.get (M.key_of m) in
+      let t = table key feature_queries in
+      Alcotest.(check int) "table length" n (Distance.Features.length t);
+      let eval = Distance.Features.eval ~x:ctx.M.x t in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          check_bool
+            (Printf.sprintf "%s (%d,%d)" (M.to_string m) i j)
+            true
+            (eval i j = reference qs.(i) qs.(j))
+        done
+      done)
+    references
+
+(* A table holds one key's part, so every reader of another part
+   raises [Invariant]: the measure evaluators of the other keys, [set]
+   on the edit and access tables, [len] and [edit_distance_int] on all
+   but the edit table. *)
+let test_features_wrong_key () =
+  let module F = Distance.Features in
+  let invariant what f =
+    check_bool what true
+      (match f () with
+       | _ -> false
+       | exception Fault.Error.E (Fault.Error.Invariant _) -> true)
+  in
+  let feature_measures = List.map fst references in
+  List.iter
+    (fun m ->
+      let key = Option.get (M.key_of m) in
+      let t = table key feature_queries in
+      let name = M.to_string m in
+      List.iter
+        (fun other ->
+          let read () = M.pair_of_features M.default_ctx other t 0 1 in
+          if M.key_of other = Some key then ignore (read ())
+          else
+            invariant
+              (Printf.sprintf "%s evaluator on a %s table" (M.to_string other) name)
+              read)
+        (M.Result :: feature_measures);
+      let set () = F.set t 0 and len () = F.len t 0 in
+      let int_dist () = F.edit_distance_int t 0 1 in
+      (match key with
+       | F.Edit_tokens ->
+         invariant "set on an edit table" set;
+         ignore (len (), int_dist ())
+       | F.Areas ->
+         invariant "set on an access table" set;
+         invariant "len on an access table" len;
+         invariant "edit_distance_int on an access table" int_dist
+       | F.Token_set | F.Structure_set | F.Clause_sets ->
+         ignore (set ());
+         invariant ("len on a " ^ name ^ " table") len;
+         invariant ("edit_distance_int on a " ^ name ^ " table") int_dist))
+    feature_measures
+
+(* [compute] builds its two records in the calling thread: no pool
+   task and no injection point, so an armed build point does not touch
+   it *)
+let test_compute_in_caller () =
+  Obs.set_enabled true;
+  let builds = Obs.Registry.counter "kitdpe.distance.features.builds" in
+  let tasks = Obs.Registry.counter "kitdpe.parallel.pool.tasks" in
+  let a = List.nth feature_queries 0 and b = List.nth feature_queries 1 in
+  Fault.Inject.disarm_all ();
+  Fault.Inject.arm "distance.features.build" Fault.Inject.Always;
+  Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
+      List.iter
+        (fun (m, reference) ->
+          let b0 = Obs.Metric.value builds and t0 = Obs.Metric.value tasks in
+          let d = M.compute M.default_ctx m a b in
+          let name = M.to_string m in
+          Alcotest.(check (float 0.0)) (name ^ " = reference") (reference a b) d;
+          Alcotest.(check int) (name ^ ": 2 record builds") 2
+            (Obs.Metric.value builds - b0);
+          Alcotest.(check int) (name ^ ": no pool task") 0
+            (Obs.Metric.value tasks - t0))
+        references)
 
 let test_features_metrics () =
   Obs.set_enabled true;
@@ -641,6 +724,8 @@ let () =
        [ Alcotest.test_case "matrix bit-identical to seed" `Quick
            test_features_matrix_identity;
          Alcotest.test_case "pair evaluators" `Quick test_features_evaluators;
+         Alcotest.test_case "another key's part" `Quick test_features_wrong_key;
+         Alcotest.test_case "compute in the caller" `Quick test_compute_in_caller;
          Alcotest.test_case "builds/reuse metrics" `Quick test_features_metrics;
          Alcotest.test_case "fault point surfaces" `Quick test_features_fault;
          Alcotest.test_case "floats that print alike" `Quick

@@ -310,6 +310,24 @@ let test_pair_digests () =
     (List.map (fun (m, d) -> (M.to_string m, d)) expected_pairs)
     (List.map (fun (m, _) -> (M.to_string m, matrix_digest_checked m)) expected_pairs)
 
+(* one record build per distinct query (same printed text and AST) of
+   each golden log, whatever part the measure reads *)
+let test_builds_distinct () =
+  Obs.set_enabled true;
+  let builds = Obs.Registry.counter "kitdpe.distance.features.builds" in
+  List.iter
+    (fun (m, _) ->
+      let log = golden_log m in
+      let seen = Hashtbl.create 64 in
+      List.iter (fun q -> Hashtbl.replace seen (Sqlir.Printer.to_string q, q) ()) log;
+      let b0 = Obs.Metric.value builds in
+      ignore (M.matrix M.default_ctx m log);
+      Alcotest.(check int)
+        (M.to_string m ^ ": builds = distinct queries")
+        (Hashtbl.length seen)
+        (Obs.Metric.value builds - b0))
+    expected_pairs
+
 let () =
   Alcotest.run "golden"
     [ ("ciphertexts",
@@ -317,4 +335,6 @@ let () =
          Alcotest.test_case "decrypt round-trip" `Quick test_roundtrip ]);
       ("distances",
        [ Alcotest.test_case "session DTW pinned" `Quick test_session_digests;
-         Alcotest.test_case "pair distances pinned" `Quick test_pair_digests ]) ]
+         Alcotest.test_case "pair distances pinned" `Quick test_pair_digests;
+         Alcotest.test_case "one build per distinct query" `Quick
+           test_builds_distinct ]) ]

@@ -23,17 +23,8 @@ let gen_log ~n ~seed m =
 
 let feats_of ~n ~seed m = F.build (Array.of_list (gen_log ~n ~seed m))
 
-let kinds =
-  [ ("token", Index.Space.Token, 0.4);
-    ("structure", Index.Space.Structure, 0.4);
-    ("edit", Index.Space.Edit, 0.35);
-    ("clause", Index.Space.Clause, 0.4) ]
-
-let measure_of_kind = function
-  | Index.Space.Token -> M.Token
-  | Index.Space.Structure -> M.Structure
-  | Index.Space.Edit -> M.Edit
-  | Index.Space.Clause -> M.Clause
+(* every indexed measure, with a radius that plants clusters *)
+let measures = [ (M.Token, 0.4); (M.Structure, 0.4); (M.Edit, 0.35); (M.Clause, 0.4) ]
 
 (* the reference answer: the brute-force scan over the exact predicate,
    ascending — precisely what the trees must reproduce *)
@@ -49,10 +40,10 @@ let brute sp ~eps q =
 
 let test_vp_range_exact () =
   List.iter
-    (fun (name, kind, eps) ->
-      let m = measure_of_kind kind in
+    (fun (m, eps) ->
+      let name = M.to_string m in
       let feats = feats_of ~n:90 ~seed:("vp-" ^ name) m in
-      let sp = Index.Space.of_kind kind feats in
+      let sp = Index.Space.flat m feats in
       List.iter
         (fun domains ->
           with_pool domains (fun pool ->
@@ -69,7 +60,7 @@ let test_vp_range_exact () =
                   [ eps; 0.05 ]
               done))
         pool_sizes)
-    kinds
+    measures
 
 (* The prefix filter against brute force on random logs: radii at and
    beyond the edges of [0, 1] (nan included).  Every log ends with a
@@ -103,8 +94,8 @@ let prop_prefix_exact =
       let log = Array.of_list (drawn @ [ List.hd drawn ] @ prop_fixed) in
       let feats = F.build log in
       List.for_all
-        (fun kind ->
-          let sp = Index.Space.of_kind kind feats in
+        (fun m ->
+          let sp = Index.Space.flat m feats in
           let t = Index.Vp_tree.build ~seed:"p" sp in
           List.for_all
             (fun eps ->
@@ -112,7 +103,7 @@ let prop_prefix_exact =
                 (fun q -> Index.Vp_tree.range t ~eps q = brute sp ~eps q)
                 (List.init (Array.length log) Fun.id))
             prop_eps)
-        [ Index.Space.Token; Index.Space.Structure; Index.Space.Clause ])
+        [ M.Token; M.Structure; M.Clause ])
 
 (* An [of_measure] space indexes one representative per class.  Every
    answer is still the brute-force one over all points, asked in any
@@ -120,13 +111,13 @@ let prop_prefix_exact =
    exactly one index query per class. *)
 let test_grouped_range () =
   List.iter
-    (fun (name, kind, eps) ->
-      let m = measure_of_kind kind in
+    (fun (m, eps) ->
+      let name = M.to_string m in
       let base = gen_log ~n:30 ~seed:("grouped-" ^ name) m in
       let log = Array.of_list (base @ List.rev base @ [ List.hd base ]) in
       let n = Array.length log in
       let feats = F.build log in
-      let flat = Index.Space.of_kind kind feats in
+      let flat = Index.Space.flat m feats in
       let sp = Option.get (Index.Space.of_measure m feats) in
       let d = Array.length (Option.get (Index.Space.classes sp)).F.reps in
       let t = Index.Vp_tree.build ~seed:"g" sp in
@@ -149,11 +140,11 @@ let test_grouped_range () =
                 (Obs.Metric.value queries - before);
               for q = n - 1 downto 0 do ask q; ask q done)
             [ eps; 0.0; -0.1; Float.nan ]))
-    kinds
+    measures
 
 let test_bk_range_exact () =
   let feats = feats_of ~n:90 ~seed:"bk" M.Edit in
-  let sp = Index.Space.of_kind Index.Space.Edit feats in
+  let sp = Index.Space.flat M.Edit feats in
   List.iter
     (fun domains ->
       with_pool domains (fun pool ->
@@ -171,7 +162,7 @@ let test_bk_range_exact () =
 
 let test_bk_requires_edit () =
   let feats = feats_of ~n:8 ~seed:"bk-kind" M.Token in
-  let sp = Index.Space.of_kind Index.Space.Token feats in
+  let sp = Index.Space.flat M.Token feats in
   check_bool "non-edit rejected" true
     (match Index.Bk_tree.build ~seed:"t" sp with
      | _ -> false
@@ -180,7 +171,7 @@ let test_bk_requires_edit () =
 (* ---- determinism: the BK-tree, the one index built on the pool ---- *)
 
 let edit_space ~n ~seed =
-  Index.Space.of_kind Index.Space.Edit (feats_of ~n ~seed M.Edit)
+  Index.Space.flat M.Edit (feats_of ~n ~seed M.Edit)
 
 let test_fingerprint_pool_independent () =
   (* n above the BK-tree's parallel cutoffs, so wider pools do run the
@@ -211,9 +202,7 @@ let golden_space m =
     W.skyserver_log
       { W.n = 300; templates = 6; seed = "fp"; caps = W.caps_for_measure m }
   in
-  Index.Space.of_kind
-    (Option.get (Index.Space.kind_of_measure m))
-    (F.build (Array.of_list log))
+  Index.Space.flat m (F.build (Array.of_list log))
 
 (* the probe total of an eps 0.1 range query from every point *)
 let probe_total range_stats sp =
@@ -283,11 +272,11 @@ let test_probes_counter () =
 
 let test_dbscan_engines_identical () =
   List.iter
-    (fun (name, kind, eps) ->
-      let m = measure_of_kind kind in
+    (fun (m, eps) ->
+      let name = M.to_string m in
       let log = gen_log ~n:70 ~seed:("eng-" ^ name) m in
       let feats = F.build (Array.of_list log) in
-      let sp = Index.Space.of_kind kind feats in
+      let sp = Index.Space.flat m feats in
       let dm = M.matrix M.default_ctx m log in
       let via_matrix = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm in
       let tree = Index.Vp_tree.build ~seed:"t" sp in
@@ -300,11 +289,11 @@ let test_dbscan_engines_identical () =
         via_matrix via_index)
     (* an eps whose edit band eps*n exceeds max_int: every pair is
        within, so all points form one cluster *)
-    (kinds @ [ ("edit", Index.Space.Edit, 1e20) ])
+    (measures @ [ (M.Edit, 1e20) ])
 
 (* ---- feature table size ---- *)
 
-(* the table holds no per-query Myers pattern table: those take
+(* the edit table holds no per-query Myers pattern table: those take
    [alphabet] words each, and the alphabet grows with the log, so they
    made the table grow superlinearly in n *)
 let test_features_linear () =
@@ -312,10 +301,10 @@ let test_features_linear () =
     let log = Array.of_list (gen_log ~n ~seed:"footprint" M.Token) in
     Gc.full_major ();
     let before = (Gc.stat ()).live_words in
-    let t = F.build log in
+    let t = Fault.Error.get_ok (F.table_r F.Edit_tokens (F.build log)) in
     Gc.full_major ();
     let words = (Gc.stat ()).live_words - before in
-    ignore (Sys.opaque_identity t);
+    ignore (Sys.opaque_identity (t, log));
     words
   in
   let w1 = live_words 300 and w2 = live_words 600 in
@@ -337,7 +326,7 @@ let with_faults spec f =
    bit-identical to the baseline *)
 let test_build_r_contains () =
   let feats = feats_of ~n:40 ~seed:"faulty" M.Token in
-  let sp = Index.Space.of_kind Index.Space.Token feats in
+  let sp = Index.Space.flat M.Token feats in
   let answers () =
     let t = Index.Vp_tree.build ~seed:"t" sp in
     List.init (Index.Space.size sp) (Index.Vp_tree.range t ~eps:0.4)

@@ -336,9 +336,7 @@ module Ref_fill = struct
     let feats = Distance.Features.build (Array.of_list log) in
     let tree =
       Index.Vp_tree.build ~seed:"ref"
-        (Index.Space.of_kind
-           (Option.get (Index.Space.kind_of_measure measure))
-           feats)
+        (Index.Space.flat measure feats)
     in
     Mining.Dbscan.run_index ~min_pts:3
       { Mining.Dbscan.ri_n = List.length log;

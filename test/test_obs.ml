@@ -182,7 +182,7 @@ let test_build_and_prewarm_sketches () =
       let feats = Distance.Features.build (Array.of_list log) in
       ignore
         (Index.Vp_tree.build ~seed:"obs"
-           (Index.Space.of_kind Index.Space.Token feats));
+           (Index.Space.flat Distance.Measure.Token feats));
       Alcotest.(check bool) "kitdpe.index.build observed" true
         (count "kitdpe.index.build" > 0);
       let sum_q =

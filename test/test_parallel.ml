@@ -277,6 +277,45 @@ let test_ope_cache_transparent () =
   Alcotest.(check int) "clear preserves ciphertexts" before
     (Crypto.Ope.encrypt k1 m)
 
+(* Lanes that encrypt the same plaintexts at once: index [i] encrypts
+   [i / domains], so the lanes of a strided batch ask for each plaintext
+   together, and the memo counts one miss per plaintext all the same. *)
+let test_ope_memo_counts_exact () =
+  let params = { Crypto.Ope.plain_bits = 16; cipher_bits = 24 } in
+  let counter name = Obs.Registry.counter ("kitdpe.crypto.ope.cache_" ^ name) in
+  let c_hits = counter "hits" and c_misses = counter "misses" in
+  let distinct = 48 in
+  let was = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+      List.iter
+        (fun domains ->
+          with_pool ~domains (fun pool ->
+              for rep = 1 to 20 do
+                let k =
+                  Crypto.Ope.create ~master:"ope-race"
+                    ~purpose:(Printf.sprintf "%d/%d" domains rep) params
+                in
+                let calls = distinct * domains in
+                let h0 = Obs.Metric.value c_hits and m0 = Obs.Metric.value c_misses in
+                ignore
+                  (Parallel.Pool.map_range pool calls (fun i ->
+                       Crypto.Ope.encrypt k (i / domains)));
+                let st = Crypto.Ope.cache_stats k in
+                let label what =
+                  Printf.sprintf "%d domains, run %d: %s" domains rep what
+                in
+                Alcotest.(check int) (label "misses = distinct") distinct
+                  st.Crypto.Ope.misses;
+                Alcotest.(check int) (label "hits + misses = calls") calls
+                  (st.Crypto.Ope.hits + st.Crypto.Ope.misses);
+                Alcotest.(check int) (label "cache_misses = distinct") distinct
+                  (Obs.Metric.value c_misses - m0);
+                Alcotest.(check int) (label "cache_hits + cache_misses = calls") calls
+                  (Obs.Metric.value c_hits - h0 + Obs.Metric.value c_misses - m0)
+              done))
+        [ 2; 4 ])
+
 let test_ope_monotone () =
   let k =
     Crypto.Ope.create ~master:"ope-mono" ~purpose:"t"
@@ -557,6 +596,8 @@ let () =
       ("caches",
        [ Alcotest.test_case "OPE memo transparent" `Quick
            test_ope_cache_transparent;
+         Alcotest.test_case "OPE memo counts exact across lanes" `Quick
+           test_ope_memo_counts_exact;
          Alcotest.test_case "OPE still monotone" `Quick test_ope_monotone;
          Alcotest.test_case "DET memo transparent" `Quick
            test_det_cache_transparent ]);
