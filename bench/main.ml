@@ -4,9 +4,9 @@
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig1    -- only Fig. 1
      ... fig1 | table1 | preserve | mining | security | perf | ...
-     dune exec bench/main.exe -- perf --json            -- write BENCH_PR32.json
+     dune exec bench/main.exe -- perf --json            -- write BENCH_PR34.json
      dune exec bench/main.exe -- perf --json=perf.json  -- explicit output path
-     ... perf --json --compare BENCH_PR32.json  -- diff vs an old snapshot
+     ... perf --json --compare BENCH_PR34.json  -- diff vs an old snapshot
                         (exit 4 if a count rose, 3 if a timed row got slower)
 
    An unknown experiment name exits 2.
@@ -529,7 +529,7 @@ let perf_parallel () =
       row ~op:("dist_matrix/" ^ M.to_string m) ~n ~domains
         ~base:(path per_pair, Mining.Dist_matrix.max_abs_diff (per_pair ()) (feat ()) = 0.0)
         (path feat))
-    [ (M.Edit, 200); (M.Edit, 400); (M.Token, 300); (M.Result, 20) ];
+    [ (M.Edit, 200); (M.Edit, 400); (M.Token, 300); (M.Access, 300); (M.Result, 20) ];
   Parallel.Pool.shutdown seq_pool;
 
   (* 1c. the edit kernel alone: classic one-row DP vs the Myers
@@ -1280,7 +1280,7 @@ let kmedoids_ablation () =
    rose and 3 if a timed row got slower beyond its spread
    ([Perf_compare.exit_code]). *)
 let json_path = ref None
-let json_default = "BENCH_PR32.json"
+let json_default = "BENCH_PR34.json"
 let compare_path = ref None
 let exit_status = ref 0
 
@@ -1369,7 +1369,7 @@ let emit_perf_json ~metrics path snap =
   output_string oc
     (J.to_string
        (J.Obj
-          ([ ("pr", int 32); ("bench", str "perf --json");
+          ([ ("pr", int 34); ("bench", str "perf --json");
              ("samples", int samples);
              (* host metadata, so a snapshot from a single-CPU runner is
                 self-describing next to one from a many-core box *)

@@ -27,9 +27,8 @@ let clause q1 q2 =
 
 (* ---- access area ---- *)
 
-let access_per_attribute ?(x = Distance.D_access.default_x) q1 q2 =
+let deltas_of_areas ?(x = Distance.D_access.default_x) a1 a2 =
   if not (x > 0.0 && x < 1.0) then invalid_arg "D_access: x must be in (0,1)";
-  let a1 = Distance.Access_area.of_query q1 and a2 = Distance.Access_area.of_query q2 in
   let area areas key =
     Option.value (List.assoc_opt key areas) ~default:Distance.Access_area.Empty
   in
@@ -37,15 +36,23 @@ let access_per_attribute ?(x = Distance.D_access.default_x) q1 q2 =
   |> List.map (fun key ->
          (key, Distance.Access_area.delta ~x (area a1 key) (area a2 key)))
 
+let access_per_attribute ?x q1 q2 =
+  deltas_of_areas ?x (Distance.Access_area.of_query q1)
+    (Distance.Access_area.of_query q2)
+
 (* summed in ascending value order: attribute names sort differently
    before and after encryption, and float addition is not
    associative *)
-let access ?x q1 q2 =
-  match access_per_attribute ?x q1 q2 with
+let access_of_areas ?x a1 a2 =
+  match deltas_of_areas ?x a1 a2 with
   | [] -> 0.0
   | deltas ->
     let values = List.sort Float.compare (List.map snd deltas) in
     List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
+
+let access ?x q1 q2 =
+  access_of_areas ?x (Distance.Access_area.of_query q1)
+    (Distance.Access_area.of_query q2)
 
 (* ---- edit ---- *)
 

@@ -41,9 +41,17 @@ val access_per_attribute :
     [Distance.D_access.default_x].
     @raise Invalid_argument unless [0 < x < 1]. *)
 
+val access_of_areas :
+  ?x:float -> (string * Distance.Access_area.t) list
+  -> (string * Distance.Access_area.t) list -> float
+(** The mean of the δ of every attribute of either area list (an
+    attribute missing from a list has area [Empty]), summed in
+    ascending value order; 0 when neither list names an attribute.
+    @raise Invalid_argument unless [0 < x < 1]. *)
+
 val access : ?x:float -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
-(** The mean of {!access_per_attribute}, summed in ascending value
-    order; 0 when neither query accesses an attribute.
+(** {!access_of_areas} of the two queries'
+    [Distance.Access_area.of_query] lists.
     @raise Invalid_argument unless [0 < x < 1]. *)
 
 (** {2 Edit (token-level Levenshtein)} *)

@@ -72,23 +72,57 @@ let complement = function
   | Scofinite xs -> Sfinite xs
   | Opaque xs -> Opaque [ "!" ^ String.concat "," xs ]
 
+(* ---- canonical forms and the two relations ----
+
+   [canonical] normalizes and sorts each list without duplicates, and
+   returns its argument itself when it is canonical already; [equal]
+   and [overlaps] are walks over canonical forms, which allocate
+   nothing when given canonical areas. *)
+
+let rec strictly_sorted = function
+  | a :: (b :: _ as rest) -> String.compare a b < 0 && strictly_sorted rest
+  | [] | [ _ ] -> true
+
+let canonical a =
+  match normalize a with
+  | Sfinite xs when not (strictly_sorted xs) -> Sfinite (sorted xs)
+  | Scofinite xs when not (strictly_sorted xs) -> Scofinite (sorted xs)
+  | Opaque xs when not (strictly_sorted xs) -> Opaque (sorted xs)
+  | (Empty | All | Num _ | Sfinite _ | Scofinite _ | Opaque _) as a -> a
+
+(* sorted duplicate-free lists: some member of [x] is in [y] *)
+let rec share x y =
+  match x, y with
+  | [], _ | _, [] -> false
+  | a :: x', b :: y' ->
+    let c = String.compare a b in
+    c = 0 || if c < 0 then share x' y else share x y'
+
+(* sorted duplicate-free lists: some member of [x] is not in [y] *)
+let rec escapes x y =
+  match x, y with
+  | [], _ -> false
+  | _ :: _, [] -> true
+  | a :: x', b :: y' ->
+    let c = String.compare a b in
+    c < 0 || if c = 0 then escapes x' y' else escapes x y'
+
 let equal a b =
-  match normalize a, normalize b with
+  match canonical a, canonical b with
   | Empty, Empty | All, All -> true
   | Num x, Num y -> Interval.equal x y
   | Sfinite x, Sfinite y | Scofinite x, Scofinite y | Opaque x, Opaque y ->
-    sorted x = sorted y
+    List.equal String.equal x y
   | _ -> false
 
 let overlaps a b =
-  match normalize a, normalize b with
+  match canonical a, canonical b with
   | Empty, _ | _, Empty -> false
   | All, _ | _, All -> true
   | Num x, Num y -> Interval.overlaps x y
-  | Sfinite x, Sfinite y -> set_inter x y <> []
-  | Sfinite x, Scofinite y | Scofinite y, Sfinite x -> set_diff x y <> []
+  | Sfinite x, Sfinite y | Opaque x, Opaque y -> share x y
+  | Sfinite x, Scofinite y | Scofinite y, Sfinite x -> escapes x y
   | Scofinite _, Scofinite _ -> true (* dense domain minus finitely many points *)
-  | Opaque x, Opaque y -> set_inter x y <> []
   | (Num _ | Sfinite _ | Scofinite _), Opaque _
   | Opaque _, (Num _ | Sfinite _ | Scofinite _)
   (* a type clash between numeric and string regions cannot arise on

@@ -21,10 +21,17 @@ type t =
   | Scofinite of string list  (** complement of a finite set (sorted) *)
   | Opaque of string list     (** union of opaque region atoms (sorted) *)
 
+val canonical : t -> t
+(** The normal form that {!equal} and {!overlaps} compare: an empty or
+    full region becomes {!Empty} or {!All}, and each point or atom list
+    is sorted without duplicates.  A canonical argument is returned
+    itself, without allocating. *)
+
 val equal : t -> t -> bool
 val overlaps : t -> t -> bool
 (** Conservative where regions are opaque: two opaque regions overlap iff
-    they share an atom. *)
+    they share an atom.  {!equal} and {!overlaps} walk the two
+    {!canonical} forms and allocate nothing on canonical arguments. *)
 
 val union : t -> t -> t
 val inter : t -> t -> t

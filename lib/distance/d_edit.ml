@@ -17,12 +17,37 @@
 let word_bits = 62
 let word_mask = (1 lsl word_bits) - 1
 
-(* staged: [myers ~alphabet pat] builds [peq] once, and the result is
-   the Levenshtein distance of [pat] to a text; symbols outside
-   [0, alphabet) are invalid *)
-let myers ~alphabet (pat : int array) =
+(* One word: a pattern of 1-62 symbols fits one block, so the column
+   state lives in three locals, nothing is allocated per text, and the
+   carries between blocks vanish (a block's incoming horizontal delta is
+   +1 at the top row).  The same steps as [blocked] for [nb = 1]. *)
+let one_word ~alphabet (pat : int array) =
   let m = Array.length pat in
-  let nb = max 1 ((m + word_bits - 1) / word_bits) in
+  let peq = Array.make alphabet 0 in
+  Array.iteri (fun i sym -> peq.(sym) <- peq.(sym) lor (1 lsl i)) pat;
+  let last_bit = 1 lsl (m - 1) in
+  fun (text : int array) ->
+    let pv = ref word_mask and mv = ref 0 and score = ref m in
+    for j = 0 to Array.length text - 1 do
+      let eq = Array.unsafe_get peq (Array.unsafe_get text j) in
+      let pvb = !pv and mvb = !mv in
+      let xv = eq lor mvb in
+      let xh = ((((eq land pvb) + pvb) land word_mask) lxor pvb) lor eq in
+      let ph = mvb lor (lnot (xh lor pvb) land word_mask) in
+      let mh = pvb land xh in
+      if ph land last_bit <> 0 then incr score
+      else if mh land last_bit <> 0 then decr score;
+      let ph = ((ph lsl 1) lor 1) land word_mask in
+      let mh = (mh lsl 1) land word_mask in
+      pv := mh lor (lnot (xv lor ph) land word_mask);
+      mv := ph land xv
+    done;
+    !score
+
+(* the blocked form, for patterns longer than one word *)
+let blocked ~alphabet (pat : int array) =
+  let m = Array.length pat in
+  let nb = (m + word_bits - 1) / word_bits in
   let peq = Array.make (nb * alphabet) 0 in
   Array.iteri
     (fun i sym ->
@@ -32,8 +57,7 @@ let myers ~alphabet (pat : int array) =
     pat;
   fun (text : int array) ->
     let n = Array.length text in
-    if m = 0 then n
-    else if n = 0 then m
+    if n = 0 then m
     else begin
       (* vertical deltas, all +1 initially (column 0 of the DP table) *)
       let pv = Array.make nb word_mask in
@@ -76,3 +100,12 @@ let myers ~alphabet (pat : int array) =
       done;
       !score
     end
+
+(* staged: [myers ~alphabet pat] builds [peq] once, and the result is
+   the Levenshtein distance of [pat] to a text; symbols outside
+   [0, alphabet) are invalid *)
+let myers ~alphabet pat =
+  let m = Array.length pat in
+  if m = 0 then Array.length
+  else if m <= word_bits then one_word ~alphabet pat
+  else blocked ~alphabet pat

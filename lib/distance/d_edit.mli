@@ -22,4 +22,6 @@ val myers : alphabet:int -> int array -> int array -> int
 (** [myers ~alphabet pat text] is the Levenshtein distance of [pat] and
     [text].  Staged: [myers ~alphabet pat] builds the pattern's
     per-symbol position bitmasks ([alphabet] words per 62-symbol block)
-    once, for every text.  Symbols must lie in [\[0, alphabet)]. *)
+    once, for every text.  A pattern of at most 62 symbols fits one
+    word, and then a text allocates nothing.  Symbols must lie in
+    [\[0, alphabet)]. *)

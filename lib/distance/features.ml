@@ -10,8 +10,12 @@
      and the Jaccard float is the same division;
    - the edit kernel ({!D_edit.myers}) computes the Levenshtein distance
      of the interned token sequences, which is that of the tokens;
-   - access and clause distances combine the per-query parts with
-     {!D_access.distance_of_areas} and {!D_clause.combine}. *)
+   - the clause distance combines three Jaccard distances with
+     {!D_clause.combine};
+   - the access distance counts the per-attribute codes of a pair's
+     areas, read from a code table that each table fills on first
+     read, and sums them as the per-attribute definition does (see
+     [access] below). *)
 
 module Interner = struct
   type 'a t = { tbl : ('a, int) Hashtbl.t; mutable next : int }
@@ -42,12 +46,23 @@ type key = Token_set | Edit_tokens | Structure_set | Clause_sets | Areas
 
 type clauses = { proj : int array; group : int array; sel : int array }
 
+(* One attribute's distinct areas, numbered 0 .. k-1, in canonical
+   form: [pair] holds the code of areas [r] and [s] at [r * k + s], and
+   [alone] the code of area [r] against [Empty] at [2r] and of [Empty]
+   against area [r] at [2r + 1].  A code is 0 (equal), 1 (overlap) or 2
+   (disjoint), or [unknown] until its first read computes it.  A code is
+   a pure function of its two areas, so two domains that race on an
+   unknown byte compute and write the same value. *)
+type codes = { areas : Access_area.t array; pair : Bytes.t; alone : Bytes.t }
+
 (* per query, shared by the queries of one record *)
 type part =
   | Sets of int array array  (* token or structure sets *)
   | Seqs of int array array * int  (* edit sequences, alphabet size *)
   | Clauses of clauses array
-  | Area_maps of (string * Access_area.t) list array
+  | Area_ids of int array array * codes array
+      (* per query, its ascending (attribute, area) ids packed by
+         [area_id]; per attribute, its code table *)
 
 type table = { key : key; part : part }
 
@@ -118,6 +133,78 @@ let intern_set intern xs =
   Array.sort Int.compare a;
   a
 
+(* ---- access areas --------------------------------------------------
+
+   An attribute's areas are interned under [compare = 0], the equality
+   of [Hashtbl] and of [group], so two queries have equal id arrays
+   exactly when their area lists are equal, and the class map does not
+   change.  Equal ids give equal codes: [compare] treats [nan] as equal
+   to itself and [-0.0] as [0.0], and the relations decide only by
+   comparing endpoints, which treats each of these pairs alike. *)
+
+let area_bits = 32
+let area_id attr area = (attr lsl area_bits) lor area
+let attr_of id = id lsr area_bits
+let area_of id = id land ((1 lsl area_bits) - 1)
+
+(* an attribute's interned areas, newest first in [seen] *)
+type attribute = { id : int; ids : Access_area.t Interner.t; mutable seen : Access_area.t list }
+
+let unknown = '\255'
+
+(* the code table of one attribute: k^2 + 2k bytes *)
+let codes_of attribute =
+  let areas = Array.of_list (List.rev_map Access_area.canonical attribute.seen) in
+  let k = Array.length areas in
+  { areas; pair = Bytes.make (k * k) unknown; alone = Bytes.make (2 * k) unknown }
+
+let code a b =
+  if Access_area.equal a b then '\000'
+  else if Access_area.overlaps a b then '\001'
+  else '\002'
+
+(* the code at [p] of [table], computing it from [a] and [b] on its
+   first read *)
+let cached table p a b =
+  let c = Bytes.unsafe_get table p in
+  if c <> unknown then c
+  else begin
+    let c = code a b in
+    Bytes.unsafe_set table p c;
+    c
+  end
+
+(* The interner of an [Area_ids] part: [intern] maps one query's area
+   list to its ascending ids, and [codes] allocates every attribute's
+   code table once all queries are interned. *)
+let area_interner size =
+  let attrs = Hashtbl.create 16 and order = ref [] in
+  let intern list =
+    let ids =
+      Array.of_list
+        (List.map
+           (fun (name, area) ->
+             let a =
+               match Hashtbl.find_opt attrs name with
+               | Some a -> a
+               | None ->
+                 let a = { id = Hashtbl.length attrs; ids = Interner.create size; seen = [] } in
+                 Hashtbl.add attrs name a;
+                 order := a :: !order;
+                 a
+             in
+             let k = Interner.size a.ids in
+             let r = Interner.id a.ids area in
+             if r = k then a.seen <- area :: a.seen;
+             area_id a.id r)
+           list)
+    in
+    Array.sort Int.compare ids;
+    ids
+  in
+  let codes () = Array.of_list (List.rev_map codes_of !order) in
+  (intern, codes)
+
 (* how the per-query builder runs over the queries: a pool batch for a
    log, the calling thread for one pair *)
 type runner = { run : 'r. (int -> 'r) -> ('r array, Fault.Error.t list) result }
@@ -177,13 +264,19 @@ let part { run } ~text key queries first =
            { proj = intern_set ids proj; group; sel })
        |> Result.map (fun c -> Clauses c)
      | Areas ->
-       parts (fun i -> Access_area.of_query queries.(i)) Fun.id
-       |> Result.map (fun a -> Area_maps a))
+       let intern, codes = area_interner (min 64 (Array.length queries)) in
+       parts (fun i -> Access_area.of_query queries.(i)) intern
+       |> Result.map (fun ids -> Area_ids (ids, codes ())))
 
 let table_r ?pool key log =
   let run f = batch pool (Array.length log.queries) f in
   part { run } ~text:(Array.get log.texts) key log.queries log.first
   |> Result.map_error (with_repeats log.first)
+
+let of_areas areas =
+  let intern, codes = area_interner (min 64 (Array.length areas)) in
+  let ids = Array.map intern areas in
+  { key = Areas; part = Area_ids (ids, codes ()) }
 
 let key t = t.key
 
@@ -191,7 +284,7 @@ let length t =
   match t.part with
   | Sets s | Seqs (s, _) -> Array.length s
   | Clauses c -> Array.length c
-  | Area_maps a -> Array.length a
+  | Area_ids (a, _) -> Array.length a
 
 let sub t ids =
   let pick a = Array.map (Array.get a) ids in
@@ -200,7 +293,7 @@ let sub t ids =
     | Sets s -> Sets (pick s)
     | Seqs (s, alphabet) -> Seqs (pick s, alphabet)
     | Clauses c -> Clauses (pick c)
-    | Area_maps a -> Area_maps (pick a)
+    | Area_ids (a, codes) -> Area_ids (pick a, codes)
   in
   { t with part }
 
@@ -259,7 +352,7 @@ let classes t =
   match t.part with
   | Sets s | Seqs (s, _) -> group s
   | Clauses c -> group c
-  | Area_maps a -> group a
+  | Area_ids (a, _) -> group a
 
 (* ---- the evaluator -----------------------------------------------------
 
@@ -274,8 +367,55 @@ let edit_distance_int t i =
   | Seqs (s, alphabet) ->
     let dist = D_edit.myers ~alphabet s.(i) in
     fun j -> dist s.(j)
-  | Sets _ | Clauses _ | Area_maps _ ->
+  | Sets _ | Clauses _ | Area_ids _ ->
     raise (wrong_key "Distance.Features.edit_distance_int")
+
+(* Definition 5 over two ascending id arrays: one merge counts the
+   attributes of the union by code, [n1] overlapping and [n2] disjoint.
+   The per-attribute definition sums the deltas in ascending value
+   order, 0.0 < x < 1.0: adding the 0.0s to 0.0 leaves 0.0, so that sum
+   is [x] added [n1] times, then 1.0 added [n2] times, which the loops
+   below repeat addition for addition (DESIGN.md §10). *)
+let access ~x codes a b =
+  if not (x > 0.0 && x < 1.0) then invalid_arg "D_access: x must be in (0,1)";
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 and n = ref 0 and n1 = ref 0 and n2 = ref 0 in
+  while !i < na || !j < nb do
+    let c =
+      if !j = nb || (!i < na && attr_of a.(!i) < attr_of b.(!j)) then begin
+        let p = a.(!i) in
+        incr i;
+        let t = codes.(attr_of p) and r = area_of p in
+        cached t.alone (2 * r) t.areas.(r) Access_area.Empty
+      end
+      else if !i = na || attr_of b.(!j) < attr_of a.(!i) then begin
+        let q = b.(!j) in
+        incr j;
+        let t = codes.(attr_of q) and s = area_of q in
+        cached t.alone ((2 * s) + 1) Access_area.Empty t.areas.(s)
+      end
+      else begin
+        let p = a.(!i) and q = b.(!j) in
+        incr i;
+        incr j;
+        let t = codes.(attr_of p) and r = area_of p and s = area_of q in
+        cached t.pair ((r * Array.length t.areas) + s) t.areas.(r) t.areas.(s)
+      end
+    in
+    incr n;
+    if c = '\001' then incr n1 else if c = '\002' then incr n2
+  done;
+  if !n = 0 then 0.0
+  else begin
+    let sum = ref 0.0 in
+    for _ = 1 to !n1 do
+      sum := !sum +. x
+    done;
+    for _ = 1 to !n2 do
+      sum := !sum +. 1.0
+    done;
+    !sum /. float_of_int !n
+  end
 
 let eval ~x t i =
   match t.part with
@@ -293,11 +433,11 @@ let eval ~x t i =
         ~projection:(Jaccard.distance_sorted_ints a.proj b.proj)
         ~group_by:(Jaccard.distance_sorted_ints a.group b.group)
         ~selection:(Jaccard.distance_sorted_ints a.sel b.sel)
-  | Area_maps areas ->
-    let a = areas.(i) in
+  | Area_ids (ids, codes) ->
+    let a = ids.(i) in
     fun j ->
       Obs.Metric.add m_reuse 2;
-      D_access.distance_of_areas ~x a areas.(j)
+      access ~x codes a ids.(j)
   | Seqs (s, _) ->
     let dist = edit_distance_int t i in
     let m = Array.length s.(i) in
@@ -315,10 +455,10 @@ let distance ~x key q1 q2 =
 let len t i =
   match t.part with
   | Seqs (s, _) -> Array.length s.(i)
-  | Sets _ | Clauses _ | Area_maps _ -> raise (wrong_key "Distance.Features.len")
+  | Sets _ | Clauses _ | Area_ids _ -> raise (wrong_key "Distance.Features.len")
 
 let set t i =
   match t.part with
   | Sets s -> s.(i)
   | Clauses c -> c.(i).proj
-  | Seqs _ | Area_maps _ -> raise (wrong_key "Distance.Features.set")
+  | Seqs _ | Area_ids _ -> raise (wrong_key "Distance.Features.set")

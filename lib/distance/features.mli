@@ -29,6 +29,17 @@
     [Mining.Dist_matrix.max_abs_diff = 0.0] for every measure and pool
     size.
 
+    {b Access areas.}  An {!Areas} part interns attribute names, and each
+    attribute's areas under structural equality, so a query's part is
+    an ascending array of (attribute, area) ids and the class map is
+    that of the area lists.  Each attribute of a table has a code table
+    over its [k] distinct areas (equal, overlapping or disjoint, from
+    their {!Access_area.canonical} forms), plus each area's code against
+    [Empty] in both argument orders: [k² + 2k] bytes, with [k] at most
+    the number of classes ({!classes}) that access the attribute, each
+    code computed on its first read.  An evaluation merges two id arrays
+    and counts codes; it allocates only its result.
+
     {b Distinct queries.}  Queries with the same printed text and the
     same AST share one record; the AST check matters because [%g]
     printing can give two float constants one text.  Equal records give
@@ -85,6 +96,12 @@ val table_r :
     part that fails to build fails every query that shares it, each
     under its own index. *)
 
+val of_areas : (string * Access_area.t) list array -> table
+(** The {!Areas} table of the given area lists, one per query, each
+    naming an attribute at most once (as {!Access_area.of_query} does):
+    the part {!table_r} builds from queries, for a caller that holds
+    areas.  It runs in the calling thread and counts no build. *)
+
 val key : table -> key
 
 val length : table -> int
@@ -112,9 +129,10 @@ val classes : table -> classes
 val eval : x:float -> table -> int -> int -> float
 (** [eval ~x t i j] is the distance of queries [i] and [j] under the
     table's key: the Jaccard distance of the sets (token, structure),
-    {!D_clause.combine} of the three clause Jaccard distances,
-    {!D_access.distance_of_areas} [~x] of the access areas, or the
-    normalized token-level Levenshtein distance ({!D_edit}).  Staged:
+    {!D_clause.combine} of the three clause Jaccard distances, the
+    access-area distance of Definition 5 with overlap weight [x]
+    ({!D_access}), or the normalized token-level Levenshtein distance
+    ({!D_edit}).  Staged:
     [eval ~x t i] reads query [i]'s part once, and on an edit table
     builds its {!D_edit.myers} pattern, for every [j].
     @raise Invalid_argument on an access table unless [0 < x < 1]. *)

@@ -11,10 +11,14 @@ type t = ival list
 let empty : t = []
 let all : t = [ { lo = None; hi = None } ]
 
-let ival_nonempty i =
-  match i.lo, i.hi with
+(* [lo] starts no later than [hi] ends: touching counts only if both
+   sides are inclusive *)
+let starts_by lo hi =
+  match lo, hi with
   | None, _ | _, None -> true
   | Some a, Some b -> a.v < b.v || (a.v = b.v && a.incl && b.incl)
+
+let ival_nonempty i = starts_by i.lo i.hi
 
 let of_ival i = if ival_nonempty i then [ i ] else []
 
@@ -101,7 +105,20 @@ let is_all = function
 
 let equal (a : t) (b : t) = a = b
 
-let overlaps a b = not (is_empty (inter a b))
+(* some member of [a] meets some member of [b]: the emptiness of
+   [inter a b] without building it, as long as every endpoint is
+   ordered.  A [nan] endpoint is not, and there [inter]'s answer
+   depends on the order in which [normalize] merges, so it decides. *)
+let meets i j = starts_by i.lo j.hi && starts_by j.lo i.hi
+
+let rec meets_any i = function [] -> false | j :: b -> meets i j || meets_any i b
+let rec meet a b = match a with [] -> false | i :: a -> meets_any i b || meet a b
+
+let nan_bound = function Some b -> Float.is_nan b.v | None -> false
+let rec has_nan = function [] -> false | i :: t -> nan_bound i.lo || nan_bound i.hi || has_nan t
+
+let overlaps a b =
+  if has_nan a || has_nan b then not (is_empty (inter a b)) else meet a b
 
 let mem v t =
   List.exists

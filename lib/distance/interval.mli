@@ -39,6 +39,10 @@ val is_empty : t -> bool
 val is_all : t -> bool
 val equal : t -> t -> bool
 val overlaps : t -> t -> bool
+(** [not (is_empty (inter a b))].  Without a [nan] endpoint it is
+    decided pair by pair, without building the intersection, and
+    allocates nothing. *)
+
 val mem : float -> t -> bool
 val intervals : t -> ival list
 val map_endpoints : (float -> float) -> t -> t

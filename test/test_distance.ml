@@ -385,6 +385,167 @@ let test_access_distance () =
   Alcotest.check_raises "x bounds" (Invalid_argument "D_access: x must be in (0,1)")
     (fun () -> ignore (access ~x:1.0 q1 q2))
 
+(* ---- access areas against their first formulas ---- *)
+
+(* The relations as first written: normalize, then compare sorted
+   copies, intersect through string sets, and decide interval overlap
+   by building the intersection.  [AA.equal], [AA.overlaps] and
+   [Interval.overlaps] must agree with these on every input. *)
+module Old_area = struct
+  module SS = Set.Make (String)
+
+  let normalize = function
+    | AA.Num i when Interval.is_empty i -> AA.Empty
+    | AA.Num i when Interval.is_all i -> AA.All
+    | AA.Sfinite [] -> AA.Empty
+    | AA.Scofinite [] -> AA.All
+    | AA.Opaque [] -> AA.Empty
+    | a -> a
+
+  let sorted xs = List.sort_uniq String.compare xs
+  let set_inter a b = SS.elements (SS.inter (SS.of_list a) (SS.of_list b))
+  let set_diff a b = SS.elements (SS.diff (SS.of_list a) (SS.of_list b))
+  let interval_overlaps a b = not (Interval.is_empty (Interval.inter a b))
+
+  let equal a b =
+    match normalize a, normalize b with
+    | AA.Empty, AA.Empty | AA.All, AA.All -> true
+    | AA.Num x, AA.Num y -> Interval.equal x y
+    | AA.Sfinite x, AA.Sfinite y | AA.Scofinite x, AA.Scofinite y
+    | AA.Opaque x, AA.Opaque y ->
+      sorted x = sorted y
+    | _ -> false
+
+  let overlaps a b =
+    match normalize a, normalize b with
+    | AA.Empty, _ | _, AA.Empty -> false
+    | AA.All, _ | _, AA.All -> true
+    | AA.Num x, AA.Num y -> interval_overlaps x y
+    | AA.Sfinite x, AA.Sfinite y -> set_inter x y <> []
+    | AA.Sfinite x, AA.Scofinite y | AA.Scofinite y, AA.Sfinite x -> set_diff x y <> []
+    | AA.Scofinite _, AA.Scofinite _ -> true
+    | AA.Opaque x, AA.Opaque y -> set_inter x y <> []
+    | _ -> false
+end
+
+(* endpoints at the values where float comparison is irregular *)
+let gen_endpoint =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; 1.0; -1.0; 2.5 ];
+        map float_of_int (int_range (-4) 4) ])
+
+let gen_interval =
+  let open QCheck.Gen in
+  let bound = opt (map2 (fun v incl -> { Interval.v; incl }) gen_endpoint bool) in
+  let ival = map2 (fun lo hi -> Interval.of_ival { Interval.lo; hi }) bound bound in
+  oneof
+    [ map (List.fold_left Interval.union Interval.empty) (list_size (int_range 0 3) ival);
+      map2 (fun incl v -> Interval.lower ~incl v) bool gen_endpoint;
+      map2 (fun incl v -> Interval.upper ~incl v) bool gen_endpoint;
+      map Interval.complement
+        (map (List.fold_left Interval.union Interval.empty) (list_size (int_range 0 2) ival)) ]
+
+(* unsorted, with repeats, and empty *)
+let gen_strings = QCheck.Gen.(list_size (int_range 0 4) (oneofl [ "a"; "b"; "c"; "d" ]))
+
+let gen_area =
+  QCheck.Gen.(
+    oneof
+      [ return AA.Empty; return AA.All;
+        map (fun i -> AA.Num i) gen_interval;
+        map (fun l -> AA.Sfinite l) gen_strings;
+        map (fun l -> AA.Scofinite l) gen_strings;
+        map (fun l -> AA.Opaque l) gen_strings ])
+
+(* one query's areas as [AA.of_query] lists them: distinct attributes,
+   ascending, possibly none *)
+let gen_area_list =
+  QCheck.Gen.(
+    map
+      (List.filter_map (fun (name, area) -> Option.map (fun a -> (name, a)) area))
+      (flatten_l
+         (List.map
+            (fun name -> map (fun a -> (name, a)) (opt ~ratio:0.6 gen_area))
+            [ "p"; "q"; "r"; "s" ])))
+
+let print_areas l =
+  "[" ^ String.concat "; " (List.map (fun (k, a) -> k ^ " " ^ AA.to_string a) l) ^ "]"
+
+(* x in (0, 1), its ends included as nearly as floats allow *)
+let gen_x =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0.5; 0.25; 0.9; Float.succ 0.0; Float.pred 1.0 ];
+        map (fun u -> Float.max (Float.succ 0.0) u) (float_bound_exclusive 1.0) ])
+
+let bits = Int64.bits_of_float
+
+let access_properties =
+  let area = QCheck.make ~print:AA.to_string gen_area in
+  let interval = QCheck.make ~print:Interval.to_string gen_interval in
+  let log =
+    QCheck.make
+      ~print:QCheck.Print.(pair float (array print_areas))
+      QCheck.Gen.(pair gen_x (array_size (int_range 1 6) gen_area_list))
+  in
+  [ QCheck.Test.make ~name:"equal and overlaps = first formulas" ~count:2000
+      (QCheck.pair area area)
+      (fun (a, b) -> AA.equal a b = Old_area.equal a b && AA.overlaps a b = Old_area.overlaps a b);
+    QCheck.Test.make ~name:"interval overlap = built intersection" ~count:2000
+      (QCheck.pair interval interval)
+      (fun (a, b) -> Interval.overlaps a b = Old_area.interval_overlaps a b);
+    (* every pair of a table of generated area lists, both orders and
+       each list with itself, and the class map of the lists *)
+    QCheck.Test.make ~name:"table = per-pair reference, bit for bit" ~count:500 log
+      (fun (x, areas) ->
+        let t = Distance.Features.of_areas areas in
+        let n = Array.length areas in
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          let row = Distance.Features.eval ~x t i in
+          for j = 0 to n - 1 do
+            if bits (row j) <> bits (Reference.access_of_areas ~x areas.(i) areas.(j)) then
+              ok := false
+          done
+        done;
+        let c = Distance.Features.classes t in
+        let first i =
+          let rec go j = if compare areas.(j) areas.(i) = 0 then j else go (j + 1) in
+          go 0
+        in
+        !ok
+        && Array.for_all Fun.id
+             (Array.init n (fun i -> c.class_of.(i) = c.class_of.(first i)
+                                     && (first i = i) = (c.reps.(c.class_of.(i)) = i)))) ]
+
+(* 1,024 queries, each with its own range on each of four attributes:
+   as many distinct areas per attribute as queries *)
+let test_access_worst_case () =
+  let n = 1024 in
+  let log =
+    List.init n (fun i ->
+        parse
+          (Printf.sprintf
+             "SELECT a, b, c, d FROM r WHERE a BETWEEN %d AND %d AND b > %d AND c < %d \
+              AND d BETWEEN %d AND %d"
+             i (i + 7) (3 * i) (n - i) (-i) (i / 2)))
+  in
+  let t = table Distance.Features.Areas log in
+  check_int "every query its own class" n
+    (Array.length (Distance.Features.classes t).Distance.Features.reps);
+  let m = M.matrix M.default_ctx M.Access log in
+  let qs = Array.of_list log in
+  let check i j =
+    if bits (Mining.Dist_matrix.get m i j) <> bits (Reference.access qs.(i) qs.(j)) then
+      Alcotest.failf "cell (%d, %d) differs from the reference" i j
+  in
+  List.iter (fun i -> for j = 0 to n - 1 do check i j done) [ 0; 1; 511; 1023 ];
+  let drbg = Crypto.Drbg.create ~seed:"kitdpe.test.access.worst" in
+  for _ = 1 to 500 do
+    check (Crypto.Drbg.uniform_int drbg n) (Crypto.Drbg.uniform_int drbg n)
+  done
+
 (* ---- result distance ---- *)
 
 let test_result_distance () =
@@ -459,11 +620,17 @@ module DE = Distance.D_edit
 
 let classic = Reference.levenshtein Int.equal
 
+(* the lengths at which [myers] changes path or block count: empty, one
+   word (1-62), two blocks (63-124), three (125) *)
+let boundary_lengths = [ 0; 1; 61; 62; 63; 124; 125 ]
+
 let kernel_properties =
   (* lengths up to 150 cross the 62-symbol block boundary, so the
-     multi-block carry chain is exercised, not just the 1-block fast
-     path *)
-  let arr = QCheck.(array_of_size (QCheck.Gen.int_range 0 150) (int_range 0 40)) in
+     multi-block carry chain is exercised, not just the one-word path;
+     half the draws take a boundary length, which a uniform draw
+     rarely lands on *)
+  let size = QCheck.Gen.(oneof [ oneofl boundary_lengths; int_range 0 150 ]) in
+  let arr = QCheck.(array_of_size size (int_range 0 40)) in
   [ QCheck.Test.make ~name:"myers = classic DP (incl. >1 block)" ~count:400
       (QCheck.pair arr arr)
       (fun (a, b) -> DE.myers ~alphabet:41 a b = classic a b);
@@ -474,6 +641,25 @@ let kernel_properties =
       (fun (a, b, c) ->
         let myers_a = DE.myers ~alphabet:41 a in
         List.for_all (fun t -> myers_a t = classic a t) [ b; c; a ]) ]
+
+(* every pair of boundary lengths, over a small and a one-symbol
+   alphabet (where every cell matches) *)
+let test_myers_boundaries () =
+  let drbg = Crypto.Drbg.create ~seed:"kitdpe.test.myers.boundaries" in
+  List.iter
+    (fun alphabet ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun n ->
+              let a = Array.init m (fun _ -> Crypto.Drbg.uniform_int drbg alphabet)
+              and b = Array.init n (fun _ -> Crypto.Drbg.uniform_int drbg alphabet) in
+              check_int
+                (Printf.sprintf "m=%d n=%d alphabet=%d" m n alphabet)
+                (classic a b) (DE.myers ~alphabet a b))
+            boundary_lengths)
+        boundary_lengths)
+    [ 1; 5 ]
 
 (* ---- the feature table against the per-pair definitions of
    [Reference], for every measure and pool size ---- *)
@@ -665,6 +851,36 @@ let test_features_float_repeats () =
     (Mining.Dist_matrix.get m 0 1);
   Alcotest.(check bool) "and it is not 0" true (Mining.Dist_matrix.get m 0 1 > 0.0)
 
+(* With telemetry off, a staged row allocates at most its boxed float
+   result: nothing per call for the integer edit distance of a
+   one-word pattern, 2 words for the access and edit evaluators. *)
+let test_features_allocation () =
+  let was_on = Obs.is_enabled () in
+  Obs.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_on) (fun () ->
+      let calls = 1000 in
+      let per_call name limit (n, f) =
+        let before = Gc.minor_words () in
+        for c = 1 to calls do
+          ignore (Sys.opaque_identity (f (c mod n)))
+        done;
+        let words = (Gc.minor_words () -. before) /. float_of_int calls in
+        if words > limit then
+          Alcotest.failf "%s: %.3f words per call, limit %.0f" name words limit
+      in
+      let log =
+        Workload.Gen_query.skyserver_log
+          { Workload.Gen_query.n = 60; templates = 4; seed = "alloc";
+            caps = Workload.Gen_query.caps_for_measure M.Access }
+      in
+      let access = table Distance.Features.Areas log in
+      let edit = table Distance.Features.Edit_tokens log in
+      let n = List.length log in
+      check_bool "one-word patterns" true (Distance.Features.len edit 0 <= 62);
+      per_call "access eval" 2.0 (n, Distance.Features.eval ~x:0.5 access 0);
+      per_call "edit eval" 2.0 (n, Distance.Features.eval ~x:0.5 edit 0);
+      per_call "edit_distance_int" 0.0 (n, Distance.Features.edit_distance_int edit 0))
+
 let test_features_fault () =
   Fault.Inject.disarm_all ();
   (match Fault.Inject.arm_spec "distance.features.build=nth:2" with
@@ -713,13 +929,16 @@ let () =
       ("access",
        [ Alcotest.test_case "areas" `Quick test_access_areas;
          Alcotest.test_case "delta" `Quick test_delta;
-         Alcotest.test_case "distance" `Quick test_access_distance ]);
+         Alcotest.test_case "distance" `Quick test_access_distance;
+         Alcotest.test_case "worst-case log" `Quick test_access_worst_case ]
+       @ List.map (fun t -> QCheck_alcotest.to_alcotest t) access_properties);
       ("result", [ Alcotest.test_case "result distance" `Quick test_result_distance ]);
       ("measure",
        Alcotest.test_case "dispatch" `Quick test_measure
        :: List.map (fun t -> QCheck_alcotest.to_alcotest t) measure_properties);
       ("edit kernels",
-       List.map (fun t -> QCheck_alcotest.to_alcotest t) kernel_properties);
+       Alcotest.test_case "boundary lengths" `Quick test_myers_boundaries
+       :: List.map (fun t -> QCheck_alcotest.to_alcotest t) kernel_properties);
       ("feature table",
        [ Alcotest.test_case "matrix bit-identical to seed" `Quick
            test_features_matrix_identity;
@@ -729,4 +948,6 @@ let () =
          Alcotest.test_case "builds/reuse metrics" `Quick test_features_metrics;
          Alcotest.test_case "fault point surfaces" `Quick test_features_fault;
          Alcotest.test_case "floats that print alike" `Quick
-           test_features_float_repeats ]) ]
+           test_features_float_repeats;
+         Alcotest.test_case "staged rows allocate their result only" `Quick
+           test_features_allocation ]) ]
