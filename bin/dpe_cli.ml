@@ -1045,7 +1045,7 @@ let chaos seed rows domains report_path =
   in
   let server_cfg =
     { Server.Engine.default_config with
-      Server.Engine.workers = 2; queue_capacity = 8; master = "chaos" }
+      Server.Engine.queue_capacity = 8; master = "chaos" }
   in
   let sql = Array.of_list (List.map Sqlir.Printer.to_string log) in
   let queries_for i = Array.to_list (Array.sub sql (i mod 4) 8) in

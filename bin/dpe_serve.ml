@@ -1,23 +1,22 @@
 (* dpe_serve — the always-on encrypted-mining server.
 
      dpe_serve --port 7464 --passphrase secret
-     dpe_serve --port 0 --workers 4 --queue 64 --deadline-ms 2000 \
-               --metrics-out metrics.txt
+     dpe_serve --port 0 --queue 64 --deadline-ms 2000 --metrics-out metrics.txt
 
    Prints "dpe_serve listening on <host>:<port>" once bound (port 0
    picks an ephemeral port — scripts parse this line), then serves
-   until SIGTERM/SIGINT, drains gracefully, and exits 0.  Fault
-   injection is armed from KITDPE_FAULTS exactly like the CLI. *)
+   until SIGTERM/SIGINT, drains gracefully, and exits 0.  One compute
+   thread runs encrypt/mine in admission order; health and stats are
+   answered as they arrive.  Fault injection is armed from
+   KITDPE_FAULTS exactly like the CLI. *)
 
 open Cmdliner
 
-let serve host port workers queue master deadline_ms drain_grace_ms metrics_out
-    obs =
+let serve host port queue master deadline_ms drain_grace_ms metrics_out obs =
   if obs then Obs.set_enabled true;
   let cfg =
     { Server.Engine.host;
       port;
-      workers;
       queue_capacity = queue;
       master;
       default_deadline_ms = (if deadline_ms > 0 then Some deadline_ms else None);
@@ -43,10 +42,6 @@ let host_arg =
 let port_arg =
   Arg.(value & opt int 7464
        & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (0 = ephemeral).")
-
-let workers_arg =
-  Arg.(value & opt int 4
-       & info [ "workers" ] ~docv:"N" ~doc:"Worker threads consuming the queue.")
 
 let queue_arg =
   Arg.(value & opt int 64
@@ -96,7 +91,7 @@ let cmd =
     (Cmd.info "dpe_serve" ~version:"1.0.0"
        ~doc:"Resilient always-on server for encrypted-log mining \
              (deadlines, backpressure, retry, graceful drain).")
-    Term.(const serve $ host_arg $ port_arg $ workers_arg $ queue_arg
+    Term.(const serve $ host_arg $ port_arg $ queue_arg
           $ master_arg $ deadline_arg $ drain_grace_arg $ metrics_arg $ obs_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -371,18 +371,13 @@ let decrypt_value t ~attr v =
 
 (* ---- key rotation ---- *)
 
-let rotate_query ~old_enc ~new_enc q =
-  match decrypt_query old_enc q with
-  | Error e -> Error ("rotation: " ^ e)
-  | Ok plain -> Ok (encrypt_query new_enc plain)
-
 let rotate_log ~old_enc ~new_enc log =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | q :: rest ->
-      (match rotate_query ~old_enc ~new_enc q with
-       | Ok q' -> go (q' :: acc) rest
-       | Error e -> Error e)
+      (match decrypt_query old_enc q with
+       | Ok plain -> go (encrypt_query new_enc plain :: acc) rest
+       | Error e -> Error ("rotation: " ^ e))
   in
   go [] log
 

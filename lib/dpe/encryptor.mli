@@ -120,15 +120,13 @@ val encrypt_result_tuple :
 
 (** {1 Key rotation} *)
 
-val rotate_query :
-  old_enc:t -> new_enc:t -> Sqlir.Ast.query -> (Sqlir.Ast.query, string) result
-(** Re-encrypt one query from the old keyring to the new one (the key owner
-    periodically rotates the master secret; the provider sees a fresh,
-    unlinkable log whose pairwise distances are unchanged). *)
-
 val rotate_log :
   old_enc:t -> new_enc:t -> Sqlir.Ast.query list
   -> (Sqlir.Ast.query list, string) result
+(** Re-encrypt a log from the old keyring to the new one (the key owner
+    periodically rotates the master secret; the provider sees a fresh,
+    unlinkable log whose pairwise distances are unchanged).  Stops at the
+    first query that does not decrypt. *)
 
 val paillier : t -> Crypto.Paillier.public * Crypto.Paillier.secret
 (** The lazily-generated Paillier keypair used for HOM columns. *)

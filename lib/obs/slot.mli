@@ -1,6 +1,6 @@
 (** One value per sys-thread, with a default for threads that never set
     one.  Storage is per sys-thread, not per domain: the server runs
-    reader, worker, health and stats threads on domain 0, and a bare
+    its accept, reader and compute threads on domain 0, and a bare
     [Domain.DLS] slot shared by them would let overlapping scopes on two
     threads interleave their save/restores and leave one thread's value
     installed on the other.  Each domain holds a small mutex-guarded

@@ -4,10 +4,11 @@
    [Overloaded] carrying a retry-after hint proportional to the backlog,
    and a draining queue rejects with [Draining]; both rejections still
    produce a response, which is what keeps the requests-in =
-   responses-out invariant under overload and shutdown.  The
-   [server.admission] injection point (keyed by the request id) lets
-   chaos runs shed deterministically chosen requests without actually
-   saturating the queue. *)
+   responses-out invariant under overload and shutdown; [admit] takes
+   the same decision without queueing.  The [server.admission]
+   injection point (keyed by the request id) lets chaos runs shed
+   deterministically chosen requests without actually saturating the
+   queue. *)
 
 type 'a t = {
   capacity : int;
@@ -44,31 +45,36 @@ let retry_after_ms depth = min 250 (10 + (5 * depth))
 let overloaded depth =
   Fault.Error.Overloaded { queue_depth = depth; retry_after_ms = retry_after_ms depth }
 
-let submit t ~key v =
-  Mutex.lock t.lock;
-  let depth_now = Queue.length t.q in
+(* the one admission decision, taken under [t.lock] and counted *)
+let decide t ~key =
+  let depth = Queue.length t.q in
   let decision =
     if t.draining then Error Fault.Error.Draining
-    else if depth_now >= t.capacity then Error (overloaded depth_now)
+    else if depth >= t.capacity then Error (overloaded depth)
     else
-      match Fault.point ~key "server.admission" with
-      | () ->
-        Queue.add v t.q;
-        Ok ()
-      | exception Fault.Error.E (Fault.Error.Injected _) ->
-        (* an armed admission point simulates saturation: same typed
-           rejection the client would see from a genuinely full queue *)
-        Error (overloaded depth_now)
+      (* an armed admission point simulates saturation: same typed
+         rejection the client would see from a genuinely full queue *)
+      try Ok (Fault.point ~key "server.admission")
+      with Fault.Error.E (Fault.Error.Injected _) -> Error (overloaded depth)
   in
-  (match decision with
-   | Ok () ->
-     Obs.Metric.incr m_admitted;
-     Obs.Metric.set_gauge m_depth (Queue.length t.q);
-     Condition.signal t.nonempty
-   | Error Fault.Error.Draining -> Obs.Metric.incr m_drain_rejects
-   | Error _ -> Obs.Metric.incr m_shed);
-  Mutex.unlock t.lock;
+  Obs.Metric.incr
+    (match decision with
+     | Ok () -> m_admitted
+     | Error Fault.Error.Draining -> m_drain_rejects
+     | Error _ -> m_shed);
   decision
+
+let admit t ~key = Mutex.protect t.lock (fun () -> decide t ~key)
+
+let submit t ~key v =
+  Mutex.protect t.lock (fun () ->
+      let decision = decide t ~key in
+      if Result.is_ok decision then begin
+        Queue.add v t.q;
+        Obs.Metric.set_gauge m_depth (Queue.length t.q);
+        Condition.signal t.nonempty
+      end;
+      decision)
 
 let take t =
   Mutex.lock t.lock;

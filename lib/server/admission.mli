@@ -25,14 +25,17 @@ val create : capacity:int -> 'a t
 val capacity : 'a t -> int
 val depth : 'a t -> int
 
+val admit : 'a t -> key:int -> (unit, Fault.Error.t) result
+(** The admission decision alone, queueing nothing: [Error (Overloaded _)]
+    when full (or the armed [server.admission] point fires on [key]),
+    [Error Draining] after {!start_drain}.  Counted like {!submit}. *)
+
 val submit : 'a t -> key:int -> 'a -> (unit, Fault.Error.t) result
-(** Non-blocking admission.  [Error (Overloaded _)] when full (or the
-    armed [server.admission] point fires on [key]), [Error Draining]
-    after {!start_drain}. *)
+(** Non-blocking admission: {!admit}, then queue the item if admitted. *)
 
 val take : 'a t -> 'a option
 (** Block until an item is available or the queue is draining {e and}
-    empty ([None] — the worker's signal to exit).  Items queued before
+    empty ([None] — the compute thread's signal to exit).  Items queued before
     {!start_drain} are always handed out: drain finishes the backlog,
     it never discards it. *)
 

@@ -3,8 +3,8 @@
    a typed error response; nothing a request does can raise out of
    [handle].
 
-   Deadlines: the worker passes the absolute deadline computed at
-   arrival; [handle] installs it with [Parallel.Pool.with_deadline], so
+   Deadlines: the compute thread passes the absolute deadline computed
+   at arrival; [handle] installs it with [Parallel.Pool.with_deadline], so
    the [Parallel.Pool.map_range_r] batches underneath (feature builds,
    matrix rows), row encryption and complete link's merge loop abandon
    remaining work the moment it expires and the pool lanes go back to
@@ -238,6 +238,6 @@ let handle ?deadline_ns ctx (req : Proto.request) =
       with
       | resp -> resp
       | exception e ->
-        (* last-resort containment: no request may crash a worker *)
+        (* last-resort containment: no request may crash its thread *)
         Proto.response_error ~id:req.id
           (Fault.Error.of_exn ~context:"Server.Dispatch.handle" e))

@@ -2,7 +2,7 @@
     value out — {e always}.  Every failure below the protocol layer
     (typed errors, injected faults, stray exceptions) becomes a typed
     error response; nothing a request does can raise out of {!handle}
-    or crash a worker.
+    or crash the thread that handles it.
 
     Deadline propagation: [?deadline_ns] (absolute, computed at
     arrival) is installed via [Parallel.Pool.with_deadline] for the

@@ -1,24 +1,24 @@
 (* The always-on server: accept loop + reader threads + a bounded
-   admission queue + worker threads, with graceful drain.
+   admission queue + one compute thread, with graceful drain.
 
    Thread/domain layout: sys-threads (accept loop, one reader per
-   connection, N workers) all live on domain 0 and handle I/O and
-   queueing; the compute parallelism is the process-wide
-   [Parallel.Pool] of domains.  Heavy operations (encrypt, mine) run
-   under [compute_lock]: the domain pool is the unit of parallelism —
-   two concurrent batches would only oversubscribe its lanes.  Request
-   deadlines are stored per sys-thread inside [Parallel.Pool], so
-   concurrent handlers sharing domain 0 cannot corrupt each other's
-   deadline; health and stats requests bypass the lock, never install
-   a deadline, and stay responsive under load.
+   connection, the compute thread) all live on domain 0; the compute
+   parallelism is the process-wide [Parallel.Pool] of domains.  Heavy
+   operations (encrypt, mine) are queued, and the compute thread runs
+   them one at a time in admission order: the domain pool is the unit
+   of parallelism — two concurrent batches would only oversubscribe
+   its lanes.  Health and stats requests never queue: the reader takes
+   the same admission decision and answers them itself, so they stay
+   responsive behind a backlog and never install a deadline (deadlines
+   are stored per sys-thread inside [Parallel.Pool]).
 
    Drain (SIGTERM/SIGINT or [request_drain]): the accept loop notices
    the flag within its 100 ms select tick and runs the shutdown
    sequence — close the listener, drain the admission queue (new
-   submissions answered with typed [Draining]), join workers once the
-   backlog is answered (zero dropped in-flight requests), close
-   connections, join readers, then flush the OpenMetrics snapshot.
-   [wait] returns when all of that is done.
+   submissions answered with typed [Draining]), join the compute thread
+   once the backlog is answered (zero dropped in-flight requests),
+   close connections, join readers, then flush the OpenMetrics
+   snapshot.  [wait] returns when all of that is done.
 
    The reader-join phase is bounded: sessions get [SO_RCVTIMEO] so a
    peer stalled mid-frame cannot pin its reader in [Unix.read], and
@@ -31,7 +31,6 @@
 type config = {
   host : string;
   port : int;                     (* 0 picks an ephemeral port *)
-  workers : int;
   queue_capacity : int;
   master : string;
   default_deadline_ms : int option;
@@ -42,7 +41,6 @@ type config = {
 let default_config =
   { host = "127.0.0.1";
     port = 0;
-    workers = 4;
     queue_capacity = 64;
     master = "kitdpe-demo";
     default_deadline_ms = None;
@@ -66,10 +64,10 @@ type t = {
   cfg : config;
   listener : Unix.file_descr;
   bound_port : int;
-  tenants : Tenant.t;
+  ctx : Dispatch.ctx;
   queue : job Admission.t;
   draining : bool Atomic.t;
-  (* set only after the workers have answered the whole backlog: the
+  (* set only after the compute thread has answered the whole backlog: the
      signal for idle readers to close their sessions.  Distinct from
      [draining] so no session closes while a response is still owed. *)
   closing : bool Atomic.t;
@@ -78,12 +76,11 @@ type t = {
      one half-open or endlessly chatty peer from stalling drain *)
   close_by : int Atomic.t;
   inflight : int Atomic.t;
-  compute_lock : Mutex.t;
   conns_lock : Mutex.t;
   conns : (int, conn) Hashtbl.t;
   mutable next_cid : int;           (* guarded by conns_lock *)
   mutable readers : Thread.t list;  (* guarded by conns_lock *)
-  mutable workers : Thread.t list;
+  mutable compute : Thread.t option;
   mutable accepter : Thread.t option;
 }
 
@@ -139,6 +136,20 @@ let close_conn t conn =
   Obs.Metric.set_gauge m_conns (Hashtbl.length t.conns);
   Mutex.unlock t.conns_lock
 
+(* one admitted request: counted in [inflight] while [handle] runs *)
+let answer t conn handle =
+  Atomic.incr t.inflight;
+  Obs.Metric.set_gauge m_inflight (Atomic.get t.inflight);
+  let resp = handle () in
+  (* decrement before the response hits the wire: by the time the
+     peer reads the answer and sends its next request, this one no
+     longer counts — so a sequential client always observes a
+     deterministic inflight in health responses (the chaos stage
+     asserts faults-off streams are bit-identical) *)
+  Atomic.decr t.inflight;
+  Obs.Metric.set_gauge m_inflight (Atomic.get t.inflight);
+  ignore (send conn resp)
+
 (* ---- reader: one thread per connection ---- *)
 
 let reader t conn =
@@ -182,62 +193,46 @@ let reader t conn =
         Obs.Metric.incr m_protocol_errors;
         ignore (send conn (Proto.response_error ?id e))
       | Ok req ->
-        let deadline_ns =
-          match
-            (match req.Proto.deadline_ms with
-             | Some ms -> Some ms
-             | None -> t.cfg.default_deadline_ms)
-          with
-          | Some ms -> Some (Obs.now_ns () + (ms * 1_000_000))
-          | None -> None
+        let id = req.Proto.id in
+        let admitted =
+          if Proto.compute_op req.Proto.op then
+            let deadline_ns =
+              Option.map
+                (fun ms -> Obs.now_ns () + (ms * 1_000_000))
+                (match req.Proto.deadline_ms with
+                 | Some ms -> Some ms
+                 | None -> t.cfg.default_deadline_ms)
+            in
+            Admission.submit t.queue ~key:id { conn; req; deadline_ns }
+          else
+            Result.map
+              (fun () -> answer t conn (fun () -> Dispatch.handle t.ctx req))
+              (Admission.admit t.queue ~key:id)
         in
-        (match
-           Admission.submit t.queue ~key:req.Proto.id { conn; req; deadline_ns }
-         with
+        (match admitted with
          | Ok () -> ()
          | Error e ->
            (* shed or draining: still exactly one response per request *)
-           ignore (send conn (Proto.response_error ~id:req.Proto.id e)))))
+           ignore (send conn (Proto.response_error ~id e)))))
   done;
   close_conn t conn
 
-(* ---- workers ---- *)
+(* ---- the compute thread: queued encrypt/mine, in admission order ---- *)
 
-let worker t ctx =
+let compute t =
   let continue = ref true in
   while !continue do
     match Admission.take t.queue with
     | None -> continue := false
     | Some { conn; req; deadline_ns } ->
-      Atomic.incr t.inflight;
-      Obs.Metric.set_gauge m_inflight (Atomic.get t.inflight);
-      let resp =
-        match deadline_ns with
-        | Some d when Obs.now_ns () > d ->
-          (* expired while queued: answer without burning compute *)
-          Obs.Metric.incr m_queue_deadline;
-          Proto.response_error ~id:req.Proto.id
-            (Fault.Error.Deadline_exceeded { context = "Server.Engine.queue_wait" })
-        | _ ->
-          if Proto.compute_op req.Proto.op then begin
-            Mutex.lock t.compute_lock;
-            let r =
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock t.compute_lock)
-                (fun () -> Dispatch.handle ?deadline_ns ctx req)
-            in
-            r
-          end
-          else Dispatch.handle ?deadline_ns ctx req
-      in
-      (* decrement before the response hits the wire: by the time the
-         peer reads the answer and sends its next request, this one no
-         longer counts — so a sequential client always observes a
-         deterministic inflight in health responses (the chaos stage
-         asserts faults-off streams are bit-identical) *)
-      Atomic.decr t.inflight;
-      Obs.Metric.set_gauge m_inflight (Atomic.get t.inflight);
-      ignore (send conn resp)
+      answer t conn (fun () ->
+          match deadline_ns with
+          | Some d when Obs.now_ns () > d ->
+            (* expired while queued: answer without burning compute *)
+            Obs.Metric.incr m_queue_deadline;
+            Proto.response_error ~id:req.Proto.id
+              (Fault.Error.Deadline_exceeded { context = "Server.Engine.queue_wait" })
+          | _ -> Dispatch.handle ?deadline_ns t.ctx req)
   done
 
 (* ---- accept loop and drain sequence ---- *)
@@ -288,10 +283,11 @@ let drain_sequence t =
   sweep ();
   (try Unix.close t.listener with Unix.Unix_error _ -> ());
   (* stop admitting: readers now answer every new request with Draining,
-     workers finish the backlog and exit on the empty drained queue *)
+     the compute thread finishes the backlog and exits on the empty
+     drained queue *)
   Admission.start_drain t.queue;
-  List.iter Thread.join t.workers;
-  t.workers <- [];
+  Option.iter Thread.join t.compute;
+  t.compute <- None;
   (* every queued request has been answered and written; readers now
      close their sessions as soon as the socket goes idle (any frame
      still arriving is answered with Draining first) — never with an
@@ -309,7 +305,7 @@ let drain_sequence t =
   List.iter Thread.join readers;
   flush_metrics t
 
-let accept_loop t ctx =
+let accept_loop t =
   while not (Atomic.get t.draining) do
     match Unix.select [ t.listener ] [] [] 0.1 with
     | [], _, _ -> ()
@@ -319,7 +315,6 @@ let accept_loop t ctx =
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
-  ignore ctx;
   drain_sequence t
 
 let io_error reason = Fault.Error.Io_failure { path = "listener"; reason }
@@ -343,33 +338,31 @@ let start cfg =
     (try Unix.close listener with Unix.Unix_error _ -> ());
     Error (io_error (Printf.sprintf "bad host %S" cfg.host))
   | bound_port ->
+    let queue = Admission.create ~capacity:cfg.queue_capacity in
+    let draining = Atomic.make false and inflight = Atomic.make 0 in
     let t =
       { cfg;
         listener;
         bound_port;
-        tenants = Tenant.create ~master:cfg.master;
-        queue = Admission.create ~capacity:cfg.queue_capacity;
-        draining = Atomic.make false;
+        ctx =
+          { Dispatch.tenants = Tenant.create ~master:cfg.master;
+            queue_depth = (fun () -> Admission.depth queue);
+            inflight = (fun () -> Atomic.get inflight);
+            draining = (fun () -> Atomic.get draining) };
+        queue;
+        draining;
         closing = Atomic.make false;
         close_by = Atomic.make max_int;
-        inflight = Atomic.make 0;
-        compute_lock = Mutex.create ();
+        inflight;
         conns_lock = Mutex.create ();
         conns = Hashtbl.create 16;
         next_cid = 0;
         readers = [];
-        workers = [];
+        compute = None;
         accepter = None }
     in
-    let ctx =
-      { Dispatch.tenants = t.tenants;
-        queue_depth = (fun () -> Admission.depth t.queue);
-        inflight = (fun () -> Atomic.get t.inflight);
-        draining = (fun () -> Atomic.get t.draining) }
-    in
-    t.workers <-
-      List.init (max 1 cfg.workers) (fun _ -> Thread.create (fun () -> worker t ctx) ());
-    t.accepter <- Some (Thread.create (fun () -> accept_loop t ctx) ());
+    t.compute <- Some (Thread.create compute t);
+    t.accepter <- Some (Thread.create accept_loop t);
     Ok t
 
 (* signal handlers only flip the atomic: the accept loop notices within

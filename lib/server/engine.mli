@@ -1,16 +1,15 @@
 (** The always-on encrypted-mining server (DESIGN.md §14).
 
     Sys-threads on domain 0 do the plumbing — an accept loop (100 ms
-    select tick), one reader per connection, [workers] queue consumers —
-    while compute parallelism comes from the process-wide
-    [Parallel.Pool] of domains.  Encrypt/mine requests run one at a
-    time under a compute lock: the domain pool is the unit of
-    parallelism, and two concurrent batches would only oversubscribe
-    its lanes.  Request deadlines live in [Parallel.Pool]'s
-    per-sys-thread slots, so concurrent handlers sharing domain 0
-    cannot corrupt each other's deadline.  Health and stats bypass the
-    lock (and never install a deadline) and stay responsive under
-    load.
+    select tick), one reader per connection, one compute thread — while
+    compute parallelism comes from the process-wide [Parallel.Pool] of
+    domains.  Encrypt/mine requests are queued, and the compute thread
+    runs them one at a time in admission order: the domain pool is the
+    unit of parallelism, and two concurrent batches would only
+    oversubscribe its lanes.  Health and stats never queue: the
+    connection's reader takes the same admission decision
+    ({!Admission.admit}) and answers them itself, without a deadline,
+    so they are answered ahead of a compute backlog.
 
     Robustness contract:
     - every successfully framed request gets exactly one response —
@@ -37,7 +36,6 @@
 type config = {
   host : string;                   (** bind address, default loopback *)
   port : int;                      (** 0 picks an ephemeral port *)
-  workers : int;                   (** queue-consumer threads *)
   queue_capacity : int;            (** admission bound before shedding *)
   master : string;                 (** keyring passphrase *)
   default_deadline_ms : int option;(** applied when a request names none *)
@@ -46,13 +44,14 @@ type config = {
 }
 
 val default_config : config
-(** Loopback, ephemeral port, 4 workers, capacity 64, no deadline, 5 s
-    drain grace, no metrics snapshot. *)
+(** Loopback, ephemeral port, capacity 64, no deadline, 5 s drain
+    grace, no metrics snapshot. *)
 
 type t
 
 val start : config -> (t, Fault.Error.t) result
-(** Bind, spawn workers and the accept loop, return immediately.
+(** Bind, spawn the compute thread and the accept loop, return
+    immediately.
     [Error (Io_failure _)] if the address cannot be bound. *)
 
 val port : t -> int

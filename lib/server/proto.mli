@@ -19,9 +19,10 @@ val op_to_string : op -> string
 val op_of_string : string -> op option
 
 val compute_op : op -> bool
-(** [encrypt] and [mine]: the ops that take the server's compute lock
-    and run under the request deadline.  [stats] and [health] answer
-    without either. *)
+(** [encrypt] and [mine]: the ops that queue for the server's one
+    compute thread and run under the request deadline.  The
+    connection's reader answers [stats] and [health] itself, without
+    either. *)
 
 type request = {
   id : int;                (** client-chosen correlation id, echoed back *)
@@ -43,8 +44,8 @@ type request = {
 }
 
 val max_retries : int
-(** 8: [retries] runs under the compute lock, so the client may not
-    choose its length freely. *)
+(** 8: [retries] runs on the one compute thread, ahead of every request
+    queued behind it, so the client may not choose its length freely. *)
 
 val max_deadline_ms : int
 (** 86,400,000 (24 h): far below the ms-to-ns overflow of the absolute

@@ -356,8 +356,17 @@ let test_admission_sheds () =
      check_int "hint deterministic" (Admission.retry_after_ms 2) retry_after_ms
    | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
    | Ok () -> Alcotest.fail "overfull queue admitted");
+  (* [admit] takes the same decision and queues nothing *)
+  (match Admission.admit q ~key:5 with
+   | Error (Fault.Error.Overloaded { queue_depth; _ }) ->
+     check_int "admit: depth at shed" 2 queue_depth
+   | Error e -> Alcotest.failf "admit: wrong error: %s" (Fault.Error.to_string e)
+   | Ok () -> Alcotest.fail "admit: full queue admitted");
+  check_int "admit: depth unchanged when full" 2 (Admission.depth q);
   (* shedding is an answer, not a drop: the queue still serves *)
   check_bool "take A" true (Admission.take q = Some `A);
+  check_bool "admit: room" true (Result.is_ok (Admission.admit q ~key:6));
+  check_int "admit: depth unchanged" 1 (Admission.depth q);
   check_bool "room again" true (Result.is_ok (Admission.submit q ~key:4 `D))
 
 let test_admission_drain () =
@@ -369,6 +378,11 @@ let test_admission_drain () =
    | Error Fault.Error.Draining -> ()
    | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
    | Ok () -> Alcotest.fail "draining queue admitted");
+  (match Admission.admit q ~key:4 with
+   | Error Fault.Error.Draining -> ()
+   | Error e -> Alcotest.failf "admit: wrong error: %s" (Fault.Error.to_string e)
+   | Ok () -> Alcotest.fail "admit: draining queue admitted");
+  check_int "admit: depth unchanged" 2 (Admission.depth q);
   (* the backlog is finished, never discarded *)
   check_bool "backlog A" true (Admission.take q = Some `A);
   check_bool "backlog B" true (Admission.take q = Some `B);
@@ -382,11 +396,16 @@ let test_admission_injected_shed () =
    | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Fault.Inject.disarm_all (fun () ->
       let q = Admission.create ~capacity:8 in
-      match Admission.submit q ~key:1 `A with
+      (match Admission.submit q ~key:1 `A with
+       | Error (Fault.Error.Overloaded _) ->
+         check_int "nothing queued" 0 (Admission.depth q)
+       | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
+       | Ok () -> Alcotest.fail "armed point did not shed");
+      match Admission.admit q ~key:2 with
       | Error (Fault.Error.Overloaded _) ->
-        check_int "nothing queued" 0 (Admission.depth q)
-      | Error e -> Alcotest.failf "wrong error: %s" (Fault.Error.to_string e)
-      | Ok () -> Alcotest.fail "armed point did not shed")
+        check_int "admit: nothing queued" 0 (Admission.depth q)
+      | Error e -> Alcotest.failf "admit: wrong error: %s" (Fault.Error.to_string e)
+      | Ok () -> Alcotest.fail "admit: armed point did not shed")
 
 (* ---- engine: end-to-end over a real socket ---- *)
 
@@ -399,8 +418,7 @@ let sky_queries =
     "SELECT class, COUNT(*) FROM photoobj WHERE magnitude < 20 GROUP BY class" ]
 
 let test_config =
-  { Engine.default_config with Engine.workers = 2; queue_capacity = 16;
-    master = "test-server" }
+  { Engine.default_config with Engine.queue_capacity = 16; master = "test-server" }
 
 let with_engine ?(cfg = test_config) f =
   match Engine.start cfg with
@@ -500,14 +518,13 @@ let test_engine_queue_deadline () =
   (* a 1 ms deadline on a mine over hundreds of queries expires while
      the request queues or early in its compute -> typed deadline answer,
      and the pool lanes it held are released for the next request *)
-  let cfg = { test_config with Engine.workers = 1 } in
   let big =
     List.init 400 (fun i ->
         Printf.sprintf
           "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN %d AND %d" i
           (i + 50))
   in
-  with_engine ~cfg (fun t ->
+  with_engine (fun t ->
       with_client t (fun c ->
           let r1 = request ~id:1 ~op:Proto.Mine ~queries:big () in
           let r2 =
@@ -629,8 +646,8 @@ let test_engine_mine_k_range () =
                 (Option.value ~default:"ok" (error_kind resp)))))
 
 let test_engine_wire_bounds () =
-  (* a retry budget the client picks without limit would spin under the
-     compute lock, and a deadline past the ns range would wrap negative
+  (* a retry budget the client picks without limit would spin on the
+     compute thread, and a deadline past the ns range would wrap negative
      and expire at once: both are protocol answers, while an ordinary
      deadline still mines *)
   with_engine (fun t ->
@@ -721,9 +738,8 @@ let test_engine_kmedoids_index_fallback () =
 
 let test_engine_drain_answers_backlog () =
   (* requests in flight when drain starts are all answered: zero dropped *)
-  let cfg = { test_config with Engine.workers = 1 } in
   let n = 6 in
-  with_engine ~cfg (fun t ->
+  with_engine (fun t ->
       with_client t (fun c ->
           (* fill the pipe, then immediately request drain *)
           let ids = List.init n (fun i -> i + 1) in
@@ -819,6 +835,95 @@ let test_engine_drain_chatty_client () =
           Engine.wait t;
           check_bool "drain bounded under chatty client" true
             (Unix.gettimeofday () -. t0 < 5.)))
+
+(* ---- one compute thread: admission order, health ahead of work ---- *)
+
+let write_request fd req =
+  match Frame.write fd (J.to_string req) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write: %s" (Fault.Error.to_string e)
+
+let read_response fd =
+  match Frame.read fd with
+  | Ok (Some payload) -> (
+    match J.parse payload with
+    | Ok resp -> resp
+    | Error e -> Alcotest.failf "response does not parse: %s" e)
+  | Ok None -> Alcotest.fail "session closed"
+  | Error e -> Alcotest.failf "read: %s" (Fault.Error.to_string e)
+
+let with_raw t f =
+  let fd = connect_raw t in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd)
+
+let test_engine_admission_order () =
+  (* encrypt and mine run on one thread in admission order, so a client
+     that pipelines them reads the answers in the order it sent them *)
+  with_engine (fun t ->
+      with_raw t (fun fd ->
+          for round = 1 to 20 do
+            let ids = List.init 12 (fun i -> (round * 100) + i) in
+            List.iter
+              (fun id ->
+                let op = if id mod 2 = 0 then Proto.Mine else Proto.Encrypt in
+                write_request fd (request ~id ~op ()))
+              ids;
+            let arrived =
+              List.map (fun _ -> Proto.response_id (read_response fd)) ids
+            in
+            Alcotest.(check (list (option int)))
+              (Printf.sprintf "round %d: answers in admission order" round)
+              (List.map Option.some ids) arrived
+          done))
+
+let m_admitted = Obs.Registry.counter "kitdpe.server.admitted"
+
+let test_engine_health_behind_backlog () =
+  (* health never queues: sent once six large mines are admitted, it is
+     answered by its own reader while later mines still wait in the
+     queue (behind them in one FIFO, it would read an empty queue).  The
+     edit measure makes each mine outlast the reading of the next frame,
+     which waits for domain 0's runtime lock at every read *)
+  let big =
+    List.init 1500 (fun i ->
+        Printf.sprintf
+          "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN %d AND %d" i
+          (i + 50))
+  in
+  let mines = List.init 6 (fun i -> i + 1) in
+  with_engine (fun t ->
+      with_raw t (fun probe ->
+          with_raw t (fun fd ->
+              let admitted () = Obs.Metric.value m_admitted in
+              let before = admitted () in
+              List.iter
+                (fun id ->
+                  write_request fd
+                    (request ~id ~measure:Distance.Measure.Edit ~queries:big ()))
+                mines;
+              let give_up = Unix.gettimeofday () +. 30. in
+              while admitted () - before < List.length mines do
+                if Unix.gettimeofday () > give_up then
+                  Alcotest.fail "mines not admitted within 30 s";
+                Thread.delay 0.05
+              done;
+              write_request probe (request ~id:7 ~op:Proto.Health ~queries:[] ());
+              let health = read_response probe in
+              let depth =
+                Option.bind
+                  (Option.bind (J.member "health" health) (J.member "queue_depth"))
+                  J.to_int
+                |> Option.value ~default:(-1)
+              in
+              check_bool (Printf.sprintf "queue_depth %d >= 1" depth) true
+                (depth >= 1);
+              List.iter
+                (fun id ->
+                  check_bool "mine answered" true
+                    (Proto.response_id (read_response fd) = Some id))
+                mines)))
 
 (* ---- client correlation hardening ---- *)
 
@@ -1009,7 +1114,11 @@ let () =
          Alcotest.test_case "drain bounded: half-open client" `Quick
            test_engine_drain_half_open_client;
          Alcotest.test_case "drain bounded: chatty client" `Quick
-           test_engine_drain_chatty_client ]);
+           test_engine_drain_chatty_client;
+         Alcotest.test_case "encrypt and mine answered in admission order"
+           `Quick test_engine_admission_order;
+         Alcotest.test_case "health answered ahead of a mine backlog" `Quick
+           test_engine_health_behind_backlog ]);
       ("client",
        [ Alcotest.test_case "drops unsolicited ids" `Quick
            test_client_drops_unsolicited;
